@@ -574,20 +574,6 @@ let explain_cmd =
 (* ---- sspc tune: offline closed-loop tuning over a store ---- *)
 
 let tune_cmd =
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let name_of = function
     | Fb.Named n -> n
     | Fb.Inline src ->
@@ -649,10 +635,10 @@ let tune_cmd =
           if i > 0 then Buffer.add_string b ",";
           let agg = st.Fb.st_aggregate in
           Printf.bprintf b
-            "{\"workload\":\"%s\",\"scale\":%d,\"pipeline\":\"%s\",\"reports\":%d,\"version\":%d,\"actions\":["
-            (json_escape (name_of st.Fb.st_prog))
+            "{\"workload\":%s,\"scale\":%d,\"pipeline\":%s,\"reports\":%d,\"version\":%d,\"actions\":["
+            (T.json_string (name_of st.Fb.st_prog))
             st.Fb.st_scale
-            (json_escape st.Fb.st_pipeline)
+            (T.json_string st.Fb.st_pipeline)
             st.Fb.st_reports agg.Fb.ag_version;
           (match st.Fb.st_tuned with
           | None -> ()
@@ -661,10 +647,10 @@ let tune_cmd =
               (fun j a ->
                 if j > 0 then Buffer.add_string b ",";
                 Printf.bprintf b
-                  "{\"load\":\"%s\",\"what\":\"%s\",\"why\":\"%s\"}"
-                  (json_escape (Ssp_ir.Iref.to_string a.Fb.act_load))
-                  (json_escape a.Fb.act_what)
-                  (json_escape a.Fb.act_why))
+                  "{\"load\":%s,\"what\":%s,\"why\":%s}"
+                  (T.json_string (Ssp_ir.Iref.to_string a.Fb.act_load))
+                  (T.json_string a.Fb.act_what)
+                  (T.json_string a.Fb.act_why))
               t.Fb.td_actions);
           Buffer.add_string b "]}")
         results;

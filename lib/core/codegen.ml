@@ -5,14 +5,34 @@ let site_refuse = F.site "adapt.codegen.refuse"
 
 let depth_slot = Ssp_sim.Thread.lib_slots - 1
 
-(* Label gensym. [apply] threads its own counter (restarted per call, so
-   the emitted assembly is deterministic and concurrent applies on
-   different programs never share state); the exported [fresh_name] for
-   raw rewriting (hand adaptation) draws from a process-wide atomic. *)
-let fresh_counter = Atomic.make 0
+(* Label gensym: [ssp_<stem>_<n>] with [n] counting up from [start].
+   [apply] starts every call at 0, so the emitted assembly is deterministic
+   and concurrent applies never share state. *)
+let gensym start =
+  let n = ref start in
+  fun stem ->
+    Stdlib.incr n;
+    Printf.sprintf "ssp_%s_%d" stem !n
 
-let fresh_name stem =
-  Printf.sprintf "ssp_%s_%d" stem (Atomic.fetch_and_add fresh_counter 1 + 1)
+(* Raw rewriting (hand adaptation) runs on programs [apply] already
+   rewrote, so its numbers start past the largest [ssp_*_<n>] label in the
+   program: unique within it, whatever else ran in the process. *)
+let program_gensym (prog : Ssp_ir.Prog.t) =
+  let number l =
+    match String.rindex_opt l '_' with
+    | Some i when String.starts_with ~prefix:"ssp_" l ->
+      int_of_string_opt (String.sub l (i + 1) (String.length l - i - 1))
+    | _ -> None
+  in
+  let last = ref 0 in
+  Hashtbl.iter
+    (fun _ (f : Ssp_ir.Prog.func) ->
+      Array.iter
+        (fun (b : Ssp_ir.Prog.block) ->
+          Option.iter (fun k -> last := max !last k) (number b.Ssp_ir.Prog.label))
+        f.Ssp_ir.Prog.blocks)
+    prog.Ssp_ir.Prog.funcs;
+  gensym !last
 
 (* Renaming state for slice emission: original register -> slice register.
    Fresh registers come from the stacked partition of the (clean)
@@ -371,14 +391,13 @@ let insert_chk_gen ~fresh prog ~fn ~blk ~pos ~stub_ops =
     ]
 
 let insert_chk prog ~fn ~blk ~pos ~stub_ops =
-  insert_chk_gen ~fresh:fresh_name prog ~fn ~blk ~pos ~stub_ops
+  insert_chk_gen ~fresh:(program_gensym prog) prog ~fn ~blk ~pos ~stub_ops
 
-let append_raw_blocks prog ~fn blocks =
-  let f = Ssp_ir.Prog.find_func prog fn in
-  append_blocks f
-    (List.map
-       (fun (label, ops) -> { Ssp_ir.Prog.label; ops = Array.of_list ops })
-       blocks)
+let append_raw_block prog ~fn ~stem ops =
+  let label = program_gensym prog stem in
+  append_blocks (Ssp_ir.Prog.find_func prog fn)
+    [ { Ssp_ir.Prog.label; ops = Array.of_list ops } ];
+  label
 
 let insert_trigger ~fresh prog (choice : Select.choice) ~slice_label (t : Trigger.t) =
   let sched = choice.Select.schedule in
@@ -411,14 +430,7 @@ type apply_result = {
 
 let apply prog cfg (choices : Select.choice list) =
   ignore cfg;
-  (* Labels only need to be unique within the rewritten program; a local
-     gensym restarted per call keeps the emitted assembly deterministic
-     across repeated (or concurrent) adapt runs in one process. *)
-  let ctr = ref 0 in
-  let fresh stem =
-    Stdlib.incr ctr;
-    Printf.sprintf "ssp_%s_%d" stem !ctr
-  in
+  let fresh = gensym 0 in
   let dropped = ref [] in
   let drop (choice : Select.choice) e =
     dropped := (choice.Select.load.Delinquent.iref, e) :: !dropped

@@ -47,7 +47,9 @@ val apply :
 (** {2 Raw rewriting (hand adaptation)}
 
     The §4.5 hand-adapted binaries are built with the same low-level
-    rewriting used by the automatic tool. *)
+    rewriting used by the automatic tool. The labels it mints continue past
+    the largest [ssp_*_<n>] already in the program, so they are unique
+    within it and depend only on it. *)
 
 val insert_chk :
   Ssp_ir.Prog.t ->
@@ -59,8 +61,6 @@ val insert_chk :
 (** Split the block at [pos], insert a [chk.c], append the stub (the final
     resume branch is added automatically). *)
 
-val append_raw_blocks :
-  Ssp_ir.Prog.t -> fn:string -> (string * Ssp_isa.Op.t list) list -> unit
-
-val fresh_name : string -> string
-(** A program-unique label with the given stem. *)
+val append_raw_block :
+  Ssp_ir.Prog.t -> fn:string -> stem:string -> Ssp_isa.Op.t list -> string
+(** Append one block to [fn] and return its label, [ssp_<stem>_<n>]. *)

@@ -33,7 +33,6 @@ let adapt_health ~config prog profile =
     let sites = Ssp_analysis.Callgraph.callers callgraph "simulate" in
     if sites = [] then None
     else begin
-      let l_slice = Codegen.fresh_name "hand_slice" in
       (* Registers of the fresh speculative context. *)
       let v = 32 and l = 33 and p1 = 34 and p2 = 35 in
       let c k = 40 + k and cl k = 48 + k and cn k = 56 + k in
@@ -65,7 +64,10 @@ let adapt_health ~config prog profile =
               ])
         health_child_offsets;
       body := !body @ [ Op.Kill ];
-      Codegen.append_raw_blocks adapted ~fn:"simulate" [ (l_slice, !body) ];
+      let l_slice =
+        Codegen.append_raw_block adapted ~fn:"simulate" ~stem:"hand_slice"
+          !body
+      in
       (* Trigger at every call site: the actual v is in r8 right before the
          call. Insert per block from the highest position down. *)
       let sorted =

@@ -11,6 +11,7 @@
 
 open Ssp_machine
 module F = Ssp_fault.Fault
+module T = Ssp_telemetry.Telemetry
 
 (* Probabilities are tuned so a default 8-campaign sweep exercises every
    site: the adapt sites are queried once or twice per delinquent load
@@ -185,17 +186,6 @@ let pp ppf r =
     r.workloads;
   Format.fprintf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let b = Buffer.create 4096 in
   let degraded, skipped = ladder_events r in
@@ -204,13 +194,12 @@ let to_json r =
        "{\"seed\":%d,\"campaigns\":%d,\"violations\":%d,\"degraded\":%d,\
         \"skipped\":%d,\"fired_sites\":[%s],\"workloads\":["
        r.seed r.n_campaigns (violations r) degraded skipped
-       (String.concat ","
-          (List.map (fun s -> "\"" ^ json_escape s ^ "\"") (fired_sites r))));
+       (String.concat "," (List.map T.json_string (fired_sites r))));
   List.iteri
     (fun wi w ->
       if wi > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"campaigns\":[" (json_escape w.w_name));
+        (Printf.sprintf "{\"name\":%s,\"campaigns\":[" (T.json_string w.w_name));
       List.iteri
         (fun ci c ->
           if ci > 0 then Buffer.add_char b ',';
@@ -219,15 +208,12 @@ let to_json r =
                "{\"seed\":%d,\"slices\":%d,\"degraded\":%d,\"skipped\":%d,\
                 \"violations\":[%s],\"faults\":{%s}}"
                c.c_seed c.slices c.degraded c.skipped
-               (String.concat ","
-                  (List.map
-                     (fun v -> "\"" ^ json_escape v ^ "\"")
-                     c.violations))
+               (String.concat "," (List.map T.json_string c.violations))
                (String.concat ","
                   (List.map
                      (fun (f : F.count) ->
-                       Printf.sprintf "\"%s\":{\"queried\":%d,\"fired\":%d}"
-                         (json_escape f.F.site) f.F.queried f.F.fired)
+                       Printf.sprintf "%s:{\"queried\":%d,\"fired\":%d}"
+                         (T.json_string f.F.site) f.F.queried f.F.fired)
                      c.faults))))
         w.campaigns;
       Buffer.add_string b "]}")

@@ -28,47 +28,17 @@ let config_for setting pipeline =
   if setting.cache_divisor = 1 then base
   else Config.scale_caches base setting.cache_divisor
 
-let simulate ?attrib ?sampling (cfg : Config.t) prog =
+let simulate ?sampling (cfg : Config.t) prog =
   match cfg.Config.pipeline with
-  | Config.In_order -> Ssp_sim.Inorder.run ?attrib ?sampling cfg prog
-  | Config.Out_of_order -> Ssp_sim.Ooo.run ?attrib ?sampling cfg prog
+  | Config.In_order -> Ssp_sim.Inorder.run ?sampling cfg prog
+  | Config.Out_of_order -> Ssp_sim.Ooo.run ?sampling cfg prog
 
 let adapt_and_run setting ~pipeline prog profile =
   let cfg = config_for setting pipeline in
   let result = Ssp.Adapt.run ~config:cfg prog profile in
   (result, simulate cfg result.Ssp.Adapt.prog)
 
-type attributed = {
-  a_name : string;
-  a_base : Ssp_sim.Stats.t;
-  a_ssp : Ssp_sim.Stats.t;
-  a_result : Ssp.Adapt.result;
-  a_attrib : Ssp_sim.Attrib.summary;
-}
-
-let attributed_run ?(setting = reference) ~pipeline
-    (w : Ssp_workloads.Workload.t) =
-  let cfg = config_for setting pipeline in
-  let prog = Ssp_workloads.Workload.program w ~scale:setting.scale in
-  let profile = Ssp_profiling.Collect.collect ~config:cfg prog in
-  let result = Ssp.Adapt.run ~config:cfg prog profile in
-  let attrib =
-    Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
-  in
-  let base = simulate cfg prog in
-  let ssp = simulate ~attrib cfg result.Ssp.Adapt.prog in
-  if ssp.Ssp_sim.Stats.outputs <> base.Ssp_sim.Stats.outputs then
-    failwith
-      (Printf.sprintf "Experiment.attributed_run: %s outputs diverge"
-         w.Ssp_workloads.Workload.name);
-  {
-    a_name = w.Ssp_workloads.Workload.name;
-    a_base = base;
-    a_ssp = ssp;
-    a_result = result;
-    a_attrib = Ssp_sim.Attrib.summary attrib;
-  }
-
+(* Main-thread L1d miss rate aggregated over the per-site load stats. *)
 let l1d_miss_rate (s : Ssp_sim.Stats.t) =
   let accesses, l1 =
     Ssp_ir.Iref.Tbl.fold

@@ -55,28 +55,8 @@ val adapt_and_run :
   Ssp.Adapt.result * Ssp_sim.Stats.t
 (** Building block for the hand-vs-auto and ablation experiments. *)
 
-type attributed = {
-  a_name : string;
-  a_base : Ssp_sim.Stats.t;  (** unmodified binary *)
-  a_ssp : Ssp_sim.Stats.t;  (** adapted binary, attributed run *)
-  a_result : Ssp.Adapt.result;
-  a_attrib : Ssp_sim.Attrib.summary;
-}
-
-val attributed_run :
-  ?setting:setting ->
-  pipeline:Ssp_machine.Config.pipeline ->
-  Ssp_workloads.Workload.t ->
-  attributed
-(** Profile, adapt, and simulate one workload with prefetch-lifecycle
-    attribution enabled on the adapted run; the baseline runs without
-    instrumentation. Output equality between the two runs is asserted. *)
-
 val config_for :
   setting -> Ssp_machine.Config.pipeline -> Ssp_machine.Config.t
-
-val l1d_miss_rate : Ssp_sim.Stats.t -> float
-(** Main-thread L1d miss rate aggregated over the per-site load stats. *)
 
 type sampling_check = {
   sc_name : string;

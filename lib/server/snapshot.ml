@@ -242,21 +242,6 @@ let pp ppf t =
     Format.fprintf ppf "events dropped: %d@," t.events_dropped;
   Format.fprintf ppf "@]"
 
-let buf_json_str b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let buf_json_float b v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.1f" v)
@@ -273,20 +258,20 @@ let to_json t =
       xs
   in
   Buffer.add_string b "{\"node\":";
-  buf_json_str b t.node;
+  T.buf_json_string b t.node;
   Buffer.add_string b ",\"counters\":{";
   fields ',' t.counters (fun (name, v) ->
-      buf_json_str b name;
+      T.buf_json_string b name;
       Buffer.add_char b ':';
       Buffer.add_string b (string_of_int v));
   Buffer.add_string b "},\"gauges\":{";
   fields ',' t.gauges (fun (name, v) ->
-      buf_json_str b name;
+      T.buf_json_string b name;
       Buffer.add_char b ':';
       buf_json_float b v);
   Buffer.add_string b "},\"dists\":{";
   fields ',' t.dists (fun (name, d) ->
-      buf_json_str b name;
+      T.buf_json_string b name;
       Buffer.add_string b ":{\"n\":";
       Buffer.add_string b (string_of_int d.T.ds_n);
       Buffer.add_string b ",\"mean\":";
@@ -300,7 +285,7 @@ let to_json t =
       Buffer.add_char b '}');
   Buffer.add_string b "},\"hists\":{";
   fields ',' t.hists (fun (name, h) ->
-      buf_json_str b name;
+      T.buf_json_string b name;
       Buffer.add_string b ":{\"n\":";
       Buffer.add_string b (string_of_int h.T.hs_n);
       Buffer.add_string b ",\"mean\":";

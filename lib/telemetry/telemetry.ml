@@ -645,6 +645,12 @@ let buf_json_string b s =
     s;
   Buffer.add_char b '"'
 
+(* [s] as a quoted JSON string literal. *)
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  buf_json_string b s;
+  Buffer.contents b
+
 let buf_float b f =
   (* JSON has no infinities; distributions are dropped when empty so these
      only appear if a caller records them directly. *)

@@ -245,6 +245,29 @@ let test_chaos_smoke () =
   Alcotest.(check bool) "json renders" true
     (contains (Ssp_harness.Chaos.to_json r) "\"violations\":0")
 
+(* A tab or carriage return in a workload path or a fault-site name is
+   escaped, so the report stays valid JSON. *)
+let test_chaos_json_escapes_control_bytes () =
+  let module C = Ssp_harness.Chaos in
+  let campaign =
+    {
+      C.c_seed = 1;
+      violations = [ "out\r\n" ];
+      faults = [ { F.site = "sim\tsite"; queried = 2; fired = 1 } ];
+      degraded = 0;
+      skipped = 0;
+      slices = 0;
+    }
+  in
+  let workload = { C.w_name = "dir\twith\rtab.mc"; campaigns = [ campaign ] } in
+  let json =
+    C.to_json { C.seed = 1; n_campaigns = 1; specs = []; workloads = [ workload ] }
+  in
+  Alcotest.(check bool) "no raw control byte" false
+    (String.exists (fun c -> Char.code c < 0x20) json);
+  Alcotest.(check bool) "name escaped" true
+    (contains json "\"dir\\twith\\rtab.mc\"")
+
 (* ---- sspc exit-code contract ---- *)
 
 (* The test binary lives in _build/default/test/; sspc is its sibling
@@ -282,4 +305,6 @@ let suite =
     Alcotest.test_case "chaos: em3d smoke campaign" `Slow test_chaos_smoke;
     Alcotest.test_case "sspc: exit code 2 on bad input" `Quick
       test_cli_exit_codes;
+    Alcotest.test_case "chaos: JSON escapes control bytes" `Quick
+      test_chaos_json_escapes_control_bytes;
   ]

@@ -164,6 +164,29 @@ let check_workload name =
     (name ^ ": explain JSON (attribution)")
     (Ssp.Explain.to_json e1) (Ssp.Explain.to_json e4)
 
+(* The pooled simulation grid behind every figure: [run_benchmark] with
+   jobs=2 reproduces the sequential sim points and adaptation report on
+   every suite kernel. The memo is keyed by setting label, so each run
+   gets its own. *)
+let test_grid_jobs_invariant () =
+  let module E = Ssp_harness.Experiment in
+  let setting label = { E.scale = 1; cache_divisor = 64; label } in
+  let render (r : E.runs) =
+    String.concat "\n"
+      (List.map
+         (Format.asprintf "%a" Ssp_sim.Stats.pp)
+         [ r.E.io_base; r.io_ssp; r.io_pmem; r.io_pdel; r.ooo_base; r.ooo_ssp;
+           r.ooo_pmem; r.ooo_pdel ])
+    ^ Format.asprintf "%a" Ssp.Report.pp r.E.report
+  in
+  List.iter
+    (fun (w : Ssp_workloads.Workload.t) ->
+      Alcotest.(check string)
+        (w.Ssp_workloads.Workload.name ^ ": sim grid and report")
+        (render (E.run_benchmark ~setting:(setting "grid-jobs1") ~jobs:1 w))
+        (render (E.run_benchmark ~setting:(setting "grid-jobs2") ~jobs:2 w)))
+    Ssp_workloads.Suite.all
+
 let test_adapt_deterministic_mcf () = check_workload "mcf"
 let test_adapt_deterministic_em3d () = check_workload "em3d"
 
@@ -188,4 +211,6 @@ let suite =
       test_adapt_deterministic_mcf;
     Alcotest.test_case "jobs=4 byte-identical: em3d" `Slow
       test_adapt_deterministic_em3d;
+    Alcotest.test_case "sim grid jobs=2 byte-identical: suite" `Slow
+      test_grid_jobs_invariant;
   ]

@@ -441,6 +441,27 @@ let test_hand_adaptations_preserve_semantics () =
        profile
      = None)
 
+(* Raw-rewrite labels depend only on the program, so the hand rewrite
+   after the automatic pass validates and repeats byte for byte within one
+   process (quick geometry). *)
+let test_hand_health_repeatable () =
+  let cfg = Ssp_machine.Config.scale_caches Ssp_machine.Config.in_order 16 in
+  let adapt () =
+    let prog =
+      Ssp_workloads.Workload.program (Ssp_workloads.Suite.find "health")
+        ~scale:3
+    in
+    let profile = Ssp_profiling.Collect.collect ~config:cfg prog in
+    match Ssp.Hand.adapt ~workload:"health" ~config:cfg prog profile with
+    | None -> Alcotest.fail "no hand adaptation for health"
+    | Some r ->
+      Alcotest.(check bool) "hand rewrite validates" true
+        (Result.is_ok (Ssp_ir.Validate.check r.Ssp.Adapt.prog));
+      Format.asprintf "%a" Ssp_ir.Asm.print r.Ssp.Adapt.prog
+  in
+  let first = adapt () in
+  Alcotest.(check string) "second hand rewrite, same asm" first (adapt ())
+
 (* ---------- unrolled slices ---------- *)
 
 let test_unroll_preserves_semantics_and_prefetches_more () =
@@ -465,6 +486,8 @@ let suite =
       Alcotest.test_case "min-cut trigger placement" `Quick test_mincut_diamond;
       Alcotest.test_case "hand adaptations preserve semantics" `Slow
         test_hand_adaptations_preserve_semantics;
+      Alcotest.test_case "hand rewrite of health is repeatable" `Slow
+        test_hand_health_repeatable;
       Alcotest.test_case "unrolled slices" `Slow
         test_unroll_preserves_semantics_and_prefetches_more;
     ]
