@@ -1,113 +1,66 @@
-open Ssp_isa
 module T = Ssp_telemetry.Telemetry
+module Funcsim = Ssp_sim.Funcsim
+module Layout = Ssp_sim.Layout
 
-let collect ?(config = Ssp_machine.Config.in_order) ?max_instrs prog =
+let collect ?(config = Ssp_machine.Config.in_order) prog =
   T.with_span "profile" @@ fun () ->
+  let layout = Layout.of_prog prog in
+  let n = layout.Layout.n_pcs in
+  let c =
+    {
+      Funcsim.hier = Ssp_sim.Hierarchy.create ~tprefix:"profile" config;
+      mem_ops = 0;
+      blocks = Array.make n 0;
+      branches = Array.make (2 * n) 0;
+      loads = Array.make (6 * n) 0;
+      calls = Hashtbl.create 16;
+    }
+  in
   let profile = Profile.create () in
-  let hierarchy = Ssp_sim.Hierarchy.create ~tprefix:"profile" config in
-  let clock = ref 0 in
-  (* Pre-size the block counters. *)
-  List.iter
-    (fun (f : Ssp_ir.Prog.func) ->
-      Hashtbl.replace profile.Profile.blocks f.name
-        (Array.make (Array.length f.blocks) 0))
-    (Ssp_ir.Prog.funcs_in_order prog);
-  let bump_block (i : Ssp_ir.Iref.t) =
-    if i.ins = 0 then
-      match Hashtbl.find_opt profile.Profile.blocks i.fn with
-      | Some arr when i.blk < Array.length arr ->
-        arr.(i.blk) <- arr.(i.blk) + 1
-      | Some _ | None -> ()
-  in
-  let record_load iref addr =
-    incr clock;
-    let o = Ssp_sim.Hierarchy.access hierarchy ~now:!clock addr in
-    let s =
-      match Ssp_ir.Iref.Tbl.find_opt profile.Profile.loads iref with
-      | Some s -> s
-      | None ->
-        let s =
-          {
-            Profile.accesses = 0;
-            l1_hits = 0;
-            l2_hits = 0;
-            l3_hits = 0;
-            mem_hits = 0;
-            partial_hits = 0;
-            miss_cycles = 0;
-          }
-        in
-        Ssp_ir.Iref.Tbl.replace profile.Profile.loads iref s;
-        s
-    in
-    s.Profile.accesses <- s.Profile.accesses + 1;
-    (match o.Ssp_sim.Hierarchy.level with
-    | Ssp_sim.Hierarchy.L1 -> s.Profile.l1_hits <- s.Profile.l1_hits + 1
-    | Ssp_sim.Hierarchy.L2 -> s.Profile.l2_hits <- s.Profile.l2_hits + 1
-    | Ssp_sim.Hierarchy.L3 -> s.Profile.l3_hits <- s.Profile.l3_hits + 1
-    | Ssp_sim.Hierarchy.Mem -> s.Profile.mem_hits <- s.Profile.mem_hits + 1);
-    if o.Ssp_sim.Hierarchy.partial then
-      s.Profile.partial_hits <- s.Profile.partial_hits + 1;
-    let beyond_l1 =
-      max 0
-        (o.Ssp_sim.Hierarchy.ready - !clock
-        - config.Ssp_machine.Config.l1.Ssp_machine.Config.latency)
-    in
-    s.Profile.miss_cycles <- s.Profile.miss_cycles + beyond_l1
-  in
-  let record_branch iref taken =
-    let s =
-      match Ssp_ir.Iref.Tbl.find_opt profile.Profile.branches iref with
-      | Some s -> s
-      | None ->
-        let s = { Profile.taken = 0; not_taken = 0 } in
-        Ssp_ir.Iref.Tbl.replace profile.Profile.branches iref s;
-        s
-    in
-    if taken then s.Profile.taken <- s.Profile.taken + 1
-    else s.Profile.not_taken <- s.Profile.not_taken + 1
-  in
-  let record_call iref callee =
-    let tbl =
-      match Ssp_ir.Iref.Tbl.find_opt profile.Profile.calls iref with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 4 in
-        Ssp_ir.Iref.Tbl.replace profile.Profile.calls iref t;
-        t
-    in
-    Hashtbl.replace tbl callee
-      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl callee))
-  in
-  let hook (env : Ssp_sim.Exec.env) (th : Ssp_sim.Thread.t) iref op ev =
-    incr clock;
-    profile.Profile.total_instrs <- profile.Profile.total_instrs + 1;
-    bump_block iref;
-    match ev with
-    | Ssp_sim.Exec.Ev_load -> record_load iref env.Ssp_sim.Exec.ev_addr
-    | Ssp_sim.Exec.Ev_store ->
-      (* Stores touch the hierarchy (write-allocate) but are not load
-         candidates. *)
-      incr clock;
-      ignore
-        (Ssp_sim.Hierarchy.access hierarchy ~now:!clock
-           env.Ssp_sim.Exec.ev_addr)
-    | Ssp_sim.Exec.Ev_branch_taken | Ssp_sim.Exec.Ev_branch_not_taken -> (
-      match op with
-      | Op.Brnz _ | Op.Brz _ ->
-        record_branch iref (ev = Ssp_sim.Exec.Ev_branch_taken)
-      | Op.Br _ | _ -> ())
-    | Ssp_sim.Exec.Ev_call ->
-      (* The thread has already entered the callee. *)
-      record_call iref th.Ssp_sim.Thread.fn
-    | Ssp_sim.Exec.Ev_plain | Ssp_sim.Exec.Ev_prefetch | Ssp_sim.Exec.Ev_ret
-    | Ssp_sim.Exec.Ev_halt | Ssp_sim.Exec.Ev_kill
-    | Ssp_sim.Exec.Ev_chk_fired | Ssp_sim.Exec.Ev_chk_nofire
-    | Ssp_sim.Exec.Ev_spawned | Ssp_sim.Exec.Ev_spawn_denied
-    | Ssp_sim.Exec.Ev_lib ->
-      ()
-  in
-  ignore (Ssp_sim.Funcsim.run ?max_instrs ~hook prog);
+  profile.Profile.total_instrs <- Funcsim.count c layout prog;
+  Array.iter
+    (fun (e : Layout.entry) ->
+      Hashtbl.replace profile.Profile.blocks e.Layout.func.Ssp_ir.Prog.name
+        (Array.mapi
+           (fun b (blk : Ssp_ir.Prog.block) ->
+             if Array.length blk.ops = 0 then 0
+             else c.Funcsim.blocks.(e.Layout.block_base.(b)))
+           e.Layout.func.Ssp_ir.Prog.blocks))
+    layout.Layout.by_index;
+  for pc = 0 to n - 1 do
+    let iref = Layout.iref_of layout pc in
+    let taken = c.Funcsim.branches.(2 * pc)
+    and not_taken = c.Funcsim.branches.((2 * pc) + 1) in
+    if taken + not_taken > 0 then
+      Ssp_ir.Iref.Tbl.replace profile.Profile.branches iref
+        { Profile.taken; not_taken };
+    let l = Array.sub c.Funcsim.loads (6 * pc) 6 in
+    let accesses = l.(0) + l.(1) + l.(2) + l.(3) in
+    if accesses > 0 then
+      Ssp_ir.Iref.Tbl.replace profile.Profile.loads iref
+        {
+          Profile.accesses;
+          l1_hits = l.(0);
+          l2_hits = l.(1);
+          l3_hits = l.(2);
+          mem_hits = l.(3);
+          partial_hits = l.(4);
+          miss_cycles = l.(5);
+        }
+  done;
+  Hashtbl.iter
+    (fun (pc, callee) k ->
+      let site = Layout.iref_of layout pc in
+      let tbl =
+        match Ssp_ir.Iref.Tbl.find_opt profile.Profile.calls site with
+        | Some t -> t
+        | None ->
+          let t = Hashtbl.create 4 in
+          Ssp_ir.Iref.Tbl.replace profile.Profile.calls site t;
+          t
+      in
+      Hashtbl.replace tbl callee k)
+    c.Funcsim.calls;
   if T.is_enabled () then
     T.count "profile.instrs" profile.Profile.total_instrs;
   profile

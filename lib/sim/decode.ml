@@ -1,5 +1,5 @@
-(* Predecoded flat instruction stream for the functional fast-forward
-   interpreter.
+(* Predecoded flat instruction stream for the functional interpreter
+   ([Funcsim.exec]).
 
    The boxed {!Ssp_isa.Op.t} representation costs the hot loop a chain of
    dependent heap loads per instruction (blocks array -> block record ->
@@ -17,9 +17,10 @@
                        callee index into [Layout.by_index], or index into
                        [imms] for 64-bit immediates)
 
-   Opcode map — the interpreter in {!Smt.fast_forward} matches these as
-   literal patterns, so the two files must change together (the sampling
-   tests pin them: sampled and full runs must produce identical outputs):
+   Opcode map — the interpreter in {!Funcsim.exec} matches these as
+   literal patterns, so the two files must change together (the tests pin
+   them: functional, sampled and full cycle runs must produce identical
+   outputs):
 
       0 nop            1 movi d,imms[imm]   2 mov d,a
       3..12  alu  d,a,b     (add sub mul div rem and or xor shl shr)
@@ -34,8 +35,9 @@
 
    [slow] marks the rare ops the interpreter executes through
    {!Exec.step_op} on the boxed form (icall, spawn, lib.st/ld, alloc,
-   print — and any op whose static target did not resolve, preserving the
-   original execution-time error behavior). *)
+   print; a memory offset outside the imm field's [-2^35, 2^35); and any
+   op whose static target did not resolve, preserving the original
+   execution-time error behavior). *)
 
 type t = {
   code : int array array;  (* per block: one packed word per instruction *)
@@ -51,6 +53,9 @@ type t = {
 let imm_bits = 36
 let imm_mask = (1 lsl imm_bits) - 1
 let opc_slow = 53
+
+(* A memory offset the signed imm field holds exactly. *)
+let fits off = off >= -(1 lsl (imm_bits - 1)) && off < 1 lsl (imm_bits - 1)
 
 let enc ?(d = 0) ?(a = 0) ?(b = 0) ?(imm = 0) opc =
   opc lor (d lsl 6) lor (a lsl 13) lor (b lsl 20)
@@ -111,10 +116,11 @@ let decode_func ~func_index (f : Ssp_ir.Prog.func) =
             | Alui (o, d, a, i) -> enc (13 + alu_code o) ~d ~a ~imm:(imm64 i)
             | Cmp (o, d, a, b) -> enc (23 + cmp_code o) ~d ~a ~b
             | Cmpi (o, d, a, i) -> enc (29 + cmp_code o) ~d ~a ~imm:(imm64 i)
-            | Load (w, d, b, off) -> enc (35 + width_code w) ~d ~a:b ~imm:off
-            | Store (w, s, b, off) ->
+            | Load (w, d, b, off) when fits off ->
+              enc (35 + width_code w) ~d ~a:b ~imm:off
+            | Store (w, s, b, off) when fits off ->
               enc (39 + width_code w) ~d:s ~a:b ~imm:off
-            | Lfetch (b, off) -> enc 43 ~a:b ~imm:off
+            | Lfetch (b, off) when fits off -> enc 43 ~a:b ~imm:off
             | Br l ->
               let t = blk_idx l in
               if t < 0 then enc opc_slow else enc 44 ~imm:t
@@ -134,7 +140,8 @@ let decode_func ~func_index (f : Ssp_ir.Prog.func) =
               let t = blk_idx l in
               if t < 0 then enc opc_slow else enc 51 ~imm:t
             | Rand d -> enc 52 ~d
-            | Icall _ | Spawn _ | Lib_st _ | Lib_ld _ | Alloc _ | Print _ ->
+            | Icall _ | Spawn _ | Lib_st _ | Lib_ld _ | Alloc _ | Print _
+            | Load _ | Store _ | Lfetch _ ->
               enc opc_slow)
           b.ops)
       f.blocks

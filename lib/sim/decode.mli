@@ -1,9 +1,9 @@
-(** Predecoded flat instruction stream for the fast-forward interpreter.
+(** Predecoded flat instruction stream for the functional interpreter.
 
     One packed [int] word per instruction (opcode + register fields +
     signed immediate), 64-bit immediates in a per-function pool. The word
     format and opcode numbering are documented in [decode.ml]; the
-    interpreter in {!Smt.fast_forward} matches the opcodes as literal
+    interpreter in {!Funcsim.exec} matches the opcodes as literal
     patterns, so the two must change together. *)
 
 type t = {
@@ -15,7 +15,9 @@ type t = {
 }
 
 val opc_slow : int
-(** Opcode of ops the interpreter defers to {!Exec.step_op} (boxed form). *)
+(** Opcode of ops the interpreter defers to {!Exec.step_op} (boxed form),
+    including loads, stores and lfetches whose offset lies outside
+    [[-2^35, 2^35)]. *)
 
 val decode_func : func_index:(string -> int) -> Ssp_ir.Prog.func -> t
 (** [func_index] maps a callee name to its index in the program's function

@@ -30,66 +30,9 @@ type event =
   | Ev_spawn_denied
   | Ev_lib
 
-(* Function lookup memoized per thread: a thread's [fn] only changes at
-   calls/returns/spawns, so the front physical-equality probe hits on
-   nearly every instruction and the Hashtbl lookup disappears from the hot
-   path. Four move-to-front slots: a tight loop calling through a couple
-   of helpers cycles over several functions, and fewer slots thrash back
-   to the Hashtbl on every call and return. *)
-let memo_promote (t : Thread.t) i f =
-  let fns = t.cached_fns and fs = t.cached_funcs in
-  for j = i downto 1 do
-    fns.(j) <- fns.(j - 1);
-    fs.(j) <- fs.(j - 1)
-  done;
-  fns.(0) <- t.fn;
-  fs.(0) <- f
-
-let func_of prog (t : Thread.t) =
-  let fns = t.cached_fns and fn = t.fn in
-  if Array.unsafe_get fns 0 == fn then Array.unsafe_get t.cached_funcs 0
-  else if Array.unsafe_get fns 1 == fn then begin
-    let f = t.cached_funcs.(1) in
-    memo_promote t 1 f;
-    f
-  end
-  else if Array.unsafe_get fns 2 == fn then begin
-    let f = t.cached_funcs.(2) in
-    memo_promote t 2 f;
-    f
-  end
-  else if Array.unsafe_get fns 3 == fn then begin
-    let f = t.cached_funcs.(3) in
-    memo_promote t 3 f;
-    f
-  end
-  else begin
-    let f = Ssp_ir.Prog.find_func prog t.fn in
-    memo_promote t 3 f;
-    f
-  end
-
-let normalize_pc prog (t : Thread.t) =
-  let f = func_of prog t in
-  let blocks = f.Ssp_ir.Prog.blocks in
-  let n = Array.length blocks in
-  while t.blk < n && t.ins >= Array.length blocks.(t.blk).ops do
-    t.blk <- t.blk + 1;
-    t.ins <- 0
-  done
-
-let instr_at prog (t : Thread.t) =
-  normalize_pc prog t;
-  let f = func_of prog t in
-  f.Ssp_ir.Prog.blocks.(t.blk).ops.(t.ins)
-
 (* The per-instruction dispatch allocates nothing on the common paths: no
-   closures (the old [next]/[jump]/[get]/[set] bindings cost four closure
-   allocations per call), and direct [Thread.get]/[Thread.set] applications
-   that the compiler can inline. [step_op] is the fetch-free core for
-   callers that already normalized the pc and hold the function and
-   instruction word (the cycle models and the fast-forward loop do, for
-   their own bookkeeping); [step] is the self-contained form. *)
+   closures, and direct [Thread.get]/[Thread.set] applications that the
+   compiler can inline. *)
 let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
   t.instrs <- t.instrs + 1;
   match op with
@@ -260,8 +203,3 @@ let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
     Thread.set t d (Int64.shift_right_logical x 1);
     t.ins <- t.ins + 1;
     Ev_plain
-
-let step env (t : Thread.t) =
-  normalize_pc env.prog t;
-  let f = func_of env.prog t in
-  step_op env t f f.Ssp_ir.Prog.blocks.(t.blk).ops.(t.ins)

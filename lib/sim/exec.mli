@@ -1,6 +1,7 @@
-(** Functional semantics of a single instruction.
+(** Functional semantics of a single instruction, on the boxed
+    {!Ssp_isa.Op.t} form.
 
-    [step] performs all architectural effects (registers, memory, program
+    [step_op] performs all architectural effects (registers, memory, program
     counter, frames) and reports what happened so the timing models can
     account latency. Timing-directed decisions — whether [Chk_c] finds a
     free context, whether [Spawn] succeeds — are delegated to the [env]
@@ -46,27 +47,9 @@ type event =
   | Ev_spawn_denied
   | Ev_lib  (** live-in buffer access *)
 
-val step : env -> Thread.t -> event
-(** Execute the instruction at the thread's pc and advance the pc. The
-    thread must be active and its pc valid ([blk]/[ins] in range); a pc one
-    past the last instruction of a block falls through to the next block
-    first. *)
-
 val step_op : env -> Thread.t -> Ssp_ir.Prog.func -> Ssp_isa.Op.t -> event
-(** [step] without the pc normalization and instruction fetch: the caller
-    passes the thread's current function and the instruction at its
-    (already normalized) pc. The cycle models and the fast-forward loop
-    fetch the instruction anyway for their own bookkeeping; this avoids
-    doing it twice per instruction. *)
-
-val func_of : Ssp_ir.Prog.t -> Thread.t -> Ssp_ir.Prog.func
-(** The thread's current function, memoized in the thread (physical
-    equality on [fn]); allocation-free on the hit path. *)
-
-val instr_at : Ssp_ir.Prog.t -> Thread.t -> Ssp_isa.Op.t
-(** The instruction the thread will execute next (after fall-through
-    normalization). *)
-
-val normalize_pc : Ssp_ir.Prog.t -> Thread.t -> unit
-(** Apply fall-through: while [ins] is past the end of the current block,
-    move to the next block in layout. *)
+(** Execute one instruction and advance the pc: the caller passes the
+    thread's current function and the instruction at its pc (after
+    fall-through, see {!Smt.layout_of}). The cycle models fetch the
+    instruction anyway for their own bookkeeping, and {!Funcsim.exec}
+    defers its rare ops here. *)

@@ -1,35 +1,66 @@
-(** Functional (non-timing) whole-program simulation.
+(** The functional (non-timing) interpreter: every functional run of a
+    program goes through {!exec}, over the predecoded {!Decode} stream.
 
-    Runs the main thread to completion. Three uses:
-    - reference semantics and observable-output capture for tests;
-    - profile collection (a hook sees every executed instruction and its
-      event, so block frequencies, cache behaviour and call targets can be
-      recorded);
-    - differential testing of adapted binaries: with [spawning] disabled
+    Three uses, one per {!probe}:
+    - reference semantics and observable-output capture ({!run}), and
+      differential testing of adapted binaries: with [spawning] disabled
       every [Chk_c] behaves as a nop, so an adapted binary must produce
       exactly the original's outputs; with [spawning] enabled speculative
       threads run to completion (interleaved coarsely) and must not change
-      the outputs either. *)
+      the outputs either;
+    - profile collection ({!count}, the first pass of Figure 1);
+    - the fast-forward windows of sampled simulation ([Smt.fast_forward]),
+      which warm the caches and branch predictor. *)
+
+type counts = {
+  hier : Hierarchy.t;  (** accessed at the profiler's pseudo-clock *)
+  mutable mem_ops : int;  (** loads and stores so far *)
+  blocks : int array;
+      (** per {!Layout} pc id: entries into the block starting there (an
+          empty block shares its successor's pc id and counts nothing) *)
+  branches : int array;
+      (** 2 per pc id: conditional branch taken, not taken *)
+  loads : int array;
+      (** 6 per pc id: loads satisfied at L1, L2, L3, memory; partial
+          hits (line in transit); cycles beyond an L1 hit *)
+  calls : (int * string, int) Hashtbl.t;
+      (** (call-site pc id, callee) → calls *)
+}
+(** Dense profile counters for the main thread. Each load or store
+    accesses [hier] at cycle (main instructions executed + [mem_ops]):
+    an in-order machine at IPC 1 that spends one more cycle per data
+    access. Arrays are sized by [Layout.n_pcs] and start at zero. *)
+
+type probe =
+  | Quiet  (** architectural effects only *)
+  | Warm of Hierarchy.t * Bpred.t
+      (** functional warming: caches (untimed, see {!Hierarchy.warm_i})
+          and branch predictor, as thread 0 *)
+  | Count of counts  (** profile counters *)
+
+val exec :
+  probe -> Layout.t -> Exec.env -> Thread.t -> instrs:int -> int
+(** Execute up to [instrs] instructions of the (active) thread, or until
+    it halts, kills itself or returns from its outermost frame; returns
+    the count executed. Rare ops (icall, spawn, live-in buffer access,
+    alloc, print, memory offsets outside the decoded word's range) run
+    on {!Exec.step_op} and are probed like the others. A speculative
+    thread's stores write nothing. *)
 
 type result = {
   outputs : int64 list;  (** values printed by [Print], in order *)
   instrs : int;  (** dynamic instructions of the main thread *)
-  spec_instrs : int;  (** dynamic instructions of speculative threads *)
   spawns : int;  (** accepted spawn requests *)
 }
 
-val run :
-  ?max_instrs:int ->
-  ?spawning:bool ->
-  ?hook:
-    (Exec.env -> Thread.t -> Ssp_ir.Iref.t -> Ssp_isa.Op.t -> Exec.event -> unit) ->
-  Ssp_ir.Prog.t ->
-  result
-(** Execute from the program entry. [max_instrs] (default 200M) bounds the
-    main thread; exceeding it raises [Failure]. The [hook] receives the
-    execution environment first (event payloads such as the effective
-    address live in [env.ev_addr]) and fires after each
-    executed instruction of {e any} thread. With [spawning] (default false)
-    a spawned thread runs for a bounded slice of instructions interleaved
-    with the main thread, mimicking concurrency coarsely; at most 3
-    speculative contexts exist at once (4 contexts − main). *)
+val run : ?spawning:bool -> Ssp_ir.Prog.t -> result
+(** Execute from the program entry; the main thread is bounded at 200M
+    instructions, beyond which it raises [Failure]. With [spawning]
+    (default false) a spawned thread runs in 64-instruction bursts
+    interleaved with the main thread's, mimicking concurrency coarsely;
+    at most 3 speculative contexts exist at once (4 contexts − main), and
+    one is killed after 1M instructions. *)
+
+val count : counts -> Layout.t -> Ssp_ir.Prog.t -> int
+(** [run] without spawning under [Count], with the program's layout;
+    returns the main thread's instruction count. *)

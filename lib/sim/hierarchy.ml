@@ -274,8 +274,6 @@ let warm_i t a =
       end
     end
 
-let warm t addr = warm_i t (Int64.to_int addr)
-
 let warm_ifetch_i t a =
   match t.cfg.memory_mode with
   | Config.Perfect_memory -> ()

@@ -68,24 +68,22 @@ val prefetch : t -> now:int -> int64 -> outcome
 (** An untagged prefetch (equivalent to [access ~prefetch:true] with no
     attribution tag); the hot path when attribution is off. *)
 
-val warm : t -> int64 -> unit
-(** Functional warming (sampled simulation): install the line at every
-    level with no timing, fill-buffer traffic or attribution. Consecutive
-    touches of one line collapse to a single access (exact for LRU state:
-    no other line moved in between); call {!reset_warm_filter} whenever a
-    timed access may have intervened. *)
-
 val warm_i : t -> int -> unit
-(** [warm] with the address as a native int (62-bit address space) — the
-    decoded fast-forward loop computes addresses without int64 boxing. *)
+(** Functional warming (sampled simulation): install the line at every
+    level with no timing, fill-buffer traffic or attribution. The address
+    is a native int (62-bit address space), so the decoded interpreter
+    computes it without int64 boxing. Consecutive touches of one line
+    collapse to a single access (exact for LRU state: no other line moved
+    in between); call {!reset_warm_filter} whenever a timed access may
+    have intervened. *)
 
 val warm_ifetch_i : t -> int -> unit
 (** Functional warming of the instruction cache (int fetch address, as
     precomputed in [Layout.blk0_iaddr]). *)
 
 val reset_warm_filter : t -> unit
-(** Invalidate the consecutive-same-line warming filter; the fast-forward
-    loop calls it on entry (detailed windows touch the caches directly). *)
+(** Invalidate the consecutive-same-line warming filter; each fast-forward
+    window calls it on entry (detailed windows touch the caches directly). *)
 
 val perfect_hit : t -> now:int -> outcome
 (** An L1-latency hit regardless of state (used for perfect modes). *)

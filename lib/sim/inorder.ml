@@ -75,7 +75,6 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     let issued = ref 0 in
     let blocked = ref false in
     while (not !blocked) && th.Thread.active && ctx.Smt.bundle_left > 0 do
-      Exec.normalize_pc prog th;
       let e = Smt.layout_of m ctx in
       let blk0 = th.Thread.blk and ins0 = th.Thread.ins in
       let pcid = e.Layout.block_base.(blk0) + ins0 in
@@ -109,7 +108,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
           let predicted =
             is_cond && Bpred.predict m.Smt.bp ~thread:th.Thread.id ~pc:pcid
           in
-          let ev = Exec.step env th in
+          let ev = Exec.step_op env th e.Layout.func op in
           incr issued;
           if is_mem op then incr mem_used;
           if th.Thread.id = 0 then begin
@@ -204,8 +203,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
           let crossed =
             (not th.Thread.active)
             ||
-            (Exec.normalize_pc prog th;
-             let e' = Smt.layout_of m ctx in
+            (let e' = Smt.layout_of m ctx in
              e' != e || th.Thread.blk <> blk0
              || e.Layout.bundle_idx.(blk0).(th.Thread.ins) <> start_bundle)
           in
@@ -244,8 +242,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     let th = c.Smt.thread in
     th.Thread.active && c.Smt.redirect_until <= !now
     &&
-    (Exec.normalize_pc prog th;
-     let e = Smt.layout_of m c in
+    (let e = Smt.layout_of m c in
      let op =
        e.Layout.func.Ssp_ir.Prog.blocks.(th.Thread.blk).ops.(th.Thread.ins)
      in

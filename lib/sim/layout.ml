@@ -19,8 +19,9 @@ let code_base = 0x4000_0000L
 let code_base_i = 0x4000_0000
 
 let dummy =
-  { func = Thread.no_func; block_base = [||]; bundle_idx = [||];
-    blk0_iaddr = [||]; dec = Decode.empty }
+  { func = { Ssp_ir.Prog.name = ""; nparams = 0; blocks = [||]; code_id = -1 };
+    block_base = [||]; bundle_idx = [||]; blk0_iaddr = [||];
+    dec = Decode.empty }
 
 (* Numbering matches the historical pcmap exactly: functions in
    [funcs_in_order] order, blocks sequential within a function — so branch
@@ -91,11 +92,12 @@ let of_prog (prog : Ssp_ir.Prog.t) =
   in
   { tbl; by_index; n_pcs; irefs }
 
-let find t fn = Hashtbl.find_opt t.tbl fn
-
-let pc_id (e : entry) ~blk ~ins = e.block_base.(blk) + ins
+let find t fn =
+  match Hashtbl.find_opt t.tbl fn with
+  | Some e -> e
+  | None -> invalid_arg (Printf.sprintf "Layout.find: no function %s" fn)
 
 let pc_addr (e : entry) ~blk ~ins =
-  Int64.add code_base (Int64.of_int (16 * pc_id e ~blk ~ins))
+  Int64.add code_base (Int64.of_int (16 * (e.block_base.(blk) + ins)))
 
 let iref_of t pc = t.irefs.(pc)

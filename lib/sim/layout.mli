@@ -1,9 +1,11 @@
-(** Static per-program layout tables shared by the cycle simulators.
+(** Static per-program layout tables shared by the cycle simulators and the
+    functional interpreter.
 
     One [entry] per function carries:
     - the absolute program-counter id of every block's first instruction
-      ([pc_id] is a dense global instruction number used as the branch
-      predictor index and, scaled by 16, the instruction-fetch address);
+      (a pc id is a dense global instruction number used as the branch
+      predictor index, the profile counters' index and, scaled by 16, the
+      instruction-fetch address);
     - the static bundle index of every instruction (issue-bandwidth
       accounting in bundle units).
 
@@ -19,7 +21,7 @@ type entry = {
   bundle_idx : int array array;  (** per block: bundle index per instr *)
   blk0_iaddr : int array;
       (** fetch address of each block's first instr as a native int — the
-          fast-forward loop warms the I-cache without int64 arithmetic *)
+          decoded interpreter warms the I-cache without int64 arithmetic *)
   dec : Decode.t;  (** predecoded flat instruction stream *)
 }
 
@@ -44,7 +46,8 @@ val dummy : entry
     [find]. *)
 
 val of_prog : Ssp_ir.Prog.t -> t
-val find : t -> string -> entry option
-val pc_id : entry -> blk:int -> ins:int -> int
+val find : t -> string -> entry
+(** Raises [Invalid_argument] for a name the program does not define. *)
+
 val pc_addr : entry -> blk:int -> ins:int -> int64
 val iref_of : t -> int -> Ssp_ir.Iref.t

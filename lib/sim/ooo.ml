@@ -129,7 +129,6 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     if not th.Thread.active then false
     else if ot.rob_n >= cfg.Config.rob_entries then false
     else begin
-      Exec.normalize_pc prog th;
       let e = Smt.layout_of m ctx in
       let blk0 = th.Thread.blk and ins0 = th.Thread.ins in
       let pcid = e.Layout.block_base.(blk0) + ins0 in
@@ -150,7 +149,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         let predicted =
           is_cond && Bpred.predict m.Smt.bp ~thread:th.Thread.id ~pc:pcid
         in
-        let ev = Exec.step env th in
+        let ev = Exec.step_op env th e.Layout.func op in
         if th.Thread.id = 0 then begin
           stats.Stats.main_instrs <- stats.Stats.main_instrs + 1;
           decr detail_left

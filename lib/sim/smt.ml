@@ -136,10 +136,9 @@ let create ?attrib cfg prog =
     tel_watchdog_kills = T.counter "sim.watchdog_kills";
   }
 
-(* The context's current layout entry, memoized exactly like the thread's
-   function record (four move-to-front physical-equality slots, so a loop
-   cycling through a few functions stays off the Hashtbl — see
-   [Exec.func_of]). *)
+(* The context's current layout entry, memoized in four move-to-front
+   physical-equality slots, so a loop cycling through a few functions
+   stays off the Hashtbl. *)
 let lay_promote (ctx : context) i fn e =
   let fns = ctx.lay_fns and ls = ctx.lays in
   for j = i downto 1 do
@@ -150,30 +149,44 @@ let lay_promote (ctx : context) i fn e =
   ls.(0) <- e
 
 let layout_of m (ctx : context) =
-  let fn = ctx.thread.Thread.fn in
+  let th = ctx.thread in
+  let fn = th.Thread.fn in
   let fns = ctx.lay_fns in
-  if Array.unsafe_get fns 0 == fn then Array.unsafe_get ctx.lays 0
-  else if Array.unsafe_get fns 1 == fn then begin
-    let e = ctx.lays.(1) in
-    lay_promote ctx 1 fn e;
-    e
-  end
-  else if Array.unsafe_get fns 2 == fn then begin
-    let e = ctx.lays.(2) in
-    lay_promote ctx 2 fn e;
-    e
-  end
-  else if Array.unsafe_get fns 3 == fn then begin
-    let e = ctx.lays.(3) in
-    lay_promote ctx 3 fn e;
-    e
-  end
-  else
-    match Layout.find m.lay fn with
-    | Some e ->
+  let e =
+    if Array.unsafe_get fns 0 == fn then Array.unsafe_get ctx.lays 0
+    else if Array.unsafe_get fns 1 == fn then begin
+      let e = ctx.lays.(1) in
+      lay_promote ctx 1 fn e;
+      e
+    end
+    else if Array.unsafe_get fns 2 == fn then begin
+      let e = ctx.lays.(2) in
+      lay_promote ctx 2 fn e;
+      e
+    end
+    else if Array.unsafe_get fns 3 == fn then begin
+      let e = ctx.lays.(3) in
       lay_promote ctx 3 fn e;
       e
-    | None -> invalid_arg (Printf.sprintf "Smt.layout_of: no function %s" fn)
+    end
+    else begin
+      let e = Layout.find m.lay fn in
+      lay_promote ctx 3 fn e;
+      e
+    end
+  in
+  (* Fall-through: while [ins] is past the end of the current block, move
+     to the next block in layout. *)
+  let blocks = e.Layout.func.Ssp_ir.Prog.blocks in
+  let n = Array.length blocks in
+  while
+    th.Thread.blk < n
+    && th.Thread.ins >= Array.length blocks.(th.Thread.blk).Ssp_ir.Prog.ops
+  do
+    th.Thread.blk <- th.Thread.blk + 1;
+    th.Thread.ins <- 0
+  done;
+  e
 
 let free_count m =
   let n = ref 0 in
@@ -368,247 +381,10 @@ let fast_forward m (env : Exec.env) ~now ~instrs =
         note_thread_end m c ~now ~watchdog:false
       end)
     m.ctxs;
-  let main = m.ctxs.(0) in
-  let th = main.thread in
-  let done_ = ref 0 in
   Hierarchy.reset_warm_filter m.hier;
-  (* Decoded-stream interpreter. The opcode literals below mirror
-     [Decode.enc]'s map exactly (see decode.ml for the word layout); the
-     sampling accuracy tests pin the two representations together by
-     asserting that sampled and full runs produce identical outputs.
-
-     Invariants the loop leans on: only the main thread runs here (so
-     stores always commit — the thread is never speculative), register
-     fields were range-validated by every producer (so reads use
-     [unsafe_get]), and r0 is never written (so reading [regs.(0)] always
-     yields the hardwired zero without a branch). [fn] only changes at
-     calls and returns, so the current layout entry lives in a local
-     refreshed on those events. *)
-  let hier = m.hier in
-  let bp = m.bp in
-  let regs = th.Thread.regs in
-  let mem = env.Exec.mem in
-  let e = ref (layout_of m main) in
-  while !done_ < instrs && th.Thread.active do
-    let dec = (!e).Layout.dec in
-    let code = dec.Decode.code in
-    let nb = Array.length code in
-    while
-      th.Thread.blk < nb
-      && th.Thread.ins >= Array.length (Array.unsafe_get code th.Thread.blk)
-    do
-      th.Thread.blk <- th.Thread.blk + 1;
-      th.Thread.ins <- 0
-    done;
-    let blk = th.Thread.blk and ins = th.Thread.ins in
-    let w = code.(blk).(ins) in
-    if ins = 0 then
-      Hierarchy.warm_ifetch_i hier (Array.unsafe_get (!e).Layout.blk0_iaddr blk);
-    incr done_;
-    th.Thread.instrs <- th.Thread.instrs + 1;
-    (match w land 63 with
-    | 0 -> th.Thread.ins <- ins + 1 (* nop *)
-    | 1 ->
-      (* movi *)
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then
-        Array.unsafe_set regs d (Array.unsafe_get dec.Decode.imms (w asr 27));
-      th.Thread.ins <- ins + 1
-    | 2 ->
-      (* mov *)
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then
-        Array.unsafe_set regs d (Array.unsafe_get regs ((w lsr 13) land 127));
-      th.Thread.ins <- ins + 1
-    | (3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | 12) as opc ->
-      (* alu: add sub mul div rem and or xor shl shr *)
-      let a = Array.unsafe_get regs ((w lsr 13) land 127)
-      and b = Array.unsafe_get regs ((w lsr 20) land 127) in
-      let v =
-        match opc with
-        | 3 -> Int64.add a b
-        | 4 -> Int64.sub a b
-        | 5 -> Int64.mul a b
-        | 6 -> if Int64.equal b 0L then 0L else Int64.div a b
-        | 7 -> if Int64.equal b 0L then 0L else Int64.rem a b
-        | 8 -> Int64.logand a b
-        | 9 -> Int64.logor a b
-        | 10 -> Int64.logxor a b
-        | 11 -> Int64.shift_left a (Int64.to_int b land 63)
-        | _ -> Int64.shift_right a (Int64.to_int b land 63)
-      in
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then Array.unsafe_set regs d v;
-      th.Thread.ins <- ins + 1
-    | (13 | 14 | 15 | 16 | 17 | 18 | 19 | 20 | 21 | 22) as opc ->
-      (* alui *)
-      let a = Array.unsafe_get regs ((w lsr 13) land 127)
-      and b = Array.unsafe_get dec.Decode.imms (w asr 27) in
-      let v =
-        match opc with
-        | 13 -> Int64.add a b
-        | 14 -> Int64.sub a b
-        | 15 -> Int64.mul a b
-        | 16 -> if Int64.equal b 0L then 0L else Int64.div a b
-        | 17 -> if Int64.equal b 0L then 0L else Int64.rem a b
-        | 18 -> Int64.logand a b
-        | 19 -> Int64.logor a b
-        | 20 -> Int64.logxor a b
-        | 21 -> Int64.shift_left a (Int64.to_int b land 63)
-        | _ -> Int64.shift_right a (Int64.to_int b land 63)
-      in
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then Array.unsafe_set regs d v;
-      th.Thread.ins <- ins + 1
-    | (23 | 24 | 25 | 26 | 27 | 28) as opc ->
-      (* cmp: eq ne lt le gt ge *)
-      let a = Array.unsafe_get regs ((w lsr 13) land 127)
-      and b = Array.unsafe_get regs ((w lsr 20) land 127) in
-      let c = Int64.compare a b in
-      let v =
-        match opc with
-        | 23 -> c = 0
-        | 24 -> c <> 0
-        | 25 -> c < 0
-        | 26 -> c <= 0
-        | 27 -> c > 0
-        | _ -> c >= 0
-      in
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then Array.unsafe_set regs d (if v then 1L else 0L);
-      th.Thread.ins <- ins + 1
-    | (29 | 30 | 31 | 32 | 33 | 34) as opc ->
-      (* cmpi *)
-      let a = Array.unsafe_get regs ((w lsr 13) land 127)
-      and b = Array.unsafe_get dec.Decode.imms (w asr 27) in
-      let c = Int64.compare a b in
-      let v =
-        match opc with
-        | 29 -> c = 0
-        | 30 -> c <> 0
-        | 31 -> c < 0
-        | 32 -> c <= 0
-        | 33 -> c > 0
-        | _ -> c >= 0
-      in
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then Array.unsafe_set regs d (if v then 1L else 0L);
-      th.Thread.ins <- ins + 1
-    | (35 | 36 | 37 | 38) as opc ->
-      (* load, widths 1 2 4 8 *)
-      let base = Array.unsafe_get regs ((w lsr 13) land 127) in
-      let addr = (Int64.to_int base + (w asr 27)) land max_int in
-      let v = Memory.read_i mem addr (1 lsl (opc - 35)) in
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then Array.unsafe_set regs d v;
-      th.Thread.ins <- ins + 1;
-      Hierarchy.warm_i hier addr
-    | (39 | 40 | 41 | 42) as opc ->
-      (* store, widths 1 2 4 8 *)
-      let base = Array.unsafe_get regs ((w lsr 13) land 127) in
-      let addr = (Int64.to_int base + (w asr 27)) land max_int in
-      Memory.write_i mem addr
-        (1 lsl (opc - 39))
-        (Array.unsafe_get regs ((w lsr 6) land 127));
-      th.Thread.ins <- ins + 1;
-      Hierarchy.warm_i hier addr
-    | 43 ->
-      (* lfetch: warm the target line — the timed runs' prefetch traffic
-         fills the hierarchy, so skipping it would leave the next detailed
-         window colder than a full run *)
-      let base = Array.unsafe_get regs ((w lsr 13) land 127) in
-      let addr = (Int64.to_int base + (w asr 27)) land max_int in
-      th.Thread.ins <- ins + 1;
-      Hierarchy.warm_i hier addr
-    | 44 ->
-      (* br *)
-      let pc = Array.unsafe_get (!e).Layout.block_base blk + ins in
-      th.Thread.blk <- w asr 27;
-      th.Thread.ins <- 0;
-      if not (Bpred.btb_lookup bp ~pc) then Bpred.btb_insert bp ~pc
-    | (45 | 46) as opc ->
-      (* brnz / brz *)
-      let z =
-        Int64.equal (Array.unsafe_get regs ((w lsr 13) land 127)) 0L
-      in
-      let taken = if opc = 45 then not z else z in
-      let pc = Array.unsafe_get (!e).Layout.block_base blk + ins in
-      Bpred.update bp ~thread:0 ~pc ~taken;
-      if taken then begin
-        th.Thread.blk <- w asr 27;
-        th.Thread.ins <- 0;
-        if not (Bpred.btb_lookup bp ~pc) then Bpred.btb_insert bp ~pc
-      end
-      else th.Thread.ins <- ins + 1
-    | 47 ->
-      (* call: save only the caller's mentioned stacked-register prefix —
-         the return restores [saved_n], so the code resuming after it sees
-         every register it can read *)
-      let fr = Thread.push_frame th ~ret_blk:blk ~ret_ins:(ins + 1) in
-      let k = dec.Decode.n_save in
-      fr.Thread.saved_n <- k;
-      Array.blit regs Ssp_isa.Reg.first_stacked fr.Thread.saved_stacked 0 k;
-      let e' = m.lay.Layout.by_index.(w asr 27) in
-      th.Thread.fn <- e'.Layout.func.Ssp_ir.Prog.name;
-      th.Thread.blk <- 0;
-      th.Thread.ins <- 0;
-      e := e'
-    | 48 ->
-      (* ret *)
-      if th.Thread.frame_n = 0 then th.Thread.active <- false
-      else begin
-        th.Thread.frame_n <- th.Thread.frame_n - 1;
-        let fr = th.Thread.frames.(th.Thread.frame_n) in
-        Array.blit fr.Thread.saved_stacked 0 regs Ssp_isa.Reg.first_stacked
-          fr.Thread.saved_n;
-        th.Thread.fn <- fr.Thread.ret_fn;
-        th.Thread.blk <- fr.Thread.ret_blk;
-        th.Thread.ins <- fr.Thread.ret_ins;
-        e := layout_of m main
-      end
-    | 49 | 50 -> th.Thread.active <- false (* halt / kill *)
-    | 51 ->
-      (* chk.c *)
-      if env.Exec.chk_free () then begin
-        th.Thread.blk <- w asr 27;
-        th.Thread.ins <- 0
-      end
-      else th.Thread.ins <- ins + 1
-    | 52 ->
-      (* rand: xorshift64*, same stream as Exec *)
-      let x = th.Thread.rand_state in
-      let x = Int64.logxor x (Int64.shift_left x 13) in
-      let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-      let x = Int64.logxor x (Int64.shift_left x 17) in
-      th.Thread.rand_state <- x;
-      let d = (w lsr 6) land 127 in
-      if d <> 0 then
-        Array.unsafe_set regs d (Int64.shift_right_logical x 1);
-      th.Thread.ins <- ins + 1
-    | _ ->
-      (* slow path: rare ops (icall, spawn, lib.st/ld, alloc, print, and
-         unresolved static targets) run on the boxed form *)
-      th.Thread.instrs <- th.Thread.instrs - 1 (* step_op recounts *);
-      let f = (!e).Layout.func in
-      let op = f.Ssp_ir.Prog.blocks.(blk).Ssp_ir.Prog.ops.(ins) in
-      let ev = Exec.step_op env th f op in
-      (match ev with
-      | Exec.Ev_load | Exec.Ev_store | Exec.Ev_prefetch ->
-        Hierarchy.warm hier env.Exec.ev_addr
-      | Exec.Ev_branch_taken | Exec.Ev_branch_not_taken ->
-        (* unresolved-target branches: warm the predictor like the hot
-           arms do *)
-        let pc = Layout.pc_id !e ~blk ~ins in
-        let taken = ev = Exec.Ev_branch_taken in
-        (match op with
-        | Ssp_isa.Op.Brnz _ | Ssp_isa.Op.Brz _ ->
-          Bpred.update bp ~thread:0 ~pc ~taken
-        | _ -> ());
-        if taken && not (Bpred.btb_lookup bp ~pc) then
-          Bpred.btb_insert bp ~pc
-      | Exec.Ev_call | Exec.Ev_ret ->
-        if th.Thread.active then e := layout_of m main
-      | _ -> ()))
-  done;
+  let n =
+    Funcsim.exec (Funcsim.Warm (m.hier, m.bp)) m.lay env m.ctxs.(0).thread
+      ~instrs
+  in
   m.ff <- false;
-  !done_
+  n

@@ -1,7 +1,7 @@
 (** Shared SMT machinery for the cycle models: hardware-context management,
     the static layout tables (branch-predictor numbering, bundle indices),
-    round-robin thread selection, the spawn policy, and the fast-forward
-    engine for sampled simulation. *)
+    round-robin thread selection, the spawn policy, and the set-up of the
+    fast-forward windows of sampled simulation. *)
 
 val site_chain_break : Ssp_fault.Fault.site
 (** Fault site for injected chained-spawn breakage; queried by the cycle
@@ -79,7 +79,10 @@ val create : ?attrib:Attrib.t -> Ssp_machine.Config.t -> Ssp_ir.Prog.t -> machin
 
 val layout_of : machine -> context -> Layout.entry
 (** The layout entry of the context's current function, memoized in the
-    context (physical equality on [fn]); allocation-free on the hit path. *)
+    context (physical equality on [fn]); allocation-free on the hit path.
+    Applies fall-through first (a pc one past the last instruction of a
+    block moves to the next block), so the thread's [blk]/[ins] then index
+    the instruction it executes next. *)
 
 val chk_allowed : machine -> now:int -> context -> bool
 (** Whether a [chk.c] of this thread fires now: enough free contexts and
@@ -134,8 +137,8 @@ val watchdog_check : machine -> now:int -> context -> unit
 (** Kill a speculative thread that exceeded its instruction budget. *)
 
 val fast_forward : machine -> Exec.env -> now:int -> instrs:int -> int
-(** Advance the main thread up to [instrs] architectural instructions with
-    functional warming (memory, outputs, caches, branch predictor — no
-    timing). Ends live speculative threads first; suppresses chk.c firing
-    for the duration. Returns the count actually executed (the main thread
-    may halt mid-window). *)
+(** Advance the main thread up to [instrs] architectural instructions on
+    {!Funcsim.exec} with functional warming (memory, outputs, caches,
+    branch predictor — no timing). Ends live speculative threads first;
+    suppresses chk.c firing for the duration. Returns the count actually
+    executed (the main thread may halt mid-window). *)

@@ -20,14 +20,9 @@ type t = {
   mutable active : bool;
   mutable instrs : int;
   mutable rand_state : int64;
-  cached_fns : string array;
-  cached_funcs : Ssp_ir.Prog.func array;
 }
 
 let lib_slots = 16
-
-let no_func : Ssp_ir.Prog.func =
-  { name = ""; nparams = 0; blocks = [||]; code_id = -1 }
 
 let n_stacked = Ssp_isa.Reg.count - Ssp_isa.Reg.first_stacked
 
@@ -50,10 +45,6 @@ let create ~id =
     active = false;
     instrs = 0;
     rand_state = 0x9E3779B97F4A7C15L;
-    (* Fresh, physically-unique sentinels: the [cached_fns.(i) == t.fn]
-       probes in Exec can never spuriously hit before the first fill. *)
-    cached_fns = Array.init 4 (fun _ -> String.make 1 '\000');
-    cached_funcs = Array.make 4 no_func;
   }
 
 let reset_for_spawn t ~fn ~blk ~live_in ~rand_state =

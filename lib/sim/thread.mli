@@ -7,7 +7,7 @@ type frame = {
   mutable saved_n : int;
       (** how many entries of [saved_stacked] the call actually saved; the
           matching return restores exactly that many. [push_frame] sets the
-          full count; the decoded fast-forward call saves only the caller's
+          full count; the decoded interpreter's call saves only the caller's
           mentioned-register prefix and lowers it *)
   mutable ret_blk : int;
   mutable ret_ins : int;
@@ -33,19 +33,10 @@ type t = {
   mutable active : bool;
   mutable instrs : int;  (** dynamic instructions executed *)
   mutable rand_state : int64;
-  cached_fns : string array;
-      (** physical-equality keys of [cached_funcs], most recent first;
-          maintained by [Exec]. Four slots so a tight loop calling through
-          a couple of helpers never thrashes back to the name table. *)
-  cached_funcs : Ssp_ir.Prog.func array;
 }
 
 val lib_slots : int
 (** Live-in buffer capacity (one register-stack spill area's worth). *)
-
-val no_func : Ssp_ir.Prog.func
-(** Placeholder function record for caches ([cached_func] before first
-    fill); never a real program function. *)
 
 val create : id:int -> t
 

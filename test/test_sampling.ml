@@ -126,6 +126,49 @@ let outputs_order () =
   Alcotest.(check (list int64))
     "ooo program order" expect ooo.Ssp_sim.Stats.outputs
 
+(* A memory offset wider than the decoded word's 36-bit immediate field
+   runs on the boxed form, so the store lands at the wide address in
+   every engine; the fast-forward window (it starts after the first
+   instruction) and the profiler both execute it. *)
+let wide_offsets () =
+  let open Ssp_isa.Op in
+  let wide = 1 lsl 35 in
+  let f =
+    Ssp_ir.Builder.func_of_blocks ~name:"main" ~nparams:0
+      [
+        ( "entry",
+          List.init 20 (fun _ -> Nop)
+          @ [
+              Movi (40, 0L);
+              Movi (41, 7L);
+              Store (W8, 41, 40, wide);
+              Movi (42, Int64.of_int wide);
+              Load (W8, 43, 42, 0);
+              Print 43;
+              Halt;
+            ] );
+      ]
+  in
+  let prog = Ssp_ir.Prog.create ~entry:"main" in
+  Ssp_ir.Prog.add_func prog f;
+  let cfg = Ssp_machine.Config.in_order in
+  Alcotest.(check (list int64))
+    "funcsim" [ 7L ] (Ssp_sim.Funcsim.run prog).Ssp_sim.Funcsim.outputs;
+  Alcotest.(check (list int64))
+    "inorder" [ 7L ] (Ssp_sim.Inorder.run cfg prog).Ssp_sim.Stats.outputs;
+  let samp =
+    Ssp_sim.Inorder.run
+      ~sampling:{ Ssp_sim.Smt.detail_window = 1; ff_window = 200 }
+      cfg prog
+  in
+  Alcotest.(check (list int64))
+    "sampled inorder" [ 7L ] samp.Ssp_sim.Stats.outputs;
+  let p = Ssp_profiling.Collect.collect ~config:cfg prog in
+  Alcotest.(check int) "profiled load" 1
+    (match Ssp_profiling.Profile.load_stats p (Ssp_ir.Iref.make "main" 0 24) with
+    | Some s -> s.Ssp_profiling.Profile.accesses
+    | None -> 0)
+
 let suite =
   [
     Alcotest.test_case "sampled accuracy (inorder)" `Slow
@@ -137,4 +180,5 @@ let suite =
     Alcotest.test_case "corpus registry" `Quick corpus_registry;
     Alcotest.test_case "corpus differential" `Slow corpus_differential;
     Alcotest.test_case "outputs in program order" `Quick outputs_order;
+    Alcotest.test_case "wide memory offsets" `Quick wide_offsets;
   ]

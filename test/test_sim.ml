@@ -124,12 +124,6 @@ let test_funcsim_memory_program () =
   let r = Funcsim.run p in
   Alcotest.(check (list int64)) "pointer chain" [ 99L ] r.Funcsim.outputs
 
-let test_funcsim_hook_counts () =
-  let p = Test_ir.fact_program 5 in
-  let n = ref 0 in
-  let r = Funcsim.run ~hook:(fun _ _ _ _ _ -> incr n) p in
-  Alcotest.(check int) "hook saw every instruction" r.Funcsim.instrs !n
-
 let suite =
   [
     Alcotest.test_case "memory read/write" `Quick test_memory_rw;
@@ -142,7 +136,6 @@ let suite =
     Alcotest.test_case "branch predictor learns" `Quick test_bpred_learns;
     Alcotest.test_case "funcsim factorial" `Quick test_funcsim_fact;
     Alcotest.test_case "funcsim pointer chain" `Quick test_funcsim_memory_program;
-    Alcotest.test_case "funcsim hook" `Quick test_funcsim_hook_counts;
   ]
 
 (* ---------- property tests ---------- *)
