@@ -6,7 +6,9 @@ module T = Ssp_telemetry.Telemetry
    preallocated state: layout tables (pc numbering, bundle indices) come
    from [Smt.layout_of]'s per-context memo, operand queries go through
    caller-owned scratch arrays, and events are constant constructors — the
-   steady-state cycle allocates (almost) nothing. *)
+   steady-state cycle allocates (almost) nothing. A cycle in which no
+   context can issue is quiet: nothing changes until the earliest cycle at
+   which one can, so the clock jumps there ([Smt.skip_quiet]). *)
 let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   T.with_span "sim.inorder" @@ fun () ->
   let m = Smt.create ?attrib cfg prog in
@@ -43,7 +45,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   let est_extra = ref 0.0 in
   (* Measurement marks: each fast-forward is extrapolated from the CPI of
      its own surrounding detailed window (local, SMARTS-style), and the
-     first quarter of every detailed window is detailed warming — executed
+     first third of every detailed window is detailed warming — executed
      cycle-accurately but excluded from the estimator, so the ramp-up of
      the drained fill buffer / pipeline after a fast-forward doesn't bias
      the CPI fast. *)
@@ -66,6 +68,13 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     match op with
     | Op.Load _ | Op.Store _ | Op.Lfetch _ -> true
     | _ -> false
+  in
+  (* Scoreboard: the registers [op] defines become ready at cycle [ready]. *)
+  let finish_defs (ctx : Smt.context) op ready =
+    let nd = Op.defs_into op dbuf in
+    for i = 0 to nd - 1 do
+      ctx.Smt.reg_ready.(dbuf.(i)) <- ready
+    done
   in
   (* Issue as much as the thread's bundle budget allows this cycle.
      Returns the number of instructions issued. *)
@@ -117,21 +126,12 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
           end
           else stats.Stats.spec_instrs <- stats.Stats.spec_instrs + 1;
           let base_latency = Latency.of_op op in
-          let finish_defs lat =
-            let nd = Op.defs_into op dbuf in
-            for i = 0 to nd - 1 do
-              ctx.Smt.reg_ready.(dbuf.(i)) <- !now + lat
-            done
-          in
           (match ev with
           | Exec.Ev_load ->
             let o =
               Smt.demand_access m ~now:!now ~ctx ~pc:pcid env.Exec.ev_addr
             in
-            let nd = Op.defs_into op dbuf in
-            for i = 0 to nd - 1 do
-              ctx.Smt.reg_ready.(dbuf.(i)) <- o.Hierarchy.ready
-            done
+            finish_defs ctx op o.Hierarchy.ready
           | Exec.Ev_store -> (
             (* Write-allocate; the store buffer hides the latency. *)
             match m.Smt.attrib with
@@ -178,7 +178,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
               blocked := true
             end
           | Exec.Ev_call | Exec.Ev_ret ->
-            finish_defs (max 1 base_latency);
+            finish_defs ctx op (!now + max 1 base_latency);
             (* Calls and returns redirect the front end briefly. *)
             ctx.Smt.redirect_until <- !now + 1;
             blocked := true
@@ -190,13 +190,14 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
               blocked := true
             end
           | Exec.Ev_chk_nofire -> ()
-          | Exec.Ev_spawned | Exec.Ev_spawn_denied -> finish_defs 1
-          | Exec.Ev_lib -> finish_defs cfg.Config.lib_latency
+          | Exec.Ev_spawned | Exec.Ev_spawn_denied ->
+            finish_defs ctx op (!now + 1)
+          | Exec.Ev_lib -> finish_defs ctx op (!now + cfg.Config.lib_latency)
           | Exec.Ev_halt | Exec.Ev_kill ->
             if th.Thread.speculative then
               Smt.note_thread_end m ctx ~now:!now ~watchdog:false;
             blocked := true
-          | Exec.Ev_plain -> finish_defs (max 1 base_latency));
+          | Exec.Ev_plain -> finish_defs ctx op (!now + max 1 base_latency));
           Smt.watchdog_check m ~now:!now ctx;
           (* Bundle accounting: crossing into a new bundle (or leaving the
              block) consumes one bundle slot. *)
@@ -214,78 +215,79 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     !issued
   in
   (* Per-interval telemetry: issue rate and demand misses over time. *)
-  let tel_interval = 8192 in
-  let tel_last_instrs = ref 0 in
-  let tel_last_misses = ref 0 in
-  let tel_ipc = T.series "sim.inorder.interval_ipc" in
-  let tel_miss = T.series "sim.inorder.interval_l1d_misses" in
-  let tel_tick () =
-    if T.is_enabled () && !now mod tel_interval = 0 then begin
-      let mi = stats.Stats.main_instrs in
-      let ms = Cache.stats_misses (Hierarchy.l1d m.Smt.hier) in
-      T.sample tel_ipc ~x:(float_of_int !now)
-        ~y:
-          (float_of_int (mi - !tel_last_instrs) /. float_of_int tel_interval);
-      T.sample tel_miss ~x:(float_of_int !now)
-        ~y:(float_of_int (ms - !tel_last_misses));
-      tel_last_instrs := mi;
-      tel_last_misses := ms
-    end
-  in
+  let tel = Smt.interval "sim.inorder" in
   (* Main loop. Thread selection fills the machine's scratch array; the
      helpers are hoisted so the steady-state cycle allocates nothing. *)
   let running = ref true in
-  (* A thread is only worth an issue slot if its next instruction's
-     operands are ready (Itanium stall-on-use would waste the slot
-     otherwise) — an ICOUNT-flavoured SMT policy. *)
-  let eligible (c : Smt.context) =
+  (* The first cycle at which a context can issue if nothing else happens
+     first: its front end is back ([redirect_until]) and every source of
+     its next instruction is ready (stall-on-use); [max_int] when idle. A
+     thread is only worth an issue slot once it is ready (Itanium
+     stall-on-use would waste the slot otherwise) — an ICOUNT-flavoured SMT
+     policy — and the earliest ready cycle ends a quiet stretch. *)
+  let ready_cycle (c : Smt.context) =
     let th = c.Smt.thread in
-    th.Thread.active && c.Smt.redirect_until <= !now
-    &&
-    (let e = Smt.layout_of m c in
-     let op =
-       e.Layout.func.Ssp_ir.Prog.blocks.(th.Thread.blk).ops.(th.Thread.ins)
-     in
-     let nu = Op.uses_into op ubuf in
-     let ok = ref true in
-     for i = 0 to nu - 1 do
-       if c.Smt.reg_ready.(ubuf.(i)) > !now then ok := false
-     done;
-     !ok)
+    if not th.Thread.active then max_int
+    else begin
+      let e = Smt.layout_of m c in
+      let op =
+        e.Layout.func.Ssp_ir.Prog.blocks.(th.Thread.blk).ops.(th.Thread.ins)
+      in
+      let nu = Op.uses_into op ubuf in
+      let r = ref c.Smt.redirect_until in
+      for i = 0 to nu - 1 do
+        let t = c.Smt.reg_ready.(ubuf.(i)) in
+        if t > !r then r := t
+      done;
+      !r
+    end
   in
+  let eligible c = ready_cycle c <= !now in
   let main_issued = ref 0 in
   while !running do
     if !now > cfg.Config.max_cycles then
       failwith "Inorder.run: exceeded max_cycles";
     mem_used := 0;
     let nsel = Smt.select_threads m ~eligible in
-    if nsel = 1 then m.Smt.sel.(0).Smt.bundle_left <- cfg.Config.issue_bundles
-    else
-      for i = 0 to nsel - 1 do
-        m.Smt.sel.(i).Smt.bundle_left <- 1
+    if
+      nsel = 0
+      &&
+      (* Quiet cycles leave the sampled-window bookkeeping below alone,
+         except that a measurement mark still due (windows under three
+         instructions) lands on the first of them: step that one. *)
+      match sampling with
+      | Some s ->
+        !measuring
+        || s.Smt.detail_window - !detail_left < s.Smt.detail_window / 3
+      | None -> true
+    then begin
+      (* Quiet: no context can issue, and none can before the earliest
+         ready cycle, so every cycle until then is quiet too. Waking at
+         [max_cycles + 1] at the latest keeps the bound exact. *)
+      let wake = ref (cfg.Config.max_cycles + 1) in
+      for i = 0 to Array.length m.Smt.ctxs - 1 do
+        let r = ready_cycle m.Smt.ctxs.(i) in
+        if r < !wake then wake := r
       done;
-    main_issued := 0;
-    for i = 0 to nsel - 1 do
-      let c = m.Smt.sel.(i) in
-      let n = issue_thread c in
-      if c.Smt.thread.Thread.id = 0 then main_issued := n
-    done;
-    (* Figure 10 accounting for the main thread. *)
-    let rank = Smt.outstanding_rank main ~now:!now in
-    let cat =
-      if !main_issued > 0 then
-        if rank > 0 then Stats.Cat_cache_exec else Stats.Cat_exec
+      Smt.skip_quiet m tel ~now:!now ~until:!wake;
+      now := !wake
+    end
+    else begin
+      if nsel = 1 then
+        m.Smt.sel.(0).Smt.bundle_left <- cfg.Config.issue_bundles
       else
-        match rank with
-        | 4 -> Stats.Cat_l3
-        | 3 -> Stats.Cat_l2
-        | 2 -> Stats.Cat_l1
-        | _ -> Stats.Cat_other
-    in
-    Stats.add_category stats cat;
-    incr now;
-    tel_tick ();
-    stats.Stats.cycles <- !now;
+        for i = 0 to nsel - 1 do
+          m.Smt.sel.(i).Smt.bundle_left <- 1
+        done;
+      main_issued := 0;
+      for i = 0 to nsel - 1 do
+        let c = m.Smt.sel.(i) in
+        let n = issue_thread c in
+        if c.Smt.thread.Thread.id = 0 then main_issued := n
+      done;
+      Smt.end_cycle m tel ~now:!now ~busy:(!main_issued > 0);
+      incr now
+    end;
     (* Sampled mode: after the detailed window's instruction budget is
        spent, fast-forward with functional warming and extrapolate the
        skipped cycles from the detailed cycles-per-instruction so far. *)

@@ -254,36 +254,52 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     end
   in
   (* Per-interval telemetry: retire rate and demand misses over time. *)
-  let tel_interval = 8192 in
-  let tel_last_instrs = ref 0 in
-  let tel_last_misses = ref 0 in
-  let tel_ipc = T.series "sim.ooo.interval_ipc" in
-  let tel_miss = T.series "sim.ooo.interval_l1d_misses" in
-  let tel_tick () =
-    if T.is_enabled () && !now mod tel_interval = 0 then begin
-      let mi = stats.Stats.main_instrs in
-      let ms = Cache.stats_misses (Hierarchy.l1d m.Smt.hier) in
-      T.sample tel_ipc ~x:(float_of_int !now)
-        ~y:
-          (float_of_int (mi - !tel_last_instrs) /. float_of_int tel_interval);
-      T.sample tel_miss ~x:(float_of_int !now)
-        ~y:(float_of_int (ms - !tel_last_misses));
-      tel_last_instrs := mi;
-      tel_last_misses := ms
-    end
-  in
+  let tel = Smt.interval "sim.ooo" in
   let main = oths.(0) in
   let running = ref true in
   (* The per-cycle helpers are hoisted out of the main loop (budget passed
      through a scratch ref) so the steady-state cycle allocates nothing. *)
-  (* Don't hand dispatch slots to threads that cannot accept work
-     (ROB full or reservation stations saturated). *)
+  (* The first cycle at which the thread can take dispatch slots if none of
+     its ROB entries retires and none of its reservation stations frees up
+     first: when its redirect ends, or never ([max_int]) while it is idle
+     or its ROB or reservation stations are full — dispatch slots go only
+     to threads that can accept work. *)
+  let dispatch_cycle ot =
+    if
+      ot.ctx.Smt.thread.Thread.active
+      && ot.rob_n < cfg.Config.rob_entries
+      && ot.waiting < cfg.Config.rs_entries
+    then ot.ctx.Smt.redirect_until
+    else max_int
+  in
   let eligible (c : Smt.context) =
-    let ot = oths.(c.Smt.thread.Thread.id) in
-    c.Smt.thread.Thread.active
-    && c.Smt.redirect_until <= !now
-    && ot.rob_n < cfg.Config.rob_entries
-    && ot.waiting < cfg.Config.rs_entries
+    dispatch_cycle oths.(c.Smt.thread.Thread.id) <= !now
+  in
+  (* The next cycle after [now] at which a quiet machine can change, at
+     most [limit]: a ROB head completes (and retires), a redirect ends, or
+     a start slot frees a reservation station of a thread held only by
+     them. Waking early is harmless (the cycle is quiet again). *)
+  let wake_cycle limit =
+    let w = ref limit in
+    for i = 0 to Array.length oths - 1 do
+      let ot = oths.(i) in
+      if ot.rob_n > 0 && ot.rob.(ot.rob_head) < !w then
+        w := ot.rob.(ot.rob_head);
+      let d = dispatch_cycle ot in
+      if d < !w then w := d
+      else if
+        d = max_int && ot.ctx.Smt.thread.Thread.active
+        && ot.rob_n < cfg.Config.rob_entries
+      then begin
+        (* Reservation stations full: the next non-empty start slot. *)
+        let t = ref (!now + 1) in
+        while !t < !w && ot.future_starts.(!t mod rs_horizon) = 0 do
+          incr t
+        done;
+        w := !t
+      end
+    done;
+    max (!now + 1) !w
   in
   let dispatch_budget = ref 0 in
   let dispatch_chosen (c : Smt.context) =
@@ -301,28 +317,50 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     Array.iter begin_cycle oths;
     Array.iter retire oths;
     let nsel = Smt.select_threads m ~eligible in
-    dispatch_budget :=
-      (if nsel = 1 then cfg.Config.issue_bundles * 3 else 3);
-    for i = 0 to nsel - 1 do
-      dispatch_chosen m.Smt.sel.(i)
-    done;
-    (* Figure 10 accounting: execution is "active" when the main thread
-       retired something this cycle. *)
-    let rank = Smt.outstanding_rank main.ctx ~now:!now in
-    let active = main.retired_this_cycle > 0 in
-    let cat =
-      if active then if rank > 0 then Stats.Cat_cache_exec else Stats.Cat_exec
-      else
-        match rank with
-        | 4 -> Stats.Cat_l3
-        | 3 -> Stats.Cat_l2
-        | 2 -> Stats.Cat_l1
-        | _ -> Stats.Cat_other
-    in
-    Stats.add_category stats cat;
-    incr now;
-    tel_tick ();
-    stats.Stats.cycles <- !now;
+    if
+      nsel = 0
+      && main.retired_this_cycle = 0
+      &&
+      (* See Inorder: a measurement mark still due is stepped. *)
+      match sampling with
+      | Some s ->
+        !measuring
+        || s.Smt.detail_window - !detail_left < s.Smt.detail_window / 3
+      | None -> true
+    then begin
+      (* Quiet: the main thread retires nothing and no thread dispatches,
+         until the wake cycle. The start ring holds no start past
+         [now + rs_horizon], and waking at [max_cycles + 1] at the latest
+         keeps the bound exact. *)
+      let wake =
+        wake_cycle (min (!now + rs_horizon) (cfg.Config.max_cycles + 1))
+      in
+      (* Drain the start slots of the skipped cycles, as [begin_cycle]
+         would have. *)
+      for i = 0 to Array.length oths - 1 do
+        let ot = oths.(i) in
+        let t = ref (!now + 1) in
+        while ot.waiting > 0 && !t < wake do
+          let slot = !t mod rs_horizon in
+          ot.waiting <- ot.waiting - ot.future_starts.(slot);
+          ot.future_starts.(slot) <- 0;
+          incr t
+        done
+      done;
+      Smt.skip_quiet m tel ~now:!now ~until:wake;
+      now := wake
+    end
+    else begin
+      dispatch_budget :=
+        (if nsel = 1 then cfg.Config.issue_bundles * 3 else 3);
+      for i = 0 to nsel - 1 do
+        dispatch_chosen m.Smt.sel.(i)
+      done;
+      (* Figure 10 accounting: execution is "active" when the main thread
+         retired something this cycle. *)
+      Smt.end_cycle m tel ~now:!now ~busy:(main.retired_this_cycle > 0);
+      incr now
+    end;
     (* Sampled mode: after the detailed window's instruction budget is
        spent, fast-forward with functional warming and extrapolate the
        skipped cycles from the detailed cycles-per-instruction so far. *)

@@ -305,6 +305,84 @@ let outstanding_rank (ctx : context) ~now =
   else if ctx.fill_ready.(2) > now then 2
   else 0
 
+(* Per-interval telemetry: the main thread's instruction rate and the L1D
+   demand misses over each [interval_cycles]-cycle interval. *)
+let interval_cycles = 8192
+
+type interval = {
+  iv_ipc : T.series;
+  iv_misses : T.series;
+  mutable iv_instrs : int;  (* main instructions at the last sample *)
+  mutable iv_l1d : int;  (* L1D misses at the last sample *)
+}
+
+let interval prefix =
+  {
+    iv_ipc = T.series (prefix ^ ".interval_ipc");
+    iv_misses = T.series (prefix ^ ".interval_l1d_misses");
+    iv_instrs = 0;
+    iv_l1d = 0;
+  }
+
+let interval_sample m iv ~now =
+  let mi = m.stats.Stats.main_instrs in
+  let ms = Cache.stats_misses (Hierarchy.l1d m.hier) in
+  T.sample iv.iv_ipc ~x:(float_of_int now)
+    ~y:(float_of_int (mi - iv.iv_instrs) /. float_of_int interval_cycles);
+  T.sample iv.iv_misses ~x:(float_of_int now)
+    ~y:(float_of_int (ms - iv.iv_l1d));
+  iv.iv_instrs <- mi;
+  iv.iv_l1d <- ms
+
+(* Figure 10 accounting for the main thread: a busy cycle (it issued or
+   retired something) is Exec, or Cache+Exec under an outstanding miss; an
+   idle one is charged to the deepest level it is waiting on. *)
+let end_cycle m iv ~now ~busy =
+  let rank = outstanding_rank m.ctxs.(0) ~now in
+  let cat =
+    if busy then if rank > 0 then Stats.Cat_cache_exec else Stats.Cat_exec
+    else
+      match rank with
+      | 4 -> Stats.Cat_l3
+      | 3 -> Stats.Cat_l2
+      | 2 -> Stats.Cat_l1
+      | _ -> Stats.Cat_other
+  in
+  Stats.add_category m.stats cat;
+  m.stats.Stats.cycles <- now + 1;
+  if T.is_enabled () && (now + 1) mod interval_cycles = 0 then
+    interval_sample m iv ~now:(now + 1)
+
+(* Charge the cycles [t, min upto until) to category index [i]; returns
+   the cycle the charge ends at. *)
+let charge (stats : Stats.t) i ~t ~upto ~until =
+  let e = max t (min upto until) in
+  stats.Stats.categories.(i) <- stats.Stats.categories.(i) + (e - t);
+  e
+
+(* The quiet cycles [now, until) change nothing but the clock, so what
+   [end_cycle ~busy:false] would record for each is a function of the
+   cycle alone: the main thread's category follows the deepest fill still
+   outstanding — L3 before [fill_ready.(4)], then L2 before [.(3)], L1
+   before [.(2)], Other after — and the interval samples see the same
+   instruction and miss counts as the last one. *)
+let skip_quiet m iv ~now ~until =
+  let fr = m.ctxs.(0).fill_ready and s = m.stats in
+  let cat = Stats.category_index in
+  let t = charge s (cat Stats.Cat_l3) ~t:now ~upto:fr.(4) ~until in
+  let t = charge s (cat Stats.Cat_l2) ~t ~upto:fr.(3) ~until in
+  let t = charge s (cat Stats.Cat_l1) ~t ~upto:fr.(2) ~until in
+  ignore (charge s (cat Stats.Cat_other) ~t ~upto:until ~until);
+  m.rr <- (m.rr + (until - now - 1)) mod max 1 (Array.length m.ctxs - 1);
+  s.Stats.cycles <- until;
+  if T.is_enabled () then begin
+    let b = ref ((now / interval_cycles + 1) * interval_cycles) in
+    while !b <= until do
+      interval_sample m iv ~now:!b;
+      b := !b + interval_cycles
+    done
+  end
+
 (* A speculative demand load at a slice site that maps back to a
    delinquent load IS the prefetch for value-used targets (no lfetch is
    emitted for those); tag it so attribution sees it as an issue. *)

@@ -1,6 +1,7 @@
 (** Shared SMT machinery for the cycle models: hardware-context management,
     the static layout tables (branch-predictor numbering, bundle indices),
-    round-robin thread selection, the spawn policy, and the set-up of the
+    round-robin thread selection, the spawn policy, per-interval telemetry,
+    the one-step accounting of quiet cycles, and the set-up of the
     fast-forward windows of sampled simulation. *)
 
 val site_chain_break : Ssp_fault.Fault.site
@@ -116,9 +117,28 @@ val select_threads : machine -> eligible:(context -> bool) -> int
     thread first, then round-robin) satisfying [eligible]; returns the
     count and advances the cursor. Allocation-free. *)
 
-val outstanding_rank : context -> now:int -> int
-(** Deepest level-rank (1=L1 .. 4=Mem; 0 = none) among the thread's
-    outstanding fills, for Figure 10 accounting. *)
+type interval
+(** Per-interval telemetry state of one run: the main thread's instruction
+    rate and L1D demand misses, one sample per 8192 cycles. *)
+
+val interval : string -> interval
+(** The series [<prefix>.interval_ipc] and [<prefix>.interval_l1d_misses]. *)
+
+val end_cycle : machine -> interval -> now:int -> busy:bool -> unit
+(** Account stepped cycle [now]: the main thread's Figure 10 category
+    ([busy]: it issued, or retired, something; otherwise the deepest level
+    among its outstanding fills), [stats.cycles = now + 1], and an
+    interval sample if [now + 1] is an interval boundary and telemetry is
+    on. *)
+
+val skip_quiet : machine -> interval -> now:int -> until:int -> unit
+(** Account the quiet cycles [\[now, until)] in one step — a quiet cycle
+    is one in which nothing happens, so the machine is the same at [until]
+    as at [now]. Records exactly what [end_cycle ~busy:false] would for
+    each of them, splitting the categories where the main thread's
+    deepest outstanding fill changes rank, and advances the round-robin
+    cursor as the {!select_threads} calls after [now] would (cycle [now]'s
+    call has already been made). Allocates nothing with telemetry off. *)
 
 val demand_access :
   machine -> now:int -> ctx:context -> pc:int -> int64 -> Hierarchy.outcome

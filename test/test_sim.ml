@@ -124,6 +124,200 @@ let test_funcsim_memory_program () =
   let r = Funcsim.run p in
   Alcotest.(check (list int64)) "pointer chain" [ 99L ] r.Funcsim.outputs
 
+(* ---- cycle-core statistics pinned ---- *)
+
+module T = Ssp_telemetry.Telemetry
+
+let pin_inorder = Ssp_machine.Config.scale_caches Ssp_machine.Config.in_order 64
+
+let pin_ooo =
+  Ssp_machine.Config.scale_caches Ssp_machine.Config.out_of_order 64
+
+(* Everything a cycle run reports: the [Stats.pp] text, the outputs and
+   every per-load site counter, sorted by iref. *)
+let stats_text (s : Stats.t) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Format.asprintf "%a" Stats.pp s);
+  List.iter (Printf.bprintf b " %Ld") s.Stats.outputs;
+  Iref.Tbl.fold (fun i l acc -> (i, l) :: acc) s.Stats.loads []
+  |> List.sort (fun (a, _) (b, _) -> Iref.compare a b)
+  |> List.iter (fun (i, (l : Stats.load_site)) ->
+         Printf.bprintf b "\n%s %d %d %d %d %d %d %d %d" (Iref.to_string i)
+           l.Stats.accesses l.Stats.l1 l.Stats.l2 l.Stats.l2_partial
+           l.Stats.l3 l.Stats.l3_partial l.Stats.mem l.Stats.mem_partial);
+  Buffer.contents b
+
+(* Every field of an attribution summary; floats in hex, so exactly. *)
+let attrib_text (s : Attrib.summary) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (l : Attrib.load_summary) ->
+      Printf.bprintf b "\n%s %d %d %d %d %d %d %d %d %d %h %h %h %h %h"
+        (Iref.to_string l.Attrib.ls_load)
+        l.Attrib.ls_issued l.Attrib.ls_useful l.Attrib.ls_late
+        l.Attrib.ls_early_evicted l.Attrib.ls_redundant l.Attrib.ls_dropped
+        l.Attrib.ls_unused l.Attrib.ls_demand_accesses l.Attrib.ls_demand_hits
+        l.Attrib.ls_coverage l.Attrib.ls_accuracy l.Attrib.ls_timeliness
+        l.Attrib.ls_mean_lead l.Attrib.ls_mean_late_wait;
+      let h = l.Attrib.ls_lead_hist in
+      Printf.bprintf b " | %d %h %h %h |" h.T.hs_n h.T.hs_sum h.T.hs_min
+        h.T.hs_max;
+      Array.iter (Printf.bprintf b " %d") h.T.hs_counts)
+    s.Attrib.loads;
+  List.iter
+    (fun (ss : Attrib.site_summary) ->
+      Printf.bprintf b "\n%s %d %d"
+        (Iref.to_string ss.Attrib.ss_site)
+        ss.Attrib.ss_spawns ss.Attrib.ss_denied)
+    s.Attrib.sites;
+  let t = s.Attrib.threads in
+  Printf.bprintf b "\n%d %d %d %d %h %d" t.Attrib.th_spawns t.Attrib.th_denied
+    t.Attrib.th_ended t.Attrib.th_watchdog_kills t.Attrib.th_mean_lifetime
+    t.Attrib.th_max_lifetime;
+  Buffer.contents b
+
+let hex s = Digest.to_hex (Digest.string s)
+
+(* One workload's pins: digests of the in-order runs and of the OOO runs
+   (unadapted and adapted, full and sampled), and of the attribution
+   summary of the attributed adapted in-order run. *)
+let cycle_pins (w : Ssp_workloads.Workload.t) =
+  let prog = Ssp_workloads.Workload.program w ~scale:1 in
+  let profile = Ssp_profiling.Collect.collect ~config:pin_inorder prog in
+  let result = Ssp.Adapt.run ~config:pin_inorder prog profile in
+  let adapted = result.Ssp.Adapt.prog in
+  let runs run cfg =
+    let sampling = Smt.default_sampling in
+    hex
+      (String.concat "\n--\n"
+         [
+           stats_text (run ?sampling:None cfg prog);
+           stats_text (run ?sampling:None cfg adapted);
+           stats_text (run ?sampling:(Some sampling) cfg prog);
+           stats_text (run ?sampling:(Some sampling) cfg adapted);
+         ])
+  in
+  let attrib =
+    Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
+  in
+  ignore (Inorder.run ~attrib pin_inorder adapted);
+  ( w.Ssp_workloads.Workload.name,
+    runs (fun ?sampling cfg p -> Inorder.run ?sampling cfg p) pin_inorder,
+    runs (fun ?sampling cfg p -> Ooo.run ?sampling cfg p) pin_ooo,
+    hex (attrib_text (Attrib.summary attrib)) )
+
+(* The per-interval IPC series both cores emit with telemetry on. *)
+let interval_series name =
+  let prog = Ssp_workloads.(Workload.program (Suite.find name) ~scale:1) in
+  T.reset ();
+  T.set_enabled true;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        T.set_enabled false;
+        T.reset ())
+      (fun () ->
+        ignore (Inorder.run pin_inorder prog);
+        ignore (Ooo.run pin_ooo prog);
+        T.report ())
+  in
+  let pts series =
+    let p = List.assoc series r.T.r_series in
+    let xy (x, y) = Printf.sprintf "%h,%h" x y in
+    (List.length p, hex (String.concat ";" (List.map xy p)))
+  in
+  (pts "sim.inorder.interval_ipc", pts "sim.ooo.interval_ipc")
+
+(* Recorded before the cycle cores skipped quiet cycles: skipping must not
+   move any of them. *)
+let pinned_cycles =
+  [
+    ( "em3d",
+      "30b577ae7eb32e9b2f28975b2cbf494a",
+      "c39d6c0194c3020f892064fc4698c2e6",
+      "7da54e189a0087fe579c429629b3e86f" );
+    ( "health",
+      "b16bd11a6e0ab38167c12405de860e1b",
+      "3df074abd6b3af1a4c4539c5769a7bec",
+      "16f0e7e2a715635896e90578cb948b11" );
+    ( "mst",
+      "3aac6db0a10f2a86697104617642ac38",
+      "8b767f956a1c0352fd4bcf5727384bee",
+      "957b039a1aa32ab18a085d4d654e17a2" );
+    ( "treeadd.df",
+      "44bd8c91b6036165cbf2b85899517479",
+      "c577edac8cad74a56a84541375c260a1",
+      "1c1be583c05f04cb4e6e07a6eee2fe1c" );
+    ( "treeadd.bf",
+      "a9ef74ec3a7616b2e2aa2b8e6e38bf3d",
+      "cb0140574ecb131d920e53ac6bb157a6",
+      "3506096a364de5999e87777b1a1cd0d4" );
+    ( "mcf",
+      "eb1a23bebec53dfe0c772e31d4297f7a",
+      "843e68104ca2a99fedd3be1f73905c3d",
+      "48a9722f001539ab65a2c8710c66848f" );
+    ( "vpr",
+      "014fe284e0dcc9e60f1dc510406f786b",
+      "dbdc404f8b56eb3a91774054d7866782",
+      "6166e7f7c2e704f44b5c4710bfac3006" );
+    ( "gen:3",
+      "084f65d87a8ca911376b766b781ee1e2",
+      "8a6a7dbebf2ab2edb73593b39c9434f0",
+      "31830f51567d8cc1db99e3d0481c5b5d" );
+    ( "gen:4",
+      "7aa12b4479468bff717c0d8d2aa08b1a",
+      "3f3ee8c486481e3f4a04dbde09be0ef6",
+      "ab19b2aa58e916435112127825abc5b9" );
+    ( "gen:5",
+      "8a3791ae5bf3f4e211f6ce441ed54f50",
+      "6c2d9f800b066a7030baa11297da74e2",
+      "444cc7f8dd7d406a863b151e0f7fa309" );
+    ( "gen:6",
+      "5c32267c1c3ff76a21a4e22cce7fd602",
+      "3fcc1096c8e31ebd8a5d23c13c76627d",
+      "424e447cfec1be28de62b370ce12b8d8" );
+    ( "gen:7",
+      "51e08932a7f33d117b1b0307379be56a",
+      "7e2c40daebfbc77260b59dc5885393a5",
+      "57a5a308fa2bc05d8a1bc31f3d58e889" );
+    ( "gen:8",
+      "5d0817408f51bf5ff6681a1009ca4bca",
+      "1905773ad9f5606ad72f56eaca7d6e4a",
+      "c005dde98d00cba17facee068e0ea921" );
+  ]
+
+let pinned_series =
+  ((89, "8a8e005d1b776a51f26ebdc866a0a103"),
+    (36, "ec3f3bf8ab94a579ac1a771a656f6239"))
+
+let test_cycle_pins () =
+  List.iter2
+    (fun w (name, inorder, ooo, attrib) ->
+      let name', inorder', ooo', attrib' = cycle_pins w in
+      Alcotest.(check string) "workload" name name';
+      Alcotest.(check string) (name ^ ": in-order stats") inorder inorder';
+      Alcotest.(check string) (name ^ ": OOO stats") ooo ooo';
+      Alcotest.(check string) (name ^ ": attribution summary") attrib attrib')
+    (Ssp_workloads.Suite.all @ Ssp_workloads.Suite.corpus ~n:6 ~seed:3)
+    pinned_cycles;
+  let (ni, di), (no, d_o) = interval_series "mcf" in
+  let (ni', di'), (no', do') = pinned_series in
+  Alcotest.(check bool) "in-order crosses 10 intervals" true (ni >= 10);
+  Alcotest.(check bool) "OOO crosses 10 intervals" true (no >= 10);
+  Alcotest.(check (pair int string))
+    "in-order interval IPC" (ni', di') (ni, di);
+  Alcotest.(check (pair int string)) "OOO interval IPC" (no', do') (no, d_o)
+
+(* A run that outlives [max_cycles] fails rather than returning stats. *)
+let test_max_cycles () =
+  let prog = Ssp_workloads.(Workload.program (Suite.find "mcf") ~scale:1) in
+  let bounded cfg = { cfg with Ssp_machine.Config.max_cycles = 5_000 } in
+  Alcotest.check_raises "in-order"
+    (Failure "Inorder.run: exceeded max_cycles") (fun () ->
+      ignore (Inorder.run (bounded pin_inorder) prog));
+  Alcotest.check_raises "OOO" (Failure "Ooo.run: exceeded max_cycles")
+    (fun () -> ignore (Ooo.run (bounded pin_ooo) prog))
+
 let suite =
   [
     Alcotest.test_case "memory read/write" `Quick test_memory_rw;
@@ -211,4 +405,9 @@ let extra_suite =
   [ QCheck_alcotest.to_alcotest prop_memory;
     QCheck_alcotest.to_alcotest prop_cache_lru ]
 
-let suite = suite @ extra_suite
+let suite =
+  suite @ extra_suite
+  @ [
+      Alcotest.test_case "cycle-core statistics pinned" `Slow test_cycle_pins;
+      Alcotest.test_case "max_cycles safety net" `Quick test_max_cycles;
+    ]
