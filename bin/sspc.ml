@@ -282,9 +282,9 @@ let ssp_flag =
   Arg.(value & flag & info [ "ssp" ] ~doc)
 
 let config_of_pipeline pipeline =
-  match pipeline with
-  | "ooo" -> Ssp_machine.Config.out_of_order
-  | _ -> Ssp_machine.Config.in_order
+  match Ssp_machine.Config.of_pipeline_name pipeline with
+  | Some config -> config
+  | None -> fail2 ("unknown pipeline " ^ pipeline ^ " (want inorder or ooo)")
 
 let simulate ?attrib ?sampling config prog =
   match config.Ssp_machine.Config.pipeline with
@@ -763,11 +763,7 @@ let stats_cmd =
         | None -> fail2 "stats needs a PROGRAM (or --cluster ADDR)"
       in
       T.set_enabled true;
-      let config =
-        match pipeline with
-        | "ooo" -> Ssp_machine.Config.out_of_order
-        | _ -> Ssp_machine.Config.in_order
-      in
+      let config = config_of_pipeline pipeline in
       let prog = Ssp_minic.Frontend.compile (read_source src scale) in
       let profile = Ssp_profiling.Collect.collect prog in
       let adapted = Ssp.Adapt.run ~config prog profile in

@@ -23,7 +23,7 @@
     re-admitted only after a cheap [Ping] probe succeeds — half-open
     probing risks a probe, never real traffic.
 
-    Deadlines: a request arriving with a v4 deadline budget spends that
+    Deadlines: a request arriving with a deadline budget spends that
     budget, not the router's own timeout. Each shard attempt is stamped
     (and socket-bounded) with the remainder; an exhausted budget becomes
     a structured [Deadline_exceeded] (stage ["router"]) instead of more

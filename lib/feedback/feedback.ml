@@ -588,9 +588,10 @@ let reports_in_store cache =
            else None)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let config_of_pipeline = function
-  | "ooo" -> Ssp_machine.Config.out_of_order
-  | _ -> Ssp_machine.Config.in_order
+let config_of_pipeline name =
+  match Ssp_machine.Config.of_pipeline_name name with
+  | Some config -> config
+  | None -> err ("unknown pipeline " ^ name)
 
 let compile_id id ~scale =
   match id with

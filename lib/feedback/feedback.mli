@@ -3,7 +3,7 @@
     Clients that simulate an adapted binary with prefetch-lifecycle
     attribution ({!Ssp_sim.Attrib}) serialize the per-delinquent-load
     outcome counts and lead-time histograms into a versioned {!report}
-    artifact and upload it (proto v5 [Feedback] request). The serving
+    artifact and upload it (proto [Feedback] request). The serving
     side persists every report in the content-addressed store, folds it
     into a per-workload decayed {!aggregate}, and — once the aggregate
     crosses confidence thresholds — re-runs the post-pass with adjusted
@@ -240,10 +240,6 @@ val reports_in_store :
   Ssp_store.Store.Cache.t -> (string * report) list
 (** Every persisted feedback report, as [(store key, report)], sorted by
     key. Blobs of other kinds and undecodable blobs are skipped. *)
-
-val config_of_pipeline : string -> Ssp_machine.Config.t
-(** ["ooo"] is the out-of-order machine; anything else in-order — the
-    same mapping the serving layer applies. *)
 
 val compile_id : prog_id -> scale:int -> Ssp_ir.Prog.t
 (** Recompile a report's program identity ([Named] via the workload

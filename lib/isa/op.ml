@@ -75,69 +75,6 @@ let uses = function
   | Icall (r, n) -> use1 r @ args_of_arity n
   | Ret -> [ Reg.ret ]
 
-(* Allocation-free variants for the cycle simulators' hot loops: write the
-   registers into a caller-owned scratch array (length >= scratch_regs) and
-   return the count, in the same order as [uses]/[defs]. *)
-let scratch_regs = 1 + Reg.max_args
-
-let set1 buf n r =
-  if r = Reg.zero then n
-  else begin
-    Array.unsafe_set buf n r;
-    n + 1
-  end
-
-let uses_into op buf =
-  match op with
-  | Nop | Movi _ | Br _ | Halt | Chk_c _ | Spawn _ | Kill | Lib_ld _ | Rand _
-    ->
-    0
-  | Mov (_, s) | Brnz (s, _) | Brz (s, _) | Lib_st (_, s) | Alloc (_, s)
-  | Print s ->
-    set1 buf 0 s
-  | Alu (_, _, a, b) | Cmp (_, _, a, b) -> set1 buf (set1 buf 0 a) b
-  | Alui (_, _, a, _) | Cmpi (_, _, a, _) -> set1 buf 0 a
-  | Load (_, _, b, _) | Lfetch (b, _) -> set1 buf 0 b
-  | Store (_, s, b, _) -> set1 buf (set1 buf 0 s) b
-  | Call (_, n) ->
-    let k = min n Reg.max_args in
-    for i = 0 to k - 1 do
-      buf.(i) <- Reg.arg i
-    done;
-    k
-  | Icall (r, n) ->
-    let base = set1 buf 0 r in
-    let k = min n Reg.max_args in
-    for i = 0 to k - 1 do
-      buf.(base + i) <- Reg.arg i
-    done;
-    base + k
-  | Ret ->
-    buf.(0) <- Reg.ret;
-    1
-
-let defs_into op buf =
-  match op with
-  | Nop | Lfetch _ | Br _ | Brnz _ | Brz _ | Ret | Halt | Chk_c _ | Spawn _
-  | Kill | Store _ | Lib_st _ | Print _ ->
-    0
-  | Movi (d, _)
-  | Mov (d, _)
-  | Alu (_, d, _, _)
-  | Alui (_, d, _, _)
-  | Cmp (_, d, _, _)
-  | Cmpi (_, d, _, _)
-  | Load (_, d, _, _)
-  | Lib_ld (d, _)
-  | Alloc (d, _)
-  | Rand d ->
-    set1 buf 0 d
-  | Call (_, _) | Icall (_, _) ->
-    for i = 0 to Reg.max_args - 1 do
-      buf.(i) <- Reg.arg i
-    done;
-    Reg.max_args
-
 let is_control = function
   | Br _ | Brnz _ | Brz _ | Call _ | Icall _ | Ret | Halt | Chk_c _ | Spawn _
   | Kill ->

@@ -62,18 +62,6 @@ val uses : t -> Reg.t list
 (** Registers read by the instruction. A call of arity [n] reads its [n]
     argument registers; [Ret] reads the return-value register. *)
 
-val scratch_regs : int
-(** Upper bound on the register count either [uses_into] or [defs_into] can
-    write (a scratch array of this length always fits). *)
-
-val uses_into : t -> Reg.t array -> int
-(** Allocation-free [uses]: writes the used registers (same order as [uses])
-    into the caller-owned scratch array and returns the count. *)
-
-val defs_into : t -> Reg.t array -> int
-(** Allocation-free [defs]: writes the defined registers (same order as
-    [defs]) into the caller-owned scratch array and returns the count. *)
-
 val is_control : t -> bool
 (** Branches, calls, returns, halt — instructions that end a bundle. *)
 

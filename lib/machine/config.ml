@@ -104,6 +104,15 @@ let scale_caches t factor =
   in
   { t with l1 = sc t.l1; l2 = sc t.l2; l3 = sc t.l3 }
 
+(* The pipeline's name on the command line, on the wire and in the
+   fingerprint. *)
+let pipeline_name = function In_order -> "inorder" | Out_of_order -> "ooo"
+
+let of_pipeline_name = function
+  | "inorder" -> Some in_order
+  | "ooo" -> Some out_of_order
+  | _ -> None
+
 (* Canonical identity string: every field that can change simulation or
    adaptation behaviour, in a fixed order. Content-addressed caching keys
    on this, so two configs fingerprint equal iff they are the same
@@ -126,7 +135,7 @@ let fingerprint t =
      retire=%d|fep=%d|l1=%s|l2=%s|l3=%s|mem=%d|fill=%d|gshare=%d|btb=%d/%d|\
      spawnflush=%b|chkfree=%d|chkrefr=%d|lib=%d|spawn=%d|watchdog=%d|\
      maxcyc=%d|mm=%s"
-    (match t.pipeline with In_order -> "inorder" | Out_of_order -> "ooo")
+    (pipeline_name t.pipeline)
     t.n_contexts t.fetch_bundles t.fetch_threads t.issue_bundles
     t.issue_threads t.int_units t.mem_ports t.br_units
     t.expansion_queue_bundles t.rob_entries t.rs_entries t.retire_width

@@ -24,11 +24,11 @@ val request_hops :
   addr ->
   Proto.request ->
   Proto.response * Proto.hop list
-(** {!request_addr} that also propagates a trace context into the v3
+(** {!request_addr} that also propagates a trace context into the
     request envelope and returns the per-hop latency breakdown stamped
-    into the reply (empty from untraced peers and v2 servers).
+    into the reply (empty from untraced peers).
     [deadline_ms] (> 0) stamps the remaining end-to-end budget into the
-    v4 envelope and caps the socket timeout at the budget — with a
+    envelope and caps the socket timeout at the budget — with a
     deadline in play there is no independent per-hop timeout. *)
 
 val request_env :
@@ -40,7 +40,7 @@ val request_env :
   addr ->
   Proto.request ->
   Proto.response * Proto.hop list * (string * string) list
-(** The full v4 exchange: additionally sets the envelope's artifact ask
+(** The full exchange: additionally sets the envelope's artifact ask
     ({!Proto.artifacts_on_miss} / {!Proto.artifacts_always}) and
     returns the artifact [(key, blob)] list the shard attached — the
     router's write-through/read-repair source. *)

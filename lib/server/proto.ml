@@ -5,7 +5,6 @@
 module Bin = Ssp_store.Store.Bin
 
 let proto_version = 5
-let min_proto_version = 2
 let default_max_frame = 8 * 1024 * 1024
 let req_magic = "SSPQ"
 let resp_magic = "SSPR"
@@ -15,16 +14,16 @@ let malformed what = Ssp_ir.Error.raise_error ~pass:"proto" what
 
 type program_ref = Workload of string | Source of string
 
-(* Trace context rides in a v3 envelope ahead of the request tag, so the
+(* Trace context rides in the envelope ahead of the request tag, so the
    request variants themselves (and every construction site) are
    untouched. An empty trace id on the wire means "untraced". *)
 type trace_ctx = { trace_id : string; span_id : int }
 
-(* Per-hop latency breakdown stamped into v3 response envelopes by each
+(* Per-hop latency breakdown stamped into response envelopes by each
    process a traced request crosses. *)
 type hop = { hop_node : string; hop_stage : string; hop_ms : float }
 
-(* v4 request envelope, riding after the trace fields.
+(* Request envelope fields riding after the trace context.
 
    [re_deadline_ms] is the client-minted end-to-end budget *remaining*
    at send time: 0. means no deadline, negative means already expired
@@ -47,8 +46,6 @@ type req_env = {
 let artifacts_none = 0
 let artifacts_on_miss = 1
 let artifacts_always = 2
-
-let no_env = { re_trace = None; re_deadline_ms = 0.; re_artifacts = 0 }
 
 type request =
   | Adapt of {
@@ -109,11 +106,10 @@ let r_program_ref r =
   | 1 -> Source (Bin.r_str r)
   | t -> malformed (Printf.sprintf "unknown program-ref tag %d" t)
 
-(* Envelopes. v3 inserts trace fields (requests) / a hop list
-   (responses) between the version byte and the body tag; v4 appends
-   the deadline budget + artifact ask (requests) / the replicated
-   artifact list (responses) after them. v2 and v3 payloads decode
-   exactly as before, so old peers interoperate. *)
+(* Envelopes, between the version byte and the body tag: trace fields,
+   the deadline budget and the artifact ask (requests); a hop list and
+   the replicated artifact list (responses). Every peer ships from this
+   repository, so a decoder accepts exactly [proto_version]. *)
 
 let encode magic envelope emit =
   let b = Bin.writer () in
@@ -128,10 +124,9 @@ let decode magic payload envelope k =
   let m = Bin.r_str r in
   if not (String.equal m magic) then malformed "bad payload magic";
   let v = Bin.r_u8 r in
-  if v < min_proto_version || v > proto_version then
-    malformed (Printf.sprintf "protocol version %d (want %d-%d)" v
-                 min_proto_version proto_version);
-  let env = envelope r v in
+  if v <> proto_version then
+    malformed (Printf.sprintf "protocol version %d (want %d)" v proto_version);
+  let env = envelope r in
   let x = k r in
   Bin.expect_end r;
   (x, env)
@@ -144,13 +139,10 @@ let w_trace b = function
     Bin.w_str b trace_id;
     Bin.w_int b span_id
 
-let r_trace r v =
-  if v < 3 then None
-  else begin
-    let trace_id = Bin.r_str r in
-    let span_id = Bin.r_int r in
-    if String.equal trace_id "" then None else Some { trace_id; span_id }
-  end
+let r_trace r =
+  let trace_id = Bin.r_str r in
+  let span_id = Bin.r_int r in
+  if String.equal trace_id "" then None else Some { trace_id; span_id }
 
 let w_hops b hops =
   Bin.w_int b (List.length hops);
@@ -161,17 +153,15 @@ let w_hops b hops =
       Bin.w_float b hop_ms)
     hops
 
-let r_hops r v =
-  if v < 3 then []
-  else begin
-    let n = Bin.r_int r in
-    if n < 0 || n > 4096 then malformed (Printf.sprintf "implausible hop count %d" n);
-    List.init n (fun _ ->
-        let hop_node = Bin.r_str r in
-        let hop_stage = Bin.r_str r in
-        let hop_ms = Bin.r_float r in
-        { hop_node; hop_stage; hop_ms })
-  end
+let r_hops r =
+  let n = Bin.r_int r in
+  if n < 0 || n > 4096 then
+    malformed (Printf.sprintf "implausible hop count %d" n);
+  List.init n (fun _ ->
+      let hop_node = Bin.r_str r in
+      let hop_stage = Bin.r_str r in
+      let hop_ms = Bin.r_float r in
+      { hop_node; hop_stage; hop_ms })
 
 let w_artifacts b artifacts =
   Bin.w_int b (List.length artifacts);
@@ -181,17 +171,14 @@ let w_artifacts b artifacts =
       Bin.w_str b blob)
     artifacts
 
-let r_artifacts r v =
-  if v < 4 then []
-  else begin
-    let n = Bin.r_int r in
-    if n < 0 || n > 64 then
-      malformed (Printf.sprintf "implausible artifact count %d" n);
-    List.init n (fun _ ->
-        let key = Bin.r_str r in
-        let blob = Bin.r_str r in
-        (key, blob))
-  end
+let r_artifacts r =
+  let n = Bin.r_int r in
+  if n < 0 || n > 64 then
+    malformed (Printf.sprintf "implausible artifact count %d" n);
+  List.init n (fun _ ->
+      let key = Bin.r_str r in
+      let blob = Bin.r_str r in
+      (key, blob))
 
 let encode_request ?trace ?(deadline_ms = 0.) ?(artifacts = artifacts_none) req
     =
@@ -224,9 +211,9 @@ let encode_request ?trace ?(deadline_ms = 0.) ?(artifacts = artifacts_none) req
         Bin.w_str b blob
       | Ping -> Bin.w_u8 b 7
       | Feedback { prog; scale; pipeline; tenant; blob } ->
-        (* New in v5. The workload identity rides beside the blob so the
-           router can place the report on the key's primary shard with
-           the same affinity hash Adapt/Sim use. *)
+        (* The workload identity rides beside the blob so the router can
+           place the report on the key's primary shard with the same
+           affinity hash Adapt/Sim use. *)
         Bin.w_u8 b 8;
         w_program_ref b prog;
         Bin.w_int b scale;
@@ -234,16 +221,13 @@ let encode_request ?trace ?(deadline_ms = 0.) ?(artifacts = artifacts_none) req
         Bin.w_str b tenant;
         Bin.w_str b blob)
 
-let r_req_env r v =
-  let re_trace = r_trace r v in
-  if v < 4 then { no_env with re_trace }
-  else begin
-    let re_deadline_ms = Bin.r_float r in
-    let re_artifacts = Bin.r_u8 r in
-    if re_artifacts > artifacts_always then
-      malformed (Printf.sprintf "unknown artifact ask %d" re_artifacts);
-    { re_trace; re_deadline_ms; re_artifacts }
-  end
+let r_req_env r =
+  let re_trace = r_trace r in
+  let re_deadline_ms = Bin.r_float r in
+  let re_artifacts = Bin.r_u8 r in
+  if re_artifacts > artifacts_always then
+    malformed (Printf.sprintf "unknown artifact ask %d" re_artifacts);
+  { re_trace; re_deadline_ms; re_artifacts }
 
 let decode_request_env payload =
   decode req_magic payload r_req_env (fun r ->
@@ -323,9 +307,9 @@ let encode_response ?(hops = []) ?(artifacts = []) resp =
 let decode_response_env payload =
   let resp, (hops, artifacts) =
     decode resp_magic payload
-      (fun r v ->
-        let hops = r_hops r v in
-        let artifacts = r_artifacts r v in
+      (fun r ->
+        let hops = r_hops r in
+        let artifacts = r_artifacts r in
         (hops, artifacts))
       (fun r ->
           match Bin.r_u8 r with

@@ -9,16 +9,9 @@
     connection or a crash. *)
 
 val proto_version : int
-(** Version written by this build (5): v4 adds the deadline budget and
-    artifact ask to request envelopes and the replicated-artifact list
-    to response envelopes; v5 adds the {!request.Feedback} request
-    (attribution-report upload). Envelopes are unchanged from v4, so v4
-    payloads decode exactly as before. *)
-
-val min_proto_version : int
-(** Oldest version still accepted by decoders (2): v2 payloads carry no
-    trace envelope and decode to an untraced request / hop-less
-    response; v3 payloads carry no deadline or artifacts. *)
+(** The one version this build writes and accepts (5). Every peer ships
+    from this repository; a payload of any other version is a structured
+    [proto] error. *)
 
 val default_max_frame : int
 (** Frames larger than this are rejected (8 MiB). *)
@@ -32,12 +25,12 @@ type program_ref =
 
 type trace_ctx = { trace_id : string; span_id : int }
 (** Distributed-trace context minted by the client and propagated in the
-    v3 request envelope; [span_id] is the sender's span, i.e. the
+    request envelope; [span_id] is the sender's span, i.e. the
     receiver's parent span. An empty [trace_id] never appears here — it
     encodes "untraced" on the wire. *)
 
 type hop = { hop_node : string; hop_stage : string; hop_ms : float }
-(** One entry of the per-hop latency breakdown stamped into a v3
+(** One entry of the per-hop latency breakdown stamped into a
     response envelope ([hop_node] e.g. ["shard 127.0.0.1:7301"],
     [hop_stage] e.g. ["queue"], ["store.lookup"], ["serialize"]). *)
 
@@ -53,15 +46,11 @@ type req_env = {
           (attach freshly-computed artifacts for write-through) or
           {!artifacts_always} (attach even on a hit, for read-repair) *)
 }
-(** The v4 request envelope. v2/v3 payloads decode to {!no_env} plus
-    whatever trace they carried. *)
+(** The request envelope. *)
 
 val artifacts_none : int
 val artifacts_on_miss : int
 val artifacts_always : int
-
-val no_env : req_env
-(** No trace, no deadline, no artifact ask. *)
 
 type request =
   | Adapt of {
@@ -102,7 +91,7 @@ type request =
       tenant : string;
       blob : string;
     }
-      (** new in v5: upload a sealed attribution report
+      (** upload a sealed attribution report
           ([Ssp_feedback.encode_report]) from a client's simulated run.
           The workload identity rides beside the blob so the router can
           forward the report to the key's primary shard with the same
@@ -142,17 +131,16 @@ type response =
 val encode_request :
   ?trace:trace_ctx -> ?deadline_ms:float -> ?artifacts:int -> request -> string
 (** [deadline_ms] (default 0 = none) and [artifacts] (default
-    {!artifacts_none}) populate the v4 envelope; see {!req_env}. *)
+    {!artifacts_none}) populate the envelope; see {!req_env}. *)
 
 val decode_request : string -> request
 
 val decode_request_traced : string -> request * trace_ctx option
-(** Like {!decode_request} but also returns the trace envelope ([None]
-    for v2 payloads and untraced v3+ requests). *)
+(** Like {!decode_request} but also returns the trace context ([None]
+    for untraced requests). *)
 
 val decode_request_env : string -> request * req_env
-(** Like {!decode_request} but returns the whole v4 envelope
-    ({!no_env}-filled for older payloads). *)
+(** Like {!decode_request} but returns the whole envelope. *)
 
 val encode_response : ?hops:hop list -> ?artifacts:(string * string) list ->
   response -> string
@@ -165,11 +153,11 @@ val decode_response : string -> response
 
 val decode_response_hops : string -> response * hop list
 (** Like {!decode_response} but also returns the per-hop latency
-    breakdown ([[]] for v2 payloads and untraced replies). *)
+    breakdown ([[]] for untraced replies). *)
 
 val decode_response_env :
   string -> response * hop list * (string * string) list
-(** Hops plus the attached artifact list ([[]] below v4). *)
+(** Hops plus the attached artifact list. *)
 
 val frame : string -> string
 (** Prefix a payload with its 4-byte big-endian length. *)

@@ -47,9 +47,10 @@ let resolve_host host =
 
 (* ---- request execution (runs on pool workers; must never raise) ---- *)
 
-let config_of_pipeline = function
-  | "ooo" -> Ssp_machine.Config.out_of_order
-  | _ -> Ssp_machine.Config.in_order
+let config_of_pipeline name =
+  match Ssp_machine.Config.of_pipeline_name name with
+  | Some config -> config
+  | None -> Ssp_ir.Error.raise_error ~pass:"server" ("unknown pipeline " ^ name)
 
 let compile_ref prog_ref scale =
   match prog_ref with
@@ -183,6 +184,7 @@ let handle_env cfg ~ask req =
           [] )
       | Some _ -> (
         let rep = Feedback.decode_report blob in
+        let config = config_of_pipeline rep.Feedback.fr_pipeline in
         T.count "server.feedback.reports" 1;
         match cfg.cache with
         | None ->
@@ -190,7 +192,6 @@ let handle_env cfg ~ask req =
              acknowledge so fire-and-forget uploaders stay happy. *)
           (Proto.Ok_reply, [])
         | Some cache ->
-          let config = config_of_pipeline rep.Feedback.fr_pipeline in
           let prog =
             Feedback.compile_id rep.Feedback.fr_prog
               ~scale:rep.Feedback.fr_scale

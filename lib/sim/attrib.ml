@@ -98,7 +98,7 @@ type site = { mutable s_spawns : int; mutable s_denied : int }
 type t = {
   prefetch_map : Iref.t Iref.Map.t; (* emitted prefetch site -> target load *)
   targets : Iref.Set.t; (* the delinquent loads under attribution *)
-  lines : (int64, pf) Hashtbl.t; (* line address -> outstanding prefetch *)
+  lines : (int, pf) Hashtbl.t; (* line address -> outstanding prefetch *)
   accts : acct Iref.Tbl.t; (* per target load *)
   sites : site Iref.Tbl.t; (* per spawn site *)
   mutable spawns : int;

@@ -47,16 +47,16 @@ val is_target : t -> Ssp_ir.Iref.t -> bool
 
 (** {2 Hooks} — called by the simulator; not for external use. *)
 
-val prefetch_issued : t -> tag -> line:int64 -> now:int -> unit
+val prefetch_issued : t -> tag -> line:int -> now:int -> unit
 val prefetch_redundant : t -> tag -> unit
 val prefetch_dropped : t -> tag -> unit
-val fill_retired : t -> line:int64 -> now:int -> unit
+val fill_retired : t -> line:int -> now:int -> unit
 
 val demand_use :
   t ->
   ?iref:Ssp_ir.Iref.t ->
   main:bool ->
-  line:int64 ->
+  line:int ->
   hit:bool ->
   partial:bool ->
   now:int ->

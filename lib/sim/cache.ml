@@ -8,10 +8,7 @@ type t = {
          back to [mod] so odd set counts keep their exact behavior *)
   ways : int;
   line_bits : int;
-  tags : int array;  (* sets * ways, -1 = invalid; line numbers as native
-                        ints — the address space is 62-bit (Memory masks
-                        with [land max_int]), so probes avoid int64 boxing
-                        and compare immediates *)
+  tags : int array;  (* sets * ways, -1 = invalid; line numbers *)
   lru : int array;  (* higher = more recent *)
   mutable clock : int;
   mutable accesses : int;
@@ -41,8 +38,8 @@ let create ?name (g : Ssp_machine.Config.cache_geom) =
       | None -> None);
   }
 
-let line_of_i t a = (a land max_int) lsr t.line_bits
-let line_of t addr = line_of_i t (Int64.to_int addr)
+(* Addresses are native ints; the simulated address space is 62-bit. *)
+let line_of t a = (a land max_int) lsr t.line_bits
 
 let set_of t line =
   if t.set_mask >= 0 then line land t.set_mask else line mod t.sets
@@ -63,13 +60,6 @@ let find_idx t addr =
   scan_ways t.tags line (base + t.ways) base
 
 let probe t addr = find_idx t addr >= 0
-
-let touch t addr =
-  let i = find_idx t addr in
-  if i >= 0 then begin
-    t.clock <- t.clock + 1;
-    t.lru.(i) <- t.clock
-  end
 
 let install t addr =
   let i = find_idx t addr in
@@ -109,9 +99,9 @@ let access t addr =
    warming hot path. State effects match access-then-install exactly up to
    LRU clock values (a hit is touched once instead of twice; relative
    recency order, tags, and hit/miss counts are identical). *)
-let warm_access_i t a =
+let warm_access t a =
   t.accesses <- t.accesses + 1;
-  let line = line_of_i t a in
+  let line = line_of t a in
   let s = set_of t line in
   let base = s * t.ways in
   let lim = base + t.ways in
@@ -147,10 +137,7 @@ let warm_access_i t a =
     false
   end
 
-let warm_access t addr = warm_access_i t (Int64.to_int addr)
-
-let line_addr t addr =
-  Int64.shift_left (Int64.of_int (line_of t addr)) t.line_bits
+let line_addr t addr = line_of t addr lsl t.line_bits
 
 let line_bits t = t.line_bits
 

@@ -9,29 +9,24 @@ val create : ?name:string -> Ssp_machine.Config.cache_geom -> t
 (** [name] registers telemetry counters ["<name>.hits"] / ["<name>.misses"]
     updated on every {!access} while telemetry is enabled. *)
 
-val probe : t -> int64 -> bool
-(** Whether the line containing the address is present (no state change). *)
+val probe : t -> int -> bool
+(** Whether the line containing the address is present (no state change).
+    Addresses are native ints (the simulated address space is 62-bit). *)
 
-val touch : t -> int64 -> unit
-(** Mark the line most recently used (on a hit). *)
-
-val install : t -> int64 -> unit
+val install : t -> int -> unit
 (** Fill the line, evicting the LRU way of its set. *)
 
-val access : t -> int64 -> bool
-(** [probe]; on hit also [touch]. Returns whether it hit. *)
+val access : t -> int -> bool
+(** Whether the line is present; on a hit also mark it most recently
+    used. *)
 
-val warm_access : t -> int64 -> bool
+val warm_access : t -> int -> bool
 (** [access], and on a miss also [install], in one set scan: the
     functional-warming hot path. Equivalent to [access] followed by
     [install] up to LRU clock values (identical tags, recency order, and
     hit/miss counts). *)
 
-val warm_access_i : t -> int -> bool
-(** [warm_access] with the address as a native int (62-bit address
-    space) — no int64 boxing on the warming path. *)
-
-val line_addr : t -> int64 -> int64
+val line_addr : t -> int -> int
 
 val line_bits : t -> int
 (** log2 of the line size in bytes. *)

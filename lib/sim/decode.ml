@@ -1,5 +1,5 @@
-(* Predecoded flat instruction stream for the functional interpreter
-   ([Funcsim.exec]).
+(* Predecoded flat instruction stream, executed by every engine through
+   [Funcsim.step]: the functional interpreter and both cycle cores.
 
    The boxed {!Ssp_isa.Op.t} representation costs the hot loop a chain of
    dependent heap loads per instruction (blocks array -> block record ->
@@ -17,10 +17,9 @@
                        callee index into [Layout.by_index], or index into
                        [imms] for 64-bit immediates)
 
-   Opcode map — the interpreter in {!Funcsim.exec} matches these as
-   literal patterns, so the two files must change together (the tests pin
-   them: functional, sampled and full cycle runs must produce identical
-   outputs):
+   Opcode map — {!Funcsim.step} matches these as literal patterns, so the
+   two files must change together (a test pins the arms against a
+   reference evaluator written from the ISA's definition):
 
       0 nop            1 movi d,imms[imm]   2 mov d,a
       3..12  alu  d,a,b     (add sub mul div rem and or xor shl shr)
@@ -33,8 +32,8 @@
      47 call imm          48 ret          49 halt         50 kill
      51 chk imm           52 rand d       53 slow
 
-   [slow] marks the rare ops the interpreter executes through
-   {!Exec.step_op} on the boxed form (icall, spawn, lib.st/ld, alloc,
+   [slow] marks the rare ops the step executes through {!Exec.step_op}
+   on the boxed form (icall, spawn, lib.st/ld, alloc,
    print; a memory offset outside the imm field's [-2^35, 2^35); and any
    op whose static target did not resolve, preserving the original
    execution-time error behavior). *)

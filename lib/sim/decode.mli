@@ -1,10 +1,11 @@
-(** Predecoded flat instruction stream for the functional interpreter.
+(** Predecoded flat instruction stream, executed by every engine through
+    {!Funcsim.step}.
 
     One packed [int] word per instruction (opcode + register fields +
     signed immediate), 64-bit immediates in a per-function pool. The word
-    format and opcode numbering are documented in [decode.ml]; the
-    interpreter in {!Funcsim.exec} matches the opcodes as literal
-    patterns, so the two must change together. *)
+    format and opcode numbering are documented in [decode.ml];
+    {!Funcsim.step} matches the opcodes as literal patterns, so the two
+    must change together. *)
 
 type t = {
   code : int array array;  (** per block: one packed word per instruction *)
@@ -15,7 +16,7 @@ type t = {
 }
 
 val opc_slow : int
-(** Opcode of ops the interpreter defers to {!Exec.step_op} (boxed form),
+(** Opcode of ops the step defers to {!Exec.step_op} (boxed form),
     including loads, stores and lfetches whose offset lies outside
     [[-2^35, 2^35)]. *)
 

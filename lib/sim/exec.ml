@@ -6,13 +6,13 @@ type env = {
   chk_free : unit -> bool;
   spawn : src:Ssp_ir.Iref.t -> fn:string -> blk:int -> live_in:int64 array -> bool;
   output : int64 -> unit;
-  mutable ev_addr : int64;
+  mutable ev_addr : int;
 }
 
 (* Events are all constant constructors (immediates): returning one from the
    per-instruction hot path allocates nothing. The address of the last
-   load/store/prefetch is passed out of band in [env.ev_addr] — assigning an
-   int64 that [step] computed anyway stores the existing box. *)
+   load/store/prefetch is passed out of band in [env.ev_addr], a native
+   int. *)
 type event =
   | Ev_plain
   | Ev_load
@@ -30,58 +30,30 @@ type event =
   | Ev_spawn_denied
   | Ev_lib
 
-(* The per-instruction dispatch allocates nothing on the common paths: no
-   closures, and direct [Thread.get]/[Thread.set] applications that the
-   compiler can inline. *)
+(* The 62-bit effective address [b + off]. *)
+let addr t b off = (Int64.to_int (Thread.get t b) + off) land max_int
+
+(* The rare ops [Decode] marks [slow]. Everything else runs on the decoded
+   word in [Funcsim.step], which also counts the instruction. *)
 let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
-  t.instrs <- t.instrs + 1;
   match op with
-  | Op.Nop ->
-    t.ins <- t.ins + 1;
-    Ev_plain
-  | Op.Movi (d, i) ->
-    Thread.set t d i;
-    t.ins <- t.ins + 1;
-    Ev_plain
-  | Op.Mov (d, s) ->
-    Thread.set t d (Thread.get t s);
-    t.ins <- t.ins + 1;
-    Ev_plain
-  | Op.Alu (o, d, a, b) ->
-    Thread.set t d (Op.alu_eval o (Thread.get t a) (Thread.get t b));
-    t.ins <- t.ins + 1;
-    Ev_plain
-  | Op.Alui (o, d, a, i) ->
-    Thread.set t d (Op.alu_eval o (Thread.get t a) i);
-    t.ins <- t.ins + 1;
-    Ev_plain
-  | Op.Cmp (o, d, a, b) ->
-    Thread.set t d
-      (if Op.cmp_eval o (Thread.get t a) (Thread.get t b) then 1L else 0L);
-    t.ins <- t.ins + 1;
-    Ev_plain
-  | Op.Cmpi (o, d, a, i) ->
-    Thread.set t d (if Op.cmp_eval o (Thread.get t a) i then 1L else 0L);
-    t.ins <- t.ins + 1;
-    Ev_plain
   | Op.Load (w, d, b, off) ->
-    let addr = Int64.add (Thread.get t b) (Int64.of_int off) in
+    let addr = addr t b off in
     (* Loads zero-extend (documented in Op); value already masked. *)
     Thread.set t d (Memory.read env.mem addr (Op.width_bytes w));
     t.ins <- t.ins + 1;
     env.ev_addr <- addr;
     Ev_load
   | Op.Store (w, s, b, off) ->
-    let addr = Int64.add (Thread.get t b) (Int64.of_int off) in
+    let addr = addr t b off in
     if not t.speculative then
       Memory.write env.mem addr (Op.width_bytes w) (Thread.get t s);
     t.ins <- t.ins + 1;
     env.ev_addr <- addr;
     Ev_store
   | Op.Lfetch (b, off) ->
-    let addr = Int64.add (Thread.get t b) (Int64.of_int off) in
+    env.ev_addr <- addr t b off;
     t.ins <- t.ins + 1;
-    env.ev_addr <- addr;
     Ev_prefetch
   | Op.Br l ->
     t.blk <- Ssp_ir.Prog.block_index f l;
@@ -134,28 +106,6 @@ let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
       t.blk <- 0;
       t.ins <- 0;
       Ev_call)
-  | Op.Ret ->
-    if t.frame_n = 0 then begin
-      (* Returning from the outermost frame ends the thread. *)
-      t.active <- false;
-      if t.speculative then Ev_kill else Ev_halt
-    end
-    else begin
-      t.frame_n <- t.frame_n - 1;
-      let fr = t.frames.(t.frame_n) in
-      Array.blit fr.Thread.saved_stacked 0 t.regs Reg.first_stacked
-        fr.Thread.saved_n;
-      t.fn <- fr.Thread.ret_fn;
-      t.blk <- fr.Thread.ret_blk;
-      t.ins <- fr.Thread.ret_ins;
-      Ev_ret
-    end
-  | Op.Halt ->
-    t.active <- false;
-    Ev_halt
-  | Op.Kill ->
-    t.active <- false;
-    Ev_kill
   | Op.Chk_c stub ->
     if env.chk_free () then begin
       t.blk <- Ssp_ir.Prog.block_index f stub;
@@ -193,13 +143,6 @@ let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
     if not t.speculative then env.output (Thread.get t s);
     t.ins <- t.ins + 1;
     Ev_plain
-  | Op.Rand d ->
-    (* xorshift64*; deterministic per thread. *)
-    let x = t.rand_state in
-    let x = Int64.logxor x (Int64.shift_left x 13) in
-    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-    let x = Int64.logxor x (Int64.shift_left x 17) in
-    t.rand_state <- x;
-    Thread.set t d (Int64.shift_right_logical x 1);
-    t.ins <- t.ins + 1;
-    Ev_plain
+  | Op.Nop | Op.Movi _ | Op.Mov _ | Op.Alu _ | Op.Alui _ | Op.Cmp _
+  | Op.Cmpi _ | Op.Ret | Op.Halt | Op.Kill | Op.Rand _ ->
+    invalid_arg "Exec.step_op: op always decodes to its own word"

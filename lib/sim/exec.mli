@@ -1,10 +1,13 @@
-(** Functional semantics of a single instruction, on the boxed
-    {!Ssp_isa.Op.t} form.
+(** The rare instructions' semantics, on the boxed {!Ssp_isa.Op.t} form,
+    and the interface every engine shares: the environment of
+    timing-directed callbacks and the events the timing models dispatch on.
 
-    [step_op] performs all architectural effects (registers, memory, program
-    counter, frames) and reports what happened so the timing models can
-    account latency. Timing-directed decisions — whether [Chk_c] finds a
-    free context, whether [Spawn] succeeds — are delegated to the [env]
+    Every instruction executes through {!Funcsim.step} on its predecoded
+    word; [step_op] is that step's fallback for the ops {!Decode} marks
+    [slow] (icall, spawn, live-in buffer access, alloc, print, memory
+    offsets outside the word's immediate field, unresolved static
+    targets). Timing-directed decisions — whether [Chk_c] finds a free
+    context, whether [Spawn] succeeds — are delegated to the [env]
     callbacks; the functional simulator and the cycle simulators plug in
     different policies.
 
@@ -22,9 +25,10 @@ type env = {
       (** try to bind a free context; false = ignored. [src] is the
           spawning [Spawn] instruction (for attribution). *)
   output : int64 -> unit;  (** observable output of [Print] *)
-  mutable ev_addr : int64;
-      (** effective address of the most recent [Ev_load]/[Ev_store]/
-          [Ev_prefetch]; undefined after other events *)
+  mutable ev_addr : int;
+      (** effective address (62-bit, native int) of the most recent
+          [Ev_load]/[Ev_store]/[Ev_prefetch]; undefined after other
+          events *)
 }
 
 (** All constructors are constant (immediate values): the per-instruction
@@ -48,8 +52,7 @@ type event =
   | Ev_lib  (** live-in buffer access *)
 
 val step_op : env -> Thread.t -> Ssp_ir.Prog.func -> Ssp_isa.Op.t -> event
-(** Execute one instruction and advance the pc: the caller passes the
-    thread's current function and the instruction at its pc (after
-    fall-through, see {!Smt.layout_of}). The cycle models fetch the
-    instruction anyway for their own bookkeeping, and {!Funcsim.exec}
-    defers its rare ops here. *)
+(** Execute one [slow] instruction and advance the pc (it does not count
+    the instruction: the caller has). The caller passes the thread's
+    current function and the instruction at its pc. Raises
+    [Invalid_argument] for an op that always decodes to its own word. *)

@@ -1,5 +1,7 @@
-(** The functional (non-timing) interpreter: every functional run of a
-    program goes through {!exec}, over the predecoded {!Decode} stream.
+(** The one instruction semantics and the functional (non-timing)
+    interpreter. {!step} executes one predecoded {!Decode} word; the cycle
+    cores call it for every instruction they issue, and every functional
+    run of a program goes through {!exec}, which inlines it.
 
     Three uses, one per {!probe}:
     - reference semantics and observable-output capture ({!run}), and
@@ -34,18 +36,35 @@ type counts = {
 type probe =
   | Quiet  (** architectural effects only *)
   | Warm of Hierarchy.t * Bpred.t
-      (** functional warming: caches (untimed, see {!Hierarchy.warm_i})
+      (** functional warming: caches (untimed, see {!Hierarchy.warm})
           and branch predictor, as thread 0 *)
   | Count of counts  (** profile counters *)
 
+val fall_through : Layout.entry -> Thread.t -> unit
+(** While the thread's [ins] is past the end of its block (the entry is
+    its current function's), move to the next block in layout, so
+    [blk]/[ins] index the instruction it executes next. *)
+
+val step :
+  probe -> Layout.t -> Exec.env -> Thread.t -> Layout.entry -> blk:int ->
+  ins:int -> int -> Exec.event
+(** [step probe layout env th e ~blk ~ins w] executes one instruction, the
+    predecoded word [w] at [blk]/[ins] of [e] (the thread's current
+    function, after {!fall_through}): the architectural effects, the pc
+    advance and the thread's instruction count, and what [probe] observes
+    of it (as in {!exec}). The effective address of a load, store or
+    prefetch is left in [env.ev_addr]. Every engine executes every
+    instruction through here — the cycle cores with [Quiet], timing the
+    returned event themselves; the rare [slow] word runs on
+    {!Exec.step_op}. *)
+
 val exec :
   probe -> Layout.t -> Exec.env -> Thread.t -> instrs:int -> int
-(** Execute up to [instrs] instructions of the (active) thread, or until
-    it halts, kills itself or returns from its outermost frame; returns
-    the count executed. Rare ops (icall, spawn, live-in buffer access,
-    alloc, print, memory offsets outside the decoded word's range) run
-    on {!Exec.step_op} and are probed like the others. A speculative
-    thread's stores write nothing. *)
+(** Execute up to [instrs] instructions of the (active) thread with
+    {!step}, or until it halts, kills itself or returns from its outermost
+    frame; returns the count executed. Rare ops run on {!Exec.step_op} and
+    are probed like the others. A speculative thread's stores write
+    nothing. *)
 
 type result = {
   outputs : int64 list;  (** values printed by [Print], in order *)

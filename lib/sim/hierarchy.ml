@@ -21,17 +21,16 @@ type t = {
   l1i : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t;
-  mutable fl_line : int64 array;
+  mutable fl_line : int array;
   mutable fl_origin : level array;
   mutable fl_done : int array;
   mutable fl_n : int;
   mutable attrib : Attrib.t option;  (* prefetch-lifecycle attribution *)
-  warm_shift : int;  (* L1 line_bits: int line key = addr lsr warm_shift *)
+  warm_shift : int;  (* L1 line_bits: line key = addr lsr warm_shift *)
   mutable warm_dline : int;
       (* last L1d line warmed by {!warm}; a repeat touch of the same line
          with no other access in between is an LRU no-op, so the filter is
-         exact — reset whenever the timed path may have intervened. Int
-         keys (addresses fit 62 bits) keep the filter allocation-free. *)
+         exact — reset whenever the timed path may have intervened *)
   mutable warm_iline : int;  (* same, for {!warm_ifetch} / L1i *)
   tel_dropped : T.counter;  (* prefetches dropped on a full fill buffer *)
   tel_stalled : T.counter;  (* fills delayed by a full fill buffer *)
@@ -49,7 +48,7 @@ let create ?(tprefix = "sim") (cfg : Config.t) =
     l1i = Cache.create ~name:(tprefix ^ ".l1i") cfg.l1;
     l2 = Cache.create ~name:(tprefix ^ ".l2") cfg.l2;
     l3 = Cache.create ~name:(tprefix ^ ".l3") cfg.l3;
-    fl_line = Array.make cap 0L;
+    fl_line = Array.make cap 0;
     fl_origin = Array.make cap L1;
     fl_done = Array.make cap 0;
     fl_n = 0;
@@ -74,7 +73,7 @@ let add_fill t ~line ~origin ~done_at =
   let n = t.fl_n in
   if n >= Array.length t.fl_line then begin
     let cap = 2 * Array.length t.fl_line in
-    let line' = Array.make cap 0L in
+    let line' = Array.make cap 0 in
     let origin' = Array.make cap L1 in
     let done' = Array.make cap 0 in
     Array.blit t.fl_line 0 line' 0 n;
@@ -124,7 +123,7 @@ let find_fill t line =
   let n = t.fl_n in
   let rec go i =
     if i >= n then -1
-    else if Int64.equal (Array.unsafe_get t.fl_line i) line then i
+    else if Array.unsafe_get t.fl_line i = line then i
     else go (i + 1)
   in
   go 0
@@ -260,7 +259,7 @@ let reset_warm_filter t =
   t.warm_dline <- -1;
   t.warm_iline <- -1
 
-let warm_i t a =
+let warm t a =
   match t.cfg.memory_mode with
   | Config.Perfect_memory -> ()
   | Config.Normal | Config.Perfect_delinquent _ ->
@@ -268,13 +267,13 @@ let warm_i t a =
     let line = a lsr t.warm_shift in
     if line <> t.warm_dline then begin
       t.warm_dline <- line;
-      if not (Cache.warm_access_i t.l1d a) then begin
-        ignore (Cache.warm_access_i t.l2 a);
-        ignore (Cache.warm_access_i t.l3 a)
+      if not (Cache.warm_access t.l1d a) then begin
+        ignore (Cache.warm_access t.l2 a);
+        ignore (Cache.warm_access t.l3 a)
       end
     end
 
-let warm_ifetch_i t a =
+let warm_ifetch t a =
   match t.cfg.memory_mode with
   | Config.Perfect_memory -> ()
   | Config.Normal | Config.Perfect_delinquent _ ->
@@ -282,7 +281,7 @@ let warm_ifetch_i t a =
     let line = a lsr t.warm_shift in
     if line <> t.warm_iline then begin
       t.warm_iline <- line;
-      ignore (Cache.warm_access_i t.l1i a)
+      ignore (Cache.warm_access t.l1i a)
     end
 
 let pp_level ppf l =

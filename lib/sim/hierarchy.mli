@@ -41,10 +41,11 @@ val access :
   ?pf_tag:Attrib.tag ->
   ?demand_iref:Ssp_ir.Iref.t ->
   ?demand_main:bool ->
-  int64 ->
+  int ->
   outcome
 (** Account a load ([prefetch:false]), a prefetch or an instruction fetch
-    at the given cycle. Prefetch fills are non-temporal: they install into
+    at the given cycle, to a native-int address (the simulated address
+    space is 62-bit). Prefetch fills are non-temporal: they install into
     L2/L3 but not L1 (Itanium [lfetch.nt]). Stores are accounted as loads for line-fill
     purposes (write-allocate). In [Perfect_memory] mode everything hits L1;
     the perfect-delinquent filtering is done by the caller (it knows the
@@ -55,30 +56,29 @@ val access :
     [demand_main] identify untagged data accesses for attribution — all
     three are ignored unless [set_attrib] was called. *)
 
-val demand : t -> now:int -> low_priority:bool -> int64 -> outcome
+val demand : t -> now:int -> low_priority:bool -> int -> outcome
 (** [access] without the optional plumbing: an untagged demand data access
     ([demand_main] is the negation of [low_priority]). The cycle
     simulators' hot path when no attribution is attached. *)
 
-val ifetch : t -> now:int -> int64 -> outcome
+val ifetch : t -> now:int -> int -> outcome
 (** An instruction fetch (equivalent to [access ~instruction:true] with no
     other options; instruction fetches never carry attribution). *)
 
-val prefetch : t -> now:int -> int64 -> outcome
+val prefetch : t -> now:int -> int -> outcome
 (** An untagged prefetch (equivalent to [access ~prefetch:true] with no
     attribution tag); the hot path when attribution is off. *)
 
-val warm_i : t -> int -> unit
+val warm : t -> int -> unit
 (** Functional warming (sampled simulation): install the line at every
-    level with no timing, fill-buffer traffic or attribution. The address
-    is a native int (62-bit address space), so the decoded interpreter
-    computes it without int64 boxing. Consecutive touches of one line
+    level with no timing, fill-buffer traffic or attribution. Consecutive
+    touches of one line
     collapse to a single access (exact for LRU state: no other line moved
     in between); call {!reset_warm_filter} whenever a timed access may
     have intervened. *)
 
-val warm_ifetch_i : t -> int -> unit
-(** Functional warming of the instruction cache (int fetch address, as
+val warm_ifetch : t -> int -> unit
+(** Functional warming of the instruction cache (fetch address as
     precomputed in [Layout.blk0_iaddr]). *)
 
 val reset_warm_filter : t -> unit

@@ -1,4 +1,5 @@
 module Bundle = Ssp_isa.Bundle
+module Op = Ssp_isa.Op
 
 type entry = {
   func : Ssp_ir.Prog.func;
@@ -13,15 +14,28 @@ type t = {
   by_index : entry array;
   n_pcs : int;
   irefs : Ssp_ir.Iref.t array;
+  use_at : int array;
+  use_reg : int array;
+  def_at : int array;
+  def_reg : int array;
+  latency : int array;
+  mem_op : bool array;
+  cond_br : bool array;
 }
 
-let code_base = 0x4000_0000L
-let code_base_i = 0x4000_0000
+let code_base = 0x4000_0000
 
 let dummy =
   { func = { Ssp_ir.Prog.name = ""; nparams = 0; blocks = [||]; code_id = -1 };
     block_base = [||]; bundle_idx = [||]; blk0_iaddr = [||];
     dec = Decode.empty }
+
+(* [regs op] for every pc in order, flattened: pc [k]'s registers are
+   [reg.(at.(k)) .. reg.(at.(k + 1) - 1)]. *)
+let flatten ops regs =
+  let at = Array.make (Array.length ops + 1) 0 in
+  Array.iteri (fun k op -> at.(k + 1) <- at.(k) + List.length (regs op)) ops;
+  (at, Array.of_list (List.concat_map regs (Array.to_list ops)))
 
 (* Numbering matches the historical pcmap exactly: functions in
    [funcs_in_order] order, blocks sequential within a function — so branch
@@ -62,7 +76,7 @@ let of_prog (prog : Ssp_ir.Prog.t) =
           f.blocks
       in
       let blk0_iaddr =
-        Array.map (fun base -> code_base_i + (16 * base)) block_base
+        Array.map (fun base -> code_base + (16 * base)) block_base
       in
       let e =
         { func = f; block_base; bundle_idx; blk0_iaddr;
@@ -90,14 +104,38 @@ let of_prog (prog : Ssp_ir.Prog.t) =
          (fun (f : Ssp_ir.Prog.func) -> Hashtbl.find tbl f.name)
          funcs)
   in
-  { tbl; by_index; n_pcs; irefs }
+  (* pc id -> instruction *)
+  let ops =
+    Array.concat
+      (List.concat_map
+         (fun (f : Ssp_ir.Prog.func) ->
+           List.map (fun (b : Ssp_ir.Prog.block) -> b.ops)
+             (Array.to_list f.blocks))
+         funcs)
+  in
+  let use_at, use_reg = flatten ops Op.uses in
+  let def_at, def_reg = flatten ops Op.defs in
+  {
+    tbl;
+    by_index;
+    n_pcs;
+    irefs;
+    use_at;
+    use_reg;
+    def_at;
+    def_reg;
+    latency = Array.map Ssp_machine.Latency.of_op ops;
+    mem_op =
+      Array.map
+        (function Op.Load _ | Op.Store _ | Op.Lfetch _ -> true | _ -> false)
+        ops;
+    cond_br =
+      Array.map (function Op.Brnz _ | Op.Brz _ -> true | _ -> false) ops;
+  }
 
 let find t fn =
   match Hashtbl.find_opt t.tbl fn with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Layout.find: no function %s" fn)
-
-let pc_addr (e : entry) ~blk ~ins =
-  Int64.add code_base (Int64.of_int (16 * (e.block_base.(blk) + ins)))
 
 let iref_of t pc = t.irefs.(pc)

@@ -7,7 +7,13 @@
       predictor index, the profile counters' index and, scaled by 16, the
       instruction-fetch address);
     - the static bundle index of every instruction (issue-bandwidth
-      accounting in bundle units).
+      accounting in bundle units);
+    - the function's predecoded instruction stream.
+
+    Per pc id, [t] holds the static facts the cycle cores need on every
+    issue: source and destination registers ({!Ssp_isa.Op.uses},
+    {!Ssp_isa.Op.defs}), base latency ({!Ssp_machine.Latency.of_op}), and
+    whether the instruction accesses memory or is a conditional branch.
 
     The numbering replicates the historical pcmap exactly (functions in
     [funcs_in_order] order, blocks sequential), so predictor/BTB indices are
@@ -19,9 +25,7 @@ type entry = {
   func : Ssp_ir.Prog.func;
   block_base : int array;  (** absolute pc id of each block's first instr *)
   bundle_idx : int array array;  (** per block: bundle index per instr *)
-  blk0_iaddr : int array;
-      (** fetch address of each block's first instr as a native int — the
-          decoded interpreter warms the I-cache without int64 arithmetic *)
+  blk0_iaddr : int array;  (** fetch address of each block's first instr *)
   dec : Decode.t;  (** predecoded flat instruction stream *)
 }
 
@@ -32,14 +36,20 @@ type t = {
           this table directly *)
   n_pcs : int;  (** total static instruction count *)
   irefs : Ssp_ir.Iref.t array;  (** pc id → instruction reference *)
+  use_at : int array;
+      (** pc [k] reads registers [use_reg.(use_at.(k))] up to, excluding,
+          [use_reg.(use_at.(k + 1))] (length [n_pcs + 1]) *)
+  use_reg : int array;
+  def_at : int array;  (** the same for the registers pc [k] writes *)
+  def_reg : int array;
+  latency : int array;  (** pc id → {!Ssp_machine.Latency.of_op} *)
+  mem_op : bool array;  (** pc id → load, store or lfetch *)
+  cond_br : bool array;  (** pc id → [brnz] or [brz] *)
 }
 
-val code_base : int64
+val code_base : int
 (** Base pseudo-address of the code segment (16 bytes per instruction,
     distinct from data addresses). *)
-
-val code_base_i : int
-(** [code_base] as a native int (addresses fit in 62 bits). *)
 
 val dummy : entry
 (** Physically-unique placeholder for per-context caches; never returned by
@@ -49,5 +59,4 @@ val of_prog : Ssp_ir.Prog.t -> t
 val find : t -> string -> entry
 (** Raises [Invalid_argument] for a name the program does not define. *)
 
-val pc_addr : entry -> blk:int -> ins:int -> int64
 val iref_of : t -> int -> Ssp_ir.Iref.t

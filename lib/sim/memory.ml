@@ -30,11 +30,9 @@ let page t id =
     p
   end
 
-(* [read_i]/[write_i] take the address as a native int (the address space
-   is 62-bit: [Int64.to_int addr land max_int] everywhere) — the decoded
-   fast-forward loop computes addresses in int arithmetic and skips the
-   int64 boxing entirely. *)
-let read_i t a bytes =
+(* Addresses are native ints: the address space is 62-bit, so every
+   access masks with [land max_int]. *)
+let read t a bytes =
   let a = a land max_int in
   let off = a land (page_size - 1) in
   if off + bytes <= page_size then begin
@@ -59,9 +57,7 @@ let read_i t a bytes =
     go (bytes - 1) 0L
   end
 
-let read t addr bytes = read_i t (Int64.to_int addr) bytes
-
-let write_i t a bytes v =
+let write t a bytes v =
   let a = a land max_int in
   let off = a land (page_size - 1) in
   if off + bytes <= page_size then begin
@@ -81,8 +77,6 @@ let write_i t a bytes v =
         (b land (page_size - 1))
         (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
     done
-
-let write t addr bytes v = write_i t (Int64.to_int addr) bytes v
 
 let alloc t size =
   let size = Int64.logand (Int64.add size 7L) (Int64.lognot 7L) in

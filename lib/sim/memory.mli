@@ -5,18 +5,12 @@ type t
 
 val create : unit -> t
 
-val read : t -> int64 -> int -> int64
+val read : t -> int -> int -> int64
 (** [read m addr bytes] with [bytes] in {1,2,4,8}; zero-extends except for
-    8-byte reads. *)
+    8-byte reads. Addresses are native ints, masked to the 62-bit address
+    space. *)
 
-val write : t -> int64 -> int -> int64 -> unit
-
-val read_i : t -> int -> int -> int64
-(** [read] with the address already truncated to the native-int 62-bit
-    address space — the decoded fast-forward loop computes addresses in
-    int arithmetic to avoid int64 boxing. *)
-
-val write_i : t -> int -> int -> int64 -> unit
+val write : t -> int -> int -> int64 -> unit
 
 val alloc : t -> int64 -> int64
 (** Bump-allocate the given number of bytes (8-byte aligned); returns the

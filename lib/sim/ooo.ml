@@ -1,4 +1,3 @@
-open Ssp_isa
 open Ssp_machine
 module T = Ssp_telemetry.Telemetry
 
@@ -22,28 +21,11 @@ type othread = {
 
 let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   T.with_span "sim.ooo" @@ fun () ->
-  let m = Smt.create ?attrib cfg prog in
+  let m = Smt.create ?attrib ~sampling cfg prog in
   let stats = m.Smt.stats in
   let now = ref 0 in
   let stepping = ref m.Smt.ctxs.(0) in
-  let env =
-    {
-      Exec.mem = m.Smt.mem;
-      prog;
-      chk_free = (fun () -> Smt.chk_allowed m ~now:!now !stepping);
-      spawn =
-        (fun ~src ~fn ~blk ~live_in ->
-          (* Injected chained-spawn breakage: a speculative thread's spawn
-             silently fails, cutting the chain. *)
-          if
-            (!stepping).Smt.thread.Thread.speculative
-            && Ssp_fault.Fault.fire Smt.site_chain_break
-          then false
-          else Smt.try_spawn m ~now:!now ~src ~fn ~blk ~live_in);
-      output = (fun v -> Stats.push_output stats v);
-      ev_addr = 0L;
-    }
-  in
+  let env = Smt.env m ~now ~stepping in
   let rob_cap = max 1 cfg.Config.rob_entries in
   let oths =
     Array.map
@@ -60,25 +42,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         })
       m.Smt.ctxs
   in
-  (* Scratch for allocation-free operand queries. *)
-  let ubuf = Array.make Op.scratch_regs 0 in
-  let dbuf = Array.make Op.scratch_regs 0 in
-  (* Sampled-simulation bookkeeping. *)
-  let detail_left = ref max_int in
-  let ff_total = ref 0 in
-  let est_extra = ref 0.0 in
-  (* Local (per-window) CPI extrapolation with per-window detailed
-     warming — see Inorder. *)
-  let win_cycles0 = ref 0 in
-  let win_instrs0 = ref 0 in
-  let measuring = ref false in
-  let jst = ref Smt.jitter_seed in
-  (* Centered extrapolation — see Inorder. *)
-  let pending_k = ref 0 in
-  let prev_cpi = ref 0.0 in
-  (match sampling with
-  | Some s -> detail_left := s.Smt.detail_window
-  | None -> ());
+  let lay = m.Smt.lay in
   (* Shared memory ports: per-cycle usage ring (cycle-tagged), so a port
      reserved for a distant future cycle never blocks an earlier one. *)
   let port_ring = 8192 in
@@ -132,60 +96,34 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       let e = Smt.layout_of m ctx in
       let blk0 = th.Thread.blk and ins0 = th.Thread.ins in
       let pcid = e.Layout.block_base.(blk0) + ins0 in
-      let op = e.Layout.func.Ssp_ir.Prog.blocks.(blk0).ops.(ins0) in
-      let nu = Op.uses_into op ubuf in
-      let ready_at = ref !now in
-      for i = 0 to nu - 1 do
-        if ctx.Smt.reg_ready.(ubuf.(i)) > !ready_at then
-          ready_at := ctx.Smt.reg_ready.(ubuf.(i))
-      done;
-      let ready_at = !ready_at in
+      let ready_at = max !now (Smt.src_ready m ctx pcid) in
       if ready_at > !now && ot.waiting >= cfg.Config.rs_entries then false
       else if ready_at - !now >= rs_horizon then false
       else begin
-        let is_cond =
-          match op with Op.Brnz _ | Op.Brz _ -> true | _ -> false
-        in
+        let is_cond = lay.Layout.cond_br.(pcid) in
         let predicted =
           is_cond && Bpred.predict m.Smt.bp ~thread:th.Thread.id ~pc:pcid
         in
-        let ev = Exec.step_op env th e.Layout.func op in
-        if th.Thread.id = 0 then begin
-          stats.Stats.main_instrs <- stats.Stats.main_instrs + 1;
-          decr detail_left
-        end
-        else stats.Stats.spec_instrs <- stats.Stats.spec_instrs + 1;
-        let base_latency = max 1 (Latency.of_op op) in
+        let ev =
+          Funcsim.step Funcsim.Quiet lay env th e ~blk:blk0 ~ins:ins0
+            e.Layout.dec.Decode.code.(blk0).(ins0)
+        in
+        Smt.count_issue m th;
+        let base_latency = max 1 lay.Layout.latency.(pcid) in
         let complete = ref (ready_at + base_latency) in
         (match ev with
         | Exec.Ev_load ->
           let start = acquire_port ready_at in
           let o = Smt.demand_access m ~now:start ~ctx ~pc:pcid env.Exec.ev_addr in
           complete := o.Hierarchy.ready
-        | Exec.Ev_store -> (
+        | Exec.Ev_store ->
           let start = acquire_port ready_at in
-          (match m.Smt.attrib with
-          | None ->
-            ignore
-              (Hierarchy.demand m.Smt.hier ~now:start ~low_priority:false
-                 env.Exec.ev_addr)
-          | Some _ ->
-            ignore
-              (Hierarchy.access m.Smt.hier ~now:start
-                 ~demand_main:(th.Thread.id = 0) env.Exec.ev_addr));
-          complete := start + 1)
-        | Exec.Ev_prefetch -> (
-          stats.Stats.prefetches <- stats.Stats.prefetches + 1;
+          Smt.store_access m ~now:start ~ctx env.Exec.ev_addr;
+          complete := start + 1
+        | Exec.Ev_prefetch ->
           let start = acquire_port ready_at in
-          (match m.Smt.attrib with
-          | None ->
-            ignore (Hierarchy.prefetch m.Smt.hier ~now:start env.Exec.ev_addr)
-          | Some _ ->
-            let iref = Layout.iref_of m.Smt.lay pcid in
-            ignore
-              (Hierarchy.access m.Smt.hier ~now:start ~prefetch:true
-                 ?pf_tag:(Smt.pf_tag_of m ctx iref) env.Exec.ev_addr));
-          complete := start + 1)
+          Smt.prefetch_access m ~now:start ~ctx ~pc:pcid env.Exec.ev_addr;
+          complete := start + 1
         | Exec.Ev_branch_taken | Exec.Ev_branch_not_taken ->
           let taken = ev = Exec.Ev_branch_taken in
           if is_cond then begin
@@ -224,10 +162,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         (match ev with
         | Exec.Ev_lib -> complete := ready_at + cfg.Config.lib_latency
         | _ -> ());
-        let nd = Op.defs_into op dbuf in
-        for i = 0 to nd - 1 do
-          ctx.Smt.reg_ready.(dbuf.(i)) <- !complete
-        done;
+        Smt.set_defs_ready m ctx pcid !complete;
         ot.rob.((ot.rob_head + ot.rob_n) mod rob_cap) <- !complete;
         ot.rob_n <- ot.rob_n + 1;
         ot.rob_max <- max ot.rob_max !complete;
@@ -317,17 +252,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     Array.iter begin_cycle oths;
     Array.iter retire oths;
     let nsel = Smt.select_threads m ~eligible in
-    if
-      nsel = 0
-      && main.retired_this_cycle = 0
-      &&
-      (* See Inorder: a measurement mark still due is stepped. *)
-      match sampling with
-      | Some s ->
-        !measuring
-        || s.Smt.detail_window - !detail_left < s.Smt.detail_window / 3
-      | None -> true
-    then begin
+    if nsel = 0 && main.retired_this_cycle = 0 && Smt.may_skip m then begin
       (* Quiet: the main thread retires nothing and no thread dispatches,
          until the wake cycle. The start ring holds no start past
          [now + rs_horizon], and waking at [max_cycles + 1] at the latest
@@ -361,67 +286,9 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       Smt.end_cycle m tel ~now:!now ~busy:(main.retired_this_cycle > 0);
       incr now
     end;
-    (* Sampled mode: after the detailed window's instruction budget is
-       spent, fast-forward with functional warming and extrapolate the
-       skipped cycles from the detailed cycles-per-instruction so far. *)
-    (match sampling with
-    | Some s ->
-      if
-        (not !measuring)
-        && s.Smt.detail_window - !detail_left >= s.Smt.detail_window / 3
-      then begin
-        win_cycles0 := !now;
-        win_instrs0 := stats.Stats.main_instrs - !ff_total;
-        measuring := true
-      end;
-      if !detail_left <= 0 && main.ctx.Smt.thread.Thread.active then begin
-        let det_instrs =
-          stats.Stats.main_instrs - !ff_total - !win_instrs0
-        in
-        let det_cycles = !now - !win_cycles0 in
-        let cpi_w =
-          if det_instrs > 0 then
-            float_of_int det_cycles /. float_of_int det_instrs
-          else !prev_cpi
-        in
-        if !pending_k > 0 then
-          est_extra :=
-            !est_extra
-            +. (float_of_int !pending_k *. ((!prev_cpi +. cpi_w) /. 2.0));
-        let k =
-          Smt.fast_forward m env ~now:!now
-            ~instrs:(Smt.ff_jitter jst ~window:s.Smt.ff_window)
-        in
-        ff_total := !ff_total + k;
-        stats.Stats.main_instrs <- stats.Stats.main_instrs + k;
-        pending_k := k;
-        prev_cpi := cpi_w;
-        measuring := false;
-        detail_left := s.Smt.detail_window
-      end
-    | None -> ());
+    Smt.sample m env ~now:!now;
     (* End when the main thread has halted and drained its window. *)
     if (not main.ctx.Smt.thread.Thread.active) && main.rob_n = 0 then
       running := false
   done;
-  (* Settle attribution: speculative threads still alive at program end,
-     then prefetches never demanded. *)
-  Array.iter
-    (fun c -> Smt.note_thread_end m c ~now:!now ~watchdog:false)
-    m.Smt.ctxs;
-  (match attrib with Some a -> Attrib.finalize a | None -> ());
-  if !ff_total > 0 then begin
-    if !pending_k > 0 then
-      est_extra := !est_extra +. (float_of_int !pending_k *. !prev_cpi);
-    stats.Stats.cycles <- !now + int_of_float (Float.round !est_extra);
-    (* Cycle categories are only counted during detailed windows;
-       extrapolate them by the same factor as cycles so the printed
-       breakdown stays a per-cycle distribution. *)
-    let k = float_of_int stats.Stats.cycles /. float_of_int (max 1 !now) in
-    Array.iteri
-      (fun i c ->
-        stats.Stats.categories.(i) <-
-          int_of_float (Float.round (float_of_int c *. k)))
-      stats.Stats.categories
-  end;
-  Stats.finish ~irefs:m.Smt.lay.Layout.irefs stats
+  Smt.finish m ~now:!now

@@ -62,6 +62,30 @@ type context = {
   lays : Layout.entry array;
 }
 
+(* Sampled-window state: main-thread instructions left in the current
+   detailed window, fast-forwarded instruction and estimated-cycle totals,
+   and the measurement marks. Each fast-forward is extrapolated from the
+   CPI of its own surrounding detailed windows (local, SMARTS-style), and
+   the first third of every detailed window is detailed warming — executed
+   cycle-accurately but excluded from the estimator, so the ramp-up of the
+   drained fill buffer / pipeline after a fast-forward doesn't bias the CPI
+   fast. Centered extrapolation: a fast-forwarded chunk is charged the
+   average CPI of the detailed windows on BOTH sides (the one before is in
+   [prev_cpi], the one after settles the [pending_k] instrs) — halves the
+   error of chunks spanning a phase transition. *)
+type window = {
+  sampling : sampling option;
+  mutable detail_left : int;
+  mutable ff_total : int;
+  mutable est_extra : float;
+  mutable win_cycles0 : int;
+  mutable win_instrs0 : int;
+  mutable measuring : bool;
+  jst : int64 ref;
+  mutable pending_k : int;
+  mutable prev_cpi : float;
+}
+
 type machine = {
   cfg : Config.t;
   prog : Ssp_ir.Prog.t;
@@ -77,6 +101,7 @@ type machine = {
   mutable last_spawned : int;  (* context id bound by the latest try_spawn *)
   mutable ff : bool;  (* inside a fast-forward window *)
   attrib : Attrib.t option;
+  win : window;
   tel_spawns : T.counter;
   tel_spawn_denied : T.counter;
   tel_watchdog_kills : T.counter;
@@ -97,7 +122,7 @@ let new_context id =
     lays = Array.make 4 Layout.dummy;
   }
 
-let create ?attrib cfg prog =
+let create ?attrib ~sampling cfg prog =
   let ctxs = Array.init cfg.Config.n_contexts new_context in
   let main = ctxs.(0).thread in
   main.Thread.fn <- prog.Ssp_ir.Prog.entry;
@@ -131,6 +156,20 @@ let create ?attrib cfg prog =
     last_spawned = -1;
     ff = false;
     attrib;
+    win =
+      {
+        sampling;
+        detail_left =
+          (match sampling with Some s -> s.detail_window | None -> max_int);
+        ff_total = 0;
+        est_extra = 0.0;
+        win_cycles0 = 0;
+        win_instrs0 = 0;
+        measuring = false;
+        jst = ref jitter_seed;
+        pending_k = 0;
+        prev_cpi = 0.0;
+      };
     tel_spawns = T.counter "sim.spawns";
     tel_spawn_denied = T.counter "sim.spawn_denied";
     tel_watchdog_kills = T.counter "sim.watchdog_kills";
@@ -175,18 +214,25 @@ let layout_of m (ctx : context) =
       e
     end
   in
-  (* Fall-through: while [ins] is past the end of the current block, move
-     to the next block in layout. *)
-  let blocks = e.Layout.func.Ssp_ir.Prog.blocks in
-  let n = Array.length blocks in
-  while
-    th.Thread.blk < n
-    && th.Thread.ins >= Array.length blocks.(th.Thread.blk).Ssp_ir.Prog.ops
-  do
-    th.Thread.blk <- th.Thread.blk + 1;
-    th.Thread.ins <- 0
-  done;
+  Funcsim.fall_through e th;
   e
+
+(* The latest cycle at which a source register of pc [pc] becomes ready
+   (0 with no sources). *)
+let src_ready m (ctx : context) pc =
+  let lay = m.lay in
+  let r = ref 0 in
+  for i = lay.Layout.use_at.(pc) to lay.Layout.use_at.(pc + 1) - 1 do
+    let t = ctx.reg_ready.(lay.Layout.use_reg.(i)) in
+    if t > !r then r := t
+  done;
+  !r
+
+let set_defs_ready m (ctx : context) pc ready =
+  let lay = m.lay in
+  for i = lay.Layout.def_at.(pc) to lay.Layout.def_at.(pc + 1) - 1 do
+    ctx.reg_ready.(lay.Layout.def_reg.(i)) <- ready
+  done
 
 let free_count m =
   let n = ref 0 in
@@ -196,8 +242,8 @@ let free_count m =
   !n
 
 (* The chk.c firing policy: a free context (or several, per config), and a
-   refractory interval per triggering thread to bound flush costs. The
-   caller must have set [cur] to the checking context. Never fires inside a
+   refractory interval per triggering thread to bound flush costs; records
+   the firing time when it fires. Never fires inside a
    fast-forward window (no timing context to spawn into; architecturally a
    chk.c that does not fire is a nop, so outputs are unaffected). *)
 let chk_allowed m ~now (ctx : context) =
@@ -239,6 +285,9 @@ let note_thread_end m (ctx : context) ~now ~watchdog =
     ctx.spawn_src <- None
   end
 
+(* Bind a free context as a speculative thread, charging the spawn and
+   live-in-copy latency to the child's start; [src] is the spawning
+   instruction, for attribution and denied-spawn accounting. *)
 let try_spawn m ~now ~src ~fn ~blk ~live_in =
   match if F.fire site_spawn_deny then None else free_context m with
   | None ->
@@ -429,6 +478,25 @@ let demand_access m ~now ~ctx ~pc addr =
       ctx.fill_ready.(r) <- o.Hierarchy.ready);
   o
 
+(* Write-allocate; the store buffer hides the latency. *)
+let store_access m ~now ~ctx addr =
+  match m.attrib with
+  | None -> ignore (Hierarchy.demand m.hier ~now ~low_priority:false addr)
+  | Some _ ->
+    ignore
+      (Hierarchy.access m.hier ~now ~demand_main:(ctx.thread.Thread.id = 0)
+         addr)
+
+let prefetch_access m ~now ~ctx ~pc addr =
+  m.stats.Stats.prefetches <- m.stats.Stats.prefetches + 1;
+  match m.attrib with
+  | None -> ignore (Hierarchy.prefetch m.hier ~now addr)
+  | Some _ ->
+    ignore
+      (Hierarchy.access m.hier ~now ~prefetch:true
+         ?pf_tag:(pf_tag_of m ctx (Layout.iref_of m.lay pc))
+         addr)
+
 let watchdog_check m ~now ctx =
   let th = ctx.thread in
   if th.Thread.speculative && th.Thread.active then
@@ -466,3 +534,100 @@ let fast_forward m (env : Exec.env) ~now ~instrs =
   in
   m.ff <- false;
   n
+
+(* The callbacks through which an instruction of the context in
+   [stepping] asks for timing decisions, at cycle [now]. *)
+let env m ~now ~stepping =
+  {
+    Exec.mem = m.mem;
+    prog = m.prog;
+    chk_free = (fun () -> chk_allowed m ~now:!now !stepping);
+    spawn =
+      (fun ~src ~fn ~blk ~live_in ->
+        (* Injected chained-spawn breakage: a speculative thread's spawn
+           silently fails, cutting the chain. *)
+        if (!stepping).thread.Thread.speculative && F.fire site_chain_break
+        then false
+        else try_spawn m ~now:!now ~src ~fn ~blk ~live_in);
+    output = (fun v -> Stats.push_output m.stats v);
+    ev_addr = 0;
+  }
+
+let count_issue m (th : Thread.t) =
+  if th.Thread.id = 0 then begin
+    m.stats.Stats.main_instrs <- m.stats.Stats.main_instrs + 1;
+    m.win.detail_left <- m.win.detail_left - 1
+  end
+  else m.stats.Stats.spec_instrs <- m.stats.Stats.spec_instrs + 1
+
+(* Quiet cycles leave the sampled-window bookkeeping alone, except that a
+   measurement mark still due (windows under three instructions) lands on
+   the first of them: that one is stepped. *)
+let may_skip m =
+  match m.win.sampling with
+  | Some s ->
+    m.win.measuring
+    || s.detail_window - m.win.detail_left < s.detail_window / 3
+  | None -> true
+
+(* Sampled mode: after the detailed window's instruction budget is spent,
+   fast-forward with functional warming and extrapolate the skipped cycles
+   from the detailed cycles-per-instruction. *)
+let sample m env ~now =
+  match m.win.sampling with
+  | None -> ()
+  | Some s ->
+    let w = m.win and stats = m.stats in
+    if
+      (not w.measuring)
+      && s.detail_window - w.detail_left >= s.detail_window / 3
+    then begin
+      w.win_cycles0 <- now;
+      w.win_instrs0 <- stats.Stats.main_instrs - w.ff_total;
+      w.measuring <- true
+    end;
+    if w.detail_left <= 0 && m.ctxs.(0).thread.Thread.active then begin
+      let det_instrs = stats.Stats.main_instrs - w.ff_total - w.win_instrs0 in
+      let det_cycles = now - w.win_cycles0 in
+      let cpi_w =
+        if det_instrs > 0 then
+          float_of_int det_cycles /. float_of_int det_instrs
+        else w.prev_cpi
+      in
+      if w.pending_k > 0 then
+        w.est_extra <-
+          w.est_extra
+          +. (float_of_int w.pending_k *. ((w.prev_cpi +. cpi_w) /. 2.0));
+      let k =
+        fast_forward m env ~now ~instrs:(ff_jitter w.jst ~window:s.ff_window)
+      in
+      w.ff_total <- w.ff_total + k;
+      stats.Stats.main_instrs <- stats.Stats.main_instrs + k;
+      w.pending_k <- k;
+      w.prev_cpi <- cpi_w;
+      w.measuring <- false;
+      w.detail_left <- s.detail_window
+    end
+
+let finish m ~now =
+  (* Settle attribution: speculative threads still alive at program end,
+     then prefetches never demanded. *)
+  Array.iter (fun c -> note_thread_end m c ~now ~watchdog:false) m.ctxs;
+  (match m.attrib with Some a -> Attrib.finalize a | None -> ());
+  let w = m.win and stats = m.stats in
+  if w.ff_total > 0 then begin
+    (* The last chunk has no following window; settle it one-sided. *)
+    if w.pending_k > 0 then
+      w.est_extra <- w.est_extra +. (float_of_int w.pending_k *. w.prev_cpi);
+    stats.Stats.cycles <- now + int_of_float (Float.round w.est_extra);
+    (* Cycle categories are only counted during detailed windows;
+       extrapolate them by the same factor as cycles so the printed
+       breakdown stays a per-cycle distribution. *)
+    let k = float_of_int stats.Stats.cycles /. float_of_int (max 1 now) in
+    Array.iteri
+      (fun i c ->
+        stats.Stats.categories.(i) <-
+          int_of_float (Float.round (float_of_int c *. k)))
+      stats.Stats.categories
+  end;
+  Stats.finish ~irefs:m.lay.Layout.irefs stats

@@ -1,13 +1,10 @@
 (** Shared SMT machinery for the cycle models: hardware-context management,
-    the static layout tables (branch-predictor numbering, bundle indices),
-    round-robin thread selection, the spawn policy, per-interval telemetry,
-    the one-step accounting of quiet cycles, and the set-up of the
-    fast-forward windows of sampled simulation. *)
-
-val site_chain_break : Ssp_fault.Fault.site
-(** Fault site for injected chained-spawn breakage; queried by the cycle
-    models when a {e speculative} thread executes a [Spawn] (only they
-    know which context is stepping). *)
+    the static layout tables (branch-predictor numbering, bundle indices,
+    per-pc scoreboard facts), round-robin thread selection, the spawn
+    policy, per-interval telemetry, the one-step accounting of quiet
+    cycles, and the skeleton both cores share: their timing callbacks
+    ({!env}), the sampled-window controller with its fast-forward windows
+    ({!sample}) and the end-of-run settle ({!finish}). *)
 
 type sampling = { detail_window : int; ff_window : int }
 (** Sampled-simulation windows, in main-thread instructions: alternate
@@ -17,15 +14,6 @@ type sampling = { detail_window : int; ff_window : int }
 val default_sampling : sampling
 (** 500 detailed / 4500 fast-forwarded (10% detail, short period): the
     windows the bench and accuracy tests validate. *)
-
-val jitter_seed : int64
-(** Initial state for the {!ff_jitter} stream (one fresh ref per run). *)
-
-val ff_jitter : int64 ref -> window:int -> int
-(** The next fast-forward length: uniform in [0.5, 1.5)x [window], drawn
-    from a deterministic splitmix64 stream — breaks the resonance of
-    strictly periodic sampling with loop periodicity while keeping runs
-    bit-reproducible. *)
 
 type context = {
   thread : Thread.t;
@@ -49,6 +37,16 @@ type context = {
   lays : Layout.entry array;  (** memoized layout entries *)
 }
 
+type window
+(** Sampled-window state of one run: the instruction budget of the current
+    detailed window, the measurement marks and the extrapolation so far.
+    Each fast-forward is charged the mean CPI of the measured parts of the
+    detailed windows either side of it; the first third of every detailed
+    window warms the pipeline and is not measured. Fast-forward lengths are
+    jittered uniformly in [0.5, 1.5)x [ff_window] from a constant-seeded
+    stream, which breaks resonance with loop periodicity and keeps runs
+    bit-reproducible. *)
+
 type machine = {
   cfg : Ssp_machine.Config.t;
   prog : Ssp_ir.Prog.t;
@@ -68,15 +66,50 @@ type machine = {
   mutable ff : bool;
       (** inside a fast-forward window: chk.c never fires *)
   attrib : Attrib.t option;  (** prefetch-lifecycle attribution, if any *)
+  win : window;
   tel_spawns : Ssp_telemetry.Telemetry.counter;
   tel_spawn_denied : Ssp_telemetry.Telemetry.counter;
   tel_watchdog_kills : Ssp_telemetry.Telemetry.counter;
 }
 
-val create : ?attrib:Attrib.t -> Ssp_machine.Config.t -> Ssp_ir.Prog.t -> machine
+val create :
+  ?attrib:Attrib.t ->
+  sampling:sampling option ->
+  Ssp_machine.Config.t ->
+  Ssp_ir.Prog.t ->
+  machine
 (** Context 0 is the main thread, initialized at the program entry.
     [attrib] attaches prefetch-lifecycle attribution to the machine and
-    its hierarchy (bookkeeping only; timing is unchanged). *)
+    its hierarchy (bookkeeping only; timing is unchanged); [Some] sampling
+    alternates detailed and fast-forwarded windows ({!sample}). *)
+
+val env : machine -> now:int ref -> stepping:context ref -> Exec.env
+(** The timing callbacks of a cycle core whose clock is [now] and which is
+    stepping the context in [stepping]: the chk.c policy
+    ({!chk_allowed}), spawning ({!try_spawn}, with the injected
+    chained-spawn breakage for speculative spawners) and outputs. *)
+
+val count_issue : machine -> Thread.t -> unit
+(** Count an issued (dispatched) instruction of the thread: main or
+    speculative, and against the current detailed window's budget. *)
+
+val may_skip : machine -> bool
+(** Whether the sampled-window bookkeeping allows a quiet cycle to be
+    skipped: not while a measurement mark is due (windows under three
+    instructions). Always true without sampling. *)
+
+val sample : machine -> Exec.env -> now:int -> unit
+(** The sampled-window controller, called after each stepped or skipped
+    stretch with the clock at [now]: set the measurement mark once a
+    third of the detailed window has issued; when the window's budget is
+    spent, fast-forward ({!fast_forward}) and charge the skipped chunk the
+    centred CPI estimate. Nothing without sampling. *)
+
+val finish : machine -> now:int -> Stats.t
+(** End of run at cycle [now]: note the end of every speculative
+    occupancy, finalize attribution, extrapolate a sampled run's cycles
+    and Figure 10 categories from its detailed windows, and
+    {!Stats.finish}. *)
 
 val layout_of : machine -> context -> Layout.entry
 (** The layout entry of the context's current function, memoized in the
@@ -85,26 +118,14 @@ val layout_of : machine -> context -> Layout.entry
     block moves to the next block), so the thread's [blk]/[ins] then index
     the instruction it executes next. *)
 
-val chk_allowed : machine -> now:int -> context -> bool
-(** Whether a [chk.c] of this thread fires now: enough free contexts and
-    the thread's refractory interval elapsed (and not fast-forwarding).
-    Records the firing time when it returns true. *)
+val src_ready : machine -> context -> int -> int
+(** The latest cycle at which a source register of the instruction at the
+    given pc id becomes ready in the context's scoreboard (0 without
+    sources). *)
 
-val free_context : machine -> context option
-(** An inactive context, if any (never the main thread's). *)
-
-val try_spawn :
-  machine ->
-  now:int ->
-  src:Ssp_ir.Iref.t ->
-  fn:string ->
-  blk:int ->
-  live_in:int64 array ->
-  bool
-(** Bind a free context as a speculative thread; charges the spawn and
-    live-in-copy latency to the child's start. [src] is the spawning
-    [Spawn] instruction, recorded for attribution and denied-spawn
-    accounting. *)
+val set_defs_ready : machine -> context -> int -> int -> unit
+(** [set_defs_ready m ctx pc ready]: the registers the instruction at [pc]
+    writes become ready at cycle [ready]. *)
 
 val note_thread_end : machine -> context -> now:int -> watchdog:bool -> unit
 (** Record the end of a speculative occupancy: lifetime attribution and a
@@ -141,7 +162,7 @@ val skip_quiet : machine -> interval -> now:int -> until:int -> unit
     call has already been made). Allocates nothing with telemetry off. *)
 
 val demand_access :
-  machine -> now:int -> ctx:context -> pc:int -> int64 -> Hierarchy.outcome
+  machine -> now:int -> ctx:context -> pc:int -> int -> Hierarchy.outcome
 (** A load's cache access with perfect-delinquent filtering and per-site
     stats recording (main thread only), keyed by the dense {!Layout} pc id.
     With attribution attached, a speculative load at a mapped slice site is
@@ -149,16 +170,14 @@ val demand_access :
     load is the prefetch), and main-thread accesses settle outstanding
     prefetches. *)
 
-val pf_tag_of : machine -> context -> Ssp_ir.Iref.t -> Attrib.tag option
-(** The attribution tag of a prefetch issued by this context at this
-    site, if attribution is on and the site maps to a delinquent load. *)
+val store_access : machine -> now:int -> ctx:context -> int -> unit
+(** A store's write-allocate access (the store buffer hides its latency;
+    with attribution on, a main-thread store settles outstanding
+    prefetches like a demand access). *)
+
+val prefetch_access : machine -> now:int -> ctx:context -> pc:int -> int -> unit
+(** An lfetch's access, counted in [stats.prefetches]; with attribution
+    on, tagged with the delinquent load its site maps to, if any. *)
 
 val watchdog_check : machine -> now:int -> context -> unit
 (** Kill a speculative thread that exceeded its instruction budget. *)
-
-val fast_forward : machine -> Exec.env -> now:int -> instrs:int -> int
-(** Advance the main thread up to [instrs] architectural instructions on
-    {!Funcsim.exec} with functional warming (memory, outputs, caches,
-    branch predictor — no timing). Ends live speculative threads first;
-    suppresses chk.c firing for the duration. Returns the count actually
-    executed (the main thread may halt mid-window). *)

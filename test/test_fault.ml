@@ -283,7 +283,9 @@ let test_cli_exit_codes () =
     (code "compile /nonexistent-sspc-input.mc");
   Alcotest.(check int) "bad fault spec" 2
     (code "chaos --faults sim.spec.kill=2.5");
-  Alcotest.(check int) "unknown workload" 2 (code "chaos no-such-workload")
+  Alcotest.(check int) "unknown workload" 2 (code "chaos no-such-workload");
+  Alcotest.(check int) "unknown pipeline" 2
+    (code "sim health --scale 1 --pipeline oo")
 
 let suite =
   [

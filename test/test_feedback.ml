@@ -336,6 +336,17 @@ let test_tune_store_deterministic () =
   | other ->
     Alcotest.failf "expected one tuned workload, got %d" (List.length other)
 
+(* A report naming no known pipeline is the library's structured error
+   when a store walk reaches it, not an in-order tuning round. *)
+let test_tune_store_unknown_pipeline () =
+  with_temp_cache @@ fun cache ->
+  let blob = Fb.encode_report (report ~pipeline:"oo" []) in
+  Store.Cache.put cache (Fb.report_store_key blob) blob;
+  match Fb.tune_store ~now:50. cache with
+  | _ -> Alcotest.fail "a report for pipeline oo was tuned"
+  | exception Ssp_ir.Error.Error e ->
+    Alcotest.(check string) "feedback error" "feedback" e.Ssp_ir.Error.pass
+
 let suite =
   [
     Alcotest.test_case "report codec roundtrip + kind checks" `Quick
@@ -351,4 +362,6 @@ let suite =
       test_e2e_loop;
     Alcotest.test_case "offline tune_store matches direct round" `Slow
       test_tune_store_deterministic;
+    Alcotest.test_case "tune_store: unknown pipeline is a structured error"
+      `Quick test_tune_store_unknown_pipeline;
   ]

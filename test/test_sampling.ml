@@ -4,8 +4,7 @@
 
    - outputs are BYTE-IDENTICAL to the full-detail run (fast-forward is
      architecturally exact — it executes every instruction, it only skips
-     the timing model), which also pins the decoded fast-forward
-     interpreter against the boxed [Exec.step_op] semantics, and
+     the timing model), so outputs do not depend on timing, and
    - the extrapolated timing is close: IPC within 3% and the L1d miss
      rate within 3 points of the full run, on every suite workload and
      both cycle cores.
@@ -156,13 +155,16 @@ let wide_offsets () =
     "funcsim" [ 7L ] (Ssp_sim.Funcsim.run prog).Ssp_sim.Funcsim.outputs;
   Alcotest.(check (list int64))
     "inorder" [ 7L ] (Ssp_sim.Inorder.run cfg prog).Ssp_sim.Stats.outputs;
-  let samp =
-    Ssp_sim.Inorder.run
-      ~sampling:{ Ssp_sim.Smt.detail_window = 1; ff_window = 200 }
-      cfg prog
-  in
+  let sampling = { Ssp_sim.Smt.detail_window = 1; ff_window = 200 } in
+  let samp = Ssp_sim.Inorder.run ~sampling cfg prog in
   Alcotest.(check (list int64))
     "sampled inorder" [ 7L ] samp.Ssp_sim.Stats.outputs;
+  let ooo = Ssp_machine.Config.out_of_order in
+  Alcotest.(check (list int64))
+    "ooo" [ 7L ] (Ssp_sim.Ooo.run ooo prog).Ssp_sim.Stats.outputs;
+  Alcotest.(check (list int64))
+    "sampled ooo" [ 7L ]
+    (Ssp_sim.Ooo.run ~sampling ooo prog).Ssp_sim.Stats.outputs;
   let p = Ssp_profiling.Collect.collect ~config:cfg prog in
   Alcotest.(check int) "profiled load" 1
     (match Ssp_profiling.Profile.load_stats p (Ssp_ir.Iref.make "main" 0 24) with

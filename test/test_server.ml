@@ -122,6 +122,21 @@ let test_stats_and_errors () =
   | Proto.Error_reply { pass; _ } ->
     Alcotest.(check string) "unknown workload is a server error" "server" pass
   | _ -> Alcotest.fail "expected an error for an unknown workload");
+  List.iter
+    (fun req ->
+      match Client.request ~socket req with
+      | Proto.Error_reply { pass; _ } ->
+        Alcotest.(check string) "unknown pipeline is a server error" "server"
+          pass
+      | _ -> Alcotest.fail "expected an error for an unknown pipeline")
+    [
+      Proto.Adapt
+        { prog = Proto.Workload "em3d"; scale; pipeline = "oo";
+          tenant = Proto.default_tenant };
+      Proto.Sim
+        { prog = Proto.Workload "em3d"; scale; pipeline = "oo"; ssp = false;
+          tenant = Proto.default_tenant };
+    ];
   match
     Client.request ~socket
       (Proto.Adapt
@@ -360,36 +375,27 @@ let with_telemetry f () =
       T.reset ())
     f
 
-let test_proto_v2_compat () =
-  (* Hand-built v2 payloads (no trace/hop envelope between the version
-     byte and the tag) must still decode: old peers interoperate. *)
-  let b = Bin.writer () in
-  Bin.w_str b "SSPQ";
-  Bin.w_u8 b 2;
-  Bin.w_u8 b 3;
-  let req, trace = Proto.decode_request_traced (Bin.contents b) in
-  (match req with
-  | Proto.Stats -> ()
-  | _ -> Alcotest.fail "v2 Stats body misdecoded");
-  Alcotest.(check bool) "v2 requests are untraced" true (trace = None);
-  let b = Bin.writer () in
-  Bin.w_str b "SSPR";
-  Bin.w_u8 b 2;
-  Bin.w_u8 b 4;
-  let resp, hops = Proto.decode_response_hops (Bin.contents b) in
-  (match resp with
-  | Proto.Ok_reply -> ()
-  | _ -> Alcotest.fail "v2 Ok body misdecoded");
-  Alcotest.(check int) "v2 replies carry no hops" 0 (List.length hops);
-  (* v1 is below the floor *)
-  let b = Bin.writer () in
-  Bin.w_str b "SSPQ";
-  Bin.w_u8 b 1;
-  Bin.w_u8 b 3;
-  (match Proto.decode_request_traced (Bin.contents b) with
-  | _ -> Alcotest.fail "v1 accepted"
-  | exception Ssp_ir.Error.Error _ -> ());
-  (* v3 roundtrip carries the context and the breakdown *)
+let rejected what payload decode =
+  match decode payload with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Ssp_ir.Error.Error _ -> ()
+
+(* Decoders accept exactly [proto_version]: every peer ships from this
+   repository. Hand-built payloads of older versions are structured
+   errors. *)
+let test_proto_one_version () =
+  let payload magic v tag =
+    let b = Bin.writer () in
+    Bin.w_str b magic;
+    Bin.w_u8 b v;
+    Bin.w_u8 b tag;
+    Bin.contents b
+  in
+  (* v2 carried no envelope between the version byte and the tag *)
+  rejected "v2 request" (payload "SSPQ" 2 3) Proto.decode_request_traced;
+  rejected "v2 response" (payload "SSPR" 2 4) Proto.decode_response_hops;
+  rejected "v1 request" (payload "SSPQ" 1 3) Proto.decode_request_traced;
+  (* the trace context and the breakdown round-trip *)
   let ctx = { Proto.trace_id = "cafe01"; span_id = 7 } in
   let req', trace' =
     Proto.decode_request_traced (Proto.encode_request ~trace:ctx (adapt_req "em3d"))
@@ -404,7 +410,7 @@ let test_proto_v2_compat () =
     Alcotest.(check string) "trace id" "cafe01" c.Proto.trace_id;
     Alcotest.(check int) "span id" 7 c.Proto.span_id
   | None -> Alcotest.fail "trace context dropped");
-  Alcotest.(check bool) "untraced v3 request decodes as None" true
+  Alcotest.(check bool) "untraced request decodes as None" true
     (snd (Proto.decode_request_traced (Proto.encode_request Proto.Stats)) = None);
   let hops =
     [
@@ -426,10 +432,9 @@ let test_proto_v2_compat () =
       Alcotest.(check (float 1e-9)) "ms" a.Proto.hop_ms b.Proto.hop_ms)
     hops hops'
 
-(* A v4 peer (deadline/artifact envelope, no Feedback tag) must keep
-   working against a v5 decoder: the v5 bump added a request kind, not
-   an envelope change. *)
-let test_proto_v4_compat () =
+(* A v4 payload (the same envelope, no Feedback tag) is a structured
+   error too; the Feedback request round-trips. *)
+let test_proto_v4_rejected () =
   let b = Bin.writer () in
   Bin.w_str b "SSPQ";
   Bin.w_u8 b 4;
@@ -440,13 +445,7 @@ let test_proto_v4_compat () =
   Bin.w_u8 b Proto.artifacts_on_miss;
   Bin.w_u8 b 3;
   (* Stats *)
-  let req, env = Proto.decode_request_env (Bin.contents b) in
-  (match req with
-  | Proto.Stats -> ()
-  | _ -> Alcotest.fail "v4 Stats body misdecoded");
-  Alcotest.(check (float 1e-9)) "v4 deadline survives" 125. env.Proto.re_deadline_ms;
-  Alcotest.(check int) "v4 artifact ask survives" Proto.artifacts_on_miss
-    env.Proto.re_artifacts;
+  rejected "v4 request" (Bin.contents b) Proto.decode_request_env;
   let b = Bin.writer () in
   Bin.w_str b "SSPR";
   Bin.w_u8 b 4;
@@ -456,10 +455,8 @@ let test_proto_v4_compat () =
   (* no artifacts *)
   Bin.w_u8 b 4;
   (* Ok *)
-  (match Proto.decode_response_hops (Bin.contents b) with
-  | Proto.Ok_reply, [] -> ()
-  | _ -> Alcotest.fail "v4 Ok body misdecoded");
-  (* The new v5 request round-trips with its workload identity intact
+  rejected "v4 response" (Bin.contents b) Proto.decode_response_hops;
+  (* The Feedback request round-trips with its workload identity intact
      (the router hashes it for shard affinity). *)
   let req =
     Proto.Feedback
@@ -535,6 +532,24 @@ let test_feedback_bad_blob () =
       "error names the expected kind" true
       (String.length what > 0)
   | _ -> Alcotest.fail "wrong-kind blob must be a structured error");
+  (* A sealed report for an unknown pipeline is neither stored nor
+     aggregated. *)
+  (match
+     Client.request ~socket
+       (feedback_req
+          (Fb.encode_report
+             {
+               Fb.fr_prog = Fb.Named "em3d";
+               fr_scale = scale;
+               fr_pipeline = "oo";
+               fr_version = 0;
+               fr_cycles = 1;
+               fr_loads = [];
+             }))
+   with
+  | Proto.Error_reply { pass; _ } ->
+    Alcotest.(check string) "unknown pipeline rejected" "server" pass
+  | _ -> Alcotest.fail "a report for pipeline oo must be a structured error");
   match Client.request ~socket Proto.Ping with
   | Proto.Ok_reply -> ()
   | _ -> Alcotest.fail "daemon must survive hostile uploads"
@@ -833,10 +848,10 @@ let suite =
       `Quick test_saturation_busy_reply;
     Alcotest.test_case "admission: max_queue=0 rejects all work" `Quick
       test_reject_all_when_queue_zero;
-    Alcotest.test_case "proto: v2 compat + v3 trace roundtrip" `Quick
-      test_proto_v2_compat;
-    Alcotest.test_case "proto: v4 compat under v5 + Feedback roundtrip" `Quick
-      test_proto_v4_compat;
+    Alcotest.test_case "proto: one version + trace roundtrip" `Quick
+      test_proto_one_version;
+    Alcotest.test_case "proto: v4 rejected + Feedback codec" `Quick
+      test_proto_v4_rejected;
     Alcotest.test_case "feedback: hostile blobs get structured errors" `Quick
       test_feedback_bad_blob;
     Alcotest.test_case "feedback: upload, aggregate, daemon tuning round"

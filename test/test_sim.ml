@@ -4,14 +4,14 @@ open Ssp_sim
 
 let test_memory_rw () =
   let m = Memory.create () in
-  Memory.write m 0x1000L 8 0x1122334455667788L;
-  Alcotest.(check int64) "rw8" 0x1122334455667788L (Memory.read m 0x1000L 8);
-  Alcotest.(check int64) "rw1" 0x88L (Memory.read m 0x1000L 1);
-  Alcotest.(check int64) "rw2" 0x7788L (Memory.read m 0x1000L 2);
-  Alcotest.(check int64) "rw4" 0x55667788L (Memory.read m 0x1000L 4);
-  Alcotest.(check int64) "zero init" 0L (Memory.read m 0x9999L 8);
+  Memory.write m 0x1000 8 0x1122334455667788L;
+  Alcotest.(check int64) "rw8" 0x1122334455667788L (Memory.read m 0x1000 8);
+  Alcotest.(check int64) "rw1" 0x88L (Memory.read m 0x1000 1);
+  Alcotest.(check int64) "rw2" 0x7788L (Memory.read m 0x1000 2);
+  Alcotest.(check int64) "rw4" 0x55667788L (Memory.read m 0x1000 4);
+  Alcotest.(check int64) "zero init" 0L (Memory.read m 0x9999 8);
   (* Page-crossing access. *)
-  let edge = Int64.of_int ((1 lsl 16) - 4) in
+  let edge = (1 lsl 16) - 4 in
   Memory.write m edge 8 0xdeadbeefcafebabeL;
   Alcotest.(check int64) "page crossing" 0xdeadbeefcafebabeL (Memory.read m edge 8)
 
@@ -29,32 +29,32 @@ let geom size ways latency =
 let test_cache_lru () =
   (* Direct-mapped-ish: 2 sets x 2 ways of 64B lines = 256B. *)
   let c = Cache.create (geom 256 2 1) in
-  Alcotest.(check bool) "cold miss" false (Cache.access c 0L);
-  Alcotest.(check bool) "still missing" false (Cache.probe c 0L);
-  Cache.install c 0L;
-  Alcotest.(check bool) "hit after install" true (Cache.access c 0L);
+  Alcotest.(check bool) "cold miss" false (Cache.access c 0);
+  Alcotest.(check bool) "still missing" false (Cache.probe c 0);
+  Cache.install c 0;
+  Alcotest.(check bool) "hit after install" true (Cache.access c 0);
   (* Lines mapping to set 0: addresses 0, 128, 256... fill both ways then
      evict LRU (line 0 was touched most recently after installs). *)
-  Cache.install c 256L;
-  Cache.install c 0L;
+  Cache.install c 256;
+  Cache.install c 0;
   (* set 0 now holds {0, 256}; 512 evicts LRU = 256. *)
-  Cache.install c 512L;
-  Alcotest.(check bool) "0 survives" true (Cache.probe c 0L);
-  Alcotest.(check bool) "256 evicted" false (Cache.probe c 256L)
+  Cache.install c 512;
+  Alcotest.(check bool) "0 survives" true (Cache.probe c 0);
+  Alcotest.(check bool) "256 evicted" false (Cache.probe c 256)
 
 let test_hierarchy_levels () =
   let cfg = Ssp_machine.Config.in_order in
   let h = Hierarchy.create cfg in
-  let o1 = Hierarchy.access h ~now:0 0x10000L in
+  let o1 = Hierarchy.access h ~now:0 0x10000 in
   Alcotest.(check bool) "cold access goes to memory" true
     (o1.Hierarchy.level = Hierarchy.Mem);
   Alcotest.(check int) "memory latency" 230 o1.Hierarchy.ready;
   (* Same line while in flight: partial hit. *)
-  let o2 = Hierarchy.access h ~now:10 0x10008L in
+  let o2 = Hierarchy.access h ~now:10 0x10008 in
   Alcotest.(check bool) "partial" true o2.Hierarchy.partial;
   Alcotest.(check int) "ready when fill lands" 230 o2.Hierarchy.ready;
   (* After the fill completes the line hits L1. *)
-  let o3 = Hierarchy.access h ~now:300 0x10010L in
+  let o3 = Hierarchy.access h ~now:300 0x10010 in
   Alcotest.(check bool) "L1 hit after fill" true (o3.Hierarchy.level = Hierarchy.L1);
   Alcotest.(check int) "L1 latency" 302 o3.Hierarchy.ready
 
@@ -64,7 +64,7 @@ let test_hierarchy_perfect () =
       Ssp_machine.Config.Perfect_memory
   in
   let h = Hierarchy.create cfg in
-  let o = Hierarchy.access h ~now:5 0xdead00L in
+  let o = Hierarchy.access h ~now:5 0xdead00 in
   Alcotest.(check bool) "always L1" true (o.Hierarchy.level = Hierarchy.L1);
   Alcotest.(check int) "L1 latency" 7 o.Hierarchy.ready
 
@@ -74,9 +74,9 @@ let test_fill_buffer_pressure () =
   (* Launch 16 distinct line misses at cycle 0, then a 17th: it must wait
      for the earliest entry to retire before starting its own fill. *)
   for i = 0 to 15 do
-    ignore (Hierarchy.access h ~now:0 (Int64.of_int (0x100000 + (i * 4096))))
+    ignore (Hierarchy.access h ~now:0 (0x100000 + (i * 4096)))
   done;
-  let o = Hierarchy.access h ~now:1 0x900000L in
+  let o = Hierarchy.access h ~now:1 0x900000 in
   Alcotest.(check bool) "delayed past a retirement" true
     (o.Hierarchy.ready >= 230 + 230)
 
@@ -349,7 +349,7 @@ let prop_memory =
       let base = 0x30000 in
       List.iter
         (fun (off, w, v) ->
-          Memory.write m (Int64.of_int (base + off)) w v;
+          Memory.write m (base + off) w v;
           for i = 0 to w - 1 do
             Hashtbl.replace ref_bytes (base + off + i)
               (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
@@ -357,7 +357,7 @@ let prop_memory =
         ops;
       List.for_all
         (fun (off, w, _) ->
-          let got = Memory.read m (Int64.of_int (base + off)) w in
+          let got = Memory.read m (base + off) w in
           let expect =
             let rec go i acc =
               if i < 0 then acc
@@ -388,7 +388,7 @@ let prop_cache_lru =
       let reference = Array.make sets [] in
       List.for_all
         (fun line ->
-          let addr = Int64.of_int (line * 64) in
+          let addr = line * 64 in
           let s = line mod sets in
           let hit_ref = List.mem line reference.(s) in
           let hit = Cache.access c addr in
@@ -401,6 +401,159 @@ let prop_cache_lru =
           hit = hit_ref)
         lines)
 
+(* Every engine's instruction arms vs an evaluator written from the ISA's
+   definition alone ([Op.alu_eval], [Op.cmp_eval], a byte map for memory):
+   random straight-line programs over every decoded non-control opcode —
+   full 64-bit immediates, division by zero, shift counts out of [0, 64),
+   writes to r0, loads and stores of every width around page boundaries
+   and at negative addresses — print every register they wrote and every
+   location they stored. The engines share their arms, so a comparison
+   between them could not catch a wrong one. *)
+module Ref_eval = struct
+  let base_reg = 40
+  let readback_reg = 41
+
+  (* Addresses keep the low 62 bits (the simulated address space). *)
+  let addr base off =
+    Int64.to_int
+      (Int64.logand (Int64.add base (Int64.of_int off)) 0x3FFF_FFFF_FFFF_FFFFL)
+
+  let run ops =
+    let regs = Array.make Reg.count 0L in
+    let bytes = Hashtbl.create 64 in
+    let rand = ref 0x9E3779B97F4A7C15L in
+    let out = ref [] in
+    let set d v = if d <> Reg.zero then regs.(d) <- v in
+    let load w a =
+      let n = Op.width_bytes w in
+      let v = ref 0L in
+      for i = n - 1 downto 0 do
+        let b = Option.value ~default:0 (Hashtbl.find_opt bytes (a + i)) in
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+      done;
+      !v
+    in
+    let store w a v =
+      for i = 0 to Op.width_bytes w - 1 do
+        Hashtbl.replace bytes (a + i)
+          (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+      done
+    in
+    let bool v = if v then 1L else 0L in
+    List.iter
+      (fun (op : Op.t) ->
+        match op with
+        | Nop | Lfetch _ | Halt -> ()
+        | Movi (d, i) -> set d i
+        | Mov (d, s) -> set d regs.(s)
+        | Alu (o, d, a, b) -> set d (Op.alu_eval o regs.(a) regs.(b))
+        | Alui (o, d, a, i) -> set d (Op.alu_eval o regs.(a) i)
+        | Cmp (o, d, a, b) -> set d (bool (Op.cmp_eval o regs.(a) regs.(b)))
+        | Cmpi (o, d, a, i) -> set d (bool (Op.cmp_eval o regs.(a) i))
+        | Load (w, d, b, off) -> set d (load w (addr regs.(b) off))
+        | Store (w, s, b, off) -> store w (addr regs.(b) off) regs.(s)
+        | Rand d ->
+          (* xorshift64, the documented per-thread stream *)
+          let x = !rand in
+          let x = Int64.logxor x (Int64.shift_left x 13) in
+          let x = Int64.logxor x (Int64.shift_right_logical x 7) in
+          let x = Int64.logxor x (Int64.shift_left x 17) in
+          rand := x;
+          set d (Int64.shift_right_logical x 1)
+        | Print s -> out := regs.(s) :: !out
+        | _ -> invalid_arg "Ref_eval: not a straight-line op")
+      ops;
+    List.rev !out
+
+  let gen_program =
+    let open QCheck.Gen in
+    let reg = oneofl [ 0; 2; 3; 32; 33; 34; 35; 36 ] in
+    let imm =
+      oneof
+        [
+          oneofl
+            [ 0L; 1L; -1L; 2L; 7L; 63L; 64L; 65L; 127L; -63L; -64L; -65L;
+              Int64.min_int; Int64.max_int; 0x0123_4567_89AB_CDEFL ];
+          ui64;
+        ]
+    in
+    let alu = oneofl Op.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ] in
+    let cmp = oneofl Op.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+    let width = oneofl Op.[ W1; W2; W4; W8 ] in
+    let off = -24 -- 40 in
+    let op =
+      frequency
+        [
+          (1, return Op.Nop);
+          (3, map2 (fun d i -> Op.Movi (d, i)) reg imm);
+          (1, map2 (fun d s -> Op.Mov (d, s)) reg reg);
+          (4, map4 (fun o d a b -> Op.Alu (o, d, a, b)) alu reg reg reg);
+          (4, map4 (fun o d a i -> Op.Alui (o, d, a, i)) alu reg reg imm);
+          (2, map4 (fun o d a b -> Op.Cmp (o, d, a, b)) cmp reg reg reg);
+          (2, map4 (fun o d a i -> Op.Cmpi (o, d, a, i)) cmp reg reg imm);
+          (3, map3 (fun w d o -> Op.Load (w, d, base_reg, o)) width reg off);
+          (3, map3 (fun w s o -> Op.Store (w, s, base_reg, o)) width reg off);
+          (1, map (fun o -> Op.Lfetch (base_reg, o)) off);
+          (1, map (fun d -> Op.Rand d) reg);
+        ]
+    in
+    (* an aligned base, two page-crossing ones (the second at a negative
+       address) and the heap *)
+    let base = oneofl [ 0x20000L; 0x2FFF8L; -0x10008L; Prog.heap_base ] in
+    map2
+      (fun base body ->
+        let written =
+          List.sort_uniq compare (List.concat_map Op.defs body)
+        in
+        let stored =
+          List.sort_uniq compare
+            (List.filter_map
+               (function Op.Store (_, _, _, o) -> Some o | _ -> None)
+               body)
+        in
+        (Op.Movi (base_reg, base) :: body)
+        @ List.map (fun r -> Op.Print r) (Reg.zero :: written)
+        @ List.concat_map
+            (fun o ->
+              [
+                Op.Load (W8, readback_reg, base_reg, o);
+                Op.Print readback_reg;
+              ])
+            stored
+        @ [ Op.Halt ])
+      base
+      (list_size (1 -- 40) op)
+
+  let prog_of ops =
+    let p = Prog.create ~entry:"main" in
+    Prog.add_func p
+      (Builder.func_of_blocks ~name:"main" ~nparams:0 [ ("entry", ops) ]);
+    p
+end
+
+let prop_reference_eval =
+  let print ops = String.concat "; " (List.map Op.to_string ops) in
+  QCheck.Test.make ~name:"every engine matches a reference evaluator"
+    ~count:150 (QCheck.make ~print Ref_eval.gen_program) (fun ops ->
+      let expect = Ref_eval.run ops in
+      let p = Ref_eval.prog_of ops in
+      let sampling = { Smt.detail_window = 1; ff_window = 3 } in
+      let inorder = Ssp_machine.Config.in_order
+      and ooo = Ssp_machine.Config.out_of_order in
+      List.for_all
+        (fun (name, outputs) ->
+          outputs = expect
+          || QCheck.Test.fail_reportf "%s printed %s, reference %s" name
+               (String.concat " " (List.map Int64.to_string outputs))
+               (String.concat " " (List.map Int64.to_string expect)))
+        [
+          ("funcsim", (Funcsim.run p).Funcsim.outputs);
+          ("inorder", (Inorder.run inorder p).Stats.outputs);
+          ("sampled inorder", (Inorder.run ~sampling inorder p).Stats.outputs);
+          ("ooo", (Ooo.run ooo p).Stats.outputs);
+          ("sampled ooo", (Ooo.run ~sampling ooo p).Stats.outputs);
+        ])
+
 let extra_suite =
   [ QCheck_alcotest.to_alcotest prop_memory;
     QCheck_alcotest.to_alcotest prop_cache_lru ]
@@ -410,4 +563,5 @@ let suite =
   @ [
       Alcotest.test_case "cycle-core statistics pinned" `Slow test_cycle_pins;
       Alcotest.test_case "max_cycles safety net" `Quick test_max_cycles;
+      QCheck_alcotest.to_alcotest prop_reference_eval;
     ]
