@@ -2,17 +2,28 @@
 
    Subcommands:
      compile    mini-C source -> ISA assembly listing
+     exec       assemble and execute a saved listing
      run        functional execution (outputs + instruction counts)
      profile    profile a program and list the delinquent loads
      adapt      run the SSP post-pass and show slices/triggers
+     fsck       verify and garbage-collect an artifact store
      sim        cycle simulation (in-order / ooo, with or without SSP)
      explain    pipeline + attributed simulation: per-delinquent-load
                 prefetch effectiveness (coverage/accuracy/timeliness)
+     tune       one offline closed-loop tuning round over a store
      stats      run the full pipeline and print the telemetry summary
+     top        live view of a daemon's or router's telemetry
      chaos      fault-injection campaigns with speculative-safety
                 invariance checking (exits 1 on any violation)
+     serve      the adaptation daemon (one cluster shard)
+     route      the cluster router in front of shard daemons
+     client     adapt / sim / stats / shutdown against a daemon or router
      bench      list workloads
      table1     print the machine models
+
+   'adapt', 'sim', 'explain' and 'stats' answer through the same
+   functions as the daemon: Suite.compile, Feedback.adapt and
+   Simulate.run.
 
    'adapt', 'sim' and 'stats' take [--trace out.json] to enable the
    telemetry subsystem and dump the structured run report; 'sim' and
@@ -22,6 +33,7 @@
 open Cmdliner
 module T = Ssp_telemetry.Telemetry
 module Fb = Ssp_feedback.Feedback
+module Suite = Ssp_workloads.Suite
 
 (* Robustness contract: anything wrong with the *input* — a missing or
    unreadable file, source that doesn't compile, a corrupt assembly
@@ -43,15 +55,21 @@ let guard k =
       (if String.equal arg "" then Unix.error_message e
        else arg ^ ": " ^ Unix.error_message e)
 
-let read_source path_or_workload scale =
-  match Ssp_workloads.Suite.find path_or_workload with
-  | w -> w.Ssp_workloads.Workload.source scale
-  | exception Not_found ->
-    let ic = open_in path_or_workload in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+let read_file path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The one resolver: a suite name travels as [Workload] (the daemon and
+   the tuner compile it by name); anything else is a mini-C file, read
+   here and carried as [Source] text. *)
+let program_of src =
+  match Suite.find src with
+  | _ -> Suite.Workload src
+  | exception Not_found -> Suite.Source (read_file src)
+
+let compile program scale = Suite.compile ~pass:"sspc" program ~scale
 
 let src_arg =
   let doc = "Workload name (em3d, health, mst, treeadd.df, treeadd.bf, mcf, vpr) or path to a mini-C file." in
@@ -133,7 +151,7 @@ let with_out out k =
 let compile_cmd =
   let run src scale out =
     guard @@ fun () ->
-    let prog = Ssp_minic.Frontend.compile (read_source src scale) in
+    let prog = compile (program_of src) scale in
     with_out out (fun ppf -> Format.fprintf ppf "%a@." Ssp_ir.Asm.print prog)
   in
   Cmd.v
@@ -144,11 +162,7 @@ let compile_cmd =
 let exec_cmd =
   let run path =
     guard @@ fun () ->
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    let prog = Ssp_ir.Asm.parse text in
+    let prog = Ssp_ir.Asm.parse (read_file path) in
     let r = Ssp_sim.Funcsim.run prog in
     List.iter (fun v -> Format.printf "%Ld@." v) r.Ssp_sim.Funcsim.outputs
   in
@@ -162,7 +176,7 @@ let exec_cmd =
 let run_cmd =
   let run src scale =
     guard @@ fun () ->
-    let prog = Ssp_minic.Frontend.compile (read_source src scale) in
+    let prog = compile (program_of src) scale in
     let t0 = Unix.gettimeofday () in
     let r = Ssp_sim.Funcsim.run prog in
     let dt = Unix.gettimeofday () -. t0 in
@@ -177,9 +191,12 @@ let run_cmd =
 let profile_cmd =
   let run src scale =
     guard @@ fun () ->
-    let prog = Ssp_minic.Frontend.compile (read_source src scale) in
+    let prog = compile (program_of src) scale in
     let profile = Ssp_profiling.Collect.collect prog in
-    let d = Ssp.Delinquent.identify ~coverage:0.9 prog profile in
+    let d =
+      Ssp.Delinquent.identify ~coverage:Ssp.Adapt.default_knobs.coverage prog
+        profile
+    in
     Format.printf "%a@." Ssp.Delinquent.pp d
   in
   Cmd.v
@@ -198,35 +215,24 @@ let store_arg =
     "Use the content-addressed artifact store in $(docv): profiles and \
      adaptation results are looked up by content hash before being \
      recomputed. The cache status (hit/miss) is reported on stderr; stdout \
-     stays byte-identical to an uncached run."
+     stays byte-identical to an uncached run until a tuning round publishes \
+     a version in the store, after which the published version is printed, \
+     as a daemon serving the same store does."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
-
-let cache_status_string = function
-  | `Hit -> "hit"
-  | `Miss -> "miss"
-  | `Off -> "off"
 
 let adapt_cmd =
   let run src scale out trace jobs store =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
     let config = Ssp_machine.Config.in_order in
-    let prog = Ssp_minic.Frontend.compile (read_source src scale) in
-    let adapted =
-      match store with
-      | None ->
-        let profile = Ssp_profiling.Collect.collect prog in
-        Ssp.Adapt.run ~jobs ~config prog profile
-      | Some dir ->
-        let cache = Ssp_store.Store.Cache.open_dir dir in
-        let profile, _ = Ssp_store.Store.cached_profile ~cache ~config prog in
-        let result, status =
-          Ssp_store.Store.run_cached ~cache ~jobs ~config prog profile
-        in
-        Printf.eprintf "sspc: cache %s\n%!" (cache_status_string status);
-        result
-    in
+    let prog = compile (program_of src) scale in
+    let cache = Option.map Ssp_store.Store.Cache.open_dir store in
+    let sv = Fb.adapt ?cache ~jobs ~config prog in
+    if sv.Fb.sv_status <> `Off then
+      Printf.eprintf "sspc: cache %s\n%!"
+        (Ssp_store.Store.status_string sv.Fb.sv_status);
+    let adapted = sv.Fb.sv_result in
     Format.printf "%a@." Ssp.Report.pp adapted.Ssp.Adapt.report;
     with_out out (fun ppf ->
         Format.fprintf ppf "%a@." Ssp_ir.Asm.print adapted.Ssp.Adapt.prog)
@@ -286,13 +292,6 @@ let config_of_pipeline pipeline =
   | Some config -> config
   | None -> fail2 ("unknown pipeline " ^ pipeline ^ " (want inorder or ooo)")
 
-let simulate ?attrib ?sampling config prog =
-  match config.Ssp_machine.Config.pipeline with
-  | Ssp_machine.Config.In_order ->
-    Ssp_sim.Inorder.run ?attrib ?sampling config prog
-  | Ssp_machine.Config.Out_of_order ->
-    Ssp_sim.Ooo.run ?attrib ?sampling config prog
-
 let sample_arg =
   let doc =
     "Sampled simulation: alternate $(docv) (DETAIL:FF, in main-thread \
@@ -341,14 +340,6 @@ let cluster_addr_of s =
         int_of_string (String.sub s (i + 1) (String.length s - i - 1)) )
   | _ -> Ssp_server.Client.Unix_sock s
 
-(* The feedback plane identifies a run's program the same way requests
-   do: suite workloads by name, anything else by its full source text
-   (so an offline tuner can recompile exactly what was measured). *)
-let prog_id_of src scale =
-  match Ssp_workloads.Suite.find src with
-  | _ -> Fb.Named src
-  | exception Not_found -> Fb.Inline (read_source src scale)
-
 let knob_string (k : Ssp.Adapt.load_knob) =
   String.concat ","
     ((if k.Ssp.Adapt.lk_skip then [ "skip" ] else [])
@@ -369,14 +360,11 @@ let sim_cmd =
     with_trace_events trace_events @@ fun () ->
     let sampling = parse_sampling sample in
     let config = config_of_pipeline pipeline in
-    let prog = Ssp_minic.Frontend.compile (read_source src scale) in
+    let program = program_of src in
+    let prog = compile program scale in
     let ssp = ssp || explain || upload <> None in
     let result =
-      if ssp then begin
-        let profile = Ssp_profiling.Collect.collect prog in
-        Some (Ssp.Adapt.run ~jobs ~config prog profile)
-      end
-      else None
+      if ssp then Some (Fb.adapt ~jobs ~config prog).Fb.sv_result else None
     in
     let prog =
       match result with Some a -> a.Ssp.Adapt.prog | None -> prog
@@ -389,7 +377,7 @@ let sim_cmd =
       | _ -> None
     in
     let t0 = Unix.gettimeofday () in
-    let r = simulate ?attrib ?sampling config prog in
+    let r = Ssp_sim.Simulate.run ?attrib ?sampling config prog in
     let dt = Unix.gettimeofday () -. t0 in
     Format.printf "%a@." Ssp_sim.Stats.pp r;
     Format.printf "; simulated in %.2fs (%.2f Mcycle/s)@." dt
@@ -405,18 +393,13 @@ let sim_cmd =
     match (upload, attrib) with
     | Some addr, Some a ->
       let rep =
-        Fb.report_of_attrib
-          ~prog:(prog_id_of src scale)
-          ~scale ~pipeline ~version:fb_version
+        Fb.report_of_attrib ~prog:program ~scale ~pipeline ~version:fb_version
           ~cycles:r.Ssp_sim.Stats.cycles (Ssp_sim.Attrib.summary a)
       in
       let req =
         Ssp_server.Proto.Feedback
           {
-            prog =
-              (match rep.Fb.fr_prog with
-              | Fb.Named n -> Ssp_server.Proto.Workload n
-              | Fb.Inline text -> Ssp_server.Proto.Source text);
+            prog = program;
             scale;
             pipeline;
             tenant = Ssp_server.Proto.default_tenant;
@@ -468,13 +451,15 @@ let explain_cmd =
     guard @@ fun () ->
     with_trace_events trace_events @@ fun () ->
     let config = config_of_pipeline pipeline in
-    let prog = Ssp_minic.Frontend.compile (read_source src scale) in
-    let profile = Ssp_profiling.Collect.collect prog in
-    let result = Ssp.Adapt.run ~jobs ~config prog profile in
+    let prog = compile (program_of src) scale in
+    (* No store here: a store hit carries no selection choices, and the
+       table is built from them. *)
+    let sv = Fb.adapt ~jobs ~config prog in
+    let result = sv.Fb.sv_result in
     let attrib =
       Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
     in
-    let stats = simulate ~attrib config result.Ssp.Adapt.prog in
+    let stats = Ssp_sim.Simulate.run ~attrib config result.Ssp.Adapt.prog in
     (* --feedback joins the fleet's decayed aggregate (uploaded by
        'sim --upload-feedback' runs cluster-wide) into the local table:
        what this machine observes next to what the whole fleet did, and
@@ -488,12 +473,8 @@ let explain_cmd =
           | None -> Ssp_store.Store.Cache.default_dir ()
         in
         let cache = Ssp_store.Store.Cache.open_dir dir in
-        let key =
-          Fb.aggregate_key ~config ~knobs:Ssp.Adapt.default_knobs prog profile
-        in
-        match
-          Ssp_store.Store.Cache.get cache key ~decode:Fb.decode_aggregate
-        with
+        let key = Fb.aggregate_key ~config prog sv.Fb.sv_profile in
+        match Fb.find_aggregate cache key with
         | None ->
           ( (fun _ -> None),
             Some "feedback: no fleet aggregate for this workload/config" )
@@ -575,8 +556,8 @@ let explain_cmd =
 
 let tune_cmd =
   let name_of = function
-    | Fb.Named n -> n
-    | Fb.Inline src ->
+    | Suite.Workload n -> n
+    | Suite.Source src ->
       "inline-" ^ String.sub (Digest.to_hex (Digest.string src)) 0 12
   in
   let run store explain asm_dir json min_reports min_samples =
@@ -764,16 +745,9 @@ let stats_cmd =
       in
       T.set_enabled true;
       let config = config_of_pipeline pipeline in
-      let prog = Ssp_minic.Frontend.compile (read_source src scale) in
-      let profile = Ssp_profiling.Collect.collect prog in
-      let adapted = Ssp.Adapt.run ~config prog profile in
-      let r =
-        match config.Ssp_machine.Config.pipeline with
-        | Ssp_machine.Config.In_order ->
-          Ssp_sim.Inorder.run config adapted.Ssp.Adapt.prog
-        | Ssp_machine.Config.Out_of_order ->
-          Ssp_sim.Ooo.run config adapted.Ssp.Adapt.prog
-      in
+      let prog = compile (program_of src) scale in
+      let adapted = (Fb.adapt ~config prog).Fb.sv_result in
+      let r = Ssp_sim.Simulate.run config adapted.Ssp.Adapt.prog in
       if json then
         print_endline
           (Ssp_server.Snapshot.to_json (Ssp_server.Snapshot.capture ()))
@@ -1115,19 +1089,6 @@ let route_cmd =
       $ quarantine_arg $ quarantine_max_arg $ probe_interval_arg
       $ shard_timeout_arg $ no_replicate_flag $ max_frame_arg $ trace_arg)
 
-(* Workload names travel by name (the server compiles them); anything
-   else is read here and shipped as source text. *)
-let prog_ref_of src scale =
-  match Ssp_workloads.Suite.find src with
-  | _ -> Ssp_server.Proto.Workload src
-  | exception Not_found ->
-    let ic = open_in src in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    ignore scale;
-    Ssp_server.Proto.Source text
-
 let server_error_to_exit2 = function
   | Ssp_server.Proto.Error_reply { pass; what; injected = _ } ->
     fail2 (Printf.sprintf "server error [%s]: %s" pass what)
@@ -1395,7 +1356,7 @@ let client_adapt_cmd =
     let deadline_s = if deadline > 0. then Some deadline else None in
     let req =
       Ssp_server.Proto.Adapt
-        { prog = prog_ref_of src scale; scale; pipeline; tenant }
+        { prog = program_of src; scale; pipeline; tenant }
     in
     let resp =
       with_client_trace trace ("adapt " ^ src) (fun ctx ->
@@ -1424,7 +1385,7 @@ let client_sim_cmd =
     let deadline_s = if deadline > 0. then Some deadline else None in
     let req =
       Ssp_server.Proto.Sim
-        { prog = prog_ref_of src scale; scale; pipeline; ssp; tenant }
+        { prog = program_of src; scale; pipeline; ssp; tenant }
     in
     let resp =
       with_client_trace trace ("sim " ^ src) (fun ctx ->

@@ -271,11 +271,10 @@ let knobs_string k =
   Printf.sprintf "coverage=%h;combining=%b;force_basic=%b;force_predict=%b;unroll=%d"
     k.coverage k.combining k.force_basic k.force_predict k.unroll
 
-let run ?(coverage = 0.9) ?(combining = true) ?(force_basic = false)
-    ?(force_predict = false) ?(unroll = 1) ?(overrides = no_overrides)
-    ?(jobs = 1) ~config prog profile =
+let run ?(knobs = default_knobs) ?(overrides = no_overrides) ?(jobs = 1)
+    ~config prog profile =
   T.with_span "adapt" @@ fun () ->
-  let delinquent = Delinquent.identify ~coverage prog profile in
+  let delinquent = Delinquent.identify ~coverage:knobs.coverage prog profile in
   let regions = T.with_span "adapt.regions" (fun () -> Regions.compute prog) in
   let callgraph =
     T.with_span "adapt.callgraph" (fun () -> Callgraph.compute prog)
@@ -327,7 +326,7 @@ let run ?(coverage = 0.9) ?(combining = true) ?(force_basic = false)
   in
   let choices =
     T.with_span "adapt.combine" (fun () ->
-        if combining then begin
+        if knobs.combining then begin
           let combined, cdiags =
             combine regions callgraph profile config choices
           in
@@ -352,7 +351,7 @@ let run ?(coverage = 0.9) ?(combining = true) ?(force_basic = false)
     List.map
       (fun (c : Select.choice) ->
         let c =
-          if force_basic && c.Select.model = Select.Chaining then begin
+          if knobs.force_basic && c.Select.model = Select.Chaining then begin
             let slice = c.Select.schedule.Schedule.slice in
             let triggers = Trigger.for_basic regions slice in
             { c with Select.model = Select.Basic; triggers }
@@ -360,7 +359,7 @@ let run ?(coverage = 0.9) ?(combining = true) ?(force_basic = false)
           else c
         in
         let c =
-          if force_predict then
+          if knobs.force_predict then
             let sched = c.Select.schedule in
             {
               c with
@@ -373,7 +372,7 @@ let run ?(coverage = 0.9) ?(combining = true) ?(force_basic = false)
             }
           else c
         in
-        { c with Select.unroll = max 1 unroll })
+        { c with Select.unroll = max 1 knobs.unroll })
       choices
   in
   (* Per-load model/unroll overrides, applied last so they win over the
@@ -410,8 +409,3 @@ let run ?(coverage = 0.9) ?(combining = true) ?(force_basic = false)
         choices
   in
   apply_choices ~diags:!diags prog ~config choices delinquent
-
-let run_knobs ?(jobs = 1) ?overrides ~knobs ~config prog profile =
-  run ~coverage:knobs.coverage ~combining:knobs.combining
-    ~force_basic:knobs.force_basic ~force_predict:knobs.force_predict
-    ~unroll:knobs.unroll ?overrides ~jobs ~config prog profile

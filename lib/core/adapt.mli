@@ -41,23 +41,36 @@ val overrides_string : overrides -> string
 (** Canonical injective rendering (loads in key order, identity knobs
     dropped) — a cache-key component, like {!knobs_string}. *)
 
+type knobs = {
+  coverage : float;  (** delinquent-load miss-cycle coverage *)
+  combining : bool;  (** [false] keeps one slice per delinquent load *)
+  force_basic : bool;  (** disable chaining SP *)
+  force_predict : bool;
+      (** replace computed spawn conditions with the chain-depth bound *)
+  unroll : int;  (** per-thread iteration lookahead *)
+}
+(** The ablation knobs of {!run}. Every field is part of the
+    content-addressed cache key ({!knobs_string}). *)
+
+val default_knobs : knobs
+(** The paper's tool: coverage 0.9, combining on, neither forcing, unroll
+    1. *)
+
+val knobs_string : knobs -> string
+(** Canonical injective rendering — any knob change changes the string.
+    Used as a cache-key component by [Ssp_store]. *)
+
 val run :
-  ?coverage:float ->
-  ?combining:bool ->
-  ?force_basic:bool ->
-  ?force_predict:bool ->
-  ?unroll:int ->
+  ?knobs:knobs ->
   ?overrides:overrides ->
   ?jobs:int ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
   result
-(** The optional flags are ablation knobs (defaults reproduce the paper's
-    tool): [combining:false] keeps one slice per delinquent load;
-    [force_basic] disables chaining SP; [force_predict] replaces computed
-    spawn conditions with the chain-depth bound; [unroll] sets per-thread
-    iteration lookahead.
+(** [knobs] defaults to {!default_knobs}; the ablation study
+    ([Ssp_harness.Ablation]) is the caller that varies them. [overrides]
+    are the feedback tuner's per-load adjustments ({!load_knob}).
 
     [jobs] > 1 fans the per-delinquent-load slice/schedule/trigger
     pipeline out across that many domains (shared analysis state is
@@ -70,34 +83,6 @@ val run :
     and every degradation or skip is recorded in
     [result.report.diagnostics].  Ladder decisions are keyed by the
     load's identity, so they are identical under any [jobs] value. *)
-
-type knobs = {
-  coverage : float;
-  combining : bool;
-  force_basic : bool;
-  force_predict : bool;
-  unroll : int;
-}
-(** The ablation knobs of {!run} as a first-class record, so callers that
-    memoize adaptation results (the content-addressed store, the serving
-    daemon) can canonicalize the full configuration. *)
-
-val default_knobs : knobs
-(** The defaults of {!run} (the paper's tool). *)
-
-val knobs_string : knobs -> string
-(** Canonical injective rendering — any knob change changes the string.
-    Used as a cache-key component by [Ssp_store]. *)
-
-val run_knobs :
-  ?jobs:int ->
-  ?overrides:overrides ->
-  knobs:knobs ->
-  config:Ssp_machine.Config.t ->
-  Ssp_ir.Prog.t ->
-  Ssp_profiling.Profile.t ->
-  result
-(** {!run} with the knobs passed as a record. *)
 
 val apply_choices :
   ?diags:Report.diag list ->

@@ -2,10 +2,9 @@ module T = Ssp_telemetry.Telemetry
 module Store = Ssp_store.Store
 module Bin = Store.Bin
 module Iref = Ssp_ir.Iref
+module Suite = Ssp_workloads.Suite
 
 let err what = Ssp_ir.Error.raise_error ~pass:"feedback" what
-
-type prog_id = Named of string | Inline of string
 
 type load_stat = {
   fl_load : Iref.t;
@@ -22,7 +21,7 @@ type load_stat = {
 }
 
 type report = {
-  fr_prog : prog_id;
+  fr_prog : Suite.program;
   fr_scale : int;
   fr_pipeline : string;
   fr_version : int;
@@ -95,18 +94,21 @@ let r_hist r =
   let hs_counts = Array.init n (fun _ -> Bin.r_int r) in
   { T.hs_n; hs_sum; hs_min; hs_max; hs_counts }
 
-let w_prog_id b = function
-  | Named n ->
+(* Report tags are 1 and 2, not the wire protocol's 0 and 1: persisted
+   reports, and the store keys digested from their bytes, must stay
+   readable. *)
+let w_program b = function
+  | Suite.Workload n ->
     Bin.w_u8 b 1;
     Bin.w_str b n
-  | Inline src ->
+  | Suite.Source src ->
     Bin.w_u8 b 2;
     Bin.w_str b src
 
-let r_prog_id r =
+let r_program r =
   match Bin.r_u8 r with
-  | 1 -> Named (Bin.r_str r)
-  | 2 -> Inline (Bin.r_str r)
+  | 1 -> Suite.Workload (Bin.r_str r)
+  | 2 -> Suite.Source (Bin.r_str r)
   | k -> err (Printf.sprintf "unknown program-identity tag %d" k)
 
 let w_load_stat b l =
@@ -150,7 +152,7 @@ let r_load_stat r =
 
 let encode_report rep =
   let b = Bin.writer () in
-  w_prog_id b rep.fr_prog;
+  w_program b rep.fr_prog;
   Bin.w_int b rep.fr_scale;
   Bin.w_str b rep.fr_pipeline;
   Bin.w_int b rep.fr_version;
@@ -161,7 +163,7 @@ let encode_report rep =
 
 let decode_report blob =
   let r = Bin.reader (Store.unseal_kind ~kind:Store.kind_feedback_report blob) in
-  let fr_prog = r_prog_id r in
+  let fr_prog = r_program r in
   let fr_scale = Bin.r_int r in
   let fr_pipeline = Bin.r_str r in
   let fr_version = Bin.r_int r in
@@ -406,7 +408,7 @@ let decode_aggregate blob =
     ag_loads;
   }
 
-let aggregate_key ~config ~knobs prog profile =
+let aggregate_key ~config prog profile =
   Store.cache_key
     [
       "feedback";
@@ -414,8 +416,42 @@ let aggregate_key ~config ~knobs prog profile =
       Store.hash_program prog;
       Store.hash_profile profile;
       Ssp_machine.Config.fingerprint config;
-      Ssp.Adapt.knobs_string knobs;
+      Ssp.Adapt.knobs_string Ssp.Adapt.default_knobs;
     ]
+
+let find_aggregate cache key =
+  Store.Cache.get cache key ~decode:decode_aggregate
+
+(* ---- the one request pipeline ---- *)
+
+type served = {
+  sv_profile : Ssp_profiling.Profile.t;
+  sv_result : Ssp.Adapt.result;
+  sv_status : [ `Hit | `Miss | `Off ];
+  sv_tuning : (int * Ssp.Adapt.overrides) option;
+}
+
+(* Version 0 (or no aggregate at all) serves the untuned artifact under
+   the original cache key; any later version serves the immutable
+   version-stamped artifact the tuner published. The status is the adapt
+   lookup's: that is the expensive artifact, and the one whose hit makes
+   the reply byte-identical-but-fast. *)
+let adapt ?cache ?jobs ~config prog =
+  let profile, _ = Store.cached_profile ?cache ~config prog in
+  let tuning =
+    match cache with
+    | None -> None
+    | Some c -> (
+      match find_aggregate c (aggregate_key ~config prog profile) with
+      | Some agg when agg.ag_version > 0 ->
+        Some (agg.ag_version, agg.ag_overrides)
+      | Some _ | None -> None)
+  in
+  let result, status =
+    Store.run_cached ?cache ?jobs ?tuning ~config prog profile
+  in
+  { sv_profile = profile; sv_result = result; sv_status = status;
+    sv_tuning = tuning }
 
 (* ---- derived ratios ---- *)
 
@@ -536,16 +572,12 @@ type tuned = {
   td_status : [ `Hit | `Miss | `Off ];
 }
 
-let tune_reports ?cache ?now ?min_reports ?min_samples
-    ?(knobs = Ssp.Adapt.default_knobs) ~config prog profile reports =
-  let key = aggregate_key ~config ~knobs prog profile in
+let tune_reports ?cache ?now ?min_reports ?min_samples ~config prog profile
+    reports =
+  let key = aggregate_key ~config prog profile in
   let live =
-    match cache with
-    | Some c -> (
-      match Store.Cache.get c key ~decode:decode_aggregate with
-      | Some a -> a
-      | None -> empty_aggregate)
-    | None -> empty_aggregate
+    Option.bind cache (fun c -> find_aggregate c key)
+    |> Option.value ~default:empty_aggregate
   in
   (* Deterministic decision input: rebuild from the persisted report
      set in canonical (encoded-bytes) order, ignoring the live
@@ -557,14 +589,15 @@ let tune_reports ?cache ?now ?min_reports ?min_samples
       reports
   in
   let agg = fold_reports ?now (reset_loads live) reports in
-  let overrides, actions = plan ?min_reports ?min_samples ~knobs agg in
+  let overrides, actions =
+    plan ?min_reports ?min_samples ~knobs:Ssp.Adapt.default_knobs agg
+  in
   if actions = [] then None
   else
     let pub = publish ?now agg ~overrides ~actions in
     let result, status =
-      Store.run_cached ?cache ~knobs
-        ~tuning:(pub.ag_version, overrides)
-        ~config prog profile
+      Store.run_cached ?cache ~tuning:(pub.ag_version, overrides) ~config prog
+        profile
     in
     (match cache with
     | Some c -> Store.Cache.put c key (encode_aggregate pub)
@@ -593,16 +626,8 @@ let config_of_pipeline name =
   | Some config -> config
   | None -> err ("unknown pipeline " ^ name)
 
-let compile_id id ~scale =
-  match id with
-  | Named name -> (
-    match Ssp_workloads.Suite.find name with
-    | w -> Ssp_minic.Frontend.compile (w.Ssp_workloads.Workload.source scale)
-    | exception Not_found -> err ("unknown workload " ^ name))
-  | Inline src -> Ssp_minic.Frontend.compile src
-
 type store_tune = {
-  st_prog : prog_id;
+  st_prog : Suite.program;
   st_scale : int;
   st_pipeline : string;
   st_reports : int;
@@ -610,7 +635,7 @@ type store_tune = {
   st_tuned : tuned option;
 }
 
-let tune_store ?now ?min_reports ?min_samples ?knobs cache =
+let tune_store ?now ?min_reports ?min_samples cache =
   let groups = Hashtbl.create 7 in
   List.iter
     (fun (_, rep) ->
@@ -622,22 +647,18 @@ let tune_store ?now ?min_reports ?min_samples ?knobs cache =
   |> List.sort compare
   |> List.map (fun ((id, scale, pipeline), reps) ->
          let config = config_of_pipeline pipeline in
-         let prog = compile_id id ~scale in
+         let prog = Suite.compile ~pass:"feedback" id ~scale in
          let profile, _ = Store.cached_profile ~cache ~config prog in
          let tuned =
-           tune_reports ~cache ?now ?min_reports ?min_samples ?knobs ~config
-             prog profile reps
+           tune_reports ~cache ?now ?min_reports ?min_samples ~config prog
+             profile reps
          in
          let aggregate =
            match tuned with
            | Some t -> t.td_aggregate
            | None -> (
-             let key =
-               aggregate_key ~config
-                 ~knobs:(Option.value knobs ~default:Ssp.Adapt.default_knobs)
-                 prog profile
-             in
-             match Store.Cache.get cache key ~decode:decode_aggregate with
+             let key = aggregate_key ~config prog profile in
+             match find_aggregate cache key with
              | Some a -> a
              | None -> fold_reports ?now empty_aggregate reps)
          in

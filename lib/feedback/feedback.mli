@@ -19,13 +19,12 @@
 
     The knob policy is a finite monotone lattice — per load,
     [Keep < Chaining < Basic < skip] and unroll only grows (capped) — so
-    repeated tuning always reaches a fixed point and never oscillates. *)
+    repeated tuning always reaches a fixed point and never oscillates.
 
-type prog_id =
-  | Named of string  (** a suite workload, recompilable by name *)
-  | Inline of string
-      (** full mini-C source text, so an offline tuner can recompile the
-          exact program the report measured *)
+    Because this library owns the aggregate and its published versions,
+    it also owns the request pipeline every front end shares: {!adapt}
+    profiles, looks up the published tuning and adapts, through the
+    store when there is one. *)
 
 type load_stat = {
   fl_load : Ssp_ir.Iref.t;
@@ -46,7 +45,9 @@ type load_stat = {
     {!Ssp_sim.Attrib.load_summary}. *)
 
 type report = {
-  fr_prog : prog_id;
+  fr_prog : Ssp_workloads.Suite.program;
+      (** suite workloads by name, anything else by its full source text,
+          so an offline tuner can recompile the exact program measured *)
   fr_scale : int;
   fr_pipeline : string;  (** ["inorder"] or ["ooo"] *)
   fr_version : int;
@@ -59,7 +60,7 @@ type report = {
 (** The uploadable attribution artifact. *)
 
 val report_of_attrib :
-  prog:prog_id ->
+  prog:Ssp_workloads.Suite.program ->
   scale:int ->
   pipeline:string ->
   version:int ->
@@ -139,11 +140,40 @@ val decode_aggregate : string -> aggregate
 
 val aggregate_key :
   config:Ssp_machine.Config.t ->
-  knobs:Ssp.Adapt.knobs ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
   string
-(** Store key of the per-(program, profile, config, knobs) aggregate. *)
+(** Store key of the per-(program, profile, config) aggregate; its knobs
+    component is always {!Ssp.Adapt.default_knobs}. *)
+
+val find_aggregate : Ssp_store.Store.Cache.t -> string -> aggregate option
+(** The aggregate stored under a key: the one lookup the serving path,
+    the daemon's ingest, the tuner and [sspc explain --feedback] share. *)
+
+(** {1 The request pipeline} *)
+
+type served = {
+  sv_profile : Ssp_profiling.Profile.t;
+  sv_result : Ssp.Adapt.result;
+  sv_status : [ `Hit | `Miss | `Off ];
+      (** the adapt lookup's status; [`Off] without a store *)
+  sv_tuning : (int * Ssp.Adapt.overrides) option;
+      (** the published version served, [None] for the untuned artifact *)
+}
+
+val adapt :
+  ?cache:Ssp_store.Store.Cache.t ->
+  ?jobs:int ->
+  config:Ssp_machine.Config.t ->
+  Ssp_ir.Prog.t ->
+  served
+(** Profile, then adapt at the store's published version: the one
+    function behind [sspc adapt], [sim], [explain] and [stats] and the
+    daemon's [Adapt] and [Sim] requests. With a [cache] the profile and
+    the result go through {!Ssp_store.Store.cached_profile} and
+    {!Ssp_store.Store.run_cached}, and an aggregate at version N > 0
+    selects the immutable version-N artifact. Without one it is exactly
+    [Collect.collect ~config] then [Adapt.run ~config]. *)
 
 (** {2 Derived per-load ratios} (guarded against empty accumulators) *)
 
@@ -219,7 +249,6 @@ val tune_reports :
   ?now:float ->
   ?min_reports:int ->
   ?min_samples:float ->
-  ?knobs:Ssp.Adapt.knobs ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
@@ -241,12 +270,8 @@ val reports_in_store :
 (** Every persisted feedback report, as [(store key, report)], sorted by
     key. Blobs of other kinds and undecodable blobs are skipped. *)
 
-val compile_id : prog_id -> scale:int -> Ssp_ir.Prog.t
-(** Recompile a report's program identity ([Named] via the workload
-    suite, [Inline] from the shipped source). *)
-
 type store_tune = {
-  st_prog : prog_id;
+  st_prog : Ssp_workloads.Suite.program;
   st_scale : int;
   st_pipeline : string;
   st_reports : int;  (** persisted reports found for this workload *)
@@ -258,10 +283,10 @@ val tune_store :
   ?now:float ->
   ?min_reports:int ->
   ?min_samples:float ->
-  ?knobs:Ssp.Adapt.knobs ->
   Ssp_store.Store.Cache.t ->
   store_tune list
 (** Walk a store: group persisted reports by workload identity,
     recompile and re-profile each (through the same store), and run one
     {!tune_reports} round per workload. Workloads are processed in
-    canonical identity order. *)
+    canonical identity order. A report naming an unknown workload or
+    pipeline raises the structured [feedback] error. *)

@@ -6,8 +6,8 @@ let run ?(setting = Experiment.reference) ?(jobs = 1) () =
   let cfg = Experiment.config_for setting Ssp_machine.Config.In_order in
   let profile = Ssp_profiling.Collect.collect ~config:cfg prog in
   let base = Ssp_sim.Inorder.run cfg prog in
-  let variant name adapt () =
-    let result = adapt () in
+  let variant (name, knobs) =
+    let result = Ssp.Adapt.run ~knobs ~config:cfg prog profile in
     let s = Ssp_sim.Inorder.run cfg result.Ssp.Adapt.prog in
     {
       variant = name;
@@ -18,24 +18,21 @@ let run ?(setting = Experiment.reference) ?(jobs = 1) () =
   in
   (* Each variant is an independent adapt+sim over the shared read-only
      program and profile; [Pool.map] keeps the row order fixed. *)
+  let tool = Ssp.Adapt.default_knobs in
   let variants =
     [
-      variant "tool (chaining, combined, computed cond)" (fun () ->
-          Ssp.Adapt.run ~config:cfg prog profile);
-      variant "basic SP only" (fun () ->
-          Ssp.Adapt.run ~force_basic:true ~config:cfg prog profile);
-      variant "condition prediction forced" (fun () ->
-          Ssp.Adapt.run ~force_predict:true ~config:cfg prog profile);
-      variant "no slice combining" (fun () ->
-          Ssp.Adapt.run ~combining:false ~config:cfg prog profile);
-      variant "unroll 4 (hand-style lookahead)" (fun () ->
-          Ssp.Adapt.run ~unroll:4 ~config:cfg prog profile);
+      ("tool (chaining, combined, computed cond)", tool);
+      ("basic SP only", { tool with Ssp.Adapt.force_basic = true });
+      ( "condition prediction forced",
+        { tool with Ssp.Adapt.force_predict = true } );
+      ("no slice combining", { tool with Ssp.Adapt.combining = false });
+      ("unroll 4 (hand-style lookahead)", { tool with Ssp.Adapt.unroll = 4 });
     ]
   in
-  if jobs <= 1 then List.map (fun v -> v ()) variants
+  if jobs <= 1 then List.map variant variants
   else
     Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-        Ssp_parallel.Pool.map pool (fun v -> v ()) variants)
+        Ssp_parallel.Pool.map pool variant variants)
 
 (* Dominator-walk vs max-flow min-cut trigger placement (§3.3): both must
    cut every frequent path to the delinquent load; the comparison is how

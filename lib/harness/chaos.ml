@@ -121,10 +121,13 @@ let run_campaign ~jobs ~cfg ~prog ~profile ~ref_outputs ~funcsim_ref plan =
         slices = List.length result.Ssp.Adapt.choices;
       })
 
-let run ?(jobs = 1) ?(scale = 2) ?(cache_divisor = 64)
-    ?(specs = default_specs) ~seed ~campaigns
+let run ?(jobs = 1) ?(scale = 2) ?(specs = default_specs) ~seed ~campaigns
     (ws : Ssp_workloads.Workload.t list) =
-  let cfg = Config.scale_caches Config.in_order cache_divisor in
+  let cfg =
+    Experiment.config_for
+      { Experiment.scale; cache_divisor = 64; label = "chaos" }
+      Config.In_order
+  in
   let workloads =
     List.map
       (fun (w : Ssp_workloads.Workload.t) ->

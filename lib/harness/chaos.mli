@@ -34,13 +34,15 @@ type report = {
 val run :
   ?jobs:int ->
   ?scale:int ->
-  ?cache_divisor:int ->
   ?specs:(string * Ssp_fault.Fault.spec) list ->
   seed:int ->
   campaigns:int ->
   Ssp_workloads.Workload.t list ->
   report
-(** Campaigns are sequential (a fault plan is ambient global state);
+(** Each workload runs at [scale] (default 2) on the in-order model with
+    caches divided by 64, so small working sets still miss.
+
+    Campaigns are sequential (a fault plan is ambient global state);
     [jobs] parallelizes each campaign's adaptation internally, which must
     not — and, because ladder decisions are keyed by load identity, does
     not — change any outcome. *)

@@ -1,4 +1,5 @@
 open Ssp_machine
+module Simulate = Ssp_sim.Simulate
 
 type setting = { scale : int; cache_divisor : int; label : string }
 
@@ -28,16 +29,6 @@ let config_for setting pipeline =
   if setting.cache_divisor = 1 then base
   else Config.scale_caches base setting.cache_divisor
 
-let simulate ?sampling (cfg : Config.t) prog =
-  match cfg.Config.pipeline with
-  | Config.In_order -> Ssp_sim.Inorder.run ?sampling cfg prog
-  | Config.Out_of_order -> Ssp_sim.Ooo.run ?sampling cfg prog
-
-let adapt_and_run setting ~pipeline prog profile =
-  let cfg = config_for setting pipeline in
-  let result = Ssp.Adapt.run ~config:cfg prog profile in
-  (result, simulate cfg result.Ssp.Adapt.prog)
-
 (* Main-thread L1d miss rate aggregated over the per-site load stats. *)
 let l1d_miss_rate (s : Ssp_sim.Stats.t) =
   let accesses, l1 =
@@ -63,8 +54,8 @@ let sampling_accuracy ?(setting = quick)
     (w : Ssp_workloads.Workload.t) =
   let cfg = config_for setting pipeline in
   let prog = Ssp_workloads.Workload.program w ~scale:setting.scale in
-  let full = simulate cfg prog in
-  let sampled = simulate ~sampling cfg prog in
+  let full = Simulate.run cfg prog in
+  let sampled = Simulate.run ~sampling cfg prog in
   let ipc = Ssp_sim.Stats.ipc in
   {
     sc_name = w.Ssp_workloads.Workload.name;
@@ -78,15 +69,16 @@ let sampling_accuracy ?(setting = quick)
   }
 
 (* The memo is shared by every figure; guard it so workloads primed from
-   pool workers can publish results concurrently. *)
-let cache : (string * string, runs) Hashtbl.t = Hashtbl.create 16
+   pool workers can publish results concurrently. It is keyed by the whole
+   setting: two settings that share a label are still different runs. *)
+let cache : (string * setting, runs) Hashtbl.t = Hashtbl.create 16
 let cache_mutex = Mutex.create ()
 let cache_find key = Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key)
 let cache_put key r = Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key r)
 
 let run_benchmark ?(setting = reference) ?(jobs = 1)
     (w : Ssp_workloads.Workload.t) =
-  let key = (w.Ssp_workloads.Workload.name, setting.label) in
+  let key = (w.Ssp_workloads.Workload.name, setting) in
   match cache_find key with
   | Some r -> r
   | None ->
@@ -105,16 +97,20 @@ let run_benchmark ?(setting = reference) ?(jobs = 1)
        and therefore every downstream table — independent of scheduling. *)
     let points =
       [|
-        (fun () -> simulate io_cfg prog);
-        (fun () -> simulate io_cfg adapted_io.Ssp.Adapt.prog);
-        (fun () -> simulate (mode Config.Perfect_memory io_cfg) prog);
+        (fun () -> Simulate.run io_cfg prog);
+        (fun () -> Simulate.run io_cfg adapted_io.Ssp.Adapt.prog);
+        (fun () -> Simulate.run (mode Config.Perfect_memory io_cfg) prog);
         (fun () ->
-          simulate (mode (Config.Perfect_delinquent delinquent) io_cfg) prog);
-        (fun () -> simulate ooo_cfg prog);
-        (fun () -> simulate ooo_cfg adapted_ooo.Ssp.Adapt.prog);
-        (fun () -> simulate (mode Config.Perfect_memory ooo_cfg) prog);
+          Simulate.run
+            (mode (Config.Perfect_delinquent delinquent) io_cfg)
+            prog);
+        (fun () -> Simulate.run ooo_cfg prog);
+        (fun () -> Simulate.run ooo_cfg adapted_ooo.Ssp.Adapt.prog);
+        (fun () -> Simulate.run (mode Config.Perfect_memory ooo_cfg) prog);
         (fun () ->
-          simulate (mode (Config.Perfect_delinquent delinquent) ooo_cfg) prog);
+          Simulate.run
+            (mode (Config.Perfect_delinquent delinquent) ooo_cfg)
+            prog);
       |]
     in
     let stats =

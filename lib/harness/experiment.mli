@@ -32,7 +32,7 @@ type runs = {
 
 val run_benchmark :
   ?setting:setting -> ?jobs:int -> Ssp_workloads.Workload.t -> runs
-(** Memoized per (benchmark, setting) within the process (the memo is
+(** Memoized per (benchmark, whole setting) within the process (the memo is
     mutex-guarded, so concurrent callers are safe). [jobs] > 1 fans the
     benchmark's eight independent sim points out across a domain pool;
     results are identical to the sequential run. *)
@@ -46,14 +46,6 @@ val prime :
 
 val speedup : baseline:Ssp_sim.Stats.t -> Ssp_sim.Stats.t -> float
 (** cycles(baseline) / cycles(x). *)
-
-val adapt_and_run :
-  setting ->
-  pipeline:Ssp_machine.Config.pipeline ->
-  Ssp_ir.Prog.t ->
-  Ssp_profiling.Profile.t ->
-  Ssp.Adapt.result * Ssp_sim.Stats.t
-(** Building block for the hand-vs-auto and ablation experiments. *)
 
 val config_for :
   setting -> Ssp_machine.Config.pipeline -> Ssp_machine.Config.t

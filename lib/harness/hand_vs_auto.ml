@@ -13,11 +13,7 @@ let run_one setting name pipeline =
   let prog = Ssp_workloads.Workload.program w ~scale:setting.Experiment.scale in
   let cfg = Experiment.config_for setting pipeline in
   let profile = Ssp_profiling.Collect.collect ~config:cfg prog in
-  let simulate p =
-    match cfg.Config.pipeline with
-    | Config.In_order -> Ssp_sim.Inorder.run cfg p
-    | Config.Out_of_order -> Ssp_sim.Ooo.run cfg p
-  in
+  let simulate = Ssp_sim.Simulate.run cfg in
   let base = simulate prog in
   let auto = Ssp.Adapt.run ~config:cfg prog profile in
   let auto_stats = simulate auto.Ssp.Adapt.prog in

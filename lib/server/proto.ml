@@ -12,7 +12,9 @@ let default_tenant = "anon"
 
 let malformed what = Ssp_ir.Error.raise_error ~pass:"proto" what
 
-type program_ref = Workload of string | Source of string
+type program_ref = Ssp_workloads.Suite.program =
+  | Workload of string
+  | Source of string
 
 (* Trace context rides in the envelope ahead of the request tag, so the
    request variants themselves (and every construction site) are

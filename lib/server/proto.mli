@@ -19,9 +19,11 @@ val default_max_frame : int
 val default_tenant : string
 (** Tenant name used when a client does not declare one (["anon"]). *)
 
-type program_ref =
+type program_ref = Ssp_workloads.Suite.program =
   | Workload of string  (** a named suite workload, compiled server-side *)
   | Source of string  (** mini-C source text shipped in the request *)
+(** {!Ssp_workloads.Suite.program}, re-exported with its constructors;
+    the wire tags are 0 ([Workload]) and 1 ([Source]). *)
 
 type trace_ctx = { trace_id : string; span_id : int }
 (** Distributed-trace context minted by the client and propagated in the

@@ -1,6 +1,7 @@
 module T = Ssp_telemetry.Telemetry
 module Store = Ssp_store.Store
 module Feedback = Ssp_feedback.Feedback
+module Suite = Ssp_workloads.Suite
 module F = Ssp_fault.Fault
 
 (* Deadline stamp skew: the budget is minted on the client's clock and
@@ -52,17 +53,6 @@ let config_of_pipeline name =
   | Some config -> config
   | None -> Ssp_ir.Error.raise_error ~pass:"server" ("unknown pipeline " ^ name)
 
-let compile_ref prog_ref scale =
-  match prog_ref with
-  | Proto.Workload name -> (
-    match Ssp_workloads.Suite.find name with
-    | w -> Ssp_minic.Frontend.compile (w.Ssp_workloads.Workload.source scale)
-    | exception Not_found ->
-      Ssp_ir.Error.raise_error ~pass:"server" ("unknown workload " ^ name))
-  | Proto.Source text -> Ssp_minic.Frontend.compile text
-
-let cache_status = function `Hit -> "hit" | `Miss -> "miss" | `Off -> "off"
-
 (* Feedback-plane shared state: pool workers ingest and tune
    concurrently, so the aggregate read-modify-write is serialized here.
    The refs are cheap process-local gauges for telemetry snapshots —
@@ -73,53 +63,27 @@ let feedback_last_report_s = ref 0.
 let feedback_version_max = ref 0
 let feedback_rounds = ref 0
 
-(* The published tuning state for a workload, if any: version 0 (or no
-   aggregate at all) serves the untuned artifact under the original
-   cache key; any later version serves the immutable version-stamped
-   artifact the tuner published. *)
-let tuning_of cache ~config prog profile =
-  match cache with
-  | None -> None
-  | Some cache -> (
-    let key =
-      Feedback.aggregate_key ~config ~knobs:Ssp.Adapt.default_knobs prog
-        profile
-    in
-    match Store.Cache.get cache key ~decode:Feedback.decode_aggregate with
-    | Some agg when agg.Feedback.ag_version > 0 ->
-      Some (agg.Feedback.ag_version, agg.Feedback.ag_overrides)
-    | Some _ | None -> None)
-
-(* Profile + adapt through the store. The reported status is the adapt
-   lookup's: that is the expensive artifact, and the one whose hit makes
-   the reply byte-identical-but-fast. The profile rides back so the
-   caller can re-derive the artifact cache keys for replication. *)
-let adapted_for cache ~config prog =
-  let profile, _ = Store.cached_profile ?cache ~config prog in
-  let tuning = tuning_of cache ~config prog profile in
-  let result, status = Store.run_cached ?cache ?tuning ~config prog profile in
-  (result, cache_status status, profile, tuning)
-
 (* The (key, sealed blob) pairs an adapt reply was built from, read
    straight back off the cache — what the router writes through to the
    replica shard. Missing entries (no cache, eviction racing us) just
    drop out: replication is best-effort by design. *)
-let artifacts_of cache ~config ~status ~ask ~tuning prog profile =
+let artifacts_of cache ~config ~ask prog (sv : Feedback.served) =
   match cache with
   | Some cache
     when ask = Proto.artifacts_always
-         || (ask = Proto.artifacts_on_miss && String.equal status "miss") ->
-    let tuning_key =
+         || (ask = Proto.artifacts_on_miss && sv.Feedback.sv_status = `Miss)
+    ->
+    let tuning =
       Option.map
         (fun (v, ov) -> (v, Ssp.Adapt.overrides_string ov))
-        tuning
+        sv.Feedback.sv_tuning
     in
     List.filter_map
       (fun key ->
         Option.map (fun blob -> (key, blob)) (Store.Cache.find cache key))
       [
         Store.profile_key ~config prog;
-        Store.adapted_key ?tuning:tuning_key ~config prog profile;
+        Store.adapted_key ?tuning ~config prog sv.Feedback.sv_profile;
       ]
   | _ -> []
 
@@ -139,34 +103,28 @@ let handle_env cfg ~ask req =
     match req with
     | Proto.Adapt { prog; scale; pipeline; tenant = _ } ->
       let config = config_of_pipeline pipeline in
-      let prog = compile_ref prog scale in
-      let result, status, profile, tuning = adapted_for cfg.cache ~config prog in
-      if String.equal status "hit" then T.count "server.cache_hit" 1;
-      let artifacts =
-        artifacts_of cfg.cache ~config ~status ~ask ~tuning prog profile
-      in
+      let prog = Suite.compile ~pass:"server" prog ~scale in
+      let sv = Feedback.adapt ?cache:cfg.cache ~config prog in
+      if sv.Feedback.sv_status = `Hit then T.count "server.cache_hit" 1;
+      let result = sv.Feedback.sv_result in
       ( Proto.Adapted
           {
             report =
               Format.asprintf "%a@." Ssp.Report.pp result.Ssp.Adapt.report;
             asm = Format.asprintf "%a@." Ssp_ir.Asm.print result.Ssp.Adapt.prog;
-            cache = status;
+            cache = Store.status_string sv.Feedback.sv_status;
           },
-        artifacts )
+        artifacts_of cfg.cache ~config ~ask prog sv )
     | Proto.Sim { prog; scale; pipeline; ssp; tenant = _ } ->
       let config = config_of_pipeline pipeline in
-      let prog = compile_ref prog scale in
+      let prog = Suite.compile ~pass:"server" prog ~scale in
       let prog =
         if ssp then
-          let result, _, _, _ = adapted_for cfg.cache ~config prog in
-          result.Ssp.Adapt.prog
+          (Feedback.adapt ?cache:cfg.cache ~config prog).Feedback.sv_result
+            .Ssp.Adapt.prog
         else prog
       in
-      let stats =
-        match config.Ssp_machine.Config.pipeline with
-        | Ssp_machine.Config.In_order -> Ssp_sim.Inorder.run config prog
-        | Ssp_machine.Config.Out_of_order -> Ssp_sim.Ooo.run config prog
-      in
+      let stats = Ssp_sim.Simulate.run config prog in
       (Proto.Simmed { stats = Format.asprintf "%a@." Ssp_sim.Stats.pp stats }, [])
     | Proto.Feedback { prog = _; scale = _; pipeline = _; tenant = _; blob }
       -> (
@@ -193,21 +151,16 @@ let handle_env cfg ~ask req =
           (Proto.Ok_reply, [])
         | Some cache ->
           let prog =
-            Feedback.compile_id rep.Feedback.fr_prog
+            Suite.compile ~pass:"feedback" rep.Feedback.fr_prog
               ~scale:rep.Feedback.fr_scale
           in
           Store.Cache.put cache (Feedback.report_store_key blob) blob;
           let profile, _ = Store.cached_profile ~cache ~config prog in
-          let knobs = Ssp.Adapt.default_knobs in
-          let key = Feedback.aggregate_key ~config ~knobs prog profile in
+          let key = Feedback.aggregate_key ~config prog profile in
           Mutex.protect feedback_mu (fun () ->
               let live =
-                match
-                  Store.Cache.get cache key
-                    ~decode:Feedback.decode_aggregate
-                with
-                | Some a -> a
-                | None -> Feedback.empty_aggregate
+                Feedback.find_aggregate cache key
+                |> Option.value ~default:Feedback.empty_aggregate
               in
               let was_stale = live.Feedback.ag_stale in
               let live = Feedback.ingest live rep in

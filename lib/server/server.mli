@@ -12,10 +12,13 @@
     [max_batch] requests, chosen by deficit-round-robin over the active
     tenants ({!Admission}), and fans them across a long-lived
     {!Ssp_parallel.Pool} — so concurrent clients share the domain pool
-    and one hot tenant cannot starve the rest. Adapt requests go through
-    the content-addressed store ({!Ssp_store.Store.run_cached} /
-    [cached_profile]) when a cache is configured, so a repeated request
-    is a disk lookup, not a recompute.
+    and one hot tenant cannot starve the rest. [Adapt] and [Sim]
+    requests are answered by the same functions as the offline tool
+    ({!Ssp_workloads.Suite.compile}, {!Ssp_feedback.Feedback.adapt},
+    {!Ssp_sim.Simulate.run}); with a cache configured the profile and
+    the adapted artifact go through the content-addressed store, so a
+    repeated request is a disk lookup, not a recompute, and a published
+    tuning version is served in place of the untuned artifact.
 
     Robustness: every per-request failure — unknown workload, source
     that does not compile, a malformed or oversized frame, an injected

@@ -728,8 +728,7 @@ let profile_key ~config prog =
       Ssp_machine.Config.fingerprint config;
     ]
 
-let adapted_key ?(knobs = Ssp.Adapt.default_knobs) ?tuning ~config prog
-    profile =
+let adapted_key ?tuning ~config prog profile =
   let parts =
     [
       "adapted";
@@ -737,7 +736,7 @@ let adapted_key ?(knobs = Ssp.Adapt.default_knobs) ?tuning ~config prog
       hash_program prog;
       hash_profile profile;
       Ssp_machine.Config.fingerprint config;
-      Ssp.Adapt.knobs_string knobs;
+      Ssp.Adapt.knobs_string Ssp.Adapt.default_knobs;
     ]
   in
   (* Tuned artifacts live under their own version-stamped keys: version
@@ -752,7 +751,9 @@ let adapted_key ?(knobs = Ssp.Adapt.default_knobs) ?tuning ~config prog
   in
   cache_key parts
 
-let cached_profile ?cache ?(config = Ssp_machine.Config.in_order) prog =
+let status_string = function `Hit -> "hit" | `Miss -> "miss" | `Off -> "off"
+
+let cached_profile ?cache ~config prog =
   match cache with
   | None -> (Ssp_profiling.Collect.collect ~config prog, `Off)
   | Some c -> (
@@ -764,28 +765,23 @@ let cached_profile ?cache ?(config = Ssp_machine.Config.in_order) prog =
       Cache.put c key (encode_profile p);
       (p, `Miss))
 
-let run_cached ?cache ?(jobs = 1) ?(knobs = Ssp.Adapt.default_knobs) ?tuning
-    ~config prog profile =
-  let overrides =
-    match tuning with
-    | Some (_, o) -> Some o
-    | None -> None
-  in
+let run_cached ?cache ?jobs ?tuning ~config prog profile =
+  let overrides = Option.map snd tuning in
   let tuning_key =
     Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning
   in
   match cache with
-  | None ->
-    (Ssp.Adapt.run_knobs ~jobs ?overrides ~knobs ~config prog profile, `Off)
+  | None -> (Ssp.Adapt.run ?jobs ?overrides ~config prog profile, `Off)
   | Some c -> (
-    let key = adapted_key ~knobs ?tuning:tuning_key ~config prog profile in
+    let key = adapted_key ?tuning:tuning_key ~config prog profile in
     match
       T.with_span "store.lookup" (fun () ->
           Cache.get c key ~decode:decode_adapted)
     with
     | Some a ->
       let delinquent =
-        Ssp.Delinquent.identify ~coverage:knobs.Ssp.Adapt.coverage prog profile
+        Ssp.Delinquent.identify
+          ~coverage:Ssp.Adapt.default_knobs.Ssp.Adapt.coverage prog profile
       in
       ( {
           Ssp.Adapt.prog = a.prog;
@@ -796,9 +792,7 @@ let run_cached ?cache ?(jobs = 1) ?(knobs = Ssp.Adapt.default_knobs) ?tuning
         },
         `Hit )
     | None ->
-      let r =
-        Ssp.Adapt.run_knobs ~jobs ?overrides ~knobs ~config prog profile
-      in
+      let r = Ssp.Adapt.run ?jobs ?overrides ~config prog profile in
       Cache.put c key
         (encode_adapted
            {

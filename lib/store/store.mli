@@ -94,15 +94,15 @@ val profile_key : config:Ssp_machine.Config.t -> Ssp_ir.Prog.t -> string
     produced — cluster replication ships blobs by key. *)
 
 val adapted_key :
-  ?knobs:Ssp.Adapt.knobs ->
   ?tuning:int * string ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
   string
-(** The cache key {!run_cached} stores an adaptation result under.
-    [tuning] is [(version, Adapt.overrides_string overrides)] for a
-    feedback-tuned artifact: version 0 is the untuned key (unchanged
+(** The cache key {!run_cached} stores an adaptation result under. Its
+    knobs component is always {!Ssp.Adapt.default_knobs}. [tuning] is
+    [(version, Adapt.overrides_string overrides)] for a feedback-tuned
+    artifact: version 0 is the untuned key (unchanged
     from before tuning existed), and each published version keys its
     own immutable entry — the tuner never overwrites an old version. *)
 
@@ -219,9 +219,13 @@ end
 
 (** {1 Cache-aware pipeline fast paths} *)
 
+val status_string : [ `Hit | `Miss | `Off ] -> string
+(** ["hit"], ["miss"] or ["off"]: how [sspc] and the daemon report a
+    lookup. *)
+
 val cached_profile :
   ?cache:Cache.t ->
-  ?config:Ssp_machine.Config.t ->
+  config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t * [ `Hit | `Miss | `Off ]
 (** {!Ssp_profiling.Collect.collect}, memoized by
@@ -232,13 +236,12 @@ val cached_profile :
 val run_cached :
   ?cache:Cache.t ->
   ?jobs:int ->
-  ?knobs:Ssp.Adapt.knobs ->
   ?tuning:int * Ssp.Adapt.overrides ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
   Ssp.Adapt.result * [ `Hit | `Miss | `Off ]
-(** {!Ssp.Adapt.run}, memoized by
+(** {!Ssp.Adapt.run} at the default knobs, memoized by
     [hash(program) x hash(profile) x fingerprint(config) x knobs]. On a
     hit the adapted program, report and prefetch map are decoded from
     the store ([result.choices] is empty; the delinquent-load set is

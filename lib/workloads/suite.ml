@@ -17,6 +17,16 @@ let find name =
   | Some seed -> Gen.workload ~seed
   | None -> List.find (fun w -> String.equal w.Workload.name name) all
 
+type program = Workload of string | Source of string
+
+let compile ~pass program ~scale =
+  match program with
+  | Workload name -> (
+    match find name with
+    | w -> Workload.program w ~scale
+    | exception Not_found ->
+      Ssp_ir.Error.raise_error ~pass ("unknown workload " ^ name))
+  | Source text -> Ssp_minic.Frontend.compile text
+
 let corpus = Gen.corpus
-let reference_scale = 32
 let test_scale = 2

@@ -1,8 +1,8 @@
 (** A benchmark workload: a mini-C program with a size knob.
 
-    [scale] multiplies the working set; [scale = 100] is the reference size
-    used by the paper-reproduction benches (working sets past the 3 MB L3),
-    smaller values give fast tests. Every workload prints a checksum so
+    [scale] multiplies the working set; the paper-reproduction reference
+    setting runs scale 32 (working sets past the 3 MB L3), smaller values
+    give fast tests. Every workload prints a checksum so
     adapted binaries can be differentially tested against originals. *)
 
 type t = {

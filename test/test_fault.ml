@@ -287,6 +287,17 @@ let test_cli_exit_codes () =
   Alcotest.(check int) "unknown pipeline" 2
     (code "sim health --scale 1 --pipeline oo")
 
+(* A PROGRAM that names no workload is read as a mini-C file, so an
+   unknown name is a missing file: exit code 2 on every subcommand. *)
+let test_cli_unknown_program () =
+  List.iter
+    (fun cmd ->
+      Alcotest.(check int)
+        (cmd ^ " of an unknown name") 2
+        (Sys.command (sspc ^ " " ^ cmd ^ " no-such-workload >/dev/null 2>&1")))
+    [ "compile"; "adapt"; "sim"; "explain"; "stats"; "client adapt";
+      "client sim" ]
+
 let suite =
   [
     Alcotest.test_case "engine: inert without a plan" `Quick test_no_plan_inert;
@@ -309,4 +320,6 @@ let suite =
       test_cli_exit_codes;
     Alcotest.test_case "chaos: JSON escapes control bytes" `Quick
       test_chaos_json_escapes_control_bytes;
+    Alcotest.test_case "sspc: unknown program name is exit code 2" `Quick
+      test_cli_unknown_program;
   ]

@@ -48,8 +48,8 @@ let load_stat ?(issued = 0) ?(useful = 0) ?(late = 0) ?(early = 0)
     fl_lead_hist = hist leads;
   }
 
-let report ?(prog = Fb.Named "mcf") ?(scale = 2) ?(pipeline = "inorder")
-    ?(version = 0) ?(cycles = 1000) loads =
+let report ?(prog = Suite.Workload "mcf") ?(scale = 2)
+    ?(pipeline = "inorder") ?(version = 0) ?(cycles = 1000) loads =
   {
     Fb.fr_prog = prog;
     fr_scale = scale;
@@ -63,7 +63,7 @@ let report ?(prog = Fb.Named "mcf") ?(scale = 2) ?(pipeline = "inorder")
 
 let test_report_roundtrip () =
   let rep =
-    report ~prog:(Fb.Inline "int main() { return 0; }") ~scale:3
+    report ~prog:(Suite.Source "int main() { return 0; }") ~scale:3
       ~pipeline:"ooo" ~version:7 ~cycles:123456
       [
         load_stat (iref "f" 1 2) ~issued:10 ~useful:4 ~late:2 ~early:1
@@ -237,8 +237,8 @@ let test_e2e_loop () =
   Alcotest.(check bool)
     "untuned mcf issues redundant prefetches" true (red0 > 0);
   let mk_report version (stats : Ssp_sim.Stats.t) summary =
-    Fb.report_of_attrib ~prog:(Fb.Named "mcf") ~scale:2 ~pipeline:"inorder"
-      ~version ~cycles:stats.Ssp_sim.Stats.cycles summary
+    Fb.report_of_attrib ~prog:(Suite.Workload "mcf") ~scale:2
+      ~pipeline:"inorder" ~version ~cycles:stats.Ssp_sim.Stats.cycles summary
   in
   let rec converge reports version result n =
     if n > 6 then Alcotest.fail "tuner failed to reach a fixed point"
@@ -303,7 +303,7 @@ let test_tune_store_deterministic () =
   let stats = Ssp_sim.Inorder.run ~attrib config r0.Ssp.Adapt.prog in
   let reports =
     List.init 3 (fun i ->
-        Fb.report_of_attrib ~prog:(Fb.Named "mcf") ~scale:2
+        Fb.report_of_attrib ~prog:(Suite.Workload "mcf") ~scale:2
           ~pipeline:"inorder" ~version:0
           ~cycles:(stats.Ssp_sim.Stats.cycles + i)
           (Ssp_sim.Attrib.summary attrib))
@@ -347,6 +347,18 @@ let test_tune_store_unknown_pipeline () =
   | exception Ssp_ir.Error.Error e ->
     Alcotest.(check string) "feedback error" "feedback" e.Ssp_ir.Error.pass
 
+(* So is a report naming no known workload. *)
+let test_tune_store_unknown_workload () =
+  with_temp_cache @@ fun cache ->
+  let blob =
+    Fb.encode_report (report ~prog:(Suite.Workload "no-such-workload") [])
+  in
+  Store.Cache.put cache (Fb.report_store_key blob) blob;
+  match Fb.tune_store ~now:50. cache with
+  | _ -> Alcotest.fail "a report for an unknown workload was tuned"
+  | exception Ssp_ir.Error.Error e ->
+    Alcotest.(check string) "feedback error" "feedback" e.Ssp_ir.Error.pass
+
 let suite =
   [
     Alcotest.test_case "report codec roundtrip + kind checks" `Quick
@@ -364,4 +376,6 @@ let suite =
       test_tune_store_deterministic;
     Alcotest.test_case "tune_store: unknown pipeline is a structured error"
       `Quick test_tune_store_unknown_pipeline;
+    Alcotest.test_case "tune_store: unknown workload is a structured error"
+      `Quick test_tune_store_unknown_workload;
   ]

@@ -157,6 +157,26 @@ let test_harness_runs_and_is_consistent () =
   let r2 = Ssp_harness.Experiment.run_benchmark ~setting:micro_setting w in
   Alcotest.(check bool) "memoized" true (r == r2)
 
+(* The memo is keyed by the whole setting: a second setting that shares
+   the label but not the scale is a different run, not a memo hit. *)
+let test_memo_keyed_by_setting () =
+  let module E = Ssp_harness.Experiment in
+  let w = Ssp_workloads.Suite.find "health" in
+  let run scale =
+    E.run_benchmark ~setting:{ E.scale; cache_divisor = 64; label = "memo" } w
+  in
+  let r1 = run 1 in
+  let r2 = run 2 in
+  let prog2 = Ssp_workloads.Workload.program w ~scale:2 in
+  Alcotest.(check int)
+    "scale-2 run simulates the scale-2 program"
+    (Ssp_sim.Funcsim.run prog2).Ssp_sim.Funcsim.instrs
+    r2.E.io_base.Ssp_sim.Stats.main_instrs;
+  Alcotest.(check bool)
+    "the scales differ in main-thread instructions" true
+    (r1.E.io_base.Ssp_sim.Stats.main_instrs
+    <> r2.E.io_base.Ssp_sim.Stats.main_instrs)
+
 let test_table_renderer () =
   let out =
     Format.asprintf "%a"
@@ -178,4 +198,6 @@ let suite =
       Alcotest.test_case "harness consistency (micro)" `Slow
         test_harness_runs_and_is_consistent;
       Alcotest.test_case "table renderer" `Quick test_table_renderer;
+      Alcotest.test_case "harness memo keyed by the whole setting" `Slow
+        test_memo_keyed_by_setting;
     ]

@@ -129,15 +129,24 @@ let pinned =
 
 let test_pinned () =
   let config = Ssp_machine.Config.scale_caches Ssp_machine.Config.in_order 64 in
+  let ooo =
+    Ssp_machine.Config.scale_caches Ssp_machine.Config.out_of_order 64
+  in
+  let digest_of profile =
+    Digest.to_hex (Digest.string (Ssp_store.Store.encode_profile profile))
+  in
   List.iter2
     (fun (w : Ssp_workloads.Workload.t) (name, digest, instrs, spawns) ->
       Alcotest.(check string) "workload" name w.Ssp_workloads.Workload.name;
       let prog = Ssp_workloads.Workload.program w ~scale:1 in
       let profile = Collect.collect ~config prog in
       Alcotest.(check string)
-        (name ^ ": profile digest") digest
-        (Digest.to_hex
-           (Digest.string (Ssp_store.Store.encode_profile profile)));
+        (name ^ ": profile digest") digest (digest_of profile);
+      (* A profile depends only on the memory hierarchy, which the two
+         machine models share: profiling under either gives one profile. *)
+      Alcotest.(check string)
+        (name ^ ": OOO profile digest") digest
+        (digest_of (Collect.collect ~config:ooo prog));
       let adapted = (Ssp.Adapt.run ~config prog profile).Ssp.Adapt.prog in
       let live = Ssp_sim.Funcsim.run ~spawning:true adapted in
       Alcotest.(check int)

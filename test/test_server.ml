@@ -490,7 +490,7 @@ let feedback_req blob =
 
 let synthetic_report i =
   {
-    Fb.fr_prog = Fb.Named "em3d";
+    Fb.fr_prog = Suite.Workload "em3d";
     fr_scale = scale;
     fr_pipeline = "inorder";
     fr_version = 0;
@@ -539,7 +539,7 @@ let test_feedback_bad_blob () =
        (feedback_req
           (Fb.encode_report
              {
-               Fb.fr_prog = Fb.Named "em3d";
+               Fb.fr_prog = Suite.Workload "em3d";
                fr_scale = scale;
                fr_pipeline = "oo";
                fr_version = 0;
@@ -553,6 +553,103 @@ let test_feedback_bad_blob () =
   match Client.request ~socket Proto.Ping with
   | Proto.Ok_reply -> ()
   | _ -> Alcotest.fail "daemon must survive hostile uploads"
+
+(* The ingest path keeps the tuner's error for a report naming no known
+   workload. *)
+let test_feedback_unknown_workload () =
+  with_server @@ fun socket ->
+  let rep = { (synthetic_report 0) with Fb.fr_prog = Suite.Workload "nope" } in
+  match Client.request ~socket (feedback_req (Fb.encode_report rep)) with
+  | Proto.Error_reply { pass; _ } ->
+    Alcotest.(check string) "unknown workload rejected" "feedback" pass
+  | _ -> Alcotest.fail "a report for an unknown workload must be an error"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Daemon ≡ offline after tuning. A full and two sampled treeadd.bf runs
+   upload their attribution reports, and one tuning round publishes v1,
+   whose binary differs from the untuned one. [sspc adapt --store] must
+   then print what a daemon on the same store serves: v1, from the
+   cache. *)
+let test_offline_adapt_serves_published_version () =
+  let dir = Filename.temp_dir "sspc_published" "" in
+  let store = Filename.concat dir "store" in
+  let cache = Store.Cache.open_dir store in
+  let name = "treeadd.bf" in
+  let prog = Workload.program (Suite.find name) ~scale in
+  let untuned = (Fb.adapt ~cache ~config prog).Fb.sv_result in
+  List.iter
+    (fun sampling ->
+      let attrib =
+        Ssp_sim.Attrib.create ~prefetch_map:untuned.Ssp.Adapt.prefetch_map ()
+      in
+      let stats =
+        Ssp_sim.Inorder.run ~attrib ?sampling config untuned.Ssp.Adapt.prog
+      in
+      let blob =
+        Fb.encode_report
+          (Fb.report_of_attrib ~prog:(Suite.Workload name) ~scale
+             ~pipeline:"inorder" ~version:0 ~cycles:stats.Ssp_sim.Stats.cycles
+             (Ssp_sim.Attrib.summary attrib))
+      in
+      Store.Cache.put cache (Fb.report_store_key blob) blob)
+    [
+      None;
+      Some { Ssp_sim.Smt.detail_window = 2000; ff_window = 8000 };
+      Some { Ssp_sim.Smt.detail_window = 4000; ff_window = 4000 };
+    ];
+  let asm p = Format.asprintf "%a@." Ssp_ir.Asm.print p in
+  (match Fb.tune_store cache with
+  | [ { Fb.st_tuned = Some t; _ } ] ->
+    Alcotest.(check int) "published v1" 1
+      t.Fb.td_aggregate.Fb.ag_version;
+    Alcotest.(check bool) "v1 differs from the untuned binary" false
+      (String.equal (asm untuned.Ssp.Adapt.prog)
+         (asm t.Fb.td_result.Ssp.Adapt.prog))
+  | _ -> Alcotest.fail "expected one tuning round to publish");
+  let file f = Filename.concat dir f in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s adapt %s --scale %d --store %s -o %s > %s 2> %s"
+         Test_fault.sspc name scale (Filename.quote store)
+         (Filename.quote (file "offline.s"))
+         (Filename.quote (file "offline.txt"))
+         (Filename.quote (file "offline.err")))
+  in
+  Alcotest.(check int) "sspc adapt --store exits 0" 0 code;
+  Alcotest.(check string) "offline status" "sspc: cache hit\n"
+    (read_file (file "offline.err"));
+  let socket = file "d.sock" in
+  let th =
+    Thread.create Server.serve
+      {
+        Server.socket = Some socket;
+        tcp = None;
+        jobs = 1;
+        cache = Some (Store.Cache.open_dir store);
+        max_frame = Proto.default_max_frame;
+        timeout_s = 60.;
+        max_batch = 32;
+        max_queue = 256;
+        retry_after_s = 0.05;
+        tune = false;
+      }
+  in
+  wait_for_socket socket;
+  let report, asm, status =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Client.request ~socket Proto.Shutdown);
+        Thread.join th)
+      (fun () -> expect_adapted (Client.request ~socket (adapt_req name)))
+  in
+  Alcotest.(check string) "daemon status" "hit" status;
+  Alcotest.(check string) "same report" report (read_file (file "offline.txt"));
+  Alcotest.(check string) "same binary" asm (read_file (file "offline.s"))
 
 let test_traced_hops () =
   (* A traced request comes back with a per-hop latency breakdown even
@@ -873,4 +970,8 @@ let suite =
     Alcotest.test_case "replica write without a cache" `Quick
       test_put_blob_without_cache;
     Alcotest.test_case "clean shutdown" `Quick test_shutdown;
+    Alcotest.test_case "feedback: unknown workload is a feedback error" `Quick
+      test_feedback_unknown_workload;
+    Alcotest.test_case "adapt --store prints the daemon's published version"
+      `Slow test_offline_adapt_serves_published_version;
   ]

@@ -468,7 +468,8 @@ let test_unroll_preserves_semantics_and_prefetches_more () =
   let prog, profile = compile_and_profile (mcf_like 2) in
   let cfg = Ssp_machine.Config.scale_caches Ssp_machine.Config.in_order 16 in
   let r1 = Ssp.Adapt.run ~config:cfg prog profile in
-  let r4 = Ssp.Adapt.run ~unroll:4 ~config:cfg prog profile in
+  let knobs = { Ssp.Adapt.default_knobs with unroll = 4 } in
+  let r4 = Ssp.Adapt.run ~knobs ~config:cfg prog profile in
   let base = Ssp_sim.Funcsim.run prog in
   let live = Ssp_sim.Funcsim.run ~spawning:true r4.Ssp.Adapt.prog in
   Alcotest.(check (list int64)) "unrolled outputs unchanged"
