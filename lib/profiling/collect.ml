@@ -13,6 +13,7 @@ let collect ?(config = Ssp_machine.Config.in_order) prog =
       blocks = Array.make n 0;
       branches = Array.make (2 * n) 0;
       loads = Array.make (6 * n) 0;
+      site_calls = Array.make n 0;
       calls = Hashtbl.create 16;
     }
   in

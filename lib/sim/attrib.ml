@@ -214,7 +214,7 @@ let demand_use t ?iref ~main ~line ~hit ~partial ~now ~ready () =
         if hit then begin
           classify t pf.tag Useful;
           let a = acct t pf.tag.target in
-          let lead = max 0 (now - pf.filled_at) in
+          let lead = Int.max 0 (now - pf.filled_at) in
           a.lead_sum <- a.lead_sum + lead;
           (* The distribution uses the telemetry histograms' fixed bucket
              layout, so reports from different clients merge exactly. *)
@@ -233,7 +233,7 @@ let demand_use t ?iref ~main ~line ~hit ~partial ~now ~ready () =
           Hashtbl.remove t.lines line;
           classify t pf.tag Late;
           let a = acct t pf.tag.target in
-          a.late_wait_sum <- a.late_wait_sum + max 0 (ready - now)
+          a.late_wait_sum <- a.late_wait_sum + Int.max 0 (ready - now)
         end)
 
 (* ---- speculative-thread lifetimes (driven by Smt) ---- *)
@@ -251,7 +251,7 @@ let spawn_denied t ~src =
 let thread_end t ~spawned_at ~now ~watchdog =
   t.threads_ended <- t.threads_ended + 1;
   if watchdog then t.watchdog_kills <- t.watchdog_kills + 1;
-  let life = max 0 (now - spawned_at) in
+  let life = Int.max 0 (now - spawned_at) in
   t.lifetime_sum <- t.lifetime_sum + life;
   if life > t.lifetime_max then t.lifetime_max <- life
 

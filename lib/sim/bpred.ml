@@ -42,13 +42,13 @@ let update t ~thread ~pc ~taken =
   let c = t.counters.(i) in
   let predicted = c >= 2 in
   if predicted <> taken then t.mispredicts <- t.mispredicts + 1;
-  t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  t.counters.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   t.history.(thread) <- ((t.history.(thread) lsl 1) lor Bool.to_int taken) land t.mask
 
 (* Way index holding [pc], or -1: an int result and explicit parameters
    keep the per-branch hot path allocation-free (a local closure would
-   allocate per lookup). *)
-let rec scan_btb tags base pc ways w =
+   allocate per lookup), and the annotations keep [=] at [int]. *)
+let rec scan_btb (tags : int array) base (pc : int) ways w =
   if w >= ways then -1
   else if tags.(base + w) = pc then base + w
   else scan_btb tags base pc ways (w + 1)

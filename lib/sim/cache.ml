@@ -21,7 +21,7 @@ let create ?name (g : Ssp_machine.Config.cache_geom) =
     int_of_float (Float.round (Float.log2 (float_of_int g.line_bytes)))
   in
   let lines = g.size_bytes / g.line_bytes in
-  let sets = max 1 (lines / g.ways) in
+  let sets = Int.max 1 (lines / g.ways) in
   {
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
@@ -47,8 +47,10 @@ let set_of t line =
 (* Index of the way holding [addr]'s line, or -1 on a miss. A top-level
    scan with explicit parameters: the probe loop allocates nothing (this
    runs once or more per simulated cycle, and a local closure would
-   allocate per call). *)
-let rec scan_ways tags line lim i =
+   allocate per call). The annotations keep [=] at [int]: let-generalized
+   over ['a array], it would call the runtime's polymorphic equality once
+   per way probed. *)
+let rec scan_ways (tags : int array) (line : int) lim i =
   if i >= lim then -1
   else if Array.unsafe_get tags i = line then i
   else scan_ways tags line lim (i + 1)

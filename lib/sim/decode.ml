@@ -158,7 +158,5 @@ let decode_func ~func_index (f : Ssp_ir.Prog.func) =
             (Ssp_isa.Op.uses op))
         b.ops)
     f.blocks;
-  let n_save = max 0 (!max_reg - Ssp_isa.Reg.first_stacked + 1) in
+  let n_save = Int.max 0 (!max_reg - Ssp_isa.Reg.first_stacked + 1) in
   { code; imms = Array.of_list (List.rev !imms); n_save }
-
-let empty = { code = [||]; imms = [||]; n_save = 0 }

@@ -24,6 +24,3 @@ val decode_func : func_index:(string -> int) -> Ssp_ir.Prog.func -> t
 (** [func_index] maps a callee name to its index in the program's function
     table ([Layout.by_index] order), or -1 when unknown — the call then
     decodes as [slow], preserving execution-time error behavior. *)
-
-val empty : t
-(** Placeholder for dummy layout entries. *)

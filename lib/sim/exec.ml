@@ -4,7 +4,7 @@ type env = {
   mem : Memory.t;
   prog : Ssp_ir.Prog.t;
   chk_free : unit -> bool;
-  spawn : src:Ssp_ir.Iref.t -> fn:string -> blk:int -> live_in:int64 array -> bool;
+  spawn : src:Ssp_ir.Iref.t -> fn:int -> blk:int -> live_in:int64 array -> bool;
   output : int64 -> unit;
   mutable ev_addr : int;
 }
@@ -33,9 +33,17 @@ type event =
 (* The 62-bit effective address [b + off]. *)
 let addr t b off = (Int64.to_int (Thread.get t b) + off) land max_int
 
+(* A call's frame: the caller's stacked registers, all of them. *)
+let push_call (t : Thread.t) =
+  let fr = Thread.push_frame t ~ret_blk:t.blk ~ret_ins:(t.ins + 1) in
+  Bytes.blit t.regs Thread.stacked_off fr.Thread.saved_stacked 0
+    (8 * (Reg.count - Reg.first_stacked))
+
 (* The rare ops [Decode] marks [slow]. Everything else runs on the decoded
-   word in [Funcsim.step], which also counts the instruction. *)
-let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
+   word in [Funcsim.step], which also counts the instruction. A function is
+   named by its [Layout] index; the names these arms meet are resolved
+   here, once per executed op. *)
+let step_op env lay (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
   match op with
   | Op.Load (w, d, b, off) ->
     let addr = addr t b off in
@@ -80,10 +88,10 @@ let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
       Ev_branch_not_taken
     end
   | Op.Call (callee, _) ->
-    let fr = Thread.push_frame t ~ret_blk:t.blk ~ret_ins:(t.ins + 1) in
-    Array.blit t.regs Reg.first_stacked fr.Thread.saved_stacked 0
-      (Reg.count - Reg.first_stacked);
-    t.fn <- callee;
+    (* decoded as [slow] only when the callee is unknown: raises *)
+    let fn = Layout.find lay callee in
+    push_call t;
+    t.fn <- fn;
     t.blk <- 0;
     t.ins <- 0;
     Ev_call
@@ -99,10 +107,9 @@ let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
       t.ins <- t.ins + 1;
       Ev_plain
     | Some callee ->
-      let fr = Thread.push_frame t ~ret_blk:t.blk ~ret_ins:(t.ins + 1) in
-      Array.blit t.regs Reg.first_stacked fr.Thread.saved_stacked 0
-        (Reg.count - Reg.first_stacked);
-      t.fn <- callee.Ssp_ir.Prog.name;
+      let fn = Layout.find lay callee.Ssp_ir.Prog.name in
+      push_call t;
+      t.fn <- fn;
       t.blk <- 0;
       t.ins <- 0;
       Ev_call)
@@ -119,8 +126,10 @@ let step_op env (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
   | Op.Spawn (fn, label) ->
     let target = Ssp_ir.Prog.find_func env.prog fn in
     let blk = Ssp_ir.Prog.block_index target label in
-    let src = { Ssp_ir.Iref.fn = t.fn; blk = t.blk; ins = t.ins } in
-    let accepted = env.spawn ~src ~fn ~blk ~live_in:t.lib_out in
+    let src = { Ssp_ir.Iref.fn = f.name; blk = t.blk; ins = t.ins } in
+    let accepted =
+      env.spawn ~src ~fn:(Layout.find lay fn) ~blk ~live_in:t.lib_out
+    in
     t.ins <- t.ins + 1;
     if accepted then Ev_spawned else Ev_spawn_denied
   | Op.Lib_st (slot, s) ->

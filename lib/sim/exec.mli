@@ -21,9 +21,10 @@ type env = {
   prog : Ssp_ir.Prog.t;
   chk_free : unit -> bool;
       (** does a free hardware context exist right now? *)
-  spawn : src:Ssp_ir.Iref.t -> fn:string -> blk:int -> live_in:int64 array -> bool;
-      (** try to bind a free context; false = ignored. [src] is the
-          spawning [Spawn] instruction (for attribution). *)
+  spawn : src:Ssp_ir.Iref.t -> fn:int -> blk:int -> live_in:int64 array -> bool;
+      (** try to bind a free context at block [blk] of function [fn] (a
+          [Layout.by_index] index); false = ignored. [src] is the spawning
+          [Spawn] instruction (for attribution). *)
   output : int64 -> unit;  (** observable output of [Print] *)
   mutable ev_addr : int;
       (** effective address (62-bit, native int) of the most recent
@@ -51,8 +52,12 @@ type event =
   | Ev_spawn_denied
   | Ev_lib  (** live-in buffer access *)
 
-val step_op : env -> Thread.t -> Ssp_ir.Prog.func -> Ssp_isa.Op.t -> event
+val step_op :
+  env -> Layout.t -> Thread.t -> Ssp_ir.Prog.func -> Ssp_isa.Op.t -> event
 (** Execute one [slow] instruction and advance the pc (it does not count
-    the instruction: the caller has). The caller passes the thread's
-    current function and the instruction at its pc. Raises
-    [Invalid_argument] for an op that always decodes to its own word. *)
+    the instruction: the caller has). The caller passes the program's
+    layout, the thread's current function and the instruction at its pc;
+    a callee or spawn target named in the op is resolved to its layout
+    index here. Raises [Invalid_argument] for an op that always decodes to
+    its own word, and for a call to a function the program does not
+    define. *)

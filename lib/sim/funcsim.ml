@@ -4,6 +4,7 @@ type counts = {
   blocks : int array;
   branches : int array;
   loads : int array;
+  site_calls : int array;
   calls : (int * string, int) Hashtbl.t;
 }
 
@@ -29,13 +30,22 @@ let count_load c th pc addr =
   if o.Hierarchy.partial then c.loads.(k + 4) <- c.loads.(k + 4) + 1;
   c.loads.(k + 5) <-
     c.loads.(k + 5)
-    + max 0
+    + Int.max 0
         (o.Hierarchy.ready - now - Hierarchy.level_latency c.hier Hierarchy.L1)
 
 let count_call c pc callee =
   let k = (pc, callee) in
   Hashtbl.replace c.calls k
     (1 + Option.value ~default:0 (Hashtbl.find_opt c.calls k))
+
+(* A decoded call site has exactly one callee, so it is counted per pc.
+   Its first call enters the site into [calls], where hashing every call
+   would have entered it (so [calls] holds its entries in the same order);
+   {!count} settles the counts once the run is over. *)
+let count_site_call c (layout : Layout.t) pc callee =
+  let n = c.site_calls.(pc) in
+  c.site_calls.(pc) <- n + 1;
+  if n = 0 then Hashtbl.replace c.calls (pc, Layout.name layout callee) 0
 
 (* Fall-through: while [ins] is past the end of its block, move to the next
    block in layout, so [blk]/[ins] index the instruction executed next. *)
@@ -50,6 +60,12 @@ let[@inline] fall_through (e : Layout.entry) (th : Thread.t) =
     th.Thread.ins <- 0
   done
 
+(* Byte offsets in [Thread.regs] of word [w]'s register fields d, a and b
+   (bits 6, 13 and 20; register r's slot is at byte 8r). *)
+let[@inline] d_off w = (w lsr 3) land 0x3f8
+let[@inline] a_off w = (w lsr 10) land 0x3f8
+let[@inline] b_off w = (w lsr 17) land 0x3f8
+
 (* One instruction: word [w] at [blk]/[ins] of entry [e], the thread's
    current function. The opcode literals below mirror [Decode.enc]'s map
    exactly (see decode.ml for the word layout). Every engine executes
@@ -60,8 +76,12 @@ let[@inline] fall_through (e : Layout.entry) (th : Thread.t) =
    [Quiet] and time the returned event themselves.
 
    Invariants the arms lean on: register fields were range-validated by
-   every producer (so reads use [unsafe_get]), and r0 is never written (so
-   reading [regs.(0)] always yields the hardwired zero without a branch).
+   every producer (so register slots are read and written unchecked), and
+   r0 is never written (so reading its slot always yields the hardwired
+   zero without a branch). Registers are unboxed 8-byte slots and every
+   comparison is at [int] or [int64], so the arms allocate nothing and
+   call nothing in the runtime: a value computed or loaded goes straight
+   into its slot.
 
    [@inline]: [exec]'s loop gets the arms without a call; the cycle cores,
    in other modules, call it ([-opaque] inlines nothing across modules). *)
@@ -77,22 +97,21 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     Exec.Ev_plain
   | 1 ->
     (* movi *)
-    let d = (w lsr 6) land 127 in
+    let d = d_off w in
     if d <> 0 then
-      Array.unsafe_set regs d (Array.unsafe_get dec.Decode.imms (w asr 27));
+      Thread.set64u regs d (Array.unsafe_get dec.Decode.imms (w asr 27));
     th.Thread.ins <- ins + 1;
     Exec.Ev_plain
   | 2 ->
     (* mov *)
-    let d = (w lsr 6) land 127 in
-    if d <> 0 then
-      Array.unsafe_set regs d (Array.unsafe_get regs ((w lsr 13) land 127));
+    let d = d_off w in
+    if d <> 0 then Thread.set64u regs d (Thread.get64u regs (a_off w));
     th.Thread.ins <- ins + 1;
     Exec.Ev_plain
   | (3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | 12) as opc ->
     (* alu: add sub mul div rem and or xor shl shr *)
-    let a = Array.unsafe_get regs ((w lsr 13) land 127)
-    and b = Array.unsafe_get regs ((w lsr 20) land 127) in
+    let a = Thread.get64u regs (a_off w)
+    and b = Thread.get64u regs (b_off w) in
     let v =
       match opc with
       | 3 -> Int64.add a b
@@ -106,13 +125,13 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
       | 11 -> Int64.shift_left a (Int64.to_int b land 63)
       | _ -> Int64.shift_right a (Int64.to_int b land 63)
     in
-    let d = (w lsr 6) land 127 in
-    if d <> 0 then Array.unsafe_set regs d v;
+    let d = d_off w in
+    if d <> 0 then Thread.set64u regs d v;
     th.Thread.ins <- ins + 1;
     Exec.Ev_plain
   | (13 | 14 | 15 | 16 | 17 | 18 | 19 | 20 | 21 | 22) as opc ->
     (* alui *)
-    let a = Array.unsafe_get regs ((w lsr 13) land 127)
+    let a = Thread.get64u regs (a_off w)
     and b = Array.unsafe_get dec.Decode.imms (w asr 27) in
     let v =
       match opc with
@@ -127,14 +146,14 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
       | 21 -> Int64.shift_left a (Int64.to_int b land 63)
       | _ -> Int64.shift_right a (Int64.to_int b land 63)
     in
-    let d = (w lsr 6) land 127 in
-    if d <> 0 then Array.unsafe_set regs d v;
+    let d = d_off w in
+    if d <> 0 then Thread.set64u regs d v;
     th.Thread.ins <- ins + 1;
     Exec.Ev_plain
   | (23 | 24 | 25 | 26 | 27 | 28) as opc ->
     (* cmp: eq ne lt le gt ge *)
-    let a = Array.unsafe_get regs ((w lsr 13) land 127)
-    and b = Array.unsafe_get regs ((w lsr 20) land 127) in
+    let a = Thread.get64u regs (a_off w)
+    and b = Thread.get64u regs (b_off w) in
     let c = Int64.compare a b in
     let v =
       match opc with
@@ -145,13 +164,13 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
       | 27 -> c > 0
       | _ -> c >= 0
     in
-    let d = (w lsr 6) land 127 in
-    if d <> 0 then Array.unsafe_set regs d (if v then 1L else 0L);
+    let d = d_off w in
+    if d <> 0 then Thread.set64u regs d (if v then 1L else 0L);
     th.Thread.ins <- ins + 1;
     Exec.Ev_plain
   | (29 | 30 | 31 | 32 | 33 | 34) as opc ->
     (* cmpi *)
-    let a = Array.unsafe_get regs ((w lsr 13) land 127)
+    let a = Thread.get64u regs (a_off w)
     and b = Array.unsafe_get dec.Decode.imms (w asr 27) in
     let c = Int64.compare a b in
     let v =
@@ -163,17 +182,16 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
       | 33 -> c > 0
       | _ -> c >= 0
     in
-    let d = (w lsr 6) land 127 in
-    if d <> 0 then Array.unsafe_set regs d (if v then 1L else 0L);
+    let d = d_off w in
+    if d <> 0 then Thread.set64u regs d (if v then 1L else 0L);
     th.Thread.ins <- ins + 1;
     Exec.Ev_plain
   | (35 | 36 | 37 | 38) as opc ->
-    (* load, widths 1 2 4 8 *)
-    let base = Array.unsafe_get regs ((w lsr 13) land 127) in
+    (* load, widths 1 2 4 8; a load into r0 reads nothing *)
+    let base = Thread.get64u regs (a_off w) in
     let addr = (Int64.to_int base + (w asr 27)) land max_int in
-    let v = Memory.read env.Exec.mem addr (1 lsl (opc - 35)) in
-    let d = (w lsr 6) land 127 in
-    if d <> 0 then Array.unsafe_set regs d v;
+    let d = d_off w in
+    if d <> 0 then Memory.read_to env.Exec.mem addr (1 lsl (opc - 35)) regs d;
     th.Thread.ins <- ins + 1;
     env.Exec.ev_addr <- addr;
     (match probe with
@@ -184,12 +202,10 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     Exec.Ev_load
   | (39 | 40 | 41 | 42) as opc ->
     (* store, widths 1 2 4 8; a speculative thread never writes memory *)
-    let base = Array.unsafe_get regs ((w lsr 13) land 127) in
+    let base = Thread.get64u regs (a_off w) in
     let addr = (Int64.to_int base + (w asr 27)) land max_int in
     if not th.Thread.speculative then
-      Memory.write env.Exec.mem addr
-        (1 lsl (opc - 39))
-        (Array.unsafe_get regs ((w lsr 6) land 127));
+      Memory.write_from env.Exec.mem addr (1 lsl (opc - 39)) regs (d_off w);
     th.Thread.ins <- ins + 1;
     env.Exec.ev_addr <- addr;
     (match probe with
@@ -201,7 +217,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     (* lfetch; warming its line matters — the timed runs' prefetch traffic
        fills the hierarchy, so skipping it would leave the next detailed
        window colder than a full run; the profiler ignores prefetches *)
-    let base = Array.unsafe_get regs ((w lsr 13) land 127) in
+    let base = Thread.get64u regs (a_off w) in
     let addr = (Int64.to_int base + (w asr 27)) land max_int in
     env.Exec.ev_addr <- addr;
     th.Thread.ins <- ins + 1;
@@ -221,7 +237,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     Exec.Ev_branch_taken
   | (45 | 46) as opc ->
     (* brnz / brz *)
-    let z = Int64.equal (Array.unsafe_get regs ((w lsr 13) land 127)) 0L in
+    let z = Int64.equal (Thread.get64u regs (a_off w)) 0L in
     let taken = (opc = 45) <> z in
     (match probe with
     | Quiet -> ()
@@ -251,15 +267,15 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     let fr = Thread.push_frame th ~ret_blk:blk ~ret_ins:(ins + 1) in
     let k = dec.Decode.n_save in
     fr.Thread.saved_n <- k;
-    Array.blit regs Ssp_isa.Reg.first_stacked fr.Thread.saved_stacked 0 k;
-    let callee = layout.Layout.by_index.(w asr 27).Layout.func in
+    Bytes.blit regs Thread.stacked_off fr.Thread.saved_stacked 0 (8 * k);
+    let callee = w asr 27 in
     (match probe with
     | Count c ->
-      count_call c
+      count_site_call c layout
         (Array.unsafe_get e.Layout.block_base blk + ins)
-        callee.Ssp_ir.Prog.name
+        callee
     | Quiet | Warm _ -> ());
-    th.Thread.fn <- callee.Ssp_ir.Prog.name;
+    th.Thread.fn <- callee;
     th.Thread.blk <- 0;
     th.Thread.ins <- 0;
     Exec.Ev_call
@@ -272,8 +288,8 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     else begin
       th.Thread.frame_n <- th.Thread.frame_n - 1;
       let fr = th.Thread.frames.(th.Thread.frame_n) in
-      Array.blit fr.Thread.saved_stacked 0 regs Ssp_isa.Reg.first_stacked
-        fr.Thread.saved_n;
+      Bytes.blit fr.Thread.saved_stacked 0 regs Thread.stacked_off
+        (8 * fr.Thread.saved_n);
       th.Thread.fn <- fr.Thread.ret_fn;
       th.Thread.blk <- fr.Thread.ret_blk;
       th.Thread.ins <- fr.Thread.ret_ins;
@@ -298,13 +314,14 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     end
   | 52 ->
     (* rand: xorshift64*, deterministic per thread *)
-    let x = th.Thread.rand_state in
+    let st = th.Thread.rand_state in
+    let x = Thread.get64u st 0 in
     let x = Int64.logxor x (Int64.shift_left x 13) in
     let x = Int64.logxor x (Int64.shift_right_logical x 7) in
     let x = Int64.logxor x (Int64.shift_left x 17) in
-    th.Thread.rand_state <- x;
-    let d = (w lsr 6) land 127 in
-    if d <> 0 then Array.unsafe_set regs d (Int64.shift_right_logical x 1);
+    Thread.set64u st 0 x;
+    let d = d_off w in
+    if d <> 0 then Thread.set64u regs d (Int64.shift_right_logical x 1);
     th.Thread.ins <- ins + 1;
     Exec.Ev_plain
   | _ ->
@@ -312,7 +329,9 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
        offsets too wide for the word, unresolved static targets) run on
        the boxed form; an unresolved branch target raises there *)
     let f = e.Layout.func in
-    let ev = Exec.step_op env th f f.Ssp_ir.Prog.blocks.(blk).ops.(ins) in
+    let ev =
+      Exec.step_op env layout th f f.Ssp_ir.Prog.blocks.(blk).ops.(ins)
+    in
     (* probed like the decoded arms, except branches: a [slow] branch has
        an unresolved target, and raises when taken *)
     (match (ev, probe) with
@@ -326,7 +345,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     | Exec.Ev_call, Count c ->
       count_call c
         (Array.unsafe_get e.Layout.block_base blk + ins)
-        th.Thread.fn
+        (Layout.name layout th.Thread.fn)
     | _ -> ());
     ev
 
@@ -334,7 +353,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
    calls and returns, so the current layout entry lives in a local
    refreshed on those events. *)
 let exec probe (layout : Layout.t) (env : Exec.env) (th : Thread.t) ~instrs =
-  let e = ref (Layout.find layout th.Thread.fn) in
+  let e = ref layout.Layout.by_index.(th.Thread.fn) in
   let done_ = ref 0 in
   while !done_ < instrs && th.Thread.active do
     fall_through !e th;
@@ -351,11 +370,7 @@ let exec probe (layout : Layout.t) (env : Exec.env) (th : Thread.t) ~instrs =
     end;
     incr done_;
     match step probe layout env th !e ~blk ~ins w with
-    | Exec.Ev_call ->
-      e :=
-        if w land 63 = 47 then layout.Layout.by_index.(w asr 27)
-        else Layout.find layout th.Thread.fn
-    | Exec.Ev_ret -> e := Layout.find layout th.Thread.fn
+    | Exec.Ev_call | Exec.Ev_ret -> e := layout.Layout.by_index.(th.Thread.fn)
     | _ -> ()
   done;
   !done_
@@ -373,7 +388,7 @@ let watchdog = 1_000_000
 let run_probe probe ~spawning layout prog =
   let outputs = ref [] in
   let main = Thread.create ~id:0 in
-  main.Thread.fn <- prog.Ssp_ir.Prog.entry;
+  main.Thread.fn <- Layout.find layout prog.Ssp_ir.Prog.entry;
   main.Thread.active <- true;
   Thread.set main Ssp_isa.Reg.sp Ssp_ir.Prog.stack_base;
   (* at most 3 speculative contexts (4 contexts − main) *)
@@ -421,7 +436,7 @@ let run_probe probe ~spawning layout prog =
           | Some th ->
             ignore
               (exec Quiet layout env th
-                 ~instrs:(min burst (watchdog + 1 - th.Thread.instrs)));
+                 ~instrs:(Int.min burst (watchdog + 1 - th.Thread.instrs)));
             if th.Thread.instrs > watchdog then th.Thread.active <- false;
             if not th.Thread.active then specs.(si) <- None)
         specs
@@ -431,4 +446,11 @@ let run_probe probe ~spawning layout prog =
 let run ?(spawning = false) prog =
   run_probe Quiet ~spawning (Layout.of_prog prog) prog
 
-let count c layout prog = (run_probe (Count c) ~spawning:false layout prog).instrs
+let count c layout prog =
+  let n = (run_probe (Count c) ~spawning:false layout prog).instrs in
+  Hashtbl.filter_map_inplace
+    (fun (pc, _) k ->
+      let site = c.site_calls.(pc) in
+      Some (if site > 0 then site else k))
+    c.calls;
+  n

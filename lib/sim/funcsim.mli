@@ -25,8 +25,12 @@ type counts = {
   loads : int array;
       (** 6 per pc id: loads satisfied at L1, L2, L3, memory; partial
           hits (line in transit); cycles beyond an L1 hit *)
+  site_calls : int array;
+      (** per pc id: calls made by the decoded call there (it has one
+          callee); folded into [calls] by {!count} *)
   calls : (int * string, int) Hashtbl.t;
-      (** (call-site pc id, callee) → calls *)
+      (** (call-site pc id, callee) → calls, complete after {!count}; a
+          decoded call site enters it on its first call *)
 }
 (** Dense profile counters for the main thread. Each load or store
     accesses [hier] at cycle (main instructions executed + [mem_ops]):
@@ -81,5 +85,6 @@ val run : ?spawning:bool -> Ssp_ir.Prog.t -> result
     one is killed after 1M instructions. *)
 
 val count : counts -> Layout.t -> Ssp_ir.Prog.t -> int
-(** [run] without spawning under [Count], with the program's layout;
-    returns the main thread's instruction count. *)
+(** [run] without spawning under [Count], with the program's layout, then
+    [site_calls] folded into [calls]; returns the main thread's
+    instruction count. *)

@@ -40,7 +40,7 @@ type t = {
    ("sim.*") and the profiling pass ("profile.*") stay distinguishable in
    one run report. *)
 let create ?(tprefix = "sim") (cfg : Config.t) =
-  let cap = max 32 (2 * cfg.fill_buffer_entries) in
+  let cap = Int.max 32 (2 * cfg.fill_buffer_entries) in
   let l1d = Cache.create ~name:(tprefix ^ ".l1d") cfg.l1 in
   {
     cfg;
@@ -164,7 +164,7 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
     let fi = find_fill t line in
     if fi >= 0 then begin
       let done_at = t.fl_done.(fi) in
-      let ready = max done_at (now + t.cfg.l1.latency) in
+      let ready = Int.max done_at (now + t.cfg.l1.latency) in
       (match (t.attrib, pf_tag) with
       | Some a, Some tag -> Attrib.prefetch_redundant a tag
       | Some a, None ->
@@ -181,7 +181,7 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
          thread, so speculative traffic cannot starve the misses it is
          supposed to be helping. Prefetches are dropped outright when the
          buffer is full; speculative loads wait as if it were full. *)
-      let reserve = max 0 (t.cfg.fill_buffer_entries - 4) in
+      let reserve = Int.max 0 (t.cfg.fill_buffer_entries - 4) in
       let full = full || (low_priority && used >= reserve) in
       (* Injected fill-buffer exhaustion: pretend the buffer is full (only
          meaningful while fills are actually in flight — the delay is
@@ -195,15 +195,18 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
         { level = L1; partial = false; ready = now + 1 }
       end
       else begin
-        if full then T.incr t.tel_stalled;
+        (* A full fill buffer delays the new fill until the earliest
+           outstanding one retires. One with nothing in flight (a buffer
+           of 4 entries or fewer has no demand reserve, so a speculative
+           miss finds it full even when empty) starts the fill now. *)
+        let delayed = full && t.fl_n > 0 in
+        if delayed then T.incr t.tel_stalled;
         let origin, latency =
           if Cache.access t.l2 addr then (L2, t.cfg.l2.latency)
           else if Cache.access t.l3 addr then (L3, t.cfg.l3.latency)
           else (Mem, t.cfg.mem_latency)
         in
-        (* A full fill buffer delays the new fill until the earliest
-           outstanding one retires. *)
-        let start = if full then earliest_fill_done t else now in
+        let start = if delayed then earliest_fill_done t else now in
         let done_at = start + latency in
         add_fill t ~line ~origin ~done_at;
         (match (t.attrib, pf_tag) with

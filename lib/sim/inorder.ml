@@ -4,9 +4,10 @@ module T = Ssp_telemetry.Telemetry
 (* The in-order Itanium-flavoured core. Each instruction executes on its
    predecoded word through [Funcsim.step]; the static facts of its pc
    (sources, destinations, latency, memory and branch flags) come from the
-   [Layout] tables, the layout entry from [Smt.layout_of]'s per-context
-   memo, and events are constant constructors — the steady-state cycle
-   allocates (almost) nothing. A cycle in which no
+   [Layout] tables, the layout entry from [Smt.layout_of] (the thread's
+   function index into [Layout.by_index]), and events are constant
+   constructors — the steady-state cycle allocates (almost) nothing. A
+   cycle in which no
    context can issue is quiet: nothing changes until the earliest cycle at
    which one can, so the clock jumps there ([Smt.skip_quiet]). *)
 let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
@@ -14,7 +15,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   let m = Smt.create ?attrib ~sampling cfg prog in
   let stats = m.Smt.stats in
   let now = ref 0 in
-  let stepping = ref m.Smt.ctxs.(0) in
+  let stepping = ref 0 in
   let env = Smt.env m ~now ~stepping in
   let main = m.Smt.ctxs.(0) in
   let lay = m.Smt.lay in
@@ -23,7 +24,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   (* Issue as much as the thread's bundle budget allows this cycle.
      Returns the number of instructions issued. *)
   let issue_thread (ctx : Smt.context) =
-    stepping := ctx;
+    stepping := ctx.Smt.thread.Thread.id;
     let th = ctx.Smt.thread in
     let issued = ref 0 in
     let blocked = ref false in
@@ -96,7 +97,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
               blocked := true
             end
           | Exec.Ev_call | Exec.Ev_ret ->
-            Smt.set_defs_ready m ctx pcid (!now + max 1 base_latency);
+            Smt.set_defs_ready m ctx pcid (!now + Int.max 1 base_latency);
             (* Calls and returns redirect the front end briefly. *)
             ctx.Smt.redirect_until <- !now + 1;
             blocked := true
@@ -117,7 +118,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
               Smt.note_thread_end m ctx ~now:!now ~watchdog:false;
             blocked := true
           | Exec.Ev_plain ->
-            Smt.set_defs_ready m ctx pcid (!now + max 1 base_latency));
+            Smt.set_defs_ready m ctx pcid (!now + Int.max 1 base_latency));
           Smt.watchdog_check m ~now:!now ctx;
           (* Bundle accounting: crossing into a new bundle (or leaving the
              block) consumes one bundle slot. *)
@@ -151,7 +152,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     else begin
       let e = Smt.layout_of m c in
       let pc = e.Layout.block_base.(th.Thread.blk) + th.Thread.ins in
-      max c.Smt.redirect_until (Smt.src_ready m c pc)
+      Int.max c.Smt.redirect_until (Smt.src_ready m c pc)
     end
   in
   let eligible c = ready_cycle c <= !now in
@@ -175,14 +176,14 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     end
     else begin
       if nsel = 1 then
-        m.Smt.sel.(0).Smt.bundle_left <- cfg.Config.issue_bundles
+        m.Smt.ctxs.(m.Smt.sel.(0)).Smt.bundle_left <- cfg.Config.issue_bundles
       else
         for i = 0 to nsel - 1 do
-          m.Smt.sel.(i).Smt.bundle_left <- 1
+          m.Smt.ctxs.(m.Smt.sel.(i)).Smt.bundle_left <- 1
         done;
       main_issued := 0;
       for i = 0 to nsel - 1 do
-        let c = m.Smt.sel.(i) in
+        let c = m.Smt.ctxs.(m.Smt.sel.(i)) in
         let n = issue_thread c in
         if c.Smt.thread.Thread.id = 0 then main_issued := n
       done;

@@ -30,10 +30,10 @@ type entry = {
 }
 
 type t = {
-  tbl : (string, entry) Hashtbl.t;
+  tbl : (string, int) Hashtbl.t;  (** function name → [by_index] index *)
   by_index : entry array;
-      (** entries in [funcs_in_order] order; decoded call words index
-          this table directly *)
+      (** entries in [funcs_in_order] order; a function's index here is its
+          identity in the simulator ([Thread.fn], decoded call words) *)
   n_pcs : int;  (** total static instruction count *)
   irefs : Ssp_ir.Iref.t array;  (** pc id → instruction reference *)
   use_at : int array;
@@ -51,12 +51,13 @@ val code_base : int
 (** Base pseudo-address of the code segment (16 bytes per instruction,
     distinct from data addresses). *)
 
-val dummy : entry
-(** Physically-unique placeholder for per-context caches; never returned by
-    [find]. *)
-
 val of_prog : Ssp_ir.Prog.t -> t
-val find : t -> string -> entry
-(** Raises [Invalid_argument] for a name the program does not define. *)
+
+val find : t -> string -> int
+(** The named function's index in [by_index]. Raises [Invalid_argument]
+    for a name the program does not define. *)
+
+val name : t -> int -> string
+(** The name of the function at an index of [by_index]. *)
 
 val iref_of : t -> int -> Ssp_ir.Iref.t

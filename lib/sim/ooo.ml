@@ -24,9 +24,9 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   let m = Smt.create ?attrib ~sampling cfg prog in
   let stats = m.Smt.stats in
   let now = ref 0 in
-  let stepping = ref m.Smt.ctxs.(0) in
+  let stepping = ref 0 in
   let env = Smt.env m ~now ~stepping in
-  let rob_cap = max 1 cfg.Config.rob_entries in
+  let rob_cap = Int.max 1 cfg.Config.rob_entries in
   let oths =
     Array.map
       (fun ctx ->
@@ -49,7 +49,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   let port_tag = Array.make port_ring (-1) in
   let port_cnt = Array.make port_ring 0 in
   let acquire_port start =
-    let c = ref (max start !now) in
+    let c = ref (Int.max start !now) in
     let found = ref (-1) in
     while !found < 0 do
       let i = !c mod port_ring in
@@ -88,7 +88,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   (* Dispatch one instruction of the thread; false = dispatch must stop. *)
   let dispatch_one ot =
     let ctx = ot.ctx in
-    stepping := ctx;
+    stepping := ctx.Smt.thread.Thread.id;
     let th = ctx.Smt.thread in
     if not th.Thread.active then false
     else if ot.rob_n >= cfg.Config.rob_entries then false
@@ -96,7 +96,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       let e = Smt.layout_of m ctx in
       let blk0 = th.Thread.blk and ins0 = th.Thread.ins in
       let pcid = e.Layout.block_base.(blk0) + ins0 in
-      let ready_at = max !now (Smt.src_ready m ctx pcid) in
+      let ready_at = Int.max !now (Smt.src_ready m ctx pcid) in
       if ready_at > !now && ot.waiting >= cfg.Config.rs_entries then false
       else if ready_at - !now >= rs_horizon then false
       else begin
@@ -109,7 +109,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
             e.Layout.dec.Decode.code.(blk0).(ins0)
         in
         Smt.count_issue m th;
-        let base_latency = max 1 lay.Layout.latency.(pcid) in
+        let base_latency = Int.max 1 lay.Layout.latency.(pcid) in
         let complete = ref (ready_at + base_latency) in
         (match ev with
         | Exec.Ev_load ->
@@ -147,7 +147,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
           if cfg.Config.spawn_flush then begin
             (* Spawning happens at retirement: flush costs the front-end
                refill plus draining the in-flight window (§4.4.1). *)
-            let drain = ot.rob_n / max 1 cfg.Config.retire_width in
+            let drain = ot.rob_n / Int.max 1 cfg.Config.retire_width in
             ctx.Smt.redirect_until <-
               !now + cfg.Config.front_end_penalty + drain
           end
@@ -165,16 +165,16 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         Smt.set_defs_ready m ctx pcid !complete;
         ot.rob.((ot.rob_head + ot.rob_n) mod rob_cap) <- !complete;
         ot.rob_n <- ot.rob_n + 1;
-        ot.rob_max <- max ot.rob_max !complete;
+        ot.rob_max <- Int.max ot.rob_max !complete;
         (* Spawning happens at the retirement stage (§2.1): the child
            context cannot start before everything ahead of the spawn in
            this thread's window has retired. *)
         (match ev with
         | Exec.Ev_spawned when m.Smt.last_spawned >= 0 ->
           let child = m.Smt.ctxs.(m.Smt.last_spawned) in
-          let retire_at = max !now ot.rob_max in
+          let retire_at = Int.max !now ot.rob_max in
           child.Smt.redirect_until <-
-            max child.Smt.redirect_until
+            Int.max child.Smt.redirect_until
               (retire_at + cfg.Config.spawn_latency + cfg.Config.lib_latency)
         | _ -> ());
         if ready_at > !now then begin
@@ -234,11 +234,11 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         w := !t
       end
     done;
-    max (!now + 1) !w
+    Int.max (!now + 1) !w
   in
   let dispatch_budget = ref 0 in
-  let dispatch_chosen (c : Smt.context) =
-    let ot = oths.(c.Smt.thread.Thread.id) in
+  let dispatch_chosen id =
+    let ot = oths.(id) in
     let budget = !dispatch_budget in
     let k = ref 0 in
     let go = ref true in
@@ -258,7 +258,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
          [now + rs_horizon], and waking at [max_cycles + 1] at the latest
          keeps the bound exact. *)
       let wake =
-        wake_cycle (min (!now + rs_horizon) (cfg.Config.max_cycles + 1))
+        wake_cycle (Int.min (!now + rs_horizon) (cfg.Config.max_cycles + 1))
       in
       (* Drain the start slots of the skipped cycles, as [begin_cycle]
          would have. *)

@@ -46,7 +46,7 @@ let jitter_seed = 0x5350_4331L
 let ff_jitter st ~window =
   let r = Int64.to_int (Int64.logand (sm64 st) 0xFFFFL) in
   let f = 0.5 +. (float_of_int r /. 65536.0) in
-  max 1 (int_of_float (float_of_int window *. f))
+  Int.max 1 (int_of_float (float_of_int window *. f))
 
 type context = {
   thread : Thread.t;
@@ -58,8 +58,6 @@ type context = {
   mutable spawned_at : int;  (* cycle the current speculative thread began; -1 idle *)
   mutable spawn_src : Ssp_ir.Iref.t option;  (* Spawn instruction that bound it *)
   mutable spawn_target : string;  (* "fn#blk" label for timelines *)
-  lay_fns : string array;  (* physical-equality keys of [lays], MRU first *)
-  lays : Layout.entry array;
 }
 
 (* Sampled-window state: main-thread instructions left in the current
@@ -94,7 +92,7 @@ type machine = {
   bp : Bpred.t;
   lay : Layout.t;
   ctxs : context array;
-  sel : context array;
+  sel : int array;
   stats : Stats.t;
   mutable rr : int;
   delinquent_pc : bool array;
@@ -118,18 +116,16 @@ let new_context id =
     spawned_at = -1;
     spawn_src = None;
     spawn_target = "";
-    lay_fns = Array.init 4 (fun _ -> String.make 1 '\000');
-    lays = Array.make 4 Layout.dummy;
   }
 
 let create ?attrib ~sampling cfg prog =
+  let lay = Layout.of_prog prog in
   let ctxs = Array.init cfg.Config.n_contexts new_context in
   let main = ctxs.(0).thread in
-  main.Thread.fn <- prog.Ssp_ir.Prog.entry;
+  main.Thread.fn <- Layout.find lay prog.Ssp_ir.Prog.entry;
   main.Thread.active <- true;
   Thread.set main Ssp_isa.Reg.sp Ssp_ir.Prog.stack_base;
-  let lay = Layout.of_prog prog in
-  let delinquent_pc = Array.make (max 1 lay.Layout.n_pcs) false in
+  let delinquent_pc = Array.make (Int.max 1 lay.Layout.n_pcs) false in
   (match cfg.Config.memory_mode with
   | Config.Perfect_delinquent s ->
     Array.iteri
@@ -149,7 +145,7 @@ let create ?attrib ~sampling cfg prog =
     bp = Bpred.create cfg;
     lay;
     ctxs;
-    sel = Array.copy ctxs;
+    sel = Array.make (Array.length ctxs) 0;
     stats;
     rr = 0;
     delinquent_pc;
@@ -175,45 +171,11 @@ let create ?attrib ~sampling cfg prog =
     tel_watchdog_kills = T.counter "sim.watchdog_kills";
   }
 
-(* The context's current layout entry, memoized in four move-to-front
-   physical-equality slots, so a loop cycling through a few functions
-   stays off the Hashtbl. *)
-let lay_promote (ctx : context) i fn e =
-  let fns = ctx.lay_fns and ls = ctx.lays in
-  for j = i downto 1 do
-    fns.(j) <- fns.(j - 1);
-    ls.(j) <- ls.(j - 1)
-  done;
-  fns.(0) <- fn;
-  ls.(0) <- e
-
+(* The context's current layout entry: the thread names its function by
+   its [Layout.by_index] index. *)
 let layout_of m (ctx : context) =
   let th = ctx.thread in
-  let fn = th.Thread.fn in
-  let fns = ctx.lay_fns in
-  let e =
-    if Array.unsafe_get fns 0 == fn then Array.unsafe_get ctx.lays 0
-    else if Array.unsafe_get fns 1 == fn then begin
-      let e = ctx.lays.(1) in
-      lay_promote ctx 1 fn e;
-      e
-    end
-    else if Array.unsafe_get fns 2 == fn then begin
-      let e = ctx.lays.(2) in
-      lay_promote ctx 2 fn e;
-      e
-    end
-    else if Array.unsafe_get fns 3 == fn then begin
-      let e = ctx.lays.(3) in
-      lay_promote ctx 3 fn e;
-      e
-    end
-    else begin
-      let e = Layout.find m.lay fn in
-      lay_promote ctx 3 fn e;
-      e
-    end
-  in
+  let e = Array.unsafe_get m.lay.Layout.by_index th.Thread.fn in
   Funcsim.fall_through e th;
   e
 
@@ -274,7 +236,7 @@ let note_thread_end m (ctx : context) ~now ~watchdog =
       T.emit_complete ~cat:"spec_thread" ~pid:T.pid_sim
         ~tid:ctx.thread.Thread.id
         ~ts:(float_of_int ctx.spawned_at)
-        ~dur:(float_of_int (max 0 (now - ctx.spawned_at)))
+        ~dur:(float_of_int (Int.max 0 (now - ctx.spawned_at)))
         ~args:
           [
             ("target", ctx.spawn_target);
@@ -308,8 +270,8 @@ let try_spawn m ~now ~src ~fn ~blk ~live_in =
     ctx.spawned_at <- now;
     ctx.spawn_src <- Some src;
     ctx.spawn_target <-
-      (if m.attrib <> None || T.events_on () then
-         fn ^ "#" ^ string_of_int blk
+      (if Option.is_some m.attrib || T.events_on () then
+         Layout.name m.lay fn ^ "#" ^ string_of_int blk
        else "");
     m.stats.Stats.spawns <- m.stats.Stats.spawns + 1;
     T.incr m.tel_spawns;
@@ -317,26 +279,26 @@ let try_spawn m ~now ~src ~fn ~blk ~live_in =
     m.last_spawned <- ctx.thread.Thread.id;
     true
 
-(* Fill [m.sel] with up to [issue_threads] eligible contexts — the
-   non-speculative thread first (it has priority for fetch/issue slots),
-   speculative contexts round-robin — and return how many. The scratch
-   array replaces the per-cycle list the old selector consed. *)
+(* Fill [m.sel] with the ids of up to [issue_threads] eligible contexts —
+   the non-speculative thread first (it has priority for fetch/issue
+   slots), speculative contexts round-robin — and return how many. The
+   scratch array replaces the per-cycle list the old selector consed; it
+   holds ids, not contexts, so filling it stores no pointer. *)
 let select_threads m ~eligible =
   let n = Array.length m.ctxs in
   let count = ref 0 in
   if eligible m.ctxs.(0) then begin
-    m.sel.(0) <- m.ctxs.(0);
+    m.sel.(0) <- 0;
     count := 1
   end;
   for k = 0 to n - 2 do
     let i = 1 + ((m.rr + k) mod (n - 1)) in
-    let c = m.ctxs.(i) in
-    if !count < m.cfg.Config.issue_threads && eligible c then begin
-      m.sel.(!count) <- c;
+    if !count < m.cfg.Config.issue_threads && eligible m.ctxs.(i) then begin
+      m.sel.(!count) <- i;
       incr count
     end
   done;
-  m.rr <- (m.rr + 1) mod (max 1 (n - 1));
+  m.rr <- (m.rr + 1) mod Int.max 1 (n - 1);
   !count
 
 let level_rank = function
@@ -405,7 +367,7 @@ let end_cycle m iv ~now ~busy =
 (* Charge the cycles [t, min upto until) to category index [i]; returns
    the cycle the charge ends at. *)
 let charge (stats : Stats.t) i ~t ~upto ~until =
-  let e = max t (min upto until) in
+  let e = Int.max t (Int.min upto until) in
   stats.Stats.categories.(i) <- stats.Stats.categories.(i) + (e - t);
   e
 
@@ -422,7 +384,7 @@ let skip_quiet m iv ~now ~until =
   let t = charge s (cat Stats.Cat_l2) ~t ~upto:fr.(3) ~until in
   let t = charge s (cat Stats.Cat_l1) ~t ~upto:fr.(2) ~until in
   ignore (charge s (cat Stats.Cat_other) ~t ~upto:until ~until);
-  m.rr <- (m.rr + (until - now - 1)) mod max 1 (Array.length m.ctxs - 1);
+  m.rr <- (m.rr + (until - now - 1)) mod Int.max 1 (Array.length m.ctxs - 1);
   s.Stats.cycles <- until;
   if T.is_enabled () then begin
     let b = ref ((now / interval_cycles + 1) * interval_cycles) in
@@ -535,18 +497,19 @@ let fast_forward m (env : Exec.env) ~now ~instrs =
   m.ff <- false;
   n
 
-(* The callbacks through which an instruction of the context in
-   [stepping] asks for timing decisions, at cycle [now]. *)
+(* The callbacks through which an instruction of the context whose id is
+   in [stepping] asks for timing decisions, at cycle [now]. *)
 let env m ~now ~stepping =
   {
     Exec.mem = m.mem;
     prog = m.prog;
-    chk_free = (fun () -> chk_allowed m ~now:!now !stepping);
+    chk_free = (fun () -> chk_allowed m ~now:!now m.ctxs.(!stepping));
     spawn =
       (fun ~src ~fn ~blk ~live_in ->
         (* Injected chained-spawn breakage: a speculative thread's spawn
            silently fails, cutting the chain. *)
-        if (!stepping).thread.Thread.speculative && F.fire site_chain_break
+        if m.ctxs.(!stepping).thread.Thread.speculative
+           && F.fire site_chain_break
         then false
         else try_spawn m ~now:!now ~src ~fn ~blk ~live_in);
     output = (fun v -> Stats.push_output m.stats v);
@@ -623,7 +586,7 @@ let finish m ~now =
     (* Cycle categories are only counted during detailed windows;
        extrapolate them by the same factor as cycles so the printed
        breakdown stays a per-cycle distribution. *)
-    let k = float_of_int stats.Stats.cycles /. float_of_int (max 1 now) in
+    let k = float_of_int stats.Stats.cycles /. float_of_int (Int.max 1 now) in
     Array.iteri
       (fun i c ->
         stats.Stats.categories.(i) <-

@@ -31,10 +31,6 @@ type context = {
   mutable spawn_src : Ssp_ir.Iref.t option;
       (** the [Spawn] instruction that bound this occupancy *)
   mutable spawn_target : string;  (** "fn#blk" label for timeline events *)
-  lay_fns : string array;
-      (** physical-equality keys of [lays], most recent first: four
-          move-to-front slots keep call/return cycles off the Hashtbl *)
-  lays : Layout.entry array;  (** memoized layout entries *)
 }
 
 type window
@@ -54,8 +50,8 @@ type machine = {
   hier : Hierarchy.t;
   bp : Bpred.t;
   lay : Layout.t;
-  ctxs : context array;
-  sel : context array;  (** scratch filled by {!select_threads} *)
+  ctxs : context array;  (** indexed by context id *)
+  sel : int array;  (** scratch of context ids filled by {!select_threads} *)
   stats : Stats.t;
   mutable rr : int;  (** round-robin cursor over contexts *)
   delinquent_pc : bool array;
@@ -83,9 +79,11 @@ val create :
     its hierarchy (bookkeeping only; timing is unchanged); [Some] sampling
     alternates detailed and fast-forwarded windows ({!sample}). *)
 
-val env : machine -> now:int ref -> stepping:context ref -> Exec.env
+val env : machine -> now:int ref -> stepping:int ref -> Exec.env
 (** The timing callbacks of a cycle core whose clock is [now] and which is
-    stepping the context in [stepping]: the chk.c policy
+    stepping the context whose id is in [stepping] (an id, not the
+    context: setting it at every issue then stores no pointer): the chk.c
+    policy
     ({!chk_allowed}), spawning ({!try_spawn}, with the injected
     chained-spawn breakage for speculative spawners) and outputs. *)
 
@@ -112,11 +110,11 @@ val finish : machine -> now:int -> Stats.t
     {!Stats.finish}. *)
 
 val layout_of : machine -> context -> Layout.entry
-(** The layout entry of the context's current function, memoized in the
-    context (physical equality on [fn]); allocation-free on the hit path.
-    Applies fall-through first (a pc one past the last instruction of a
-    block moves to the next block), so the thread's [blk]/[ins] then index
-    the instruction it executes next. *)
+(** The layout entry of the context's current function: the thread names
+    it by its [Layout.by_index] index, so this is one array load. Applies
+    fall-through first (a pc one past the last instruction of a block
+    moves to the next block), so the thread's [blk]/[ins] then index the
+    instruction it executes next. *)
 
 val src_ready : machine -> context -> int -> int
 (** The latest cycle at which a source register of the instruction at the
@@ -134,9 +132,9 @@ val note_thread_end : machine -> context -> now:int -> watchdog:bool -> unit
     call it for the other endings. *)
 
 val select_threads : machine -> eligible:(context -> bool) -> int
-(** Fill [sel] with up to [issue_threads] contexts in priority order (main
-    thread first, then round-robin) satisfying [eligible]; returns the
-    count and advances the cursor. Allocation-free. *)
+(** Fill [sel] with the ids of up to [issue_threads] contexts in priority
+    order (main thread first, then round-robin) satisfying [eligible];
+    returns the count and advances the cursor. Allocation-free. *)
 
 type interval
 (** Per-interval telemetry state of one run: the main thread's instruction

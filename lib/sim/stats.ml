@@ -48,7 +48,7 @@ let push_output t v =
   let n = t.out_n in
   let cap = Array.length t.out_buf in
   if n >= cap then begin
-    let nb = Array.make (max 64 (2 * cap)) 0L in
+    let nb = Array.make (Int.max 64 (2 * cap)) 0L in
     Array.blit t.out_buf 0 nb 0 cap;
     t.out_buf <- nb
   end;

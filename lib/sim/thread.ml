@@ -1,17 +1,27 @@
+(* Registers live unboxed: 8-byte slots of a [Bytes.t], read and written
+   with the [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives, so a
+   register write neither allocates an [Int64] box nor runs the write
+   barrier. A frame's saved stacked registers use the same layout, and a
+   call or return moves them with one [Bytes.blit]. The current function
+   is its [Layout.by_index] index. *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 type frame = {
-  saved_stacked : int64 array;
+  saved_stacked : Bytes.t;
   mutable saved_n : int;
   mutable ret_blk : int;
   mutable ret_ins : int;
-  mutable ret_fn : string;
+  mutable ret_fn : int;
 }
 
 type t = {
   id : int;
-  mutable fn : string;
+  mutable fn : int;
   mutable blk : int;
   mutable ins : int;
-  regs : int64 array;
+  regs : Bytes.t;
   mutable frames : frame array;
   mutable frame_n : int;
   mutable live_in : int64 array;
@@ -19,24 +29,28 @@ type t = {
   mutable speculative : bool;
   mutable active : bool;
   mutable instrs : int;
-  mutable rand_state : int64;
+  rand_state : Bytes.t;
 }
 
 let lib_slots = 16
 
 let n_stacked = Ssp_isa.Reg.count - Ssp_isa.Reg.first_stacked
 
+let stacked_off = 8 * Ssp_isa.Reg.first_stacked
+
 let new_frame () =
-  { saved_stacked = Array.make n_stacked 0L; saved_n = n_stacked;
-    ret_blk = 0; ret_ins = 0; ret_fn = "" }
+  { saved_stacked = Bytes.make (8 * n_stacked) '\000'; saved_n = n_stacked;
+    ret_blk = 0; ret_ins = 0; ret_fn = 0 }
 
 let create ~id =
+  let rand_state = Bytes.create 8 in
+  set64u rand_state 0 0x9E3779B97F4A7C15L;
   {
     id;
-    fn = "";
+    fn = 0;
     blk = 0;
     ins = 0;
-    regs = Array.make Ssp_isa.Reg.count 0L;
+    regs = Bytes.make (8 * Ssp_isa.Reg.count) '\000';
     frames = Array.init 16 (fun _ -> new_frame ());
     frame_n = 0;
     live_in = Array.make lib_slots 0L;
@@ -44,21 +58,21 @@ let create ~id =
     speculative = false;
     active = false;
     instrs = 0;
-    rand_state = 0x9E3779B97F4A7C15L;
+    rand_state;
   }
 
 let reset_for_spawn t ~fn ~blk ~live_in ~rand_state =
   t.fn <- fn;
   t.blk <- blk;
   t.ins <- 0;
-  Array.fill t.regs 0 (Array.length t.regs) 0L;
+  Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
   t.frame_n <- 0;
   t.live_in <- Array.copy live_in;
   Array.fill t.lib_out 0 lib_slots 0L;
   t.speculative <- true;
   t.active <- true;
   t.instrs <- 0;
-  t.rand_state <- rand_state
+  set64u t.rand_state 0 rand_state
 
 let push_frame t ~ret_blk ~ret_ins =
   let cap = Array.length t.frames in
@@ -76,8 +90,8 @@ let push_frame t ~ret_blk ~ret_ins =
 
 (* Register indices are range-validated at every producer (Ir.Builder,
    Core.Codegen, Ir.Asm's parser all reject r >= Reg.count), so the
-   per-instruction accessors skip the redundant bounds check. *)
-let get t r = if r = Ssp_isa.Reg.zero then 0L else Array.unsafe_get t.regs r
+   per-instruction accessors skip the redundant bounds check. r0's slot is
+   never written, so it reads as the hardwired zero. *)
+let get t r = get64u t.regs (8 * r)
 
-let set t r v =
-  if r <> Ssp_isa.Reg.zero then Array.unsafe_set t.regs r v
+let set t r v = if r <> Ssp_isa.Reg.zero then set64u t.regs (8 * r) v

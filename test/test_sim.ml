@@ -78,7 +78,20 @@ let test_fill_buffer_pressure () =
   done;
   let o = Hierarchy.access h ~now:1 0x900000 in
   Alcotest.(check bool) "delayed past a retirement" true
-    (o.Hierarchy.ready >= 230 + 230)
+    (o.Hierarchy.ready >= 230 + 230);
+  (* A 2-entry buffer has no demand reserve, so a speculative miss finds
+     it full even when it is empty; with nothing in flight to wait for,
+     the fill starts at once. *)
+  let h =
+    Hierarchy.create { cfg with Ssp_machine.Config.fill_buffer_entries = 2 }
+  in
+  let o = Hierarchy.demand h ~now:100 ~low_priority:true 0x123440 in
+  Alcotest.(check int) "speculative miss at an empty buffer" 330
+    o.Hierarchy.ready;
+  let o = Hierarchy.demand h ~now:101 ~low_priority:false 0x123440 in
+  Alcotest.(check bool) "main thread finds it in flight" true
+    o.Hierarchy.partial;
+  Alcotest.(check int) "ready when that fill lands" 330 o.Hierarchy.ready
 
 let test_bpred_learns () =
   let cfg = Ssp_machine.Config.in_order in
@@ -96,6 +109,24 @@ let test_funcsim_fact () =
   let p = Test_ir.fact_program 10 in
   let r = Funcsim.run p in
   Alcotest.(check (list int64)) "10! printed" [ 3628800L ] r.Funcsim.outputs
+
+(* The functional interpreter keeps the OCaml runtime off its path:
+   registers are unboxed and memory pages are found without hashing, so
+   a run allocates well under one minor-heap word per instruction (set-up
+   included). The count is deterministic. *)
+let test_funcsim_alloc_budget () =
+  List.iter
+    (fun (w : Ssp_workloads.Workload.t) ->
+      let prog = Ssp_workloads.Workload.program w ~scale:1 in
+      let before = Gc.minor_words () in
+      let r = Funcsim.run prog in
+      let per_instr =
+        (Gc.minor_words () -. before) /. float_of_int r.Funcsim.instrs
+      in
+      if per_instr > 0.5 then
+        Alcotest.failf "%s: %.3f minor words per instruction (budget 0.5)"
+          w.Ssp_workloads.Workload.name per_instr)
+    Ssp_workloads.Suite.all
 
 let test_funcsim_memory_program () =
   (* Store then load through a pointer chain: a[0]=&b; b[0]=99; print **a. *)
@@ -330,33 +361,51 @@ let suite =
     Alcotest.test_case "branch predictor learns" `Quick test_bpred_learns;
     Alcotest.test_case "funcsim factorial" `Quick test_funcsim_fact;
     Alcotest.test_case "funcsim pointer chain" `Quick test_funcsim_memory_program;
+    Alcotest.test_case "functional interpreter allocation budget" `Quick
+      test_funcsim_alloc_budget;
   ]
 
 (* ---------- property tests ---------- *)
 
-(* Memory vs a byte-map reference model. *)
+(* Memory vs a byte-map reference model. Accesses interleave bases on
+   pages whose ids differ by multiples of the 64-slot page cache (so they
+   evict each other from one slot) with a base next to it, and offsets
+   reach past a page end, so some accesses cross into the next page. Every
+   other write, and every read a second time, goes through the register-
+   slot entry points the decoded loads and stores use. *)
 let prop_memory =
+  let page = 1 lsl 16 in
+  let bases =
+    [ 0x30000; 0x30000 + (64 * page); 0x30000 + (128 * page);
+      0x30000 + (4096 * page); 0x40000; Int64.to_int Prog.heap_base ]
+  in
   let gen =
     QCheck.Gen.(
+      let off = oneof [ 0 -- 2000; (page - 2000) -- (page + 8) ] in
       list_size (1 -- 60)
-        (triple (0 -- 2000) (oneofl [ 1; 2; 4; 8 ])
-           (map Int64.of_int (0 -- 1_000_000))))
+        (pair
+           (pair (oneofl bases) off)
+           (pair (oneofl [ 1; 2; 4; 8 ]) (map Int64.of_int (0 -- 1_000_000)))))
   in
   QCheck.Test.make ~name:"memory matches byte-map reference" ~count:100
     (QCheck.make gen) (fun ops ->
       let m = Memory.create () in
       let ref_bytes = Hashtbl.create 64 in
-      let base = 0x30000 in
-      List.iter
-        (fun (off, w, v) ->
-          Memory.write m (base + off) w v;
+      let slot = Bytes.create 8 in
+      List.iteri
+        (fun k ((base, off), (w, v)) ->
+          if k land 1 = 0 then Memory.write m (base + off) w v
+          else begin
+            Bytes.set_int64_ne slot 0 v;
+            Memory.write_from m (base + off) w slot 0
+          end;
           for i = 0 to w - 1 do
             Hashtbl.replace ref_bytes (base + off + i)
               (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
           done)
         ops;
       List.for_all
-        (fun (off, w, _) ->
+        (fun ((base, off), (w, _)) ->
           let got = Memory.read m (base + off) w in
           let expect =
             let rec go i acc =
@@ -370,7 +419,9 @@ let prop_memory =
             in
             go (w - 1) 0L
           in
-          Int64.equal got expect)
+          Memory.read_to m (base + off) w slot 0;
+          Int64.equal got expect
+          && Int64.equal (Bytes.get_int64_ne slot 0) expect)
         ops)
 
 (* Set-associative LRU cache vs a naive reference model. *)
