@@ -29,7 +29,7 @@ let collect ?(config = Ssp_machine.Config.in_order) prog =
            e.Layout.func.Ssp_ir.Prog.blocks))
     layout.Layout.by_index;
   for pc = 0 to n - 1 do
-    let iref = Layout.iref_of layout pc in
+    let iref = layout.Layout.irefs.(pc) in
     let taken = c.Funcsim.branches.(2 * pc)
     and not_taken = c.Funcsim.branches.((2 * pc) + 1) in
     if taken + not_taken > 0 then
@@ -51,7 +51,7 @@ let collect ?(config = Ssp_machine.Config.in_order) prog =
   done;
   Hashtbl.iter
     (fun (pc, callee) k ->
-      let site = Layout.iref_of layout pc in
+      let site = layout.Layout.irefs.(pc) in
       let tbl =
         match Ssp_ir.Iref.Tbl.find_opt profile.Profile.calls site with
         | Some t -> t

@@ -33,67 +33,70 @@ type event =
 (* The 62-bit effective address [b + off]. *)
 let addr t b off = (Int64.to_int (Thread.get t b) + off) land max_int
 
-(* A call's frame: the caller's stacked registers, all of them. *)
-let push_call (t : Thread.t) =
-  let fr = Thread.push_frame t ~ret_blk:t.blk ~ret_ins:(t.ins + 1) in
+(* A call to the function at layout index [fn]: the frame saves the
+   caller's stacked registers, all of them, and returns past the call. *)
+let call lay (t : Thread.t) fn =
+  let fr = Thread.push_frame t ~ret_pc:(t.pc + 1) in
   Bytes.blit t.regs Thread.stacked_off fr.Thread.saved_stacked 0
-    (8 * (Reg.count - Reg.first_stacked))
+    (8 * (Reg.count - Reg.first_stacked));
+  t.pc <- Layout.pc_of lay fn 0
+
+(* The pc of label [l]'s block in [e]'s function; raises for a label that
+   does not resolve. *)
+let label_pc (e : Layout.entry) l =
+  e.Layout.block_base.(Ssp_ir.Prog.block_index e.Layout.func l)
 
 (* The rare ops [Decode] marks [slow]. Everything else runs on the decoded
-   word in [Funcsim.step], which also counts the instruction. A function is
-   named by its [Layout] index; the names these arms meet are resolved
+   word in [Funcsim.step], which also counts the instruction. The op is
+   recovered from the pc, and the names and labels it holds are resolved
    here, once per executed op. *)
-let step_op env lay (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
-  match op with
+let step_op env (lay : Layout.t) (t : Thread.t) =
+  let pc = t.pc in
+  let src = lay.Layout.irefs.(pc) in
+  let e = lay.Layout.by_index.(lay.Layout.fn_of.(pc)) in
+  match e.Layout.func.blocks.(src.blk).ops.(src.ins) with
   | Op.Load (w, d, b, off) ->
     let addr = addr t b off in
     (* Loads zero-extend (documented in Op); value already masked. *)
     Thread.set t d (Memory.read env.mem addr (Op.width_bytes w));
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     env.ev_addr <- addr;
     Ev_load
   | Op.Store (w, s, b, off) ->
     let addr = addr t b off in
     if not t.speculative then
       Memory.write env.mem addr (Op.width_bytes w) (Thread.get t s);
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     env.ev_addr <- addr;
     Ev_store
   | Op.Lfetch (b, off) ->
     env.ev_addr <- addr t b off;
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     Ev_prefetch
   | Op.Br l ->
-    t.blk <- Ssp_ir.Prog.block_index f l;
-    t.ins <- 0;
+    t.pc <- label_pc e l;
     Ev_branch_taken
   | Op.Brnz (s, l) ->
     if not (Int64.equal (Thread.get t s) 0L) then begin
-      t.blk <- Ssp_ir.Prog.block_index f l;
-      t.ins <- 0;
+      t.pc <- label_pc e l;
       Ev_branch_taken
     end
     else begin
-      t.ins <- t.ins + 1;
+      t.pc <- pc + 1;
       Ev_branch_not_taken
     end
   | Op.Brz (s, l) ->
     if Int64.equal (Thread.get t s) 0L then begin
-      t.blk <- Ssp_ir.Prog.block_index f l;
-      t.ins <- 0;
+      t.pc <- label_pc e l;
       Ev_branch_taken
     end
     else begin
-      t.ins <- t.ins + 1;
+      t.pc <- pc + 1;
       Ev_branch_not_taken
     end
   | Op.Call (callee, _) ->
     (* decoded as [slow] only when the callee is unknown: raises *)
-    let fn = Layout.find lay callee in
-    push_call t;
-    t.fn <- fn;
-    t.blk <- 0;
-    t.ins <- 0;
+    call lay t (Layout.find lay callee);
     Ev_call
   | Op.Icall (r, _) -> (
     let id = Int64.to_int (Thread.get t r) in
@@ -104,53 +107,47 @@ let step_op env lay (t : Thread.t) (f : Ssp_ir.Prog.func) (op : Op.t) =
       if not t.speculative then
         failwith
           (Printf.sprintf "Exec: indirect call to unknown code id %d" id);
-      t.ins <- t.ins + 1;
+      t.pc <- pc + 1;
       Ev_plain
     | Some callee ->
-      let fn = Layout.find lay callee.Ssp_ir.Prog.name in
-      push_call t;
-      t.fn <- fn;
-      t.blk <- 0;
-      t.ins <- 0;
+      call lay t (Layout.find lay callee.Ssp_ir.Prog.name);
       Ev_call)
   | Op.Chk_c stub ->
     if env.chk_free () then begin
-      t.blk <- Ssp_ir.Prog.block_index f stub;
-      t.ins <- 0;
+      t.pc <- label_pc e stub;
       Ev_chk_fired
     end
     else begin
-      t.ins <- t.ins + 1;
+      t.pc <- pc + 1;
       Ev_chk_nofire
     end
   | Op.Spawn (fn, label) ->
     let target = Ssp_ir.Prog.find_func env.prog fn in
     let blk = Ssp_ir.Prog.block_index target label in
-    let src = { Ssp_ir.Iref.fn = f.name; blk = t.blk; ins = t.ins } in
     let accepted =
       env.spawn ~src ~fn:(Layout.find lay fn) ~blk ~live_in:t.lib_out
     in
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     if accepted then Ev_spawned else Ev_spawn_denied
   | Op.Lib_st (slot, s) ->
     if slot >= 0 && slot < Thread.lib_slots then
       t.lib_out.(slot) <- Thread.get t s;
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     Ev_lib
   | Op.Lib_ld (d, slot) ->
     if slot >= 0 && slot < Thread.lib_slots then
       Thread.set t d t.live_in.(slot)
     else Thread.set t d 0L;
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     Ev_lib
   | Op.Alloc (d, s) ->
     if t.speculative then Thread.set t d 0L
     else Thread.set t d (Memory.alloc env.mem (Thread.get t s));
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     Ev_plain
   | Op.Print s ->
     if not t.speculative then env.output (Thread.get t s);
-    t.ins <- t.ins + 1;
+    t.pc <- pc + 1;
     Ev_plain
   | Op.Nop | Op.Movi _ | Op.Mov _ | Op.Alu _ | Op.Alui _ | Op.Cmp _
   | Op.Cmpi _ | Op.Ret | Op.Halt | Op.Kill | Op.Rand _ ->

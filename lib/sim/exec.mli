@@ -23,8 +23,8 @@ type env = {
       (** does a free hardware context exist right now? *)
   spawn : src:Ssp_ir.Iref.t -> fn:int -> blk:int -> live_in:int64 array -> bool;
       (** try to bind a free context at block [blk] of function [fn] (a
-          [Layout.by_index] index); false = ignored. [src] is the spawning
-          [Spawn] instruction (for attribution). *)
+          [Layout.by_index] index, see [Layout.pc_of]); false = ignored.
+          [src] is the spawning [Spawn] instruction (for attribution). *)
   output : int64 -> unit;  (** observable output of [Print] *)
   mutable ev_addr : int;
       (** effective address (62-bit, native int) of the most recent
@@ -52,12 +52,11 @@ type event =
   | Ev_spawn_denied
   | Ev_lib  (** live-in buffer access *)
 
-val step_op :
-  env -> Layout.t -> Thread.t -> Ssp_ir.Prog.func -> Ssp_isa.Op.t -> event
-(** Execute one [slow] instruction and advance the pc (it does not count
-    the instruction: the caller has). The caller passes the program's
-    layout, the thread's current function and the instruction at its pc;
-    a callee or spawn target named in the op is resolved to its layout
-    index here. Raises [Invalid_argument] for an op that always decodes to
-    its own word, and for a call to a function the program does not
-    define. *)
+val step_op : env -> Layout.t -> Thread.t -> event
+(** Execute the thread's next instruction, a [slow] one, and advance the
+    pc (it does not count the instruction: the caller has). The boxed op
+    is recovered from the pc through the layout; a target label, callee or
+    spawn target named in it is resolved here. Raises [Invalid_argument]
+    for an op that always decodes to its own word, and for a call to a
+    function the program does not define; a label that does not resolve
+    raises when the op branches to it. *)

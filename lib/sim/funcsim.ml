@@ -20,45 +20,35 @@ let count_access c (th : Thread.t) addr =
     ~low_priority:false addr
 
 let count_load c th pc addr =
-  let o = count_access c th addr in
+  let ready = count_access c th addr in
   let now = th.Thread.instrs + c.mem_ops in
   let k = 6 * pc in
-  let l =
-    k + match o.Hierarchy.level with L1 -> 0 | L2 -> 1 | L3 -> 2 | Mem -> 3
-  in
+  let level = Hierarchy.last_level c.hier in
+  let l = k + match level with L1 -> 0 | L2 -> 1 | L3 -> 2 | Mem -> 3 in
   c.loads.(l) <- c.loads.(l) + 1;
-  if o.Hierarchy.partial then c.loads.(k + 4) <- c.loads.(k + 4) + 1;
+  if Hierarchy.last_partial c.hier then c.loads.(k + 4) <- c.loads.(k + 4) + 1;
   c.loads.(k + 5) <-
     c.loads.(k + 5)
     + Int.max 0
-        (o.Hierarchy.ready - now - Hierarchy.level_latency c.hier Hierarchy.L1)
+        (ready - now - Hierarchy.level_latency c.hier Hierarchy.L1)
 
 let count_call c pc callee =
   let k = (pc, callee) in
   Hashtbl.replace c.calls k
     (1 + Option.value ~default:0 (Hashtbl.find_opt c.calls k))
 
-(* A decoded call site has exactly one callee, so it is counted per pc.
-   Its first call enters the site into [calls], where hashing every call
-   would have entered it (so [calls] holds its entries in the same order);
-   {!count} settles the counts once the run is over. *)
-let count_site_call c (layout : Layout.t) pc callee =
+(* A decoded call site has exactly one callee (its word holds the callee's
+   entry pc), so it is counted per pc. Its first call enters the site into
+   [calls], where hashing every call would have entered it (so [calls]
+   holds its entries in the same order); {!count} settles the counts once
+   the run is over. *)
+let count_site_call c (layout : Layout.t) pc entry =
   let n = c.site_calls.(pc) in
   c.site_calls.(pc) <- n + 1;
-  if n = 0 then Hashtbl.replace c.calls (pc, Layout.name layout callee) 0
-
-(* Fall-through: while [ins] is past the end of its block, move to the next
-   block in layout, so [blk]/[ins] index the instruction executed next. *)
-let[@inline] fall_through (e : Layout.entry) (th : Thread.t) =
-  let code = e.Layout.dec.Decode.code in
-  let nb = Array.length code in
-  while
-    th.Thread.blk < nb
-    && th.Thread.ins >= Array.length (Array.unsafe_get code th.Thread.blk)
-  do
-    th.Thread.blk <- th.Thread.blk + 1;
-    th.Thread.ins <- 0
-  done
+  if n = 0 then
+    Hashtbl.replace c.calls
+      (pc, Layout.name layout layout.Layout.fn_of.(entry))
+      0
 
 (* Byte offsets in [Thread.regs] of word [w]'s register fields d, a and b
    (bits 6, 13 and 20; register r's slot is at byte 8r). *)
@@ -66,14 +56,15 @@ let[@inline] d_off w = (w lsr 3) land 0x3f8
 let[@inline] a_off w = (w lsr 10) land 0x3f8
 let[@inline] b_off w = (w lsr 17) land 0x3f8
 
-(* One instruction: word [w] at [blk]/[ins] of entry [e], the thread's
-   current function. The opcode literals below mirror [Decode.enc]'s map
-   exactly (see decode.ml for the word layout). Every engine executes
-   through here — [exec] below and both cycle cores — so the only second
-   semantics left is [Exec.step_op], for the [slow] word. The probe
-   observes loads, stores, prefetches, branches and calls inside their
-   arms, so [exec]'s loop dispatches once per instruction; the cores pass
-   [Quiet] and time the returned event themselves.
+(* One instruction: word [w], the one at the thread's pc. The opcode
+   literals below mirror [Decode.enc]'s map exactly (see decode.ml for the
+   word layout); a target is a pc id and fall-through is [pc + 1] (the
+   layout rejects a function that could run off its end). Every engine
+   executes through here — [exec] below and both cycle cores — so the
+   only second semantics left is [Exec.step_op], for the [slow] word. The
+   probe observes loads, stores, prefetches, branches and calls inside
+   their arms, so [exec]'s loop dispatches once per instruction; the
+   cores pass [Quiet] and time the returned event themselves.
 
    Invariants the arms lean on: register fields were range-validated by
    every producer (so register slots are read and written unchecked), and
@@ -86,27 +77,27 @@ let[@inline] b_off w = (w lsr 17) land 0x3f8
    [@inline]: [exec]'s loop gets the arms without a call; the cycle cores,
    in other modules, call it ([-opaque] inlines nothing across modules). *)
 let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
-    (e : Layout.entry) ~blk ~ins w =
+    w =
   let regs = th.Thread.regs in
-  let dec = e.Layout.dec in
+  let pc = th.Thread.pc in
   th.Thread.instrs <- th.Thread.instrs + 1;
   match w land 63 with
   | 0 ->
     (* nop *)
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | 1 ->
     (* movi *)
     let d = d_off w in
     if d <> 0 then
-      Thread.set64u regs d (Array.unsafe_get dec.Decode.imms (w asr 27));
-    th.Thread.ins <- ins + 1;
+      Thread.set64u regs d (Array.unsafe_get layout.Layout.imms (w asr 27));
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | 2 ->
     (* mov *)
     let d = d_off w in
     if d <> 0 then Thread.set64u regs d (Thread.get64u regs (a_off w));
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | (3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | 12) as opc ->
     (* alu: add sub mul div rem and or xor shl shr *)
@@ -127,12 +118,12 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     in
     let d = d_off w in
     if d <> 0 then Thread.set64u regs d v;
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | (13 | 14 | 15 | 16 | 17 | 18 | 19 | 20 | 21 | 22) as opc ->
     (* alui *)
     let a = Thread.get64u regs (a_off w)
-    and b = Array.unsafe_get dec.Decode.imms (w asr 27) in
+    and b = Array.unsafe_get layout.Layout.imms (w asr 27) in
     let v =
       match opc with
       | 13 -> Int64.add a b
@@ -148,7 +139,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     in
     let d = d_off w in
     if d <> 0 then Thread.set64u regs d v;
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | (23 | 24 | 25 | 26 | 27 | 28) as opc ->
     (* cmp: eq ne lt le gt ge *)
@@ -166,12 +157,12 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     in
     let d = d_off w in
     if d <> 0 then Thread.set64u regs d (if v then 1L else 0L);
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | (29 | 30 | 31 | 32 | 33 | 34) as opc ->
     (* cmpi *)
     let a = Thread.get64u regs (a_off w)
-    and b = Array.unsafe_get dec.Decode.imms (w asr 27) in
+    and b = Array.unsafe_get layout.Layout.imms (w asr 27) in
     let c = Int64.compare a b in
     let v =
       match opc with
@@ -184,7 +175,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     in
     let d = d_off w in
     if d <> 0 then Thread.set64u regs d (if v then 1L else 0L);
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | (35 | 36 | 37 | 38) as opc ->
     (* load, widths 1 2 4 8; a load into r0 reads nothing *)
@@ -192,13 +183,12 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     let addr = (Int64.to_int base + (w asr 27)) land max_int in
     let d = d_off w in
     if d <> 0 then Memory.read_to env.Exec.mem addr (1 lsl (opc - 35)) regs d;
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     env.Exec.ev_addr <- addr;
     (match probe with
     | Quiet -> ()
     | Warm (h, _) -> Hierarchy.warm h addr
-    | Count c ->
-      count_load c th (Array.unsafe_get e.Layout.block_base blk + ins) addr);
+    | Count c -> count_load c th pc addr);
     Exec.Ev_load
   | (39 | 40 | 41 | 42) as opc ->
     (* store, widths 1 2 4 8; a speculative thread never writes memory *)
@@ -206,7 +196,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     let addr = (Int64.to_int base + (w asr 27)) land max_int in
     if not th.Thread.speculative then
       Memory.write_from env.Exec.mem addr (1 lsl (opc - 39)) regs (d_off w);
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     env.Exec.ev_addr <- addr;
     (match probe with
     | Quiet -> ()
@@ -220,18 +210,16 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     let base = Thread.get64u regs (a_off w) in
     let addr = (Int64.to_int base + (w asr 27)) land max_int in
     env.Exec.ev_addr <- addr;
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     (match probe with
     | Warm (h, _) -> Hierarchy.warm h addr
     | Quiet | Count _ -> ());
     Exec.Ev_prefetch
   | 44 ->
     (* br *)
-    th.Thread.blk <- w asr 27;
-    th.Thread.ins <- 0;
+    th.Thread.pc <- w asr 27;
     (match probe with
     | Warm (_, bp) ->
-      let pc = Array.unsafe_get e.Layout.block_base blk + ins in
       if not (Bpred.btb_lookup bp ~pc) then Bpred.btb_insert bp ~pc
     | Quiet | Count _ -> ());
     Exec.Ev_branch_taken
@@ -242,42 +230,32 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     (match probe with
     | Quiet -> ()
     | Warm (_, bp) ->
-      let pc = Array.unsafe_get e.Layout.block_base blk + ins in
       Bpred.update bp ~thread:0 ~pc ~taken;
       if taken && not (Bpred.btb_lookup bp ~pc) then Bpred.btb_insert bp ~pc
     | Count c ->
-      let k =
-        (2 * (Array.unsafe_get e.Layout.block_base blk + ins))
-        + if taken then 0 else 1
-      in
+      let k = (2 * pc) + if taken then 0 else 1 in
       c.branches.(k) <- c.branches.(k) + 1);
     if taken then begin
-      th.Thread.blk <- w asr 27;
-      th.Thread.ins <- 0;
+      th.Thread.pc <- w asr 27;
       Exec.Ev_branch_taken
     end
     else begin
-      th.Thread.ins <- ins + 1;
+      th.Thread.pc <- pc + 1;
       Exec.Ev_branch_not_taken
     end
   | 47 ->
-    (* call: save only the caller's mentioned stacked-register prefix —
-       the return restores [saved_n], so the code resuming after it sees
-       every register it can read *)
-    let fr = Thread.push_frame th ~ret_blk:blk ~ret_ins:(ins + 1) in
-    let k = dec.Decode.n_save in
+    (* call: save only the caller's mentioned stacked-register prefix (the
+       word's b field) — the return restores [saved_n], so the code
+       resuming after it sees every register it can read *)
+    let fr = Thread.push_frame th ~ret_pc:(pc + 1) in
+    let k = (w lsr 20) land 0x7f in
     fr.Thread.saved_n <- k;
     Bytes.blit regs Thread.stacked_off fr.Thread.saved_stacked 0 (8 * k);
-    let callee = w asr 27 in
+    let entry = w asr 27 in
     (match probe with
-    | Count c ->
-      count_site_call c layout
-        (Array.unsafe_get e.Layout.block_base blk + ins)
-        callee
+    | Count c -> count_site_call c layout pc entry
     | Quiet | Warm _ -> ());
-    th.Thread.fn <- callee;
-    th.Thread.blk <- 0;
-    th.Thread.ins <- 0;
+    th.Thread.pc <- entry;
     Exec.Ev_call
   | 48 ->
     (* ret; returning from the outermost frame ends the thread *)
@@ -290,9 +268,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
       let fr = th.Thread.frames.(th.Thread.frame_n) in
       Bytes.blit fr.Thread.saved_stacked 0 regs Thread.stacked_off
         (8 * fr.Thread.saved_n);
-      th.Thread.fn <- fr.Thread.ret_fn;
-      th.Thread.blk <- fr.Thread.ret_blk;
-      th.Thread.ins <- fr.Thread.ret_ins;
+      th.Thread.pc <- fr.Thread.ret_pc;
       Exec.Ev_ret
     end
   | 49 ->
@@ -304,12 +280,11 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
   | 51 ->
     (* chk.c *)
     if env.Exec.chk_free () then begin
-      th.Thread.blk <- w asr 27;
-      th.Thread.ins <- 0;
+      th.Thread.pc <- w asr 27;
       Exec.Ev_chk_fired
     end
     else begin
-      th.Thread.ins <- ins + 1;
+      th.Thread.pc <- pc + 1;
       Exec.Ev_chk_nofire
     end
   | 52 ->
@@ -322,56 +297,40 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     Thread.set64u st 0 x;
     let d = d_off w in
     if d <> 0 then Thread.set64u regs d (Int64.shift_right_logical x 1);
-    th.Thread.ins <- ins + 1;
+    th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | _ ->
     (* slow path: rare ops (icall, spawn, lib.st/ld, alloc, print, memory
        offsets too wide for the word, unresolved static targets) run on
        the boxed form; an unresolved branch target raises there *)
-    let f = e.Layout.func in
-    let ev =
-      Exec.step_op env layout th f f.Ssp_ir.Prog.blocks.(blk).ops.(ins)
-    in
+    let ev = Exec.step_op env layout th in
     (* probed like the decoded arms, except branches: a [slow] branch has
        an unresolved target, and raises when taken *)
     (match (ev, probe) with
     | (Exec.Ev_load | Exec.Ev_store | Exec.Ev_prefetch), Warm (h, _) ->
       Hierarchy.warm h env.Exec.ev_addr
-    | Exec.Ev_load, Count c ->
-      count_load c th
-        (Array.unsafe_get e.Layout.block_base blk + ins)
-        env.Exec.ev_addr
+    | Exec.Ev_load, Count c -> count_load c th pc env.Exec.ev_addr
     | Exec.Ev_store, Count c -> ignore (count_access c th env.Exec.ev_addr)
     | Exec.Ev_call, Count c ->
-      count_call c
-        (Array.unsafe_get e.Layout.block_base blk + ins)
-        (Layout.name layout th.Thread.fn)
+      count_call c pc
+        (Layout.name layout (Array.unsafe_get layout.Layout.fn_of th.Thread.pc))
     | _ -> ());
     ev
 
-(* The functional interpreter: [step] in a loop. [fn] only changes at
-   calls and returns, so the current layout entry lives in a local
-   refreshed on those events. *)
+(* The functional interpreter: [step] in a loop. *)
 let exec probe (layout : Layout.t) (env : Exec.env) (th : Thread.t) ~instrs =
-  let e = ref layout.Layout.by_index.(th.Thread.fn) in
   let done_ = ref 0 in
   while !done_ < instrs && th.Thread.active do
-    fall_through !e th;
-    let blk = th.Thread.blk and ins = th.Thread.ins in
-    let w = (!e).Layout.dec.Decode.code.(blk).(ins) in
-    if ins = 0 then begin
+    let pc = th.Thread.pc in
+    let w = layout.Layout.code.(pc) in
+    if Array.unsafe_get layout.Layout.block_start pc then begin
       match probe with
       | Quiet -> ()
-      | Warm (h, _) ->
-        Hierarchy.warm_ifetch h (Array.unsafe_get (!e).Layout.blk0_iaddr blk)
-      | Count c ->
-        let pc = Array.unsafe_get (!e).Layout.block_base blk in
-        c.blocks.(pc) <- c.blocks.(pc) + 1
+      | Warm (h, _) -> Hierarchy.warm_ifetch h (Layout.code_base + (16 * pc))
+      | Count c -> c.blocks.(pc) <- c.blocks.(pc) + 1
     end;
     incr done_;
-    match step probe layout env th !e ~blk ~ins w with
-    | Exec.Ev_call | Exec.Ev_ret -> e := layout.Layout.by_index.(th.Thread.fn)
-    | _ -> ()
+    ignore (step probe layout env th w)
   done;
   !done_
 
@@ -388,7 +347,8 @@ let watchdog = 1_000_000
 let run_probe probe ~spawning layout prog =
   let outputs = ref [] in
   let main = Thread.create ~id:0 in
-  main.Thread.fn <- Layout.find layout prog.Ssp_ir.Prog.entry;
+  main.Thread.pc <-
+    Layout.pc_of layout (Layout.find layout prog.Ssp_ir.Prog.entry) 0;
   main.Thread.active <- true;
   Thread.set main Ssp_isa.Reg.sp Ssp_ir.Prog.stack_base;
   (* at most 3 speculative contexts (4 contexts − main) *)
@@ -414,8 +374,8 @@ let run_probe probe ~spawning layout prog =
             | None -> false
             | Some i ->
               let th = Thread.create ~id:(1 + i) in
-              Thread.reset_for_spawn th ~fn ~blk ~live_in
-                ~rand_state:0x2545F4914F6CDD1DL;
+              Thread.reset_for_spawn th ~pc:(Layout.pc_of layout fn blk)
+                ~live_in ~rand_state:0x2545F4914F6CDD1DL;
               specs.(i) <- Some th;
               incr spawns;
               true);

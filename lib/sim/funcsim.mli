@@ -44,22 +44,14 @@ type probe =
           and branch predictor, as thread 0 *)
   | Count of counts  (** profile counters *)
 
-val fall_through : Layout.entry -> Thread.t -> unit
-(** While the thread's [ins] is past the end of its block (the entry is
-    its current function's), move to the next block in layout, so
-    [blk]/[ins] index the instruction it executes next. *)
-
-val step :
-  probe -> Layout.t -> Exec.env -> Thread.t -> Layout.entry -> blk:int ->
-  ins:int -> int -> Exec.event
-(** [step probe layout env th e ~blk ~ins w] executes one instruction, the
-    predecoded word [w] at [blk]/[ins] of [e] (the thread's current
-    function, after {!fall_through}): the architectural effects, the pc
-    advance and the thread's instruction count, and what [probe] observes
-    of it (as in {!exec}). The effective address of a load, store or
-    prefetch is left in [env.ev_addr]. Every engine executes every
-    instruction through here — the cycle cores with [Quiet], timing the
-    returned event themselves; the rare [slow] word runs on
+val step : probe -> Layout.t -> Exec.env -> Thread.t -> int -> Exec.event
+(** [step probe layout env th w] executes one instruction, the predecoded
+    word [w] at the thread's pc ([layout.code.(th.pc)]): the architectural
+    effects, the pc advance and the thread's instruction count, and what
+    [probe] observes of it (as in {!exec}). The effective address of a
+    load, store or prefetch is left in [env.ev_addr]. Every engine executes
+    every instruction through here — the cycle cores with [Quiet], timing
+    the returned event themselves; the rare [slow] word runs on
     {!Exec.step_op}. *)
 
 val exec :

@@ -7,8 +7,6 @@ let site_fill_exhaust = F.site "sim.fill.exhaust"
 
 type level = L1 | L2 | L3 | Mem
 
-type outcome = { level : level; partial : bool; ready : int }
-
 (* The in-flight fill buffer lives in parallel flat arrays (structure of
    arrays), preallocated and compacted in place: the per-access probe and
    the retire sweep allocate nothing. The logical entry count is [fl_n];
@@ -32,6 +30,8 @@ type t = {
          with no other access in between is an LRU no-op, so the filter is
          exact — reset whenever the timed path may have intervened *)
   mutable warm_iline : int;  (* same, for {!warm_ifetch} / L1i *)
+  mutable last_level : level;  (* origin of the last timed access's data *)
+  mutable last_partial : bool;  (* the last timed access found it in transit *)
   tel_dropped : T.counter;  (* prefetches dropped on a full fill buffer *)
   tel_stalled : T.counter;  (* fills delayed by a full fill buffer *)
 }
@@ -56,12 +56,23 @@ let create ?(tprefix = "sim") (cfg : Config.t) =
     warm_shift = Cache.line_bits l1d;
     warm_dline = -1;
     warm_iline = -1;
+    last_level = L1;
+    last_partial = false;
     tel_dropped = T.counter (tprefix ^ ".fill.dropped_prefetch");
     tel_stalled = T.counter (tprefix ^ ".fill.full_stall");
   }
 
 let l1d t = t.l1d
 let set_attrib t a = t.attrib <- Some a
+let last_level t = t.last_level
+let last_partial t = t.last_partial
+
+(* A timed access returns its ready cycle and leaves where the data came
+   from in the hierarchy, so the access allocates nothing. *)
+let[@inline] outcome t level ~partial ready =
+  t.last_level <- level;
+  t.last_partial <- partial;
+  ready
 
 let level_latency t = function
   | L1 -> t.cfg.l1.latency
@@ -119,14 +130,13 @@ let retire_fills t ~now =
     t.fl_n <- !k
   end
 
-let find_fill t line =
-  let n = t.fl_n in
-  let rec go i =
-    if i >= n then -1
-    else if Array.unsafe_get t.fl_line i = line then i
-    else go (i + 1)
-  in
-  go 0
+(* The fill-buffer entry in transit for [line] from entry [i] on, or -1.
+   All parameters explicit: a local closure would allocate on every L1
+   miss. *)
+let rec find_fill (lines : int array) n (line : int) i =
+  if i >= n then -1
+  else if Array.unsafe_get lines i = line then i
+  else find_fill lines n line (i + 1)
 
 let earliest_fill_done t =
   let e = ref max_int in
@@ -135,7 +145,7 @@ let earliest_fill_done t =
   done;
   !e
 
-let perfect_hit t ~now = { level = L1; partial = false; ready = now + t.cfg.l1.latency }
+let perfect_hit t ~now = outcome t L1 ~partial:false (now + t.cfg.l1.latency)
 
 let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
     ~demand_main addr =
@@ -157,11 +167,11 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
         Attrib.demand_use a ?iref:demand_iref ~main:demand_main ~line
           ~hit:true ~partial:false ~now ~ready ()
     | None, _ -> ());
-    { level = L1; partial = false; ready }
+    outcome t L1 ~partial:false ready
   end
   else begin
     (* Fill buffer: line already in transit? *)
-    let fi = find_fill t line in
+    let fi = find_fill t.fl_line t.fl_n line 0 in
     if fi >= 0 then begin
       let done_at = t.fl_done.(fi) in
       let ready = Int.max done_at (now + t.cfg.l1.latency) in
@@ -172,7 +182,7 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
           Attrib.demand_use a ?iref:demand_iref ~main:demand_main ~line
             ~hit:false ~partial:true ~now ~ready ()
       | None, _ -> ());
-      { level = t.fl_origin.(fi); partial = true; ready }
+      outcome t t.fl_origin.(fi) ~partial:true ready
     end
     else begin
       let used = t.fl_n in
@@ -192,7 +202,7 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
         (match (t.attrib, pf_tag) with
         | Some a, Some tag -> Attrib.prefetch_dropped a tag
         | _ -> ());
-        { level = L1; partial = false; ready = now + 1 }
+        outcome t L1 ~partial:false (now + 1)
       end
       else begin
         (* A full fill buffer delays the new fill until the earliest
@@ -217,7 +227,7 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
               ~hit:false ~partial:false ~now ~ready:done_at ()
         | None, _ -> ());
         if instruction then Cache.install t.l1i addr;
-        { level = origin; partial = false; ready = done_at }
+        outcome t origin ~partial:false done_at
       end
     end
   end

@@ -5,15 +5,14 @@
     {e partial} hit serviced when the outstanding fill completes — the
     partial categories of Figure 9. Completed fills install the line at
     every level. When the fill buffer is full a missing access must wait
-    for the earliest entry to retire. *)
+    for the earliest entry to retire.
+
+    A timed access returns the cycle its value is available, and leaves in
+    the hierarchy where the data was found ({!last_level}) and whether the
+    line was already in transit ({!last_partial}): an access allocates
+    nothing. *)
 
 type level = L1 | L2 | L3 | Mem
-
-type outcome = {
-  level : level;  (** where the data was found (origin of the fill) *)
-  partial : bool;  (** line was already in transit *)
-  ready : int;  (** cycle the value is available *)
-}
 
 type t
 
@@ -42,7 +41,7 @@ val access :
   ?demand_iref:Ssp_ir.Iref.t ->
   ?demand_main:bool ->
   int ->
-  outcome
+  int
 (** Account a load ([prefetch:false]), a prefetch or an instruction fetch
     at the given cycle, to a native-int address (the simulated address
     space is 62-bit). Prefetch fills are non-temporal: they install into
@@ -56,16 +55,16 @@ val access :
     [demand_main] identify untagged data accesses for attribution — all
     three are ignored unless [set_attrib] was called. *)
 
-val demand : t -> now:int -> low_priority:bool -> int -> outcome
+val demand : t -> now:int -> low_priority:bool -> int -> int
 (** [access] without the optional plumbing: an untagged demand data access
     ([demand_main] is the negation of [low_priority]). The cycle
     simulators' hot path when no attribution is attached. *)
 
-val ifetch : t -> now:int -> int -> outcome
+val ifetch : t -> now:int -> int -> int
 (** An instruction fetch (equivalent to [access ~instruction:true] with no
     other options; instruction fetches never carry attribution). *)
 
-val prefetch : t -> now:int -> int -> outcome
+val prefetch : t -> now:int -> int -> int
 (** An untagged prefetch (equivalent to [access ~prefetch:true] with no
     attribution tag); the hot path when attribution is off. *)
 
@@ -78,15 +77,21 @@ val warm : t -> int -> unit
     have intervened. *)
 
 val warm_ifetch : t -> int -> unit
-(** Functional warming of the instruction cache (fetch address as
-    precomputed in [Layout.blk0_iaddr]). *)
+(** Functional warming of the instruction cache, at a fetch address
+    ([Layout.code_base + 16 * pc]). *)
 
 val reset_warm_filter : t -> unit
 (** Invalidate the consecutive-same-line warming filter; each fast-forward
     window calls it on entry (detailed windows touch the caches directly). *)
 
-val perfect_hit : t -> now:int -> outcome
+val perfect_hit : t -> now:int -> int
 (** An L1-latency hit regardless of state (used for perfect modes). *)
+
+val last_level : t -> level
+(** Where the last timed access found its data (the origin of the fill). *)
+
+val last_partial : t -> bool
+(** Whether the last timed access found its line already in transit. *)
 
 val level_latency : t -> level -> int
 

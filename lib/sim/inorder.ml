@@ -2,14 +2,15 @@ open Ssp_machine
 module T = Ssp_telemetry.Telemetry
 
 (* The in-order Itanium-flavoured core. Each instruction executes on its
-   predecoded word through [Funcsim.step]; the static facts of its pc
-   (sources, destinations, latency, memory and branch flags) come from the
-   [Layout] tables, the layout entry from [Smt.layout_of] (the thread's
-   function index into [Layout.by_index]), and events are constant
-   constructors — the steady-state cycle allocates (almost) nothing. A
-   cycle in which no
-   context can issue is quiet: nothing changes until the earliest cycle at
-   which one can, so the clock jumps there ([Smt.skip_quiet]). *)
+   predecoded word through [Funcsim.step]; the thread's position is one pc
+   id, the static facts of that pc (word, bundle, block start, sources,
+   destinations, latency, memory and branch flags) come from the [Layout]
+   tables, and events are constant constructors — the steady-state cycle
+   allocates (almost) nothing. Each context keeps the first cycle at which
+   it can issue ([Smt.context.ready]), recomputed only where it changes.
+   A cycle in which no context can issue is quiet: nothing changes until
+   the earliest of those cycles, so the clock jumps there
+   ([Smt.skip_quiet]). *)
 let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   T.with_span "sim.inorder" @@ fun () ->
   let m = Smt.create ?attrib ~sampling cfg prog in
@@ -29,9 +30,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     let issued = ref 0 in
     let blocked = ref false in
     while (not !blocked) && th.Thread.active && ctx.Smt.bundle_left > 0 do
-      let e = Smt.layout_of m ctx in
-      let blk0 = th.Thread.blk and ins0 = th.Thread.ins in
-      let pcid = e.Layout.block_base.(blk0) + ins0 in
+      let pcid = th.Thread.pc in
       let is_mem = lay.Layout.mem_op.(pcid) in
       (* Scoreboard: every source operand must be ready (stall-on-use). *)
       if Smt.src_ready m ctx pcid > !now then blocked := true
@@ -39,13 +38,14 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         (* structural hazard: both memory ports busy this cycle *)
         blocked := true
       else begin
-        let start_bundle = e.Layout.bundle_idx.(blk0).(ins0) in
         (* Instruction-fetch: charge an I-cache access at block entry. *)
-        if ins0 = 0 then begin
-          let ia = e.Layout.blk0_iaddr.(blk0) in
-          let o = Hierarchy.ifetch m.Smt.hier ~now:!now ia in
-          if o.Hierarchy.level <> Hierarchy.L1 then begin
-            ctx.Smt.redirect_until <- o.Hierarchy.ready;
+        if lay.Layout.block_start.(pcid) then begin
+          let ready =
+            Hierarchy.ifetch m.Smt.hier ~now:!now
+              (Layout.code_base + (16 * pcid))
+          in
+          if Hierarchy.last_level m.Smt.hier <> Hierarchy.L1 then begin
+            ctx.Smt.redirect_until <- ready;
             blocked := true
           end
         end;
@@ -56,8 +56,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
             is_cond && Bpred.predict m.Smt.bp ~thread:th.Thread.id ~pc:pcid
           in
           let ev =
-            Funcsim.step Funcsim.Quiet lay env th e ~blk:blk0 ~ins:ins0
-              e.Layout.dec.Decode.code.(blk0).(ins0)
+            Funcsim.step Funcsim.Quiet lay env th lay.Layout.code.(pcid)
           in
           incr issued;
           if is_mem then incr mem_used;
@@ -65,10 +64,8 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
           let base_latency = lay.Layout.latency.(pcid) in
           (match ev with
           | Exec.Ev_load ->
-            let o =
-              Smt.demand_access m ~now:!now ~ctx ~pc:pcid env.Exec.ev_addr
-            in
-            Smt.set_defs_ready m ctx pcid o.Hierarchy.ready
+            Smt.set_defs_ready m ctx pcid
+              (Smt.demand_access m ~now:!now ~ctx ~pc:pcid env.Exec.ev_addr)
           | Exec.Ev_store -> Smt.store_access m ~now:!now ~ctx env.Exec.ev_addr
           | Exec.Ev_prefetch ->
             Smt.prefetch_access m ~now:!now ~ctx ~pc:pcid env.Exec.ev_addr
@@ -124,10 +121,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
              block) consumes one bundle slot. *)
           let crossed =
             (not th.Thread.active)
-            ||
-            (let e' = Smt.layout_of m ctx in
-             e' != e || th.Thread.blk <> blk0
-             || e.Layout.bundle_idx.(blk0).(th.Thread.ins) <> start_bundle)
+            || lay.Layout.bundle.(th.Thread.pc) <> lay.Layout.bundle.(pcid)
           in
           if crossed then ctx.Smt.bundle_left <- ctx.Smt.bundle_left - 1
         end
@@ -138,37 +132,27 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   (* Per-interval telemetry: issue rate and demand misses over time. *)
   let tel = Smt.interval "sim.inorder" in
   (* Main loop. Thread selection fills the machine's scratch array; the
-     helpers are hoisted so the steady-state cycle allocates nothing. *)
+     helpers are hoisted so the steady-state cycle allocates nothing. A
+     thread is only worth an issue slot once it is ready — its front end is
+     back and every source of its next instruction is ready (Itanium
+     stall-on-use would waste the slot otherwise), an ICOUNT-flavoured SMT
+     policy — and the earliest ready cycle ends a quiet stretch. A
+     context's ready cycle changes only when it issues, when a spawn binds
+     it, or when the sampled controller fast-forwards. *)
   let running = ref true in
-  (* The first cycle at which a context can issue if nothing else happens
-     first: its front end is back ([redirect_until]) and every source of
-     its next instruction is ready (stall-on-use); [max_int] when idle. A
-     thread is only worth an issue slot once it is ready (Itanium
-     stall-on-use would waste the slot otherwise) — an ICOUNT-flavoured SMT
-     policy — and the earliest ready cycle ends a quiet stretch. *)
-  let ready_cycle (c : Smt.context) =
-    let th = c.Smt.thread in
-    if not th.Thread.active then max_int
-    else begin
-      let e = Smt.layout_of m c in
-      let pc = e.Layout.block_base.(th.Thread.blk) + th.Thread.ins in
-      Int.max c.Smt.redirect_until (Smt.src_ready m c pc)
-    end
-  in
-  let eligible c = ready_cycle c <= !now in
   let main_issued = ref 0 in
   while !running do
     if !now > cfg.Config.max_cycles then
       failwith "Inorder.run: exceeded max_cycles";
     mem_used := 0;
-    let nsel = Smt.select_threads m ~eligible in
+    let nsel = Smt.select_threads m ~now:!now in
     if nsel = 0 && Smt.may_skip m then begin
       (* Quiet: no context can issue, and none can before the earliest
          ready cycle, so every cycle until then is quiet too. Waking at
          [max_cycles + 1] at the latest keeps the bound exact. *)
       let wake = ref (cfg.Config.max_cycles + 1) in
       for i = 0 to Array.length m.Smt.ctxs - 1 do
-        let r = ready_cycle m.Smt.ctxs.(i) in
+        let r = m.Smt.ctxs.(i).Smt.ready in
         if r < !wake then wake := r
       done;
       Smt.skip_quiet m tel ~now:!now ~until:!wake;
@@ -185,6 +169,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       for i = 0 to nsel - 1 do
         let c = m.Smt.ctxs.(m.Smt.sel.(i)) in
         let n = issue_thread c in
+        Smt.refresh_ready m c;
         if c.Smt.thread.Thread.id = 0 then main_issued := n
       done;
       Smt.end_cycle m tel ~now:!now ~busy:(!main_issued > 0);

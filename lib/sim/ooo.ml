@@ -7,7 +7,7 @@ let rs_horizon = 4096
 
 (* The per-thread ROB is a preallocated ring of completion cycles in
    program order (dispatch refuses to exceed [rob_entries], so the ring
-   never overflows). *)
+   never overflows); its indices wrap by comparison, not division. *)
 type othread = {
   ctx : Smt.context;
   rob : int array;  (* completion cycles, program order *)
@@ -76,7 +76,8 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     let continue_ = ref true in
     while !continue_ && !n < cfg.Config.retire_width && ot.rob_n > 0 do
       if ot.rob.(ot.rob_head) <= !now then begin
-        ot.rob_head <- (ot.rob_head + 1) mod rob_cap;
+        let h = ot.rob_head + 1 in
+        ot.rob_head <- (if h = rob_cap then 0 else h);
         ot.rob_n <- ot.rob_n - 1;
         incr n
       end
@@ -93,9 +94,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     if not th.Thread.active then false
     else if ot.rob_n >= cfg.Config.rob_entries then false
     else begin
-      let e = Smt.layout_of m ctx in
-      let blk0 = th.Thread.blk and ins0 = th.Thread.ins in
-      let pcid = e.Layout.block_base.(blk0) + ins0 in
+      let pcid = th.Thread.pc in
       let ready_at = Int.max !now (Smt.src_ready m ctx pcid) in
       if ready_at > !now && ot.waiting >= cfg.Config.rs_entries then false
       else if ready_at - !now >= rs_horizon then false
@@ -105,8 +104,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
           is_cond && Bpred.predict m.Smt.bp ~thread:th.Thread.id ~pc:pcid
         in
         let ev =
-          Funcsim.step Funcsim.Quiet lay env th e ~blk:blk0 ~ins:ins0
-            e.Layout.dec.Decode.code.(blk0).(ins0)
+          Funcsim.step Funcsim.Quiet lay env th lay.Layout.code.(pcid)
         in
         Smt.count_issue m th;
         let base_latency = Int.max 1 lay.Layout.latency.(pcid) in
@@ -114,8 +112,8 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         (match ev with
         | Exec.Ev_load ->
           let start = acquire_port ready_at in
-          let o = Smt.demand_access m ~now:start ~ctx ~pc:pcid env.Exec.ev_addr in
-          complete := o.Hierarchy.ready
+          complete :=
+            Smt.demand_access m ~now:start ~ctx ~pc:pcid env.Exec.ev_addr
         | Exec.Ev_store ->
           let start = acquire_port ready_at in
           Smt.store_access m ~now:start ~ctx env.Exec.ev_addr;
@@ -163,7 +161,8 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         | Exec.Ev_lib -> complete := ready_at + cfg.Config.lib_latency
         | _ -> ());
         Smt.set_defs_ready m ctx pcid !complete;
-        ot.rob.((ot.rob_head + ot.rob_n) mod rob_cap) <- !complete;
+        let tail = ot.rob_head + ot.rob_n in
+        ot.rob.(if tail >= rob_cap then tail - rob_cap else tail) <- !complete;
         ot.rob_n <- ot.rob_n + 1;
         ot.rob_max <- Int.max ot.rob_max !complete;
         (* Spawning happens at the retirement stage (§2.1): the child
@@ -192,13 +191,15 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
   let tel = Smt.interval "sim.ooo" in
   let main = oths.(0) in
   let running = ref true in
-  (* The per-cycle helpers are hoisted out of the main loop (budget passed
-     through a scratch ref) so the steady-state cycle allocates nothing. *)
+  (* The per-cycle helpers are hoisted out of the main loop so the
+     steady-state cycle allocates nothing. *)
   (* The first cycle at which the thread can take dispatch slots if none of
      its ROB entries retires and none of its reservation stations frees up
      first: when its redirect ends, or never ([max_int]) while it is idle
      or its ROB or reservation stations are full — dispatch slots go only
-     to threads that can accept work. *)
+     to threads that can accept work. Occupancy changes every cycle, so
+     the context's stored ready cycle is recomputed once per stepped
+     cycle, after retirement. *)
   let dispatch_cycle ot =
     if
       ot.ctx.Smt.thread.Thread.active
@@ -206,9 +207,6 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       && ot.waiting < cfg.Config.rs_entries
     then ot.ctx.Smt.redirect_until
     else max_int
-  in
-  let eligible (c : Smt.context) =
-    dispatch_cycle oths.(c.Smt.thread.Thread.id) <= !now
   in
   (* The next cycle after [now] at which a quiet machine can change, at
      most [limit]: a ROB head completes (and retires), a redirect ends, or
@@ -220,7 +218,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       let ot = oths.(i) in
       if ot.rob_n > 0 && ot.rob.(ot.rob_head) < !w then
         w := ot.rob.(ot.rob_head);
-      let d = dispatch_cycle ot in
+      let d = ot.ctx.Smt.ready in
       if d < !w then w := d
       else if
         d = max_int && ot.ctx.Smt.thread.Thread.active
@@ -236,22 +234,21 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     done;
     Int.max (!now + 1) !w
   in
-  let dispatch_budget = ref 0 in
-  let dispatch_chosen id =
-    let ot = oths.(id) in
-    let budget = !dispatch_budget in
-    let k = ref 0 in
-    let go = ref true in
-    while !go && !k < budget do
-      go := dispatch_one ot;
-      incr k
-    done
-  in
   while !running do
     if !now > cfg.Config.max_cycles then failwith "Ooo.run: exceeded max_cycles";
-    Array.iter begin_cycle oths;
-    Array.iter retire oths;
-    let nsel = Smt.select_threads m ~eligible in
+    for i = 0 to Array.length oths - 1 do
+      let ot = oths.(i) in
+      (* An idle context with an empty ROB and nothing waiting has nothing
+         to start or retire: every counted start was drained when its
+         cycle passed, so its start ring is empty. *)
+      if ot.ctx.Smt.thread.Thread.active || ot.rob_n > 0 || ot.waiting > 0
+      then begin
+        begin_cycle ot;
+        retire ot
+      end;
+      ot.ctx.Smt.ready <- dispatch_cycle ot
+    done;
+    let nsel = Smt.select_threads m ~now:!now in
     if nsel = 0 && main.retired_this_cycle = 0 && Smt.may_skip m then begin
       (* Quiet: the main thread retires nothing and no thread dispatches,
          until the wake cycle. The start ring holds no start past
@@ -276,10 +273,13 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       now := wake
     end
     else begin
-      dispatch_budget :=
-        (if nsel = 1 then cfg.Config.issue_bundles * 3 else 3);
+      let budget = if nsel = 1 then cfg.Config.issue_bundles * 3 else 3 in
       for i = 0 to nsel - 1 do
-        dispatch_chosen m.Smt.sel.(i)
+        let ot = oths.(m.Smt.sel.(i)) in
+        let k = ref 0 in
+        while !k < budget && dispatch_one ot do
+          incr k
+        done
       done;
       (* Figure 10 accounting: execution is "active" when the main thread
          retired something this cycle. *)

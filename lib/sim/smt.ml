@@ -51,6 +51,7 @@ let ff_jitter st ~window =
 type context = {
   thread : Thread.t;
   mutable redirect_until : int;
+  mutable ready : int;  (* first cycle it can take a slot; max_int: never *)
   reg_ready : int array;
   fill_ready : int array;
   mutable bundle_left : int;
@@ -109,6 +110,7 @@ let new_context id =
   {
     thread = Thread.create ~id;
     redirect_until = 0;
+    ready = max_int;
     reg_ready = Array.make Ssp_isa.Reg.count 0;
     fill_ready = Array.make 5 0;
     bundle_left = 0;
@@ -122,8 +124,10 @@ let create ?attrib ~sampling cfg prog =
   let lay = Layout.of_prog prog in
   let ctxs = Array.init cfg.Config.n_contexts new_context in
   let main = ctxs.(0).thread in
-  main.Thread.fn <- Layout.find lay prog.Ssp_ir.Prog.entry;
+  main.Thread.pc <-
+    Layout.pc_of lay (Layout.find lay prog.Ssp_ir.Prog.entry) 0;
   main.Thread.active <- true;
+  ctxs.(0).ready <- 0;
   Thread.set main Ssp_isa.Reg.sp Ssp_ir.Prog.stack_base;
   let delinquent_pc = Array.make (Int.max 1 lay.Layout.n_pcs) false in
   (match cfg.Config.memory_mode with
@@ -171,14 +175,6 @@ let create ?attrib ~sampling cfg prog =
     tel_watchdog_kills = T.counter "sim.watchdog_kills";
   }
 
-(* The context's current layout entry: the thread names its function by
-   its [Layout.by_index] index. *)
-let layout_of m (ctx : context) =
-  let th = ctx.thread in
-  let e = Array.unsafe_get m.lay.Layout.by_index th.Thread.fn in
-  Funcsim.fall_through e th;
-  e
-
 (* The latest cycle at which a source register of pc [pc] becomes ready
    (0 with no sources). *)
 let src_ready m (ctx : context) pc =
@@ -195,6 +191,16 @@ let set_defs_ready m (ctx : context) pc ready =
   for i = lay.Layout.def_at.(pc) to lay.Layout.def_at.(pc + 1) - 1 do
     ctx.reg_ready.(lay.Layout.def_reg.(i)) <- ready
   done
+
+(* The in-order ready cycle: the later of the front end's return and the
+   sources of the instruction at the pc (stall-on-use); [max_int] while
+   the context is idle. *)
+let refresh_ready m (ctx : context) =
+  let th = ctx.thread in
+  ctx.ready <-
+    (if th.Thread.active then
+       Int.max ctx.redirect_until (src_ready m ctx th.Thread.pc)
+     else max_int)
 
 let free_count m =
   let n = ref 0 in
@@ -260,13 +266,15 @@ let try_spawn m ~now ~src ~fn ~blk ~live_in =
     (* A context can be freed by the issue loop without the end having
        been noted (e.g. the previous occupant was killed this cycle). *)
     note_thread_end m ctx ~now ~watchdog:false;
-    Thread.reset_for_spawn ctx.thread ~fn ~blk ~live_in
+    Thread.reset_for_spawn ctx.thread ~pc:(Layout.pc_of m.lay fn blk) ~live_in
       ~rand_state:(Int64.of_int ((ctx.thread.Thread.id * 1103515245) + 12345));
     Array.fill ctx.reg_ready 0 (Array.length ctx.reg_ready) 0;
     Array.fill ctx.fill_ready 0 (Array.length ctx.fill_ready) 0;
     ctx.redirect_until <-
       now + m.cfg.Config.spawn_latency + m.cfg.Config.lib_latency
       + (if F.fire site_spawn_delay then 64 else 0);
+    (* the scoreboard is clear: ready when the front end is *)
+    ctx.ready <- ctx.redirect_until;
     ctx.spawned_at <- now;
     ctx.spawn_src <- Some src;
     ctx.spawn_target <-
@@ -279,26 +287,30 @@ let try_spawn m ~now ~src ~fn ~blk ~live_in =
     m.last_spawned <- ctx.thread.Thread.id;
     true
 
-(* Fill [m.sel] with the ids of up to [issue_threads] eligible contexts —
-   the non-speculative thread first (it has priority for fetch/issue
-   slots), speculative contexts round-robin — and return how many. The
-   scratch array replaces the per-cycle list the old selector consed; it
-   holds ids, not contexts, so filling it stores no pointer. *)
-let select_threads m ~eligible =
-  let n = Array.length m.ctxs in
+(* Fill [m.sel] with the ids of up to [issue_threads] contexts ready at
+   [now] — the non-speculative thread first (it has priority for
+   fetch/issue slots), speculative contexts round-robin — and return how
+   many. The scratch array holds ids, not contexts, so filling it stores
+   no pointer; the cursor wraps by comparison, not division. *)
+let select_threads m ~now =
+  let ctxs = m.ctxs and sel = m.sel in
+  let n = Array.length ctxs in
+  let cap = m.cfg.Config.issue_threads in
   let count = ref 0 in
-  if eligible m.ctxs.(0) then begin
-    m.sel.(0) <- 0;
+  if ctxs.(0).ready <= now then begin
+    sel.(0) <- 0;
     count := 1
   end;
-  for k = 0 to n - 2 do
-    let i = 1 + ((m.rr + k) mod (n - 1)) in
-    if !count < m.cfg.Config.issue_threads && eligible m.ctxs.(i) then begin
-      m.sel.(!count) <- i;
+  let i = ref (1 + m.rr) in
+  for _ = 0 to n - 2 do
+    if !count < cap && ctxs.(!i).ready <= now then begin
+      sel.(!count) <- !i;
       incr count
-    end
+    end;
+    i := if !i = n - 1 then 1 else !i + 1
   done;
-  m.rr <- (m.rr + 1) mod Int.max 1 (n - 1);
+  let r = m.rr + 1 in
+  m.rr <- (if r >= n - 1 then 0 else r);
   !count
 
 let level_rank = function
@@ -417,28 +429,28 @@ let demand_access m ~now ~ctx ~pc addr =
   (* Speculative-thread misses must not starve the main thread's demand
      misses out of the fill buffer. *)
   let low_priority = ctx.thread.Thread.id <> 0 in
-  let o =
+  let ready =
     if perfect then Hierarchy.perfect_hit m.hier ~now
     else
       match m.attrib with
       | None -> Hierarchy.demand m.hier ~now ~low_priority addr
       | Some _ ->
-        let iref = Layout.iref_of m.lay pc in
+        let iref = m.lay.Layout.irefs.(pc) in
         Hierarchy.access m.hier ~now ~low_priority
           ?pf_tag:(pf_tag_of m ctx iref) ~demand_iref:iref
           ~demand_main:(not low_priority) addr
   in
+  let level = Hierarchy.last_level m.hier in
   if ctx.thread.Thread.id = 0 then
-    Stats.record_load_pc m.stats ~pc o.Hierarchy.level
-      ~partial:o.Hierarchy.partial;
+    Stats.record_load_pc m.stats ~pc level
+      ~partial:(Hierarchy.last_partial m.hier);
   (* Track the fill for stall attribution if it is an L1 miss. *)
-  (match o.Hierarchy.level with
+  (match level with
   | Hierarchy.L1 -> ()
   | lvl ->
     let r = level_rank lvl in
-    if o.Hierarchy.ready > ctx.fill_ready.(r) then
-      ctx.fill_ready.(r) <- o.Hierarchy.ready);
-  o
+    if ready > ctx.fill_ready.(r) then ctx.fill_ready.(r) <- ready);
+  ready
 
 (* Write-allocate; the store buffer hides the latency. *)
 let store_access m ~now ~ctx addr =
@@ -456,7 +468,7 @@ let prefetch_access m ~now ~ctx ~pc addr =
   | Some _ ->
     ignore
       (Hierarchy.access m.hier ~now ~prefetch:true
-         ?pf_tag:(pf_tag_of m ctx (Layout.iref_of m.lay pc))
+         ?pf_tag:(pf_tag_of m ctx m.lay.Layout.irefs.(pc))
          addr)
 
 let watchdog_check m ~now ctx =
@@ -478,8 +490,9 @@ let watchdog_check m ~now ctx =
    functional warming: memory state, outputs, caches and branch predictor
    advance; the clock does not. Live speculative threads are ended first
    (their timing context is meaningless across the gap; architecturally
-   they never affect main-thread state). Returns the instruction count
-   actually executed (the main thread may halt mid-window). *)
+   they never affect main-thread state); the ready cycles of every context
+   are recomputed after. Returns the instruction count actually executed
+   (the main thread may halt mid-window). *)
 let fast_forward m (env : Exec.env) ~now ~instrs =
   m.ff <- true;
   Array.iteri
@@ -495,6 +508,9 @@ let fast_forward m (env : Exec.env) ~now ~instrs =
       ~instrs
   in
   m.ff <- false;
+  for i = 0 to Array.length m.ctxs - 1 do
+    refresh_ready m m.ctxs.(i)
+  done;
   n
 
 (* The callbacks through which an instruction of the context whose id is

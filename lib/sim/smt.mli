@@ -1,6 +1,7 @@
 (** Shared SMT machinery for the cycle models: hardware-context management,
-    the static layout tables (branch-predictor numbering, bundle indices,
-    per-pc scoreboard facts), round-robin thread selection, the spawn
+    the static layout tables (branch-predictor numbering, bundle ids,
+    per-pc scoreboard facts), round-robin thread selection over the
+    contexts' stored ready cycles, the spawn
     policy, per-interval telemetry, the one-step accounting of quiet
     cycles, and the skeleton both cores share: their timing callbacks
     ({!env}), the sampled-window controller with its fast-forward windows
@@ -19,6 +20,13 @@ type context = {
   thread : Thread.t;
   mutable redirect_until : int;
       (** front end stalled until this cycle (mispredict, flush, I-miss) *)
+  mutable ready : int;
+      (** the first cycle at which the context can take an issue slot
+          (in-order) or dispatch slot (OOO); [max_int] while it cannot.
+          The in-order core recomputes it ({!refresh_ready}) after the
+          context issues; a spawn that binds the context and a
+          fast-forward ({!sample}) set it too. The OOO core recomputes it
+          every stepped cycle *)
   reg_ready : int array;  (** scoreboard: cycle each register is available *)
   fill_ready : int array;
       (** per level-rank (indices 2..4): latest ready cycle among this
@@ -109,13 +117,6 @@ val finish : machine -> now:int -> Stats.t
     and Figure 10 categories from its detailed windows, and
     {!Stats.finish}. *)
 
-val layout_of : machine -> context -> Layout.entry
-(** The layout entry of the context's current function: the thread names
-    it by its [Layout.by_index] index, so this is one array load. Applies
-    fall-through first (a pc one past the last instruction of a block
-    moves to the next block), so the thread's [blk]/[ins] then index the
-    instruction it executes next. *)
-
 val src_ready : machine -> context -> int -> int
 (** The latest cycle at which a source register of the instruction at the
     given pc id becomes ready in the context's scoreboard (0 without
@@ -125,16 +126,22 @@ val set_defs_ready : machine -> context -> int -> int -> unit
 (** [set_defs_ready m ctx pc ready]: the registers the instruction at [pc]
     writes become ready at cycle [ready]. *)
 
+val refresh_ready : machine -> context -> unit
+(** Set the context's in-order [ready]: the later of [redirect_until] and
+    the ready cycles of the sources of the instruction at its pc
+    (stall-on-use), or [max_int] while it is idle. *)
+
 val note_thread_end : machine -> context -> now:int -> watchdog:bool -> unit
 (** Record the end of a speculative occupancy: lifetime attribution and a
     timeline event. Idempotent per occupancy; the issue loops call it when
     a speculative thread kills itself, [watchdog_check] and [try_spawn]
     call it for the other endings. *)
 
-val select_threads : machine -> eligible:(context -> bool) -> int
-(** Fill [sel] with the ids of up to [issue_threads] contexts in priority
-    order (main thread first, then round-robin) satisfying [eligible];
-    returns the count and advances the cursor. Allocation-free. *)
+val select_threads : machine -> now:int -> int
+(** Fill [sel] with the ids of up to [issue_threads] contexts whose stored
+    [ready] cycle is at most [now], in priority order (main thread first,
+    then round-robin); returns the count and advances the cursor.
+    Allocation-free, and it divides nothing. *)
 
 type interval
 (** Per-interval telemetry state of one run: the main thread's instruction
@@ -159,9 +166,10 @@ val skip_quiet : machine -> interval -> now:int -> until:int -> unit
     cursor as the {!select_threads} calls after [now] would (cycle [now]'s
     call has already been made). Allocates nothing with telemetry off. *)
 
-val demand_access :
-  machine -> now:int -> ctx:context -> pc:int -> int -> Hierarchy.outcome
-(** A load's cache access with perfect-delinquent filtering and per-site
+val demand_access : machine -> now:int -> ctx:context -> pc:int -> int -> int
+(** A load's cache access, returning its ready cycle (the level and
+    partial flag are left in the hierarchy, see
+    {!Hierarchy.last_level}), with perfect-delinquent filtering and per-site
     stats recording (main thread only), keyed by the dense {!Layout} pc id.
     With attribution attached, a speculative load at a mapped slice site is
     tagged as a prefetch issue (value-used targets emit no lfetch — the

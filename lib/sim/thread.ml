@@ -2,8 +2,8 @@
    with the [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives, so a
    register write neither allocates an [Int64] box nor runs the write
    barrier. A frame's saved stacked registers use the same layout, and a
-   call or return moves them with one [Bytes.blit]. The current function
-   is its [Layout.by_index] index. *)
+   call or return moves them with one [Bytes.blit]. The position is one
+   [Layout] pc id. *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -11,16 +11,12 @@ external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 type frame = {
   saved_stacked : Bytes.t;
   mutable saved_n : int;
-  mutable ret_blk : int;
-  mutable ret_ins : int;
-  mutable ret_fn : int;
+  mutable ret_pc : int;
 }
 
 type t = {
   id : int;
-  mutable fn : int;
-  mutable blk : int;
-  mutable ins : int;
+  mutable pc : int;
   regs : Bytes.t;
   mutable frames : frame array;
   mutable frame_n : int;
@@ -40,16 +36,14 @@ let stacked_off = 8 * Ssp_isa.Reg.first_stacked
 
 let new_frame () =
   { saved_stacked = Bytes.make (8 * n_stacked) '\000'; saved_n = n_stacked;
-    ret_blk = 0; ret_ins = 0; ret_fn = 0 }
+    ret_pc = 0 }
 
 let create ~id =
   let rand_state = Bytes.create 8 in
   set64u rand_state 0 0x9E3779B97F4A7C15L;
   {
     id;
-    fn = 0;
-    blk = 0;
-    ins = 0;
+    pc = 0;
     regs = Bytes.make (8 * Ssp_isa.Reg.count) '\000';
     frames = Array.init 16 (fun _ -> new_frame ());
     frame_n = 0;
@@ -61,10 +55,8 @@ let create ~id =
     rand_state;
   }
 
-let reset_for_spawn t ~fn ~blk ~live_in ~rand_state =
-  t.fn <- fn;
-  t.blk <- blk;
-  t.ins <- 0;
+let reset_for_spawn t ~pc ~live_in ~rand_state =
+  t.pc <- pc;
   Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
   t.frame_n <- 0;
   t.live_in <- Array.copy live_in;
@@ -74,7 +66,7 @@ let reset_for_spawn t ~fn ~blk ~live_in ~rand_state =
   t.instrs <- 0;
   set64u t.rand_state 0 rand_state
 
-let push_frame t ~ret_blk ~ret_ins =
+let push_frame t ~ret_pc =
   let cap = Array.length t.frames in
   if t.frame_n = cap then
     t.frames <-
@@ -83,9 +75,7 @@ let push_frame t ~ret_blk ~ret_ins =
   let fr = t.frames.(t.frame_n) in
   t.frame_n <- t.frame_n + 1;
   fr.saved_n <- n_stacked;
-  fr.ret_blk <- ret_blk;
-  fr.ret_ins <- ret_ins;
-  fr.ret_fn <- t.fn;
+  fr.ret_pc <- ret_pc;
   fr
 
 (* Register indices are range-validated at every producer (Ir.Builder,

@@ -5,8 +5,8 @@
     The register file is unboxed: register [r] is the 8-byte slot at byte
     offset [8 * r] of [regs], accessed with {!get64u}/{!set64u}, so the
     decoded arms compute and store 64-bit values without allocating. The
-    current function is named by its index in [Layout.by_index]; cold
-    paths that need its name read it from the layout. *)
+    position is one {!Layout} pc id; cold paths that need the function or
+    block read them from the layout ([Layout.fn_of], [Layout.irefs]). *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 (** The 8-byte slot at a byte offset, host byte order, unchecked. *)
@@ -20,9 +20,7 @@ type frame = {
           matching return restores exactly that many. [push_frame] sets the
           full count; the decoded interpreter's call saves only the caller's
           mentioned-register prefix and lowers it *)
-  mutable ret_blk : int;
-  mutable ret_ins : int;
-  mutable ret_fn : int;  (** the caller's [Layout.by_index] index *)
+  mutable ret_pc : int;  (** the pc id the return resumes at *)
 }
 (** One register-stack frame. Frames live in a per-thread pool ([frames] up
     to [frame_n]) and are reused across calls — a call blits the stacked
@@ -30,9 +28,7 @@ type frame = {
 
 type t = {
   id : int;  (** hardware context number *)
-  mutable fn : int;  (** current function's [Layout.by_index] index *)
-  mutable blk : int;
-  mutable ins : int;
+  mutable pc : int;  (** pc id of the next instruction *)
   regs : Bytes.t;  (** 128 registers, 8 bytes each; r0's slot stays zero *)
   mutable frames : frame array;
       (** frame pool, grown by doubling; [frames.(0 .. frame_n-1)] are the
@@ -55,15 +51,14 @@ val stacked_off : int
 val create : id:int -> t
 
 val reset_for_spawn :
-  t -> fn:int -> blk:int -> live_in:int64 array -> rand_state:int64 -> unit
-(** Reinitialize a context as a speculative thread starting at the given
-    block of function [fn] (a [Layout.by_index] index) with the given
-    live-in snapshot. *)
+  t -> pc:int -> live_in:int64 array -> rand_state:int64 -> unit
+(** Reinitialize a context as a speculative thread starting at pc id [pc]
+    with the given live-in snapshot. *)
 
 val get : t -> Ssp_isa.Reg.t -> int64
 val set : t -> Ssp_isa.Reg.t -> int64 -> unit
 
-val push_frame : t -> ret_blk:int -> ret_ins:int -> frame
-(** The next pooled frame, fields set ([ret_fn] from the thread's current
-    [fn]) and depth bumped; the caller blits the stacked registers into
-    [saved_stacked]. Allocates only when the pool grows. *)
+val push_frame : t -> ret_pc:int -> frame
+(** The next pooled frame, [ret_pc] set and depth bumped; the caller blits
+    the stacked registers into [saved_stacked]. Allocates only when the
+    pool grows. *)

@@ -45,18 +45,19 @@ let test_cache_lru () =
 let test_hierarchy_levels () =
   let cfg = Ssp_machine.Config.in_order in
   let h = Hierarchy.create cfg in
-  let o1 = Hierarchy.access h ~now:0 0x10000 in
+  let r1 = Hierarchy.access h ~now:0 0x10000 in
   Alcotest.(check bool) "cold access goes to memory" true
-    (o1.Hierarchy.level = Hierarchy.Mem);
-  Alcotest.(check int) "memory latency" 230 o1.Hierarchy.ready;
+    (Hierarchy.last_level h = Hierarchy.Mem);
+  Alcotest.(check int) "memory latency" 230 r1;
   (* Same line while in flight: partial hit. *)
-  let o2 = Hierarchy.access h ~now:10 0x10008 in
-  Alcotest.(check bool) "partial" true o2.Hierarchy.partial;
-  Alcotest.(check int) "ready when fill lands" 230 o2.Hierarchy.ready;
+  let r2 = Hierarchy.access h ~now:10 0x10008 in
+  Alcotest.(check bool) "partial" true (Hierarchy.last_partial h);
+  Alcotest.(check int) "ready when fill lands" 230 r2;
   (* After the fill completes the line hits L1. *)
-  let o3 = Hierarchy.access h ~now:300 0x10010 in
-  Alcotest.(check bool) "L1 hit after fill" true (o3.Hierarchy.level = Hierarchy.L1);
-  Alcotest.(check int) "L1 latency" 302 o3.Hierarchy.ready
+  let r3 = Hierarchy.access h ~now:300 0x10010 in
+  Alcotest.(check bool) "L1 hit after fill" true
+    (Hierarchy.last_level h = Hierarchy.L1);
+  Alcotest.(check int) "L1 latency" 302 r3
 
 let test_hierarchy_perfect () =
   let cfg =
@@ -64,9 +65,10 @@ let test_hierarchy_perfect () =
       Ssp_machine.Config.Perfect_memory
   in
   let h = Hierarchy.create cfg in
-  let o = Hierarchy.access h ~now:5 0xdead00 in
-  Alcotest.(check bool) "always L1" true (o.Hierarchy.level = Hierarchy.L1);
-  Alcotest.(check int) "L1 latency" 7 o.Hierarchy.ready
+  let r = Hierarchy.access h ~now:5 0xdead00 in
+  Alcotest.(check bool) "always L1" true
+    (Hierarchy.last_level h = Hierarchy.L1);
+  Alcotest.(check int) "L1 latency" 7 r
 
 let test_fill_buffer_pressure () =
   let cfg = Ssp_machine.Config.in_order in
@@ -76,22 +78,20 @@ let test_fill_buffer_pressure () =
   for i = 0 to 15 do
     ignore (Hierarchy.access h ~now:0 (0x100000 + (i * 4096)))
   done;
-  let o = Hierarchy.access h ~now:1 0x900000 in
-  Alcotest.(check bool) "delayed past a retirement" true
-    (o.Hierarchy.ready >= 230 + 230);
+  let r = Hierarchy.access h ~now:1 0x900000 in
+  Alcotest.(check bool) "delayed past a retirement" true (r >= 230 + 230);
   (* A 2-entry buffer has no demand reserve, so a speculative miss finds
      it full even when it is empty; with nothing in flight to wait for,
      the fill starts at once. *)
   let h =
     Hierarchy.create { cfg with Ssp_machine.Config.fill_buffer_entries = 2 }
   in
-  let o = Hierarchy.demand h ~now:100 ~low_priority:true 0x123440 in
-  Alcotest.(check int) "speculative miss at an empty buffer" 330
-    o.Hierarchy.ready;
-  let o = Hierarchy.demand h ~now:101 ~low_priority:false 0x123440 in
+  let r = Hierarchy.demand h ~now:100 ~low_priority:true 0x123440 in
+  Alcotest.(check int) "speculative miss at an empty buffer" 330 r;
+  let r = Hierarchy.demand h ~now:101 ~low_priority:false 0x123440 in
   Alcotest.(check bool) "main thread finds it in flight" true
-    o.Hierarchy.partial;
-  Alcotest.(check int) "ready when that fill lands" 330 o.Hierarchy.ready
+    (Hierarchy.last_partial h);
+  Alcotest.(check int) "ready when that fill lands" 330 r
 
 let test_bpred_learns () =
   let cfg = Ssp_machine.Config.in_order in
@@ -209,16 +209,36 @@ let attrib_text (s : Attrib.summary) =
 
 let hex s = Digest.to_hex (Digest.string s)
 
+module F = Ssp_fault.Fault
+
+(* A plan that fires every simulator fault site. Each of them changes a
+   context's readiness outside that context's own issue: a denied or
+   delayed spawn, an injected kill, a starved chk.c, a broken chain, a
+   dropped prefetch, an exhausted fill buffer. *)
+let sim_fault_plan () =
+  F.make ~seed:19
+    [
+      ("sim.spec.kill", F.spec 0.002);
+      ("sim.spawn.deny", F.spec 0.2);
+      ("sim.spawn.delay", F.spec 0.25);
+      ("sim.context.starve", F.spec 0.2);
+      ("sim.chain.break", F.spec 0.25);
+      ("sim.prefetch.drop", F.spec 0.25);
+      ("sim.fill.exhaust", F.spec 0.05);
+    ]
+
 (* One workload's pins: digests of the in-order runs and of the OOO runs
-   (unadapted and adapted, full and sampled), and of the attribution
-   summary of the attributed adapted in-order run. *)
+   (unadapted and adapted, full and sampled), of the attribution summary
+   of the attributed adapted in-order run, and of the adapted program's
+   runs (in-order and OOO, full and sampled) under [sim_fault_plan]; and
+   that plan's per-site counts. *)
 let cycle_pins (w : Ssp_workloads.Workload.t) =
   let prog = Ssp_workloads.Workload.program w ~scale:1 in
   let profile = Ssp_profiling.Collect.collect ~config:pin_inorder prog in
   let result = Ssp.Adapt.run ~config:pin_inorder prog profile in
   let adapted = result.Ssp.Adapt.prog in
+  let sampling = Smt.default_sampling in
   let runs run cfg =
-    let sampling = Smt.default_sampling in
     hex
       (String.concat "\n--\n"
          [
@@ -232,10 +252,24 @@ let cycle_pins (w : Ssp_workloads.Workload.t) =
     Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
   in
   ignore (Inorder.run ~attrib pin_inorder adapted);
-  ( w.Ssp_workloads.Workload.name,
-    runs (fun ?sampling cfg p -> Inorder.run ?sampling cfg p) pin_inorder,
-    runs (fun ?sampling cfg p -> Ooo.run ?sampling cfg p) pin_ooo,
-    hex (attrib_text (Attrib.summary attrib)) )
+  let plan = sim_fault_plan () in
+  let faulted =
+    F.with_plan plan (fun () ->
+        hex
+          (String.concat "\n--\n"
+             [
+               stats_text (Inorder.run pin_inorder adapted);
+               stats_text (Inorder.run ~sampling pin_inorder adapted);
+               stats_text (Ooo.run pin_ooo adapted);
+               stats_text (Ooo.run ~sampling pin_ooo adapted);
+             ]))
+  in
+  ( ( w.Ssp_workloads.Workload.name,
+      runs (fun ?sampling cfg p -> Inorder.run ?sampling cfg p) pin_inorder,
+      runs (fun ?sampling cfg p -> Ooo.run ?sampling cfg p) pin_ooo,
+      hex (attrib_text (Attrib.summary attrib)),
+      faulted ),
+    F.counts plan )
 
 (* The per-interval IPC series both cores emit with telemetry on. *)
 let interval_series name =
@@ -260,61 +294,75 @@ let interval_series name =
   (pts "sim.inorder.interval_ipc", pts "sim.ooo.interval_ipc")
 
 (* Recorded before the cycle cores skipped quiet cycles: skipping must not
-   move any of them. *)
+   move any of them. The fifth digest, the runs under simulator faults,
+   was recorded before the cores kept each context's ready cycle. *)
 let pinned_cycles =
   [
     ( "em3d",
       "30b577ae7eb32e9b2f28975b2cbf494a",
       "c39d6c0194c3020f892064fc4698c2e6",
-      "7da54e189a0087fe579c429629b3e86f" );
+      "7da54e189a0087fe579c429629b3e86f",
+      "a430cda1f164e59154883383ee8744e4" );
     ( "health",
       "b16bd11a6e0ab38167c12405de860e1b",
       "3df074abd6b3af1a4c4539c5769a7bec",
-      "16f0e7e2a715635896e90578cb948b11" );
+      "16f0e7e2a715635896e90578cb948b11",
+      "5aa604f20da47c271fb7fdac90bca807" );
     ( "mst",
       "3aac6db0a10f2a86697104617642ac38",
       "8b767f956a1c0352fd4bcf5727384bee",
-      "957b039a1aa32ab18a085d4d654e17a2" );
+      "957b039a1aa32ab18a085d4d654e17a2",
+      "2442929dc77d2a055f93c907c9547dd8" );
     ( "treeadd.df",
       "44bd8c91b6036165cbf2b85899517479",
       "c577edac8cad74a56a84541375c260a1",
-      "1c1be583c05f04cb4e6e07a6eee2fe1c" );
+      "1c1be583c05f04cb4e6e07a6eee2fe1c",
+      "cf5798c4e9603ceeb62695801f297fd3" );
     ( "treeadd.bf",
       "a9ef74ec3a7616b2e2aa2b8e6e38bf3d",
       "cb0140574ecb131d920e53ac6bb157a6",
-      "3506096a364de5999e87777b1a1cd0d4" );
+      "3506096a364de5999e87777b1a1cd0d4",
+      "b06cf60be5ad94de479e104c9574603c" );
     ( "mcf",
       "eb1a23bebec53dfe0c772e31d4297f7a",
       "843e68104ca2a99fedd3be1f73905c3d",
-      "48a9722f001539ab65a2c8710c66848f" );
+      "48a9722f001539ab65a2c8710c66848f",
+      "79065873c4634089f34bca94dcec1df6" );
     ( "vpr",
       "014fe284e0dcc9e60f1dc510406f786b",
       "dbdc404f8b56eb3a91774054d7866782",
-      "6166e7f7c2e704f44b5c4710bfac3006" );
+      "6166e7f7c2e704f44b5c4710bfac3006",
+      "f185053a8d2f450433dcadcfe941d57c" );
     ( "gen:3",
       "084f65d87a8ca911376b766b781ee1e2",
       "8a6a7dbebf2ab2edb73593b39c9434f0",
-      "31830f51567d8cc1db99e3d0481c5b5d" );
+      "31830f51567d8cc1db99e3d0481c5b5d",
+      "d21d2894a47c6e59d780782f0dc33a63" );
     ( "gen:4",
       "7aa12b4479468bff717c0d8d2aa08b1a",
       "3f3ee8c486481e3f4a04dbde09be0ef6",
-      "ab19b2aa58e916435112127825abc5b9" );
+      "ab19b2aa58e916435112127825abc5b9",
+      "8310fbed50877d6d433167be8d9974c5" );
     ( "gen:5",
       "8a3791ae5bf3f4e211f6ce441ed54f50",
       "6c2d9f800b066a7030baa11297da74e2",
-      "444cc7f8dd7d406a863b151e0f7fa309" );
+      "444cc7f8dd7d406a863b151e0f7fa309",
+      "e439972972dc8b1b30d85f5a576389e3" );
     ( "gen:6",
       "5c32267c1c3ff76a21a4e22cce7fd602",
       "3fcc1096c8e31ebd8a5d23c13c76627d",
-      "424e447cfec1be28de62b370ce12b8d8" );
+      "424e447cfec1be28de62b370ce12b8d8",
+      "4ad4ea724aceaf8ee9c0714dc456ce41" );
     ( "gen:7",
       "51e08932a7f33d117b1b0307379be56a",
       "7e2c40daebfbc77260b59dc5885393a5",
-      "57a5a308fa2bc05d8a1bc31f3d58e889" );
+      "57a5a308fa2bc05d8a1bc31f3d58e889",
+      "82538b7653449a423b859803ff7b38ab" );
     ( "gen:8",
       "5d0817408f51bf5ff6681a1009ca4bca",
       "1905773ad9f5606ad72f56eaca7d6e4a",
-      "c005dde98d00cba17facee068e0ea921" );
+      "c005dde98d00cba17facee068e0ea921",
+      "0042b647208317c7cd27fa9216112320" );
   ]
 
 let pinned_series =
@@ -322,15 +370,31 @@ let pinned_series =
     (36, "ec3f3bf8ab94a579ac1a771a656f6239"))
 
 let test_cycle_pins () =
+  let fired = Hashtbl.create 8 in
   List.iter2
-    (fun w (name, inorder, ooo, attrib) ->
-      let name', inorder', ooo', attrib' = cycle_pins w in
+    (fun w (name, inorder, ooo, attrib, faulted) ->
+      let (name', inorder', ooo', attrib', faulted'), counts = cycle_pins w in
       Alcotest.(check string) "workload" name name';
       Alcotest.(check string) (name ^ ": in-order stats") inorder inorder';
       Alcotest.(check string) (name ^ ": OOO stats") ooo ooo';
-      Alcotest.(check string) (name ^ ": attribution summary") attrib attrib')
+      Alcotest.(check string) (name ^ ": attribution summary") attrib attrib';
+      Alcotest.(check string) (name ^ ": under simulator faults") faulted
+        faulted';
+      List.iter
+        (fun (c : F.count) ->
+          let n = Option.value ~default:0 (Hashtbl.find_opt fired c.F.site) in
+          Hashtbl.replace fired c.F.site (n + c.F.fired))
+        counts)
     (Ssp_workloads.Suite.all @ Ssp_workloads.Suite.corpus ~n:6 ~seed:3)
     pinned_cycles;
+  List.iter
+    (fun site ->
+      let name = F.site_name site in
+      if String.starts_with ~prefix:"sim." name then
+        match Hashtbl.find_opt fired name with
+        | Some n when n > 0 -> ()
+        | _ -> Alcotest.failf "fault site %s never fired" name)
+    (F.all_sites ());
   let (ni, di), (no, d_o) = interval_series "mcf" in
   let (ni', di'), (no', do') = pinned_series in
   Alcotest.(check bool) "in-order crosses 10 intervals" true (ni >= 10);
@@ -338,6 +402,62 @@ let test_cycle_pins () =
   Alcotest.(check (pair int string))
     "in-order interval IPC" (ni', di') (ni, di);
   Alcotest.(check (pair int string)) "OOO interval IPC" (no', do') (no, d_o)
+
+(* The cycle cores keep the OCaml runtime off their hot paths and a timed
+   cache access returns an int, so a run allocates well under one
+   minor-heap word per simulated cycle (set-up included). The counts are
+   deterministic. Adapted programs are left out: their spawns and live-in
+   copies run on the boxed slow path. *)
+let test_cycle_alloc_budget () =
+  List.iter
+    (fun (w : Ssp_workloads.Workload.t) ->
+      let prog = Ssp_workloads.Workload.program w ~scale:1 in
+      List.iter
+        (fun (core, run) ->
+          let before = Gc.minor_words () in
+          let s : Stats.t = run prog in
+          let per_cycle =
+            (Gc.minor_words () -. before) /. float_of_int s.Stats.cycles
+          in
+          if per_cycle > 0.2 then
+            Alcotest.failf "%s %s: %.3f minor words per cycle (budget 0.2)"
+              w.Ssp_workloads.Workload.name core per_cycle)
+        [ ("in-order", Inorder.run pin_inorder); ("OOO", Ooo.run pin_ooo) ])
+    Ssp_workloads.Suite.all
+
+(* A thread's position is one pc over the whole program, so a function
+   that could run off its end would run on into the next one's code: the
+   layout rejects it, naming it, before anything runs. *)
+let test_runs_off_end () =
+  let prog funcs =
+    let p = Prog.create ~entry:"main" in
+    List.iter
+      (fun (name, blocks) ->
+        Prog.add_func p (Builder.func_of_blocks ~name ~nparams:0 blocks))
+      funcs;
+    p
+  in
+  let g = ("g", [ ("entry", Op.[ Movi (40, 2L); Print 40; Halt ]) ]) in
+  let p = prog [ ("main", [ ("entry", Op.[ Movi (40, 1L); Print 40 ]) ]); g ] in
+  let falls =
+    Invalid_argument
+      "Layout.of_prog: function main falls through past its last block"
+  in
+  Alcotest.check_raises "Funcsim.run" falls (fun () ->
+      ignore (Funcsim.run p));
+  Alcotest.check_raises "Inorder.run" falls (fun () ->
+      ignore (Inorder.run pin_inorder p));
+  Alcotest.check_raises "Ooo.run" falls (fun () ->
+      ignore (Ooo.run pin_ooo p));
+  Alcotest.check_raises "Collect.collect" falls (fun () ->
+      ignore (Ssp_profiling.Collect.collect p));
+  Alcotest.check_raises "empty last block" falls (fun () ->
+      ignore
+        (Layout.of_prog
+           (prog [ ("main", [ ("entry", Op.[ Halt ]); ("tail", []) ]); g ])));
+  Alcotest.check_raises "no blocks"
+    (Invalid_argument "Layout.of_prog: function main has no blocks")
+    (fun () -> ignore (Layout.of_prog (prog [ ("main", []); g ])))
 
 (* A run that outlives [max_cycles] fails rather than returning stats. *)
 let test_max_cycles () =
@@ -614,5 +734,9 @@ let suite =
   @ [
       Alcotest.test_case "cycle-core statistics pinned" `Slow test_cycle_pins;
       Alcotest.test_case "max_cycles safety net" `Quick test_max_cycles;
+      Alcotest.test_case "cycle-core allocation budget" `Quick
+        test_cycle_alloc_budget;
+      Alcotest.test_case "a function that runs off its end is rejected" `Quick
+        test_runs_off_end;
       QCheck_alcotest.to_alcotest prop_reference_eval;
     ]
