@@ -32,6 +32,7 @@
 
 open Cmdliner
 module T = Ssp_telemetry.Telemetry
+module Json = Ssp_telemetry.Json
 module Fb = Ssp_feedback.Feedback
 module Suite = Ssp_workloads.Suite
 
@@ -86,7 +87,7 @@ let out_arg =
 let trace_arg =
   let doc =
     "Enable telemetry and write the structured run report (spans, counters, \
-     distributions, series) as JSON to this file."
+     histograms, series) as JSON to this file."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"OUT.JSON" ~doc)
 
@@ -609,35 +610,31 @@ let tune_cmd =
     match json with
     | None -> ()
     | Some path ->
-      let b = Buffer.create 1024 in
-      Buffer.add_string b "[";
-      List.iteri
-        (fun i st ->
-          if i > 0 then Buffer.add_string b ",";
-          let agg = st.Fb.st_aggregate in
-          Printf.bprintf b
-            "{\"workload\":%s,\"scale\":%d,\"pipeline\":%s,\"reports\":%d,\"version\":%d,\"actions\":["
-            (T.json_string (name_of st.Fb.st_prog))
-            st.Fb.st_scale
-            (T.json_string st.Fb.st_pipeline)
-            st.Fb.st_reports agg.Fb.ag_version;
-          (match st.Fb.st_tuned with
-          | None -> ()
-          | Some t ->
-            List.iteri
-              (fun j a ->
-                if j > 0 then Buffer.add_string b ",";
-                Printf.bprintf b
-                  "{\"load\":%s,\"what\":%s,\"why\":%s}"
-                  (T.json_string (Ssp_ir.Iref.to_string a.Fb.act_load))
-                  (T.json_string a.Fb.act_what)
-                  (T.json_string a.Fb.act_why))
-              t.Fb.td_actions);
-          Buffer.add_string b "]}")
-        results;
-      Buffer.add_string b "]\n";
+      let action a =
+        Json.Obj
+          [
+            ("load", String (Ssp_ir.Iref.to_string a.Fb.act_load));
+            ("what", String a.Fb.act_what);
+            ("why", String a.Fb.act_why);
+          ]
+      in
+      let status st =
+        let actions =
+          match st.Fb.st_tuned with None -> [] | Some t -> t.Fb.td_actions
+        in
+        Json.Obj
+          [
+            ("workload", String (name_of st.Fb.st_prog));
+            ("scale", Int st.Fb.st_scale);
+            ("pipeline", String st.Fb.st_pipeline);
+            ("reports", Int st.Fb.st_reports);
+            ("version", Int st.Fb.st_aggregate.Fb.ag_version);
+            ("actions", List (List.map action actions));
+          ]
+      in
       let oc = open_out path in
-      Buffer.output_buffer oc b;
+      output_string oc (Json.to_string (List (List.map status results)));
+      output_char oc '\n';
       close_out oc
   in
   let store_pos =

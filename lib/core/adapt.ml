@@ -339,7 +339,7 @@ let run ?(knobs = default_knobs) ?(overrides = no_overrides) ?(jobs = 1)
     T.count "adapt.slices" (List.length choices);
     List.iter
       (fun (c : Select.choice) ->
-        T.record "adapt.slice_size" (float_of_int (Slice.size c.Select.schedule.Schedule.slice));
+        T.record_hist "adapt.slice_size" (float_of_int (Slice.size c.Select.schedule.Schedule.slice));
         T.count "adapt.triggers" (List.length c.Select.triggers);
         match c.Select.model with
         | Select.Chaining -> T.count "adapt.model.chaining" 1

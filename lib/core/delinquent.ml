@@ -64,7 +64,7 @@ let identify ?(coverage = 0.9) (prog : Ssp_ir.Prog.t)
   if T.is_enabled () then begin
     T.count "delinquent.candidates" (List.length sorted);
     T.count "delinquent.selected" (List.length picked);
-    List.iter (fun l -> T.record "delinquent.miss_ratio" l.miss_ratio) picked
+    List.iter (fun l -> T.record_hist "delinquent.miss_ratio" l.miss_ratio) picked
   end;
   {
     loads = picked;

@@ -7,6 +7,7 @@
 
 module Iref = Ssp_ir.Iref
 module Attrib = Ssp_sim.Attrib
+module Json = Ssp_telemetry.Json
 
 type scheme = {
   model : string; (* "chaining" | "basic" *)
@@ -183,155 +184,105 @@ let pp ppf t =
 
 (* ---- JSON rendering ---- *)
 
-let buf_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let buf_float b f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else Buffer.add_string b (Printf.sprintf "%.6g" f)
-
-let buf_obj b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, emit) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_string b k;
-      Buffer.add_char b ':';
-      emit ())
-    fields;
-  Buffer.add_char b '}'
-
-let buf_list b xs emit =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      emit x)
-    xs;
-  Buffer.add_char b ']'
-
 let to_json t =
-  let b = Buffer.create 4096 in
-  let int n () = Buffer.add_string b (string_of_int n) in
-  let flt f () = buf_float b f in
-  let str s () = buf_string b s in
-  let bool v () = Buffer.add_string b (if v then "true" else "false") in
-  let scheme_json s () =
-    buf_obj b
+  let scheme_json s =
+    let trigger tr =
+      Json.Obj
+        [
+          ("fn", String tr.Trigger.fn);
+          ("blk", Int tr.Trigger.blk);
+          ("pos", Int tr.Trigger.pos);
+          ( "kind",
+            String
+              (match tr.Trigger.kind with
+              | Trigger.Preheader -> "preheader"
+              | Trigger.Body -> "body"
+              | Trigger.Call_site -> "call_site") );
+        ]
+    in
+    Json.Obj
       [
-        ("model", str s.model);
-        ("slice_size", int s.slice_size);
-        ("live_ins", int s.live_ins);
-        ("region", str s.region);
-        ("interprocedural", bool s.interprocedural);
-        ("spawn_condition", str s.spawn_condition);
-        ("slack1_csp", int s.slack1_csp);
-        ("slack1_bsp", int s.slack1_bsp);
-        ("trips", int s.trips);
-        ( "triggers",
-          fun () ->
-            buf_list b s.triggers (fun tr ->
-                buf_obj b
-                  [
-                    ("fn", str tr.Trigger.fn);
-                    ("blk", int tr.Trigger.blk);
-                    ("pos", int tr.Trigger.pos);
-                    ( "kind",
-                      str
-                        (match tr.Trigger.kind with
-                        | Trigger.Preheader -> "preheader"
-                        | Trigger.Body -> "body"
-                        | Trigger.Call_site -> "call_site") );
-                  ]) );
+        ("model", String s.model);
+        ("slice_size", Int s.slice_size);
+        ("live_ins", Int s.live_ins);
+        ("region", String s.region);
+        ("interprocedural", Bool s.interprocedural);
+        ("spawn_condition", String s.spawn_condition);
+        ("slack1_csp", Int s.slack1_csp);
+        ("slack1_bsp", Int s.slack1_bsp);
+        ("trips", Int s.trips);
+        ("triggers", List (List.map trigger s.triggers));
       ]
   in
-  let attrib_json (a : Attrib.load_summary) () =
-    buf_obj b
+  let attrib_json (a : Attrib.load_summary) =
+    Json.Obj
       [
-        ("issued", int a.Attrib.ls_issued);
-        ("useful", int a.Attrib.ls_useful);
-        ("late", int a.Attrib.ls_late);
-        ("early_evicted", int a.Attrib.ls_early_evicted);
-        ("redundant", int a.Attrib.ls_redundant);
-        ("dropped", int a.Attrib.ls_dropped);
-        ("unused", int a.Attrib.ls_unused);
-        ("demand_accesses", int a.Attrib.ls_demand_accesses);
-        ("demand_hits", int a.Attrib.ls_demand_hits);
-        ("coverage", flt a.Attrib.ls_coverage);
-        ("accuracy", flt a.Attrib.ls_accuracy);
-        ("timeliness", flt a.Attrib.ls_timeliness);
-        ("mean_lead_cycles", flt a.Attrib.ls_mean_lead);
-        ("mean_late_wait_cycles", flt a.Attrib.ls_mean_late_wait);
+        ("issued", Int a.Attrib.ls_issued);
+        ("useful", Int a.Attrib.ls_useful);
+        ("late", Int a.Attrib.ls_late);
+        ("early_evicted", Int a.Attrib.ls_early_evicted);
+        ("redundant", Int a.Attrib.ls_redundant);
+        ("dropped", Int a.Attrib.ls_dropped);
+        ("unused", Int a.Attrib.ls_unused);
+        ("demand_accesses", Int a.Attrib.ls_demand_accesses);
+        ("demand_hits", Int a.Attrib.ls_demand_hits);
+        ("coverage", Float a.Attrib.ls_coverage);
+        ("accuracy", Float a.Attrib.ls_accuracy);
+        ("timeliness", Float a.Attrib.ls_timeliness);
+        ("mean_lead_cycles", Float a.Attrib.ls_mean_lead);
+        ("mean_late_wait_cycles", Float a.Attrib.ls_mean_late_wait);
       ]
   in
-  buf_obj b
-    [
-      ("cycles", int t.cycles);
-      ("profile_coverage", flt t.profile_coverage);
-      ( "loads",
-        fun () ->
-          buf_list b t.rows (fun r ->
-              let l = r.load in
-              buf_obj b
-                ([
-                   ("load", str (Iref.to_string l.Delinquent.iref));
-                   ("miss_cycles", int l.Delinquent.miss_cycles);
-                   ("accesses", int l.Delinquent.accesses);
-                   ("miss_ratio", flt l.Delinquent.miss_ratio);
-                   ("miss_share", flt r.miss_share);
-                 ]
-                @ (match r.scheme with
-                  | Some s -> [ ("scheme", scheme_json s) ]
-                  | None -> [])
-                @ (match r.attrib with
-                  | Some a -> [ ("attribution", attrib_json a) ]
-                  | None -> [])
-                @
-                match r.feedback with
-                | Some cell -> [ ("feedback", str cell) ]
-                | None -> [])) );
-      ( "threads",
-        fun () ->
-          let th = t.threads in
-          buf_obj b
-            [
-              ("spawns", int th.Attrib.th_spawns);
-              ("denied", int th.Attrib.th_denied);
-              ("ended", int th.Attrib.th_ended);
-              ("watchdog_kills", int th.Attrib.th_watchdog_kills);
-              ("mean_lifetime_cycles", flt th.Attrib.th_mean_lifetime);
-              ("max_lifetime_cycles", int th.Attrib.th_max_lifetime);
-            ] );
-      ( "spawn_sites",
-        fun () ->
-          buf_list b t.sites (fun (s : Attrib.site_summary) ->
-              buf_obj b
-                [
-                  ("site", str (Iref.to_string s.Attrib.ss_site));
-                  ("spawns", int s.Attrib.ss_spawns);
-                  ("denied", int s.Attrib.ss_denied);
-                ]) );
-      ( "diagnostics",
-        fun () ->
-          buf_list b t.diagnostics (fun (d : Report.diag) ->
-              buf_obj b
-                [
-                  ("load", str d.Report.load);
-                  ("stage", str d.Report.stage);
-                  ("action", str d.Report.action);
-                  ("detail", str d.Report.detail);
-                ]) );
-    ];
-  Buffer.contents b
+  let row r =
+    let l = r.load in
+    let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+    Json.(
+      Obj
+        ([
+           ("load", String (Iref.to_string l.Delinquent.iref));
+           ("miss_cycles", Int l.Delinquent.miss_cycles);
+           ("accesses", Int l.Delinquent.accesses);
+           ("miss_ratio", Float l.Delinquent.miss_ratio);
+           ("miss_share", Float r.miss_share);
+         ]
+        @ opt "scheme" scheme_json r.scheme
+        @ opt "attribution" attrib_json r.attrib
+        @ opt "feedback" (fun cell -> String cell) r.feedback))
+  in
+  let th = t.threads in
+  let site (s : Attrib.site_summary) =
+    Json.Obj
+      [
+        ("site", String (Iref.to_string s.Attrib.ss_site));
+        ("spawns", Int s.Attrib.ss_spawns);
+        ("denied", Int s.Attrib.ss_denied);
+      ]
+  in
+  let diagnostic (d : Report.diag) =
+    Json.Obj
+      [
+        ("load", String d.Report.load);
+        ("stage", String d.Report.stage);
+        ("action", String d.Report.action);
+        ("detail", String d.Report.detail);
+      ]
+  in
+  Json.to_string
+    (Obj
+       [
+         ("cycles", Int t.cycles);
+         ("profile_coverage", Float t.profile_coverage);
+         ("loads", List (List.map row t.rows));
+         ( "threads",
+           Obj
+             [
+               ("spawns", Int th.Attrib.th_spawns);
+               ("denied", Int th.Attrib.th_denied);
+               ("ended", Int th.Attrib.th_ended);
+               ("watchdog_kills", Int th.Attrib.th_watchdog_kills);
+               ("mean_lifetime_cycles", Float th.Attrib.th_mean_lifetime);
+               ("max_lifetime_cycles", Int th.Attrib.th_max_lifetime);
+             ] );
+         ("spawn_sites", List (List.map site t.sites));
+         ("diagnostics", List (List.map diagnostic t.diagnostics));
+       ])

@@ -267,9 +267,9 @@ let build regions profile cfg ~trips (slice : Slice.t) =
     |> List.map fst
   in
   if T.is_enabled () then begin
-    T.record "schedule.nodes" (float_of_int n);
-    T.record "schedule.sccs" (float_of_int (Array.length comps));
-    T.record "schedule.nondegenerate_sccs"
+    T.record_hist "schedule.nodes" (float_of_int n);
+    T.record_hist "schedule.sccs" (float_of_int (Array.length comps));
+    T.record_hist "schedule.nondegenerate_sccs"
       (float_of_int (List.length nondegenerate))
   end;
   (* Critical sub-slice: non-degenerate SCC members plus their

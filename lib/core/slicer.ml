@@ -122,7 +122,7 @@ let slice_region regions profile ~region (d : Delinquent.load) =
       in
       resolve d.Delinquent.iref d.Delinquent.addr_reg;
       if T.is_enabled () then
-        T.record "slice.instrs"
+        T.record_hist "slice.instrs"
           (float_of_int (Ssp_ir.Iref.Set.cardinal !instrs));
       if !overflow then begin
         T.incr (T.counter "slice.overflow");

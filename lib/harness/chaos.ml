@@ -11,7 +11,7 @@
 
 open Ssp_machine
 module F = Ssp_fault.Fault
-module T = Ssp_telemetry.Telemetry
+module Json = Ssp_telemetry.Json
 
 (* Probabilities are tuned so a default 8-campaign sweep exercises every
    site: the adapt sites are queried once or twice per delinquent load
@@ -190,36 +190,38 @@ let pp ppf r =
   Format.fprintf ppf "@]"
 
 let to_json r =
-  let b = Buffer.create 4096 in
   let degraded, skipped = ladder_events r in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"seed\":%d,\"campaigns\":%d,\"violations\":%d,\"degraded\":%d,\
-        \"skipped\":%d,\"fired_sites\":[%s],\"workloads\":["
-       r.seed r.n_campaigns (violations r) degraded skipped
-       (String.concat "," (List.map T.json_string (fired_sites r))));
-  List.iteri
-    (fun wi w ->
-      if wi > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":%s,\"campaigns\":[" (T.json_string w.w_name));
-      List.iteri
-        (fun ci c ->
-          if ci > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"seed\":%d,\"slices\":%d,\"degraded\":%d,\"skipped\":%d,\
-                \"violations\":[%s],\"faults\":{%s}}"
-               c.c_seed c.slices c.degraded c.skipped
-               (String.concat "," (List.map T.json_string c.violations))
-               (String.concat ","
-                  (List.map
-                     (fun (f : F.count) ->
-                       Printf.sprintf "%s:{\"queried\":%d,\"fired\":%d}"
-                         (T.json_string f.F.site) f.F.queried f.F.fired)
-                     c.faults))))
-        w.campaigns;
-      Buffer.add_string b "]}")
-    r.workloads;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let strings xs = Json.List (List.map (fun s -> Json.String s) xs) in
+  let fault (f : F.count) =
+    ( f.F.site,
+      Json.Obj [ ("queried", Int f.F.queried); ("fired", Int f.F.fired) ] )
+  in
+  let campaign c =
+    Json.Obj
+      [
+        ("seed", Int c.c_seed);
+        ("slices", Int c.slices);
+        ("degraded", Int c.degraded);
+        ("skipped", Int c.skipped);
+        ("violations", strings c.violations);
+        ("faults", Obj (List.map fault c.faults));
+      ]
+  in
+  let workload w =
+    Json.Obj
+      [
+        ("name", String w.w_name);
+        ("campaigns", List (List.map campaign w.campaigns));
+      ]
+  in
+  Json.to_string
+    (Obj
+       [
+         ("seed", Int r.seed);
+         ("campaigns", Int r.n_campaigns);
+         ("violations", Int (violations r));
+         ("degraded", Int degraded);
+         ("skipped", Int skipped);
+         ("fired_sites", strings (fired_sites r));
+         ("workloads", List (List.map workload r.workloads));
+       ])

@@ -5,16 +5,16 @@
 
 module T = Ssp_telemetry.Telemetry
 module Bin = Ssp_store.Store.Bin
+module Json = Ssp_telemetry.Json
 
 let magic = "SSPS"
-let version = 1
+let version = 2
 let malformed what = Ssp_ir.Error.raise_error ~pass:"snapshot" what
 
 type t = {
   node : string;
   counters : (string * int) list;
   gauges : (string * float) list;
-  dists : (string * T.dist_summary) list;
   hists : (string * T.hist_summary) list;
   events_dropped : int;
 }
@@ -25,7 +25,6 @@ let capture ?(node = "") ?(gauges = []) () =
     node;
     counters = r.T.r_counters;
     gauges = List.sort (fun (a, _) (b, _) -> String.compare a b) gauges;
-    dists = r.T.r_dists;
     hists = r.T.r_hists;
     events_dropped = T.events_dropped_count ();
   }
@@ -56,13 +55,6 @@ let encode t =
   w_list b t.gauges (fun b (name, v) ->
       Bin.w_str b name;
       Bin.w_float b v);
-  w_list b t.dists (fun b (name, d) ->
-      Bin.w_str b name;
-      Bin.w_int b d.T.ds_n;
-      Bin.w_float b d.T.ds_sum;
-      Bin.w_float b d.T.ds_min;
-      Bin.w_float b d.T.ds_max;
-      Bin.w_float b d.T.ds_sumsq);
   w_list b t.hists (fun b (name, h) ->
       Bin.w_str b name;
       Bin.w_int b h.T.hs_n;
@@ -92,24 +84,6 @@ let decode payload =
         let name = Bin.r_str r in
         (name, Bin.r_float r))
   in
-  let dists =
-    r_list r "dist" (fun r ->
-        let name = Bin.r_str r in
-        let ds_n = Bin.r_int r in
-        let ds_sum = Bin.r_float r in
-        let ds_min = Bin.r_float r in
-        let ds_max = Bin.r_float r in
-        let ds_sumsq = Bin.r_float r in
-        let ds_mean = if ds_n = 0 then 0. else ds_sum /. float_of_int ds_n in
-        let ds_stddev =
-          if ds_n = 0 then 0.
-          else
-            sqrt
-              (Float.max 0.
-                 ((ds_sumsq /. float_of_int ds_n) -. (ds_mean *. ds_mean)))
-        in
-        (name, { T.ds_n; ds_sum; ds_min; ds_max; ds_mean; ds_stddev; ds_sumsq }))
-  in
   let hists =
     r_list r "hist" (fun r ->
         let name = Bin.r_str r in
@@ -127,7 +101,7 @@ let decode payload =
   in
   let events_dropped = Bin.r_int r in
   Bin.expect_end r;
-  { node; counters; gauges; dists; hists; events_dropped }
+  { node; counters; gauges; hists; events_dropped }
 
 (* ---- cluster merge ---- *)
 
@@ -150,7 +124,6 @@ let shard_key node name = "shard." ^ node ^ "." ^ name
 let merge ?(node = "cluster") snaps =
   let counters = Hashtbl.create 64 in
   let gauges = Hashtbl.create 16 in
-  let dists = Hashtbl.create 32 in
   let hists = Hashtbl.create 32 in
   let dropped = ref 0 in
   let bump tbl merge_v name v =
@@ -181,7 +154,6 @@ let merge ?(node = "cluster") snaps =
           in
           bump gauges (fun _ v -> v) key v)
         s.gauges;
-      List.iter (fun (name, d) -> bump dists T.merge_dist_summary name d) s.dists;
       List.iter (fun (name, h) -> bump hists T.merge_hist_summary name h) s.hists)
     snaps;
   let sorted tbl =
@@ -192,7 +164,6 @@ let merge ?(node = "cluster") snaps =
     node;
     counters = sorted counters;
     gauges = sorted gauges;
-    dists = sorted dists;
     hists = sorted hists;
     events_dropped = !dropped;
   }
@@ -214,17 +185,8 @@ let pp ppf t =
       (fun (name, v) -> Format.fprintf ppf "  %-44s %12.2f@," name v)
       t.gauges
   end;
-  if t.dists <> [] then begin
-    Format.fprintf ppf "distributions:@,";
-    Format.fprintf ppf "  %-34s %8s %10s %10s %10s@," "" "n" "mean" "min" "max";
-    List.iter
-      (fun (name, d) ->
-        Format.fprintf ppf "  %-34s %8d %10.2f %10.2f %10.2f@," name d.T.ds_n
-          d.T.ds_mean d.T.ds_min d.T.ds_max)
-      t.dists
-  end;
   if t.hists <> [] then begin
-    Format.fprintf ppf "histograms (ms):@,";
+    Format.fprintf ppf "histograms:@,";
     Format.fprintf ppf "  %-34s %8s %9s %9s %9s %9s %9s@," "" "n" "p50" "p90"
       "p99" "p999" "max";
     List.iter
@@ -242,67 +204,14 @@ let pp ppf t =
     Format.fprintf ppf "events dropped: %d@," t.events_dropped;
   Format.fprintf ppf "@]"
 
-let buf_json_float b v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.1f" v)
-  else if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.6g" v)
-  else Buffer.add_string b "null"
-
 let to_json t =
-  let b = Buffer.create 4096 in
-  let fields sep xs emit =
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b sep;
-        emit x)
-      xs
-  in
-  Buffer.add_string b "{\"node\":";
-  T.buf_json_string b t.node;
-  Buffer.add_string b ",\"counters\":{";
-  fields ',' t.counters (fun (name, v) ->
-      T.buf_json_string b name;
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int v));
-  Buffer.add_string b "},\"gauges\":{";
-  fields ',' t.gauges (fun (name, v) ->
-      T.buf_json_string b name;
-      Buffer.add_char b ':';
-      buf_json_float b v);
-  Buffer.add_string b "},\"dists\":{";
-  fields ',' t.dists (fun (name, d) ->
-      T.buf_json_string b name;
-      Buffer.add_string b ":{\"n\":";
-      Buffer.add_string b (string_of_int d.T.ds_n);
-      Buffer.add_string b ",\"mean\":";
-      buf_json_float b d.T.ds_mean;
-      Buffer.add_string b ",\"min\":";
-      buf_json_float b d.T.ds_min;
-      Buffer.add_string b ",\"max\":";
-      buf_json_float b d.T.ds_max;
-      Buffer.add_string b ",\"stddev\":";
-      buf_json_float b d.T.ds_stddev;
-      Buffer.add_char b '}');
-  Buffer.add_string b "},\"hists\":{";
-  fields ',' t.hists (fun (name, h) ->
-      T.buf_json_string b name;
-      Buffer.add_string b ":{\"n\":";
-      Buffer.add_string b (string_of_int h.T.hs_n);
-      Buffer.add_string b ",\"mean\":";
-      buf_json_float b (T.hist_mean h);
-      List.iter
-        (fun (label, q) ->
-          Buffer.add_string b ",\"";
-          Buffer.add_string b label;
-          Buffer.add_string b "\":";
-          buf_json_float b (T.hist_quantile h q))
-        [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99); ("p999", 0.999) ];
-      Buffer.add_string b ",\"min\":";
-      buf_json_float b h.T.hs_min;
-      Buffer.add_string b ",\"max\":";
-      buf_json_float b h.T.hs_max;
-      Buffer.add_char b '}');
-  Buffer.add_string b "},\"events_dropped\":";
-  Buffer.add_string b (string_of_int t.events_dropped);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let named f xs = Json.Obj (List.map (fun (name, v) -> (name, f v)) xs) in
+  Json.to_string
+    (Obj
+       [
+         ("node", String t.node);
+         ("counters", named (fun v -> Json.Int v) t.counters);
+         ("gauges", named (fun v -> Json.Float v) t.gauges);
+         ("hists", named T.hist_json t.hists);
+         ("events_dropped", Int t.events_dropped);
+       ])

@@ -1,15 +1,15 @@
-(* Telemetry: named counters, distributions, sample series, hierarchical
-   wall-clock spans, and a structured run report exportable as JSON or as a
-   human-readable summary table.
+(* Telemetry: named counters, quantile histograms, sample series,
+   hierarchical wall-clock spans, and a structured run report exportable as
+   JSON or as a human-readable summary table.
 
    The subsystem is global and OFF by default: every recording entry point
    is gated on [enabled], so an instrumented hot path costs a single branch
-   when telemetry is off. Handles ([counter], [dist], [series]) are interned
+   when telemetry is off. Handles ([counter], [hist], [series]) are interned
    by name at creation time and stay valid across [reset] — a pass may hold
    one for its whole lifetime.
 
    Domain safety is by sharding, not locking: every domain that records
-   anything gets its own shard (counters, distributions, series, span tree,
+   anything gets its own shard (counters, histograms, series, span tree,
    event buffer) through domain-local storage, registered once in a global
    list. The hot recording paths therefore stay plain unsynchronized
    mutations — same cost as before domains — and [report]/[events] merge
@@ -22,15 +22,6 @@ let set_enabled b = enabled := b
 let is_enabled () = !enabled
 
 type counter = { c_name : string; mutable count : int }
-
-type dist = {
-  d_name : string;
-  mutable n : int;
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
-  mutable sumsq : float;
-}
 
 (* ---- quantile histograms ----
 
@@ -113,7 +104,6 @@ type event = {
 
 type shard = {
   counters : (string, counter) Hashtbl.t;
-  dists : (string, dist) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
   seriess : (string, series) Hashtbl.t;
   root : span;
@@ -126,7 +116,6 @@ type shard = {
 let new_shard () =
   {
     counters = Hashtbl.create 64;
-    dists = Hashtbl.create 64;
     hists = Hashtbl.create 16;
     seriess = Hashtbl.create 16;
     root = new_span "root";
@@ -178,30 +167,7 @@ let add c n = if !enabled then c.count <- c.count + n
 (* Convenience for cold paths; interns by name on every call. *)
 let count name n = add (counter name) n
 
-(* ---- distributions ---- *)
-
-let dist name =
-  let sh = my_shard () in
-  match Hashtbl.find_opt sh.dists name with
-  | Some d -> d
-  | None ->
-    let d = { d_name = name; n = 0; sum = 0.; lo = infinity; hi = neg_infinity; sumsq = 0. } in
-    Hashtbl.replace sh.dists name d;
-    d
-
-let observe d v =
-  if !enabled then begin
-    d.n <- d.n + 1;
-    d.sum <- d.sum +. v;
-    if v < d.lo then d.lo <- v;
-    if v > d.hi then d.hi <- v;
-    d.sumsq <- d.sumsq +. (v *. v)
-  end
-
-let observe_int d v = observe d (float_of_int v)
-let record name v = observe (dist name) v
-
-(* ---- histograms (hot-path latency sites wanting tail quantiles) ---- *)
+(* ---- histograms ---- *)
 
 let hist name =
   let sh = my_shard () in
@@ -231,16 +197,9 @@ let hobserve h v =
     if v > h.h_hi then h.h_hi <- v
   end
 
-(* Convenience for cold paths; interns by name on every call. *)
-let record_hist name v = hobserve (hist name) v
-
-let dist_mean d = if d.n = 0 then 0.0 else d.sum /. float_of_int d.n
-
-let dist_stddev d =
-  if d.n = 0 then 0.0
-  else
-    let m = dist_mean d in
-    sqrt (max 0.0 ((d.sumsq /. float_of_int d.n) -. (m *. m)))
+(* Convenience for cold paths; interns by name on every call, and only
+   while telemetry is on. *)
+let record_hist name v = if !enabled then hobserve (hist name) v
 
 (* ---- series (x/y samples, e.g. per-interval simulator events) ---- *)
 
@@ -380,14 +339,6 @@ let reset () =
     (fun sh ->
       Hashtbl.iter (fun _ c -> c.count <- 0) sh.counters;
       Hashtbl.iter
-        (fun _ d ->
-          d.n <- 0;
-          d.sum <- 0.;
-          d.lo <- infinity;
-          d.hi <- neg_infinity;
-          d.sumsq <- 0.)
-        sh.dists;
-      Hashtbl.iter
         (fun _ h ->
           Array.fill h.h_counts 0 hist_bucket_count 0;
           h.h_n <- 0;
@@ -409,36 +360,6 @@ let reset () =
   Mutex.unlock trace_t0_mutex
 
 (* ---- structured run report ---- *)
-
-type dist_summary = {
-  ds_n : int;
-  ds_sum : float;
-  ds_min : float;
-  ds_max : float;
-  ds_mean : float;
-  ds_stddev : float;
-  ds_sumsq : float; (* carried so summaries merge exactly *)
-}
-
-let merge_dist_summary a b =
-  if a.ds_n = 0 then b
-  else if b.ds_n = 0 then a
-  else begin
-    let n = a.ds_n + b.ds_n in
-    let sum = a.ds_sum +. b.ds_sum in
-    let sumsq = a.ds_sumsq +. b.ds_sumsq in
-    let mean = sum /. float_of_int n in
-    {
-      ds_n = n;
-      ds_sum = sum;
-      ds_min = Float.min a.ds_min b.ds_min;
-      ds_max = Float.max a.ds_max b.ds_max;
-      ds_mean = mean;
-      ds_stddev =
-        sqrt (max 0.0 ((sumsq /. float_of_int n) -. (mean *. mean)));
-      ds_sumsq = sumsq;
-    }
-  end
 
 type hist_summary = {
   hs_n : int;
@@ -502,7 +423,6 @@ let hist_mean hs = if hs.hs_n = 0 then 0. else hs.hs_sum /. float_of_int hs.hs_n
 type report = {
   r_spans : span list; (* deep copies, oldest first *)
   r_counters : (string * int) list; (* sorted by name *)
-  r_dists : (string * dist_summary) list;
   r_hists : (string * hist_summary) list;
   r_series : (string * (float * float) list) list; (* sorted by x *)
 }
@@ -548,21 +468,6 @@ let report () =
         Hashtbl.replace acc name
           (v + Option.value ~default:0 (Hashtbl.find_opt acc name)))
   in
-  let dists =
-    merge_tables
-      (fun sh f -> Hashtbl.iter (fun name d -> if d.n > 0 then f name d) sh.dists)
-      (fun acc name (d : dist) ->
-        match Hashtbl.find_opt acc name with
-        | None ->
-          Hashtbl.replace acc name
-            { d_name = name; n = d.n; sum = d.sum; lo = d.lo; hi = d.hi; sumsq = d.sumsq }
-        | Some m ->
-          m.n <- m.n + d.n;
-          m.sum <- m.sum +. d.sum;
-          if d.lo < m.lo then m.lo <- d.lo;
-          if d.hi > m.hi then m.hi <- d.hi;
-          m.sumsq <- m.sumsq +. d.sumsq)
-  in
   let hists =
     merge_tables
       (fun sh f -> Hashtbl.iter (fun name h -> if h.h_n > 0 then f name h) sh.hists)
@@ -595,22 +500,6 @@ let report () =
     r_counters =
       Hashtbl.fold (fun name v acc -> (name, v) :: acc) counters []
       |> List.sort by_name;
-    r_dists =
-      Hashtbl.fold
-        (fun name (d : dist) acc ->
-          ( name,
-            {
-              ds_n = d.n;
-              ds_sum = d.sum;
-              ds_min = d.lo;
-              ds_max = d.hi;
-              ds_mean = dist_mean d;
-              ds_stddev = dist_stddev d;
-              ds_sumsq = d.sumsq;
-            } )
-          :: acc)
-        dists []
-      |> List.sort by_name;
     r_hists =
       Hashtbl.fold (fun name h acc -> (name, h) :: acc) hists []
       |> List.sort by_name;
@@ -629,134 +518,41 @@ let report () =
 
 (* ---- JSON export ---- *)
 
-let buf_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-(* [s] as a quoted JSON string literal. *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  buf_json_string b s;
-  Buffer.contents b
-
-let buf_float b f =
-  (* JSON has no infinities; distributions are dropped when empty so these
-     only appear if a caller records them directly. *)
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else Buffer.add_string b (Printf.sprintf "%.6g" f)
-
-let buf_list b xs emit =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      emit x)
-    xs;
-  Buffer.add_char b ']'
-
-let buf_obj b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, emit) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_json_string b k;
-      Buffer.add_char b ':';
-      emit ())
-    fields;
-  Buffer.add_char b '}'
-
-let rec buf_span b sp =
-  buf_obj b
+let hist_json h =
+  Json.Obj
     [
-      ("name", fun () -> buf_json_string b sp.sp_name);
-      ("ms", fun () -> buf_float b sp.ms);
-      ("calls", fun () -> Buffer.add_string b (string_of_int sp.calls));
-      ("children", fun () -> buf_list b sp.children (buf_span b));
+      ("n", Int h.hs_n);
+      ("sum", Float h.hs_sum);
+      ("min", Float h.hs_min);
+      ("max", Float h.hs_max);
+      ("mean", Float (hist_mean h));
+      ("p50", Float (hist_quantile h 0.5));
+      ("p90", Float (hist_quantile h 0.9));
+      ("p99", Float (hist_quantile h 0.99));
+      ("p999", Float (hist_quantile h 0.999));
+    ]
+
+let rec span_json sp =
+  Json.Obj
+    [
+      ("name", String sp.sp_name);
+      ("ms", Float sp.ms);
+      ("calls", Int sp.calls);
+      ("children", List (List.map span_json sp.children));
     ]
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  buf_obj b
-    [
-      ("spans", fun () -> buf_list b r.r_spans (buf_span b));
-      ( "counters",
-        fun () ->
-          buf_obj b
-            (List.map
-               (fun (name, v) ->
-                 (name, fun () -> Buffer.add_string b (string_of_int v)))
-               r.r_counters) );
-      ( "dists",
-        fun () ->
-          buf_obj b
-            (List.map
-               (fun (name, d) ->
-                 ( name,
-                   fun () ->
-                     buf_obj b
-                       [
-                         ( "n",
-                           fun () ->
-                             Buffer.add_string b (string_of_int d.ds_n) );
-                         ("sum", fun () -> buf_float b d.ds_sum);
-                         ("min", fun () -> buf_float b d.ds_min);
-                         ("max", fun () -> buf_float b d.ds_max);
-                         ("mean", fun () -> buf_float b d.ds_mean);
-                         ("stddev", fun () -> buf_float b d.ds_stddev);
-                       ] ))
-               r.r_dists) );
-      ( "hists",
-        fun () ->
-          buf_obj b
-            (List.map
-               (fun (name, h) ->
-                 ( name,
-                   fun () ->
-                     buf_obj b
-                       [
-                         ( "n",
-                           fun () ->
-                             Buffer.add_string b (string_of_int h.hs_n) );
-                         ("sum", fun () -> buf_float b h.hs_sum);
-                         ("min", fun () -> buf_float b h.hs_min);
-                         ("max", fun () -> buf_float b h.hs_max);
-                         ("mean", fun () -> buf_float b (hist_mean h));
-                         ("p50", fun () -> buf_float b (hist_quantile h 0.5));
-                         ("p90", fun () -> buf_float b (hist_quantile h 0.9));
-                         ("p99", fun () -> buf_float b (hist_quantile h 0.99));
-                         ( "p999",
-                           fun () -> buf_float b (hist_quantile h 0.999) );
-                       ] ))
-               r.r_hists) );
-      ( "series",
-        fun () ->
-          buf_obj b
-            (List.map
-               (fun (name, pts) ->
-                 ( name,
-                   fun () ->
-                     buf_list b pts (fun (x, y) ->
-                         Buffer.add_char b '[';
-                         buf_float b x;
-                         Buffer.add_char b ',';
-                         buf_float b y;
-                         Buffer.add_char b ']') ))
-               r.r_series) );
-    ];
-  Buffer.contents b
+  let named f xs = Json.Obj (List.map (fun (name, v) -> (name, f v)) xs) in
+  let point (x, y) = Json.List [ Float x; Float y ] in
+  Json.to_string
+    (Obj
+       [
+         ("spans", List (List.map span_json r.r_spans));
+         ("counters", named (fun v -> Json.Int v) r.r_counters);
+         ("hists", named hist_json r.r_hists);
+         ( "series",
+           named (fun pts -> Json.List (List.map point pts)) r.r_series );
+       ])
 
 let write_json path r =
   let oc = open_out path in
@@ -768,74 +564,92 @@ let write_json path r =
 
    JSON object format: {"traceEvents":[...]} where each event carries
    name/cat/ph/ts/pid/tid (+dur for "X"). Metadata ("M") events name the
-   two processes so the viewer labels the timelines. *)
+   processes so the viewer labels the timelines. [chrome_trace_json]
+   renders an explicit event list with caller-chosen pids (the stitched
+   cluster trace gives one pid to each process a request crossed);
+   [trace_events_json] renders this process's stream under the two
+   fixed pids. *)
 
-let buf_trace_event b ev =
-  let str s () = buf_json_string b s in
-  let num f () = buf_float b f in
-  let args () =
-    buf_obj b (List.map (fun (k, v) -> (k, fun () -> buf_json_string b v)) ev.e_args)
-  in
-  let base =
-    [
-      ("name", str ev.e_name);
-      ("cat", str ev.e_cat);
-      ("ph", str (match ev.e_ph with Ph_complete -> "X" | Ph_instant -> "i"));
-      ("ts", num ev.e_ts);
-    ]
-  in
-  let dur =
-    match ev.e_ph with Ph_complete -> [ ("dur", num ev.e_dur) ] | Ph_instant -> []
-  in
-  let scope = match ev.e_ph with Ph_instant -> [ ("s", str "t") ] | _ -> [] in
-  let tail =
-    [ ("pid", num (float_of_int ev.e_pid)); ("tid", num (float_of_int ev.e_tid)) ]
-  in
-  let args_f = if ev.e_args = [] then [] else [ ("args", args) ] in
-  buf_obj b (base @ dur @ scope @ tail @ args_f)
+let complete_event ?(args = []) ~cat ~pid ~tid ~ts ~dur name =
+  {
+    e_name = name;
+    e_cat = cat;
+    e_pid = pid;
+    e_tid = tid;
+    e_ts = ts;
+    e_dur = dur;
+    e_ph = Ph_complete;
+    e_args = args;
+  }
 
-let buf_metadata b ~name ~pid ~tid ~key value =
-  buf_obj b
-    [
-      ("name", fun () -> buf_json_string b name);
-      ("ph", fun () -> buf_json_string b "M");
-      ("pid", fun () -> buf_float b (float_of_int pid));
-      ("tid", fun () -> buf_float b (float_of_int tid));
-      ( "args",
-        fun () -> buf_obj b [ (key, fun () -> buf_json_string b value) ] );
-    ]
+let event_json ev =
+  let ph, timing =
+    match ev.e_ph with
+    | Ph_complete -> ("X", [ ("dur", Json.Float ev.e_dur) ])
+    | Ph_instant -> ("i", [ ("s", Json.String "t") ])
+  in
+  let args =
+    if ev.e_args = [] then []
+    else
+      let arg (k, v) = (k, Json.String v) in
+      [ ("args", Json.Obj (List.map arg ev.e_args)) ]
+  in
+  Json.(
+    Obj
+      ([
+         ("name", String ev.e_name);
+         ("cat", String ev.e_cat);
+         ("ph", String ph);
+         ("ts", Float ev.e_ts);
+       ]
+      @ timing
+      @ [ ("pid", Int ev.e_pid); ("tid", Int ev.e_tid) ]
+      @ args))
+
+let chrome_trace_json ~processes evs =
+  let process (pid, name) =
+    Json.Obj
+      [
+        ("name", String "process_name");
+        ("ph", String "M");
+        ("pid", Int pid);
+        ("tid", Int 0);
+        ("args", Obj [ ("name", String name) ]);
+      ]
+  in
+  Json.to_string
+    (Obj
+       [
+         ( "traceEvents",
+           List (List.map process processes @ List.map event_json evs) );
+         ("displayTimeUnit", String "ms");
+       ])
 
 let trace_events_json () =
-  let b = Buffer.create 4096 in
-  let evs = events () in
   let dropped = events_dropped_count () in
-  Buffer.add_string b "{\"traceEvents\":[";
-  buf_metadata b ~name:"process_name" ~pid:pid_passes ~tid:0 ~key:"name"
-    "sspc passes (wall-clock us)";
-  Buffer.add_char b ',';
-  buf_metadata b ~name:"process_name" ~pid:pid_sim ~tid:0 ~key:"name"
-    "simulator (ts = cycles)";
-  List.iter
-    (fun ev ->
-      Buffer.add_char b ',';
-      buf_trace_event b ev)
-    evs;
-  if dropped > 0 then begin
-    Buffer.add_char b ',';
-    buf_trace_event b
-      {
-        e_name = "events dropped (capacity reached)";
-        e_cat = "telemetry";
-        e_pid = pid_passes;
-        e_tid = 0;
-        e_ts = 0.;
-        e_dur = 0.;
-        e_ph = Ph_instant;
-        e_args = [ ("dropped", string_of_int dropped) ];
-      }
-  end;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
+  let note =
+    if dropped = 0 then []
+    else
+      [
+        {
+          e_name = "events dropped (capacity reached)";
+          e_cat = "telemetry";
+          e_pid = pid_passes;
+          e_tid = 0;
+          e_ts = 0.;
+          e_dur = 0.;
+          e_ph = Ph_instant;
+          e_args = [ ("dropped", string_of_int dropped) ];
+        };
+      ]
+  in
+  chrome_trace_json
+    ~processes:
+      [
+        (pid_passes, "sspc passes (wall-clock us)");
+        (pid_sim, "simulator (ts = cycles)");
+      ]
+    (events () @ note)
 
 let write_trace_events path =
   let oc = open_out path in
@@ -862,16 +676,6 @@ let pp_summary ppf r =
     List.iter
       (fun (name, v) -> Format.fprintf ppf "  %-30s %12d@," name v)
       r.r_counters
-  end;
-  if r.r_dists <> [] then begin
-    Format.fprintf ppf "distributions:@,";
-    Format.fprintf ppf "  %-30s %8s %10s %10s %10s %10s@," "" "n" "mean"
-      "min" "max" "stddev";
-    List.iter
-      (fun (name, d) ->
-        Format.fprintf ppf "  %-30s %8d %10.2f %10.2f %10.2f %10.2f@," name
-          d.ds_n d.ds_mean d.ds_min d.ds_max d.ds_stddev)
-      r.r_dists
   end;
   if r.r_hists <> [] then begin
     Format.fprintf ppf "histograms:@,";
@@ -945,38 +749,3 @@ let capture_spans f =
     in
     (r, delta)
   end
-
-(* ---- generic Chrome trace builder (client-side trace stitching) ----
-
-   [chrome_trace_json ~processes events] renders an explicit event list
-   with caller-chosen pids — the stitched cluster trace gives one pid to
-   each process a request crossed (client, router, shard), unlike the
-   in-process export above whose pids are fixed. *)
-
-let complete_event ?(args = []) ~cat ~pid ~tid ~ts ~dur name =
-  {
-    e_name = name;
-    e_cat = cat;
-    e_pid = pid;
-    e_tid = tid;
-    e_ts = ts;
-    e_dur = dur;
-    e_ph = Ph_complete;
-    e_args = args;
-  }
-
-let chrome_trace_json ~processes evs =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i (pid, name) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_metadata b ~name:"process_name" ~pid ~tid:0 ~key:"name" name)
-    processes;
-  List.iter
-    (fun ev ->
-      if processes <> [] then Buffer.add_char b ',';
-      buf_trace_event b ev)
-    evs;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b

@@ -266,7 +266,8 @@ let test_chaos_json_escapes_control_bytes () =
   Alcotest.(check bool) "no raw control byte" false
     (String.exists (fun c -> Char.code c < 0x20) json);
   Alcotest.(check bool) "name escaped" true
-    (contains json "\"dir\\twith\\rtab.mc\"")
+    (contains json "\"dir\\twith\\rtab.mc\"");
+  ignore (Test_telemetry.parse_json json)
 
 (* ---- sspc exit-code contract ---- *)
 

@@ -162,7 +162,8 @@ let check_workload name =
     (Format.asprintf "%a" Ssp_sim.Stats.pp s4);
   Alcotest.(check string)
     (name ^ ": explain JSON (attribution)")
-    (Ssp.Explain.to_json e1) (Ssp.Explain.to_json e4)
+    (Ssp.Explain.to_json e1) (Ssp.Explain.to_json e4);
+  ignore (Test_telemetry.parse_json (Ssp.Explain.to_json e1))
 
 (* The pooled simulation grid behind every figure: [run_benchmark] with
    jobs=2 reproduces the sequential sim points and adaptation report on

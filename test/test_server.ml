@@ -395,6 +395,19 @@ let test_proto_one_version () =
   rejected "v2 request" (payload "SSPQ" 2 3) Proto.decode_request_traced;
   rejected "v2 response" (payload "SSPR" 2 4) Proto.decode_response_hops;
   rejected "v1 request" (payload "SSPQ" 1 3) Proto.decode_request_traced;
+  (* a version-1 snapshot (it carried a dists list) is a snapshot error *)
+  let b = Bin.writer () in
+  Bin.w_str b "SSPS";
+  Bin.w_u8 b 1;
+  Bin.w_str b "s1";
+  (* empty counters, gauges, dists and hists; no dropped events *)
+  for _ = 1 to 5 do
+    Bin.w_int b 0
+  done;
+  (match Snapshot.decode (Bin.contents b) with
+  | _ -> Alcotest.fail "v1 snapshot accepted"
+  | exception Ssp_ir.Error.Error e ->
+    Alcotest.(check string) "snapshot pass" "snapshot" e.Ssp_ir.Error.pass);
   (* the trace context and the breakdown round-trip *)
   let ctx = { Proto.trace_id = "cafe01"; span_id = 7 } in
   let req', trace' =
@@ -763,7 +776,8 @@ let test_snapshot_admission_counters =
   Alcotest.(check int) "nothing served" 0 (counter snap "server.tenant.hog.served");
   (* the snapshot codec round-trips what the server sent *)
   let again = Snapshot.decode (Snapshot.encode snap) in
-  Alcotest.(check bool) "snapshot codec round-trips" true (again = snap)
+  Alcotest.(check bool) "snapshot codec round-trips" true (again = snap);
+  ignore (Test_telemetry.parse_json (Snapshot.to_json snap))
 
 (* Satellite: cache pressure is observable end to end — force LRU
    evictions with a tiny cache and require the store.evict counter to
