@@ -32,11 +32,6 @@ let find_func t name =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Prog.find_func: no function %s" name)
 
-let func_by_code_id t id =
-  Hashtbl.fold
-    (fun _ f acc -> if f.code_id = id then Some f else acc)
-    t.funcs None
-
 let funcs_in_order t = List.map (find_func t) t.func_order
 
 (* All parameters passed explicitly: a local closure here would allocate

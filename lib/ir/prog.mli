@@ -41,7 +41,6 @@ val stack_base : int64
 val create : entry:string -> t
 val add_func : t -> func -> unit
 val find_func : t -> string -> func
-val func_by_code_id : t -> int -> func option
 val funcs_in_order : t -> func list
 
 val block_index : func -> Ssp_isa.Op.label -> int

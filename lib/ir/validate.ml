@@ -15,6 +15,13 @@ let check (p : Prog.t) =
   (match Hashtbl.find_opt p.funcs p.entry with
   | Some _ -> ()
   | None -> err "entry function %s not defined" p.entry);
+  let code_ids = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Prog.func) ->
+      match Hashtbl.find_opt code_ids f.code_id with
+      | Some g -> err "functions %s and %s share code id %d" g f.name f.code_id
+      | None -> Hashtbl.replace code_ids f.code_id f.name)
+    (Prog.funcs_in_order p);
   List.iter
     (fun (f : Prog.func) ->
       let labels = Hashtbl.create 16 in

@@ -2,6 +2,8 @@
 
     Checks performed:
     - the entry function exists and every [Call]/[Spawn] target resolves;
+    - no two functions share a code id (an [Icall] names its callee by
+      one);
     - every branch label resolves within its function;
     - block labels are unique within each function;
     - the last block of a function ends with a terminator (no falling off);

@@ -46,7 +46,6 @@ type tag = {
   target : Iref.t; (* the delinquent load this prefetch precomputes *)
   site : Iref.t; (* the slice instruction that issued it *)
   ctx : int; (* hardware context of the issuing thread *)
-  spawn_src : Iref.t option; (* Spawn instruction that started the thread *)
 }
 
 type pf_state = In_flight | Filled

@@ -24,7 +24,6 @@ type tag = {
   target : Ssp_ir.Iref.t;  (** the delinquent load being precomputed *)
   site : Ssp_ir.Iref.t;  (** slice instruction that issued the prefetch *)
   ctx : int;  (** hardware context of the issuing thread *)
-  spawn_src : Ssp_ir.Iref.t option;  (** Spawn that started the thread *)
 }
 
 type t

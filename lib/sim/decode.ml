@@ -13,11 +13,13 @@
      bits  0..5   opcode
      bits  6..12  d   (destination register, or store source)
      bits 13..19  a   (first source / base register)
-     bits 20..26  b   (second source register; for [call], the caller's
-                       saved-register count, see [decode])
-     bits 27..62  imm (signed: memory offset, pc id of a branch, chk.c or
-                       call target, or index into [imms] for 64-bit
-                       immediates)
+     bits 20..26  b   (second source register; for [call] and [icall],
+                       the caller's saved-register count, see [decode];
+                       for a wide memory op, its width in bytes)
+     bits 27..62  imm (signed: memory offset, pc id of a branch, chk.c,
+                       call or spawn target, live-in buffer slot, or
+                       index into [imms] for 64-bit immediates and wide
+                       memory offsets)
 
    Opcode map — {!Funcsim.step} matches these as literal patterns, so the
    two files must change together (a test pins the arms against a
@@ -32,13 +34,15 @@
      39..42  store [a+imm],d   (widths 1 2 4 8; source in d field)
      43 lfetch [a+imm]    44 br imm       45 brnz a,imm   46 brz a,imm
      47 call imm,b        48 ret          49 halt         50 kill
-     51 chk imm           52 rand d       53 slow
+     51 chk imm           52 rand d       53 icall a,b    54 spawn imm
+     55 lib.st imm,a      56 lib.ld d,imm 57 alloc d,a    58 print a
+     59 load  d,[a+imms[imm]], b bytes   (wide offset)
+     60 store [a+imms[imm]],d, b bytes  (wide offset)
+     61 lfetch [a+imms[imm]]            (wide offset)
 
-   [slow] marks the rare ops the step executes through {!Exec.step_op}
-   on the boxed form (icall, spawn, lib.st/ld, alloc,
-   print; a memory offset outside the imm field's [-2^35, 2^35); and any
-   op whose static target did not resolve, preserving the original
-   execution-time error behavior). *)
+   A memory offset outside the imm field's [-2^35, 2^35) takes the wide
+   form. A live-in slot outside [0, Thread.lib_slots) decodes as -1, so
+   [lib.st] writes nothing and [lib.ld] reads 0. *)
 
 type t = {
   code : int array;  (* pc id -> packed word *)
@@ -47,7 +51,6 @@ type t = {
 
 let imm_bits = 36
 let imm_mask = (1 lsl imm_bits) - 1
-let opc_slow = 53
 
 (* A memory offset the signed imm field holds exactly. *)
 let fits off = off >= -(1 lsl (imm_bits - 1)) && off < 1 lsl (imm_bits - 1)
@@ -101,11 +104,23 @@ let n_save (f : Ssp_ir.Prog.func) =
     f.blocks;
   Int.max 0 (!max_reg - Ssp_isa.Reg.first_stacked + 1)
 
-(* The functions in pc order. [block_pc f l] is the pc id of label [l]'s
-   block in [f] and [entry_pc name] that of the named function's entry, or
-   -1 when unresolved (the op then decodes as [slow] and fails at
-   execution time exactly as the boxed interpreter would). *)
-let decode ~block_pc ~entry_pc (funcs : Ssp_ir.Prog.func list) =
+(* The pc id [t] of a target, which [decode]'s callbacks give as -1 when
+   it does not resolve: then the op's function [f] and the target are
+   named before anything runs. *)
+let resolved (f : Ssp_ir.Prog.func) what name t =
+  if t < 0 then
+    invalid_arg
+      (Printf.sprintf "Layout.of_prog: function %s: unresolved %s %s" f.name
+         what name);
+  t
+
+(* A live-in buffer slot, or -1 outside the buffer. *)
+let slot k = if k >= 0 && k < Thread.lib_slots then k else -1
+
+(* The ops in pc order, [fn_of] giving each one's index in [funcs].
+   [block_pc fn l] is the pc id of label [l]'s block in the function named
+   [fn] and [entry_pc fn] that of its entry, or -1 when unresolved. *)
+let decode ~block_pc ~entry_pc (funcs : Ssp_ir.Prog.func array) fn_of ops =
   let imms = ref [] and n_imm = ref 0 in
   let imm64 v =
     let k = !n_imm in
@@ -113,7 +128,11 @@ let decode ~block_pc ~entry_pc (funcs : Ssp_ir.Prog.func list) =
     incr n_imm;
     k
   in
-  let word f n_save (op : Ssp_isa.Op.t) =
+  let wide off = imm64 (Int64.of_int off) in
+  let label (f : Ssp_ir.Prog.func) l =
+    resolved f "label" l (block_pc f.name l)
+  in
+  let word (f : Ssp_ir.Prog.func) n_save (op : Ssp_isa.Op.t) =
     match op with
     | Nop -> enc 0
     | Movi (d, i) -> enc 1 ~d ~imm:(imm64 i)
@@ -127,37 +146,35 @@ let decode ~block_pc ~entry_pc (funcs : Ssp_ir.Prog.func list) =
     | Store (w, s, b, off) when fits off ->
       enc (39 + width_code w) ~d:s ~a:b ~imm:off
     | Lfetch (b, off) when fits off -> enc 43 ~a:b ~imm:off
-    | Br l ->
-      let t = block_pc f l in
-      if t < 0 then enc opc_slow else enc 44 ~imm:t
-    | Brnz (s, l) ->
-      let t = block_pc f l in
-      if t < 0 then enc opc_slow else enc 45 ~a:s ~imm:t
-    | Brz (s, l) ->
-      let t = block_pc f l in
-      if t < 0 then enc opc_slow else enc 46 ~a:s ~imm:t
+    | Br l -> enc 44 ~imm:(label f l)
+    | Brnz (s, l) -> enc 45 ~a:s ~imm:(label f l)
+    | Brz (s, l) -> enc 46 ~a:s ~imm:(label f l)
     | Call (callee, _) ->
-      let t = entry_pc callee in
-      if t < 0 then enc opc_slow else enc 47 ~b:n_save ~imm:t
+      enc 47 ~b:n_save ~imm:(resolved f "callee" callee (entry_pc callee))
     | Ret -> enc 48
     | Halt -> enc 49
     | Kill -> enc 50
-    | Chk_c l ->
-      let t = block_pc f l in
-      if t < 0 then enc opc_slow else enc 51 ~imm:t
+    | Chk_c l -> enc 51 ~imm:(label f l)
     | Rand d -> enc 52 ~d
-    | Icall _ | Spawn _ | Lib_st _ | Lib_ld _ | Alloc _ | Print _ | Load _
-    | Store _ | Lfetch _ ->
-      enc opc_slow
+    | Icall (r, _) -> enc 53 ~a:r ~b:n_save
+    | Spawn (fn, l) ->
+      enc 54 ~imm:(resolved f "spawn target" (fn ^ "#" ^ l) (block_pc fn l))
+    | Lib_st (k, s) -> enc 55 ~a:s ~imm:(slot k)
+    | Lib_ld (d, k) -> enc 56 ~d ~imm:(slot k)
+    | Alloc (d, s) -> enc 57 ~d ~a:s
+    | Print s -> enc 58 ~a:s
+    | Load (w, d, b, off) ->
+      enc 59 ~d ~a:b ~b:(Ssp_isa.Op.width_bytes w) ~imm:(wide off)
+    | Store (w, s, b, off) ->
+      enc 60 ~d:s ~a:b ~b:(Ssp_isa.Op.width_bytes w) ~imm:(wide off)
+    | Lfetch (b, off) -> enc 61 ~a:b ~imm:(wide off)
   in
+  let saves = Array.map n_save funcs in
   let code =
-    List.concat_map
-      (fun (f : Ssp_ir.Prog.func) ->
-        let k = n_save f in
-        List.concat_map
-          (fun (b : Ssp_ir.Prog.block) ->
-            List.map (word f k) (Array.to_list b.ops))
-          (Array.to_list f.blocks))
-      funcs
+    Array.mapi
+      (fun pc op ->
+        let fi = fn_of.(pc) in
+        word funcs.(fi) saves.(fi) op)
+      ops
   in
-  { code = Array.of_list code; imms = Array.of_list (List.rev !imms) }
+  { code; imms = Array.of_list (List.rev !imms) }

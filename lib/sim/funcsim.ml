@@ -56,23 +56,83 @@ let[@inline] d_off w = (w lsr 3) land 0x3f8
 let[@inline] a_off w = (w lsr 10) land 0x3f8
 let[@inline] b_off w = (w lsr 17) land 0x3f8
 
+(* The 62-bit effective address: register a plus [off]. *)
+let[@inline] ea regs w off =
+  (Int64.to_int (Thread.get64u regs (a_off w)) + off) land max_int
+
+(* A wide memory op's offset (in [imms]) and width (its b field). *)
+let[@inline] wide_off (layout : Layout.t) w =
+  Int64.to_int (Array.unsafe_get layout.Layout.imms (w asr 27))
+
+let[@inline] wide_bytes w = (w lsr 20) land 0x7f
+
+(* The bodies the narrow and wide forms of a load, store and lfetch share,
+   once the address and width are known. A load into r0 reads nothing;
+   a speculative thread's store writes nothing. *)
+let[@inline] load probe env (th : Thread.t) pc w addr bytes =
+  let d = d_off w in
+  if d <> 0 then Memory.read_to env.Exec.mem addr bytes th.Thread.regs d;
+  th.Thread.pc <- pc + 1;
+  env.Exec.ev_addr <- addr;
+  (match probe with
+  | Quiet -> ()
+  | Warm (h, _) -> Hierarchy.warm h addr
+  | Count c -> count_load c th pc addr);
+  Exec.Ev_load
+
+let[@inline] store probe env (th : Thread.t) pc w addr bytes =
+  if not th.Thread.speculative then
+    Memory.write_from env.Exec.mem addr bytes th.Thread.regs (d_off w);
+  th.Thread.pc <- pc + 1;
+  env.Exec.ev_addr <- addr;
+  (match probe with
+  | Quiet -> ()
+  | Warm (h, _) -> Hierarchy.warm h addr
+  | Count c -> ignore (count_access c th addr));
+  Exec.Ev_store
+
+(* Warming an lfetch's line matters — the timed runs' prefetch traffic
+   fills the hierarchy, so skipping it would leave the next detailed
+   window colder than a full run; the profiler ignores prefetches. *)
+let[@inline] lfetch probe env (th : Thread.t) pc addr =
+  env.Exec.ev_addr <- addr;
+  th.Thread.pc <- pc + 1;
+  (match probe with
+  | Warm (h, _) -> Hierarchy.warm h addr
+  | Quiet | Count _ -> ());
+  Exec.Ev_prefetch
+
+(* A call or icall to [entry]: save only the caller's mentioned
+   stacked-register prefix (the word's b field) — the return restores
+   [saved_n], so the code resuming after it sees every register it can
+   read. *)
+let[@inline] call (th : Thread.t) pc w entry =
+  let fr = Thread.push_frame th ~ret_pc:(pc + 1) in
+  let k = (w lsr 20) land 0x7f in
+  fr.Thread.saved_n <- k;
+  Bytes.blit th.Thread.regs Thread.stacked_off fr.Thread.saved_stacked 0
+    (8 * k);
+  th.Thread.pc <- entry;
+  Exec.Ev_call
+
 (* One instruction: word [w], the one at the thread's pc. The opcode
    literals below mirror [Decode.enc]'s map exactly (see decode.ml for the
    word layout); a target is a pc id and fall-through is [pc + 1] (the
-   layout rejects a function that could run off its end). Every engine
-   executes through here — [exec] below and both cycle cores — so the
-   only second semantics left is [Exec.step_op], for the [slow] word. The
-   probe observes loads, stores, prefetches, branches and calls inside
-   their arms, so [exec]'s loop dispatches once per instruction; the
-   cores pass [Quiet] and time the returned event themselves.
+   layout rejects a function that could run off its end and a target that
+   does not resolve). Every engine executes every instruction through
+   here — [exec] below and both cycle cores — and every op has its own
+   arm. The probe observes loads, stores, prefetches, branches and calls
+   inside their arms, so [exec]'s loop dispatches once per instruction;
+   the cores pass [Quiet] and time the returned event themselves.
 
    Invariants the arms lean on: register fields were range-validated by
    every producer (so register slots are read and written unchecked), and
    r0 is never written (so reading its slot always yields the hardwired
-   zero without a branch). Registers are unboxed 8-byte slots and every
-   comparison is at [int] or [int64], so the arms allocate nothing and
-   call nothing in the runtime: a value computed or loaded goes straight
-   into its slot.
+   zero without a branch). Registers and live-in buffers are unboxed
+   8-byte slots and every comparison is at [int] or [int64], so the arms
+   allocate nothing and call nothing in the runtime: a value computed or
+   loaded goes straight into its slot. Only [alloc] and [print] pass a
+   boxed value, to [Memory.alloc] and [env.output].
 
    [@inline]: [exec]'s loop gets the arms without a call; the cycle cores,
    in other modules, call it ([-opaque] inlines nothing across modules). *)
@@ -178,43 +238,14 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     th.Thread.pc <- pc + 1;
     Exec.Ev_plain
   | (35 | 36 | 37 | 38) as opc ->
-    (* load, widths 1 2 4 8; a load into r0 reads nothing *)
-    let base = Thread.get64u regs (a_off w) in
-    let addr = (Int64.to_int base + (w asr 27)) land max_int in
-    let d = d_off w in
-    if d <> 0 then Memory.read_to env.Exec.mem addr (1 lsl (opc - 35)) regs d;
-    th.Thread.pc <- pc + 1;
-    env.Exec.ev_addr <- addr;
-    (match probe with
-    | Quiet -> ()
-    | Warm (h, _) -> Hierarchy.warm h addr
-    | Count c -> count_load c th pc addr);
-    Exec.Ev_load
+    (* load, widths 1 2 4 8 *)
+    load probe env th pc w (ea regs w (w asr 27)) (1 lsl (opc - 35))
   | (39 | 40 | 41 | 42) as opc ->
-    (* store, widths 1 2 4 8; a speculative thread never writes memory *)
-    let base = Thread.get64u regs (a_off w) in
-    let addr = (Int64.to_int base + (w asr 27)) land max_int in
-    if not th.Thread.speculative then
-      Memory.write_from env.Exec.mem addr (1 lsl (opc - 39)) regs (d_off w);
-    th.Thread.pc <- pc + 1;
-    env.Exec.ev_addr <- addr;
-    (match probe with
-    | Quiet -> ()
-    | Warm (h, _) -> Hierarchy.warm h addr
-    | Count c -> ignore (count_access c th addr));
-    Exec.Ev_store
+    (* store, widths 1 2 4 8 *)
+    store probe env th pc w (ea regs w (w asr 27)) (1 lsl (opc - 39))
   | 43 ->
-    (* lfetch; warming its line matters — the timed runs' prefetch traffic
-       fills the hierarchy, so skipping it would leave the next detailed
-       window colder than a full run; the profiler ignores prefetches *)
-    let base = Thread.get64u regs (a_off w) in
-    let addr = (Int64.to_int base + (w asr 27)) land max_int in
-    env.Exec.ev_addr <- addr;
-    th.Thread.pc <- pc + 1;
-    (match probe with
-    | Warm (h, _) -> Hierarchy.warm h addr
-    | Quiet | Count _ -> ());
-    Exec.Ev_prefetch
+    (* lfetch *)
+    lfetch probe env th pc (ea regs w (w asr 27))
   | 44 ->
     (* br *)
     th.Thread.pc <- w asr 27;
@@ -244,19 +275,12 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
       Exec.Ev_branch_not_taken
     end
   | 47 ->
-    (* call: save only the caller's mentioned stacked-register prefix (the
-       word's b field) — the return restores [saved_n], so the code
-       resuming after it sees every register it can read *)
-    let fr = Thread.push_frame th ~ret_pc:(pc + 1) in
-    let k = (w lsr 20) land 0x7f in
-    fr.Thread.saved_n <- k;
-    Bytes.blit regs Thread.stacked_off fr.Thread.saved_stacked 0 (8 * k);
+    (* call *)
     let entry = w asr 27 in
     (match probe with
     | Count c -> count_site_call c layout pc entry
     | Quiet | Warm _ -> ());
-    th.Thread.pc <- entry;
-    Exec.Ev_call
+    call th pc w entry
   | 48 ->
     (* ret; returning from the outermost frame ends the thread *)
     if th.Thread.frame_n = 0 then begin
@@ -299,23 +323,70 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     if d <> 0 then Thread.set64u regs d (Int64.shift_right_logical x 1);
     th.Thread.pc <- pc + 1;
     Exec.Ev_plain
-  | _ ->
-    (* slow path: rare ops (icall, spawn, lib.st/ld, alloc, print, memory
-       offsets too wide for the word, unresolved static targets) run on
-       the boxed form; an unresolved branch target raises there *)
-    let ev = Exec.step_op env layout th in
-    (* probed like the decoded arms, except branches: a [slow] branch has
-       an unresolved target, and raises when taken *)
-    (match (ev, probe) with
-    | (Exec.Ev_load | Exec.Ev_store | Exec.Ev_prefetch), Warm (h, _) ->
-      Hierarchy.warm h env.Exec.ev_addr
-    | Exec.Ev_load, Count c -> count_load c th pc env.Exec.ev_addr
-    | Exec.Ev_store, Count c -> ignore (count_access c th env.Exec.ev_addr)
-    | Exec.Ev_call, Count c ->
-      count_call c pc
-        (Layout.name layout (Array.unsafe_get layout.Layout.fn_of th.Thread.pc))
-    | _ -> ());
-    ev
+  | 53 ->
+    (* icall through the code id in register a; an unknown one is a nop
+       in a speculative thread, an error in the main thread *)
+    let id = Int64.to_int (Thread.get64u regs (a_off w)) in
+    let fn = Layout.of_code_id layout id in
+    if fn >= 0 then begin
+      (match probe with
+      | Count c -> count_call c pc (Layout.name layout fn)
+      | Quiet | Warm _ -> ());
+      call th pc w (Layout.pc_of layout fn 0)
+    end
+    else if th.Thread.speculative then begin
+      th.Thread.pc <- pc + 1;
+      Exec.Ev_plain
+    end
+    else
+      failwith (Printf.sprintf "Exec: indirect call to unknown code id %d" id)
+  | 54 ->
+    (* spawn at the target pc; the callback reads this thread's pc and
+       live-in staging buffer *)
+    let accepted = env.Exec.spawn th (w asr 27) in
+    th.Thread.pc <- pc + 1;
+    if accepted then Exec.Ev_spawned else Exec.Ev_spawn_denied
+  | 55 ->
+    (* lib.st; slot -1 (out of range) writes nothing *)
+    let k = w asr 27 in
+    if k >= 0 then
+      Thread.set64u th.Thread.lib_out (8 * k) (Thread.get64u regs (a_off w));
+    th.Thread.pc <- pc + 1;
+    Exec.Ev_lib
+  | 56 ->
+    (* lib.ld; slot -1 (out of range) reads 0 *)
+    let d = d_off w and k = w asr 27 in
+    if d <> 0 then
+      Thread.set64u regs d
+        (if k >= 0 then Thread.get64u th.Thread.live_in (8 * k) else 0L);
+    th.Thread.pc <- pc + 1;
+    Exec.Ev_lib
+  | 57 ->
+    (* alloc; a speculative thread allocates nothing and gets 0 *)
+    let v =
+      if th.Thread.speculative then 0L
+      else Memory.alloc env.Exec.mem (Thread.get64u regs (a_off w))
+    in
+    let d = d_off w in
+    if d <> 0 then Thread.set64u regs d v;
+    th.Thread.pc <- pc + 1;
+    Exec.Ev_plain
+  | 58 ->
+    (* print; a speculative thread prints nothing *)
+    if not th.Thread.speculative then
+      env.Exec.output (Thread.get64u regs (a_off w));
+    th.Thread.pc <- pc + 1;
+    Exec.Ev_plain
+  | 59 ->
+    (* load, wide offset *)
+    load probe env th pc w (ea regs w (wide_off layout w)) (wide_bytes w)
+  | 60 ->
+    (* store, wide offset *)
+    store probe env th pc w (ea regs w (wide_off layout w)) (wide_bytes w)
+  | 61 ->
+    (* lfetch, wide offset *)
+    lfetch probe env th pc (ea regs w (wide_off layout w))
+  | opc -> invalid_arg (Printf.sprintf "Funcsim.step: opcode %d" opc)
 
 (* The functional interpreter: [step] in a loop. *)
 let exec probe (layout : Layout.t) (env : Exec.env) (th : Thread.t) ~instrs =
@@ -344,6 +415,12 @@ let max_instrs = 200_000_000
 let burst = 64
 let watchdog = 1_000_000
 
+(* The first idle context of the pool at or after [i], or -1. *)
+let rec free_slot (specs : Thread.t array) i =
+  if i >= Array.length specs then -1
+  else if specs.(i).Thread.active then free_slot specs (i + 1)
+  else i
+
 let run_probe probe ~spawning layout prog =
   let outputs = ref [] in
   let main = Thread.create ~id:0 in
@@ -351,34 +428,26 @@ let run_probe probe ~spawning layout prog =
     Layout.pc_of layout (Layout.find layout prog.Ssp_ir.Prog.entry) 0;
   main.Thread.active <- true;
   Thread.set main Ssp_isa.Reg.sp Ssp_ir.Prog.stack_base;
-  (* at most 3 speculative contexts (4 contexts − main) *)
-  let specs : Thread.t option array = Array.make 3 None in
-  let spawns = ref 0 in
-  let free_slot () =
-    let rec go i =
-      if i >= Array.length specs then None
-      else match specs.(i) with None -> Some i | Some _ -> go (i + 1)
-    in
-    go 0
+  (* at most 3 speculative contexts (4 contexts − main), pooled: an idle
+     one is inactive, and a spawn binds the first idle one; none without
+     [spawning] *)
+  let specs =
+    Array.init (if spawning then 3 else 0) (fun i -> Thread.create ~id:(1 + i))
   in
+  let spawns = ref 0 in
   let env =
     {
       Exec.mem = Memory.create ();
-      prog;
-      chk_free = (fun () -> spawning && Option.is_some (free_slot ()));
+      chk_free = (fun () -> free_slot specs 0 >= 0);
       spawn =
-        (fun ~src:_ ~fn ~blk ~live_in ->
-          if not spawning then false
-          else
-            match free_slot () with
-            | None -> false
-            | Some i ->
-              let th = Thread.create ~id:(1 + i) in
-              Thread.reset_for_spawn th ~pc:(Layout.pc_of layout fn blk)
-                ~live_in ~rand_state:0x2545F4914F6CDD1DL;
-              specs.(i) <- Some th;
-              incr spawns;
-              true);
+        (fun src target ->
+          let i = free_slot specs 0 in
+          if i >= 0 then begin
+            Thread.reset_for_spawn specs.(i) ~pc:target
+              ~live_in:src.Thread.lib_out ~seed:0x2545F4914F6CDD1D;
+            incr spawns
+          end;
+          i >= 0);
       output = (fun v -> outputs := v :: !outputs);
       ev_addr = 0;
     }
@@ -388,18 +457,15 @@ let run_probe probe ~spawning layout prog =
     if main.Thread.instrs >= max_instrs then
       failwith "Funcsim.run: main thread exceeded max_instrs";
     ignore (exec probe layout env main ~instrs:main_burst);
-    if spawning then
-      Array.iteri
-        (fun si slot ->
-          match slot with
-          | None -> ()
-          | Some th ->
-            ignore
-              (exec Quiet layout env th
-                 ~instrs:(Int.min burst (watchdog + 1 - th.Thread.instrs)));
-            if th.Thread.instrs > watchdog then th.Thread.active <- false;
-            if not th.Thread.active then specs.(si) <- None)
-        specs
+    Array.iter
+      (fun (th : Thread.t) ->
+        if th.Thread.active then begin
+          ignore
+            (exec Quiet layout env th
+               ~instrs:(Int.min burst (watchdog + 1 - th.Thread.instrs)));
+          if th.Thread.instrs > watchdog then th.Thread.active <- false
+        end)
+      specs
   done;
   { outputs = List.rev !outputs; instrs = main.Thread.instrs; spawns = !spawns }
 

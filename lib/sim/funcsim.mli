@@ -51,16 +51,17 @@ val step : probe -> Layout.t -> Exec.env -> Thread.t -> int -> Exec.event
     [probe] observes of it (as in {!exec}). The effective address of a
     load, store or prefetch is left in [env.ev_addr]. Every engine executes
     every instruction through here — the cycle cores with [Quiet], timing
-    the returned event themselves; the rare [slow] word runs on
-    {!Exec.step_op}. *)
+    the returned event themselves — and every op has its own arm; [spawn]
+    and [chk.c] consult [env]'s callbacks. A speculative thread's stores,
+    [alloc] (it yields 0) and [print] do nothing, and its [icall] through
+    an unknown code id is a nop; the main thread's raises [Failure]
+    ["Exec: indirect call to unknown code id N"]. *)
 
 val exec :
   probe -> Layout.t -> Exec.env -> Thread.t -> instrs:int -> int
 (** Execute up to [instrs] instructions of the (active) thread with
     {!step}, or until it halts, kills itself or returns from its outermost
-    frame; returns the count executed. Rare ops run on {!Exec.step_op} and
-    are probed like the others. A speculative thread's stores write
-    nothing. *)
+    frame; returns the count executed. *)
 
 type result = {
   outputs : int64 list;  (** values printed by [Print], in order *)
@@ -73,8 +74,9 @@ val run : ?spawning:bool -> Ssp_ir.Prog.t -> result
     instructions, beyond which it raises [Failure]. With [spawning]
     (default false) a spawned thread runs in 64-instruction bursts
     interleaved with the main thread's, mimicking concurrency coarsely;
-    at most 3 speculative contexts exist at once (4 contexts − main), and
-    one is killed after 1M instructions. *)
+    at most 3 speculative contexts exist at once (4 contexts − main, a
+    pool the spawns reuse without allocating), and one is killed after
+    1M instructions. *)
 
 val count : counts -> Layout.t -> Ssp_ir.Prog.t -> int
 (** [run] without spawning under [Count], with the program's layout, then

@@ -9,6 +9,7 @@ type t = {
   n_pcs : int;
   irefs : Ssp_ir.Iref.t array;
   fn_of : int array;
+  code_ids : int array;
   code : int array;
   imms : int64 array;
   bundle : int array;
@@ -29,7 +30,19 @@ let code_base = 0x4000_0000
 let flatten ops regs =
   let at = Array.make (Array.length ops + 1) 0 in
   Array.iteri (fun k op -> at.(k + 1) <- at.(k) + List.length (regs op)) ops;
-  (at, Array.of_list (List.concat_map regs (Array.to_list ops)))
+  let reg = Array.make at.(Array.length ops) 0 in
+  Array.iteri
+    (fun k op -> List.iteri (fun i r -> reg.(at.(k) + i) <- r) (regs op))
+    ops;
+  (at, reg)
+
+(* The first index of [id] in [ids] at or after [i], or -1. A top-level
+   loop with every value passed in: a local closure would allocate on
+   every indirect call. *)
+let rec index_of (ids : int array) id i =
+  if i >= Array.length ids then -1
+  else if Array.unsafe_get ids i = id then i
+  else index_of ids id (i + 1)
 
 (* With one flat pc, running off a function's end would silently continue
    in the next function's code; reject the two shapes that can. *)
@@ -47,10 +60,22 @@ let check_ends (f : Ssp_ir.Prog.func) =
    block taking no id (it shares its successor's) — so branch predictor
    and BTB indices, profile counters and fetch addresses are unchanged. *)
 let of_prog (prog : Ssp_ir.Prog.t) =
-  let funcs = Ssp_ir.Prog.funcs_in_order prog in
-  List.iter check_ends funcs;
+  let funcs = Array.of_list (Ssp_ir.Prog.funcs_in_order prog) in
+  Array.iter check_ends funcs;
+  (* An indirect call names its callee by code id, so two functions
+     sharing one would make it ambiguous. *)
+  let code_ids = Array.map (fun (f : Ssp_ir.Prog.func) -> f.code_id) funcs in
+  Array.iteri
+    (fun i id ->
+      let j = index_of code_ids id 0 in
+      if j < i then
+        invalid_arg
+          (Printf.sprintf
+             "Layout.of_prog: functions %s and %s share code id %d"
+             funcs.(j).name funcs.(i).name id))
+    code_ids;
   let tbl = Hashtbl.create 16 in
-  List.iteri
+  Array.iteri
     (fun i (f : Ssp_ir.Prog.func) -> Hashtbl.replace tbl f.name i)
     funcs;
   let next = ref 0 in
@@ -60,60 +85,63 @@ let of_prog (prog : Ssp_ir.Prog.t) =
     k
   in
   let by_index =
-    Array.of_list
-      (List.map
-         (fun (f : Ssp_ir.Prog.func) ->
-           { func = f; block_base = Array.map base f.blocks })
-         funcs)
+    Array.map
+      (fun (f : Ssp_ir.Prog.func) ->
+        { func = f; block_base = Array.map base f.blocks })
+      funcs
   in
-  let block_pc (f : Ssp_ir.Prog.func) l =
-    match Ssp_ir.Prog.block_index f l with
-    | b -> by_index.(Hashtbl.find tbl f.name).block_base.(b)
-    | exception Not_found -> -1
+  let block_pc fn l =
+    match Hashtbl.find_opt tbl fn with
+    | Some i -> (
+      match Ssp_ir.Prog.block_index funcs.(i) l with
+      | b -> by_index.(i).block_base.(b)
+      | exception Not_found -> -1)
+    | None -> -1
   in
-  let entry_pc name =
-    match Hashtbl.find_opt tbl name with
+  let entry_pc fn =
+    match Hashtbl.find_opt tbl fn with
     | Some i -> by_index.(i).block_base.(0)
     | None -> -1
   in
-  let dec = Decode.decode ~block_pc ~entry_pc funcs in
-  (* per pc id, in order: function index, instruction reference, bundle id
-     (unique per function, block and bundle) and instruction *)
+  (* per pc id: function index, instruction reference, bundle id (unique
+     per function, block and bundle) and instruction *)
+  let n_pcs = !next in
+  let fn_of = Array.make n_pcs 0 and bundle = Array.make n_pcs 0 in
+  let irefs = Array.make n_pcs (Ssp_ir.Iref.make "" 0 0) in
+  let ops = Array.make n_pcs Op.Nop in
   let n_bundles = ref 0 in
-  let pcs =
-    List.concat
-      (List.mapi
-         (fun fi (f : Ssp_ir.Prog.func) ->
-           List.concat
-             (List.mapi
-                (fun bi (b : Ssp_ir.Prog.block) ->
-                  let bundle = Array.make (Array.length b.ops) 0 in
-                  List.iter
-                    (fun (bd : Bundle.t) ->
-                      Array.fill bundle bd.start bd.len !n_bundles;
-                      incr n_bundles)
-                    (Bundle.of_block b.ops);
-                  List.mapi
-                    (fun ii op ->
-                      (fi, Ssp_ir.Iref.make f.name bi ii, bundle.(ii), op))
-                    (Array.to_list b.ops))
-                (Array.to_list f.blocks)))
-         funcs)
-    |> Array.of_list
-  in
-  let ops = Array.map (fun (_, _, _, op) -> op) pcs in
+  Array.iteri
+    (fun fi e ->
+      Array.iteri
+        (fun bi (b : Ssp_ir.Prog.block) ->
+          let base = e.block_base.(bi) in
+          Array.iteri
+            (fun ii op ->
+              fn_of.(base + ii) <- fi;
+              irefs.(base + ii) <- Ssp_ir.Iref.make e.func.name bi ii;
+              ops.(base + ii) <- op)
+            b.ops;
+          List.iter
+            (fun (bd : Bundle.t) ->
+              Array.fill bundle (base + bd.start) bd.len !n_bundles;
+              incr n_bundles)
+            (Bundle.of_block b.ops))
+        e.func.blocks)
+    by_index;
+  let dec = Decode.decode ~block_pc ~entry_pc funcs fn_of ops in
   let use_at, use_reg = flatten ops Op.uses in
   let def_at, def_reg = flatten ops Op.defs in
   {
     tbl;
     by_index;
-    n_pcs = !next;
-    irefs = Array.map (fun (_, r, _, _) -> r) pcs;
-    fn_of = Array.map (fun (fi, _, _, _) -> fi) pcs;
+    n_pcs;
+    irefs;
+    fn_of;
+    code_ids;
     code = dec.Decode.code;
     imms = dec.Decode.imms;
-    bundle = Array.map (fun (_, _, bd, _) -> bd) pcs;
-    block_start = Array.map (fun (_, r, _, _) -> r.Ssp_ir.Iref.ins = 0) pcs;
+    bundle;
+    block_start = Array.map (fun (r : Ssp_ir.Iref.t) -> r.ins = 0) irefs;
     use_at;
     use_reg;
     def_at;
@@ -135,3 +163,5 @@ let find t fn =
 let name t i = t.by_index.(i).func.Ssp_ir.Prog.name
 
 let pc_of t fn blk = t.by_index.(fn).block_base.(blk)
+
+let of_code_id t id = index_of t.code_ids id 0

@@ -20,8 +20,7 @@
     instruction.
 
     One [entry] per function keeps what the cold paths need: the function
-    itself and the pc id of each block's first instruction (profile
-    per-block counts; spawn and slow-path targets). *)
+    itself and the pc id of each block's first instruction. *)
 
 type entry = {
   func : Ssp_ir.Prog.func;
@@ -36,6 +35,9 @@ type t = {
   n_pcs : int;  (** total static instruction count *)
   irefs : Ssp_ir.Iref.t array;  (** pc id → instruction reference *)
   fn_of : int array;  (** pc id → its function's [by_index] index *)
+  code_ids : int array;
+      (** [by_index] index → the function's code id, the callee an
+          indirect call names ({!of_code_id}) *)
   code : int array;  (** pc id → predecoded word ({!Decode}) *)
   imms : int64 array;  (** the words' 64-bit immediate pool *)
   bundle : int array;
@@ -61,8 +63,11 @@ val code_base : int
 
 val of_prog : Ssp_ir.Prog.t -> t
 (** Raises [Invalid_argument], naming the function, for a function that
-    could run off its end: one with no blocks, or whose last block is
-    empty or does not end in [br], [ret], [halt] or [kill]. *)
+    could run off its end (one with no blocks, or whose last block is
+    empty or does not end in [br], [ret], [halt] or [kill]); for a branch,
+    [chk.c], call or spawn whose target does not resolve (naming the
+    label, callee or spawn target too); and for two functions that share
+    a code id (naming both). *)
 
 val find : t -> string -> int
 (** The named function's index in [by_index]. Raises [Invalid_argument]
@@ -74,3 +79,7 @@ val name : t -> int -> string
 val pc_of : t -> int -> int -> int
 (** [pc_of t fn blk]: the pc id at which block [blk] of the function at
     index [fn] starts executing. *)
+
+val of_code_id : t -> int -> int
+(** The [by_index] index of the function with the given code id, or -1
+    if none has it. Allocates nothing. *)

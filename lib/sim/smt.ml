@@ -57,7 +57,6 @@ type context = {
   mutable bundle_left : int;
   mutable last_chk_fire : int;
   mutable spawned_at : int;  (* cycle the current speculative thread began; -1 idle *)
-  mutable spawn_src : Ssp_ir.Iref.t option;  (* Spawn instruction that bound it *)
   mutable spawn_target : string;  (* "fn#blk" label for timelines *)
 }
 
@@ -116,7 +115,6 @@ let new_context id =
     bundle_left = 0;
     last_chk_fire = min_int / 2;
     spawned_at = -1;
-    spawn_src = None;
     spawn_target = "";
   }
 
@@ -202,12 +200,12 @@ let refresh_ready m (ctx : context) =
        Int.max ctx.redirect_until (src_ready m ctx th.Thread.pc)
      else max_int)
 
-let free_count m =
-  let n = ref 0 in
-  Array.iteri
-    (fun i c -> if i > 0 && not c.thread.Thread.active then incr n)
-    m.ctxs;
-  !n
+(* [n] plus the number of idle contexts at or after [i]; a loop with every
+   value passed in, so a chk.c allocates no closure. *)
+let rec free_count (ctxs : context array) i n =
+  if i >= Array.length ctxs then n
+  else
+    free_count ctxs (i + 1) (if ctxs.(i).thread.Thread.active then n else n + 1)
 
 (* The chk.c firing policy: a free context (or several, per config), and a
    refractory interval per triggering thread to bound flush costs; records
@@ -216,20 +214,17 @@ let free_count m =
    chk.c that does not fire is a nop, so outputs are unaffected). *)
 let chk_allowed m ~now (ctx : context) =
   (not m.ff)
-  && free_count m >= m.cfg.Config.chk_min_free
+  && free_count m.ctxs 1 0 >= m.cfg.Config.chk_min_free
   && now - ctx.last_chk_fire >= m.cfg.Config.chk_refractory
   && (not (F.fire site_starve))
   && (ctx.last_chk_fire <- now;
       true)
 
-let free_context m =
-  let n = Array.length m.ctxs in
-  let rec go i =
-    if i >= n then None
-    else if not m.ctxs.(i).thread.Thread.active then Some m.ctxs.(i)
-    else go (i + 1)
-  in
-  go 1
+(* The id of the first idle speculative context at or after [i], or -1. *)
+let rec free_context (ctxs : context array) i =
+  if i >= Array.length ctxs then -1
+  else if ctxs.(i).thread.Thread.active then free_context ctxs (i + 1)
+  else i
 
 (* The end of a speculative occupancy: record its lifetime and emit its
    timeline slice. Idempotent per occupancy ([spawned_at] is reset). *)
@@ -249,25 +244,40 @@ let note_thread_end m (ctx : context) ~now ~watchdog =
             ("watchdog", if watchdog then "true" else "false");
           ]
         (if ctx.spawn_target = "" then "spec" else ctx.spawn_target);
-    ctx.spawned_at <- -1;
-    ctx.spawn_src <- None
+    ctx.spawned_at <- -1
   end
 
-(* Bind a free context as a speculative thread, charging the spawn and
-   live-in-copy latency to the child's start; [src] is the spawning
-   instruction, for attribution and denied-spawn accounting. *)
-let try_spawn m ~now ~src ~fn ~blk ~live_in =
-  match if F.fire site_spawn_deny then None else free_context m with
-  | None ->
+(* The "fn#blk" timeline label of the spawn at pc [src]: its target
+   function and the index of the block its label names. *)
+let spawn_label m src =
+  match Ssp_ir.Prog.instr m.prog m.lay.Layout.irefs.(src) with
+  | Ssp_isa.Op.Spawn (fn, l) ->
+    let f = Ssp_ir.Prog.find_func m.prog fn in
+    fn ^ "#" ^ string_of_int (Ssp_ir.Prog.block_index f l)
+  | _ -> ""
+
+(* Bind a free context as a speculative thread at pc [target], charging
+   the spawn and live-in-copy latency to the child's start. [src] is the
+   spawning thread, at the spawn's pc: the child's live-in buffer is a
+   copy of its [lib_out], and attribution and the timeline label read the
+   spawn from its pc. Allocates nothing with attribution and trace events
+   off. *)
+let try_spawn m ~now (src : Thread.t) target =
+  let id = if F.fire site_spawn_deny then -1 else free_context m.ctxs 1 in
+  if id < 0 then begin
     T.incr m.tel_spawn_denied;
-    (match m.attrib with Some a -> Attrib.spawn_denied a ~src | None -> ());
+    (match m.attrib with
+    | Some a -> Attrib.spawn_denied a ~src:m.lay.Layout.irefs.(src.Thread.pc)
+    | None -> ());
     false
-  | Some ctx ->
+  end
+  else begin
+    let ctx = m.ctxs.(id) in
     (* A context can be freed by the issue loop without the end having
        been noted (e.g. the previous occupant was killed this cycle). *)
     note_thread_end m ctx ~now ~watchdog:false;
-    Thread.reset_for_spawn ctx.thread ~pc:(Layout.pc_of m.lay fn blk) ~live_in
-      ~rand_state:(Int64.of_int ((ctx.thread.Thread.id * 1103515245) + 12345));
+    Thread.reset_for_spawn ctx.thread ~pc:target ~live_in:src.Thread.lib_out
+      ~seed:((id * 1103515245) + 12345);
     Array.fill ctx.reg_ready 0 (Array.length ctx.reg_ready) 0;
     Array.fill ctx.fill_ready 0 (Array.length ctx.fill_ready) 0;
     ctx.redirect_until <-
@@ -276,16 +286,18 @@ let try_spawn m ~now ~src ~fn ~blk ~live_in =
     (* the scoreboard is clear: ready when the front end is *)
     ctx.ready <- ctx.redirect_until;
     ctx.spawned_at <- now;
-    ctx.spawn_src <- Some src;
     ctx.spawn_target <-
       (if Option.is_some m.attrib || T.events_on () then
-         Layout.name m.lay fn ^ "#" ^ string_of_int blk
+         spawn_label m src.Thread.pc
        else "");
     m.stats.Stats.spawns <- m.stats.Stats.spawns + 1;
     T.incr m.tel_spawns;
-    (match m.attrib with Some a -> Attrib.spawned a ~src | None -> ());
-    m.last_spawned <- ctx.thread.Thread.id;
+    (match m.attrib with
+    | Some a -> Attrib.spawned a ~src:m.lay.Layout.irefs.(src.Thread.pc)
+    | None -> ());
+    m.last_spawned <- id;
     true
+  end
 
 (* Fill [m.sel] with the ids of up to [issue_threads] contexts ready at
    [now] — the non-speculative thread first (it has priority for
@@ -419,7 +431,6 @@ let pf_tag_of m (ctx : context) iref =
           Attrib.target;
           site = iref;
           ctx = ctx.thread.Thread.id;
-          spawn_src = ctx.spawn_src;
         }
     | None -> None)
   | _ -> None
@@ -518,16 +529,13 @@ let fast_forward m (env : Exec.env) ~now ~instrs =
 let env m ~now ~stepping =
   {
     Exec.mem = m.mem;
-    prog = m.prog;
     chk_free = (fun () -> chk_allowed m ~now:!now m.ctxs.(!stepping));
     spawn =
-      (fun ~src ~fn ~blk ~live_in ->
+      (fun src target ->
         (* Injected chained-spawn breakage: a speculative thread's spawn
            silently fails, cutting the chain. *)
-        if m.ctxs.(!stepping).thread.Thread.speculative
-           && F.fire site_chain_break
-        then false
-        else try_spawn m ~now:!now ~src ~fn ~blk ~live_in);
+        if src.Thread.speculative && F.fire site_chain_break then false
+        else try_spawn m ~now:!now src target);
     output = (fun v -> Stats.push_output m.stats v);
     ev_addr = 0;
   }

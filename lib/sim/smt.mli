@@ -36,8 +36,6 @@ type context = {
   mutable last_chk_fire : int;  (** cycle of this thread's last chk.c fire *)
   mutable spawned_at : int;
       (** cycle the current speculative occupancy began (-1 when idle) *)
-  mutable spawn_src : Ssp_ir.Iref.t option;
-      (** the [Spawn] instruction that bound this occupancy *)
   mutable spawn_target : string;  (** "fn#blk" label for timeline events *)
 }
 

@@ -2,8 +2,9 @@
    with the [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives, so a
    register write neither allocates an [Int64] box nor runs the write
    barrier. A frame's saved stacked registers use the same layout, and a
-   call or return moves them with one [Bytes.blit]. The position is one
-   [Layout] pc id. *)
+   call or return moves them with one [Bytes.blit], and the live-in
+   buffers are 8-byte slots too, so a spawn copies one into another with
+   one [Bytes.blit]. The position is one [Layout] pc id. *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -20,8 +21,8 @@ type t = {
   regs : Bytes.t;
   mutable frames : frame array;
   mutable frame_n : int;
-  mutable live_in : int64 array;
-  lib_out : int64 array;
+  live_in : Bytes.t;
+  lib_out : Bytes.t;
   mutable speculative : bool;
   mutable active : bool;
   mutable instrs : int;
@@ -47,24 +48,24 @@ let create ~id =
     regs = Bytes.make (8 * Ssp_isa.Reg.count) '\000';
     frames = Array.init 16 (fun _ -> new_frame ());
     frame_n = 0;
-    live_in = Array.make lib_slots 0L;
-    lib_out = Array.make lib_slots 0L;
+    live_in = Bytes.make (8 * lib_slots) '\000';
+    lib_out = Bytes.make (8 * lib_slots) '\000';
     speculative = false;
     active = false;
     instrs = 0;
     rand_state;
   }
 
-let reset_for_spawn t ~pc ~live_in ~rand_state =
+let reset_for_spawn t ~pc ~live_in ~seed =
   t.pc <- pc;
   Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
   t.frame_n <- 0;
-  t.live_in <- Array.copy live_in;
-  Array.fill t.lib_out 0 lib_slots 0L;
+  Bytes.blit live_in 0 t.live_in 0 (8 * lib_slots);
+  Bytes.fill t.lib_out 0 (8 * lib_slots) '\000';
   t.speculative <- true;
   t.active <- true;
   t.instrs <- 0;
-  set64u t.rand_state 0 rand_state
+  set64u t.rand_state 0 (Int64.of_int seed)
 
 let push_frame t ~ret_pc =
   let cap = Array.length t.frames in
@@ -78,10 +79,7 @@ let push_frame t ~ret_pc =
   fr.ret_pc <- ret_pc;
   fr
 
-(* Register indices are range-validated at every producer (Ir.Builder,
-   Core.Codegen, Ir.Asm's parser all reject r >= Reg.count), so the
-   per-instruction accessors skip the redundant bounds check. r0's slot is
-   never written, so it reads as the hardwired zero. *)
-let get t r = get64u t.regs (8 * r)
-
+(* Register indices are range-validated at every producer, so [set]
+   skips the bounds check; r0's slot is never written, so it reads as
+   the hardwired zero. *)
 let set t r v = if r <> Ssp_isa.Reg.zero then set64u t.regs (8 * r) v

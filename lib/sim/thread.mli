@@ -4,9 +4,10 @@
 
     The register file is unboxed: register [r] is the 8-byte slot at byte
     offset [8 * r] of [regs], accessed with {!get64u}/{!set64u}, so the
-    decoded arms compute and store 64-bit values without allocating. The
-    position is one {!Layout} pc id; cold paths that need the function or
-    block read them from the layout ([Layout.fn_of], [Layout.irefs]). *)
+    decoded arms compute and store 64-bit values without allocating; the
+    live-in buffers use the same slot layout. The position is one
+    {!Layout} pc id; cold paths that need the function or block read them
+    from the layout ([Layout.fn_of], [Layout.irefs]). *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 (** The 8-byte slot at a byte offset, host byte order, unchecked. *)
@@ -34,8 +35,10 @@ type t = {
       (** frame pool, grown by doubling; [frames.(0 .. frame_n-1)] are the
           live frames, innermost last *)
   mutable frame_n : int;  (** live call depth *)
-  mutable live_in : int64 array;  (** snapshot received at spawn *)
-  lib_out : int64 array;  (** staging area for the next spawn *)
+  live_in : Bytes.t;
+      (** the live-in buffer received at spawn, [lib_slots] 8-byte slots;
+          a main thread's stays zero *)
+  lib_out : Bytes.t;  (** staging area for the next spawn, the same layout *)
   mutable speculative : bool;
   mutable active : bool;
   mutable instrs : int;  (** dynamic instructions executed *)
@@ -50,13 +53,13 @@ val stacked_off : int
 
 val create : id:int -> t
 
-val reset_for_spawn :
-  t -> pc:int -> live_in:int64 array -> rand_state:int64 -> unit
-(** Reinitialize a context as a speculative thread starting at pc id [pc]
-    with the given live-in snapshot. *)
+val reset_for_spawn : t -> pc:int -> live_in:Bytes.t -> seed:int -> unit
+(** Reinitialize a context as a speculative thread starting at pc id [pc],
+    its live-in buffer a copy of [live_in] (the spawner's [lib_out]) and
+    its [rand] state [seed]. Allocates nothing. *)
 
-val get : t -> Ssp_isa.Reg.t -> int64
 val set : t -> Ssp_isa.Reg.t -> int64 -> unit
+(** Write a register (a write to r0 is dropped). *)
 
 val push_frame : t -> ret_pc:int -> frame
 (** The next pooled frame, [ret_pc] set and depth bumped; the caller blits

@@ -42,8 +42,8 @@ let check_accuracy pipeline () =
 
 (* Sampled runs of an ADAPTED binary must also keep outputs identical:
    the fast-forward interpreter executes the injected speculative-thread
-   machinery (spawn/kill/chk take the slow path) without letting it
-   commit state. *)
+   machinery (spawn, kill, chk.c and the live-in buffer accesses) without
+   letting it commit state. *)
 let sampled_adapted () =
   let open Ssp_harness.Experiment in
   let cfg = config_for setting Ssp_machine.Config.In_order in
@@ -126,9 +126,9 @@ let outputs_order () =
     "ooo program order" expect ooo.Ssp_sim.Stats.outputs
 
 (* A memory offset wider than the decoded word's 36-bit immediate field
-   runs on the boxed form, so the store lands at the wide address in
-   every engine; the fast-forward window (it starts after the first
-   instruction) and the profiler both execute it. *)
+   takes the wide form, its offset in the immediate pool, so the store
+   lands at the wide address in every engine; the fast-forward window (it
+   starts after the first instruction) and the profiler both execute it. *)
 let wide_offsets () =
   let open Ssp_isa.Op in
   let wide = 1 lsl 35 in

@@ -405,24 +405,33 @@ let test_cycle_pins () =
 
 (* The cycle cores keep the OCaml runtime off their hot paths and a timed
    cache access returns an int, so a run allocates well under one
-   minor-heap word per simulated cycle (set-up included). The counts are
-   deterministic. Adapted programs are left out: their spawns and live-in
-   copies run on the boxed slow path. *)
+   minor-heap word per simulated cycle (set-up included), on the
+   unadapted and the adapted program alike: spawns bind pooled contexts
+   and the live-in buffers are unboxed slots. The counts are
+   deterministic. *)
 let test_cycle_alloc_budget () =
   List.iter
     (fun (w : Ssp_workloads.Workload.t) ->
       let prog = Ssp_workloads.Workload.program w ~scale:1 in
+      let profile = Ssp_profiling.Collect.collect ~config:pin_inorder prog in
+      let adapted =
+        (Ssp.Adapt.run ~config:pin_inorder prog profile).Ssp.Adapt.prog
+      in
       List.iter
-        (fun (core, run) ->
-          let before = Gc.minor_words () in
-          let s : Stats.t = run prog in
-          let per_cycle =
-            (Gc.minor_words () -. before) /. float_of_int s.Stats.cycles
-          in
-          if per_cycle > 0.2 then
-            Alcotest.failf "%s %s: %.3f minor words per cycle (budget 0.2)"
-              w.Ssp_workloads.Workload.name core per_cycle)
-        [ ("in-order", Inorder.run pin_inorder); ("OOO", Ooo.run pin_ooo) ])
+        (fun (what, p) ->
+          List.iter
+            (fun (core, run) ->
+              let before = Gc.minor_words () in
+              let s : Stats.t = run p in
+              let per_cycle =
+                (Gc.minor_words () -. before) /. float_of_int s.Stats.cycles
+              in
+              if per_cycle > 0.2 then
+                Alcotest.failf
+                  "%s %s %s: %.3f minor words per cycle (budget 0.2)"
+                  w.Ssp_workloads.Workload.name what core per_cycle)
+            [ ("in-order", Inorder.run pin_inorder); ("OOO", Ooo.run pin_ooo) ])
+        [ ("unadapted", prog); ("adapted", adapted) ])
     Ssp_workloads.Suite.all
 
 (* A thread's position is one pc over the whole program, so a function
@@ -458,6 +467,184 @@ let test_runs_off_end () =
   Alcotest.check_raises "no blocks"
     (Invalid_argument "Layout.of_prog: function main has no blocks")
     (fun () -> ignore (Layout.of_prog (prog [ ("main", []); g ])))
+
+(* A static target that does not resolve is rejected by the layout, which
+   names the function and the label, callee or spawn target, before
+   anything runs — not when the op executes. *)
+let test_unresolved_targets () =
+  let prog op =
+    let p = Prog.create ~entry:"main" in
+    Prog.add_func p
+      (Builder.func_of_blocks ~name:"main" ~nparams:0
+         [ ("entry", [ Op.Movi (40, 1L); Op.Print 40; op; Op.Halt ]) ]);
+    Prog.add_func p
+      (Builder.func_of_blocks ~name:"helper" ~nparams:0
+         [ ("entry", [ Op.Kill ]) ]);
+    p
+  in
+  List.iter
+    (fun (op, what) ->
+      let p = prog op in
+      let e =
+        Invalid_argument ("Layout.of_prog: function main: unresolved " ^ what)
+      in
+      let case engine = Op.to_string op ^ ": " ^ engine in
+      Alcotest.check_raises (case "Funcsim.run") e (fun () ->
+          ignore (Funcsim.run p));
+      Alcotest.check_raises (case "Inorder.run") e (fun () ->
+          ignore (Inorder.run pin_inorder p));
+      Alcotest.check_raises (case "Ooo.run") e (fun () ->
+          ignore (Ooo.run pin_ooo p));
+      Alcotest.check_raises (case "Collect.collect") e (fun () ->
+          ignore (Ssp_profiling.Collect.collect p)))
+    Op.
+      [
+        (Br "nowhere", "label nowhere");
+        (Brnz (40, "nowhere"), "label nowhere");
+        (Chk_c "nowhere", "label nowhere");
+        (Call ("nofn", 0), "callee nofn");
+        (Spawn ("helper", "nowhere"), "spawn target helper#nowhere");
+        (Spawn ("nofn", "entry"), "spawn target nofn#entry");
+      ]
+
+(* An indirect call names its callee by code id, so two functions that
+   share one would make it ambiguous: validation rejects them, so the
+   assembler and [sspc exec] give a structured error, and the layout
+   refuses a program built directly with [Builder]. *)
+let test_duplicate_code_ids () =
+  let func ~code_id name ops =
+    Builder.func_of_blocks ~code_id ~name ~nparams:0 [ ("entry", ops) ]
+  in
+  let p = Prog.create ~entry:"main" in
+  Prog.add_func p
+    (func ~code_id:1 "main" Op.[ Movi (40, 2L); Icall (40, 0); Halt ]);
+  Prog.add_func p (func ~code_id:2 "a" Op.[ Movi (40, 100L); Print 40; Ret ]);
+  Prog.add_func p (func ~code_id:2 "b" Op.[ Movi (40, 200L); Print 40; Ret ]);
+  let msg = "functions a and b share code id 2" in
+  (match Validate.check p with
+  | Ok () -> Alcotest.fail "Validate.check accepted a shared code id"
+  | Error es ->
+    Alcotest.(check (list string))
+      "Validate.check" [ msg ]
+      (List.map (fun (e : Validate.error) -> e.Validate.message) es));
+  let src = Asm.to_string p in
+  Alcotest.check_raises "Asm.parse"
+    (Asm.Error ("invalid program: " ^ msg, 0))
+    (fun () -> ignore (Asm.parse src));
+  let file = Filename.temp_file "ssp_dup" ".s" in
+  let err = Filename.temp_file "ssp_dup" ".err" in
+  Out_channel.with_open_text file (fun oc -> output_string oc src);
+  Alcotest.(check int)
+    "sspc exec exit code" 2
+    (Sys.command
+       (Printf.sprintf "%s exec %s >/dev/null 2>%s" Test_fault.sspc
+          (Filename.quote file) (Filename.quote err)));
+  Alcotest.(check string)
+    "sspc exec diagnostic"
+    ("sspc: invalid program: " ^ msg ^ " (line 0)\n")
+    (In_channel.with_open_text err In_channel.input_all);
+  Sys.remove file;
+  Sys.remove err;
+  let refused = Invalid_argument ("Layout.of_prog: " ^ msg) in
+  Alcotest.check_raises "Layout.of_prog" refused (fun () ->
+      ignore (Layout.of_prog p));
+  Alcotest.check_raises "Funcsim.run" refused (fun () ->
+      ignore (Funcsim.run p))
+
+(* A speculative thread's edge semantics, the same on every engine: its
+   [alloc] yields 0 and leaves the heap pointer alone, its [print] prints
+   nothing, its [icall] through an unknown code id is a nop, and it reads
+   the live-in buffer its spawner wrote (0 outside the buffer). The
+   helper reaches its chained spawn only if one of these goes wrong, so
+   exactly one spawn happens. Main allocates before and after the helper
+   runs and prints the difference. *)
+let spec_edge_program () =
+  let open Op in
+  let helper =
+    Builder.func_of_blocks ~name:"helper" ~nparams:0
+      [
+        ("entry", [ Kill ]);
+        ( "h",
+          [
+            Lib_ld (47, 0);
+            Cmpi (Ne, 48, 47, 77L);
+            Brnz (48, "bad");
+            Lib_ld (49, Thread.lib_slots);
+            Brnz (49, "bad");
+            Movi (41, 64L);
+            Alloc (40, 41);
+            Brnz (40, "bad");
+            Print 41;
+            Movi (42, 999_999L);
+            Icall (42, 0);
+            Kill;
+          ] );
+        ("bad", [ Spawn ("helper", "entry"); Kill ]);
+      ]
+  in
+  let main =
+    Builder.func_of_blocks ~name:"main" ~nparams:0
+      [
+        ( "entry",
+          [
+            Movi (41, 8L);
+            Alloc (43, 41);
+            Movi (47, 77L);
+            Lib_st (0, 47);
+            Lib_st (-1, 41);
+            Lib_st (Thread.lib_slots, 41);
+            Spawn ("helper", "h");
+            Movi (40, 3000L);
+            Br "loop";
+          ] );
+        ("loop", [ Alui (Sub, 40, 40, 1L); Brnz (40, "loop"); Br "done" ]);
+        ( "done",
+          [ Alloc (44, 41); Alu (Sub, 45, 44, 43); Print 45; Print 43; Halt ]
+        );
+      ]
+  in
+  let p = Prog.create ~entry:"main" in
+  Prog.add_func p main;
+  Prog.add_func p helper;
+  p
+
+let test_spec_edge_semantics () =
+  let p = spec_edge_program () in
+  let expect = (Funcsim.run p).Funcsim.outputs in
+  Alcotest.(check (list int64))
+    "reference outputs" [ 8L; Prog.heap_base ] expect;
+  let r = Funcsim.run ~spawning:true p in
+  Alcotest.(check (list int64)) "funcsim outputs" expect r.Funcsim.outputs;
+  Alcotest.(check int) "funcsim spawns" 1 r.Funcsim.spawns;
+  let sampling = Smt.default_sampling in
+  List.iter
+    (fun (name, (s : Stats.t)) ->
+      Alcotest.(check (list int64)) (name ^ " outputs") expect s.Stats.outputs;
+      Alcotest.(check int) (name ^ " spawns") 1 s.Stats.spawns;
+      Alcotest.(check bool)
+        (name ^ " helper ran") true (s.Stats.spec_instrs > 0))
+    [
+      ("in-order", Inorder.run pin_inorder p);
+      ("OOO", Ooo.run pin_ooo p);
+      ("sampled in-order", Inorder.run ~sampling pin_inorder p);
+      ("sampled OOO", Ooo.run ~sampling pin_ooo p);
+    ];
+  (* the main thread's indirect call through an unknown code id fails *)
+  let p = Prog.create ~entry:"main" in
+  Prog.add_func p
+    (Builder.func_of_blocks ~name:"main" ~nparams:0
+       [ ("entry", Op.[ Movi (40, 999_999L); Icall (40, 0); Halt ]) ]);
+  let e = Failure "Exec: indirect call to unknown code id 999999" in
+  Alcotest.check_raises "funcsim icall" e (fun () -> ignore (Funcsim.run p));
+  Alcotest.check_raises "funcsim spawning icall" e (fun () ->
+      ignore (Funcsim.run ~spawning:true p));
+  Alcotest.check_raises "in-order icall" e (fun () ->
+      ignore (Inorder.run pin_inorder p));
+  Alcotest.check_raises "OOO icall" e (fun () -> ignore (Ooo.run pin_ooo p));
+  Alcotest.check_raises "sampled in-order icall" e (fun () ->
+      ignore (Inorder.run ~sampling pin_inorder p));
+  Alcotest.check_raises "sampled OOO icall" e (fun () ->
+      ignore (Ooo.run ~sampling pin_ooo p))
 
 (* A run that outlives [max_cycles] fails rather than returning stats. *)
 let test_max_cycles () =
@@ -573,13 +760,17 @@ let prop_cache_lru =
         lines)
 
 (* Every engine's instruction arms vs an evaluator written from the ISA's
-   definition alone ([Op.alu_eval], [Op.cmp_eval], a byte map for memory):
-   random straight-line programs over every decoded non-control opcode —
-   full 64-bit immediates, division by zero, shift counts out of [0, 64),
-   writes to r0, loads and stores of every width around page boundaries
-   and at negative addresses — print every register they wrote and every
-   location they stored. The engines share their arms, so a comparison
-   between them could not catch a wrong one. *)
+   definition alone ([Op.alu_eval], [Op.cmp_eval], a byte map for memory,
+   a bump pointer for the heap): random straight-line programs over every
+   non-control opcode — full 64-bit immediates, division by zero, shift
+   counts out of [0, 64), writes to r0, loads, stores and lfetches of
+   every width around page boundaries, at negative addresses and at
+   offsets on both sides of the word's [-2^35, 2^35) immediate field,
+   [alloc] of arbitrary sizes, and live-in buffer accesses inside and
+   outside the buffer (a main thread's [lib.ld] reads 0) — print every
+   register they wrote and every location they stored. The engines share
+   their arms, so a comparison between them could not catch a wrong
+   one. *)
 module Ref_eval = struct
   let base_reg = 40
   let readback_reg = 41
@@ -593,6 +784,7 @@ module Ref_eval = struct
     let regs = Array.make Reg.count 0L in
     let bytes = Hashtbl.create 64 in
     let rand = ref 0x9E3779B97F4A7C15L in
+    let brk = ref Prog.heap_base in
     let out = ref [] in
     let set d v = if d <> Reg.zero then regs.(d) <- v in
     let load w a =
@@ -614,7 +806,7 @@ module Ref_eval = struct
     List.iter
       (fun (op : Op.t) ->
         match op with
-        | Nop | Lfetch _ | Halt -> ()
+        | Nop | Lfetch _ | Halt | Lib_st _ -> ()
         | Movi (d, i) -> set d i
         | Mov (d, s) -> set d regs.(s)
         | Alu (o, d, a, b) -> set d (Op.alu_eval o regs.(a) regs.(b))
@@ -631,6 +823,12 @@ module Ref_eval = struct
           let x = Int64.logxor x (Int64.shift_left x 17) in
           rand := x;
           set d (Int64.shift_right_logical x 1)
+        | Alloc (d, s) ->
+          (* bump by the size rounded up to a multiple of 8 *)
+          let size = Int64.logand (Int64.add regs.(s) 7L) (-8L) in
+          set d !brk;
+          brk := Int64.add !brk size
+        | Lib_ld (d, _) -> set d 0L
         | Print s -> out := regs.(s) :: !out
         | _ -> invalid_arg "Ref_eval: not a straight-line op")
       ops;
@@ -651,7 +849,18 @@ module Ref_eval = struct
     let alu = oneofl Op.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ] in
     let cmp = oneofl Op.[ Eq; Ne; Lt; Le; Gt; Ge ] in
     let width = oneofl Op.[ W1; W2; W4; W8 ] in
-    let off = -24 -- 40 in
+    let wide = 1 lsl 35 in
+    let off =
+      frequency
+        [
+          (4, -24 -- 40);
+          (1, map (fun o -> wide + o) (-8 -- 40));
+          (1, map (fun o -> -wide + o) (-40 -- 8));
+        ]
+    in
+    let slot =
+      oneofl [ -1; 0; 1; Thread.lib_slots - 1; Thread.lib_slots; 1 lsl 36 ]
+    in
     let op =
       frequency
         [
@@ -666,6 +875,9 @@ module Ref_eval = struct
           (3, map3 (fun w s o -> Op.Store (w, s, base_reg, o)) width reg off);
           (1, map (fun o -> Op.Lfetch (base_reg, o)) off);
           (1, map (fun d -> Op.Rand d) reg);
+          (1, map2 (fun d s -> Op.Alloc (d, s)) reg reg);
+          (1, map2 (fun k s -> Op.Lib_st (k, s)) slot reg);
+          (1, map2 (fun d k -> Op.Lib_ld (d, k)) reg slot);
         ]
     in
     (* an aligned base, two page-crossing ones (the second at a negative
@@ -738,5 +950,11 @@ let suite =
         test_cycle_alloc_budget;
       Alcotest.test_case "a function that runs off its end is rejected" `Quick
         test_runs_off_end;
+      Alcotest.test_case "unresolved targets are rejected before anything runs"
+        `Quick test_unresolved_targets;
+      Alcotest.test_case "duplicate code ids are rejected" `Quick
+        test_duplicate_code_ids;
+      Alcotest.test_case "speculative edge semantics on every engine" `Quick
+        test_spec_edge_semantics;
       QCheck_alcotest.to_alcotest prop_reference_eval;
     ]
