@@ -328,7 +328,7 @@ let explain_flag =
   in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
-(* --cluster (and --upload-feedback) accept either a router/shard TCP
+(* 'sspc top' and --upload-feedback accept either a router/shard TCP
    endpoint or a Unix socket path, so they compose with every topology
    the repo can start. *)
 let cluster_addr_of s =
@@ -695,77 +695,36 @@ let tune_cmd =
       const run $ store_pos $ explain_flag $ asm_dir_arg $ json_arg
       $ min_reports_arg $ min_samples_arg)
 
-let fetch_snapshot addr =
-  match
-    Ssp_server.Client.request_addr ~timeout_s:30. addr
-      Ssp_server.Proto.Stats_snapshot
-  with
-  | Ssp_server.Proto.Snapshot_reply { snapshot } ->
-    Ssp_server.Snapshot.decode snapshot
-  | Ssp_server.Proto.Error_reply { pass; what; _ } ->
-    fail2 (Printf.sprintf "server error [%s]: %s" pass what)
-  | _ -> fail2 "unexpected reply to stats-snapshot request"
-
-let cluster_arg =
-  let doc =
-    "Ask a running daemon or router at $(docv) (HOST:PORT or a Unix socket \
-     path) for its merged telemetry snapshot instead of running the local \
-     pipeline. Against a router this aggregates every live shard: \
-     histograms merge bucket-wise (exact quantiles), counters sum, and \
-     eviction/rejection counters stay attributed per shard."
-  in
-  Arg.(value & opt (some string) None & info [ "cluster" ] ~docv:"ADDR" ~doc)
-
 let json_flag =
   let doc = "Print the snapshot as JSON instead of a table." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let stats_cmd =
-  let stats_src_arg =
-    let doc =
-      "Workload name or mini-C file (required unless --cluster is given)."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
-  in
-  let run src scale pipeline trace cluster json =
+  let run src scale pipeline trace json =
     guard @@ fun () ->
-    match cluster with
-    | Some addr ->
-      let snap = fetch_snapshot (cluster_addr_of addr) in
-      if json then print_endline (Ssp_server.Snapshot.to_json snap)
-      else Format.printf "%a@." Ssp_server.Snapshot.pp snap
-    | None ->
-      let src =
-        match src with
-        | Some s -> s
-        | None -> fail2 "stats needs a PROGRAM (or --cluster ADDR)"
-      in
-      T.set_enabled true;
-      let config = config_of_pipeline pipeline in
-      let prog = compile (program_of src) scale in
-      let adapted = (Fb.adapt ~config prog).Fb.sv_result in
-      let r = Ssp_sim.Simulate.run config adapted.Ssp.Adapt.prog in
-      if json then
-        print_endline
-          (Ssp_server.Snapshot.to_json (Ssp_server.Snapshot.capture ()))
-      else begin
-        let report = T.report () in
-        Format.printf "%a@.@.%a@." Ssp_sim.Stats.pp r T.pp_summary report;
-        Format.printf "telemetry events dropped: %d@."
-          (T.events_dropped_count ())
-      end;
-      (match trace with Some path -> write_trace path (T.report ()) | None -> ())
+    T.set_enabled true;
+    let config = config_of_pipeline pipeline in
+    let prog = compile (program_of src) scale in
+    let adapted = (Fb.adapt ~config prog).Fb.sv_result in
+    let r = Ssp_sim.Simulate.run config adapted.Ssp.Adapt.prog in
+    if json then
+      print_endline
+        (Ssp_server.Snapshot.to_json (Ssp_server.Snapshot.capture ()))
+    else begin
+      let report = T.report () in
+      Format.printf "%a@.@.%a@." Ssp_sim.Stats.pp r T.pp_summary report;
+      Format.printf "telemetry events dropped: %d@."
+        (T.events_dropped_count ())
+    end;
+    match trace with Some path -> write_trace path (T.report ()) | None -> ()
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Run the full pipeline (compile, profile, adapt, simulate) with \
-          telemetry on and print the phase-timing and counter summary; with \
-          --cluster, fetch and print a running cluster's merged snapshot \
-          instead")
+          telemetry on and print the phase-timing and counter summary")
     Term.(
-      const run $ stats_src_arg $ scale_arg $ pipeline_arg $ trace_arg
-      $ cluster_arg $ json_flag)
+      const run $ src_arg $ scale_arg $ pipeline_arg $ trace_arg $ json_flag)
 
 let chaos_cmd =
   let run seed campaigns faults json jobs corpus workloads =
@@ -988,7 +947,7 @@ let serve_cmd =
          "Run the adaptation daemon (one cluster shard): a socket service — \
           Unix-domain, and TCP with --tcp — that batches concurrent \
           adapt/sim requests across a domain pool under per-tenant \
-          deficit-round-robin admission control, and answers repeated \
+          round-robin admission control, and answers repeated \
           requests from the content-addressed artifact store")
     Term.(
       const run $ socket_arg $ tcp_arg $ jobs_arg $ store_dir_arg
@@ -1013,7 +972,6 @@ let route_cmd =
         probe_interval_s = probe_interval;
         shard_timeout_s = shard_timeout;
         replicate = not no_replicate;
-        hints_max = 256;
       }
   in
   let shard_arg =
@@ -1397,20 +1355,31 @@ let client_sim_cmd =
       const run $ src_arg $ scale_arg $ pipeline_arg $ ssp_flag $ socket_arg
       $ tcp_arg $ tenant_arg $ retries_arg $ deadline_arg $ client_trace_arg)
 
+let snapshot_of_reply resp =
+  match server_error_to_exit2 resp with
+  | Ssp_server.Proto.Stats_reply { snapshot } -> snapshot
+  | _ -> fail2 "unexpected reply to stats request"
+
 let client_stats_cmd =
-  let run socket tcp retries =
+  let run socket tcp retries json =
     guard @@ fun () ->
-    match
-      server_error_to_exit2
+    let snap =
+      snapshot_of_reply
         (fst (client_request ~socket ~tcp ~retries Ssp_server.Proto.Stats))
-    with
-    | Ssp_server.Proto.Stats_reply { summary } -> print_string summary
-    | _ -> fail2 "unexpected reply to stats request"
+    in
+    if json then print_endline (Ssp_server.Snapshot.to_json snap)
+    else Format.printf "%a@." Ssp_server.Snapshot.pp snap
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Print the daemon's (or router's) telemetry summary")
-    Term.(const run $ socket_arg $ tcp_arg $ retries_arg)
+       ~doc:
+         "Print the daemon's telemetry snapshot: phase timings, counters, \
+          histograms and gauges. Against a router this is the cluster \
+          view: every live shard's snapshot merged with the router's own \
+          (counters sum, histograms merge bucket-wise, spans merge by \
+          path; eviction and rejection counters stay attributed per shard \
+          under shard.<node>.<name>, and each shard has an up gauge)")
+    Term.(const run $ socket_arg $ tcp_arg $ retries_arg $ json_flag)
 
 let client_shutdown_cmd =
   let run socket tcp =
@@ -1436,7 +1405,7 @@ let client_cmd =
           router ('sspc route')")
     [ client_adapt_cmd; client_sim_cmd; client_stats_cmd; client_shutdown_cmd ]
 
-(* ---- sspc top: poll the snapshot plane and redraw ---- *)
+(* ---- sspc top: poll the stats plane and redraw ---- *)
 
 let top_cmd =
   let addr_pos =
@@ -1464,8 +1433,8 @@ let top_cmd =
     let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     addf "sspc top — node %s, %d counters, %d histograms\n"
       (if snap.S.node = "" then "-" else snap.S.node)
-      (List.length snap.S.counters)
-      (List.length snap.S.hists);
+      (List.length snap.S.report.T.r_counters)
+      (List.length snap.S.report.T.r_hists);
     (* Shard health + queue depth, from the merged gauges. Keys are
        shard.<node>.<metric> where <node> itself contains dots
        (host:port), so split by matching known metric suffixes. *)
@@ -1538,7 +1507,7 @@ let top_cmd =
        poll; p99 from the merged service-time histograms. *)
     let served t snap =
       match
-        List.assoc_opt ("server.tenant." ^ t ^ ".served") snap.S.counters
+        List.assoc_opt ("server.tenant." ^ t ^ ".served") snap.S.report.T.r_counters
       with
       | Some v -> v
       | None -> 0
@@ -1552,7 +1521,7 @@ let top_cmd =
             | Some i -> Some (String.sub rest 0 i)
             | None -> None
           else None)
-        snap.S.counters
+        snap.S.report.T.r_counters
       |> List.sort_uniq String.compare
     in
     if tenants <> [] then begin
@@ -1570,7 +1539,7 @@ let top_cmd =
             match
               List.assoc_opt
                 ("server.tenant." ^ t ^ ".service_ms")
-                snap.S.hists
+                snap.S.report.T.r_hists
             with
             | Some h -> Printf.sprintf "%9.3f" (T.hist_quantile h 0.99)
             | None -> "        -"
@@ -1579,7 +1548,7 @@ let top_cmd =
             match
               List.assoc_opt
                 ("server.tenant." ^ t ^ ".rejected")
-                snap.S.counters
+                snap.S.report.T.r_counters
             with
             | Some v -> v
             | None -> 0
@@ -1587,7 +1556,7 @@ let top_cmd =
           addf "  %-20s %10d %10.1f %s %9d\n" t now rate p99 rejected)
         tenants
     end;
-    (match List.assoc_opt "server.service_ms" snap.S.hists with
+    (match List.assoc_opt "server.service_ms" snap.S.report.T.r_hists with
     | Some h ->
       addf "service_ms: p50 %.3f  p90 %.3f  p99 %.3f  max %.3f  (n=%d)\n"
         (T.hist_quantile h 0.5) (T.hist_quantile h 0.9)
@@ -1607,7 +1576,11 @@ let top_cmd =
     let continue () = iterations <= 0 || !i < iterations in
     while continue () do
       incr i;
-      let snap = fetch_snapshot addr in
+      let snap =
+        snapshot_of_reply
+          (Ssp_server.Client.request_addr ~timeout_s:30. addr
+             Ssp_server.Proto.Stats)
+      in
       let now = Unix.gettimeofday () in
       let dt = now -. !t_prev in
       (* \027[H\027[2J = home + clear: redraw in place on a terminal,
@@ -1623,7 +1596,7 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Live cluster view: poll the stats-snapshot plane and redraw \
+         "Live cluster view: poll the stats plane and redraw \
           per-tenant request rates, p99 service time, shard queue depths \
           and shard health")
     Term.(const run $ addr_pos $ interval_arg $ iterations_arg)

@@ -47,6 +47,7 @@
 module T = Ssp_telemetry.Telemetry
 module Proto = Ssp_server.Proto
 module Client = Ssp_server.Client
+module Server = Ssp_server.Server
 module Snapshot = Ssp_server.Snapshot
 module F = Ssp_fault.Fault
 
@@ -66,8 +67,11 @@ type config = {
   probe_interval_s : float;
   shard_timeout_s : float;
   replicate : bool;
-  hints_max : int;
 }
+
+(* Total (key, blob) pairs the hinted-handoff buffer holds across all
+   nodes; overflow is dropped (and counted). *)
+let hints_max = 256
 
 let default_config ~shards =
   {
@@ -81,7 +85,6 @@ let default_config ~shards =
     probe_interval_s = 0.25;
     shard_timeout_s = 120.0;
     replicate = true;
-    hints_max = 256;
   }
 
 let node_of_shard (host, port) = Printf.sprintf "%s:%d" host port
@@ -115,9 +118,7 @@ let affinity_key = function
       (Digest.to_hex
          (Digest.string
             (Printf.sprintf "%s\x00%d\x00%s" prog_part scale pipeline)))
-  | Proto.Stats | Proto.Shutdown | Proto.Stats_snapshot | Proto.Put_blob _
-  | Proto.Ping ->
-    None
+  | Proto.Stats | Proto.Shutdown | Proto.Put_blob _ | Proto.Ping -> None
 
 let error_reply (e : Ssp_ir.Error.info) =
   Proto.Error_reply
@@ -185,7 +186,7 @@ let serve ?ready cfg =
   in
   let stash_hint node kv =
     locked (fun () ->
-        if !hints_count < cfg.hints_max then begin
+        if !hints_count < hints_max then begin
           let old = Option.value ~default:[] (Hashtbl.find_opt hints node) in
           Hashtbl.replace hints node (kv :: old);
           incr hints_count;
@@ -392,41 +393,8 @@ let serve ?ready cfg =
     in
     attempt 0 plan
   in
-  (* ---- listeners ---- *)
-  let unix_fd =
-    match cfg.socket with
-    | None -> None
-    | Some path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      Some fd
-  in
-  let tcp_fd, tcp_port =
-    match cfg.tcp with
-    | None -> (None, None)
-    | Some (host, port) -> (
-      let ip =
-        match Unix.inet_addr_of_string host with
-        | a -> a
-        | exception Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 ->
-            addrs.(0)
-          | _ | (exception Not_found) ->
-            Ssp_ir.Error.raise_error ~pass:"router"
-              ("cannot resolve host " ^ host))
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> (Some fd, Some p)
-      | _ -> (Some fd, Some port))
-  in
-  let listeners = List.filter_map Fun.id [ unix_fd; tcp_fd ] in
+  Server.with_listeners ~pass:"router" ~socket:cfg.socket ~tcp:cfg.tcp
+  @@ fun { Server.fds = listeners; tcp_port; _ } ->
   (match ready with Some f -> f ~tcp_port | None -> ());
   let running = Atomic.make true in
   let conns_mu = Mutex.create () in
@@ -488,12 +456,6 @@ let serve ?ready cfg =
   let prober_t = Thread.create prober () in
   let handle ~env req =
     match req with
-    | Proto.Stats ->
-      T.count "router.requests" 1;
-      (`Reply
-         ( Proto.Stats_reply
-             { summary = Format.asprintf "%a" T.pp_summary (T.report ()) },
-           [] ))
     | Proto.Ping ->
       T.count "router.requests" 1;
       `Reply (Proto.Ok_reply, [])
@@ -507,12 +469,10 @@ let serve ?ready cfg =
               injected = false;
             },
           [] )
-    | Proto.Stats_snapshot ->
-      (* The aggregated stats plane: fan the snapshot request out to
-         every shard on the ring, merge what answers (histograms
-         bucket-wise — exact, by the fixed layout — counters summed,
-         backpressure counters additionally kept per shard) and fold in
-         the router's own counters plus a liveness gauge per shard. *)
+    | Proto.Stats ->
+      (* The cluster view: ask every shard on the ring for its snapshot
+         and merge what answers with the router's own counters plus a
+         liveness gauge per shard. *)
       T.count "router.requests" 1;
       let shard_snaps =
         List.map
@@ -521,14 +481,11 @@ let serve ?ready cfg =
               Client.request_addr ~max_frame:cfg.max_frame
                 ~timeout_s:cfg.shard_timeout_s
                 (Client.Tcp (host, port))
-                Proto.Stats_snapshot
+                Proto.Stats
             with
-            | Proto.Snapshot_reply { snapshot } -> (
-              match Snapshot.decode snapshot with
-              | s ->
-                mark_live node;
-                (node, Some s)
-              | exception _ -> (node, None))
+            | Proto.Stats_reply { snapshot } ->
+              mark_live node;
+              (node, Some snapshot)
             | _ -> (node, None)
             | exception _ ->
               mark_dead node;
@@ -542,11 +499,8 @@ let serve ?ready cfg =
           shard_snaps
       in
       let own = Snapshot.capture ~node:"router" ~gauges:ups () in
-      let merged =
-        Snapshot.merge (own :: List.filter_map snd shard_snaps)
-      in
-      `Reply
-        (Proto.Snapshot_reply { snapshot = Snapshot.encode merged }, [])
+      let merged = Snapshot.merge (own :: List.filter_map snd shard_snaps) in
+      `Reply (Proto.Stats_reply { snapshot = merged }, [])
     | Proto.Shutdown ->
       T.count "router.requests" 1;
       `Shutdown
@@ -651,8 +605,4 @@ let serve ?ready cfg =
   Mutex.lock conns_mu;
   let threads = !conn_threads in
   Mutex.unlock conns_mu;
-  List.iter Thread.join threads;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
-  match cfg.socket with
-  | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | None -> ()
+  List.iter Thread.join threads

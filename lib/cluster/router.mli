@@ -7,7 +7,8 @@
     the shards' content-addressed caches — so repeated requests (and
     the adapt/sim pair over one program) hit the same shard's warm
     cache. [Stats], [Ping] and [Shutdown] are control requests answered
-    by the router itself.
+    by the router itself; its [Stats] reply merges every live shard's
+    snapshot with its own ({!Ssp_server.Snapshot.merge}).
 
     Replication (factor 2): with [replicate] on, the primary's reply to
     an adapt miss carries the artifacts it just published and the router
@@ -15,8 +16,10 @@
     mid-campaign degrades to a {e warm} hit on the replica, not a cold
     recompute. Failover replies carry artifacts unconditionally so the
     router read-repairs the primary once it returns; blobs aimed at a
-    quarantined node park in a bounded hinted-handoff buffer, flushed
-    when its breaker closes.
+    quarantined node park in a hinted-handoff buffer of at most 256
+    (key, blob) pairs across all nodes, flushed when its breaker
+    closes. Overflow is dropped and counted: hints are an availability
+    optimisation, not a durability promise.
 
     Circuit breakers: a failed shard is quarantined with capped
     exponential backoff and decorrelated jitter ({!next_backoff}), and
@@ -56,17 +59,13 @@ type config = {
   replicate : bool;
       (** write adapt artifacts through to the ring successor (and
           read-repair a recovered primary) *)
-  hints_max : int;
-      (** total (key, blob) pairs the hinted-handoff buffer may hold
-          across all nodes; overflow is dropped (and counted) — hints
-          are an availability optimisation, not a durability promise *)
 }
 
 val default_config : shards:(string * int) list -> config
 (** No listeners bound (set [socket] and/or [tcp]), [vnodes = 128],
     [max_frame = Proto.default_max_frame], [quarantine_s = 2.],
     [quarantine_max_s = 30.], [probe_interval_s = 0.25],
-    [shard_timeout_s = 120.], [replicate = true], [hints_max = 256]. *)
+    [shard_timeout_s = 120.], [replicate = true]. *)
 
 val node_of_shard : string * int -> string
 (** The ring node id of a shard endpoint: ["host:port"]. *)
@@ -87,7 +86,9 @@ val serve : ?ready:(tcp_port:int option -> unit) -> config -> unit
 (** Bind the router's listeners and serve until a [Shutdown] request
     (blocking). [ready] fires once all listeners are bound. Raises
     [Ssp_ir.Error.Error] when no listener or no shard is configured,
-    [Unix.Unix_error] when a listener cannot be bound. Telemetry (when
+    [Unix.Unix_error] when a listener cannot be bound (leaving no fd
+    open and no socket file behind; see
+    {!Ssp_server.Server.with_listeners}). Telemetry (when
     enabled): [router.requests], [router.failover], [router.busy],
     [router.degraded], [router.deadline.shed], per-shard
     [router.shard.<node>.requests] / [.failed], per-tenant

@@ -65,35 +65,6 @@ let report_of_attrib ~prog ~scale ~pipeline ~version ~cycles
 
 (* ---- codecs ---- *)
 
-let w_iref b (i : Iref.t) =
-  Bin.w_str b i.Iref.fn;
-  Bin.w_int b i.Iref.blk;
-  Bin.w_int b i.Iref.ins
-
-let r_iref r =
-  let fn = Bin.r_str r in
-  let blk = Bin.r_int r in
-  let ins = Bin.r_int r in
-  Iref.make fn blk ins
-
-let w_hist b (h : T.hist_summary) =
-  Bin.w_int b h.T.hs_n;
-  Bin.w_float b h.T.hs_sum;
-  Bin.w_float b h.T.hs_min;
-  Bin.w_float b h.T.hs_max;
-  Bin.w_int b (Array.length h.T.hs_counts);
-  Array.iter (Bin.w_int b) h.T.hs_counts
-
-let r_hist r =
-  let hs_n = Bin.r_int r in
-  let hs_sum = Bin.r_float r in
-  let hs_min = Bin.r_float r in
-  let hs_max = Bin.r_float r in
-  let n = Bin.r_int r in
-  if n <> T.hist_bucket_count then err "histogram bucket layout mismatch";
-  let hs_counts = Array.init n (fun _ -> Bin.r_int r) in
-  { T.hs_n; hs_sum; hs_min; hs_max; hs_counts }
-
 (* Report tags are 1 and 2, not the wire protocol's 0 and 1: persisted
    reports, and the store keys digested from their bytes, must stay
    readable. *)
@@ -112,7 +83,7 @@ let r_program r =
   | k -> err (Printf.sprintf "unknown program-identity tag %d" k)
 
 let w_load_stat b l =
-  w_iref b l.fl_load;
+  Store.w_iref b l.fl_load;
   Bin.w_int b l.fl_issued;
   Bin.w_int b l.fl_useful;
   Bin.w_int b l.fl_late;
@@ -122,10 +93,10 @@ let w_load_stat b l =
   Bin.w_int b l.fl_unused;
   Bin.w_int b l.fl_demand_accesses;
   Bin.w_int b l.fl_demand_hits;
-  w_hist b l.fl_lead_hist
+  Store.w_hist b l.fl_lead_hist
 
 let r_load_stat r =
-  let fl_load = r_iref r in
+  let fl_load = Store.r_iref r in
   let fl_issued = Bin.r_int r in
   let fl_useful = Bin.r_int r in
   let fl_late = Bin.r_int r in
@@ -135,7 +106,7 @@ let r_load_stat r =
   let fl_unused = Bin.r_int r in
   let fl_demand_accesses = Bin.r_int r in
   let fl_demand_hits = Bin.r_int r in
-  let fl_lead_hist = r_hist r in
+  let fl_lead_hist = Store.r_hist r in
   {
     fl_load;
     fl_issued;
@@ -306,7 +277,7 @@ let encode_aggregate agg =
   Bin.w_int b (List.length ov);
   List.iter
     (fun (iref, (lk : Ssp.Adapt.load_knob)) ->
-      w_iref b iref;
+      Store.w_iref b iref;
       Bin.w_bool b lk.Ssp.Adapt.lk_skip;
       Bin.w_u8 b
         (match lk.Ssp.Adapt.lk_model with
@@ -325,7 +296,7 @@ let encode_aggregate agg =
   Bin.w_int b (List.length loads);
   List.iter
     (fun (iref, a) ->
-      w_iref b iref;
+      Store.w_iref b iref;
       Bin.w_float b a.al_issued;
       Bin.w_float b a.al_useful;
       Bin.w_float b a.al_late;
@@ -335,7 +306,7 @@ let encode_aggregate agg =
       Bin.w_float b a.al_unused;
       Bin.w_float b a.al_demand_accesses;
       Bin.w_float b a.al_demand_hits;
-      w_hist b a.al_lead_hist)
+      Store.w_hist b a.al_lead_hist)
     loads;
   Store.seal_kind ~kind:Store.kind_feedback_aggregate (Bin.contents b)
 
@@ -347,7 +318,7 @@ let decode_aggregate blob =
   let nov = Bin.r_int r in
   let ag_overrides =
     List.init nov (fun _ ->
-        let iref = r_iref r in
+        let iref = Store.r_iref r in
         let lk_skip = Bin.r_bool r in
         let lk_model =
           match Bin.r_u8 r with
@@ -369,7 +340,7 @@ let decode_aggregate blob =
   let nl = Bin.r_int r in
   let ag_loads =
     List.init nl (fun _ ->
-        let iref = r_iref r in
+        let iref = Store.r_iref r in
         let al_issued = Bin.r_float r in
         let al_useful = Bin.r_float r in
         let al_late = Bin.r_float r in
@@ -379,7 +350,7 @@ let decode_aggregate blob =
         let al_unused = Bin.r_float r in
         let al_demand_accesses = Bin.r_float r in
         let al_demand_hits = Bin.r_float r in
-        let al_lead_hist = r_hist r in
+        let al_lead_hist = Store.r_hist r in
         ( iref,
           {
             al_issued;

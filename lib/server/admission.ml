@@ -1,34 +1,23 @@
 (* Admission control and multi-tenant fairness for the serve loop.
 
    Work requests are queued per tenant; each serve round drains at most
-   [max] of them, chosen by deficit round-robin over the active tenants.
-   Every tenant earns [quantum] credits per visit and spends one per
-   request, so a tenant that floods the daemon fills only its own queue
-   and gets the same per-round share as everyone else — a hot tenant
-   cannot starve the fleet, only itself. The caller bounds the total
-   backlog and converts overflow into retry-after rejections before
-   anything reaches these queues. *)
+   [max] of them, round-robin over the active tenants, one request per
+   tenant per visit. A tenant that floods the daemon fills only its own
+   queue and gets the same per-round share as everyone else — a hot
+   tenant cannot starve the fleet, only itself. The caller bounds the
+   total backlog and converts overflow into retry-after rejections
+   before anything reaches these queues. *)
 
 type 'a t = {
-  quantum : int;
   queues : (string, 'a Queue.t) Hashtbl.t;
-  deficits : (string, int) Hashtbl.t;
   rotation : string Queue.t; (* active tenants, next-to-serve first *)
   mutable backlog : int;
 }
 
-let create ?(quantum = 1) () =
-  if quantum < 1 then invalid_arg "Admission.create: quantum must be positive";
-  {
-    quantum;
-    queues = Hashtbl.create 8;
-    deficits = Hashtbl.create 8;
-    rotation = Queue.create ();
-    backlog = 0;
-  }
+let create () =
+  { queues = Hashtbl.create 8; rotation = Queue.create (); backlog = 0 }
 
 let backlog t = t.backlog
-let tenants t = Hashtbl.length t.queues
 
 let enqueue t ~tenant item =
   let q =
@@ -37,46 +26,26 @@ let enqueue t ~tenant item =
     | None ->
       let q = Queue.create () in
       Hashtbl.replace t.queues tenant q;
-      Hashtbl.replace t.deficits tenant 0;
       Queue.push tenant t.rotation;
       q
   in
   Queue.push item q;
   t.backlog <- t.backlog + 1
 
-(* Up to [max] items in DRR order. Each visited tenant's deficit grows
-   by [quantum] and is capped at its queue length (credit for absent
-   work must not accrue); it then dequeues min(deficit, room) items.
-   Tenants drained empty leave the rotation; the rest rotate to the
-   back, so the next round resumes where this one stopped. *)
+(* Up to [max] items, one per visited tenant. Tenants drained empty
+   leave the rotation; the rest rotate to the back, so the next round
+   resumes where this one stopped. *)
 let select t ~max =
   let out = ref [] in
   let n = ref 0 in
   while !n < max && t.backlog > 0 do
     let tenant = Queue.pop t.rotation in
-    match Hashtbl.find_opt t.queues tenant with
-    | None -> ()
-    | Some q ->
-      let deficit =
-        min
-          ((try Hashtbl.find t.deficits tenant with Not_found -> 0)
-          + t.quantum)
-          (Queue.length q)
-      in
-      let take = min deficit (max - !n) in
-      for _ = 1 to take do
-        out := (tenant, Queue.pop q) :: !out;
-        incr n;
-        t.backlog <- t.backlog - 1
-      done;
-      if Queue.is_empty q then begin
-        Hashtbl.remove t.queues tenant;
-        Hashtbl.remove t.deficits tenant
-      end
-      else begin
-        Hashtbl.replace t.deficits tenant (deficit - take);
-        Queue.push tenant t.rotation
-      end
+    let q = Hashtbl.find t.queues tenant in
+    out := (tenant, Queue.pop q) :: !out;
+    incr n;
+    t.backlog <- t.backlog - 1;
+    if Queue.is_empty q then Hashtbl.remove t.queues tenant
+    else Queue.push tenant t.rotation
   done;
   List.rev !out
 
@@ -88,7 +57,6 @@ let drain t =
     (fun tenant q -> Queue.iter (fun item -> out := (tenant, item) :: !out) q)
     t.queues;
   Hashtbl.reset t.queues;
-  Hashtbl.reset t.deficits;
   Queue.clear t.rotation;
   t.backlog <- 0;
   List.rev !out

@@ -1,16 +1,15 @@
-(** Per-tenant admission queues with deficit-round-robin fairness.
+(** Per-tenant admission queues with round-robin fairness.
 
     The serve loop enqueues each admitted work request under its
     declaring tenant and drains at most [max_batch] per round via
-    {!select}; DRR guarantees every active tenant the same per-round
-    share regardless of how deep any one tenant's queue is. Not
-    thread-safe: owned by the single select loop. *)
+    {!select}, one request per tenant per visit, so every active tenant
+    gets the same per-round share regardless of how deep any one
+    tenant's queue is. Not thread-safe: owned by the single select
+    loop. *)
 
 type 'a t
 
-val create : ?quantum:int -> unit -> 'a t
-(** [quantum] (default 1) credits earned per tenant per DRR visit; one
-    request costs one credit. Raises [Invalid_argument] if [< 1]. *)
+val create : unit -> 'a t
 
 val enqueue : 'a t -> tenant:string -> 'a -> unit
 
@@ -18,13 +17,10 @@ val backlog : 'a t -> int
 (** Total queued items across tenants — what the saturation bound
     ([max_queue]) is checked against. *)
 
-val tenants : 'a t -> int
-(** Number of tenants with queued work. *)
-
 val select : 'a t -> max:int -> (string * 'a) list
-(** Dequeue up to [max] items in deficit-round-robin order. The
-    rotation persists across calls, so service resumes with the tenant
-    after the last one served. *)
+(** Dequeue up to [max] items in round-robin order, one per tenant per
+    visit. The rotation persists across calls, so service resumes with
+    the tenant after the last one served. *)
 
 val drain : 'a t -> (string * 'a) list
 (** Remove and return everything (shutdown: reply to stragglers rather

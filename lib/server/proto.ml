@@ -4,7 +4,7 @@
 
 module Bin = Ssp_store.Store.Bin
 
-let proto_version = 5
+let proto_version = 6
 let default_max_frame = 8 * 1024 * 1024
 let req_magic = "SSPQ"
 let resp_magic = "SSPR"
@@ -65,7 +65,6 @@ type request =
     }
   | Stats
   | Shutdown
-  | Stats_snapshot
   | Put_blob of { key : string; blob : string }
   | Ping
   | Feedback of {
@@ -78,17 +77,16 @@ type request =
 
 let tenant_of = function
   | Adapt { tenant; _ } | Sim { tenant; _ } | Feedback { tenant; _ } -> tenant
-  | Stats | Shutdown | Stats_snapshot | Put_blob _ | Ping -> "-"
+  | Stats | Shutdown | Put_blob _ | Ping -> "-"
 
 type error_info = { pass : string; what : string; injected : bool }
 
 type response =
   | Adapted of { report : string; asm : string; cache : string }
   | Simmed of { stats : string }
-  | Stats_reply of { summary : string }
+  | Stats_reply of { snapshot : Snapshot.t }
   | Ok_reply
   | Busy_reply of { retry_after_s : float }
-  | Snapshot_reply of { snapshot : string }
   | Deadline_exceeded of { stage : string; budget_ms : float; elapsed_ms : float }
   | Error_reply of error_info
 
@@ -206,7 +204,6 @@ let encode_request ?trace ?(deadline_ms = 0.) ?(artifacts = artifacts_none) req
         Bin.w_str b tenant
       | Stats -> Bin.w_u8 b 3
       | Shutdown -> Bin.w_u8 b 4
-      | Stats_snapshot -> Bin.w_u8 b 5
       | Put_blob { key; blob } ->
         Bin.w_u8 b 6;
         Bin.w_str b key;
@@ -249,7 +246,6 @@ let decode_request_env payload =
         Sim { prog; scale; pipeline; ssp; tenant }
       | 3 -> Stats
       | 4 -> Shutdown
-      | 5 -> Stats_snapshot
       | 6 ->
         let key = Bin.r_str r in
         let blob = Bin.r_str r in
@@ -263,10 +259,6 @@ let decode_request_env payload =
         let blob = Bin.r_str r in
         Feedback { prog; scale; pipeline; tenant; blob }
       | t -> malformed (Printf.sprintf "unknown request tag %d" t))
-
-let decode_request_traced payload =
-  let req, env = decode_request_env payload in
-  (req, env.re_trace)
 
 let decode_request payload = fst (decode_request_env payload)
 
@@ -285,16 +277,13 @@ let encode_response ?(hops = []) ?(artifacts = []) resp =
       | Simmed { stats } ->
         Bin.w_u8 b 2;
         Bin.w_str b stats
-      | Stats_reply { summary } ->
+      | Stats_reply { snapshot } ->
         Bin.w_u8 b 3;
-        Bin.w_str b summary
+        Bin.w_str b (Snapshot.encode snapshot)
       | Ok_reply -> Bin.w_u8 b 4
       | Busy_reply { retry_after_s } ->
         Bin.w_u8 b 5;
         Bin.w_float b retry_after_s
-      | Snapshot_reply { snapshot } ->
-        Bin.w_u8 b 6;
-        Bin.w_str b snapshot
       | Deadline_exceeded { stage; budget_ms; elapsed_ms } ->
         Bin.w_u8 b 7;
         Bin.w_str b stage;
@@ -321,10 +310,9 @@ let decode_response_env payload =
         let cache = Bin.r_str r in
         Adapted { report; asm; cache }
       | 2 -> Simmed { stats = Bin.r_str r }
-      | 3 -> Stats_reply { summary = Bin.r_str r }
+      | 3 -> Stats_reply { snapshot = Snapshot.decode (Bin.r_str r) }
       | 4 -> Ok_reply
       | 5 -> Busy_reply { retry_after_s = Bin.r_float r }
-      | 6 -> Snapshot_reply { snapshot = Bin.r_str r }
       | 7 ->
         let stage = Bin.r_str r in
         let budget_ms = Bin.r_float r in
@@ -338,10 +326,6 @@ let decode_response_env payload =
       | t -> malformed (Printf.sprintf "unknown response tag %d" t))
   in
   (resp, hops, artifacts)
-
-let decode_response_hops payload =
-  let resp, hops, _ = decode_response_env payload in
-  (resp, hops)
 
 let decode_response payload =
   let resp, _, _ = decode_response_env payload in

@@ -9,7 +9,7 @@
     connection or a crash. *)
 
 val proto_version : int
-(** The one version this build writes and accepts (5). Every peer ships
+(** The one version this build writes and accepts (6). Every peer ships
     from this repository; a payload of any other version is a structured
     [proto] error. *)
 
@@ -71,11 +71,11 @@ type request =
       tenant : string;
     }
       (** cycle simulation, optionally adapting first *)
-  | Stats  (** the server's telemetry summary *)
+  | Stats
+      (** a telemetry snapshot ({!Snapshot}): a daemon answers with its
+          own, the router with the merge of every live shard's and its
+          own *)
   | Shutdown  (** acknowledge, then stop serving *)
-  | Stats_snapshot
-      (** a versioned binary telemetry snapshot (see {!Snapshot}); the
-          router fans this out to every live shard and merges *)
   | Put_blob of { key : string; blob : string }
       (** replica write: store a sealed artifact blob under [key]. The
           receiver verifies the envelope ({!Ssp_store.Store.blob_ok})
@@ -111,13 +111,13 @@ type response =
   | Adapted of { report : string; asm : string; cache : string }
       (** [cache] is ["hit"], ["miss"] or ["off"] *)
   | Simmed of { stats : string }
-  | Stats_reply of { summary : string }
+  | Stats_reply of { snapshot : Snapshot.t }
+      (** travels as {!Snapshot.encode}'s bytes, so decoding the reply
+          checks the snapshot's own magic and version *)
   | Ok_reply
   | Busy_reply of { retry_after_s : float }
       (** admission control: the shard's queue is saturated; retry after
           (roughly) this many seconds — clients add jitter *)
-  | Snapshot_reply of { snapshot : string }
-      (** {!Snapshot.encode}d binary telemetry snapshot *)
   | Deadline_exceeded of {
       stage : string;
           (** where the budget ran out: ["client"], ["router"],
@@ -137,10 +137,6 @@ val encode_request :
 
 val decode_request : string -> request
 
-val decode_request_traced : string -> request * trace_ctx option
-(** Like {!decode_request} but also returns the trace context ([None]
-    for untraced requests). *)
-
 val decode_request_env : string -> request * req_env
 (** Like {!decode_request} but returns the whole envelope. *)
 
@@ -153,13 +149,11 @@ val encode_response : ?hops:hop list -> ?artifacts:(string * string) list ->
 
 val decode_response : string -> response
 
-val decode_response_hops : string -> response * hop list
-(** Like {!decode_response} but also returns the per-hop latency
-    breakdown ([[]] for untraced replies). *)
-
 val decode_response_env :
   string -> response * hop list * (string * string) list
-(** Hops plus the attached artifact list. *)
+(** Like {!decode_response} but also returns the per-hop latency
+    breakdown ([[]] for untraced replies) and the attached artifact
+    list. *)
 
 val frame : string -> string
 (** Prefix a payload with its 4-byte big-endian length. *)

@@ -37,14 +37,74 @@ let default_config ~socket =
     tune = false;
   }
 
-let resolve_host host =
+let resolve_host ~pass host =
   match Unix.inet_addr_of_string host with
   | addr -> addr
   | exception Failure _ -> (
     match Unix.gethostbyname host with
     | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
     | _ | (exception Not_found) ->
-      Ssp_ir.Error.raise_error ~pass:"server" ("cannot resolve host " ^ host))
+      Ssp_ir.Error.raise_error ~pass ("cannot resolve host " ^ host))
+
+type listeners = {
+  fds : Unix.file_descr list;
+  tcp_fd : Unix.file_descr option;
+  tcp_port : int option;
+}
+
+let listen_backlog = 64
+
+(* The listener setup of both [serve]s (this daemon's and the router's):
+   the Unix-domain socket, with any stale file unlinked first, and the
+   TCP endpoint, whose bound port is reported (port 0 binds an ephemeral
+   one). The fds close and the socket file is unlinked when [f] returns
+   or raises, and also when a later bind fails, so a failed start leaks
+   nothing. *)
+let with_listeners ~pass ~socket ~tcp f =
+  let opened = ref [] in
+  let close_all () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !opened;
+    Option.iter
+      (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
+      socket
+  in
+  let open_bound domain addr =
+    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    opened := fd :: !opened;
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd addr;
+    Unix.listen fd listen_backlog;
+    fd
+  in
+  let setup () =
+    let unix_fd =
+      Option.map
+        (fun path ->
+          (try Unix.unlink path with Unix.Unix_error _ -> ());
+          open_bound Unix.PF_UNIX (Unix.ADDR_UNIX path))
+        socket
+    in
+    let tcp_fd =
+      Option.map
+        (fun (host, port) ->
+          open_bound Unix.PF_INET (Unix.ADDR_INET (resolve_host ~pass host, port)))
+        tcp
+    in
+    let tcp_port =
+      Option.map
+        (fun fd ->
+          match Unix.getsockname fd with
+          | Unix.ADDR_INET (_, p) -> p
+          | _ -> 0)
+        tcp_fd
+    in
+    { fds = List.filter_map Fun.id [ unix_fd; tcp_fd ]; tcp_fd; tcp_port }
+  in
+  match setup () with
+  | l -> Fun.protect ~finally:close_all (fun () -> f l)
+  | exception e ->
+    close_all ();
+    raise e
 
 (* ---- request execution (runs on pool workers; must never raise) ---- *)
 
@@ -56,8 +116,8 @@ let config_of_pipeline name =
 (* Feedback-plane shared state: pool workers ingest and tune
    concurrently, so the aggregate read-modify-write is serialized here.
    The refs are cheap process-local gauges for telemetry snapshots —
-   walking the store to recount them on every snapshot would make
-   [stats --cluster] O(cache). *)
+   walking the store to recount them on every snapshot would make a
+   [Stats] request O(cache). *)
 let feedback_mu = Mutex.create ()
 let feedback_last_report_s = ref 0.
 let feedback_version_max = ref 0
@@ -197,8 +257,7 @@ let handle_env cfg ~ask req =
                 | None -> ()
               end);
           (Proto.Ok_reply, [])))
-    | Proto.Stats | Proto.Shutdown | Proto.Stats_snapshot | Proto.Put_blob _
-    | Proto.Ping ->
+    | Proto.Stats | Proto.Shutdown | Proto.Put_blob _ | Proto.Ping ->
       (* Control requests are answered inline by the loop. *)
       (plain_error "server" "control request routed to a worker", [])
   with
@@ -209,9 +268,6 @@ let handle_env cfg ~ask req =
   | Failure msg | Invalid_argument msg -> (plain_error "server" msg, [])
   | Stack_overflow -> (plain_error "server" "stack overflow", [])
   | e -> (plain_error "server" (Printexc.to_string e), [])
-
-let handle cfg req = fst (handle_env cfg ~ask:Proto.artifacts_none req)
-let _ = handle
 
 (* Replica-write keys index the filesystem; only the digest shape the
    cache itself mints is allowed through. *)
@@ -311,39 +367,8 @@ let serve ?ready cfg =
   if cfg.socket = None && cfg.tcp = None then
     Ssp_ir.Error.raise_error ~pass:"server"
       "serve needs a unix socket, a TCP endpoint, or both";
-  (* Unix-domain listener (optional). *)
-  let unix_fd =
-    match cfg.socket with
-    | None -> None
-    | Some path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      Some fd
-  in
-  (* TCP listener (optional) alongside it: same framing, same protocol.
-     Port 0 binds an ephemeral port; [ready] reports the bound one. *)
-  let tcp_fd, tcp_port =
-    match cfg.tcp with
-    | None -> (None, None)
-    | Some (host, port) -> (
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-         Unix.listen fd 64
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         (match unix_fd with
-         | Some u -> ( try Unix.close u with Unix.Unix_error _ -> ())
-         | None -> ());
-         raise e);
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> (Some fd, Some p)
-      | _ -> (Some fd, Some port))
-  in
-  let listeners = List.filter_map Fun.id [ unix_fd; tcp_fd ] in
+  with_listeners ~pass:"server" ~socket:cfg.socket ~tcp:cfg.tcp
+  @@ fun { fds = listeners; tcp_fd; tcp_port } ->
   (* How this shard names itself in trace hops and snapshots — the TCP
      endpoint when there is one (what the router calls it), else the
      socket path. *)
@@ -410,13 +435,7 @@ let serve ?ready cfg =
     Ssp_parallel.Pool.shutdown pool;
     Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
       conns;
-    Hashtbl.reset conns;
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      listeners;
-    match cfg.socket with
-    | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | None -> ()
+    Hashtbl.reset conns
   in
   Fun.protect ~finally @@ fun () ->
   while !running do
@@ -537,11 +556,6 @@ let serve ?ready cfg =
         match req with
         | Proto.Stats ->
           T.count "server.requests" 1;
-          send c
-            (Proto.Stats_reply
-               { summary = Format.asprintf "%a" T.pp_summary (T.report ()) })
-        | Proto.Stats_snapshot ->
-          T.count "server.requests" 1;
           let gauges =
             ("server.queue_depth", float_of_int (Admission.backlog adm))
             :: ( "feedback.last_report_age_s",
@@ -562,8 +576,9 @@ let serve ?ready cfg =
                   float_of_int (Store.Cache.evictions cache) );
               ])
           in
-          let snap = Snapshot.capture ~node:node_name ~gauges () in
-          send c (Proto.Snapshot_reply { snapshot = Snapshot.encode snap })
+          send c
+            (Proto.Stats_reply
+               { snapshot = Snapshot.capture ~node:node_name ~gauges () })
         | Proto.Shutdown ->
           T.count "server.requests" 1;
           send c Proto.Ok_reply;

@@ -9,8 +9,8 @@
     {!Proto.response.Busy_reply} (retry-after backpressure, which
     well-behaved clients honor with jittered backoff); otherwise it is
     queued under its declaring tenant. Each round drains at most
-    [max_batch] requests, chosen by deficit-round-robin over the active
-    tenants ({!Admission}), and fans them across a long-lived
+    [max_batch] requests, chosen round-robin over the active tenants
+    ({!Admission}), and fans them across a long-lived
     {!Ssp_parallel.Pool} — so concurrent clients share the domain pool
     and one hot tenant cannot starve the rest. [Adapt] and [Sim]
     requests are answered by the same functions as the offline tool
@@ -68,6 +68,26 @@ val default_config : socket:string -> config
     Proto.default_max_frame], [timeout_s = 60.], [max_batch = 32],
     [max_queue = 256], [retry_after_s = 0.2], [tune = false]. *)
 
+type listeners = {
+  fds : Unix.file_descr list;  (** every bound listener *)
+  tcp_fd : Unix.file_descr option;
+  tcp_port : int option;  (** the bound TCP port (port 0 binds ephemeral) *)
+}
+
+val with_listeners :
+  pass:string ->
+  socket:string option ->
+  tcp:(string * int) option ->
+  (listeners -> 'a) ->
+  'a
+(** Bind and listen on the Unix-domain socket (a stale file is unlinked
+    first) and the TCP endpoint ([SO_REUSEADDR]), run the function, then
+    close every listener and unlink the socket file — also when the
+    function raises and when a later bind fails, which re-raises its
+    [Unix.Unix_error]. An unresolvable host is an [Ssp_ir.Error.Error]
+    of pass [pass]. {!serve} and the cluster router both listen through
+    this. *)
+
 val serve : ?ready:(tcp_port:int option -> unit) -> config -> unit
 (** Bind, listen and serve until a [Shutdown] request (blocking).
     [ready] is called once, after every listener is bound, with the
@@ -77,4 +97,7 @@ val serve : ?ready:(tcp_port:int option -> unit) -> config -> unit
     [server.errors], [server.rejected], [server.cache_hit],
     [server.batches], per-tenant [server.tenant.<t>.requests] /
     [.served] / [.rejected], a [server.queue_depth] series sampled per
-    batch, and a [server.request] span per served request. *)
+    batch (kept out of [Stats] replies, which carry the queue depth as a
+    gauge), and a [server.request] span per served request. A [Stats]
+    request is answered inline with {!Snapshot.capture} of this process,
+    named by its TCP endpoint (else its socket path). *)

@@ -74,26 +74,35 @@ let add_category t c =
   let i = category_index c in
   t.categories.(i) <- t.categories.(i) + 1
 
+let new_site () =
+  {
+    accesses = 0;
+    l1 = 0;
+    l2 = 0;
+    l2_partial = 0;
+    l3 = 0;
+    l3_partial = 0;
+    mem = 0;
+    mem_partial = 0;
+  }
+
 let load_site t iref =
   match Ssp_ir.Iref.Tbl.find_opt t.loads iref with
   | Some s -> s
   | None ->
-    let s =
-      {
-        accesses = 0;
-        l1 = 0;
-        l2 = 0;
-        l2_partial = 0;
-        l3 = 0;
-        l3_partial = 0;
-        mem = 0;
-        mem_partial = 0;
-      }
-    in
+    let s = new_site () in
     Ssp_ir.Iref.Tbl.replace t.loads iref s;
     s
 
-let bump_site s level ~partial =
+let record_load_pc t ~pc level ~partial =
+  let s =
+    match t.sites.(pc) with
+    | Some s -> s
+    | None ->
+      let s = new_site () in
+      t.sites.(pc) <- Some s;
+      s
+  in
   s.accesses <- s.accesses + 1;
   match (level, partial) with
   | Hierarchy.L1, _ -> s.l1 <- s.l1 + 1
@@ -103,30 +112,6 @@ let bump_site s level ~partial =
   | Hierarchy.L3, true -> s.l3_partial <- s.l3_partial + 1
   | Hierarchy.Mem, false -> s.mem <- s.mem + 1
   | Hierarchy.Mem, true -> s.mem_partial <- s.mem_partial + 1
-
-let record_load t iref level ~partial = bump_site (load_site t iref) level ~partial
-
-let record_load_pc t ~pc level ~partial =
-  let s =
-    match t.sites.(pc) with
-    | Some s -> s
-    | None ->
-      let s =
-        {
-          accesses = 0;
-          l1 = 0;
-          l2 = 0;
-          l2_partial = 0;
-          l3 = 0;
-          l3_partial = 0;
-          mem = 0;
-          mem_partial = 0;
-        }
-      in
-      t.sites.(pc) <- Some s;
-      s
-  in
-  bump_site s level ~partial
 
 let finish ?irefs t =
   (* Merge the pc-indexed site counters into the per-Iref table consumers
@@ -149,10 +134,8 @@ let finish ?irefs t =
         | _ -> ())
       t.sites
   | None -> ());
-  (* Buffered outputs are in program order by construction; the legacy
-     cons path (if a caller still uses it) builds reversed. *)
-  let buffered = List.init t.out_n (fun i -> t.out_buf.(i)) in
-  t.outputs <- List.rev_append t.outputs buffered;
+  (* Buffered outputs are in program order by construction. *)
+  t.outputs <- List.init t.out_n (fun i -> t.out_buf.(i));
   t
 
 let ipc t =

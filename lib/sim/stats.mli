@@ -55,16 +55,14 @@ val push_output : t -> int64 -> unit
 val ensure_sites : t -> int -> unit
 (** Size the pc-indexed site array (once, at machine creation). *)
 
-val record_load : t -> Ssp_ir.Iref.t -> Hierarchy.level -> partial:bool -> unit
-
 val record_load_pc : t -> pc:int -> Hierarchy.level -> partial:bool -> unit
 (** Allocation-light per-site recording by dense pc id; requires
     [ensure_sites] to have covered [pc]. *)
 
 val finish : ?irefs:Ssp_ir.Iref.t array -> t -> t
-(** Publish [outputs] (buffered outputs are already in program order; any
-    legacy cons-accumulated list is reversed and prepended) and, given the
-    layout's [irefs], merge pc-indexed site counters into [loads]. *)
+(** Publish [outputs] (buffered outputs are already in program order)
+    and, given the layout's [irefs], merge pc-indexed site counters into
+    [loads]. *)
 
 val ipc : t -> float
 val pp : Format.formatter -> t -> unit

@@ -46,7 +46,7 @@ let create ~id =
     id;
     pc = 0;
     regs = Bytes.make (8 * Ssp_isa.Reg.count) '\000';
-    frames = Array.init 16 (fun _ -> new_frame ());
+    frames = [||];
     frame_n = 0;
     live_in = Bytes.make (8 * lib_slots) '\000';
     lib_out = Bytes.make (8 * lib_slots) '\000';
@@ -67,11 +67,13 @@ let reset_for_spawn t ~pc ~live_in ~seed =
   t.instrs <- 0;
   set64u t.rand_state 0 (Int64.of_int seed)
 
+(* The frame pool starts empty (most speculative threads never call) and
+   doubles, from 4, on the first call that finds it full. *)
 let push_frame t ~ret_pc =
   let cap = Array.length t.frames in
   if t.frame_n = cap then
     t.frames <-
-      Array.init (2 * cap) (fun i ->
+      Array.init (Int.max 4 (2 * cap)) (fun i ->
           if i < cap then t.frames.(i) else new_frame ());
   let fr = t.frames.(t.frame_n) in
   t.frame_n <- t.frame_n + 1;

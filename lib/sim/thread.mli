@@ -32,8 +32,9 @@ type t = {
   mutable pc : int;  (** pc id of the next instruction *)
   regs : Bytes.t;  (** 128 registers, 8 bytes each; r0's slot stays zero *)
   mutable frames : frame array;
-      (** frame pool, grown by doubling; [frames.(0 .. frame_n-1)] are the
-          live frames, innermost last *)
+      (** frame pool, empty at {!create} and grown by doubling (to 4 on
+          the first call); [frames.(0 .. frame_n-1)] are the live frames,
+          innermost last *)
   mutable frame_n : int;  (** live call depth *)
   live_in : Bytes.t;
       (** the live-in buffer received at spawn, [lib_slots] 8-byte slots;

@@ -162,6 +162,30 @@ let r_iref r =
   let ins = Bin.r_int r in
   Iref.make fn blk ins
 
+(* The one codec of a histogram summary, shared by the feedback plane's
+   blobs and the stats snapshot: a layout other than this build's is
+   rejected, since merging across layouts would be silently wrong. *)
+let w_hist b (h : T.hist_summary) =
+  Bin.w_int b h.T.hs_n;
+  Bin.w_float b h.T.hs_sum;
+  Bin.w_float b h.T.hs_min;
+  Bin.w_float b h.T.hs_max;
+  Bin.w_int b (Array.length h.T.hs_counts);
+  Array.iter (Bin.w_int b) h.T.hs_counts
+
+let r_hist r =
+  let hs_n = Bin.r_int r in
+  let hs_sum = Bin.r_float r in
+  let hs_min = Bin.r_float r in
+  let hs_max = Bin.r_float r in
+  let n = Bin.r_int r in
+  if n <> T.hist_bucket_count then
+    corrupt
+      (Printf.sprintf "histogram layout %d buckets (want %d)" n
+         T.hist_bucket_count);
+  let hs_counts = Array.init n (fun _ -> Bin.r_int r) in
+  { T.hs_n; hs_sum; hs_min; hs_max; hs_counts }
+
 let w_list b xs emit =
   Bin.w_int b (List.length xs);
   List.iter (emit b) xs

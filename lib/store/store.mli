@@ -54,6 +54,24 @@ module Bin : sig
   (** Raises if trailing bytes remain (catches mis-framed payloads). *)
 end
 
+(** {1 Shared sub-codecs} *)
+
+val w_iref : Bin.writer -> Ssp_ir.Iref.t -> unit
+val r_iref : Bin.reader -> Ssp_ir.Iref.t
+
+val w_hist : Bin.writer -> Ssp_telemetry.Telemetry.hist_summary -> unit
+
+val r_hist : Bin.reader -> Ssp_telemetry.Telemetry.hist_summary
+(** Raises [Ssp_ir.Error.Error] (pass ["store"]) on a histogram whose
+    bucket count differs from this build's
+    ({!Ssp_telemetry.Telemetry.hist_bucket_count}). *)
+
+val w_list : Bin.writer -> 'a list -> (Bin.writer -> 'a -> unit) -> unit
+
+val r_list : Bin.reader -> (Bin.reader -> 'a) -> 'a list
+(** A count, then the elements. Raises [Ssp_ir.Error.Error] (pass
+    ["store"]) on a count larger than the bytes left. *)
+
 (** {1 Artifact codecs} *)
 
 val encode_program : Ssp_ir.Prog.t -> string

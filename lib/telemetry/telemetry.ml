@@ -13,9 +13,11 @@
    event buffer) through domain-local storage, registered once in a global
    list. The hot recording paths therefore stay plain unsynchronized
    mutations — same cost as before domains — and [report]/[events] merge
-   the shards by name at the (cold) reporting boundary. The one rule this
-   imposes on callers: use a handle on the domain that interned it (every
-   instrumented subsystem already creates its handles where it runs). *)
+   the shards by name at the (cold) reporting boundary ([report] through
+   [merge], which also merges a cluster's stats snapshots). The one rule
+   this imposes on callers: use a handle on the domain that interned it
+   (every instrumented subsystem already creates its handles where it
+   runs). *)
 
 let enabled = ref false
 let set_enabled b = enabled := b
@@ -433,88 +435,85 @@ let rec copy_span sp =
     children = List.rev_map copy_span sp.children (* oldest first *);
   }
 
-(* Merge one shard's span tree into an accumulating copy: children match
-   by name, times and call counts add. Worker-domain spans that ran with
-   an empty stack surface as top-level phases next to the main domain's. *)
+(* Merge a span tree into an accumulating copy: children match by name,
+   times and call counts add. Worker-domain spans that ran with an empty
+   stack surface as top-level phases next to the main domain's. *)
 let rec merge_span_into (dst : span) (src : span) =
   dst.ms <- dst.ms +. src.ms;
   dst.calls <- dst.calls + src.calls;
-  (* [src] comes from [copy_span]: children oldest first. [child_of]
-     prepends, so dst ends newest first — [merged_root] re-orients. *)
+  (* [src] lists children oldest first. [child_of] prepends, so dst
+     ends newest first — [merge] re-orients. *)
   List.iter
     (fun (c : span) ->
       let dc = child_of dst c.sp_name in
       merge_span_into dc c)
     src.children
 
-let merged_root () =
-  let acc = new_span "root" in
-  List.iter (fun sh -> merge_span_into acc (copy_span sh.root)) (all_shards ());
-  (* merge_span_into prepends children; re-establish oldest-first. *)
-  let rec orient sp = { sp with children = List.rev_map orient sp.children } in
-  orient acc
-
-let merge_tables fold_shard merge =
-  let acc : (string, 'a) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun sh -> fold_shard sh (fun name v -> merge acc name v)) (all_shards ());
-  acc
-
-let report () =
+(* The one merge of run reports: [report] merges the domains' shards, and
+   the cluster router merges its shards' snapshots. Counters add by name,
+   histograms merge bucket-wise, spans merge by path, and series
+   concatenate in list order. Every list comes out in [report]'s order. *)
+let merge reports =
   let by_name (a, _) (b, _) = String.compare a b in
-  let counters =
-    merge_tables
-      (fun sh f -> Hashtbl.iter (fun name c -> f name c.count) sh.counters)
-      (fun acc name v ->
-        Hashtbl.replace acc name
-          (v + Option.value ~default:0 (Hashtbl.find_opt acc name)))
+  let table combine field =
+    let acc = Hashtbl.create 64 in
+    List.iter
+      (fun r ->
+        List.iter
+          (fun (name, v) ->
+            Hashtbl.replace acc name
+              (match Hashtbl.find_opt acc name with
+              | Some prev -> combine prev v
+              | None -> v))
+          (field r))
+      reports;
+    Hashtbl.fold (fun name v l -> (name, v) :: l) acc [] |> List.sort by_name
   in
-  let hists =
-    merge_tables
-      (fun sh f -> Hashtbl.iter (fun name h -> if h.h_n > 0 then f name h) sh.hists)
-      (fun acc name (h : hist) ->
-        let s =
-          {
-            hs_n = h.h_n;
-            hs_sum = h.h_sum;
-            hs_min = h.h_lo;
-            hs_max = h.h_hi;
-            hs_counts = Array.copy h.h_counts;
-          }
-        in
-        match Hashtbl.find_opt acc name with
-        | None -> Hashtbl.replace acc name s
-        | Some m -> Hashtbl.replace acc name (merge_hist_summary m s))
-  in
-  let seriess =
-    merge_tables
-      (fun sh f ->
-        Hashtbl.iter
-          (fun name s -> if s.points <> [] then f name (List.rev s.points))
-          sh.seriess)
-      (fun acc name pts ->
-        Hashtbl.replace acc name
-          (Option.value ~default:[] (Hashtbl.find_opt acc name) @ pts))
-  in
+  let root = new_span "root" in
+  List.iter
+    (fun r -> merge_span_into root { (new_span "root") with children = r.r_spans })
+    reports;
+  let rec orient sp = { sp with children = List.rev_map orient sp.children } in
   {
-    r_spans = (merged_root ()).children;
-    r_counters =
-      Hashtbl.fold (fun name v acc -> (name, v) :: acc) counters []
-      |> List.sort by_name;
-    r_hists =
-      Hashtbl.fold (fun name h acc -> (name, h) :: acc) hists []
-      |> List.sort by_name;
+    r_spans = (orient root).children;
+    r_counters = table ( + ) (fun r -> r.r_counters);
+    r_hists = table merge_hist_summary (fun r -> r.r_hists);
     r_series =
-      (* Shards accumulate by list-prepend and merge by concatenation, so
-         raw points arrive in interleaved insertion order; exports sort
-         by x (stable: ties keep shard insertion order). *)
-      Hashtbl.fold
-        (fun name pts acc ->
-          ( name,
-            List.stable_sort (fun (x1, _) (x2, _) -> Float.compare x1 x2) pts )
-          :: acc)
-        seriess []
-      |> List.sort by_name;
+      (* Each shard's points arrive in insertion order; exports sort by x
+         (stable: ties keep shard insertion order). *)
+      table ( @ ) (fun r -> r.r_series)
+      |> List.map (fun (name, pts) ->
+             ( name,
+               List.stable_sort (fun (x1, _) (x2, _) -> Float.compare x1 x2) pts
+             ));
   }
+
+let shard_report sh =
+  {
+    r_spans = (copy_span sh.root).children;
+    r_counters = Hashtbl.fold (fun name c l -> (name, c.count) :: l) sh.counters [];
+    r_hists =
+      Hashtbl.fold
+        (fun name h l ->
+          if h.h_n = 0 then l
+          else
+            ( name,
+              {
+                hs_n = h.h_n;
+                hs_sum = h.h_sum;
+                hs_min = h.h_lo;
+                hs_max = h.h_hi;
+                hs_counts = Array.copy h.h_counts;
+              } )
+            :: l)
+        sh.hists [];
+    r_series =
+      Hashtbl.fold
+        (fun name s l -> if s.points = [] then l else (name, List.rev s.points) :: l)
+        sh.seriess [];
+  }
+
+let report () = merge (List.map shard_report (all_shards ()))
 
 (* ---- JSON export ---- *)
 
@@ -541,18 +540,21 @@ let rec span_json sp =
       ("children", List (List.map span_json sp.children));
     ]
 
-let to_json r =
+(* [extra] fields follow the report's four: a stats snapshot adds its
+   node, gauges and dropped-event count. *)
+let to_json ?(extra = []) r =
   let named f xs = Json.Obj (List.map (fun (name, v) -> (name, f v)) xs) in
   let point (x, y) = Json.List [ Float x; Float y ] in
   Json.to_string
     (Obj
-       [
-         ("spans", List (List.map span_json r.r_spans));
-         ("counters", named (fun v -> Json.Int v) r.r_counters);
-         ("hists", named hist_json r.r_hists);
-         ( "series",
-           named (fun pts -> Json.List (List.map point pts)) r.r_series );
-       ])
+       ([
+          ("spans", Json.List (List.map span_json r.r_spans));
+          ("counters", named (fun v -> Json.Int v) r.r_counters);
+          ("hists", named hist_json r.r_hists);
+          ( "series",
+            named (fun pts -> Json.List (List.map point pts)) r.r_series );
+        ]
+       @ extra))
 
 let write_json path r =
   let oc = open_out path in
@@ -659,6 +661,8 @@ let write_trace_events path =
 
 (* ---- summary table ---- *)
 
+(* The one table of a run report: [sspc stats] prints it, and a stats
+   snapshot prints it between its node line and its gauges. *)
 let pp_summary ppf r =
   Format.fprintf ppf "@[<v>";
   if r.r_spans <> [] then begin

@@ -422,8 +422,8 @@ let test_cluster_snapshot_merge =
     (fun n -> ignore (expect_adapted (Client.request_addr router (adapt_req n))))
     [ "em3d"; "mst" ];
   let snap =
-    match Client.request_addr router Proto.Stats_snapshot with
-    | Proto.Snapshot_reply { snapshot } -> Snapshot.decode snapshot
+    match Client.request_addr router Proto.Stats with
+    | Proto.Stats_reply { snapshot } -> snapshot
     | _ -> Alcotest.fail "expected the router's merged snapshot"
   in
   Alcotest.(check string) "merged under the cluster node" "cluster"
@@ -445,15 +445,15 @@ let test_cluster_snapshot_merge =
        snap.Snapshot.gauges);
   (* The merged histograms cover the served requests; the router's
      forward times ride in the same snapshot. *)
-  (match List.assoc_opt "server.service_ms" snap.Snapshot.hists with
+  (match List.assoc_opt "server.service_ms" snap.Snapshot.report.T.r_hists with
   | Some h -> Alcotest.(check bool) "service hist populated" true (h.T.hs_n >= 2)
   | None -> Alcotest.fail "server.service_ms histogram missing");
-  (match List.assoc_opt "router.forward_ms" snap.Snapshot.hists with
+  (match List.assoc_opt "router.forward_ms" snap.Snapshot.report.T.r_hists with
   | Some h -> Alcotest.(check bool) "forward hist populated" true (h.T.hs_n >= 2)
   | None -> Alcotest.fail "router.forward_ms histogram missing");
   Alcotest.(check bool) "router counted the requests" true
     (Option.value ~default:0
-       (List.assoc_opt "router.requests" snap.Snapshot.counters)
+       (List.assoc_opt "router.requests" snap.Snapshot.report.T.r_counters)
     >= 2);
   shutdown router;
   Thread.join r_th;
@@ -461,6 +461,82 @@ let test_cluster_snapshot_merge =
   shutdown (Client.Tcp ("127.0.0.1", p2));
   Thread.join th1;
   Thread.join th2
+
+(* The router's merge is Telemetry.merge plus per-shard attribution:
+   counters sum by name and rejections also stay under
+   shard.<node>.<name>, gauges are shard-prefixed, histograms and spans
+   merge, and the merged view survives the snapshot codec. *)
+let test_snapshot_merge_attribution =
+  with_telemetry @@ fun () ->
+  T.count "server.rejected" 2;
+  T.count "server.tenant.t.served" 3;
+  T.record_hist "server.service_ms" 4.0;
+  T.with_span "server.request" (fun () -> T.with_span "adapt" ignore);
+  let snap node =
+    Snapshot.capture ~node ~gauges:[ ("server.queue_depth", 1.) ] ()
+  in
+  let m = Snapshot.merge [ snap "a:1"; snap "b:2" ] in
+  let counter name = List.assoc_opt name m.Snapshot.report.T.r_counters in
+  Alcotest.(check (option int)) "counters sum" (Some 4)
+    (counter "server.rejected");
+  Alcotest.(check (option int)) "served sums" (Some 6)
+    (counter "server.tenant.t.served");
+  Alcotest.(check (option int)) "rejections stay per shard" (Some 2)
+    (counter "shard.b:2.server.rejected");
+  Alcotest.(check (option int)) "served is not attributed" None
+    (counter "shard.a:1.server.tenant.t.served");
+  Alcotest.(check (list string)) "gauges per shard"
+    [ "shard.a:1.server.queue_depth"; "shard.b:2.server.queue_depth" ]
+    (List.map fst m.Snapshot.gauges);
+  (match List.assoc_opt "server.service_ms" m.Snapshot.report.T.r_hists with
+  | Some h -> Alcotest.(check int) "histograms merge" 2 h.T.hs_n
+  | None -> Alcotest.fail "merged histogram missing");
+  (match T.find_span m.Snapshot.report.T.r_spans [ "server.request"; "adapt" ] with
+  | Some sp -> Alcotest.(check int) "spans merge by path" 2 sp.T.calls
+  | None -> Alcotest.fail "merged span missing");
+  Alcotest.(check bool) "the merged view survives the codec" true
+    (Snapshot.decode (Snapshot.encode m) = m)
+
+(* A serve whose TCP port is taken raises, and leaves no fd open and no
+   socket file behind: the daemon and the router bind through one
+   listener setup. *)
+let test_bind_failure_leaks_nothing () =
+  let taken = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close taken) @@ fun () ->
+  Unix.bind taken (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen taken 1;
+  let port =
+    match Unix.getsockname taken with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> Alcotest.fail "no TCP port"
+  in
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then
+      Array.length (Sys.readdir "/proc/self/fd")
+    else 0
+  in
+  let check what serve =
+    let socket = fresh what ^ ".sock" in
+    let before = open_fds () in
+    (match serve (Some socket) (Some ("127.0.0.1", port)) with
+    | () -> Alcotest.failf "%s served on a taken port" what
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+    Alcotest.(check int) (what ^ ": fd count unchanged") before (open_fds ());
+    Alcotest.(check bool) (what ^ ": no socket file left") false
+      (Sys.file_exists socket)
+  in
+  let server_cfg =
+    { (shard_config ~cache_dir:(fresh "cache") ()) with Server.cache = None }
+  in
+  check "server" (fun socket tcp ->
+      Server.serve { server_cfg with Server.socket; tcp });
+  check "router" (fun socket tcp ->
+      Router.serve
+        {
+          (Router.default_config ~shards:[ ("127.0.0.1", port) ]) with
+          Router.socket;
+          tcp;
+        })
 
 (* ---- replication, breakers, deadlines ---- *)
 
@@ -758,6 +834,10 @@ let suite =
       test_traced_through_router;
     Alcotest.test_case "stats plane: merged cluster snapshot" `Quick
       test_cluster_snapshot_merge;
+    Alcotest.test_case "stats plane: merge attributes per shard" `Quick
+      test_snapshot_merge_attribution;
+    Alcotest.test_case "listeners: a failed bind leaks nothing" `Quick
+      test_bind_failure_leaks_nothing;
     Alcotest.test_case "breaker: decorrelated-jitter backoff bounds" `Quick
       test_next_backoff;
     Alcotest.test_case "replication: kill primary, replica serves warm"

@@ -392,9 +392,9 @@ let test_proto_one_version () =
     Bin.contents b
   in
   (* v2 carried no envelope between the version byte and the tag *)
-  rejected "v2 request" (payload "SSPQ" 2 3) Proto.decode_request_traced;
-  rejected "v2 response" (payload "SSPR" 2 4) Proto.decode_response_hops;
-  rejected "v1 request" (payload "SSPQ" 1 3) Proto.decode_request_traced;
+  rejected "v2 request" (payload "SSPQ" 2 3) Proto.decode_request_env;
+  rejected "v2 response" (payload "SSPR" 2 4) Proto.decode_response_env;
+  rejected "v1 request" (payload "SSPQ" 1 3) Proto.decode_request_env;
   (* a version-1 snapshot (it carried a dists list) is a snapshot error *)
   let b = Bin.writer () in
   Bin.w_str b "SSPS";
@@ -408,10 +408,25 @@ let test_proto_one_version () =
   | _ -> Alcotest.fail "v1 snapshot accepted"
   | exception Ssp_ir.Error.Error e ->
     Alcotest.(check string) "snapshot pass" "snapshot" e.Ssp_ir.Error.pass);
+  (* so is a version-2 one (its own counter and histogram lists, no
+     spans), and a version-5 request (its Stats reply was text) *)
+  let b = Bin.writer () in
+  Bin.w_str b "SSPS";
+  Bin.w_u8 b 2;
+  Bin.w_str b "s1";
+  (* empty counters, gauges and hists; no dropped events *)
+  for _ = 1 to 4 do
+    Bin.w_int b 0
+  done;
+  (match Snapshot.decode (Bin.contents b) with
+  | _ -> Alcotest.fail "v2 snapshot accepted"
+  | exception Ssp_ir.Error.Error e ->
+    Alcotest.(check string) "v2 snapshot pass" "snapshot" e.Ssp_ir.Error.pass);
+  rejected "v5 request" (payload "SSPQ" 5 3) Proto.decode_request_env;
   (* the trace context and the breakdown round-trip *)
   let ctx = { Proto.trace_id = "cafe01"; span_id = 7 } in
-  let req', trace' =
-    Proto.decode_request_traced (Proto.encode_request ~trace:ctx (adapt_req "em3d"))
+  let req', { Proto.re_trace = trace'; _ } =
+    Proto.decode_request_env (Proto.encode_request ~trace:ctx (adapt_req "em3d"))
   in
   (match req' with
   | Proto.Adapt { tenant; _ } ->
@@ -424,15 +439,16 @@ let test_proto_one_version () =
     Alcotest.(check int) "span id" 7 c.Proto.span_id
   | None -> Alcotest.fail "trace context dropped");
   Alcotest.(check bool) "untraced request decodes as None" true
-    (snd (Proto.decode_request_traced (Proto.encode_request Proto.Stats)) = None);
+    ((snd (Proto.decode_request_env (Proto.encode_request Proto.Stats)))
+       .Proto.re_trace = None);
   let hops =
     [
       { Proto.hop_node = "s1"; hop_stage = "queue"; hop_ms = 1.25 };
       { Proto.hop_node = "s1"; hop_stage = "compute"; hop_ms = 40.5 };
     ]
   in
-  let resp', hops' =
-    Proto.decode_response_hops (Proto.encode_response ~hops Proto.Ok_reply)
+  let resp', hops', _ =
+    Proto.decode_response_env (Proto.encode_response ~hops Proto.Ok_reply)
   in
   (match resp' with
   | Proto.Ok_reply -> ()
@@ -468,7 +484,7 @@ let test_proto_v4_rejected () =
   (* no artifacts *)
   Bin.w_u8 b 4;
   (* Ok *)
-  rejected "v4 response" (Bin.contents b) Proto.decode_response_hops;
+  rejected "v4 response" (Bin.contents b) Proto.decode_response_env;
   (* The Feedback request round-trips with its workload identity intact
      (the router hashes it for shard affinity). *)
   let req =
@@ -706,14 +722,13 @@ let test_traced_hops_spans =
     (List.assoc "trace.feedf00d" (T.report ()).T.r_counters)
 
 let fetch_snapshot socket =
-  match
-    Client.request ~socket Proto.Stats_snapshot
-  with
-  | Proto.Snapshot_reply { snapshot } -> Snapshot.decode snapshot
-  | _ -> Alcotest.fail "expected a Snapshot_reply"
+  match Client.request ~socket Proto.Stats with
+  | Proto.Stats_reply { snapshot } -> snapshot
+  | _ -> Alcotest.fail "expected a Stats_reply"
 
 let counter snap name =
-  Option.value ~default:0 (List.assoc_opt name snap.Snapshot.counters)
+  Option.value ~default:0
+    (List.assoc_opt name snap.Snapshot.report.T.r_counters)
 
 (* Satellite: the per-tenant admission counters are visible through the
    stats plane and line up with the Busy replies the client saw. *)
@@ -796,7 +811,7 @@ let test_snapshot_eviction_counter =
       (int_of_float g)
   | None -> Alcotest.fail "store.evictions gauge missing");
   Alcotest.(check bool) "service-time histogram populated" true
-    (match List.assoc_opt "server.service_ms" snap.Snapshot.hists with
+    (match List.assoc_opt "server.service_ms" snap.Snapshot.report.T.r_hists with
     | Some h -> h.T.hs_n >= 3
     | None -> false);
   Alcotest.(check bool) "queue depth gauge present" true
