@@ -341,18 +341,6 @@ let cluster_addr_of s =
         int_of_string (String.sub s (i + 1) (String.length s - i - 1)) )
   | _ -> Ssp_server.Client.Unix_sock s
 
-let knob_string (k : Ssp.Adapt.load_knob) =
-  String.concat ","
-    ((if k.Ssp.Adapt.lk_skip then [ "skip" ] else [])
-    @ (match k.Ssp.Adapt.lk_model with
-      | `Keep -> []
-      | `Basic -> [ "model=basic" ]
-      | `Chaining -> [ "model=chaining" ])
-    @
-    if k.Ssp.Adapt.lk_unroll > 0 then
-      [ Printf.sprintf "unroll=%d" k.Ssp.Adapt.lk_unroll ]
-    else [])
-
 let sim_cmd =
   let run src scale pipeline ssp explain trace trace_events jobs sample upload
       fb_version =
@@ -436,8 +424,8 @@ let sim_cmd =
   let fb_version_arg =
     let doc =
       "Tuning version of the adapted artifact this run measured (0 = \
-       untuned); stamped into the uploaded report so the aggregator can \
-       tell fresh reports from stale ones."
+       untuned); stamped into the uploaded report so the tuner can tell \
+       fresh reports from stale ones."
     in
     Arg.(value & opt int 0 & info [ "feedback-version" ] ~docv:"N" ~doc)
   in
@@ -452,7 +440,8 @@ let explain_cmd =
     guard @@ fun () ->
     with_trace_events trace_events @@ fun () ->
     let config = config_of_pipeline pipeline in
-    let prog = compile (program_of src) scale in
+    let program = program_of src in
+    let prog = compile program scale in
     (* No store here: a store hit carries no selection choices, and the
        table is built from them. *)
     let sv = Fb.adapt ~jobs ~config prog in
@@ -461,10 +450,10 @@ let explain_cmd =
       Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
     in
     let stats = Ssp_sim.Simulate.run ~attrib config result.Ssp.Adapt.prog in
-    (* --feedback joins the fleet's decayed aggregate (uploaded by
-       'sim --upload-feedback' runs cluster-wide) into the local table:
-       what this machine observes next to what the whole fleet did, and
-       the tuner's current per-load decision. *)
+    (* --feedback joins the fleet's view into the local table: the fold
+       of this workload's persisted reports (uploaded by 'sim
+       --upload-feedback' runs cluster-wide) onto its published state —
+       the tuner's decision input — and the published per-load knobs. *)
     let fb_lookup, fb_header =
       if not feedback then ((fun _ -> None), None)
       else begin
@@ -475,38 +464,8 @@ let explain_cmd =
         in
         let cache = Ssp_store.Store.Cache.open_dir dir in
         let key = Fb.aggregate_key ~config prog sv.Fb.sv_profile in
-        match Fb.find_aggregate cache key with
-        | None ->
-          ( (fun _ -> None),
-            Some "feedback: no fleet aggregate for this workload/config" )
-        | Some agg ->
-          let lookup iref =
-            let tuned =
-              match Ssp_ir.Iref.Map.find_opt iref agg.Fb.ag_overrides with
-              | Some k when k <> Ssp.Adapt.keep_knob ->
-                "  tuned[" ^ knob_string k ^ "]"
-              | _ -> ""
-            in
-            match Ssp_ir.Iref.Map.find_opt iref agg.Fb.ag_loads with
-            | Some al ->
-              Some
-                (Printf.sprintf
-                   "fleet cov %.1f%%  acc %.1f%%  timely %.1f%%  (%.0f \
-                    issues)%s"
-                   (100. *. Fb.coverage_frac al)
-                   (100. *. Fb.accuracy al)
-                   (100. *. Fb.timeliness al)
-                   (Fb.attempts al) tuned)
-            | None ->
-              if tuned <> "" then Some ("no fresh fleet samples" ^ tuned)
-              else None
-          in
-          ( lookup,
-            Some
-              (Printf.sprintf "feedback: v%d  %d reports (%d stale)%s"
-                 agg.Fb.ag_version agg.Fb.ag_reports agg.Fb.ag_stale
-                 (if agg.Fb.ag_last_action = "" then ""
-                  else "  last action " ^ agg.Fb.ag_last_action)) )
+        let agg = Fb.fold_workload cache ~key (program, scale, pipeline) in
+        (Fb.explain_cell agg, Some (Fb.explain_header agg))
       end
     in
     let ex =
@@ -529,15 +488,16 @@ let explain_cmd =
   in
   let feedback_flag =
     let doc =
-      "Join the fleet's feedback aggregate (per-load coverage, accuracy, \
-       timeliness across uploaded reports, and the tuner's current \
-       decision) into the table."
+      "Join the fleet's feedback into the table: the fold of this \
+       workload's persisted reports onto its published version \
+       (per-load coverage, accuracy, timeliness), which is what the tuner \
+       decides on, and the published per-load knobs."
     in
     Arg.(value & flag & info [ "feedback" ] ~doc)
   in
   let store_arg =
     let doc =
-      "Artifact-store directory holding the feedback aggregate (default: \
+      "Artifact-store directory holding the feedback reports (default: \
        the usual cache directory)."
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
@@ -683,9 +643,9 @@ let tune_cmd =
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Run one offline closed-loop tuning round over a store: rebuild \
-          each workload's aggregate from its persisted attribution \
-          reports, derive per-load knob overrides (demote \
+         "Run one offline closed-loop tuning round over a store: fold \
+          each workload's persisted attribution reports onto its \
+          published version, derive per-load knob overrides (demote \
           mostly-redundant loads toward skip, promote chronically-late \
           ones toward chaining and wider lookahead), and publish the \
           re-adapted artifact under the next immutable version. \
@@ -933,11 +893,11 @@ let serve_cmd =
   in
   let tune_flag =
     let doc =
-      "Closed-loop tuning: when an uploaded attribution report pushes its \
-       workload's aggregate past the confidence thresholds, run a \
-       deterministic tuning round and publish the next artifact version. \
-       Without this flag the daemon only persists and aggregates reports \
-       (run 'sspc tune' offline)."
+      "Closed-loop tuning: after each uploaded attribution report, run \
+       the tuning round 'sspc tune' runs on the report's workload, which \
+       publishes the next artifact version once its persisted reports \
+       cross the confidence thresholds. Without this flag the daemon only \
+       persists reports (run 'sspc tune' offline)."
     in
     Arg.(value & flag & info [ "tune" ] ~doc)
   in

@@ -30,10 +30,10 @@ type row = {
   scheme : scheme option;  (** [None]: no slice covers this load *)
   attrib : Ssp_sim.Attrib.load_summary option;
   feedback : string option;
-      (** pre-rendered cluster-aggregate cell ([sspc explain
-          --feedback]): fleet coverage/accuracy/timeliness and the last
-          tuning action for this load, supplied by the caller so this
-          module stays independent of the feedback plane *)
+      (** pre-rendered fleet cell ([sspc explain --feedback]): the
+          fold's coverage/accuracy/timeliness and the published knob for
+          this load, supplied by the caller so this module stays
+          independent of the feedback plane *)
 }
 
 type t = {
@@ -56,8 +56,8 @@ val build :
   attrib:Ssp_sim.Attrib.summary ->
   unit ->
   t
-(** [feedback] looks up the cluster-aggregate cell for a delinquent
-    load (default: none). *)
+(** [feedback] looks up the fleet cell for a delinquent load (default:
+    none). *)
 
 val pp : Format.formatter -> t -> unit
 val to_json : t -> string

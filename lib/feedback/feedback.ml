@@ -3,6 +3,7 @@ module Store = Ssp_store.Store
 module Bin = Store.Bin
 module Iref = Ssp_ir.Iref
 module Suite = Ssp_workloads.Suite
+module Attrib = Ssp_sim.Attrib
 
 let err what = Ssp_ir.Error.raise_error ~pass:"feedback" what
 
@@ -30,10 +31,10 @@ type report = {
 }
 
 let report_of_attrib ~prog ~scale ~pipeline ~version ~cycles
-    (s : Ssp_sim.Attrib.summary) =
+    (s : Attrib.summary) =
   let loads =
     List.map
-      (fun (l : Ssp_sim.Attrib.load_summary) ->
+      (fun (l : Attrib.load_summary) ->
         {
           fl_load = l.ls_load;
           fl_issued = l.ls_issued;
@@ -47,7 +48,7 @@ let report_of_attrib ~prog ~scale ~pipeline ~version ~cycles
           fl_demand_hits = l.ls_demand_hits;
           fl_lead_hist = l.ls_lead_hist;
         })
-      s.Ssp_sim.Attrib.loads
+      s.Attrib.loads
   in
   (* Canonical load order: the digest store key relies on identical runs
      serializing identically. *)
@@ -64,23 +65,6 @@ let report_of_attrib ~prog ~scale ~pipeline ~version ~cycles
   }
 
 (* ---- codecs ---- *)
-
-(* Report tags are 1 and 2, not the wire protocol's 0 and 1: persisted
-   reports, and the store keys digested from their bytes, must stay
-   readable. *)
-let w_program b = function
-  | Suite.Workload n ->
-    Bin.w_u8 b 1;
-    Bin.w_str b n
-  | Suite.Source src ->
-    Bin.w_u8 b 2;
-    Bin.w_str b src
-
-let r_program r =
-  match Bin.r_u8 r with
-  | 1 -> Suite.Workload (Bin.r_str r)
-  | 2 -> Suite.Source (Bin.r_str r)
-  | k -> err (Printf.sprintf "unknown program-identity tag %d" k)
 
 let w_load_stat b l =
   Store.w_iref b l.fl_load;
@@ -123,7 +107,7 @@ let r_load_stat r =
 
 let encode_report rep =
   let b = Bin.writer () in
-  w_program b rep.fr_prog;
+  Store.w_program b rep.fr_prog;
   Bin.w_int b rep.fr_scale;
   Bin.w_str b rep.fr_pipeline;
   Bin.w_int b rep.fr_version;
@@ -134,7 +118,7 @@ let encode_report rep =
 
 let decode_report blob =
   let r = Bin.reader (Store.unseal_kind ~kind:Store.kind_feedback_report blob) in
-  let fr_prog = r_program r in
+  let fr_prog = Store.r_program r in
   let fr_scale = Bin.r_int r in
   let fr_pipeline = Bin.r_str r in
   let fr_version = Bin.r_int r in
@@ -146,7 +130,7 @@ let decode_report blob =
 
 let report_store_key blob = Store.cache_key [ "feedback-report"; blob ]
 
-(* ---- aggregation ---- *)
+(* ---- the one aggregation ---- *)
 
 type agg_load = {
   al_issued : float;
@@ -166,10 +150,7 @@ type aggregate = {
   ag_overrides : Ssp.Adapt.overrides;
   ag_last_action : string;
   ag_reports : int;
-  ag_total_reports : int;
   ag_stale : int;
-  ag_last_report_s : float;
-  ag_cycles : float;
   ag_loads : agg_load Iref.Map.t;
 }
 
@@ -179,10 +160,7 @@ let empty_aggregate =
     ag_overrides = Ssp.Adapt.no_overrides;
     ag_last_action = "";
     ag_reports = 0;
-    ag_total_reports = 0;
     ag_stale = 0;
-    ag_last_report_s = 0.;
-    ag_cycles = 0.;
     ag_loads = Iref.Map.empty;
   }
 
@@ -231,19 +209,13 @@ let merge_load a (l : load_stat) =
     al_lead_hist = T.merge_hist_summary a.al_lead_hist l.fl_lead_hist;
   }
 
-let ingest ?now ?(decay = default_decay) agg rep =
-  let now = match now with Some t -> t | None -> Unix.gettimeofday () in
+let ingest agg rep =
   if rep.fr_version <> agg.ag_version then
-    {
-      agg with
-      ag_stale = agg.ag_stale + 1;
-      ag_total_reports = agg.ag_total_reports + 1;
-      ag_last_report_s = now;
-    }
+    { agg with ag_stale = agg.ag_stale + 1 }
   else
     (* Decay everything first (including loads absent from this report),
        then add the fresh counts — ratios are decay-invariant. *)
-    let loads = Iref.Map.map (decay_load decay) agg.ag_loads in
+    let loads = Iref.Map.map (decay_load default_decay) agg.ag_loads in
     let loads =
       List.fold_left
         (fun m l ->
@@ -255,28 +227,23 @@ let ingest ?now ?(decay = default_decay) agg rep =
           Iref.Map.add l.fl_load (merge_load cur l) m)
         loads rep.fr_loads
     in
-    {
-      agg with
-      ag_reports = agg.ag_reports + 1;
-      ag_total_reports = agg.ag_total_reports + 1;
-      ag_last_report_s = now;
-      ag_cycles = (agg.ag_cycles *. decay) +. float_of_int rep.fr_cycles;
-      ag_loads = loads;
-    }
+    { agg with ag_reports = agg.ag_reports + 1; ag_loads = loads }
 
-let fold_reports ?now ?decay agg reports =
-  List.fold_left (fun a r -> ingest ?now ?decay a r) agg reports
+(* Canonical order, by encoded bytes: the same report set folds the same
+   way whoever reads it, so the daemon's round and an offline one over a
+   copy of its store decide alike. *)
+let fold_reports agg reports =
+  List.map (fun r -> (encode_report r, r)) reports
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.fold_left (fun agg (_, r) -> ingest agg r) agg
 
-let reset_loads agg =
-  { agg with ag_reports = 0; ag_cycles = 0.; ag_loads = Iref.Map.empty }
-
+(* The stored blob is the published state alone; the fold is recomputed
+   from the persisted reports whenever it is read. *)
 let encode_aggregate agg =
   let b = Bin.writer () in
   Bin.w_int b agg.ag_version;
-  let ov = Iref.Map.bindings agg.ag_overrides in
-  Bin.w_int b (List.length ov);
-  List.iter
-    (fun (iref, (lk : Ssp.Adapt.load_knob)) ->
+  Store.w_list b (Iref.Map.bindings agg.ag_overrides)
+    (fun b (iref, (lk : Ssp.Adapt.load_knob)) ->
       Store.w_iref b iref;
       Bin.w_bool b lk.Ssp.Adapt.lk_skip;
       Bin.w_u8 b
@@ -284,30 +251,8 @@ let encode_aggregate agg =
         | `Keep -> 0
         | `Basic -> 1
         | `Chaining -> 2);
-      Bin.w_int b lk.Ssp.Adapt.lk_unroll)
-    ov;
+      Bin.w_int b lk.Ssp.Adapt.lk_unroll);
   Bin.w_str b agg.ag_last_action;
-  Bin.w_int b agg.ag_reports;
-  Bin.w_int b agg.ag_total_reports;
-  Bin.w_int b agg.ag_stale;
-  Bin.w_float b agg.ag_last_report_s;
-  Bin.w_float b agg.ag_cycles;
-  let loads = Iref.Map.bindings agg.ag_loads in
-  Bin.w_int b (List.length loads);
-  List.iter
-    (fun (iref, a) ->
-      Store.w_iref b iref;
-      Bin.w_float b a.al_issued;
-      Bin.w_float b a.al_useful;
-      Bin.w_float b a.al_late;
-      Bin.w_float b a.al_early_evicted;
-      Bin.w_float b a.al_redundant;
-      Bin.w_float b a.al_dropped;
-      Bin.w_float b a.al_unused;
-      Bin.w_float b a.al_demand_accesses;
-      Bin.w_float b a.al_demand_hits;
-      Store.w_hist b a.al_lead_hist)
-    loads;
   Store.seal_kind ~kind:Store.kind_feedback_aggregate (Bin.contents b)
 
 let decode_aggregate blob =
@@ -315,9 +260,8 @@ let decode_aggregate blob =
     Bin.reader (Store.unseal_kind ~kind:Store.kind_feedback_aggregate blob)
   in
   let ag_version = Bin.r_int r in
-  let nov = Bin.r_int r in
   let ag_overrides =
-    List.init nov (fun _ ->
+    Store.r_list r (fun r ->
         let iref = Store.r_iref r in
         let lk_skip = Bin.r_bool r in
         let lk_model =
@@ -332,52 +276,8 @@ let decode_aggregate blob =
     |> List.to_seq |> Iref.Map.of_seq
   in
   let ag_last_action = Bin.r_str r in
-  let ag_reports = Bin.r_int r in
-  let ag_total_reports = Bin.r_int r in
-  let ag_stale = Bin.r_int r in
-  let ag_last_report_s = Bin.r_float r in
-  let ag_cycles = Bin.r_float r in
-  let nl = Bin.r_int r in
-  let ag_loads =
-    List.init nl (fun _ ->
-        let iref = Store.r_iref r in
-        let al_issued = Bin.r_float r in
-        let al_useful = Bin.r_float r in
-        let al_late = Bin.r_float r in
-        let al_early_evicted = Bin.r_float r in
-        let al_redundant = Bin.r_float r in
-        let al_dropped = Bin.r_float r in
-        let al_unused = Bin.r_float r in
-        let al_demand_accesses = Bin.r_float r in
-        let al_demand_hits = Bin.r_float r in
-        let al_lead_hist = Store.r_hist r in
-        ( iref,
-          {
-            al_issued;
-            al_useful;
-            al_late;
-            al_early_evicted;
-            al_redundant;
-            al_dropped;
-            al_unused;
-            al_demand_accesses;
-            al_demand_hits;
-            al_lead_hist;
-          } ))
-    |> List.to_seq |> Iref.Map.of_seq
-  in
   Bin.expect_end r;
-  {
-    ag_version;
-    ag_overrides;
-    ag_last_action;
-    ag_reports;
-    ag_total_reports;
-    ag_stale;
-    ag_last_report_s;
-    ag_cycles;
-    ag_loads;
-  }
+  { empty_aggregate with ag_version; ag_overrides; ag_last_action }
 
 let aggregate_key ~config prog profile =
   Store.cache_key
@@ -426,7 +326,7 @@ let adapt ?cache ?jobs ~config prog =
 
 (* ---- derived ratios ---- *)
 
-let frac num den = if den <= 0. then 0. else num /. den
+let frac = Attrib.ratio
 
 (* Attribution counts issued / redundant / dropped disjointly: a
    prefetch squashed because its line was already present is "redundant"
@@ -434,13 +334,13 @@ let frac num den = if den <= 0. then 0. else num /. den
 let attempts a = a.al_issued +. a.al_redundant +. a.al_dropped
 let redundant_frac a = frac a.al_redundant (attempts a)
 let late_frac a = frac a.al_late (a.al_useful +. a.al_late)
-let accuracy a = frac a.al_useful (attempts a)
+let accuracy a = Attrib.accuracy ~useful:a.al_useful ~attempts:(attempts a)
 
 let coverage_frac a =
-  let misses = a.al_demand_accesses -. a.al_demand_hits in
-  frac (a.al_useful +. a.al_late) (misses +. a.al_useful +. a.al_late)
+  Attrib.coverage ~useful:a.al_useful ~late:a.al_late
+    ~accesses:a.al_demand_accesses ~hits:a.al_demand_hits
 
-let timeliness a = frac a.al_useful (a.al_useful +. a.al_late)
+let timeliness a = Attrib.timeliness ~useful:a.al_useful ~late:a.al_late
 
 (* ---- tuning ---- *)
 
@@ -457,7 +357,7 @@ let unroll_cap = 8
    Keep < Chaining < Basic < skip on the model axis (rightward moves
    only) and strictly-increasing unroll up to [unroll_cap] — finite, so
    repeated planning always reaches a fixed point. *)
-let step_load ~knobs (cur : Ssp.Adapt.load_knob) a :
+let step_load (cur : Ssp.Adapt.load_knob) a :
     (Ssp.Adapt.load_knob * string * string) option =
   let rf = redundant_frac a in
   let lf = late_frac a in
@@ -488,7 +388,7 @@ let step_load ~knobs (cur : Ssp.Adapt.load_knob) a :
     | `Chaining | `Basic ->
       let base =
         if cur.Ssp.Adapt.lk_unroll > 0 then cur.Ssp.Adapt.lk_unroll
-        else max 1 knobs.Ssp.Adapt.unroll
+        else max 1 Ssp.Adapt.default_knobs.Ssp.Adapt.unroll
       in
       let next = min unroll_cap (base * 2) in
       if next > base || cur.Ssp.Adapt.lk_unroll = 0 then
@@ -500,7 +400,7 @@ let step_load ~knobs (cur : Ssp.Adapt.load_knob) a :
   else None
 
 let plan ?(min_reports = default_min_reports)
-    ?(min_samples = default_min_samples) ~knobs agg =
+    ?(min_samples = default_min_samples) agg =
   if agg.ag_reports < min_reports then (agg.ag_overrides, [])
   else
     Iref.Map.fold
@@ -512,7 +412,7 @@ let plan ?(min_reports = default_min_reports)
             | Some k -> k
             | None -> Ssp.Adapt.keep_knob
           in
-          match step_load ~knobs cur a with
+          match step_load cur a with
           | None -> (ov, actions)
           | Some (knob, what, why) ->
             ( Iref.Map.add load knob ov,
@@ -521,20 +421,17 @@ let plan ?(min_reports = default_min_reports)
       (agg.ag_overrides, [])
     |> fun (ov, actions) -> (ov, List.rev actions)
 
-let publish ?now agg ~overrides ~actions =
-  let now = match now with Some t -> t | None -> Unix.gettimeofday () in
+let publish agg ~overrides ~actions =
   let summary =
     Printf.sprintf "v%d: %s" (agg.ag_version + 1)
       (String.concat "; " (List.map action_to_string actions))
   in
-  reset_loads
-    {
-      agg with
-      ag_version = agg.ag_version + 1;
-      ag_overrides = overrides;
-      ag_last_action = summary;
-      ag_last_report_s = (if agg.ag_last_report_s > 0. then agg.ag_last_report_s else now);
-    }
+  {
+    empty_aggregate with
+    ag_version = agg.ag_version + 1;
+    ag_overrides = overrides;
+    ag_last_action = summary;
+  }
 
 type tuned = {
   td_aggregate : aggregate;
@@ -543,54 +440,50 @@ type tuned = {
   td_status : [ `Hit | `Miss | `Off ];
 }
 
-let tune_reports ?cache ?now ?min_reports ?min_samples ~config prog profile
-    reports =
-  let key = aggregate_key ~config prog profile in
-  let live =
-    Option.bind cache (fun c -> find_aggregate c key)
-    |> Option.value ~default:empty_aggregate
-  in
-  (* Deterministic decision input: rebuild from the persisted report
-     set in canonical (encoded-bytes) order, ignoring the live
-     arrival-order accumulation. Same store contents => same plan =>
-     byte-identical published artifact, daemon-side or offline. *)
-  let reports =
-    List.sort
-      (fun a b -> String.compare (encode_report a) (encode_report b))
-      reports
-  in
-  let agg = fold_reports ?now (reset_loads live) reports in
-  let overrides, actions =
-    plan ?min_reports ?min_samples ~knobs:Ssp.Adapt.default_knobs agg
-  in
+let published cache key =
+  Option.bind cache (fun c -> find_aggregate c key)
+  |> Option.value ~default:empty_aggregate
+
+(* Plan on a fold and, when the plan moves, publish version N+1: the
+   post-pass re-runs under the version-stamped key, and the new
+   published state replaces the old one under [key]. *)
+let tune_fold ?cache ?min_reports ?min_samples ~config ~key prog profile agg =
+  let overrides, actions = plan ?min_reports ?min_samples agg in
   if actions = [] then None
   else
-    let pub = publish ?now agg ~overrides ~actions in
+    let pub = publish agg ~overrides ~actions in
     let result, status =
       Store.run_cached ?cache ~tuning:(pub.ag_version, overrides) ~config prog
         profile
     in
-    (match cache with
-    | Some c -> Store.Cache.put c key (encode_aggregate pub)
-    | None -> ());
+    Option.iter (fun c -> Store.Cache.put c key (encode_aggregate pub)) cache;
     Some
       { td_aggregate = pub; td_actions = actions; td_result = result;
         td_status = status }
 
-(* ---- offline store walking ---- *)
+let tune_reports ?cache ?min_reports ?min_samples ~config prog profile
+    reports =
+  let key = aggregate_key ~config prog profile in
+  tune_fold ?cache ?min_reports ?min_samples ~config ~key prog profile
+    (fold_reports (published cache key) reports)
+
+(* ---- per-workload rounds over a store ---- *)
 
 let reports_in_store cache =
   Store.Cache.keys cache
   |> List.filter_map (fun key ->
-         match Store.Cache.find cache key with
-         | None -> None
-         | Some blob ->
-           if Store.blob_kind blob = Some Store.kind_feedback_report then
-             match decode_report blob with
-             | rep -> Some (key, rep)
-             | exception _ -> None
-           else None)
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+         match Option.map decode_report (Store.Cache.find cache key) with
+         | rep -> rep
+         | exception _ -> None)
+
+type workload = Suite.program * int * string
+
+let workload_of rep = (rep.fr_prog, rep.fr_scale, rep.fr_pipeline)
+
+let fold_workload cache ~key w =
+  reports_in_store cache
+  |> List.filter (fun r -> workload_of r = w)
+  |> fold_reports (published (Some cache) key)
 
 let config_of_pipeline name =
   match Ssp_machine.Config.of_pipeline_name name with
@@ -606,38 +499,66 @@ type store_tune = {
   st_tuned : tuned option;
 }
 
-let tune_store ?now ?min_reports ?min_samples cache =
-  let groups = Hashtbl.create 7 in
-  List.iter
-    (fun (_, rep) ->
-      let id = (rep.fr_prog, rep.fr_scale, rep.fr_pipeline) in
-      Hashtbl.replace groups id
-        (rep :: (try Hashtbl.find groups id with Not_found -> [])))
-    (reports_in_store cache);
-  Hashtbl.fold (fun id reps acc -> (id, reps) :: acc) groups []
-  |> List.sort compare
-  |> List.map (fun ((id, scale, pipeline), reps) ->
-         let config = config_of_pipeline pipeline in
-         let prog = Suite.compile ~pass:"feedback" id ~scale in
-         let profile, _ = Store.cached_profile ~cache ~config prog in
-         let tuned =
-           tune_reports ~cache ?now ?min_reports ?min_samples ~config prog
-             profile reps
-         in
-         let aggregate =
-           match tuned with
-           | Some t -> t.td_aggregate
-           | None -> (
-             let key = aggregate_key ~config prog profile in
-             match find_aggregate cache key with
-             | Some a -> a
-             | None -> fold_reports ?now empty_aggregate reps)
-         in
-         {
-           st_prog = id;
-           st_scale = scale;
-           st_pipeline = pipeline;
-           st_reports = List.length reps;
-           st_aggregate = aggregate;
-           st_tuned = tuned;
-         })
+let tune_workload ?min_reports ?min_samples cache ((id, scale, pipeline) as w)
+    =
+  let config = config_of_pipeline pipeline in
+  let prog = Suite.compile ~pass:"feedback" id ~scale in
+  let profile, _ = Store.cached_profile ~cache ~config prog in
+  let key = aggregate_key ~config prog profile in
+  let fold = fold_workload cache ~key w in
+  let tuned =
+    tune_fold ~cache ?min_reports ?min_samples ~config ~key prog profile fold
+  in
+  {
+    st_prog = id;
+    st_scale = scale;
+    st_pipeline = pipeline;
+    st_reports = fold.ag_reports + fold.ag_stale;
+    st_aggregate = (match tuned with Some t -> t.td_aggregate | None -> fold);
+    st_tuned = tuned;
+  }
+
+let tune_store ?min_reports ?min_samples cache =
+  reports_in_store cache
+  |> List.map workload_of
+  |> List.sort_uniq compare
+  |> List.map (tune_workload ?min_reports ?min_samples cache)
+
+(* ---- the explain view ---- *)
+
+let knob_string (k : Ssp.Adapt.load_knob) =
+  String.concat ","
+    ((if k.Ssp.Adapt.lk_skip then [ "skip" ] else [])
+    @ (match k.Ssp.Adapt.lk_model with
+      | `Keep -> []
+      | `Basic -> [ "model=basic" ]
+      | `Chaining -> [ "model=chaining" ])
+    @
+    if k.Ssp.Adapt.lk_unroll > 0 then
+      [ Printf.sprintf "unroll=%d" k.Ssp.Adapt.lk_unroll ]
+    else [])
+
+let explain_header agg =
+  if agg.ag_version = 0 && agg.ag_reports + agg.ag_stale = 0 then
+    "feedback: no fleet aggregate for this workload/config"
+  else
+    Printf.sprintf "feedback: v%d  %d reports (%d stale)%s" agg.ag_version
+      agg.ag_reports agg.ag_stale
+      (if agg.ag_last_action = "" then ""
+       else "  last action " ^ agg.ag_last_action)
+
+let explain_cell agg iref =
+  let tuned =
+    match Iref.Map.find_opt iref agg.ag_overrides with
+    | Some k when k <> Ssp.Adapt.keep_knob -> "  tuned[" ^ knob_string k ^ "]"
+    | _ -> ""
+  in
+  match Iref.Map.find_opt iref agg.ag_loads with
+  | Some al ->
+    Some
+      (Printf.sprintf
+         "fleet cov %.1f%%  acc %.1f%%  timely %.1f%%  (%.0f issues)%s"
+         (100. *. coverage_frac al) (100. *. accuracy al)
+         (100. *. timeliness al) (attempts al) tuned)
+  | None ->
+    if tuned <> "" then Some ("no fresh fleet samples" ^ tuned) else None

@@ -4,27 +4,30 @@
     attribution ({!Ssp_sim.Attrib}) serialize the per-delinquent-load
     outcome counts and lead-time histograms into a versioned {!report}
     artifact and upload it (proto [Feedback] request). The serving
-    side persists every report in the content-addressed store, folds it
-    into a per-workload decayed {!aggregate}, and — once the aggregate
-    crosses confidence thresholds — re-runs the post-pass with adjusted
-    per-load knobs ({!Ssp.Adapt.overrides}) and publishes the result
-    under a bumped tuning version. Published versions are immutable:
-    each one keys its own store entry, so a version-N artifact fetched
-    yesterday is byte-identical today.
+    side persists every report in the content-addressed store. A tuning
+    round folds a workload's persisted reports onto its published state
+    ({!fold_workload}) and — once the fold crosses confidence thresholds
+    — re-runs the post-pass with adjusted per-load knobs
+    ({!Ssp.Adapt.overrides}) and publishes the result under a bumped
+    tuning version. Published versions are immutable: each one keys its
+    own store entry, so a version-N artifact fetched yesterday is
+    byte-identical today.
 
-    Tuning is deterministic: the tuner's decision input is rebuilt from
-    the persisted report set (sorted canonically), never from the live
-    arrival-order aggregate, so an offline [sspc tune] over a copied
-    store publishes byte-identical artifacts to the daemon's own round.
+    There is one aggregation: {!fold_reports}, which ingests reports in
+    canonical (encoded-bytes) order. The store keeps only the published
+    state (version, overrides, last action), never per-load sums, so the
+    tuner, [sspc explain --feedback] and the daemon all read the same
+    fold, and an offline [sspc tune] over a copied store publishes
+    byte-identical artifacts to the daemon's own round.
 
     The knob policy is a finite monotone lattice — per load,
     [Keep < Chaining < Basic < skip] and unroll only grows (capped) — so
     repeated tuning always reaches a fixed point and never oscillates.
 
-    Because this library owns the aggregate and its published versions,
-    it also owns the request pipeline every front end shares: {!adapt}
-    profiles, looks up the published tuning and adapts, through the
-    store when there is one. *)
+    Because this library owns the published versions, it also owns the
+    request pipeline every front end shares: {!adapt} profiles, looks up
+    the published tuning and adapts, through the store when there is
+    one. *)
 
 type load_stat = {
   fl_load : Ssp_ir.Iref.t;
@@ -81,7 +84,7 @@ val report_store_key : string -> string
 (** Store key a sealed report blob is persisted under (digest of the
     blob itself — content-addressed, duplicate uploads coalesce). *)
 
-(** {1 Aggregation} *)
+(** {1 The aggregation} *)
 
 type agg_load = {
   al_issued : float;
@@ -104,51 +107,50 @@ type aggregate = {
   ag_overrides : Ssp.Adapt.overrides;
       (** the per-load knobs version [ag_version] was built with *)
   ag_last_action : string;  (** human summary of the last tuning round *)
-  ag_reports : int;  (** reports merged at the current version *)
-  ag_total_reports : int;  (** every report ever seen, any version *)
-  ag_stale : int;  (** reports rejected for carrying another version *)
-  ag_last_report_s : float;  (** wall clock of the last report seen *)
-  ag_cycles : float;  (** decayed sum of merged reports' cycle counts *)
+  ag_reports : int;  (** folded reports at [ag_version] *)
+  ag_stale : int;  (** folded reports at any other version *)
   ag_loads : agg_load Ssp_ir.Iref.Map.t;
+      (** per-load sums of the reports at [ag_version] *)
 }
+(** A published state and the reports folded onto it. The first three
+    fields are what the store keeps; the last three are the fold, which
+    is recomputed from the persisted reports whenever it is read. *)
 
 val empty_aggregate : aggregate
+(** Version 0, no overrides, nothing folded. *)
 
 val default_decay : float
 (** Per-report multiplicative decay applied to scalar accumulators. *)
 
-val ingest : ?now:float -> ?decay:float -> aggregate -> report -> aggregate
+val ingest : aggregate -> report -> aggregate
 (** Fold one report in. A report whose [fr_version] differs from
-    [ag_version] only bumps [ag_stale] / [ag_total_reports]. [now]
-    defaults to the wall clock. *)
+    [ag_version] only bumps [ag_stale]; one at [ag_version] decays every
+    load's sums, then adds its counts. *)
 
-val fold_reports :
-  ?now:float -> ?decay:float -> aggregate -> report list -> aggregate
-(** {!ingest} each report in the given order. *)
-
-val reset_loads : aggregate -> aggregate
-(** Drop the per-load accumulation (and merged-report count) while
-    keeping the published state — version, overrides, last action,
-    lifetime counters. What {!publish} does to start the next epoch, and
-    what the tuner does before rebuilding its decision input from the
-    persisted report set. *)
+val fold_reports : aggregate -> report list -> aggregate
+(** The one aggregation: {!ingest} each report in canonical order (by
+    encoded bytes), whatever order the list has. Decay therefore follows
+    that order, not arrival or recency. *)
 
 val encode_aggregate : aggregate -> string
-(** Sealed store blob ({!Ssp_store.Store.kind_feedback_aggregate}). *)
+(** Sealed store blob ({!Ssp_store.Store.kind_feedback_aggregate}) of
+    the published state: version, overrides and last action. The fold
+    fields are not stored. *)
 
 val decode_aggregate : string -> aggregate
+(** The published state, with nothing folded. *)
 
 val aggregate_key :
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
   string
-(** Store key of the per-(program, profile, config) aggregate; its knobs
-    component is always {!Ssp.Adapt.default_knobs}. *)
+(** Store key of the per-(program, profile, config) published state; its
+    knobs component is always {!Ssp.Adapt.default_knobs}. *)
 
 val find_aggregate : Ssp_store.Store.Cache.t -> string -> aggregate option
-(** The aggregate stored under a key: the one lookup the serving path,
-    the daemon's ingest, the tuner and [sspc explain --feedback] share. *)
+(** The published state stored under a key: the one lookup the serving
+    path, the daemon's staleness count and every fold share. *)
 
 (** {1 The request pipeline} *)
 
@@ -189,13 +191,13 @@ val late_frac : agg_load -> float
 (** late / (useful + late) — the chronically-late signal. *)
 
 val accuracy : agg_load -> float
-(** useful / attempts. *)
+(** {!Ssp_sim.Attrib.accuracy} over the sums. *)
 
 val coverage_frac : agg_load -> float
-(** (useful + late) / would-be misses. *)
+(** {!Ssp_sim.Attrib.coverage} over the sums. *)
 
 val timeliness : agg_load -> float
-(** useful / (useful + late). *)
+(** {!Ssp_sim.Attrib.timeliness} over the sums. *)
 
 (** {1 Tuning} *)
 
@@ -215,30 +217,26 @@ val default_min_samples : float
 val plan :
   ?min_reports:int ->
   ?min_samples:float ->
-  knobs:Ssp.Adapt.knobs ->
   aggregate ->
   Ssp.Adapt.overrides * action list
-(** Decide the next override map from an aggregate. No decision is made
-    below [min_reports] merged reports, and no per-load decision below
-    [min_samples] (decayed) attempted prefetches. An empty action list
-    means the returned overrides equal the aggregate's — a fixed point;
-    callers must not bump the version. Moves are monotone in the knob
-    lattice: mostly-redundant loads step toward [skip] (absorbing),
-    chronically-late ones promote basic→chaining (still clamped by the
-    load's degradation-ladder ceiling inside [Adapt]) and then widen
-    lookahead, never past the cap. *)
+(** Decide the next override map from a fold. No decision is made below
+    [min_reports] reports at the published version, and no per-load
+    decision below [min_samples] (decayed) attempted prefetches. An
+    empty action list means the returned overrides equal the
+    aggregate's — a fixed point; callers must not bump the version.
+    Moves are monotone in the knob lattice: mostly-redundant loads step
+    toward [skip] (absorbing), chronically-late ones promote
+    basic→chaining (still clamped by the load's degradation-ladder
+    ceiling inside [Adapt]) and then widen lookahead, never past the
+    cap. *)
 
 val publish :
-  ?now:float ->
-  aggregate ->
-  overrides:Ssp.Adapt.overrides ->
-  actions:action list ->
-  aggregate
-(** Bump the version, install the overrides, record the action summary
-    and start a fresh accumulation epoch ({!reset_loads}). *)
+  aggregate -> overrides:Ssp.Adapt.overrides -> actions:action list -> aggregate
+(** Bump the version, install the overrides and record the action
+    summary, with nothing folded onto the new state. *)
 
 type tuned = {
-  td_aggregate : aggregate;  (** post-publish *)
+  td_aggregate : aggregate;  (** the newly published state *)
   td_actions : action list;
   td_result : Ssp.Adapt.result;  (** the newly published artifact *)
   td_status : [ `Hit | `Miss | `Off ];
@@ -246,7 +244,6 @@ type tuned = {
 
 val tune_reports :
   ?cache:Ssp_store.Store.Cache.t ->
-  ?now:float ->
   ?min_reports:int ->
   ?min_samples:float ->
   config:Ssp_machine.Config.t ->
@@ -254,39 +251,72 @@ val tune_reports :
   Ssp_profiling.Profile.t ->
   report list ->
   tuned option
-(** One deterministic tuning round. Loads the live aggregate (for the
-    published version/overrides), rebuilds the decision input from the
-    given persisted reports (canonically sorted internally, so caller
-    order is irrelevant), plans, and — if the plan is non-empty —
-    publishes version N+1: re-runs the post-pass with the new overrides
-    via {!Ssp_store.Store.run_cached} under the version-stamped key and
-    persists the fresh aggregate. [None] when the plan is empty (fixed
-    point or below confidence). *)
+(** One deterministic tuning round on the given reports: folds them
+    ({!fold_reports}) onto the stored published state, plans, and — if
+    the plan is non-empty — publishes version N+1: re-runs the
+    post-pass with the new overrides via {!Ssp_store.Store.run_cached}
+    under the version-stamped key and stores the new published state.
+    [None] when the plan is empty (fixed point or below confidence). *)
 
-(** {1 Offline store walking} ([sspc tune STORE]) *)
+(** {1 Per-workload rounds over a store} *)
 
-val reports_in_store :
-  Ssp_store.Store.Cache.t -> (string * report) list
-(** Every persisted feedback report, as [(store key, report)], sorted by
-    key. Blobs of other kinds and undecodable blobs are skipped. *)
+val reports_in_store : Ssp_store.Store.Cache.t -> report list
+(** Every persisted feedback report, in no particular order. Blobs of
+    other kinds and undecodable blobs are skipped. The scan reads
+    through {!Ssp_store.Store.Cache.find}, so it leaves the entries' LRU
+    ages alone. *)
+
+type workload = Ssp_workloads.Suite.program * int * string
+(** A workload's identity as its reports carry it: program, scale and
+    pipeline name. *)
+
+val fold_workload :
+  Ssp_store.Store.Cache.t -> key:string -> workload -> aggregate
+(** The fold of one workload's persisted reports onto the published
+    state stored under [key] (its {!aggregate_key}): what a round
+    decides on, and what [sspc explain --feedback] shows. *)
 
 type store_tune = {
   st_prog : Ssp_workloads.Suite.program;
   st_scale : int;
   st_pipeline : string;
   st_reports : int;  (** persisted reports found for this workload *)
-  st_aggregate : aggregate;  (** post-round (published or unchanged) *)
+  st_aggregate : aggregate;
+      (** the newly published state, or the fold when nothing was
+          published *)
   st_tuned : tuned option;  (** [None] = no action for this workload *)
 }
 
+val tune_workload :
+  ?min_reports:int ->
+  ?min_samples:float ->
+  Ssp_store.Store.Cache.t ->
+  workload ->
+  store_tune
+(** The per-workload round, behind both [sspc tune] and a [--tune]
+    daemon's upload handler: recompile and re-profile the workload
+    (through the same store), fold its persisted reports
+    ({!fold_workload}) and tune on the fold as {!tune_reports} does. A
+    workload naming an unknown program or pipeline raises the
+    structured [feedback] error. *)
+
 val tune_store :
-  ?now:float ->
   ?min_reports:int ->
   ?min_samples:float ->
   Ssp_store.Store.Cache.t ->
   store_tune list
-(** Walk a store: group persisted reports by workload identity,
-    recompile and re-profile each (through the same store), and run one
-    {!tune_reports} round per workload. Workloads are processed in
-    canonical identity order. A report naming an unknown workload or
-    pipeline raises the structured [feedback] error. *)
+(** {!tune_workload} on every workload with a persisted report, in
+    canonical identity order. *)
+
+(** {1 The explain view} ([sspc explain --feedback]) *)
+
+val explain_header : aggregate -> string
+(** [feedback: vN  R reports (S stale)], then the last action if any;
+    R and S are the fold's [ag_reports] and [ag_stale]. A
+    fold with no published version and no report says there is no
+    fleet aggregate. *)
+
+val explain_cell : aggregate -> Ssp_ir.Iref.t -> string option
+(** One load's fleet cell: coverage, accuracy and timeliness of its
+    folded sums and their attempted prefetches, then its published
+    override, if any. *)

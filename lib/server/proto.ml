@@ -2,7 +2,8 @@
    version + tag + Bin-encoded body. Shares the binary primitives with
    the artifact store so the two layers cannot drift apart. *)
 
-module Bin = Ssp_store.Store.Bin
+module Store = Ssp_store.Store
+module Bin = Store.Bin
 
 let proto_version = 6
 let default_max_frame = 8 * 1024 * 1024
@@ -92,20 +93,6 @@ type response =
 
 (* ---- body codecs ---- *)
 
-let w_program_ref b = function
-  | Workload name ->
-    Bin.w_u8 b 0;
-    Bin.w_str b name
-  | Source text ->
-    Bin.w_u8 b 1;
-    Bin.w_str b text
-
-let r_program_ref r =
-  match Bin.r_u8 r with
-  | 0 -> Workload (Bin.r_str r)
-  | 1 -> Source (Bin.r_str r)
-  | t -> malformed (Printf.sprintf "unknown program-ref tag %d" t)
-
 (* Envelopes, between the version byte and the body tag: trace fields,
    the deadline budget and the artifact ask (requests); a hop list and
    the replicated artifact list (responses). Every peer ships from this
@@ -191,13 +178,13 @@ let encode_request ?trace ?(deadline_ms = 0.) ?(artifacts = artifacts_none) req
       match req with
       | Adapt { prog; scale; pipeline; tenant } ->
         Bin.w_u8 b 1;
-        w_program_ref b prog;
+        Store.w_program b prog;
         Bin.w_int b scale;
         Bin.w_str b pipeline;
         Bin.w_str b tenant
       | Sim { prog; scale; pipeline; ssp; tenant } ->
         Bin.w_u8 b 2;
-        w_program_ref b prog;
+        Store.w_program b prog;
         Bin.w_int b scale;
         Bin.w_str b pipeline;
         Bin.w_bool b ssp;
@@ -214,7 +201,7 @@ let encode_request ?trace ?(deadline_ms = 0.) ?(artifacts = artifacts_none) req
            place the report on the key's primary shard with the same
            affinity hash Adapt/Sim use. *)
         Bin.w_u8 b 8;
-        w_program_ref b prog;
+        Store.w_program b prog;
         Bin.w_int b scale;
         Bin.w_str b pipeline;
         Bin.w_str b tenant;
@@ -232,13 +219,13 @@ let decode_request_env payload =
   decode req_magic payload r_req_env (fun r ->
       match Bin.r_u8 r with
       | 1 ->
-        let prog = r_program_ref r in
+        let prog = Store.r_program r in
         let scale = Bin.r_int r in
         let pipeline = Bin.r_str r in
         let tenant = Bin.r_str r in
         Adapt { prog; scale; pipeline; tenant }
       | 2 ->
-        let prog = r_program_ref r in
+        let prog = Store.r_program r in
         let scale = Bin.r_int r in
         let pipeline = Bin.r_str r in
         let ssp = Bin.r_bool r in
@@ -252,7 +239,7 @@ let decode_request_env payload =
         Put_blob { key; blob }
       | 7 -> Ping
       | 8 ->
-        let prog = r_program_ref r in
+        let prog = Store.r_program r in
         let scale = Bin.r_int r in
         let pipeline = Bin.r_str r in
         let tenant = Bin.r_str r in

@@ -23,7 +23,8 @@ type program_ref = Ssp_workloads.Suite.program =
   | Workload of string  (** a named suite workload, compiled server-side *)
   | Source of string  (** mini-C source text shipped in the request *)
 (** {!Ssp_workloads.Suite.program}, re-exported with its constructors;
-    the wire tags are 0 ([Workload]) and 1 ([Source]). *)
+    it travels through {!Ssp_store.Store.w_program}, whose tags are 0
+    ([Workload]) and 1 ([Source]). *)
 
 type trace_ctx = { trace_id : string; span_id : int }
 (** Distributed-trace context minted by the client and propagated in the
@@ -98,8 +99,9 @@ type request =
           The workload identity rides beside the blob so the router can
           forward the report to the key's primary shard with the same
           affinity hash Adapt/Sim use. The server verifies the blob's
-          envelope and kind (a wrong-kind blob is a structured error),
-          persists it, and folds it into the workload's aggregate. *)
+          envelope and kind (a wrong-kind blob is a structured error)
+          and persists it; a [--tune] daemon then runs the workload's
+          tuning round. *)
 
 val tenant_of : request -> string
 (** The declaring tenant of a work request; ["-"] for control requests

@@ -113,8 +113,8 @@ let config_of_pipeline name =
   | Some config -> config
   | None -> Ssp_ir.Error.raise_error ~pass:"server" ("unknown pipeline " ^ name)
 
-(* Feedback-plane shared state: pool workers ingest and tune
-   concurrently, so the aggregate read-modify-write is serialized here.
+(* Feedback-plane shared state: pool workers take uploads concurrently,
+   so a tuning round (fold, plan, publish) is serialized here.
    The refs are cheap process-local gauges for telemetry snapshots —
    walking the store to recount them on every snapshot would make a
    [Stats] request O(cache). *)
@@ -204,12 +204,15 @@ let handle_env cfg ~ask req =
         let rep = Feedback.decode_report blob in
         let config = config_of_pipeline rep.Feedback.fr_pipeline in
         T.count "server.feedback.reports" 1;
+        feedback_last_report_s := Unix.gettimeofday ();
         match cfg.cache with
         | None ->
           (* Cache-off deployment: nothing to persist or tune against;
              acknowledge so fire-and-forget uploaders stay happy. *)
           (Proto.Ok_reply, [])
         | Some cache ->
+          (* Compiled before it persists, so a report naming no known
+             program never reaches the store. *)
           let prog =
             Suite.compile ~pass:"feedback" rep.Feedback.fr_prog
               ~scale:rep.Feedback.fr_scale
@@ -218,44 +221,28 @@ let handle_env cfg ~ask req =
           let profile, _ = Store.cached_profile ~cache ~config prog in
           let key = Feedback.aggregate_key ~config prog profile in
           Mutex.protect feedback_mu (fun () ->
-              let live =
-                Feedback.find_aggregate cache key
-                |> Option.value ~default:Feedback.empty_aggregate
+              let version =
+                match Feedback.find_aggregate cache key with
+                | Some agg -> agg.Feedback.ag_version
+                | None -> 0
               in
-              let was_stale = live.Feedback.ag_stale in
-              let live = Feedback.ingest live rep in
-              if live.Feedback.ag_stale > was_stale then
+              if rep.Feedback.fr_version <> version then
                 T.count "server.feedback.stale" 1;
-              Store.Cache.put cache key (Feedback.encode_aggregate live);
-              feedback_last_report_s := live.Feedback.ag_last_report_s;
-              if
-                cfg.tune
-                && live.Feedback.ag_reports >= Feedback.default_min_reports
-              then begin
-                let reports =
-                  Feedback.reports_in_store cache
-                  |> List.filter_map (fun (_, r) ->
-                         if
-                           r.Feedback.fr_prog = rep.Feedback.fr_prog
-                           && r.Feedback.fr_scale = rep.Feedback.fr_scale
-                           && String.equal r.Feedback.fr_pipeline
-                                rep.Feedback.fr_pipeline
-                         then Some r
-                         else None)
-                in
+              if cfg.tune then
                 match
-                  Feedback.tune_reports ~cache ~config prog profile reports
+                  (Feedback.tune_workload cache
+                     ( rep.Feedback.fr_prog,
+                       rep.Feedback.fr_scale,
+                       rep.Feedback.fr_pipeline ))
+                    .Feedback.st_tuned
                 with
                 | Some t ->
                   T.count "server.feedback.tuned" 1;
                   incr feedback_rounds;
-                  if t.Feedback.td_aggregate.Feedback.ag_version
-                     > !feedback_version_max
-                  then
-                    feedback_version_max :=
+                  feedback_version_max :=
+                    max !feedback_version_max
                       t.Feedback.td_aggregate.Feedback.ag_version
-                | None -> ()
-              end);
+                | None -> ());
           (Proto.Ok_reply, [])))
     | Proto.Stats | Proto.Shutdown | Proto.Put_blob _ | Proto.Ping ->
       (* Control requests are answered inline by the loop. *)

@@ -54,12 +54,12 @@ type config = {
   retry_after_s : float;
       (** the retry-after hint carried by [Busy_reply] *)
   tune : bool;
-      (** closed-loop tuning: when set, an uploaded attribution report
-          that pushes its workload's aggregate past the confidence
-          thresholds triggers a deterministic {!Ssp_feedback.Feedback}
-          tuning round and publishes the next artifact version; when
-          unset the daemon only persists and aggregates (an operator
-          runs [sspc tune] offline) *)
+      (** closed-loop tuning: when set, every uploaded attribution
+          report runs {!Ssp_feedback.Feedback.tune_workload} on its
+          workload — the round [sspc tune] runs — which publishes the
+          next artifact version once the persisted reports cross the
+          confidence thresholds; when unset the daemon only persists
+          reports (an operator runs [sspc tune] offline) *)
 }
 
 val default_config : socket:string -> config

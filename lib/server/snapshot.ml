@@ -24,7 +24,7 @@ let by_name (a, _) (b, _) = String.compare a b
 let capture ?(node = "") ?(gauges = []) () =
   {
     node;
-    report = { (T.report ()) with T.r_series = [] };
+    report = T.report ~series:false ();
     gauges = List.sort by_name gauges;
     events_dropped = T.events_dropped_count ();
   }

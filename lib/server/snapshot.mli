@@ -23,9 +23,9 @@ type t = {
 }
 
 val capture : ?node:string -> ?gauges:(string * float) list -> unit -> t
-(** Snapshot the process-wide telemetry state ({!T.report} without its
-    series, plus caller-supplied gauges). Cheap enough to answer inline
-    on the serve loop. *)
+(** Snapshot the process-wide telemetry state ([T.report ~series:false],
+    plus caller-supplied gauges). Its cost does not grow with the
+    series, so it is cheap enough to answer inline on the serve loop. *)
 
 val encode : t -> string
 (** Binary encoding (magic ["SSPS"], version 3, via

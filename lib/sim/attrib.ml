@@ -300,13 +300,21 @@ type summary = {
   threads : thread_summary;
 }
 
+(* The one definition of each ratio, over plain or decayed counts: the
+   feedback plane's fleet cells call these too. *)
+let ratio n d = if d <= 0. then 0. else n /. d
+
+(* Every useful prefetch turned a would-be miss into a hit, and the
+   observed misses already count the late (partial-hit) uses. *)
+let coverage ~useful ~late ~accesses ~hits =
+  ratio (useful +. late) (accesses -. hits +. useful)
+
+let accuracy ~useful ~attempts = ratio useful attempts
+let timeliness ~useful ~late = ratio useful (useful +. late)
+
 let load_summary_of load (a : acct) =
-  let misses = a.demand_accesses - a.demand_hits in
-  (* Every useful prefetch turned a would-be miss into a hit; misses as
-     observed already exclude them. *)
-  let would_be = misses + a.useful in
-  let issued_total = a.issued + a.redundant + a.dropped in
-  let fdiv n d = if d = 0 then 0.0 else float_of_int n /. float_of_int d in
+  let f = float_of_int in
+  let fdiv n d = ratio (f n) (f d) in
   {
     ls_load = load;
     ls_issued = a.issued;
@@ -318,9 +326,13 @@ let load_summary_of load (a : acct) =
     ls_unused = a.unused;
     ls_demand_accesses = a.demand_accesses;
     ls_demand_hits = a.demand_hits;
-    ls_coverage = fdiv (a.useful + a.late) would_be;
-    ls_accuracy = fdiv a.useful issued_total;
-    ls_timeliness = fdiv a.useful (a.useful + a.late);
+    ls_coverage =
+      coverage ~useful:(f a.useful) ~late:(f a.late)
+        ~accesses:(f a.demand_accesses) ~hits:(f a.demand_hits);
+    ls_accuracy =
+      accuracy ~useful:(f a.useful)
+        ~attempts:(f (a.issued + a.redundant + a.dropped));
+    ls_timeliness = timeliness ~useful:(f a.useful) ~late:(f a.late);
     ls_mean_lead = fdiv a.lead_sum a.useful;
     ls_mean_late_wait = fdiv a.late_wait_sum a.late;
     ls_lead_hist =

@@ -118,3 +118,21 @@ type summary = {
 
 val summary : t -> summary
 val find_load : summary -> Ssp_ir.Iref.t -> load_summary option
+
+(** {2 Ratios} — the one definition of each, over plain or decayed
+    counts; {!load_summary} and the feedback plane's fleet cells both
+    use them. A zero denominator gives 0. *)
+
+val ratio : float -> float -> float
+
+val coverage :
+  useful:float -> late:float -> accesses:float -> hits:float -> float
+(** (useful + late) / (accesses - hits + useful): the would-be misses are
+    the observed misses (which include the late uses) plus the useful
+    prefetches that turned a miss into a hit. *)
+
+val accuracy : useful:float -> attempts:float -> float
+(** useful / attempts, attempts being issued + redundant + dropped. *)
+
+val timeliness : useful:float -> late:float -> float
+(** useful / (useful + late). *)

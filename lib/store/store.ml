@@ -13,7 +13,7 @@ module Profile = Ssp_profiling.Profile
 module T = Ssp_telemetry.Telemetry
 module F = Ssp_fault.Fault
 
-let format_version = 1
+let format_version = 2
 let magic = "SSPA"
 
 let corrupt what = Ssp_ir.Error.raise_error ~pass:"store" what
@@ -161,6 +161,22 @@ let r_iref r =
   let blk = Bin.r_int r in
   let ins = Bin.r_int r in
   Iref.make fn blk ins
+
+(* The one codec of a program identity: the wire protocol's requests and
+   the feedback plane's reports both carry one. *)
+let w_program b = function
+  | Ssp_workloads.Suite.Workload name ->
+    Bin.w_u8 b 0;
+    Bin.w_str b name
+  | Ssp_workloads.Suite.Source text ->
+    Bin.w_u8 b 1;
+    Bin.w_str b text
+
+let r_program r =
+  match Bin.r_u8 r with
+  | 0 -> Ssp_workloads.Suite.Workload (Bin.r_str r)
+  | 1 -> Ssp_workloads.Suite.Source (Bin.r_str r)
+  | k -> corrupt (Printf.sprintf "unknown program-identity tag %d" k)
 
 (* The one codec of a histogram summary, shared by the feedback plane's
    blobs and the stats snapshot: a layout other than this build's is
@@ -581,8 +597,7 @@ module Cache = struct
     with Unix.Unix_error _ -> ()
 
   let find t key =
-    let p = path t key in
-    match open_in_bin p with
+    match open_in_bin (path t key) with
     | exception Sys_error _ -> None
     | ic -> (
       (* The entry can shrink or vanish between the length query and the
@@ -594,9 +609,7 @@ module Cache = struct
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       with
-      | blob ->
-        touch p;
-        Some blob
+      | blob -> Some blob
       | exception (End_of_file | Sys_error _) -> None)
 
   let remove t key = try Sys.remove (path t key) with Sys_error _ -> ()
@@ -671,6 +684,9 @@ module Cache = struct
       | Some blob -> (
         match decode blob with
         | v ->
+          (* Only a use refreshes the LRU order: a scan through [find]
+             leaves every entry's age alone. *)
+          touch (path t key);
           T.count "store.hit" 1;
           Some v
         | exception Ssp_ir.Error.Error _ ->

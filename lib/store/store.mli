@@ -24,7 +24,9 @@
 
 val format_version : int
 (** Bumped whenever any payload encoding changes; part of every envelope
-    and of every cache key, so stale-format entries simply miss. *)
+    and of every cache key, so stale-format entries simply miss. Format
+    2: the feedback aggregate holds only the published tuning state, and
+    reports tag their program identity as the wire protocol does. *)
 
 (** Low-level binary reader/writer used by every codec (and by the wire
     protocol of {!Ssp_server}). Integers are 8-byte big-endian, strings
@@ -58,6 +60,14 @@ end
 
 val w_iref : Bin.writer -> Ssp_ir.Iref.t -> unit
 val r_iref : Bin.reader -> Ssp_ir.Iref.t
+
+val w_program : Bin.writer -> Ssp_workloads.Suite.program -> unit
+(** A program identity: tag 0 and the workload name, or tag 1 and the
+    mini-C source text. The wire protocol's requests and the feedback
+    plane's reports share this one codec. *)
+
+val r_program : Bin.reader -> Ssp_workloads.Suite.program
+(** Raises [Ssp_ir.Error.Error] (pass ["store"]) on an unknown tag. *)
 
 val w_hist : Bin.writer -> Ssp_telemetry.Telemetry.hist_summary -> unit
 
@@ -168,7 +178,7 @@ module Cache : sig
   val open_dir : ?max_bytes:int -> ?sweep_grace_s:float -> string -> t
   (** Creates the directory (and parents) if missing. [max_bytes]
       (default 256 MiB) caps the total size of cached blobs; the
-      least-recently-used entries (by mtime; hits touch) are evicted
+      least-recently-used entries (by mtime; {!get} hits touch) are evicted
       after each [put]. Opening also runs {!sweep} with
       [sweep_grace_s] (default 600 s), so orphans left by crashed
       writers stop leaking into the byte budget at the next startup. *)
@@ -183,8 +193,9 @@ module Cache : sig
       writer's only ever gets older. Counted under [store.sweep]. *)
 
   val find : t -> string -> string option
-  (** Raw blob by key; touches the entry's mtime on hit. No integrity
-      check — use {!get}. *)
+  (** Raw blob by key: a plain read that leaves the entry's mtime, and
+      so its LRU age, alone — what a scan over {!keys} wants. No
+      integrity check — use {!get}. *)
 
   val put : t -> string -> string -> unit
   (** Atomic write-then-rename publication, then LRU eviction. I/O
@@ -194,10 +205,11 @@ module Cache : sig
   val remove : t -> string -> unit
 
   val get : t -> string -> decode:(string -> 'a) -> 'a option
-  (** {!find} + decode. A blob the decoder rejects is deleted and
-      counted under the [store.corrupt] telemetry counter, and the call
-      returns [None] — corruption is indistinguishable from a miss.
-      Bumps [store.hit] / [store.miss] accordingly. *)
+  (** {!find} + decode. A decoded hit touches the entry's mtime, so
+      eviction sees it as just used. A blob the decoder rejects is
+      deleted and counted under the [store.corrupt] telemetry counter,
+      and the call returns [None] — corruption is indistinguishable from
+      a miss. Bumps [store.hit] / [store.miss] accordingly. *)
 
   val size_bytes : t -> int
   (** Total bytes of cached blobs currently on disk. *)

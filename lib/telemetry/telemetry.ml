@@ -488,7 +488,7 @@ let merge reports =
              ));
   }
 
-let shard_report sh =
+let shard_report ~series sh =
   {
     r_spans = (copy_span sh.root).children;
     r_counters = Hashtbl.fold (fun name c l -> (name, c.count) :: l) sh.counters [];
@@ -508,12 +508,19 @@ let shard_report sh =
             :: l)
         sh.hists [];
     r_series =
-      Hashtbl.fold
-        (fun name s l -> if s.points = [] then l else (name, List.rev s.points) :: l)
-        sh.seriess [];
+      (if not series then []
+       else
+         Hashtbl.fold
+           (fun name s l ->
+             if s.points = [] then l else (name, List.rev s.points) :: l)
+           sh.seriess []);
   }
 
-let report () = merge (List.map shard_report (all_shards ()))
+(* [~series:false] leaves the series out without walking them: a stats
+   snapshot ships none, and gathering them costs time in proportion to
+   every point the run has sampled. *)
+let report ?(series = true) () =
+  merge (List.map (shard_report ~series) (all_shards ()))
 
 (* ---- JSON export ---- *)
 

@@ -93,15 +93,14 @@ let test_aggregate_roundtrip_and_staleness () =
   let fresh c =
     report ~cycles:c [ load_stat l ~issued:80 ~useful:40 ~redundant:20 ]
   in
-  let agg = Fb.fold_reports ~now:100. Fb.empty_aggregate [ fresh 10; fresh 20 ] in
+  let agg = Fb.fold_reports Fb.empty_aggregate [ fresh 10; fresh 20 ] in
   (* A report stamped with another tuning version never merges. *)
   let agg =
-    Fb.ingest ~now:101. agg
+    Fb.ingest agg
       (report ~version:9 [ load_stat l ~issued:1000 ~redundant:1000 ])
   in
   Alcotest.(check int) "merged reports" 2 agg.Fb.ag_reports;
   Alcotest.(check int) "stale rejected" 1 agg.Fb.ag_stale;
-  Alcotest.(check int) "lifetime total" 3 agg.Fb.ag_total_reports;
   let a = Iref.Map.find l agg.Fb.ag_loads in
   (* Scalars decay per merged report; ratios are decay-invariant. *)
   (* attempts = issued + redundant + dropped = 100 per report *)
@@ -111,12 +110,109 @@ let test_aggregate_roundtrip_and_staleness () =
     "decayed issues"
     ((80. *. Fb.default_decay) +. 80.)
     a.Fb.al_issued;
-  let rt = Fb.decode_aggregate (Fb.encode_aggregate agg) in
-  Alcotest.(check bool) "aggregate survives the roundtrip" true (rt = agg)
+  (* The store keeps the published state alone; the fold is recomputed
+     from the persisted reports. *)
+  let pub =
+    Fb.publish agg
+      ~overrides:
+        (Iref.Map.singleton l
+           { Ssp.Adapt.keep_knob with Ssp.Adapt.lk_model = `Basic })
+      ~actions:[ { Fb.act_load = l; act_what = "model=basic"; act_why = "" } ]
+  in
+  let rt = Fb.decode_aggregate (Fb.encode_aggregate pub) in
+  Alcotest.(check bool)
+    "published state survives the roundtrip" true (rt = pub);
+  Alcotest.(check bool)
+    "the fold is not stored" true
+    (Fb.decode_aggregate (Fb.encode_aggregate agg)
+    = { Fb.empty_aggregate with Fb.ag_version = agg.Fb.ag_version })
+
+(* The fleet cells and the local table use one definition of each
+   ratio: folded alone, a report reads exactly its run's attribution.
+   treeadd.df at scale 3 has a load whose covered uses are all late,
+   which is where a second coverage formula used to disagree. *)
+let test_fleet_ratios_match_attrib () =
+  let config = Ssp_machine.Config.in_order in
+  let prog = Workload.program (Suite.find "treeadd.df") ~scale:3 in
+  let profile = Ssp_profiling.Collect.collect ~config prog in
+  let result = Ssp.Adapt.run ~config prog profile in
+  let attrib =
+    Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
+  in
+  let stats = Ssp_sim.Simulate.run ~attrib config result.Ssp.Adapt.prog in
+  let summary = Ssp_sim.Attrib.summary attrib in
+  let rep =
+    Fb.report_of_attrib ~prog:(Suite.Workload "treeadd.df") ~scale:3
+      ~pipeline:"inorder" ~version:0 ~cycles:stats.Ssp_sim.Stats.cycles summary
+  in
+  let agg = Fb.fold_reports Fb.empty_aggregate [ rep ] in
+  Alcotest.(check bool)
+    "some load has late uses" true
+    (List.exists
+       (fun (l : Ssp_sim.Attrib.load_summary) -> l.ls_late > 0)
+       summary.Ssp_sim.Attrib.loads);
+  List.iter
+    (fun (l : Ssp_sim.Attrib.load_summary) ->
+      let a = Iref.Map.find l.ls_load agg.Fb.ag_loads in
+      let name what = Iref.to_string l.ls_load ^ " " ^ what in
+      Alcotest.(check (float 0.)) (name "coverage") l.ls_coverage
+        (Fb.coverage_frac a);
+      Alcotest.(check (float 0.)) (name "accuracy") l.ls_accuracy
+        (Fb.accuracy a);
+      Alcotest.(check (float 0.)) (name "timeliness") l.ls_timeliness
+        (Fb.timeliness a))
+    summary.Ssp_sim.Attrib.loads
+
+(* What 'sspc explain --feedback' prints: the fold's own counts in the
+   header, the fold's ratios in a load's cell, and the published knob
+   next to them. *)
+let test_explain_view () =
+  let l = iref "walk" 2 0 in
+  let other = iref "walk" 3 0 in
+  let loads =
+    [ load_stat l ~issued:50 ~useful:30 ~late:10 ~redundant:50 ~accesses:100
+        ~hits:60 ]
+  in
+  let reports =
+    [ report ~cycles:1 loads; report ~cycles:2 loads;
+      report ~version:3 ~cycles:3 loads ]
+  in
+  Alcotest.(check string)
+    "nothing published, nothing folded"
+    "feedback: no fleet aggregate for this workload/config"
+    (Fb.explain_header Fb.empty_aggregate);
+  let agg = Fb.fold_reports Fb.empty_aggregate reports in
+  Alcotest.(check string)
+    "header counts the fold" "feedback: v0  2 reports (1 stale)"
+    (Fb.explain_header agg);
+  (* Ratios are decay-invariant: 40/70 covered, 30/100 accurate, 30/40
+     timely; attempts decay, 100 * 0.9 + 100. *)
+  Alcotest.(check (option string))
+    "cell shows the fold's ratios"
+    (Some "fleet cov 57.1%  acc 30.0%  timely 75.0%  (190 issues)")
+    (Fb.explain_cell agg l);
+  Alcotest.(check (option string)) "no cell without samples" None
+    (Fb.explain_cell agg other);
+  let pub =
+    Fb.publish agg
+      ~overrides:
+        (Iref.Map.singleton l
+           { Ssp.Adapt.keep_knob with Ssp.Adapt.lk_model = `Basic })
+      ~actions:
+        [ { Fb.act_load = l; act_what = "model=basic"; act_why = "test" } ]
+  in
+  let agg = Fb.fold_reports pub reports in
+  Alcotest.(check string)
+    "after publishing, the old reports are stale"
+    "feedback: v1  0 reports (3 stale)  last action v1: walk.2.0: \
+     model=basic (test)"
+    (Fb.explain_header agg);
+  Alcotest.(check (option string))
+    "cell shows the published knob"
+    (Some "no fresh fleet samples  tuned[model=basic]")
+    (Fb.explain_cell agg l)
 
 (* ---- the knob lattice ---- *)
-
-let knobs = Ssp.Adapt.default_knobs
 
 (* Drive plan/publish rounds on a fixed per-round report shape (the
    fleet keeps measuring the same signals) until the plan is empty.
@@ -129,10 +225,10 @@ let run_rounds ?(max_rounds = 10) loads =
         List.init 3 (fun i ->
             report ~version:agg.Fb.ag_version ~cycles:(1000 + i) loads)
       in
-      let full = Fb.fold_reports ~now:10. agg reports in
-      let overrides, actions = Fb.plan ~knobs full in
+      let full = Fb.fold_reports agg reports in
+      let overrides, actions = Fb.plan full in
       if actions = [] then (n, full)
-      else go (Fb.publish ~now:10. full ~overrides ~actions) (n + 1)
+      else go (Fb.publish full ~overrides ~actions) (n + 1)
   in
   go Fb.empty_aggregate 0
 
@@ -149,12 +245,12 @@ let test_redundant_load_reaches_skip () =
   Alcotest.(check bool) "demoted to skip" true k.Ssp.Adapt.lk_skip;
   (* Skip is absorbing: one more round is a no-op. *)
   let full =
-    Fb.fold_reports ~now:10. agg
+    Fb.fold_reports agg
       (List.init 3 (fun i ->
            report ~version:agg.Fb.ag_version ~cycles:i
              [ load_stat l ~redundant:1000 ~accesses:1000 ~hits:1000 ]))
   in
-  let _, actions = Fb.plan ~knobs full in
+  let _, actions = Fb.plan full in
   Alcotest.(check int) "fixed point" 0 (List.length actions)
 
 let test_late_load_promotes () =
@@ -244,7 +340,7 @@ let test_e2e_loop () =
     if n > 6 then Alcotest.fail "tuner failed to reach a fixed point"
     else
       match
-        Fb.tune_reports ~cache ~now:50. ~min_reports:1 ~config prog profile
+        Fb.tune_reports ~cache ~min_reports:1 ~config prog profile
           reports
       with
       | None -> (version, result)
@@ -274,7 +370,7 @@ let test_e2e_loop () =
   let stats_t, sum_t = simulate tuned in
   Alcotest.(check bool)
     "re-tuning on the fixed point is a no-op" true
-    (Fb.tune_reports ~cache ~now:60. ~min_reports:1 ~config prog profile
+    (Fb.tune_reports ~cache ~min_reports:1 ~config prog profile
        [ mk_report v stats_t sum_t ]
     = None);
   let red_t = sum_redundant sum_t in
@@ -311,7 +407,7 @@ let test_tune_store_deterministic () =
   let direct =
     with_temp_cache @@ fun cache ->
     match
-      Fb.tune_reports ~cache ~now:50. ~config prog profile reports
+      Fb.tune_reports ~cache ~config prog profile reports
     with
     | Some t ->
       Format.asprintf "%a@." Ssp_ir.Asm.print t.Fb.td_result.Ssp.Adapt.prog
@@ -323,7 +419,7 @@ let test_tune_store_deterministic () =
       let blob = Fb.encode_report rep in
       Store.Cache.put cache (Fb.report_store_key blob) blob)
     reports;
-  match Fb.tune_store ~now:50. cache with
+  match Fb.tune_store cache with
   | [ st ] ->
     Alcotest.(check int) "reports found" 3 st.Fb.st_reports;
     (match st.Fb.st_tuned with
@@ -342,7 +438,7 @@ let test_tune_store_unknown_pipeline () =
   with_temp_cache @@ fun cache ->
   let blob = Fb.encode_report (report ~pipeline:"oo" []) in
   Store.Cache.put cache (Fb.report_store_key blob) blob;
-  match Fb.tune_store ~now:50. cache with
+  match Fb.tune_store cache with
   | _ -> Alcotest.fail "a report for pipeline oo was tuned"
   | exception Ssp_ir.Error.Error e ->
     Alcotest.(check string) "feedback error" "feedback" e.Ssp_ir.Error.pass
@@ -354,7 +450,7 @@ let test_tune_store_unknown_workload () =
     Fb.encode_report (report ~prog:(Suite.Workload "no-such-workload") [])
   in
   Store.Cache.put cache (Fb.report_store_key blob) blob;
-  match Fb.tune_store ~now:50. cache with
+  match Fb.tune_store cache with
   | _ -> Alcotest.fail "a report for an unknown workload was tuned"
   | exception Ssp_ir.Error.Error e ->
     Alcotest.(check string) "feedback error" "feedback" e.Ssp_ir.Error.pass
@@ -365,6 +461,10 @@ let suite =
       test_report_roundtrip;
     Alcotest.test_case "aggregate: decayed merge, staleness, roundtrip" `Quick
       test_aggregate_roundtrip_and_staleness;
+    Alcotest.test_case "fleet ratios equal the run's attribution" `Quick
+      test_fleet_ratios_match_attrib;
+    Alcotest.test_case "explain view: fold header counts and cells" `Quick
+      test_explain_view;
     Alcotest.test_case "lattice: fully-redundant load skipped in <=3 rounds"
       `Quick test_redundant_load_reaches_skip;
     Alcotest.test_case "lattice: chronically-late load promotes, never skips"

@@ -772,6 +772,46 @@ let test_feedback_upload_and_tune =
   let _, asm', _ = expect_adapted (Client.request ~socket (adapt_req "em3d")) in
   Alcotest.(check string) "tuned serving stays byte-identical" asm asm'
 
+(* Seven uploads to a --tune daemon: three at v0 (the third publishes
+   v1), one more at v0 (stale on arrival), then three at v1 (the last
+   publishes v2). Every upload runs the round [sspc tune] runs, so the
+   fold of the persisted reports is the one count: all seven reports
+   sit at versions other than v2, and the counters say what arrived. *)
+let test_feedback_tune_counts =
+  with_telemetry @@ fun () ->
+  with_server ~tune:true @@ fun socket ->
+  List.iter
+    (fun (i, version) ->
+      let rep = { (synthetic_report i) with Fb.fr_version = version } in
+      match Client.request ~socket (feedback_req (Fb.encode_report rep)) with
+      | Proto.Ok_reply -> ()
+      | _ -> Alcotest.fail "expected Ok for a report upload")
+    [ (0, 0); (1, 0); (2, 0); (3, 0); (4, 1); (5, 1); (6, 1) ];
+  let cache =
+    Store.Cache.open_dir (Filename.concat (Filename.dirname socket) "cache")
+  in
+  let prog = Workload.program (Suite.find "em3d") ~scale in
+  let profile, _ = Store.cached_profile ~cache ~config prog in
+  let fold =
+    Fb.fold_workload cache
+      ~key:(Fb.aggregate_key ~config prog profile)
+      (Suite.Workload "em3d", scale, "inorder")
+  in
+  Alcotest.(check int) "published v2" 2 fold.Fb.ag_version;
+  Alcotest.(check int) "no report at v2" 0 fold.Fb.ag_reports;
+  Alcotest.(check int) "seven at other versions" 7 fold.Fb.ag_stale;
+  Alcotest.(check bool)
+    "explain shows the fold's counts" true
+    (String.starts_with
+       ~prefix:"feedback: v2  0 reports (7 stale)  last action v2: "
+       (Fb.explain_header fold));
+  let snap = fetch_snapshot socket in
+  Alcotest.(check int) "uploads" 7 (counter snap "server.feedback.reports");
+  Alcotest.(check int) "stale on arrival" 1
+    (counter snap "server.feedback.stale");
+  Alcotest.(check int) "rounds that published" 2
+    (counter snap "server.feedback.tuned")
+
 let test_snapshot_admission_counters =
   with_telemetry @@ fun () ->
   with_server ~max_queue:0 @@ fun socket ->
@@ -982,6 +1022,8 @@ let suite =
       test_feedback_bad_blob;
     Alcotest.test_case "feedback: upload, aggregate, daemon tuning round"
       `Quick test_feedback_upload_and_tune;
+    Alcotest.test_case "feedback: a --tune daemon's counts match its fold"
+      `Quick test_feedback_tune_counts;
     Alcotest.test_case "trace: per-hop breakdown" `Quick test_traced_hops;
     Alcotest.test_case "trace: span hops + trace counter" `Quick
       test_traced_hops_spans;

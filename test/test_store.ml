@@ -229,6 +229,48 @@ let test_lru_eviction () =
     "oldest entry evicted" true
     (Store.Cache.find cache (Printf.sprintf "%032x" 0) = None)
 
+(* Only a use refreshes an entry's LRU age. A store scan (the feedback
+   tuner's walk for persisted reports) reads every entry through [find]
+   and must leave their ages alone, or every tuning round would reset
+   the order eviction relies on; a decoded [get] hit marks its entry as
+   just used. *)
+let test_scan_keeps_lru_age () =
+  with_temp_cache @@ fun cache ->
+  let module Fb = Ssp_feedback.Feedback in
+  let report cycles =
+    Fb.encode_report
+      {
+        Fb.fr_prog = Suite.Workload "mcf";
+        fr_scale = 2;
+        fr_pipeline = "inorder";
+        fr_version = 0;
+        fr_cycles = cycles;
+        fr_loads = [];
+      }
+  in
+  let blobs = [ report 1; report 2 ] in
+  let keys = List.map Fb.report_store_key blobs in
+  List.iter2 (Store.Cache.put cache) keys blobs;
+  let day = 86_400. in
+  let aged = Unix.gettimeofday () -. day in
+  let path key = Filename.concat (Store.Cache.dir cache) (key ^ ".blob") in
+  List.iter (fun key -> Unix.utimes (path key) aged aged) keys;
+  let age key = Unix.gettimeofday () -. (Unix.stat (path key)).Unix.st_mtime in
+  Alcotest.(check int) "the scan finds both reports" 2
+    (List.length (Fb.reports_in_store cache));
+  List.iter (fun key -> ignore (Store.Cache.find cache key)) keys;
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) "a scan leaves the age alone" true
+        (age key > day -. 60.))
+    keys;
+  let hit = List.hd keys in
+  Alcotest.(check bool) "get hits" true
+    (Store.Cache.get cache hit ~decode:Fb.decode_report <> None);
+  Alcotest.(check bool) "a get hit refreshes the entry" true (age hit < 60.);
+  Alcotest.(check bool) "the other entry stays old" true
+    (age (List.nth keys 1) > day -. 60.)
+
 (* ---- crash safety: kill -9 at every step of [put] ---- *)
 
 module F = Ssp_fault.Fault
@@ -367,6 +409,8 @@ let suite =
         test_corrupt_entry_recomputes;
       Alcotest.test_case "cached_profile" `Quick test_cached_profile;
       Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+      Alcotest.test_case "LRU: a get hit refreshes, a scan does not" `Quick
+        test_scan_keeps_lru_age;
       Alcotest.test_case "crash at tmp open leaves store clean" `Quick
         (test_crash_during_put "store.put.crash_tmp_open");
       Alcotest.test_case "crash mid-write leaves store clean" `Quick
