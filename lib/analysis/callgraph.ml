@@ -3,7 +3,6 @@ open Ssp_isa
 type t = {
   callees : (string, (Ssp_ir.Iref.t * string) list) Hashtbl.t;
   callers : (string, (Ssp_ir.Iref.t * string) list) Hashtbl.t;
-  sites : (Ssp_ir.Iref.t * string) list;
   recursive : (string, unit) Hashtbl.t;
 }
 
@@ -49,9 +48,8 @@ let compute (p : Ssp_ir.Prog.t) =
           Hashtbl.replace recursive name_arr.(v) ()
       | vs -> List.iter (fun v -> Hashtbl.replace recursive name_arr.(v) ()) vs)
     comps;
-  { callees; callers; sites = List.rev !sites; recursive }
+  { callees; callers; recursive }
 
 let callees t f = Option.value ~default:[] (Hashtbl.find_opt t.callees f)
 let callers t f = Option.value ~default:[] (Hashtbl.find_opt t.callers f)
-let call_sites t = t.sites
 let is_recursive t f = Hashtbl.mem t.recursive f

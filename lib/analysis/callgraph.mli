@@ -12,9 +12,6 @@ val callees : t -> string -> (Ssp_ir.Iref.t * string) list
 val callers : t -> string -> (Ssp_ir.Iref.t * string) list
 (** Call sites targeting the function and the caller each lives in. *)
 
-val call_sites : t -> (Ssp_ir.Iref.t * string) list
-(** All direct call sites in the program, with their callee. *)
-
 val is_recursive : t -> string -> bool
 (** Whether the function participates in a call-graph cycle (including
     self-recursion). *)

@@ -1,6 +1,6 @@
 open Ssp_isa
 
-type t = { func : Ssp_ir.Prog.func; graph : Digraph.t; exits : int list }
+type t = { func : Ssp_ir.Prog.func; graph : Digraph.t }
 
 let of_func (f : Ssp_ir.Prog.func) =
   let n = Array.length f.blocks in
@@ -8,7 +8,6 @@ let of_func (f : Ssp_ir.Prog.func) =
   Array.iteri (fun i (b : Ssp_ir.Prog.block) -> Hashtbl.replace idx b.label i)
     f.blocks;
   let edges = ref [] in
-  let exits = ref [] in
   Array.iteri
     (fun i (b : Ssp_ir.Prog.block) ->
       let nops = Array.length b.ops in
@@ -21,7 +20,7 @@ let of_func (f : Ssp_ir.Prog.func) =
         | Op.Brnz (_, l) | Op.Brz (_, l) ->
           add_target l;
           fallthrough ()
-        | Op.Ret | Op.Halt | Op.Kill -> exits := i :: !exits
+        | Op.Ret | Op.Halt | Op.Kill -> ()
         | _ -> fallthrough ())
     f.blocks;
   (* Also collect taken edges of conditional branches that are not in last
@@ -39,7 +38,7 @@ let of_func (f : Ssp_ir.Prog.func) =
         b.ops)
     f.blocks;
   let graph = Digraph.make ~n (List.rev !edges) in
-  { func = f; graph; exits = List.rev !exits }
+  { func = f; graph }
 
 let succ t i = t.graph.Digraph.succ.(i)
 let pred t i = t.graph.Digraph.pred.(i)

@@ -9,7 +9,6 @@
 type t = {
   func : Ssp_ir.Prog.func;
   graph : Digraph.t;  (** block-level successor/predecessor graph *)
-  exits : int list;  (** blocks ending in [Ret], [Halt] or [Kill] *)
 }
 
 val of_func : Ssp_ir.Prog.func -> t

@@ -1,13 +1,11 @@
 type t = {
-  idom : int array;  (* -1 = root or unreachable *)
   rpo_num : int array;  (* -1 = unreachable *)
-  root : int;
-  kids : int list array;
   (* Preorder interval labelling of the dominator tree for O(1) queries. *)
   tin : int array;
   tout : int array;
 }
 
+(* [idom.(v)] is -1 for the root and for unreachable nodes. *)
 let build_tree n idom root rpo_num =
   let kids = Array.make n [] in
   Array.iteri
@@ -24,13 +22,15 @@ let build_tree n idom root rpo_num =
     incr clock
   in
   dfs root;
-  { idom; rpo_num; root; kids; tin; tout }
+  { rpo_num; tin; tout }
 
-let compute_on n ~succ:_ ~pred ~order ~root =
+let compute (g : Digraph.t) ~entry =
+  let n = g.Digraph.n in
+  let order = Digraph.rpo g ~entry in
   let rpo_num = Array.make n (-1) in
   Array.iteri (fun i v -> rpo_num.(v) <- i) order;
   let idom = Array.make n (-1) in
-  idom.(root) <- root;
+  idom.(entry) <- entry;
   let intersect a b =
     let a = ref a and b = ref b in
     while !a <> !b do
@@ -48,13 +48,13 @@ let compute_on n ~succ:_ ~pred ~order ~root =
     changed := false;
     Array.iter
       (fun v ->
-        if v <> root then begin
+        if v <> entry then begin
           let new_idom =
             List.fold_left
               (fun acc p ->
                 if rpo_num.(p) = -1 || idom.(p) = -1 then acc
                 else match acc with None -> Some p | Some a -> Some (intersect p a))
-              None (pred v)
+              None g.Digraph.pred.(v)
           in
           match new_idom with
           | None -> ()
@@ -66,47 +66,14 @@ let compute_on n ~succ:_ ~pred ~order ~root =
         end)
       order
   done;
-  idom.(root) <- -1;
-  (idom, rpo_num)
+  idom.(entry) <- -1;
+  build_tree n idom entry rpo_num
 
-let compute (g : Digraph.t) ~entry =
-  let order = Digraph.rpo g ~entry in
-  let idom, rpo_num =
-    compute_on g.Digraph.n
-      ~succ:(fun v -> g.Digraph.succ.(v))
-      ~pred:(fun v -> g.Digraph.pred.(v))
-      ~order ~root:entry
-  in
-  build_tree g.Digraph.n idom entry rpo_num
-
-let compute_post (g : Digraph.t) ~exits =
-  (* Reverse graph with a virtual exit node at index n. *)
-  let n = g.Digraph.n + 1 in
-  let vexit = g.Digraph.n in
-  let succ = Array.make n [] and pred = Array.make n [] in
-  for v = 0 to g.Digraph.n - 1 do
-    succ.(v) <- g.Digraph.pred.(v);
-    pred.(v) <- g.Digraph.succ.(v)
-  done;
-  succ.(vexit) <- exits;
-  List.iter (fun e -> pred.(e) <- vexit :: pred.(e)) exits;
-  let rg = { Digraph.n; succ; pred } in
-  let order = Digraph.rpo rg ~entry:vexit in
-  let idom, rpo_num =
-    compute_on n
-      ~succ:(fun v -> succ.(v))
-      ~pred:(fun v -> pred.(v))
-      ~order ~root:vexit
-  in
-  build_tree n idom vexit rpo_num
-
-let idom t v = if t.idom.(v) = -1 then None else Some t.idom.(v)
-let reachable t v = t.rpo_num.(v) <> -1 || v = t.root
+(* The entry is first in reverse postorder, so every reachable node,
+   the root included, has a number. *)
+let reachable t v = t.rpo_num.(v) <> -1
 
 let dominates t a b =
   reachable t a && reachable t b && t.tin.(a) <= t.tin.(b)
   && t.tout.(b) <= t.tout.(a)
   && t.tin.(a) >= 0 && t.tin.(b) >= 0
-
-let children t v = t.kids.(v)
-let virtual_exit t = t.root

@@ -1,5 +1,4 @@
-(** Dominators and post-dominators (Cooper–Harvey–Kennedy iterative
-    algorithm). *)
+(** Dominators (Cooper–Harvey–Kennedy iterative algorithm). *)
 
 type t
 (** A dominator tree over the nodes of a digraph. *)
@@ -7,23 +6,6 @@ type t
 val compute : Digraph.t -> entry:int -> t
 (** Immediate dominators of every node reachable from [entry]. *)
 
-val compute_post : Digraph.t -> exits:int list -> t
-(** Post-dominators: dominators of the reversed graph from a virtual exit
-    node connected to every node in [exits]. The virtual node is
-    {!virtual_exit}. *)
-
-val idom : t -> int -> int option
-(** Immediate dominator; [None] for the root or unreachable nodes. *)
-
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: every path from the root to [b] goes through [a]
     (reflexive). False when either node is unreachable. *)
-
-val children : t -> int -> int list
-(** Children in the dominator tree. *)
-
-val reachable : t -> int -> bool
-
-val virtual_exit : t -> int
-(** For post-dominator trees: the index of the virtual exit node (equal to
-    the number of real nodes). For dominator trees: the root. *)

@@ -6,7 +6,6 @@ type per_func = {
   loop_members : (int, Bytes.t) Hashtbl.t;
       (* loop id -> block-membership bitset ('\001' = in body), built
          eagerly so region-membership tests are O(1) and read-only *)
-  mutable dg : Depgraph.t option;
   mutable reach : Reaching.t option;
 }
 
@@ -29,7 +28,7 @@ let compute (prog : Ssp_ir.Prog.t) =
           Hashtbl.replace loop_members l.Loops.id m)
         (Loops.all loops);
       Hashtbl.replace by_func f.name
-        { cfg; loops; loop_members; dg = None; reach = None })
+        { cfg; loops; loop_members; reach = None })
     (Ssp_ir.Prog.funcs_in_order prog);
   { prog; by_func }
 
@@ -41,15 +40,6 @@ let pf t fn =
 let cfg_of t fn = (pf t fn).cfg
 let loops_of t fn = (pf t fn).loops
 
-let depgraph_of t fn =
-  let p = pf t fn in
-  match p.dg with
-  | Some dg -> dg
-  | None ->
-    let dg = Depgraph.of_func p.cfg in
-    p.dg <- Some dg;
-    dg
-
 let reaching_of t fn =
   let p = pf t fn in
   match p.reach with
@@ -59,17 +49,9 @@ let reaching_of t fn =
     p.reach <- Some r;
     r
 
-(* Force every lazily memoized per-function artifact. After [freeze] the
-   structure is never written again, so it can be shared read-only across
-   domains (the parallel adaptation pipeline calls this before fanning
-   out; the memoizing accessors above are not thread-safe on a cold
-   entry). *)
-let freeze t =
-  Hashtbl.iter
-    (fun fn _ ->
-      ignore (depgraph_of t fn);
-      ignore (reaching_of t fn))
-    t.by_func
+(* After [freeze] the structure is never written again, so it can be
+   shared read-only across domains. *)
+let freeze t = Hashtbl.iter (fun fn _ -> ignore (reaching_of t fn)) t.by_func
 
 let innermost_at t (i : Ssp_ir.Iref.t) =
   let p = pf t i.fn in

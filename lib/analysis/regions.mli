@@ -21,10 +21,9 @@ val prog : t -> Ssp_ir.Prog.t
 
 val cfg_of : t -> string -> Cfg.t
 val loops_of : t -> string -> Loops.t
-val depgraph_of : t -> string -> Depgraph.t
-(** Whole-function dependence graph, memoized. *)
-
 val reaching_of : t -> string -> Reaching.t
+(** Reaching definitions of the function, memoized: what the slicer and
+    the scheduler read. *)
 
 val innermost_at : t -> Ssp_ir.Iref.t -> region
 (** Innermost region containing the instruction: its innermost loop, or its
@@ -44,10 +43,11 @@ val in_region : t -> region -> int -> bool
     [compute] time (the slicer's hot path; [blocks_of] is O(blocks)). *)
 
 val freeze : t -> unit
-(** Force every memoized per-function artifact ([depgraph_of],
-    [reaching_of], …). Afterwards the structure is read-only and safe to
-    share across domains; the memoizing accessors themselves are not safe
-    to race on a cold entry. *)
+(** Force {!reaching_of} for every function, the one memoized artifact.
+    Afterwards the structure is read-only and safe to share across
+    domains; [reaching_of] itself is not safe to race on a cold entry.
+    Only a parallel adaptation calls it: a sequential one computes the
+    reaching definitions of the functions it slices, on demand. *)
 
 val loop_of : t -> region -> Loops.loop option
 

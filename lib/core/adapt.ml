@@ -280,21 +280,18 @@ let run ?(knobs = default_knobs) ?(overrides = no_overrides) ?(jobs = 1)
     T.with_span "adapt.callgraph" (fun () -> Callgraph.compute prog)
   in
   (* The per-load slice/schedule/trigger pipeline is independent per
-     delinquent load; with [jobs > 1] it fans out across a domain pool.
-     The shared analysis state is made read-only first ([Regions.freeze]
-     forces the lazily memoized per-function artifacts), and the pool's
-     deterministic result ordering keeps the choice list — and therefore
-     everything downstream (combining, codegen, the report) — identical
-     to the sequential run. *)
+     delinquent load, so it runs on a domain pool. With [jobs > 1] the
+     shared analysis state is made read-only first ([Regions.freeze]
+     forces every function's reaching definitions; a sequential run
+     computes only those it reads). The pool's input-order results keep
+     the choice list — and therefore everything downstream (combining,
+     codegen, the report) — identical to the sequential run. *)
   let selected =
     T.with_span "adapt.select" (fun () ->
         let select load = select_one regions callgraph profile config load in
-        if jobs <= 1 then List.map select delinquent.Delinquent.loads
-        else begin
-          Regions.freeze regions;
-          Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-              Ssp_parallel.Pool.map pool select delinquent.Delinquent.loads)
-        end)
+        if jobs > 1 then Regions.freeze regions;
+        Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
+            Ssp_parallel.Pool.map pool select delinquent.Delinquent.loads))
   in
   let choices = List.filter_map fst selected in
   let diags = ref (List.concat_map snd selected) in

@@ -22,9 +22,6 @@ type t = {
 
 let size t = Ssp_ir.Iref.Set.cardinal t.instrs
 
-let shares_instrs a b =
-  not (Ssp_ir.Iref.Set.is_empty (Ssp_ir.Iref.Set.inter a.instrs b.instrs))
-
 let merge a b =
   let instrs = Ssp_ir.Iref.Set.union a.instrs b.instrs in
   let targets =

@@ -38,7 +38,6 @@ type t = {
 }
 
 val size : t -> int
-val shares_instrs : t -> t -> bool
 val merge : t -> t -> t
 (** Union of two slices over the same region. *)
 

@@ -470,9 +470,12 @@ let tune_reports ?cache ?min_reports ?min_samples ~config prog profile
 (* ---- per-workload rounds over a store ---- *)
 
 let reports_in_store cache =
+  let kind = Store.kind_feedback_report in
   Store.Cache.keys cache
   |> List.filter_map (fun key ->
-         match Option.map decode_report (Store.Cache.find cache key) with
+         match
+           Option.map decode_report (Store.Cache.find_kind cache ~kind key)
+         with
          | rep -> rep
          | exception _ -> None)
 

@@ -263,8 +263,8 @@ val tune_reports :
 val reports_in_store : Ssp_store.Store.Cache.t -> report list
 (** Every persisted feedback report, in no particular order. Blobs of
     other kinds and undecodable blobs are skipped. The scan reads
-    through {!Ssp_store.Store.Cache.find}, so it leaves the entries' LRU
-    ages alone. *)
+    through {!Ssp_store.Store.Cache.find_kind}: a blob of another kind
+    costs its 15-byte header, and no entry's LRU age changes. *)
 
 type workload = Ssp_workloads.Suite.program * int * string
 (** A workload's identity as its reports carry it: program, scale and

@@ -29,10 +29,8 @@ let run ?(setting = Experiment.reference) ?(jobs = 1) () =
       ("unroll 4 (hand-style lookahead)", { tool with Ssp.Adapt.unroll = 4 });
     ]
   in
-  if jobs <= 1 then List.map variant variants
-  else
-    Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-        Ssp_parallel.Pool.map pool variant variants)
+  Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
+      Ssp_parallel.Pool.map pool variant variants)
 
 (* Dominator-walk vs max-flow min-cut trigger placement (§3.3): both must
    cut every frequent path to the delinquent load; the comparison is how

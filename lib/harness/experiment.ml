@@ -92,9 +92,9 @@ let run_benchmark ?(setting = reference) ?(jobs = 1)
     let adapted_ooo = Ssp.Adapt.run ~jobs ~config:ooo_cfg prog profile in
     let mode m cfg = Config.with_memory_mode cfg m in
     (* The eight sim points are independent (each builds its own machine
-       over the read-only program), so with [jobs > 1] they fan out across
-       a pool; [map_array]'s positional results keep the record fields —
-       and therefore every downstream table — independent of scheduling. *)
+       over the read-only program), so they fan out across a pool;
+       [map_array]'s positional results keep the record fields — and
+       therefore every downstream table — independent of scheduling. *)
     let points =
       [|
         (fun () -> Simulate.run io_cfg prog);
@@ -114,10 +114,8 @@ let run_benchmark ?(setting = reference) ?(jobs = 1)
       |]
     in
     let stats =
-      if jobs <= 1 then Array.map (fun f -> f ()) points
-      else
-        Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-            Ssp_parallel.Pool.map_array pool (fun f -> f ()) points)
+      Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
+          Ssp_parallel.Pool.map_array pool (fun f -> f ()) points)
     in
     let r =
       {
@@ -151,12 +149,9 @@ let run_benchmark ?(setting = reference) ?(jobs = 1)
    computing the same key produce identical records, so a racing double
    insert is benign. *)
 let prime ?(setting = reference) ~jobs (ws : Ssp_workloads.Workload.t list) =
-  if jobs <= 1 then
-    List.iter (fun w -> ignore (run_benchmark ~setting w)) ws
-  else
-    Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-        Ssp_parallel.Pool.run pool
-          (List.map (fun w () -> ignore (run_benchmark ~setting w)) ws))
+  Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
+      Ssp_parallel.Pool.run pool
+        (List.map (fun w () -> ignore (run_benchmark ~setting w)) ws))
 
 let speedup ~baseline x =
   float_of_int baseline.Ssp_sim.Stats.cycles

@@ -84,11 +84,6 @@ let emit b op =
   b.cur_ops <- op :: b.cur_ops;
   if ends_block op then b.pending_split <- true
 
-let current_label b =
-  match b.cur_label with
-  | Some l -> l
-  | None -> Error.raise_error ~pass:"builder" ~fn:b.name "no open block"
-
 let finish b : Prog.func =
   seal b;
   let blocks =

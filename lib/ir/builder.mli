@@ -23,8 +23,6 @@ val start_block : t -> Ssp_isa.Op.label -> unit
 val emit : t -> Ssp_isa.Op.t -> unit
 (** Append an instruction to the current block. *)
 
-val current_label : t -> Ssp_isa.Op.label
-
 val finish : t -> Prog.func
 (** Seal and return the function. The entry block is the first one started
     (or ["entry"], created implicitly if [emit] is called first). *)

@@ -94,10 +94,6 @@ let is_load = function
   | Load _ -> true
   | _ -> false
 
-let is_store = function
-  | Store _ -> true
-  | _ -> false
-
 let branch_targets = function
   | Br l | Brnz (_, l) | Brz (_, l) -> [ l ]
   | Chk_c _ -> [] (* recovery stubs are not normal control flow *)

@@ -70,7 +70,6 @@ val is_terminator : t -> bool
     [Br], [Ret], [Halt], [Kill]. *)
 
 val is_load : t -> bool
-val is_store : t -> bool
 
 val branch_targets : t -> label list
 (** Labels this instruction may transfer control to within its function

@@ -18,5 +18,3 @@ let of_op = function
   | Op.Alloc _ -> 2
   | Op.Print _ -> 1
   | Op.Rand _ -> 1
-
-let default_load (c : Config.t) = c.Config.l1.Config.latency

@@ -5,7 +5,3 @@
 val of_op : Ssp_isa.Op.t -> int
 (** Latency in cycles, excluding memory access time (loads report 0 here;
     their latency is the cache access outcome). *)
-
-val default_load : Config.t -> int
-(** Latency assumed for a load with no cache profile information
-    (an L1 hit). *)

@@ -541,7 +541,3 @@ let parse_program src =
   }
 
 let parse = parse_program
-
-let parse_expr_string src =
-  let st = { toks = Lexer.tokenize src } in
-  parse_expr st (Hashtbl.create 0)

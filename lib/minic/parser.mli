@@ -20,6 +20,3 @@ exception Error of string * Ast.pos
 
 val parse : string -> Ast.program
 (** Raises {!Error} (or {!Lexer.Error}) on malformed input. *)
-
-val parse_expr_string : string -> Ast.expr
-(** Entry point for tests. *)

@@ -1,117 +1,56 @@
-(* Fixed-size domain pool with per-worker work-stealing deques.
+(* Fixed-size domain pool with one claim counter per batch.
 
    One batch runs at a time ([map] and friends are not reentrant: a task
-   must not submit to the pool it runs on). A batch is pre-split
-   round-robin across the workers' deques; each worker drains its own
-   deque LIFO from the bottom and, when empty, steals FIFO from the top
-   of a sibling, so an unlucky split (one worker handed all the slow
-   tasks) still balances. Tasks never enqueue more tasks, which keeps the
-   deques fixed-capacity per batch and lets an empty sweep double as the
-   batch-exit condition for workers.
+   must not submit to the pool it runs on). Every worker, the caller
+   included, claims the batch's next index with one atomic increment
+   until the array is spent; tasks never submit tasks, so nothing else
+   needs scheduling. The counters belong to the batch, not to the pool:
+   a worker that wakes after its batch drained still holds that batch,
+   so it claims nothing from the next one.
 
    Determinism: tasks write into a per-batch results array at their input
    index; the caller re-assembles (and re-raises the lowest-index
    exception) after the batch drains, so scheduling order never shows in
    the output. *)
 
-type deque = {
-  lock : Mutex.t;
-  mutable tasks : (unit -> unit) array;  (* this worker's slice of the batch *)
-  mutable top : int;  (* steal end: next index a thief takes *)
-  mutable bot : int;  (* owner end: one past the last remaining task *)
+type batch = {
+  tasks : (unit -> unit) array;
+  next : int Atomic.t;  (* the next unclaimed index *)
+  remaining : int Atomic.t;  (* tasks not yet finished *)
 }
-
-let deque_create () =
-  { lock = Mutex.create (); tasks = [||]; top = 0; bot = 0 }
-
-let deque_fill d tasks =
-  Mutex.lock d.lock;
-  d.tasks <- tasks;
-  d.top <- 0;
-  d.bot <- Array.length tasks;
-  Mutex.unlock d.lock
-
-(* Owner end (LIFO). *)
-let deque_pop d =
-  Mutex.lock d.lock;
-  let t =
-    if d.top < d.bot then begin
-      d.bot <- d.bot - 1;
-      Some d.tasks.(d.bot)
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  t
-
-(* Thief end (FIFO). *)
-let deque_steal d =
-  Mutex.lock d.lock;
-  let t =
-    if d.top < d.bot then begin
-      let x = d.tasks.(d.top) in
-      d.top <- d.top + 1;
-      Some x
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  t
 
 type t = {
   njobs : int;
-  deques : deque array;  (* index 0 = the calling domain *)
   mutable domains : unit Domain.t list;
   m : Mutex.t;
   work_ready : Condition.t;  (* a new batch generation, or stop *)
-  batch_done : Condition.t;  (* remaining reached zero *)
+  batch_done : Condition.t;  (* the current batch's remaining reached zero *)
+  mutable batch : batch;
   mutable generation : int;
   mutable stop : bool;
-  remaining : int Atomic.t;
 }
 
 let jobs t = t.njobs
 
-let default_jobs () =
-  match Sys.getenv_opt "SSP_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> n
-    | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+(* Tasks themselves never raise (they are wrapped to capture exceptions
+   into the results array); the finisher wakes the caller. *)
+let drain pool b =
+  let n = Array.length b.tasks in
+  let rec claim () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < n then begin
+      b.tasks.(i) ();
+      if Atomic.fetch_and_add b.remaining (-1) = 1 then begin
+        Mutex.lock pool.m;
+        Condition.broadcast pool.batch_done;
+        Mutex.unlock pool.m
+      end;
+      claim ()
+    end
+  in
+  claim ()
 
-let exec pool task =
-  task ();
-  (* The finisher wakes the caller; tasks themselves never raise (they are
-     wrapped to capture exceptions into the results array). *)
-  if Atomic.fetch_and_add pool.remaining (-1) = 1 then begin
-    Mutex.lock pool.m;
-    Condition.broadcast pool.batch_done;
-    Mutex.unlock pool.m
-  end
-
-(* Drain: own deque first, then round-robin steal sweeps. A full empty
-   sweep means the batch holds no more unstarted tasks (tasks never spawn
-   tasks), so the worker can leave the batch. *)
-let scavenge pool wid =
-  let n = pool.njobs in
-  let continue_ = ref true in
-  while !continue_ do
-    match deque_pop pool.deques.(wid) with
-    | Some task -> exec pool task
-    | None ->
-      let stolen = ref None in
-      let k = ref 1 in
-      while !stolen = None && !k < n do
-        stolen := deque_steal pool.deques.((wid + !k) mod n);
-        incr k
-      done;
-      (match !stolen with
-      | Some task -> exec pool task
-      | None -> continue_ := false)
-  done
-
-let worker pool wid =
+let worker pool =
   let last_gen = ref 0 in
   let running = ref true in
   while !running do
@@ -119,10 +58,10 @@ let worker pool wid =
     while (not pool.stop) && pool.generation = !last_gen do
       Condition.wait pool.work_ready pool.m
     done;
-    let stop = pool.stop in
+    let stop = pool.stop and batch = pool.batch in
     last_gen := pool.generation;
     Mutex.unlock pool.m;
-    if stop then running := false else scavenge pool wid
+    if stop then running := false else drain pool batch
   done
 
 let create ~jobs =
@@ -130,20 +69,18 @@ let create ~jobs =
   let pool =
     {
       njobs;
-      deques = Array.init njobs (fun _ -> deque_create ());
       domains = [];
       m = Mutex.create ();
       work_ready = Condition.create ();
       batch_done = Condition.create ();
+      batch = { tasks = [||]; next = Atomic.make 0; remaining = Atomic.make 0 };
       generation = 0;
       stop = false;
-      remaining = Atomic.make 0;
     }
   in
   if njobs > 1 then
     pool.domains <-
-      List.init (njobs - 1) (fun i ->
-          Domain.spawn (fun () -> worker pool (i + 1)));
+      List.init (njobs - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
   pool
 
 let shutdown pool =
@@ -160,34 +97,24 @@ let with_pool ~jobs f =
 
 type 'b slot = Pending | Done of 'b | Raised of exn * Printexc.raw_backtrace
 
-let run_batch pool (tasks : (unit -> unit) array) =
-  let n = Array.length tasks in
-  if n > 0 then begin
-    (* Round-robin pre-split: task i sits in deque (i mod njobs), and the
-       per-deque slices preserve relative order for FIFO thieves. *)
-    let per = Array.make pool.njobs [] in
-    for i = n - 1 downto 0 do
-      let w = i mod pool.njobs in
-      per.(w) <- tasks.(i) :: per.(w)
-    done;
-    Atomic.set pool.remaining n;
-    Array.iteri (fun w ts -> deque_fill pool.deques.(w) (Array.of_list ts)) per;
-    Mutex.lock pool.m;
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.work_ready;
-    Mutex.unlock pool.m;
-    (* The caller is worker 0. *)
-    scavenge pool 0;
-    Mutex.lock pool.m;
-    while Atomic.get pool.remaining > 0 do
-      Condition.wait pool.batch_done pool.m
-    done;
-    Mutex.unlock pool.m
-  end
+let run_batch pool tasks =
+  let remaining = Atomic.make (Array.length tasks) in
+  let b = { tasks; next = Atomic.make 0; remaining } in
+  Mutex.lock pool.m;
+  pool.batch <- b;
+  pool.generation <- pool.generation + 1;
+  Condition.broadcast pool.work_ready;
+  Mutex.unlock pool.m;
+  drain pool b;
+  Mutex.lock pool.m;
+  while Atomic.get b.remaining > 0 do
+    Condition.wait pool.batch_done pool.m
+  done;
+  Mutex.unlock pool.m
 
 let map_array pool f xs =
   let n = Array.length xs in
-  if pool.njobs <= 1 || pool.domains = [] || n <= 1 then Array.map f xs
+  if pool.domains = [] || n <= 1 then Array.map f xs
   else begin
     let results = Array.make n Pending in
     let task i () =
@@ -207,20 +134,14 @@ let map_array pool f xs =
 
 let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
 
-let mapi pool f xs =
-  let xs = Array.of_list xs in
-  Array.to_list (map_array pool (fun (i, x) -> f i x) (Array.mapi (fun i x -> (i, x)) xs))
-
-let map_reduce pool ~map:f ~reduce init xs =
-  List.fold_left reduce init (map pool f xs)
-
 let run pool thunks =
   (* All thunks execute even when some raise; surface the lowest-index
      failure afterwards, like a sequential left-to-right run would. *)
-  let outcomes = map pool (fun t -> try Ok (t ()) with e -> Error (e, Printexc.get_raw_backtrace ())) thunks in
-  List.iter
-    (function Ok () | Error _ -> ())
-    outcomes;
-  match List.find_opt (function Error _ -> true | Ok () -> false) outcomes with
-  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-  | _ -> ()
+  let outcome t =
+    match t () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  match List.find_map Fun.id (map pool outcome thunks) with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()

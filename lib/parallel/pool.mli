@@ -1,12 +1,12 @@
-(** A fixed-size domain pool with per-worker work-stealing deques.
+(** A fixed-size domain pool with one claim counter per batch.
 
     The pool exists so the tool's embarrassingly parallel layers — the
-    per-delinquent-load slice/schedule/trigger pipeline and the
-    workload × config simulation grid — can fan out across OCaml 5
-    domains while keeping their outputs byte-identical to a sequential
-    run:
+    per-delinquent-load slice/schedule/trigger pipeline, the
+    workload × config simulation grid and the daemon's request batches —
+    can fan out across OCaml 5 domains while keeping their outputs
+    byte-identical to a sequential run:
 
-    - {b Deterministic ordering}: [map] and [map_reduce] always deliver
+    - {b Deterministic ordering}: [map] and [map_array] always deliver
       results in input order, regardless of which domain ran which task
       or in what order tasks finished.
     - {b Per-task exception capture}: a task that raises does not tear
@@ -16,16 +16,14 @@
       wins — again matching what a sequential left-to-right run would
       have raised first.
     - {b Sequential fallback}: a pool created with [jobs <= 1] spawns no
-      domains at all; [map] degrades to [List.map] on the caller's
-      domain, so [jobs:1] is not merely "parallelism with one worker"
-      but the exact sequential code path.
+      domains at all; [map_array] is [Array.map] on the caller's domain,
+      so [jobs:1] is not merely "parallelism with one worker" but the
+      exact sequential code path.
 
-    Scheduling is work stealing: each worker owns a deque, takes its own
-    work LIFO from the bottom, and steals FIFO from the top of a sibling
-    when empty. Batches are pre-split round-robin so the common
-    regular-grid case needs no stealing at all. The caller's domain
-    participates as worker 0, so [create ~jobs:n] spawns [n - 1]
-    domains. *)
+    Scheduling: a batch is its task array, a claim counter and a count of
+    unfinished tasks. Every worker takes the next index with one atomic
+    increment until the array is spent. The caller's domain participates
+    as a worker, so [create ~jobs:n] spawns [n - 1] domains. *)
 
 type t
 
@@ -42,24 +40,12 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 val jobs : t -> int
 (** The concurrency the pool was created with (>= 1). *)
 
-val default_jobs : unit -> int
-(** [SSP_JOBS] when set and positive, else
-    [Domain.recommended_domain_count ()]. *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Like [List.map], with the calls distributed over the pool. Results
     are in input order; exceptions are re-raised lowest-index first. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map] over arrays. *)
-
-val mapi : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [map] passing each task its input index. *)
-
-val map_reduce : t -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> 'b -> 'a list -> 'b
-(** [map] then fold the results left-to-right in input order:
-    [reduce (... (reduce init r0) ...) rn] — deterministic even for
-    non-commutative [reduce]. *)
 
 val run : t -> (unit -> unit) list -> unit
 (** Execute side-effecting thunks, all of them even if some raise;

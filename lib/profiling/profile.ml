@@ -39,13 +39,6 @@ let taken_ratio b =
   let n = b.taken + b.not_taken in
   if n = 0 then 0.0 else float_of_int b.taken /. float_of_int n
 
-let call_targets t i =
-  match Ssp_ir.Iref.Tbl.find_opt t.calls i with
-  | None -> []
-  | Some tbl ->
-    Hashtbl.fold (fun callee n acc -> (callee, n) :: acc) tbl []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-
 let dominant_call_site t ~callee =
   let best = ref None in
   Ssp_ir.Iref.Tbl.iter

@@ -34,9 +34,6 @@ val load_stats : t -> Ssp_ir.Iref.t -> load_stats option
 
 val taken_ratio : branch_stats -> float
 
-val call_targets : t -> Ssp_ir.Iref.t -> (string * int) list
-(** Callees observed at the site, most frequent first. *)
-
 val dominant_call_site : t -> callee:string -> Ssp_ir.Iref.t option
 (** The most frequent call site targeting the function. *)
 

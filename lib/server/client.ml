@@ -1,9 +1,5 @@
 type addr = Unix_sock of string | Tcp of string * int
 
-let pp_addr = function
-  | Unix_sock path -> path
-  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
 let connect addr =
   match addr with
   | Unix_sock path ->

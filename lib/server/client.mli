@@ -4,9 +4,6 @@
 
 type addr = Unix_sock of string | Tcp of string * int
 
-val pp_addr : addr -> string
-(** ["path"] or ["host:port"], for diagnostics. *)
-
 val request_addr :
   ?max_frame:int -> ?timeout_s:float -> addr -> Proto.request -> Proto.response
 (** One request/response exchange. Raises [Unix.Unix_error] when the

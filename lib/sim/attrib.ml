@@ -35,13 +35,6 @@ module Iref = Ssp_ir.Iref
 
 type cls = Useful | Late | Early_evicted | Redundant | Dropped
 
-let cls_name = function
-  | Useful -> "useful"
-  | Late -> "late"
-  | Early_evicted -> "early_evicted"
-  | Redundant -> "redundant"
-  | Dropped -> "dropped"
-
 type tag = {
   target : Iref.t; (* the delinquent load this prefetch precomputes *)
   site : Iref.t; (* the slice instruction that issued it *)
@@ -138,7 +131,6 @@ let create ?(prefetch_map = Iref.Map.empty) ?(targets = Iref.Set.empty) () =
   }
 
 let target_of t site = Iref.Map.find_opt site t.prefetch_map
-let is_target t iref = Iref.Set.mem iref t.targets
 
 let acct t load =
   match Iref.Tbl.find_opt t.accts load with

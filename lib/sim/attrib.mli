@@ -18,8 +18,6 @@
 
 type cls = Useful | Late | Early_evicted | Redundant | Dropped
 
-val cls_name : cls -> string
-
 type tag = {
   target : Ssp_ir.Iref.t;  (** the delinquent load being precomputed *)
   site : Ssp_ir.Iref.t;  (** slice instruction that issued the prefetch *)
@@ -41,8 +39,6 @@ val create :
 
 val target_of : t -> Ssp_ir.Iref.t -> Ssp_ir.Iref.t option
 (** The delinquent load a prefetch site precomputes, if mapped. *)
-
-val is_target : t -> Ssp_ir.Iref.t -> bool
 
 (** {2 Hooks} — called by the simulator; not for external use. *)
 

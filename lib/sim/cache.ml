@@ -11,7 +11,6 @@ type t = {
   tags : int array;  (* sets * ways, -1 = invalid; line numbers *)
   lru : int array;  (* higher = more recent *)
   mutable clock : int;
-  mutable accesses : int;
   mutable misses : int;
   tel : (T.counter * T.counter) option;  (* hits, misses *)
 }
@@ -30,7 +29,6 @@ let create ?name (g : Ssp_machine.Config.cache_geom) =
     tags = Array.make (sets * g.ways) (-1);
     lru = Array.make (sets * g.ways) 0;
     clock = 0;
-    accesses = 0;
     misses = 0;
     tel =
       (match name with
@@ -83,7 +81,6 @@ let install t addr =
   end
 
 let access t addr =
-  t.accesses <- t.accesses + 1;
   let i = find_idx t addr in
   if i >= 0 then begin
     t.clock <- t.clock + 1;
@@ -102,7 +99,6 @@ let access t addr =
    LRU clock values (a hit is touched once instead of twice; relative
    recency order, tags, and hit/miss counts are identical). *)
 let warm_access t a =
-  t.accesses <- t.accesses + 1;
   let line = line_of t a in
   let s = set_of t line in
   let base = s * t.ways in
@@ -143,9 +139,4 @@ let line_addr t addr = line_of t addr lsl t.line_bits
 
 let line_bits t = t.line_bits
 
-let stats_accesses t = t.accesses
 let stats_misses t = t.misses
-
-let reset_stats t =
-  t.accesses <- 0;
-  t.misses <- 0

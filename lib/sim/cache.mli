@@ -31,6 +31,4 @@ val line_addr : t -> int -> int
 val line_bits : t -> int
 (** log2 of the line size in bytes. *)
 
-val stats_accesses : t -> int
 val stats_misses : t -> int
-val reset_stats : t -> unit

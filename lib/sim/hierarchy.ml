@@ -296,7 +296,3 @@ let warm_ifetch t a =
       t.warm_iline <- line;
       ignore (Cache.warm_access t.l1i a)
     end
-
-let pp_level ppf l =
-  Format.pp_print_string ppf
-    (match l with L1 -> "L1" | L2 -> "L2" | L3 -> "L3" | Mem -> "Mem")

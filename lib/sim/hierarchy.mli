@@ -94,5 +94,3 @@ val last_partial : t -> bool
 (** Whether the last timed access found its line already in transit. *)
 
 val level_latency : t -> level -> int
-
-val pp_level : Format.formatter -> level -> unit

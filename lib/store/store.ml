@@ -90,9 +90,7 @@ let kind_feedback_report = 5
 let kind_feedback_aggregate = 6
 
 let kind_name = function
-  | 1 -> "program"
   | 2 -> "profile"
-  | 3 -> "report"
   | 4 -> "adapted"
   | 5 -> "feedback report"
   | 6 -> "feedback aggregate"
@@ -216,21 +214,6 @@ let r_list r read =
   if n < 0 || n > remaining r then corrupt "implausible list length";
   List.init n (fun _ -> read r)
 
-(* ---- program ----
-
-   The payload is the assembly text: the repo's one canonical program
-   serialization, validated on parse, and stable under print -> parse ->
-   print. *)
-
-let encode_program p = seal ~kind:1 (Ssp_ir.Asm.to_string p)
-
-let decode_program blob =
-  let text = unseal ~kind:1 blob in
-  match Ssp_ir.Asm.parse text with
-  | p -> p
-  | exception Ssp_ir.Asm.Error (msg, line) ->
-    corrupt (Printf.sprintf "embedded program rejected: %s (line %d)" msg line)
-
 (* ---- profile ---- *)
 
 let sorted_tbl tbl fold cmp =
@@ -347,7 +330,7 @@ let profile_of_payload payload =
 
 let decode_profile blob = profile_of_payload (unseal ~kind:2 blob)
 
-(* ---- report ---- *)
+(* ---- report (carried inside the adapted result) ---- *)
 
 let report_payload_into b (t : Ssp.Report.t) =
   w_list b t.Ssp.Report.slices (fun b (s : Ssp.Report.slice_info) ->
@@ -413,18 +396,11 @@ let report_of_reader r =
   let coverage = Bin.r_float r in
   { Ssp.Report.slices; n_delinquent; coverage; diagnostics }
 
-let encode_report t =
-  let b = Bin.writer () in
-  report_payload_into b t;
-  seal ~kind:3 (Bin.contents b)
+(* ---- adapted result ----
 
-let decode_report blob =
-  let r = Bin.reader (unseal ~kind:3 blob) in
-  let t = report_of_reader r in
-  Bin.expect_end r;
-  t
-
-(* ---- adapted result ---- *)
+   The program travels as its assembly text: the repo's one canonical
+   program serialization, validated on parse, and stable under print ->
+   parse -> print. *)
 
 type adapted = {
   prog : Ssp_ir.Prog.t;
@@ -596,7 +572,7 @@ module Cache = struct
     try Unix.utimes p 0.0 0.0 (* both zero: set atime/mtime to now *)
     with Unix.Unix_error _ -> ()
 
-  let find t key =
+  let read t key f =
     match open_in_bin (path t key) with
     | exception Sys_error _ -> None
     | ic -> (
@@ -605,12 +581,27 @@ module Cache = struct
          per the corrupt-entry-is-a-miss policy that is a miss, not an
          exception for the caller. *)
       match
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
       with
-      | blob -> Some blob
-      | exception (End_of_file | Sys_error _) -> None)
+      | blob -> blob
+      | exception (End_of_file | Sys_error _ | Invalid_argument _) -> None)
+
+  let find t key =
+    read t key (fun ic -> Some (really_input_string ic (in_channel_length ic)))
+
+  (* The kind is decided from the header alone; [unseal] vouches for the
+     rest of the envelope. *)
+  let find_kind t ~kind key =
+    read t key (fun ic ->
+        let h = really_input_string ic header_len in
+        let version = (Char.code h.[4] lsl 8) lor Char.code h.[5] in
+        if
+          String.equal (String.sub h 0 4) magic
+          && version = format_version
+          && Char.code h.[6] = kind
+        then
+          Some (h ^ really_input_string ic (in_channel_length ic - header_len))
+        else None)
 
   let remove t key = try Sys.remove (path t key) with Sys_error _ -> ()
 

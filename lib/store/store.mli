@@ -1,9 +1,10 @@
 (** Content-addressed artifact store.
 
-    Versioned, integrity-checked binary serialization for the pipeline's
-    three durable artifacts — programs ({!Ssp_ir.Prog.t}), profiles
-    ({!Ssp_profiling.Profile.t}) and adaptation results (adapted program +
-    {!Ssp.Report.t} + prefetch map) — plus an on-disk content-addressed
+    Versioned, integrity-checked binary serialization for the artifacts
+    the cache holds — profiles ({!Ssp_profiling.Profile.t}, kind 2),
+    adaptation results (adapted program + {!Ssp.Report.t} + prefetch map,
+    kind 4) and the feedback plane's reports and tuning state (kinds 5
+    and 6, codecs in [Ssp_feedback]) — plus an on-disk content-addressed
     cache keyed by [hash(program) x hash(profile) x canonicalized adapt
     configuration].
 
@@ -84,14 +85,8 @@ val r_list : Bin.reader -> (Bin.reader -> 'a) -> 'a list
 
 (** {1 Artifact codecs} *)
 
-val encode_program : Ssp_ir.Prog.t -> string
-val decode_program : string -> Ssp_ir.Prog.t
-
 val encode_profile : Ssp_profiling.Profile.t -> string
 val decode_profile : string -> Ssp_profiling.Profile.t
-
-val encode_report : Ssp.Report.t -> string
-val decode_report : string -> Ssp.Report.t
 
 type adapted = {
   prog : Ssp_ir.Prog.t;  (** the adapted binary *)
@@ -196,6 +191,12 @@ module Cache : sig
   (** Raw blob by key: a plain read that leaves the entry's mtime, and
       so its LRU age, alone — what a scan over {!keys} wants. No
       integrity check — use {!get}. *)
+
+  val find_kind : t -> kind:int -> string -> string option
+  (** {!find}, for an entry whose envelope header (magic, format version,
+      artifact kind) names this kind; any other entry is [None] after a
+      15-byte read. No integrity check beyond the header — decode the
+      blob. What a scan for one kind of entry wants. *)
 
   val put : t -> string -> string -> unit
   (** Atomic write-then-rename publication, then LRU eviction. I/O

@@ -101,7 +101,7 @@ let prop_dominators =
             (List.init n Fun.id))
         (List.init n Fun.id))
 
-(* ---------- CFG / loops / control deps on a real function ---------- *)
+(* ---------- CFG / loops on a real function ---------- *)
 
 let loopy_func () =
   (* while (i < n) { if (i % 2) a else b; i++ } *)
@@ -145,19 +145,6 @@ let test_nested_loops () =
     Alcotest.(check int) "parent is the outer loop" 1
       (Loops.find loops p).Loops.depth
   | None -> Alcotest.fail "inner loop has no parent")
-
-let test_ctrldep () =
-  let prog = loopy_func () in
-  let f = Ssp_ir.Prog.find_func prog "main" in
-  let cfg = Cfg.of_func f in
-  let cd = Ctrldep.compute cfg in
-  (* Some block must be control dependent on the loop-exit branch block. *)
-  let any =
-    List.exists
-      (fun b -> Ctrldep.controllers cd b <> [])
-      (List.init (Cfg.n_blocks cfg) Fun.id)
-  in
-  Alcotest.(check bool) "control dependences exist" true any
 
 (* ---------- Reaching definitions ---------- *)
 
@@ -261,122 +248,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dominators;
     Alcotest.test_case "cfg and natural loops" `Quick test_cfg_loops;
     Alcotest.test_case "nested loops" `Quick test_nested_loops;
-    Alcotest.test_case "control dependence" `Quick test_ctrldep;
     Alcotest.test_case "reaching definitions" `Quick test_reaching;
     Alcotest.test_case "loop-carried classification" `Quick
       test_reaching_loop_carried;
     Alcotest.test_case "call graph" `Quick test_callgraph;
     Alcotest.test_case "region graph" `Quick test_regions;
   ]
-
-(* ---------- post-dominators & control dependence ---------- *)
-
-(* naive: a post-dominates b iff removing a disconnects b from every exit. *)
-let naive_postdominates n edges exits a b =
-  if a = b then true
-  else begin
-    let adj = Array.make n [] in
-    List.iter
-      (fun (x, y) -> if x <> a && y <> a then adj.(x) <- y :: adj.(x))
-      edges;
-    let seen = Array.make n false in
-    let rec go v =
-      if (not seen.(v)) && v <> a then begin
-        seen.(v) <- true;
-        List.iter go adj.(v)
-      end
-    in
-    if b <> a then go b;
-    not (List.exists (fun e -> seen.(e) || e = b) (List.filter (fun e -> e <> a) exits))
-    |> fun cut -> cut || not (List.exists (fun e -> seen.(e)) exits || List.mem b exits)
-  end
-
-let prop_postdominators =
-  QCheck.Test.make ~name:"post-dominators match naive definition" ~count:150
-    (QCheck.make random_graph_gen) (fun (n, edges) ->
-      let g = Digraph.make ~n edges in
-      (* exits: nodes with no successors; if none, pick node n-1 *)
-      let exits =
-        let outs = Array.make n 0 in
-        List.iter (fun (a, _) -> outs.(a) <- outs.(a) + 1) edges;
-        let e = List.filter (fun v -> outs.(v) = 0) (List.init n Fun.id) in
-        if e = [] then [ n - 1 ] else e
-      in
-      let pdom = Dom.compute_post g ~exits in
-      (* check against naive on nodes that can reach an exit *)
-      let reaches_exit = Array.make n false in
-      let radj = Array.make n [] in
-      List.iter (fun (a, b) -> radj.(b) <- a :: radj.(b)) edges;
-      let rec mark v =
-        if not reaches_exit.(v) then begin
-          reaches_exit.(v) <- true;
-          List.iter mark radj.(v)
-        end
-      in
-      List.iter mark exits;
-      List.for_all
-        (fun a ->
-          List.for_all
-            (fun b ->
-              if not (reaches_exit.(a) && reaches_exit.(b)) then true
-              else
-                let mine = Dom.dominates pdom a b in
-                (* naive: every path from b to an exit passes through a *)
-                let adj = Array.make n [] in
-                List.iter
-                  (fun (x, y) -> if x <> a then adj.(x) <- y :: adj.(x))
-                  edges;
-                let seen = Array.make n false in
-                let rec go v =
-                  if (not seen.(v)) && v <> a then begin
-                    seen.(v) <- true;
-                    List.iter go adj.(v)
-                  end
-                in
-                if b <> a then go b;
-                let naive =
-                  a = b
-                  || not (List.exists (fun e -> e <> a && seen.(e)) exits)
-                in
-                mine = naive)
-            (List.init n Fun.id))
-        (List.init n Fun.id))
-
-let test_ctrldep_if_then_else () =
-  (* if (c) { A } else { B }; C — A and B control-dependent on the branch
-     block, C not. *)
-  let prog =
-    Ssp_minic.Frontend.compile
-      "int main() { int c = rand() % 2; int x = 0; if (c == 1) { x = 1; } \
-       else { x = 2; } print_int(x); return 0; }"
-  in
-  let f = Ssp_ir.Prog.find_func prog "main" in
-  let cfg = Cfg.of_func f in
-  let cd = Ctrldep.compute cfg in
-  (* find the branch block: the one whose terminator is conditional *)
-  let branch_block = ref (-1) in
-  Array.iteri
-    (fun i (b : Ssp_ir.Prog.block) ->
-      let n = Array.length b.Ssp_ir.Prog.ops in
-      if n > 0 then
-        match b.Ssp_ir.Prog.ops.(n - 1) with
-        | Ssp_isa.Op.Brz _ | Ssp_isa.Op.Brnz _ ->
-          if !branch_block = -1 then branch_block := i
-        | _ -> ())
-    f.Ssp_ir.Prog.blocks;
-  Alcotest.(check bool) "found a branch" true (!branch_block >= 0);
-  let controlled =
-    List.filter
-      (fun b -> List.mem !branch_block (Ctrldep.controllers cd b))
-      (List.init (Cfg.n_blocks cfg) Fun.id)
-  in
-  Alcotest.(check bool) "branch controls at least two blocks" true
-    (List.length controlled >= 2)
-
-let suite =
-  suite
-  @ [
-      QCheck_alcotest.to_alcotest prop_postdominators;
-      Alcotest.test_case "control dependence if/then/else" `Quick
-        test_ctrldep_if_then_else;
-    ]

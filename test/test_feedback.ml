@@ -432,6 +432,30 @@ let test_tune_store_deterministic () =
   | other ->
     Alcotest.failf "expected one tuned workload, got %d" (List.length other)
 
+(* The store scan decides each entry's kind from its envelope header and
+   reads whole only the feedback reports: the profile, adapted and
+   aggregate blobs are skipped, and a report truncated mid-payload is
+   read and rejected. *)
+let test_scan_finds_only_reports () =
+  with_temp_cache @@ fun cache ->
+  let config = Ssp_machine.Config.in_order in
+  let prog = Workload.program (Suite.find "mcf") ~scale:Suite.test_scale in
+  let profile, _ = Store.cached_profile ~cache ~config prog in
+  ignore (Store.run_cached ~cache ~config prog profile);
+  Store.Cache.put cache
+    (Fb.aggregate_key ~config prog profile)
+    (Fb.encode_aggregate Fb.empty_aggregate);
+  let valid = report ~cycles:7 [ load_stat (iref "f" 1 2) ~issued:3 ] in
+  let blob = Fb.encode_report valid in
+  Store.Cache.put cache (Fb.report_store_key blob) blob;
+  let torn = Fb.encode_report (report ~cycles:8 []) in
+  Store.Cache.put cache (String.make 32 't')
+    (String.sub torn 0 (String.length torn / 2));
+  Alcotest.(check int) "five entries" 5 (Store.Cache.entry_count cache);
+  match Fb.reports_in_store cache with
+  | [ r ] -> Alcotest.(check bool) "the valid report" true (r = valid)
+  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
+
 (* A report naming no known pipeline is the library's structured error
    when a store walk reaches it, not an in-order tuning round. *)
 let test_tune_store_unknown_pipeline () =
@@ -474,6 +498,8 @@ let suite =
       test_e2e_loop;
     Alcotest.test_case "offline tune_store matches direct round" `Slow
       test_tune_store_deterministic;
+    Alcotest.test_case "store scan returns only the valid report" `Quick
+      test_scan_finds_only_reports;
     Alcotest.test_case "tune_store: unknown pipeline is a structured error"
       `Quick test_tune_store_unknown_pipeline;
     Alcotest.test_case "tune_store: unknown workload is a structured error"

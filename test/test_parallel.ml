@@ -16,11 +16,7 @@ let test_map_matches_sequential () =
       Alcotest.(check (array int))
         "map_array"
         (Array.map (fun i -> i * i) (Array.of_list xs))
-        (Pool.map_array pool (fun i -> i * i) (Array.of_list xs));
-      Alcotest.(check (list int))
-        "mapi"
-        (List.mapi (fun i x -> i + x) xs)
-        (Pool.mapi pool (fun i x -> i + x) xs))
+        (Pool.map_array pool (fun i -> i * i) (Array.of_list xs)))
 
 (* Skew the per-task work so completion order differs wildly from input
    order; results must still come back in input order. *)
@@ -83,14 +79,6 @@ let test_exception_backtrace_preserved () =
         if not mentions_worker then
           Alcotest.failf "backtrace lost the worker's frames:@.%s" bt)
 
-let test_map_reduce () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let xs = List.init 101 Fun.id in
-      Alcotest.(check int)
-        "sum of squares"
-        (List.fold_left (fun a i -> a + (i * i)) 0 xs)
-        (Pool.map_reduce pool ~map:(fun i -> i * i) ~reduce:( + ) 0 xs))
-
 let test_run_side_effects () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let slots = Array.make 32 0 in
@@ -100,6 +88,41 @@ let test_run_side_effects () =
         "every task ran once"
         (Array.init 32 (fun i -> i + 1))
         slots)
+
+(* The daemon's shape: one long-lived pool, one batch per select round.
+   Batches of 1-40 tasks of uneven cost follow each other with no pause,
+   so workers still leaving one batch race the next one's start. Every
+   task must run exactly once, in its own batch, and each batch's results
+   come back in input order. *)
+let test_many_batches () =
+  let rec spin n = if n > 0 then spin (n - 1) in
+  let batches = 5_000 in
+  let rng = Random.State.make [| 24 |] in
+  let sizes = Array.init batches (fun _ -> 1 + Random.State.int rng 40) in
+  let runs =
+    Array.map (fun n -> Array.init n (fun _ -> Atomic.make 0)) sizes
+  in
+  Pool.with_pool ~jobs:4 (fun pool ->
+      Array.iteri
+        (fun b n ->
+          let xs = List.init n (fun i -> (b, i)) in
+          let f (b, i) =
+            Atomic.incr runs.(b).(i);
+            spin ((((b * 7) + i) mod 5) * 2_000);
+            (b * 100) + i
+          in
+          let got = Pool.map pool f xs in
+          if got <> List.map (fun (b, i) -> (b * 100) + i) xs then
+            Alcotest.failf "batch %d: results out of input order" b)
+        sizes);
+  Array.iteri
+    (fun b counts ->
+      Array.iteri
+        (fun i c ->
+          if Atomic.get c <> 1 then
+            Alcotest.failf "batch %d task %d ran %d times" b i (Atomic.get c))
+        counts)
+    runs
 
 (* Concurrent counter increments from N domains must sum exactly: each
    pool worker mutates its own domain-local shard unsynchronized, and the
@@ -203,9 +226,10 @@ let suite =
       test_exception_lowest_index;
     Alcotest.test_case "exception keeps worker backtrace" `Quick
       test_exception_backtrace_preserved;
-    Alcotest.test_case "map_reduce" `Quick test_map_reduce;
     Alcotest.test_case "run executes every task once" `Quick
       test_run_side_effects;
+    Alcotest.test_case "one pool runs 5,000 uneven batches" `Quick
+      test_many_batches;
     Alcotest.test_case "sharded counters sum exactly" `Quick
       test_sharded_counters;
     Alcotest.test_case "jobs=4 byte-identical: mcf" `Slow

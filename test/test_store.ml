@@ -10,6 +10,24 @@ let config = Ssp_machine.Config.in_order
 
 let program_of w = Workload.program w ~scale:Suite.test_scale
 
+(* The store keeps a program only inside an adapted blob: this one
+   carries [prog] with an empty report and prefetch map. *)
+let carrying prog =
+  {
+    Store.prog;
+    report =
+      {
+        Ssp.Report.slices = [];
+        n_delinquent = 0;
+        coverage = 0.;
+        diagnostics = [];
+      };
+    prefetch_map = Ssp_ir.Iref.Map.empty;
+  }
+
+let encode_program prog = Store.encode_adapted (carrying prog)
+let decode_program blob = (Store.decode_adapted blob).Store.prog
+
 let raises_store_error f =
   match f () with
   | _ -> false
@@ -26,11 +44,11 @@ let roundtrip ~what encode decode blob =
 
 let test_program_roundtrip (w : Workload.t) () =
   let prog = program_of w in
-  let blob = Store.encode_program prog in
-  roundtrip ~what:"program" Store.encode_program Store.decode_program blob;
+  let blob = encode_program prog in
+  roundtrip ~what:"program" encode_program decode_program blob;
   (* The decoded program is the same program: same functional outputs. *)
   let a = Ssp_sim.Funcsim.run prog in
-  let b = Ssp_sim.Funcsim.run (Store.decode_program blob) in
+  let b = Ssp_sim.Funcsim.run (decode_program blob) in
   Alcotest.(check (list int64))
     "decoded program computes the same outputs" a.Ssp_sim.Funcsim.outputs
     b.Ssp_sim.Funcsim.outputs
@@ -45,8 +63,6 @@ let test_report_and_adapted_roundtrip (w : Workload.t) () =
   let prog = program_of w in
   let profile = Ssp_profiling.Collect.collect prog in
   let result = Ssp.Adapt.run ~config prog profile in
-  let rblob = Store.encode_report result.Ssp.Adapt.report in
-  roundtrip ~what:"report" Store.encode_report Store.decode_report rblob;
   let adapted =
     {
       Store.prog = result.Ssp.Adapt.prog;
@@ -55,6 +71,10 @@ let test_report_and_adapted_roundtrip (w : Workload.t) () =
     }
   in
   let ablob = Store.encode_adapted adapted in
+  roundtrip ~what:"report"
+    (fun report -> Store.encode_adapted { adapted with Store.report })
+    (fun blob -> (Store.decode_adapted blob).Store.report)
+    ablob;
   roundtrip ~what:"adapted" Store.encode_adapted Store.decode_adapted ablob;
   let back = Store.decode_adapted ablob in
   Alcotest.(check bool)
@@ -67,7 +87,7 @@ let test_rejects_corruption () =
   let prog = program_of (Suite.find "em3d") in
   let profile = Ssp_profiling.Collect.collect prog in
   List.iter
-    (fun (what, blob) ->
+    (fun (what, blob, decode) ->
       let len = String.length blob in
       (* Truncation at the magic, inside the header, mid-payload, and
          one byte short of complete. *)
@@ -76,8 +96,7 @@ let test_rejects_corruption () =
           Alcotest.(check bool)
             (Printf.sprintf "%s truncated at %d rejected" what cut)
             true
-            (raises_store_error (fun () ->
-                 Store.decode_program (String.sub blob 0 cut))))
+            (raises_store_error (fun () -> decode (String.sub blob 0 cut))))
         [ 0; 3; 7; len / 2; len - 1 ];
       (* A single flipped bit anywhere breaks either a header check or
          the content hash. *)
@@ -89,19 +108,19 @@ let test_rejects_corruption () =
           Alcotest.(check bool)
             (Printf.sprintf "%s bit-flipped at %d rejected" what pos)
             true
-            (raises_store_error (fun () ->
-                 ignore (Store.decode_program flipped);
-                 ignore (Store.decode_profile flipped))))
+            (raises_store_error (fun () -> decode flipped)))
         [ 0; 5; 10; len / 2; len - 3 ])
     [
-      ("program", Store.encode_program prog);
-      ("profile", Store.encode_profile profile);
+      ("adapted", encode_program prog, fun b -> ignore (decode_program b));
+      ( "profile",
+        Store.encode_profile profile,
+        fun b -> ignore (Store.decode_profile b) );
     ];
-  (* Kind confusion: a valid profile blob is not a program. *)
+  (* Kind confusion: a valid profile blob is not an adapted result. *)
   Alcotest.(check bool)
     "wrong artifact kind rejected" true
     (raises_store_error (fun () ->
-         Store.decode_program (Store.encode_profile profile)))
+         Store.decode_adapted (Store.encode_profile profile)))
 
 let with_temp_cache ?max_bytes f =
   let dir = Filename.temp_dir "sspc_store_test" "" in
@@ -136,6 +155,10 @@ let test_run_cached_hit_identical () =
   let prog = program_of (Suite.find "em3d") in
   let profile = Ssp_profiling.Collect.collect prog in
   let clean = Ssp.Adapt.run ~config prog profile in
+  let report_blob (r : Ssp.Adapt.result) =
+    Store.encode_adapted
+      { (carrying prog) with Store.report = r.Ssp.Adapt.report }
+  in
   let cold, s1 = Store.run_cached ~cache ~config prog profile in
   let warm, s2 = Store.run_cached ~cache ~config prog profile in
   Alcotest.(check string) "first lookup misses" "miss" (status_string s1);
@@ -151,9 +174,7 @@ let test_run_cached_hit_identical () =
       Alcotest.(check bool)
         (what ^ " report identical")
         true
-        (String.equal
-           (Store.encode_report clean.Ssp.Adapt.report)
-           (Store.encode_report r.Ssp.Adapt.report)))
+        (String.equal (report_blob clean) (report_blob r)))
     [ ("cold", cold); ("warm", warm) ];
   Alcotest.(check bool)
     "hit re-identifies the delinquent loads" true
@@ -291,7 +312,7 @@ let test_crash_during_put site () =
   let dir = Store.Cache.dir cache in
   let key = String.make 32 'a' in
   let prog = program_of (Suite.find "em3d") in
-  let blob = Store.encode_program prog in
+  let blob = encode_program prog in
   F.with_plan (F.make ~seed:7 [ (site, F.spec ~limit:1 1.0) ]) (fun () ->
       Store.Cache.put cache key blob);
   Alcotest.(check bool)
@@ -303,7 +324,7 @@ let test_crash_during_put site () =
   Alcotest.(check bool)
     (site ^ ": get through decode never errors")
     true
-    (Store.Cache.get cache key ~decode:Store.decode_program = None);
+    (Store.Cache.get cache key ~decode:Store.decode_adapted = None);
   Alcotest.(check int)
     (site ^ ": exactly one orphaned tmp left behind")
     1
@@ -350,7 +371,7 @@ let test_fsck () =
   with_temp_cache @@ fun cache ->
   let dir = Store.Cache.dir cache in
   let prog = program_of (Suite.find "em3d") in
-  let good1 = Store.encode_program prog in
+  let good1 = encode_program prog in
   let good2 = Store.encode_profile (Ssp_profiling.Collect.collect prog) in
   Store.Cache.put cache (String.make 32 'a') good1;
   Store.Cache.put cache (String.make 32 'b') good2;
