@@ -397,9 +397,12 @@ let serve ?ready cfg =
   @@ fun { Server.fds = listeners; tcp_port; _ } ->
   (match ready with Some f -> f ~tcp_port | None -> ());
   let running = Atomic.make true in
+  (* The open connections and their threads. A connection leaves when it
+     closes, so a router keeps nothing for the connections it served
+     (a client opens one per request); shutdown joins the ones still
+     open. *)
   let conns_mu = Mutex.create () in
-  let conns : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 16 in
-  let conn_threads : Thread.t list ref = ref [] in
+  let conns : (Unix.file_descr, Thread.t) Hashtbl.t = Hashtbl.create 16 in
   (* Blocked threads cannot be woken by closing their fd out from under
      them (and the fd number could be recycled by a concurrent connect),
      so [stop] only flips the flag: every loop select-ticks on it and
@@ -588,10 +591,10 @@ let serve ?ready cfg =
         | afd, _ ->
           (try Unix.setsockopt afd Unix.TCP_NODELAY true
            with Unix.Unix_error _ | Invalid_argument _ -> ());
-          Mutex.lock conns_mu;
-          Hashtbl.replace conns afd ();
-          conn_threads := Thread.create conn_loop afd :: !conn_threads;
-          Mutex.unlock conns_mu
+          (* Under the lock, so the thread cannot leave the table
+             before it is in it. *)
+          Mutex.protect conns_mu (fun () ->
+              Hashtbl.replace conns afd (Thread.create conn_loop afd))
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error _ -> continue := false
@@ -602,7 +605,6 @@ let serve ?ready cfg =
   (* stop() has run and the acceptors are gone; conn threads notice the
      flag within one select tick, the prober within one probe tick. *)
   Thread.join prober_t;
-  Mutex.lock conns_mu;
-  let threads = !conn_threads in
-  Mutex.unlock conns_mu;
-  List.iter Thread.join threads
+  Mutex.protect conns_mu (fun () ->
+      Hashtbl.fold (fun _ th acc -> th :: acc) conns [])
+  |> List.iter Thread.join

@@ -279,16 +279,20 @@ let decode_aggregate blob =
   Bin.expect_end r;
   { empty_aggregate with ag_version; ag_overrides; ag_last_action }
 
-let aggregate_key ~config prog profile =
+let aggregate_key_of_hashes ~config prog_hash profile_hash =
   Store.cache_key
     [
       "feedback";
       string_of_int Store.format_version;
-      Store.hash_program prog;
-      Store.hash_profile profile;
+      prog_hash;
+      profile_hash;
       Ssp_machine.Config.fingerprint config;
       Ssp.Adapt.knobs_string Ssp.Adapt.default_knobs;
     ]
+
+let aggregate_key ~config prog profile =
+  aggregate_key_of_hashes ~config (Store.hash_program prog)
+    (Store.hash_profile profile)
 
 let find_aggregate cache key =
   Store.Cache.get cache key ~decode:decode_aggregate
@@ -299,30 +303,49 @@ type served = {
   sv_profile : Ssp_profiling.Profile.t;
   sv_result : Ssp.Adapt.result;
   sv_status : [ `Hit | `Miss | `Off ];
-  sv_tuning : (int * Ssp.Adapt.overrides) option;
+  sv_keys : string list;
 }
 
 (* Version 0 (or no aggregate at all) serves the untuned artifact under
    the original cache key; any later version serves the immutable
    version-stamped artifact the tuner published. The status is the adapt
    lookup's: that is the expensive artifact, and the one whose hit makes
-   the reply byte-identical-but-fast. *)
+   the reply byte-identical-but-fast. One hash of the program and one of
+   the profile name all three entries, since hashing prints the whole
+   program. *)
 let adapt ?cache ?jobs ~config prog =
-  let profile, _ = Store.cached_profile ?cache ~config prog in
-  let tuning =
-    match cache with
-    | None -> None
-    | Some c -> (
-      match find_aggregate c (aggregate_key ~config prog profile) with
+  match cache with
+  | None ->
+    let profile = Ssp_profiling.Collect.collect ~config prog in
+    let result = Ssp.Adapt.run ?jobs ~config prog profile in
+    { sv_profile = profile; sv_result = result; sv_status = `Off;
+      sv_keys = [] }
+  | Some c ->
+    let prog_hash = Store.hash_program prog in
+    let profile_key = Store.profile_key_of_hash ~config prog_hash in
+    let profile, _ =
+      Store.cached_profile_at c ~key:profile_key ~config prog
+    in
+    let profile_hash = Store.hash_profile profile in
+    let agg_key = aggregate_key_of_hashes ~config prog_hash profile_hash in
+    let tuning =
+      match find_aggregate c agg_key with
       | Some agg when agg.ag_version > 0 ->
         Some (agg.ag_version, agg.ag_overrides)
-      | Some _ | None -> None)
-  in
-  let result, status =
-    Store.run_cached ?cache ?jobs ?tuning ~config prog profile
-  in
-  { sv_profile = profile; sv_result = result; sv_status = status;
-    sv_tuning = tuning }
+      | Some _ | None -> None
+    in
+    let adapted_key =
+      Store.adapted_key_of_hashes
+        ?tuning:
+          (Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning)
+        ~config prog_hash profile_hash
+    in
+    let result, status =
+      Store.run_cached_at c ~key:adapted_key ?jobs
+        ?overrides:(Option.map snd tuning) ~config prog profile
+    in
+    { sv_profile = profile; sv_result = result; sv_status = status;
+      sv_keys = [ profile_key; adapted_key ] }
 
 (* ---- derived ratios ---- *)
 
@@ -483,10 +506,11 @@ type workload = Suite.program * int * string
 
 let workload_of rep = (rep.fr_prog, rep.fr_scale, rep.fr_pipeline)
 
+let reports_of w reports = List.filter (fun r -> workload_of r = w) reports
+
 let fold_workload cache ~key w =
-  reports_in_store cache
-  |> List.filter (fun r -> workload_of r = w)
-  |> fold_reports (published (Some cache) key)
+  fold_reports (published (Some cache) key)
+    (reports_of w (reports_in_store cache))
 
 let config_of_pipeline name =
   match Ssp_machine.Config.of_pipeline_name name with
@@ -502,13 +526,13 @@ type store_tune = {
   st_tuned : tuned option;
 }
 
-let tune_workload ?min_reports ?min_samples cache ((id, scale, pipeline) as w)
-    =
+(* One round on one workload's persisted reports. *)
+let tune_on ?min_reports ?min_samples cache (id, scale, pipeline) reports =
   let config = config_of_pipeline pipeline in
   let prog = Suite.compile ~pass:"feedback" id ~scale in
   let profile, _ = Store.cached_profile ~cache ~config prog in
   let key = aggregate_key ~config prog profile in
-  let fold = fold_workload cache ~key w in
+  let fold = fold_reports (published (Some cache) key) reports in
   let tuned =
     tune_fold ~cache ?min_reports ?min_samples ~config ~key prog profile fold
   in
@@ -521,11 +545,18 @@ let tune_workload ?min_reports ?min_samples cache ((id, scale, pipeline) as w)
     st_tuned = tuned;
   }
 
+let tune_workload ?min_reports ?min_samples cache w =
+  tune_on ?min_reports ?min_samples cache w
+    (reports_of w (reports_in_store cache))
+
+(* One scan of the store per round: rounds publish aggregates and
+   artifacts, never reports, so every workload's reports are read once. *)
 let tune_store ?min_reports ?min_samples cache =
-  reports_in_store cache
-  |> List.map workload_of
+  let reports = reports_in_store cache in
+  List.map workload_of reports
   |> List.sort_uniq compare
-  |> List.map (tune_workload ?min_reports ?min_samples cache)
+  |> List.map (fun w ->
+         tune_on ?min_reports ?min_samples cache w (reports_of w reports))
 
 (* ---- the explain view ---- *)
 

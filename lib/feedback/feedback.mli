@@ -159,8 +159,9 @@ type served = {
   sv_result : Ssp.Adapt.result;
   sv_status : [ `Hit | `Miss | `Off ];
       (** the adapt lookup's status; [`Off] without a store *)
-  sv_tuning : (int * Ssp.Adapt.overrides) option;
-      (** the published version served, [None] for the untuned artifact *)
+  sv_keys : string list;
+      (** the store keys of the profile and the result served, [] without
+          a store: what the daemon reads back to replicate *)
 }
 
 val adapt :
@@ -171,9 +172,11 @@ val adapt :
   served
 (** Profile, then adapt at the store's published version: the one
     function behind [sspc adapt], [sim], [explain] and [stats] and the
-    daemon's [Adapt] and [Sim] requests. With a [cache] the profile and
-    the result go through {!Ssp_store.Store.cached_profile} and
-    {!Ssp_store.Store.run_cached}, and an aggregate at version N > 0
+    daemon's [Adapt] and [Sim] requests. With a [cache] it hashes the
+    program and the profile once each, keys the profile, the published
+    state and the result from those hashes, and goes through
+    {!Ssp_store.Store.cached_profile_at} and
+    {!Ssp_store.Store.run_cached_at}; an aggregate at version N > 0
     selects the immutable version-N artifact. Without one it is exactly
     [Collect.collect ~config] then [Adapt.run ~config]. *)
 
@@ -306,7 +309,8 @@ val tune_store :
   Ssp_store.Store.Cache.t ->
   store_tune list
 (** {!tune_workload} on every workload with a persisted report, in
-    canonical identity order. *)
+    canonical identity order, from one scan of the store: each round
+    folds its own workload's reports. *)
 
 (** {1 The explain view} ([sspc explain --feedback]) *)
 

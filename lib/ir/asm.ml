@@ -6,23 +6,30 @@ let err line fmt = Format.kasprintf (fun m -> raise (Error (m, line))) fmt
 
 (* ---------- printing ---------- *)
 
-let print ppf (p : Prog.t) =
-  Format.fprintf ppf "@[<v>; ssp virtual-ISA assembly@,entry %s@,data %d@,@,"
-    p.Prog.entry p.Prog.data_bytes;
+(* The one program printer. Every key, blob and reply carries these
+   bytes, so a change to them forks every existing store. *)
+let to_string (p : Prog.t) =
+  let b = Buffer.create 4096 in
+  let str = Buffer.add_string b in
+  let num n = str (string_of_int n) in
+  str "; ssp virtual-ISA assembly\nentry "; str p.Prog.entry;
+  str "\ndata "; num p.Prog.data_bytes; str "\n\n";
   List.iter
     (fun (f : Prog.func) ->
-      Format.fprintf ppf "func %s/%d @@%d {@," f.Prog.name f.Prog.nparams
-        f.Prog.code_id;
+      str "func "; str f.Prog.name; str "/"; num f.Prog.nparams;
+      str " @"; num f.Prog.code_id; str " {\n";
       Array.iter
-        (fun (b : Prog.block) ->
-          Format.fprintf ppf "%s:@," b.Prog.label;
-          Array.iter (fun op -> Format.fprintf ppf "  %a@," Op.pp op) b.Prog.ops)
+        (fun (blk : Prog.block) ->
+          str blk.Prog.label; str ":\n";
+          Array.iter
+            (fun op -> str "  "; Op.add_to_buffer b op; str "\n")
+            blk.Prog.ops)
         f.Prog.blocks;
-      Format.fprintf ppf "}@,@,")
+      str "}\n\n")
     (Prog.funcs_in_order p);
-  Format.fprintf ppf "@]"
+  Buffer.contents b
 
-let to_string p = Format.asprintf "%a" print p
+let print ppf p = Format.pp_print_string ppf (to_string p)
 
 (* ---------- parsing ---------- *)
 

@@ -22,8 +22,14 @@
 
 exception Error of string * int  (** message, 1-based line *)
 
-val print : Format.formatter -> Prog.t -> unit
 val to_string : Prog.t -> string
+(** The one program printer: the text above, built in one buffer with
+    {!Ssp_isa.Op.add_to_buffer}. Store keys hash these bytes
+    ([Ssp_store.Store.hash_program]) and blobs and replies carry them,
+    so they must not change. *)
+
+val print : Format.formatter -> Prog.t -> unit
+(** The text of {!to_string}. *)
 
 val parse : string -> Prog.t
 (** Raises {!Error} on malformed input. The result is validated with

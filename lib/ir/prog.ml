@@ -73,20 +73,6 @@ let addr_of f (r : Iref.t) =
   done;
   !a + r.ins
 
-let pp_func ppf f =
-  Format.fprintf ppf "@[<v>func %s(%d):@," f.name f.nparams;
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "%s:@," b.label;
-      Array.iter (fun op -> Format.fprintf ppf "  %a@," Ssp_isa.Op.pp op) b.ops)
-    f.blocks;
-  Format.fprintf ppf "@]"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>;; entry %s, data %d bytes@," t.entry t.data_bytes;
-  List.iter (fun f -> Format.fprintf ppf "%a@," pp_func f) (funcs_in_order t);
-  Format.fprintf ppf "@]"
-
 let copy t =
   let funcs = Hashtbl.create (Hashtbl.length t.funcs) in
   Hashtbl.iter

@@ -59,9 +59,6 @@ val addr_of : func -> Iref.t -> int
 (** Linearized position of an instruction within its function — the
     "instruction address" used for scheduling tie-breaks. *)
 
-val pp_func : Format.formatter -> func -> unit
-val pp : Format.formatter -> t -> unit
-
 val copy : t -> t
 (** Deep copy (blocks and instruction arrays are fresh); adaptation
     mutates programs in place, so experiments copy first. *)

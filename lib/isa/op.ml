@@ -143,39 +143,69 @@ let cmp_name = function
 
 let width_name = function W1 -> "1" | W2 -> "2" | W4 -> "4" | W8 -> "8"
 
-let pp ppf op =
-  let r = Reg.pp in
-  match op with
-  | Nop -> Format.fprintf ppf "nop"
-  | Movi (d, i) -> Format.fprintf ppf "movi %a, %Ld" r d i
-  | Mov (d, s) -> Format.fprintf ppf "mov %a, %a" r d r s
-  | Alu (o, d, a, b) ->
-    Format.fprintf ppf "%s %a, %a, %a" (alu_name o) r d r a r b
-  | Alui (o, d, a, i) ->
-    Format.fprintf ppf "%si %a, %a, %Ld" (alu_name o) r d r a i
-  | Cmp (o, d, a, b) ->
-    Format.fprintf ppf "cmp.%s %a, %a, %a" (cmp_name o) r d r a r b
-  | Cmpi (o, d, a, i) ->
-    Format.fprintf ppf "cmpi.%s %a, %a, %Ld" (cmp_name o) r d r a i
-  | Load (w, d, b, off) ->
-    Format.fprintf ppf "ld%s %a, [%a%+d]" (width_name w) r d r b off
-  | Store (w, s, b, off) ->
-    Format.fprintf ppf "st%s [%a%+d], %a" (width_name w) r b off r s
-  | Lfetch (b, off) -> Format.fprintf ppf "lfetch [%a%+d]" r b off
-  | Br l -> Format.fprintf ppf "br %s" l
-  | Brnz (s, l) -> Format.fprintf ppf "brnz %a, %s" r s l
-  | Brz (s, l) -> Format.fprintf ppf "brz %a, %s" r s l
-  | Call (f, n) -> Format.fprintf ppf "call %s/%d" f n
-  | Icall (s, n) -> Format.fprintf ppf "icall %a/%d" r s n
-  | Ret -> Format.fprintf ppf "ret"
-  | Halt -> Format.fprintf ppf "halt"
-  | Chk_c l -> Format.fprintf ppf "chk.c %s" l
-  | Spawn (f, l) -> Format.fprintf ppf "spawn %s:%s" f l
-  | Kill -> Format.fprintf ppf "kill"
-  | Lib_st (slot, s) -> Format.fprintf ppf "lib.st #%d, %a" slot r s
-  | Lib_ld (d, slot) -> Format.fprintf ppf "lib.ld %a, #%d" r d slot
-  | Alloc (d, s) -> Format.fprintf ppf "alloc %a, %a" r d r s
-  | Print s -> Format.fprintf ppf "print %a" r s
-  | Rand d -> Format.fprintf ppf "rand %a" r d
+(* The one instruction printer: [Asm.to_string] appends every op of a
+   program to one buffer, and [pp] and [to_string] emit the same text. *)
+let str = Buffer.add_string
+let num b n = str b (string_of_int n)
+let imm b i = str b (Int64.to_string i)
 
-let to_string op = Format.asprintf "%a" pp op
+let reg b r =
+  Buffer.add_char b 'r';
+  num b r
+
+(* ", rN": every operand after the first. *)
+let next_reg b r =
+  str b ", ";
+  reg b r
+
+(* "[rB+off]": the offset always carries its sign. *)
+let mem b base off =
+  str b "[";
+  reg b base;
+  if off >= 0 then str b "+";
+  num b off;
+  str b "]"
+
+let add_to_buffer b op =
+  match op with
+  | Nop -> str b "nop"
+  | Movi (d, i) -> str b "movi "; reg b d; str b ", "; imm b i
+  | Mov (d, x) -> str b "mov "; reg b d; next_reg b x
+  | Alu (o, d, x, y) ->
+    str b (alu_name o); str b " "; reg b d; next_reg b x; next_reg b y
+  | Alui (o, d, x, i) ->
+    str b (alu_name o); str b "i "; reg b d; next_reg b x; str b ", "; imm b i
+  | Cmp (o, d, x, y) ->
+    str b "cmp."; str b (cmp_name o); str b " "; reg b d; next_reg b x;
+    next_reg b y
+  | Cmpi (o, d, x, i) ->
+    str b "cmpi."; str b (cmp_name o); str b " "; reg b d; next_reg b x;
+    str b ", "; imm b i
+  | Load (w, d, base, off) ->
+    str b "ld"; str b (width_name w); str b " "; reg b d; str b ", ";
+    mem b base off
+  | Store (w, x, base, off) ->
+    str b "st"; str b (width_name w); str b " "; mem b base off; next_reg b x
+  | Lfetch (base, off) -> str b "lfetch "; mem b base off
+  | Br l -> str b "br "; str b l
+  | Brnz (x, l) -> str b "brnz "; reg b x; str b ", "; str b l
+  | Brz (x, l) -> str b "brz "; reg b x; str b ", "; str b l
+  | Call (f, n) -> str b "call "; str b f; str b "/"; num b n
+  | Icall (x, n) -> str b "icall "; reg b x; str b "/"; num b n
+  | Ret -> str b "ret"
+  | Halt -> str b "halt"
+  | Chk_c l -> str b "chk.c "; str b l
+  | Spawn (f, l) -> str b "spawn "; str b f; str b ":"; str b l
+  | Kill -> str b "kill"
+  | Lib_st (slot, x) -> str b "lib.st #"; num b slot; next_reg b x
+  | Lib_ld (d, slot) -> str b "lib.ld "; reg b d; str b ", #"; num b slot
+  | Alloc (d, x) -> str b "alloc "; reg b d; next_reg b x
+  | Print x -> str b "print "; reg b x
+  | Rand d -> str b "rand "; reg b d
+
+let to_string op =
+  let b = Buffer.create 32 in
+  add_to_buffer b op;
+  Buffer.contents b
+
+let pp ppf op = Format.pp_print_string ppf (to_string op)

@@ -78,5 +78,13 @@ val branch_targets : t -> label list
 val alu_eval : alu -> int64 -> int64 -> int64
 val cmp_eval : cmp -> int64 -> int64 -> bool
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the instruction's assembly text ([ld8 r32, [r33+8]]): the one
+    instruction printer. Registers print as [rN], immediates in decimal,
+    and a memory offset always carries its sign. *)
+
 val pp : Format.formatter -> t -> unit
+(** The text of {!add_to_buffer}. *)
+
 val to_string : t -> string
+(** The text of {!add_to_buffer}. *)

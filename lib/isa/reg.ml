@@ -15,4 +15,3 @@ let is_valid r = r >= 0 && r < count
 let is_stacked r = r >= first_stacked && r < count
 let is_static r = r >= 0 && r < first_stacked
 let pp ppf r = Format.fprintf ppf "r%d" r
-let to_string r = Printf.sprintf "r%d" r

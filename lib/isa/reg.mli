@@ -47,5 +47,3 @@ val is_valid : t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [rN]. *)
-
-val to_string : t -> string

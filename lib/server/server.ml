@@ -124,27 +124,20 @@ let feedback_version_max = ref 0
 let feedback_rounds = ref 0
 
 (* The (key, sealed blob) pairs an adapt reply was built from, read
-   straight back off the cache — what the router writes through to the
-   replica shard. Missing entries (no cache, eviction racing us) just
-   drop out: replication is best-effort by design. *)
-let artifacts_of cache ~config ~ask prog (sv : Feedback.served) =
+   straight back off the cache under the keys the request named them by
+   — what the router writes through to the replica shard. Missing
+   entries (no cache, eviction racing us) just drop out: replication is
+   best-effort by design. *)
+let artifacts_of cache ~ask (sv : Feedback.served) =
   match cache with
   | Some cache
     when ask = Proto.artifacts_always
          || (ask = Proto.artifacts_on_miss && sv.Feedback.sv_status = `Miss)
     ->
-    let tuning =
-      Option.map
-        (fun (v, ov) -> (v, Ssp.Adapt.overrides_string ov))
-        sv.Feedback.sv_tuning
-    in
     List.filter_map
       (fun key ->
         Option.map (fun blob -> (key, blob)) (Store.Cache.find cache key))
-      [
-        Store.profile_key ~config prog;
-        Store.adapted_key ?tuning ~config prog sv.Feedback.sv_profile;
-      ]
+      sv.Feedback.sv_keys
   | _ -> []
 
 let error_reply (e : Ssp_ir.Error.info) =
@@ -171,10 +164,10 @@ let handle_env cfg ~ask req =
           {
             report =
               Format.asprintf "%a@." Ssp.Report.pp result.Ssp.Adapt.report;
-            asm = Format.asprintf "%a@." Ssp_ir.Asm.print result.Ssp.Adapt.prog;
+            asm = Ssp_ir.Asm.to_string result.Ssp.Adapt.prog ^ "\n";
             cache = Store.status_string sv.Feedback.sv_status;
           },
-        artifacts_of cfg.cache ~config ~ask prog sv )
+        artifacts_of cfg.cache ~ask sv )
     | Proto.Sim { prog; scale; pipeline; ssp; tenant = _ } ->
       let config = config_of_pipeline pipeline in
       let prog = Suite.compile ~pass:"server" prog ~scale in

@@ -477,9 +477,18 @@ let crash_partial_write = F.site "store.put.crash_partial_write"
 let crash_pre_rename = F.site "store.put.crash_pre_rename"
 
 module Cache = struct
-  (* [evictions] is atomic because [put] (and so [evict]) runs on pool
-     domains when the server fans a batch out. *)
-  type t = { dir : string; max_bytes : int; evictions : int Atomic.t }
+  (* [bytes] is the entries' total size as this handle keeps it: [open_dir]
+     counts it with one scan, and [put], [remove], [fsck] and eviction
+     adjust it under [mu], so a put costs the same at any store size.
+     [put] runs on pool domains when the server fans a batch out, hence
+     the lock and the atomic [evictions]. *)
+  type t = {
+    dir : string;
+    max_bytes : int;
+    evictions : int Atomic.t;
+    mu : Mutex.t;
+    mutable bytes : int;
+  }
 
   let default_dir () =
     match Sys.getenv_opt "SSPC_CACHE_DIR" with
@@ -533,17 +542,6 @@ module Cache = struct
           else acc)
         0 names
 
-  let open_dir ?(max_bytes = 256 * 1024 * 1024)
-      ?(sweep_grace_s = default_sweep_grace_s) dir =
-    mkdir_p dir;
-    let t = { dir; max_bytes = max 0 max_bytes; evictions = Atomic.make 0 } in
-    ignore (sweep ~grace_s:sweep_grace_s t);
-    t
-
-  let dir t = t.dir
-  let evictions t = Atomic.get t.evictions
-  let path t key = Filename.concat t.dir (key ^ ".blob")
-
   let entries t =
     match Sys.readdir t.dir with
     | exception Sys_error _ -> []
@@ -558,8 +556,30 @@ module Cache = struct
                | _ | (exception Unix.Unix_error _) -> None
              else None)
 
-  let size_bytes t = List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 (entries t)
+  let total es = List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 es
+
+  let open_dir ?(max_bytes = 256 * 1024 * 1024)
+      ?(sweep_grace_s = default_sweep_grace_s) dir =
+    mkdir_p dir;
+    let t =
+      { dir; max_bytes = max 0 max_bytes; evictions = Atomic.make 0;
+        mu = Mutex.create (); bytes = 0 }
+    in
+    ignore (sweep ~grace_s:sweep_grace_s t);
+    t.bytes <- total (entries t);
+    t
+
+  let dir t = t.dir
+  let evictions t = Atomic.get t.evictions
+  let path t key = Filename.concat t.dir (key ^ ".blob")
+  let size_bytes t = Mutex.protect t.mu (fun () -> t.bytes)
   let entry_count t = List.length (entries t)
+
+  (* Size of the entry at [p]; 0 when there is none. *)
+  let size_of p =
+    match Unix.stat p with
+    | st when st.Unix.st_kind = Unix.S_REG -> st.Unix.st_size
+    | _ | (exception Unix.Unix_error _) -> 0
 
   (* Every cached key, for offline scans (the feedback tuner walks the
      store for persisted reports). Order is unspecified. *)
@@ -603,27 +623,31 @@ module Cache = struct
           Some (h ^ really_input_string ic (in_channel_length ic - header_len))
         else None)
 
-  let remove t key = try Sys.remove (path t key) with Sys_error _ -> ()
+  let remove t key =
+    Mutex.protect t.mu (fun () ->
+        let p = path t key in
+        let sz = size_of p in
+        match Sys.remove p with
+        | () -> t.bytes <- t.bytes - sz
+        | exception Sys_error _ -> ())
 
-  (* Oldest-mtime-first eviction until the total fits the cap. *)
+  (* Oldest-mtime-first eviction until the directory fits the cap; the
+     total becomes what the scan found, less what it evicted. Callers
+     hold [mu]. *)
   let evict t =
     let es = entries t in
-    let total = List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 es in
-    if total > t.max_bytes then begin
-      let oldest_first =
-        List.sort (fun (_, _, a) (_, _, b) -> compare a b) es
-      in
-      let excess = ref (total - t.max_bytes) in
+    let kept = ref (total es) in
+    if !kept > t.max_bytes then
       List.iter
         (fun (p, sz, _) ->
-          if !excess > 0 then begin
+          if !kept > t.max_bytes then begin
             (try Sys.remove p with Sys_error _ -> ());
-            excess := !excess - sz;
+            kept := !kept - sz;
             Atomic.incr t.evictions;
             T.count "store.evict" 1
           end)
-        oldest_first
-    end
+        (List.sort (fun (_, _, a) (_, _, b) -> compare a b) es);
+    t.bytes <- !kept
 
   (* Distinguishes concurrent writers of the same key inside one
      process (pool domains missing together): pid alone is not unique. *)
@@ -655,13 +679,18 @@ module Cache = struct
                end)
          in
          if not crashed then begin
-           Unix.rename tmp (path t key);
+           (* Only a total over the cap lists the directory. *)
+           Mutex.protect t.mu (fun () ->
+               let p = path t key in
+               let replaced = size_of p in
+               Unix.rename tmp p;
+               t.bytes <- t.bytes + String.length blob - replaced;
+               if t.bytes > t.max_bytes then evict t);
            T.count "store.put" 1
          end
        end
      with Sys_error _ | Unix.Unix_error _ ->
        (try Sys.remove tmp with Sys_error _ -> ()));
-    evict t;
     if !T.enabled then
       T.record_hist "store.put_ms" ((Unix.gettimeofday () -. tput) *. 1000.)
 
@@ -737,6 +766,7 @@ module Cache = struct
           T.count "store.fsck.corrupt" 1
         end)
       (entries t);
+    Mutex.protect t.mu (fun () -> t.bytes <- !valid_bytes);
     {
       scanned = !scanned;
       valid = !valid;
@@ -748,24 +778,28 @@ end
 
 (* ---- cache-aware pipeline fast paths ---- *)
 
-(* The two cache-key recipes, exported so the serving layer can name the
-   artifacts a request produced (replication ships them by key). *)
-let profile_key ~config prog =
+(* The cache-key recipes, from the program's and the profile's hashes: a
+   served request hashes each once and names every artifact from them.
+   Exported so the serving layer can name the artifacts a request
+   produced (replication ships them by key). *)
+let profile_key_of_hash ~config prog_hash =
   cache_key
     [
       "profile";
       string_of_int format_version;
-      hash_program prog;
+      prog_hash;
       Ssp_machine.Config.fingerprint config;
     ]
 
-let adapted_key ?tuning ~config prog profile =
+let profile_key ~config prog = profile_key_of_hash ~config (hash_program prog)
+
+let adapted_key_of_hashes ?tuning ~config prog_hash profile_hash =
   let parts =
     [
       "adapted";
       string_of_int format_version;
-      hash_program prog;
-      hash_profile profile;
+      prog_hash;
+      profile_hash;
       Ssp_machine.Config.fingerprint config;
       Ssp.Adapt.knobs_string Ssp.Adapt.default_knobs;
     ]
@@ -782,53 +816,62 @@ let adapted_key ?tuning ~config prog profile =
   in
   cache_key parts
 
+let adapted_key ?tuning ~config prog profile =
+  adapted_key_of_hashes ?tuning ~config (hash_program prog)
+    (hash_profile profile)
+
 let status_string = function `Hit -> "hit" | `Miss -> "miss" | `Off -> "off"
+
+let cached_profile_at c ~key ~config prog =
+  match Cache.get c key ~decode:decode_profile with
+  | Some p -> (p, `Hit)
+  | None ->
+    let p = Ssp_profiling.Collect.collect ~config prog in
+    Cache.put c key (encode_profile p);
+    (p, `Miss)
 
 let cached_profile ?cache ~config prog =
   match cache with
   | None -> (Ssp_profiling.Collect.collect ~config prog, `Off)
-  | Some c -> (
-    let key = profile_key ~config prog in
-    match Cache.get c key ~decode:decode_profile with
-    | Some p -> (p, `Hit)
-    | None ->
-      let p = Ssp_profiling.Collect.collect ~config prog in
-      Cache.put c key (encode_profile p);
-      (p, `Miss))
+  | Some c -> cached_profile_at c ~key:(profile_key ~config prog) ~config prog
+
+let run_cached_at c ~key ?jobs ?overrides ~config prog profile =
+  match
+    T.with_span "store.lookup" (fun () ->
+        Cache.get c key ~decode:decode_adapted)
+  with
+  | Some a ->
+    let delinquent =
+      Ssp.Delinquent.identify
+        ~coverage:Ssp.Adapt.default_knobs.Ssp.Adapt.coverage prog profile
+    in
+    ( {
+        Ssp.Adapt.prog = a.prog;
+        report = a.report;
+        delinquent;
+        choices = [];
+        prefetch_map = a.prefetch_map;
+      },
+      `Hit )
+  | None ->
+    let r = Ssp.Adapt.run ?jobs ?overrides ~config prog profile in
+    Cache.put c key
+      (encode_adapted
+         {
+           prog = r.Ssp.Adapt.prog;
+           report = r.Ssp.Adapt.report;
+           prefetch_map = r.Ssp.Adapt.prefetch_map;
+         });
+    (r, `Miss)
 
 let run_cached ?cache ?jobs ?tuning ~config prog profile =
   let overrides = Option.map snd tuning in
-  let tuning_key =
-    Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning
-  in
   match cache with
   | None -> (Ssp.Adapt.run ?jobs ?overrides ~config prog profile, `Off)
-  | Some c -> (
-    let key = adapted_key ?tuning:tuning_key ~config prog profile in
-    match
-      T.with_span "store.lookup" (fun () ->
-          Cache.get c key ~decode:decode_adapted)
-    with
-    | Some a ->
-      let delinquent =
-        Ssp.Delinquent.identify
-          ~coverage:Ssp.Adapt.default_knobs.Ssp.Adapt.coverage prog profile
-      in
-      ( {
-          Ssp.Adapt.prog = a.prog;
-          report = a.report;
-          delinquent;
-          choices = [];
-          prefetch_map = a.prefetch_map;
-        },
-        `Hit )
-    | None ->
-      let r = Ssp.Adapt.run ?jobs ?overrides ~config prog profile in
-      Cache.put c key
-        (encode_adapted
-           {
-             prog = r.Ssp.Adapt.prog;
-             report = r.Ssp.Adapt.report;
-             prefetch_map = r.Ssp.Adapt.prefetch_map;
-           });
-      (r, `Miss))
+  | Some c ->
+    let tuning =
+      Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning
+    in
+    run_cached_at c
+      ~key:(adapted_key ?tuning ~config prog profile)
+      ?jobs ?overrides ~config prog profile

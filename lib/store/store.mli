@@ -18,10 +18,10 @@
     byte-identical — the property the cache keys rely on.
 
     The cache publishes atomically (write to a dot-temporary in the same
-    directory, then rename), caps its total size LRU-by-mtime, and treats
-    a corrupt entry as a miss: the entry is deleted, the
-    [store.corrupt] telemetry counter is bumped, and the caller
-    recomputes. *)
+    directory, then rename; no fsync), caps its total size LRU-by-mtime
+    from a byte total it keeps, and treats a corrupt entry as a miss:
+    the entry is deleted, the [store.corrupt] telemetry counter is
+    bumped, and the caller recomputes. *)
 
 val format_version : int
 (** Bumped whenever any payload encoding changes; part of every envelope
@@ -103,18 +103,26 @@ val decode_adapted : string -> adapted
 (** {1 Content hashes and cache keys} *)
 
 val hash_program : Ssp_ir.Prog.t -> string
-(** Hex digest of the program's canonical serialization. *)
+(** Hex MD5 of the program's assembly text ({!Ssp_ir.Asm.to_string}):
+    it prints the whole program, so a request computes it once. *)
 
 val hash_profile : Ssp_profiling.Profile.t -> string
 
 val cache_key : string list -> string
 (** Hex digest of the joined key parts (order-sensitive). *)
 
+val profile_key_of_hash : config:Ssp_machine.Config.t -> string -> string
+(** The key a profile is stored under, from the program's
+    {!hash_program}: [hash(program) x fingerprint(config)] plus the
+    format version. *)
+
 val profile_key : config:Ssp_machine.Config.t -> Ssp_ir.Prog.t -> string
-(** The cache key {!cached_profile} stores a profile under
-    ([hash(program) x fingerprint(config)] plus the format version).
-    Exported so the serving layer can name the artifact a request
-    produced — cluster replication ships blobs by key. *)
+(** {!profile_key_of_hash} of the program's hash. *)
+
+val adapted_key_of_hashes :
+  ?tuning:int * string -> config:Ssp_machine.Config.t -> string -> string ->
+  string
+(** {!adapted_key} from the program's and the profile's hashes. *)
 
 val adapted_key :
   ?tuning:int * string ->
@@ -122,7 +130,7 @@ val adapted_key :
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
   string
-(** The cache key {!run_cached} stores an adaptation result under. Its
+(** The key {!run_cached} stores an adaptation result under. Its
     knobs component is always {!Ssp.Adapt.default_knobs}. [tuning] is
     [(version, Adapt.overrides_string overrides)] for a feedback-tuned
     artifact: version 0 is the untuned key (unchanged
@@ -171,12 +179,19 @@ module Cache : sig
       [~/.cache/sspc]. *)
 
   val open_dir : ?max_bytes:int -> ?sweep_grace_s:float -> string -> t
-  (** Creates the directory (and parents) if missing. [max_bytes]
-      (default 256 MiB) caps the total size of cached blobs; the
-      least-recently-used entries (by mtime; {!get} hits touch) are evicted
-      after each [put]. Opening also runs {!sweep} with
+  (** Creates the directory (and parents) if missing, runs {!sweep} with
       [sweep_grace_s] (default 600 s), so orphans left by crashed
-      writers stop leaking into the byte budget at the next startup. *)
+      writers stop leaking into the byte budget at the next startup, and
+      sums the entries' sizes: the byte total {!size_bytes} keeps.
+
+      [max_bytes] (default 256 MiB) is a soft cap on that total. Only a
+      {!put} that takes the total over it lists the directory: it evicts
+      least-recently-used entries (by mtime; {!get} hits touch) until the
+      directory fits, and the total becomes what that scan found less
+      what it evicted. Another process writing the same directory keeps
+      its own total, so its writes count here only at this handle's next
+      scan: the directory can exceed the cap by what other writers added
+      since, and their removals make this handle scan early. *)
 
   val dir : t -> string
 
@@ -199,11 +214,17 @@ module Cache : sig
       blob. What a scan for one kind of entry wants. *)
 
   val put : t -> string -> string -> unit
-  (** Atomic write-then-rename publication, then LRU eviction. I/O
-      errors are swallowed (the cache is best-effort; computation never
-      fails because the cache is unwritable). *)
+  (** Stages the blob in a dot-temporary and renames it over the key's
+      entry: a killed writer leaves the old entry or the new one (plus a
+      tmp {!sweep} reclaims), never a partial one. No fsync: an entry a
+      power loss tears fails its seal and is a miss. Adds the blob's size
+      to the byte total, less the size of the entry it replaced; below
+      the cap it reads no other entry (see {!open_dir}). I/O errors are
+      swallowed (the cache is best-effort; computation never fails
+      because the cache is unwritable). *)
 
   val remove : t -> string -> unit
+  (** Deletes the entry and subtracts its size from the byte total. *)
 
   val get : t -> string -> decode:(string -> 'a) -> 'a option
   (** {!find} + decode. A decoded hit touches the entry's mtime, so
@@ -213,9 +234,12 @@ module Cache : sig
       a miss. Bumps [store.hit] / [store.miss] accordingly. *)
 
   val size_bytes : t -> int
-  (** Total bytes of cached blobs currently on disk. *)
+  (** The byte total this handle keeps: the entries' sizes at its last
+      directory scan ({!open_dir}, an eviction, {!fsck}) plus its own
+      puts and removals since. Exact while it is the only writer. *)
 
   val entry_count : t -> int
+  (** Lists the directory. *)
 
   val keys : t -> string list
   (** Every cached key (unspecified order) — offline scans, e.g. the
@@ -245,7 +269,8 @@ module Cache : sig
       A store that a writer was kill -9'd into is clean after one fsck:
       unrenamed tmp files go away and no partial entry survives,
       because publication is atomic-rename. Corrupt deletions are
-      counted under [store.fsck.corrupt]. *)
+      counted under [store.fsck.corrupt]. The byte total becomes
+      [valid_bytes]. *)
 end
 
 (** {1 Cache-aware pipeline fast paths} *)
@@ -253,6 +278,14 @@ end
 val status_string : [ `Hit | `Miss | `Off ] -> string
 (** ["hit"], ["miss"] or ["off"]: how [sspc] and the daemon report a
     lookup. *)
+
+val cached_profile_at :
+  Cache.t ->
+  key:string ->
+  config:Ssp_machine.Config.t ->
+  Ssp_ir.Prog.t ->
+  Ssp_profiling.Profile.t * [ `Hit | `Miss | `Off ]
+(** {!cached_profile} under a key the caller already holds. *)
 
 val cached_profile :
   ?cache:Cache.t ->
@@ -263,6 +296,18 @@ val cached_profile :
     [hash(program) x config]. Profiling runs the whole program on the
     functional simulator, so for a long-lived service this is the
     dominant cost a warm cache removes. *)
+
+val run_cached_at :
+  Cache.t ->
+  key:string ->
+  ?jobs:int ->
+  ?overrides:Ssp.Adapt.overrides ->
+  config:Ssp_machine.Config.t ->
+  Ssp_ir.Prog.t ->
+  Ssp_profiling.Profile.t ->
+  Ssp.Adapt.result * [ `Hit | `Miss | `Off ]
+(** {!run_cached} under a key the caller already holds; the key must
+    name the version of [overrides]. *)
 
 val run_cached :
   ?cache:Cache.t ->

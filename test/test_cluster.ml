@@ -280,6 +280,41 @@ let test_router_routes_and_caches () =
   Thread.join th1;
   Thread.join th2
 
+(* A client opens one connection per request, so a long-lived router
+   must keep nothing for a connection once it closes: its retained heap
+   stays flat over thousands of sequential requests (it used to keep
+   every connection's thread handle, about 10 words per request). *)
+let test_router_keeps_no_closed_connection () =
+  let th, port = start_shard () in
+  let r_th, r_sock = start_router [ ("127.0.0.1", port) ] in
+  let router = Client.Unix_sock r_sock in
+  let requests n =
+    for _ = 1 to n do
+      match Client.request_addr router Proto.Ping with
+      | Proto.Ok_reply -> ()
+      | _ -> Alcotest.fail "expected the router's pong"
+    done
+  in
+  let live_words () =
+    (* Give the last connection's thread time to see its peer close. *)
+    Thread.delay 0.05;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  requests 200;
+  let before = live_words () in
+  let n = 2000 in
+  requests n;
+  let growth = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d live words more after %d requests" growth n)
+    true
+    (growth < n / 2);
+  shutdown router;
+  Thread.join r_th;
+  shutdown (Client.Tcp ("127.0.0.1", port));
+  Thread.join th
+
 let test_router_failover_mid_campaign () =
   (* The acceptance scenario: warm a set of keys through a 2-shard
      router, kill one shard mid-campaign, and require every subsequent
@@ -826,6 +861,8 @@ let suite =
       test_tcp_transport_identical;
     Alcotest.test_case "router: routes, caches, answers stats" `Quick
       test_router_routes_and_caches;
+    Alcotest.test_case "router: keeps nothing of closed connections" `Quick
+      test_router_keeps_no_closed_connection;
     Alcotest.test_case "router: chaos failover mid-campaign" `Quick
       test_router_failover_mid_campaign;
     Alcotest.test_case "router: forwards Busy untouched" `Quick

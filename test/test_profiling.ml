@@ -162,6 +162,43 @@ let test_pinned () =
     (Ssp_workloads.Suite.all @ Ssp_workloads.Suite.corpus ~n:6 ~seed:3)
     pinned
 
+(* Every store key hashes a program's assembly text
+   ([Store.hash_program]), so a printer that moved one byte would
+   silently fork every existing store. The hashes of each kernel at
+   scale 1 and of its in-order adapted binary at the pinned config were
+   recorded once and must not change. *)
+let pinned_keys =
+  [
+    ("em3d", "400f8f6dc70ec3c193060ac335f88505",
+     "d51b217662b2710bf669edf55850578c");
+    ("health", "ed231640f22c6bc5de24a16fa4f8d1b6",
+     "66c5d4f8b2114ce11d7ef0b10c683ca5");
+    ("mst", "6bbef022527f0a4f22db6bdf475a69a8",
+     "df794899a78453915d3c11fc398d2aab");
+    ("treeadd.df", "dbba11be3fb823f0e61cc45e4730dbea",
+     "090af0e085dc93a4aa62cfe603cc75dc");
+    ("treeadd.bf", "0aa7621027df26c87f10fab706ade5a2",
+     "012dc18b277ea5080caab8f1c99c801b");
+    ("mcf", "fbd6656692440887977cff80539f9ea8",
+     "de920aaca2e6edc1de0d8b90317c4e30");
+    ("vpr", "fb4a322b8eddd635919fc6387eb01f35",
+     "dc389995774972660701e0b9fe61471f");
+  ]
+
+let test_pinned_keys () =
+  let config = Ssp_machine.Config.scale_caches Ssp_machine.Config.in_order 64 in
+  let hash = Ssp_store.Store.hash_program in
+  List.iter2
+    (fun (w : Ssp_workloads.Workload.t) (name, prog_hash, adapted_hash) ->
+      Alcotest.(check string) "workload" name w.Ssp_workloads.Workload.name;
+      let prog = Ssp_workloads.Workload.program w ~scale:1 in
+      Alcotest.(check string) (name ^ ": program hash") prog_hash (hash prog);
+      let profile = Collect.collect ~config prog in
+      let adapted = (Ssp.Adapt.run ~config prog profile).Ssp.Adapt.prog in
+      Alcotest.(check string)
+        (name ^ ": adapted program hash") adapted_hash (hash adapted))
+    Ssp_workloads.Suite.all pinned_keys
+
 let suite =
   [
     Alcotest.test_case "block frequencies" `Quick test_block_freqs;
@@ -173,4 +210,5 @@ let suite =
     Alcotest.test_case "empty block counts zero" `Quick test_empty_block_freq;
     Alcotest.test_case "profile bytes and spawning runs pinned" `Quick
       test_pinned;
+    Alcotest.test_case "program keys pinned" `Quick test_pinned_keys;
   ]

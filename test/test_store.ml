@@ -250,6 +250,63 @@ let test_lru_eviction () =
     "oldest entry evicted" true
     (Store.Cache.find cache (Printf.sprintf "%032x" 0) = None)
 
+(* A put reads no other entry: the cache keeps its byte total, and the
+   total must equal what the directory holds after every operation that
+   changes it through the handle — a put, a put that replaces an entry
+   with one of another size, a removal, a corrupt entry dropped by
+   [get], an eviction — and after the scans that reset it: [open_dir]
+   and [fsck], which also pick up another writer's entries. *)
+let test_byte_total () =
+  with_temp_cache ~max_bytes:6000 @@ fun cache ->
+  let dir = Store.Cache.dir cache in
+  let on_disk () =
+    Array.fold_left
+      (fun acc name ->
+        if Filename.check_suffix name ".blob" then
+          acc + (Unix.stat (Filename.concat dir name)).Unix.st_size
+        else acc)
+      0 (Sys.readdir dir)
+  in
+  let check what =
+    Alcotest.(check int) what (on_disk ()) (Store.Cache.size_bytes cache)
+  in
+  let key i = Printf.sprintf "%032x" i in
+  let blob n = String.make n 'x' in
+  check "empty";
+  Store.Cache.put cache (key 1) (blob 1000);
+  Store.Cache.put cache (key 2) (blob 2000);
+  check "two puts";
+  Alcotest.(check int) "the total is the two blobs" 3000
+    (Store.Cache.size_bytes cache);
+  Store.Cache.put cache (key 1) (blob 500);
+  check "a put replacing an entry with a smaller one";
+  Store.Cache.remove cache (key 2);
+  Store.Cache.remove cache (key 2);
+  check "a removal, then a removal of nothing";
+  Store.Cache.put cache (key 3) (blob 700);
+  Alcotest.(check bool) "an undecodable entry is a miss" true
+    (Store.Cache.get cache (key 3) ~decode:Store.decode_profile = None);
+  check "a corrupt entry dropped by get";
+  for i = 4 to 9 do
+    Store.Cache.put cache (key i) (blob 1500);
+    Unix.sleepf 0.02
+  done;
+  Alcotest.(check bool) "puts over the cap evicted" true
+    (Store.Cache.evictions cache > 0);
+  check "eviction";
+  Alcotest.(check bool) "within the cap" true
+    (Store.Cache.size_bytes cache <= 6000);
+  (* Another writer's entry is counted at the next scan. *)
+  let other = Store.encode_profile (Ssp_profiling.Profile.create ()) in
+  let oc = open_out_bin (Filename.concat dir (key 10 ^ ".blob")) in
+  output_string oc other;
+  close_out oc;
+  Alcotest.(check int) "a reopened handle counts it"
+    (on_disk ())
+    (Store.Cache.size_bytes (Store.Cache.open_dir dir));
+  ignore (Store.Cache.fsck cache);
+  check "fsck"
+
 (* Only a use refreshes an entry's LRU age. A store scan (the feedback
    tuner's walk for persisted reports) reads every entry through [find]
    and must leave their ages alone, or every tuning round would reset
@@ -430,6 +487,8 @@ let suite =
         test_corrupt_entry_recomputes;
       Alcotest.test_case "cached_profile" `Quick test_cached_profile;
       Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+      Alcotest.test_case "byte total follows every change" `Quick
+        test_byte_total;
       Alcotest.test_case "LRU: a get hit refreshes, a scan does not" `Quick
         test_scan_keeps_lru_age;
       Alcotest.test_case "crash at tmp open leaves store clean" `Quick
