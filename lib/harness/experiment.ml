@@ -76,50 +76,40 @@ let cache_mutex = Mutex.create ()
 let cache_find key = Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key)
 let cache_put key r = Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key r)
 
-let run_benchmark ?(setting = reference) ?(jobs = 1)
-    (w : Ssp_workloads.Workload.t) =
-  let key = (w.Ssp_workloads.Workload.name, setting) in
-  match cache_find key with
-  | Some r -> r
-  | None ->
-    let prog = Ssp_workloads.Workload.program w ~scale:setting.scale in
-    let io_cfg = config_for setting Config.In_order in
-    let ooo_cfg = config_for setting Config.Out_of_order in
-    let profile = Ssp_profiling.Collect.collect ~config:io_cfg prog in
-    let d = Ssp.Delinquent.identify prog profile in
-    let delinquent = Ssp.Delinquent.set d in
-    let adapted_io = Ssp.Adapt.run ~jobs ~config:io_cfg prog profile in
-    let adapted_ooo = Ssp.Adapt.run ~jobs ~config:ooo_cfg prog profile in
-    let mode m cfg = Config.with_memory_mode cfg m in
-    (* The eight sim points are independent (each builds its own machine
-       over the read-only program), so they fan out across a pool;
-       [map_array]'s positional results keep the record fields — and
-       therefore every downstream table — independent of scheduling. *)
-    let points =
-      [|
-        (fun () -> Simulate.run io_cfg prog);
-        (fun () -> Simulate.run io_cfg adapted_io.Ssp.Adapt.prog);
-        (fun () -> Simulate.run (mode Config.Perfect_memory io_cfg) prog);
-        (fun () ->
-          Simulate.run
-            (mode (Config.Perfect_delinquent delinquent) io_cfg)
-            prog);
-        (fun () -> Simulate.run ooo_cfg prog);
-        (fun () -> Simulate.run ooo_cfg adapted_ooo.Ssp.Adapt.prog);
-        (fun () -> Simulate.run (mode Config.Perfect_memory ooo_cfg) prog);
-        (fun () ->
-          Simulate.run
-            (mode (Config.Perfect_delinquent delinquent) ooo_cfg)
-            prog);
-      |]
-    in
-    let stats =
-      Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-          Ssp_parallel.Pool.map_array pool (fun f -> f ()) points)
-    in
+(* A workload's preparation (compile, profile, adapt for both pipelines):
+   its eight sim points and the assembly of their statistics into its
+   runs. The points are independent (each builds its own machine over the
+   read-only program), so they fan out across a pool; results are
+   positional, so the record fields — and therefore every downstream
+   table — are independent of scheduling. *)
+let prepare ~setting ~jobs (w : Ssp_workloads.Workload.t) =
+  let name = w.Ssp_workloads.Workload.name in
+  let prog = Ssp_workloads.Workload.program w ~scale:setting.scale in
+  let io_cfg = config_for setting Config.In_order in
+  let ooo_cfg = config_for setting Config.Out_of_order in
+  let profile = Ssp_profiling.Collect.collect ~config:io_cfg prog in
+  let d = Ssp.Delinquent.identify prog profile in
+  let delinquent = Ssp.Delinquent.set d in
+  let adapted_io = Ssp.Adapt.run ~jobs ~config:io_cfg prog profile in
+  let adapted_ooo = Ssp.Adapt.run ~jobs ~config:ooo_cfg prog profile in
+  let mode m cfg = Config.with_memory_mode cfg m in
+  let pdel = Config.Perfect_delinquent delinquent in
+  let points =
+    [|
+      (fun () -> Simulate.run io_cfg prog);
+      (fun () -> Simulate.run io_cfg adapted_io.Ssp.Adapt.prog);
+      (fun () -> Simulate.run (mode Config.Perfect_memory io_cfg) prog);
+      (fun () -> Simulate.run (mode pdel io_cfg) prog);
+      (fun () -> Simulate.run ooo_cfg prog);
+      (fun () -> Simulate.run ooo_cfg adapted_ooo.Ssp.Adapt.prog);
+      (fun () -> Simulate.run (mode Config.Perfect_memory ooo_cfg) prog);
+      (fun () -> Simulate.run (mode pdel ooo_cfg) prog);
+    |]
+  in
+  let assemble (stats : Ssp_sim.Stats.t array) =
     let r =
       {
-        name = w.Ssp_workloads.Workload.name;
+        name;
         io_base = stats.(0);
         io_ssp = stats.(1);
         io_pmem = stats.(2);
@@ -138,20 +128,53 @@ let run_benchmark ?(setting = reference) ?(jobs = 1)
         if s.Ssp_sim.Stats.outputs <> r.io_base.Ssp_sim.Stats.outputs then
           failwith
             (Printf.sprintf "Experiment.run_benchmark: %s outputs diverge"
-               w.Ssp_workloads.Workload.name))
+               name))
       [ r.io_ssp; r.io_pmem; r.io_pdel; r.ooo_base; r.ooo_ssp; r.ooo_pmem;
         r.ooo_pdel ];
+    r
+  in
+  (points, assemble)
+
+let run_benchmark ?(setting = reference) ?(jobs = 1)
+    (w : Ssp_workloads.Workload.t) =
+  let key = (w.Ssp_workloads.Workload.name, setting) in
+  match cache_find key with
+  | Some r -> r
+  | None ->
+    let points, assemble = prepare ~setting ~jobs w in
+    let r =
+      assemble
+        (Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
+             Ssp_parallel.Pool.map_array pool (fun f -> f ()) points))
+    in
     cache_put key r;
     r
 
-(* Fill the memo for a list of workloads, one pool task per workload (the
-   per-workload pipeline stays sequential — no nested pools). Two tasks
-   computing the same key produce identical records, so a racing double
-   insert is benign. *)
+(* Fill the memo for a list of workloads in two batches: every
+   preparation, then every workload's sim points, so the longest
+   workload's points spread over the pool instead of running on one
+   worker at the end (the per-workload adapt stays sequential — no
+   nested pools). *)
 let prime ?(setting = reference) ~jobs (ws : Ssp_workloads.Workload.t list) =
+  let ws = Array.of_list ws in
   Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-      Ssp_parallel.Pool.run pool
-        (List.map (fun w () -> ignore (run_benchmark ~setting w)) ws))
+      let preps =
+        Ssp_parallel.Pool.map_array pool (prepare ~setting ~jobs:1) ws
+      in
+      let stats =
+        Ssp_parallel.Pool.map_array pool
+          (fun f -> f ())
+          (Array.concat (Array.to_list (Array.map fst preps)))
+      in
+      let at = ref 0 in
+      Array.iteri
+        (fun i (points, assemble) ->
+          let n = Array.length points in
+          cache_put
+            (ws.(i).Ssp_workloads.Workload.name, setting)
+            (assemble (Array.sub stats !at n));
+          at := !at + n)
+        preps)
 
 let speedup ~baseline x =
   float_of_int baseline.Ssp_sim.Stats.cycles

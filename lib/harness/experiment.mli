@@ -39,10 +39,13 @@ val run_benchmark :
 
 val prime :
   ?setting:setting -> jobs:int -> Ssp_workloads.Workload.t list -> unit
-(** Fill the {!run_benchmark} memo for all the given workloads, one pool
-    task per workload when [jobs] > 1. Subsequent [run_benchmark] calls
-    hit the memo, so figure/table rendering stays sequential and ordered
-    while the heavy simulation work parallelizes. *)
+(** Fill the {!run_benchmark} memo for all the given workloads: every
+    workload's preparation (compile, profile, adapt for both pipelines)
+    as one pool batch, then all their sim points as one batch,
+    so no worker idles while another runs the longest workload alone. The
+    runs are [run_benchmark]'s, field for field. Subsequent
+    [run_benchmark] calls hit the memo, so figure/table rendering stays
+    sequential and ordered while the heavy simulation work parallelizes. *)
 
 val speedup : baseline:Ssp_sim.Stats.t -> Ssp_sim.Stats.t -> float
 (** cycles(baseline) / cycles(x). *)

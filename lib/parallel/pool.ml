@@ -133,15 +133,3 @@ let map_array pool f xs =
   end
 
 let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
-
-let run pool thunks =
-  (* All thunks execute even when some raise; surface the lowest-index
-     failure afterwards, like a sequential left-to-right run would. *)
-  let outcome t =
-    match t () with
-    | () -> None
-    | exception e -> Some (e, Printexc.get_raw_backtrace ())
-  in
-  match List.find_map Fun.id (map pool outcome thunks) with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()

@@ -46,7 +46,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map] over arrays. *)
-
-val run : t -> (unit -> unit) list -> unit
-(** Execute side-effecting thunks, all of them even if some raise;
-    re-raises the lowest-index exception after the batch drains. *)

@@ -134,8 +134,9 @@ let[@inline] call (th : Thread.t) pc w entry =
    loaded goes straight into its slot. Only [alloc] and [print] pass a
    boxed value, to [Memory.alloc] and [env.output].
 
-   [@inline]: [exec]'s loop gets the arms without a call; the cycle cores,
-   in other modules, call it ([-opaque] inlines nothing across modules). *)
+   [@inline]: [exec]'s loop gets the arms without a call, and so do the
+   cycle cores in other modules, since the default (release) build
+   compiles without [-opaque]. *)
 let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
     w =
   let regs = th.Thread.regs in

@@ -12,7 +12,9 @@ type level = L1 | L2 | L3 | Mem
    the retire sweep allocate nothing. The logical entry count is [fl_n];
    capacity grows by doubling in the rare overflow case (entries can
    transiently exceed [fill_buffer_entries]: a "full" buffer delays the new
-   fill's start but still tracks it). *)
+   fill's start but still tracks it). [fl_first] is the earliest [fl_done]
+   among the entries ([max_int] with none), so an access with no fill due
+   skips the sweep. *)
 type t = {
   cfg : Config.t;
   l1d : Cache.t;
@@ -23,6 +25,7 @@ type t = {
   mutable fl_origin : level array;
   mutable fl_done : int array;
   mutable fl_n : int;
+  mutable fl_first : int;
   mutable attrib : Attrib.t option;  (* prefetch-lifecycle attribution *)
   warm_shift : int;  (* L1 line_bits: line key = addr lsr warm_shift *)
   mutable warm_dline : int;
@@ -52,6 +55,7 @@ let create ?(tprefix = "sim") (cfg : Config.t) =
     fl_origin = Array.make cap L1;
     fl_done = Array.make cap 0;
     fl_n = 0;
+    fl_first = max_int;
     attrib = None;
     warm_shift = Cache.line_bits l1d;
     warm_dline = -1;
@@ -97,11 +101,12 @@ let add_fill t ~line ~origin ~done_at =
   t.fl_line.(n) <- line;
   t.fl_origin.(n) <- origin;
   t.fl_done.(n) <- done_at;
-  t.fl_n <- n + 1
+  t.fl_n <- n + 1;
+  if done_at < t.fl_first then t.fl_first <- done_at
 
 let retire_fills t ~now =
   let n = t.fl_n in
-  if n > 0 then begin
+  if now >= t.fl_first then begin
     (* Install newest-first: entries append in age order, and the previous
        list representation retired cons-newest-first — LRU state (and so
        downstream timing) is bit-identical. *)
@@ -117,17 +122,21 @@ let retire_fills t ~now =
       end
     done;
     let k = ref 0 in
+    let first = ref max_int in
     for i = 0 to n - 1 do
-      if t.fl_done.(i) > now then begin
+      let d = t.fl_done.(i) in
+      if d > now then begin
         if !k <> i then begin
           t.fl_line.(!k) <- t.fl_line.(i);
           t.fl_origin.(!k) <- t.fl_origin.(i);
-          t.fl_done.(!k) <- t.fl_done.(i)
+          t.fl_done.(!k) <- d
         end;
+        if d < !first then first := d;
         incr k
       end
     done;
-    t.fl_n <- !k
+    t.fl_n <- !k;
+    t.fl_first <- !first
   end
 
 (* The fill-buffer entry in transit for [line] from entry [i] on, or -1.
@@ -137,13 +146,6 @@ let rec find_fill (lines : int array) n (line : int) i =
   if i >= n then -1
   else if Array.unsafe_get lines i = line then i
   else find_fill lines n line (i + 1)
-
-let earliest_fill_done t =
-  let e = ref max_int in
-  for i = 0 to t.fl_n - 1 do
-    if t.fl_done.(i) < !e then e := t.fl_done.(i)
-  done;
-  !e
 
 let perfect_hit t ~now = outcome t L1 ~partial:false (now + t.cfg.l1.latency)
 
@@ -216,7 +218,7 @@ let access_real t ~now ~instruction ~nt ~low_priority ~pf_tag ~demand_iref
           else if Cache.access t.l3 addr then (L3, t.cfg.l3.latency)
           else (Mem, t.cfg.mem_latency)
         in
-        let start = if delayed then earliest_fill_done t else now in
+        let start = if delayed then t.fl_first else now in
         let done_at = start + latency in
         add_fill t ~line ~origin ~done_at;
         (match (t.attrib, pf_tag) with

@@ -174,8 +174,10 @@ let create ?attrib ~sampling cfg prog =
   }
 
 (* The latest cycle at which a source register of pc [pc] becomes ready
-   (0 with no sources). *)
-let src_ready m (ctx : context) pc =
+   (0 with no sources). The scoreboard is read and written once or twice
+   per issued instruction, so both walks are inlined into the cores'
+   issue loops. *)
+let[@inline] src_ready m (ctx : context) pc =
   let lay = m.lay in
   let r = ref 0 in
   for i = lay.Layout.use_at.(pc) to lay.Layout.use_at.(pc + 1) - 1 do
@@ -184,7 +186,7 @@ let src_ready m (ctx : context) pc =
   done;
   !r
 
-let set_defs_ready m (ctx : context) pc ready =
+let[@inline] set_defs_ready m (ctx : context) pc ready =
   let lay = m.lay in
   for i = lay.Layout.def_at.(pc) to lay.Layout.def_at.(pc + 1) - 1 do
     ctx.reg_ready.(lay.Layout.def_reg.(i)) <- ready

@@ -477,17 +477,19 @@ let crash_partial_write = F.site "store.put.crash_partial_write"
 let crash_pre_rename = F.site "store.put.crash_pre_rename"
 
 module Cache = struct
-  (* [bytes] is the entries' total size as this handle keeps it: [open_dir]
-     counts it with one scan, and [put], [remove], [fsck] and eviction
-     adjust it under [mu], so a put costs the same at any store size.
-     [put] runs on pool domains when the server fans a batch out, hence
-     the lock and the atomic [evictions]. *)
+  (* [bytes] and [count] are the entries' total size and number as this
+     handle keeps them: [open_dir] counts them with one scan, and [put],
+     [remove], [fsck] and eviction adjust them under [mu], so neither a
+     put nor a count costs more at a larger store. [put] runs on pool
+     domains when the server fans a batch out, hence the lock and the
+     atomic [evictions]. *)
   type t = {
     dir : string;
     max_bytes : int;
     evictions : int Atomic.t;
     mu : Mutex.t;
     mutable bytes : int;
+    mutable count : int;
   }
 
   let default_dir () =
@@ -563,23 +565,25 @@ module Cache = struct
     mkdir_p dir;
     let t =
       { dir; max_bytes = max 0 max_bytes; evictions = Atomic.make 0;
-        mu = Mutex.create (); bytes = 0 }
+        mu = Mutex.create (); bytes = 0; count = 0 }
     in
     ignore (sweep ~grace_s:sweep_grace_s t);
-    t.bytes <- total (entries t);
+    let es = entries t in
+    t.bytes <- total es;
+    t.count <- List.length es;
     t
 
   let dir t = t.dir
   let evictions t = Atomic.get t.evictions
   let path t key = Filename.concat t.dir (key ^ ".blob")
   let size_bytes t = Mutex.protect t.mu (fun () -> t.bytes)
-  let entry_count t = List.length (entries t)
+  let entry_count t = Mutex.protect t.mu (fun () -> t.count)
 
-  (* Size of the entry at [p]; 0 when there is none. *)
+  (* Size of the entry at [p]; -1 when there is none. *)
   let size_of p =
     match Unix.stat p with
     | st when st.Unix.st_kind = Unix.S_REG -> st.Unix.st_size
-    | _ | (exception Unix.Unix_error _) -> 0
+    | _ | (exception Unix.Unix_error _) -> -1
 
   (* Every cached key, for offline scans (the feedback tuner walks the
      store for persisted reports). Order is unspecified. *)
@@ -627,27 +631,33 @@ module Cache = struct
     Mutex.protect t.mu (fun () ->
         let p = path t key in
         let sz = size_of p in
-        match Sys.remove p with
-        | () -> t.bytes <- t.bytes - sz
-        | exception Sys_error _ -> ())
+        if sz >= 0 then
+          match Sys.remove p with
+          | () ->
+            t.bytes <- t.bytes - sz;
+            t.count <- t.count - 1
+          | exception Sys_error _ -> ())
 
   (* Oldest-mtime-first eviction until the directory fits the cap; the
-     total becomes what the scan found, less what it evicted. Callers
-     hold [mu]. *)
+     total and the count become what the scan found, less what it
+     evicted. Callers hold [mu]. *)
   let evict t =
     let es = entries t in
     let kept = ref (total es) in
+    let count = ref (List.length es) in
     if !kept > t.max_bytes then
       List.iter
         (fun (p, sz, _) ->
           if !kept > t.max_bytes then begin
             (try Sys.remove p with Sys_error _ -> ());
             kept := !kept - sz;
+            decr count;
             Atomic.incr t.evictions;
             T.count "store.evict" 1
           end)
         (List.sort (fun (_, _, a) (_, _, b) -> compare a b) es);
-    t.bytes <- !kept
+    t.bytes <- !kept;
+    t.count <- !count
 
   (* Distinguishes concurrent writers of the same key inside one
      process (pool domains missing together): pid alone is not unique. *)
@@ -684,7 +694,8 @@ module Cache = struct
                let p = path t key in
                let replaced = size_of p in
                Unix.rename tmp p;
-               t.bytes <- t.bytes + String.length blob - replaced;
+               if replaced < 0 then t.count <- t.count + 1;
+               t.bytes <- t.bytes + String.length blob - Int.max 0 replaced;
                if t.bytes > t.max_bytes then evict t);
            T.count "store.put" 1
          end
@@ -766,7 +777,9 @@ module Cache = struct
           T.count "store.fsck.corrupt" 1
         end)
       (entries t);
-    Mutex.protect t.mu (fun () -> t.bytes <- !valid_bytes);
+    Mutex.protect t.mu (fun () ->
+        t.bytes <- !valid_bytes;
+        t.count <- !valid);
     {
       scanned = !scanned;
       valid = !valid;

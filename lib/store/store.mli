@@ -218,13 +218,15 @@ module Cache : sig
       entry: a killed writer leaves the old entry or the new one (plus a
       tmp {!sweep} reclaims), never a partial one. No fsync: an entry a
       power loss tears fails its seal and is a miss. Adds the blob's size
-      to the byte total, less the size of the entry it replaced; below
+      to the byte total, less the size of the entry it replaced, and one
+      to the entry count when it replaced none; below
       the cap it reads no other entry (see {!open_dir}). I/O errors are
       swallowed (the cache is best-effort; computation never fails
       because the cache is unwritable). *)
 
   val remove : t -> string -> unit
-  (** Deletes the entry and subtracts its size from the byte total. *)
+  (** Deletes the entry and subtracts its size from the byte total and one
+      from the entry count; a key with no entry changes neither. *)
 
   val get : t -> string -> decode:(string -> 'a) -> 'a option
   (** {!find} + decode. A decoded hit touches the entry's mtime, so
@@ -239,7 +241,10 @@ module Cache : sig
       puts and removals since. Exact while it is the only writer. *)
 
   val entry_count : t -> int
-  (** Lists the directory. *)
+  (** The entry count this handle keeps beside the byte total, and as
+      soft against other writers: the entries at its last directory scan
+      ({!open_dir}, an eviction, {!fsck}) plus its own puts of absent
+      keys, less its own removals since. Lists nothing. *)
 
   val keys : t -> string list
   (** Every cached key (unspecified order) — offline scans, e.g. the

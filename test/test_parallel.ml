@@ -79,16 +79,6 @@ let test_exception_backtrace_preserved () =
         if not mentions_worker then
           Alcotest.failf "backtrace lost the worker's frames:@.%s" bt)
 
-let test_run_side_effects () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let slots = Array.make 32 0 in
-      Pool.run pool
-        (List.init 32 (fun i () -> slots.(i) <- i + 1));
-      Alcotest.(check (array int))
-        "every task ran once"
-        (Array.init 32 (fun i -> i + 1))
-        slots)
-
 (* The daemon's shape: one long-lived pool, one batch per select round.
    Batches of 1-40 tasks of uneven cost follow each other with no pause,
    so workers still leaving one batch race the next one's start. Every
@@ -137,12 +127,14 @@ let test_sharded_counters () =
     (fun () ->
       let tasks = 40 and per_task = 1000 in
       Pool.with_pool ~jobs:4 (fun pool ->
-          Pool.run pool
-            (List.init tasks (fun _ () ->
+          ignore
+            (Pool.map pool
+               (fun _ ->
                  let c = T.counter "parallel.test" in
                  for _ = 1 to per_task do
                    T.incr c
-                 done)));
+                 done)
+               (List.init tasks Fun.id)));
       Alcotest.(check int)
         "exact sum across domains" (tasks * per_task)
         (List.assoc "parallel.test" (T.report ()).T.r_counters))
@@ -189,9 +181,10 @@ let check_workload name =
   ignore (Test_telemetry.parse_json (Ssp.Explain.to_json e1))
 
 (* The pooled simulation grid behind every figure: [run_benchmark] with
-   jobs=2 reproduces the sequential sim points and adaptation report on
-   every suite kernel. The memo is keyed by setting label, so each run
-   gets its own. *)
+   jobs=2, and the memo [prime] fills from one pool batch of every
+   kernel's sim points, reproduce the sequential sim points and
+   adaptation report on every suite kernel. The memo is keyed by setting
+   label, so each run gets its own. *)
 let test_grid_jobs_invariant () =
   let module E = Ssp_harness.Experiment in
   let setting label = { E.scale = 1; cache_divisor = 64; label } in
@@ -203,12 +196,21 @@ let test_grid_jobs_invariant () =
            r.ooo_pmem; r.ooo_pdel ])
     ^ Format.asprintf "%a" Ssp.Report.pp r.E.report
   in
+  E.prime ~setting:(setting "grid-prime") ~jobs:2 Ssp_workloads.Suite.all;
   List.iter
     (fun (w : Ssp_workloads.Workload.t) ->
+      let name = w.Ssp_workloads.Workload.name in
+      let sequential =
+        render (E.run_benchmark ~setting:(setting "grid-jobs1") ~jobs:1 w)
+      in
       Alcotest.(check string)
-        (w.Ssp_workloads.Workload.name ^ ": sim grid and report")
-        (render (E.run_benchmark ~setting:(setting "grid-jobs1") ~jobs:1 w))
-        (render (E.run_benchmark ~setting:(setting "grid-jobs2") ~jobs:2 w)))
+        (name ^ ": sim grid and report")
+        sequential
+        (render (E.run_benchmark ~setting:(setting "grid-jobs2") ~jobs:2 w));
+      Alcotest.(check string)
+        (name ^ ": primed sim grid and report")
+        sequential
+        (render (E.run_benchmark ~setting:(setting "grid-prime") w)))
     Ssp_workloads.Suite.all
 
 let test_adapt_deterministic_mcf () = check_workload "mcf"
@@ -226,8 +228,6 @@ let suite =
       test_exception_lowest_index;
     Alcotest.test_case "exception keeps worker backtrace" `Quick
       test_exception_backtrace_preserved;
-    Alcotest.test_case "run executes every task once" `Quick
-      test_run_side_effects;
     Alcotest.test_case "one pool runs 5,000 uneven batches" `Quick
       test_many_batches;
     Alcotest.test_case "sharded counters sum exactly" `Quick

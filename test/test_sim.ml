@@ -80,6 +80,18 @@ let test_fill_buffer_pressure () =
   done;
   let r = Hierarchy.access h ~now:1 0x900000 in
   Alcotest.(check bool) "delayed past a retirement" true (r >= 230 + 230);
+  (* Staggered fills, landing at 230..245. At 230 a miss retires the
+     earliest and takes its slot (landing at 460); the next miss finds the
+     buffer full and starts when the earliest remaining fill lands, 231,
+     not when the retired one did. *)
+  let h = Hierarchy.create cfg in
+  for i = 0 to 15 do
+    ignore (Hierarchy.access h ~now:i (0x100000 + (i * 4096)))
+  done;
+  Alcotest.(check int) "the freed slot starts at once" (230 + 230)
+    (Hierarchy.access h ~now:230 0x900000);
+  Alcotest.(check int) "delayed to the earliest remaining fill" (231 + 230)
+    (Hierarchy.access h ~now:230 0xa00000);
   (* A 2-entry buffer has no demand reserve, so a speculative miss finds
      it full even when it is empty; with nothing in flight to wait for,
      the fill starts at once. *)

@@ -250,25 +250,32 @@ let test_lru_eviction () =
     "oldest entry evicted" true
     (Store.Cache.find cache (Printf.sprintf "%032x" 0) = None)
 
-(* A put reads no other entry: the cache keeps its byte total, and the
-   total must equal what the directory holds after every operation that
-   changes it through the handle — a put, a put that replaces an entry
-   with one of another size, a removal, a corrupt entry dropped by
-   [get], an eviction — and after the scans that reset it: [open_dir]
-   and [fsck], which also pick up another writer's entries. *)
+(* A put reads no other entry: the cache keeps its byte total and entry
+   count, and both must equal what the directory holds after every
+   operation that changes it through the handle — a put, a put that
+   replaces an entry with one of another size, a removal, a corrupt
+   entry dropped by [get], an eviction — and after the scans that reset
+   them: [open_dir] and [fsck], which also pick up another writer's
+   entries. *)
 let test_byte_total () =
   with_temp_cache ~max_bytes:6000 @@ fun cache ->
   let dir = Store.Cache.dir cache in
+  let blobs () =
+    List.filter
+      (fun name -> Filename.check_suffix name ".blob")
+      (Array.to_list (Sys.readdir dir))
+  in
   let on_disk () =
-    Array.fold_left
+    List.fold_left
       (fun acc name ->
-        if Filename.check_suffix name ".blob" then
-          acc + (Unix.stat (Filename.concat dir name)).Unix.st_size
-        else acc)
-      0 (Sys.readdir dir)
+        acc + (Unix.stat (Filename.concat dir name)).Unix.st_size)
+      0 (blobs ())
   in
   let check what =
-    Alcotest.(check int) what (on_disk ()) (Store.Cache.size_bytes cache)
+    Alcotest.(check int) what (on_disk ()) (Store.Cache.size_bytes cache);
+    Alcotest.(check int) (what ^ ": entry count")
+      (List.length (blobs ()))
+      (Store.Cache.entry_count cache)
   in
   let key i = Printf.sprintf "%032x" i in
   let blob n = String.make n 'x' in
@@ -301,9 +308,13 @@ let test_byte_total () =
   let oc = open_out_bin (Filename.concat dir (key 10 ^ ".blob")) in
   output_string oc other;
   close_out oc;
+  let reopened = Store.Cache.open_dir dir in
   Alcotest.(check int) "a reopened handle counts it"
     (on_disk ())
-    (Store.Cache.size_bytes (Store.Cache.open_dir dir));
+    (Store.Cache.size_bytes reopened);
+  Alcotest.(check int) "a reopened handle counts its entry"
+    (List.length (blobs ()))
+    (Store.Cache.entry_count reopened);
   ignore (Store.Cache.fsck cache);
   check "fsck"
 
