@@ -233,10 +233,10 @@ let adapt_cmd =
     if sv.Fb.sv_status <> `Off then
       Printf.eprintf "sspc: cache %s\n%!"
         (Ssp_store.Store.status_string sv.Fb.sv_status);
-    let adapted = sv.Fb.sv_result in
-    Format.printf "%a@." Ssp.Report.pp adapted.Ssp.Adapt.report;
+    let adapted = sv.Fb.sv_adapted in
+    Format.printf "%a@." Ssp.Report.pp adapted.Ssp_store.Store.report;
     with_out out (fun ppf ->
-        Format.fprintf ppf "%a@." Ssp_ir.Asm.print adapted.Ssp.Adapt.prog)
+        Format.fprintf ppf "%s@." adapted.Ssp_store.Store.text)
   in
   Cmd.v
     (Cmd.info "adapt"
@@ -353,7 +353,9 @@ let sim_cmd =
     let prog = compile program scale in
     let ssp = ssp || explain || upload <> None in
     let result =
-      if ssp then Some (Fb.adapt ~jobs ~config prog).Fb.sv_result else None
+      if ssp then
+        Some (Lazy.force (Fb.adapt ~jobs ~config prog).Fb.sv_adapted.result)
+      else None
     in
     let prog =
       match result with Some a -> a.Ssp.Adapt.prog | None -> prog
@@ -445,7 +447,7 @@ let explain_cmd =
     (* No store here: a store hit carries no selection choices, and the
        table is built from them. *)
     let sv = Fb.adapt ~jobs ~config prog in
-    let result = sv.Fb.sv_result in
+    let result = Lazy.force sv.Fb.sv_adapted.result in
     let attrib =
       Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
     in
@@ -665,7 +667,7 @@ let stats_cmd =
     T.set_enabled true;
     let config = config_of_pipeline pipeline in
     let prog = compile (program_of src) scale in
-    let adapted = (Fb.adapt ~config prog).Fb.sv_result in
+    let adapted = Lazy.force (Fb.adapt ~config prog).Fb.sv_adapted.result in
     let r = Ssp_sim.Simulate.run config adapted.Ssp.Adapt.prog in
     if json then
       print_endline

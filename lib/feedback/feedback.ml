@@ -301,7 +301,7 @@ let find_aggregate cache key =
 
 type served = {
   sv_profile : Ssp_profiling.Profile.t;
-  sv_result : Ssp.Adapt.result;
+  sv_adapted : Store.served;
   sv_status : [ `Hit | `Miss | `Off ];
   sv_keys : string list;
 }
@@ -317,8 +317,8 @@ let adapt ?cache ?jobs ~config prog =
   match cache with
   | None ->
     let profile = Ssp_profiling.Collect.collect ~config prog in
-    let result = Ssp.Adapt.run ?jobs ~config prog profile in
-    { sv_profile = profile; sv_result = result; sv_status = `Off;
+    let adapted, status = Store.run_cached ?jobs ~config prog profile in
+    { sv_profile = profile; sv_adapted = adapted; sv_status = status;
       sv_keys = [] }
   | Some c ->
     let prog_hash = Store.hash_program prog in
@@ -340,11 +340,11 @@ let adapt ?cache ?jobs ~config prog =
           (Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning)
         ~config prog_hash profile_hash
     in
-    let result, status =
+    let adapted, status =
       Store.run_cached_at c ~key:adapted_key ?jobs
         ?overrides:(Option.map snd tuning) ~config prog profile
     in
-    { sv_profile = profile; sv_result = result; sv_status = status;
+    { sv_profile = profile; sv_adapted = adapted; sv_status = status;
       sv_keys = [ profile_key; adapted_key ] }
 
 (* ---- derived ratios ---- *)
@@ -475,14 +475,14 @@ let tune_fold ?cache ?min_reports ?min_samples ~config ~key prog profile agg =
   if actions = [] then None
   else
     let pub = publish agg ~overrides ~actions in
-    let result, status =
+    let adapted, status =
       Store.run_cached ?cache ~tuning:(pub.ag_version, overrides) ~config prog
         profile
     in
     Option.iter (fun c -> Store.Cache.put c key (encode_aggregate pub)) cache;
     Some
-      { td_aggregate = pub; td_actions = actions; td_result = result;
-        td_status = status }
+      { td_aggregate = pub; td_actions = actions;
+        td_result = Lazy.force adapted.Store.result; td_status = status }
 
 let tune_reports ?cache ?min_reports ?min_samples ~config prog profile
     reports =

@@ -156,7 +156,10 @@ val find_aggregate : Ssp_store.Store.Cache.t -> string -> aggregate option
 
 type served = {
   sv_profile : Ssp_profiling.Profile.t;
-  sv_result : Ssp.Adapt.result;
+  sv_adapted : Ssp_store.Store.served;
+      (** the adapted program's text and report, and its parsed result
+          on demand: a hit's text is the stored bytes, and a miss prints
+          the program once *)
   sv_status : [ `Hit | `Miss | `Off ];
       (** the adapt lookup's status; [`Off] without a store *)
   sv_keys : string list;
@@ -178,7 +181,11 @@ val adapt :
     {!Ssp_store.Store.cached_profile_at} and
     {!Ssp_store.Store.run_cached_at}; an aggregate at version N > 0
     selects the immutable version-N artifact. Without one it is exactly
-    [Collect.collect ~config] then [Adapt.run ~config]. *)
+    [Collect.collect ~config] then [Adapt.run ~config]. A caller that
+    only sends the adapted program on (the daemon's [Adapt] reply,
+    [sspc adapt]) prints [sv_adapted]'s text and never forces the
+    parsed result; [sim], [explain], [stats] and the daemon's [Sim]
+    force it. *)
 
 (** {2 Derived per-load ratios} (guarded against empty accumulators) *)
 

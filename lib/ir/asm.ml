@@ -11,7 +11,7 @@ let err line fmt = Format.kasprintf (fun m -> raise (Error (m, line))) fmt
 let to_string (p : Prog.t) =
   let b = Buffer.create 4096 in
   let str = Buffer.add_string b in
-  let num n = str (string_of_int n) in
+  let num = Op.num b in
   str "; ssp virtual-ISA assembly\nentry "; str p.Prog.entry;
   str "\ndata "; num p.Prog.data_bytes; str "\n\n";
   List.iter
@@ -214,6 +214,9 @@ type pstate = {
 
 let parse src =
   let st = { entry = None; data = 0; funcs = []; cur = None; blocks = [] } in
+  (* A second definition is a parse error here, before [Prog.add_func]
+     would reject it with [Invalid_argument]. *)
+  let defined = Hashtbl.create 16 in
   let finish_func line =
     match st.cur with
     | None -> err line "'}' without an open function"
@@ -245,6 +248,9 @@ let parse src =
           | None -> err line "bad data size %S" d)
         | [ "func"; sig_; at; "{" ] -> (
           let name, nparams = parse_callee line sig_ in
+          if Hashtbl.mem defined name then
+            err line "function %s defined twice" name;
+          Hashtbl.replace defined name ();
           match
             if String.length at > 1 && at.[0] = '@' then
               int_of_string_opt (String.sub at 1 (String.length at - 1))

@@ -9,7 +9,7 @@ type func = {
 
 type t = {
   funcs : (string, func) Hashtbl.t;
-  mutable func_order : string list;
+  mutable rev_func_order : string list;
   entry : string;
   mutable data_bytes : int;
 }
@@ -19,20 +19,20 @@ let heap_base = 0x1000_0000L
 let stack_base = 0x7fff_0000L
 
 let create ~entry =
-  { funcs = Hashtbl.create 16; func_order = []; entry; data_bytes = 0 }
+  { funcs = Hashtbl.create 16; rev_func_order = []; entry; data_bytes = 0 }
 
 let add_func t f =
   if Hashtbl.mem t.funcs f.name then
     invalid_arg (Printf.sprintf "Prog.add_func: duplicate function %s" f.name);
   Hashtbl.replace t.funcs f.name f;
-  t.func_order <- t.func_order @ [ f.name ]
+  t.rev_func_order <- f.name :: t.rev_func_order
 
 let find_func t name =
   match Hashtbl.find_opt t.funcs name with
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Prog.find_func: no function %s" name)
 
-let funcs_in_order t = List.map (find_func t) t.func_order
+let funcs_in_order t = List.rev_map (find_func t) t.rev_func_order
 
 (* All parameters passed explicitly: a local closure here would allocate
    on every taken branch of every simulated instruction. *)

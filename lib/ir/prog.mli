@@ -22,7 +22,9 @@ type func = {
 
 type t = {
   funcs : (string, func) Hashtbl.t;
-  mutable func_order : string list;  (** layout order of functions *)
+  mutable rev_func_order : string list;
+      (** function names, last in layout first, so that {!add_func}
+          costs the same at any program size *)
   entry : string;
   mutable data_bytes : int;
       (** size of the zero-initialized data segment mapped at

@@ -22,6 +22,10 @@ let check (p : Prog.t) =
       | Some g -> err "functions %s and %s share code id %d" g f.name f.code_id
       | None -> Hashtbl.replace code_ids f.code_id f.name)
     (Prog.funcs_in_order p);
+  (* Every function's labels, built once: a spawn names a label in
+     another function, and a scan of its blocks per spawn would make the
+     check quadratic in the program's size. *)
+  let labels_of = Hashtbl.create 16 in
   List.iter
     (fun (f : Prog.func) ->
       let labels = Hashtbl.create 16 in
@@ -31,6 +35,11 @@ let check (p : Prog.t) =
             err "function %s: duplicate label %s" f.name b.label
           else Hashtbl.replace labels b.label ())
         f.blocks;
+      Hashtbl.replace labels_of f.name labels)
+    (Prog.funcs_in_order p);
+  List.iter
+    (fun (f : Prog.func) ->
+      let labels = Hashtbl.find labels_of f.name in
       let resolve where l =
         if not (Hashtbl.mem labels l) then
           err ~where "function %s: unresolved label %s" f.name l
@@ -51,13 +60,11 @@ let check (p : Prog.t) =
                 if n > Reg.max_args then
                   err ~where "call arity %d exceeds %d" n Reg.max_args
               | Op.Spawn (fn, l) -> (
-                match Hashtbl.find_opt p.funcs fn with
+                match Hashtbl.find_opt labels_of fn with
                 | None -> err ~where "spawn of undefined function %s" fn
-                | Some tf -> (
-                  match Prog.block_index tf l with
-                  | _ -> ()
-                  | exception Not_found ->
-                    err ~where "spawn label %s not in %s" l fn))
+                | Some tl ->
+                  if not (Hashtbl.mem tl l) then
+                    err ~where "spawn label %s not in %s" l fn)
               | Op.Chk_c l -> resolve where l
               | _ -> ());
               let check_reg r =

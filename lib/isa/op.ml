@@ -146,8 +146,34 @@ let width_name = function W1 -> "1" | W2 -> "2" | W4 -> "4" | W8 -> "8"
 (* The one instruction printer: [Asm.to_string] appends every op of a
    program to one buffer, and [pp] and [to_string] emit the same text. *)
 let str = Buffer.add_string
-let num b n = str b (string_of_int n)
-let imm b i = str b (Int64.to_string i)
+
+(* The text of [string_of_int] and [Int64.to_string], appended digit by
+   digit: those two go through the runtime's [snprintf], and every
+   request prints its program to hash it. [add_digits] takes [n <= 0],
+   so [min_int] needs no case of its own. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let num b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
+
+(* Beyond the int range the quotient by 10 still fits, and has the sign
+   of [i]. *)
+let imm b i =
+  let n = Int64.to_int i in
+  if Int64.equal (Int64.of_int n) i then num b n
+  else begin
+    let q = Int64.to_int (Int64.div i 10L) in
+    let r = Int64.to_int (Int64.rem i 10L) in
+    if q < 0 then Buffer.add_char b '-';
+    add_digits b (if q < 0 then q else -q);
+    Buffer.add_char b (Char.unsafe_chr (48 + abs r))
+  end
 
 let reg b r =
   Buffer.add_char b 'r';

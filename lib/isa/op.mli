@@ -78,6 +78,13 @@ val branch_targets : t -> label list
 val alu_eval : alu -> int64 -> int64 -> int64
 val cmp_eval : cmp -> int64 -> int64 -> bool
 
+val num : Buffer.t -> int -> unit
+(** Appends the decimal text of {!string_of_int} without going through
+    [Printf]: the printer's integers. *)
+
+val imm : Buffer.t -> int64 -> unit
+(** Appends the decimal text of {!Int64.to_string}, as {!num} does. *)
+
 val add_to_buffer : Buffer.t -> t -> unit
 (** Appends the instruction's assembly text ([ld8 r32, [r33+8]]): the one
     instruction printer. Registers print as [rN], immediates in decimal,

@@ -9,16 +9,32 @@ type lexed = { tok : token; pos : Ast.pos }
 
 exception Error of string * Ast.pos
 
-let keywords =
-  [
-    "int"; "struct"; "fnptr"; "if"; "else"; "while"; "for"; "return";
-    "break"; "continue"; "new"; "newarray"; "null"; "sizeof"; "void";
-  ]
+let is_keyword = function
+  | "int" | "struct" | "fnptr" | "if" | "else" | "while" | "for" | "return"
+  | "break" | "continue" | "new" | "newarray" | "null" | "sizeof" | "void" ->
+    true
+  | _ -> false
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+(* The two-character operators, and [""] for any other pair. *)
+let two_char c c2 =
+  match (c, c2) with
+  | '=', '=' -> "=="
+  | '!', '=' -> "!="
+  | '<', '=' -> "<="
+  | '>', '=' -> ">="
+  | '&', '&' -> "&&"
+  | '|', '|' -> "||"
+  | '<', '<' -> "<<"
+  | '>', '>' -> ">>"
+  | '-', '>' -> "->"
+  | _ -> ""
+
+(* Every test reads a character at a known index, so nothing is
+   allocated per character and every comparison is at [char]. *)
 let tokenize src =
   let n = String.length src in
   let line = ref 1 and col = ref 1 in
@@ -35,79 +51,79 @@ let tokenize src =
       incr i
     end
   in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let cur () = peek 0 in
+  (* Whether the character [k] past the cursor exists and is [c]. *)
+  let at k c = !i + k < n && src.[!i + k] = c in
   let emit tok p = out := { tok; pos = p } :: !out in
   let rec skip_ws () =
-    match cur () with
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance ();
-      skip_ws ()
-    | Some '/' when peek 1 = Some '/' ->
-      while cur () <> None && cur () <> Some '\n' do
-        advance ()
-      done;
-      skip_ws ()
-    | Some '/' when peek 1 = Some '*' ->
-      let p = pos () in
-      advance ();
-      advance ();
-      let rec close () =
-        match cur () with
-        | None -> raise (Error ("unterminated comment", p))
-        | Some '*' when peek 1 = Some '/' ->
-          advance ();
+    if !i < n then
+      match src.[!i] with
+      | ' ' | '\t' | '\r' | '\n' ->
+        advance ();
+        skip_ws ()
+      | '/' when at 1 '/' ->
+        while !i < n && src.[!i] <> '\n' do
           advance ()
-        | Some _ ->
-          advance ();
-          close ()
-      in
-      close ();
-      skip_ws ()
-    | _ -> ()
+        done;
+        skip_ws ()
+      | '/' when at 1 '*' ->
+        let p = pos () in
+        advance ();
+        advance ();
+        let rec close () =
+          if !i >= n then raise (Error ("unterminated comment", p))
+          else if at 0 '*' && at 1 '/' then begin
+            advance ();
+            advance ()
+          end
+          else begin
+            advance ();
+            close ()
+          end
+        in
+        close ();
+        skip_ws ()
+      | _ -> ()
   in
-  let two_char = [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "->" ] in
   while
     skip_ws ();
     !i < n
   do
     let p = pos () in
-    match cur () with
-    | None -> ()
-    | Some c when is_digit c ->
+    let c = src.[!i] in
+    if is_digit c then begin
       let start = !i in
-      while (match cur () with Some c -> is_digit c | None -> false) do
+      while !i < n && is_digit src.[!i] do
         advance ()
       done;
       let s = String.sub src start (!i - start) in
-      emit (INT (Int64.of_string s)) p
-    | Some c when is_ident_start c ->
+      match Int64.of_string_opt s with
+      | Some v -> emit (INT v) p
+      | None ->
+        raise (Error (Printf.sprintf "integer literal %s out of range" s, p))
+    end
+    else if is_ident_start c then begin
       let start = !i in
-      while (match cur () with Some c -> is_ident_char c | None -> false) do
+      while !i < n && is_ident_char src.[!i] do
         advance ()
       done;
       let s = String.sub src start (!i - start) in
-      if List.mem s keywords then emit (KW s) p else emit (IDENT s) p
-    | Some c -> (
-      let pair =
-        match peek 1 with
-        | Some c2 ->
-          let s = Printf.sprintf "%c%c" c c2 in
-          if List.mem s two_char then Some s else None
-        | None -> None
-      in
-      match pair with
-      | Some s ->
+      emit (if is_keyword s then KW s else IDENT s) p
+    end
+    else begin
+      let pair = if !i + 1 < n then two_char c src.[!i + 1] else "" in
+      if String.length pair = 2 then begin
         advance ();
         advance ();
-        emit (PUNCT s) p
-      | None -> (
+        emit (PUNCT pair) p
+      end
+      else
         match c with
         | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '<' | '>' | '='
         | '!' | '(' | ')' | '{' | '}' | '[' | ']' | ';' | ',' | '.' ->
           advance ();
           emit (PUNCT (String.make 1 c)) p
-        | _ -> raise (Error (Printf.sprintf "unexpected character %C" c, p))))
+        | _ -> raise (Error (Printf.sprintf "unexpected character %C" c, p))
+    end
   done;
   emit EOF (pos ());
   List.rev !out

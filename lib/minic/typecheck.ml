@@ -44,7 +44,7 @@ let build_env (p : Ast.program) =
       if Hashtbl.mem env.globals g.gname then
         err no_pos "duplicate global %s" g.gname;
       Hashtbl.replace env.globals g.gname (g, env.data_bytes);
-      env.data_bytes <- env.data_bytes + (word * max 1 g.gsize))
+      env.data_bytes <- env.data_bytes + (word * Int.max 1 g.gsize))
     p.globals;
   List.iter
     (fun (f : Ast.func_def) ->

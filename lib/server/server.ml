@@ -126,8 +126,10 @@ let feedback_rounds = ref 0
 (* The (key, sealed blob) pairs an adapt reply was built from, read
    straight back off the cache under the keys the request named them by
    — what the router writes through to the replica shard. Missing
-   entries (no cache, eviction racing us) just drop out: replication is
-   best-effort by design. *)
+   entries (no cache, eviction racing us) and blobs a replica would
+   refuse for their size just drop out: replication is best-effort by
+   design, and a refused write would open the router's breaker on a
+   healthy shard. *)
 let artifacts_of cache ~ask (sv : Feedback.served) =
   match cache with
   | Some cache
@@ -136,7 +138,10 @@ let artifacts_of cache ~ask (sv : Feedback.served) =
     ->
     List.filter_map
       (fun key ->
-        Option.map (fun blob -> (key, blob)) (Store.Cache.find cache key))
+        match Store.Cache.find cache key with
+        | Some blob when String.length blob <= Store.max_untrusted_bytes ->
+          Some (key, blob)
+        | Some _ | None -> None)
       sv.Feedback.sv_keys
   | _ -> []
 
@@ -159,12 +164,11 @@ let handle_env cfg ~ask req =
       let prog = Suite.compile ~pass:"server" prog ~scale in
       let sv = Feedback.adapt ?cache:cfg.cache ~config prog in
       if sv.Feedback.sv_status = `Hit then T.count "server.cache_hit" 1;
-      let result = sv.Feedback.sv_result in
+      let adapted = sv.Feedback.sv_adapted in
       ( Proto.Adapted
           {
-            report =
-              Format.asprintf "%a@." Ssp.Report.pp result.Ssp.Adapt.report;
-            asm = Ssp_ir.Asm.to_string result.Ssp.Adapt.prog ^ "\n";
+            report = Format.asprintf "%a@." Ssp.Report.pp adapted.Store.report;
+            asm = adapted.Store.text ^ "\n";
             cache = Store.status_string sv.Feedback.sv_status;
           },
         artifacts_of cfg.cache ~ask sv )
@@ -173,7 +177,9 @@ let handle_env cfg ~ask req =
       let prog = Suite.compile ~pass:"server" prog ~scale in
       let prog =
         if ssp then
-          (Feedback.adapt ?cache:cfg.cache ~config prog).Feedback.sv_result
+          (Lazy.force
+             (Feedback.adapt ?cache:cfg.cache ~config prog).Feedback.sv_adapted
+               .Store.result)
             .Ssp.Adapt.prog
         else prog
       in
@@ -567,31 +573,37 @@ let serve ?ready cfg =
           T.count "server.requests" 1;
           send c Proto.Ok_reply
         | Proto.Put_blob { key; blob } -> (
-          (* Replica write-through from the router: cheap disk I/O,
-             answered inline like the other control requests so it can
-             never queue behind (or be shed by) the work plane. The
-             blob's sealed envelope and the key's digest shape are both
-             verified before anything touches the cache — a replica can
-             only ever store bytes that decode clean. *)
+          (* Replica write-through from the router, answered inline like
+             the other control requests so it can never queue behind (or
+             be shed by) the work plane. These are the only bytes that
+             enter the store from outside, so they are checked before
+             anything touches the cache: the key must have a digest's
+             shape, and the blob must pass [Store.check_untrusted] (at
+             most [Store.max_untrusted_bytes] and a clean envelope; for
+             an adapted result also a clean parse and validation, and a
+             re-encoding to the same bytes). A hit serves an adapted
+             blob's text without parsing it. The check holds this loop
+             for time linear in the blob: about 0.1-0.5 ms for the suite's
+             adapted programs, and the size cap bounds a hostile one. *)
           T.count "server.requests" 1;
+          let reject what =
+            T.count "server.replica.rejected" 1;
+            send c (plain_error "store" what)
+          in
           match cfg.cache with
           | None ->
             send c (plain_error "server" "replica write without a cache")
-          | Some cache ->
-            if not (valid_blob_key key) then begin
-              T.count "server.replica.rejected" 1;
-              send c (plain_error "store" "replica key is not a cache digest")
-            end
-            else if not (Store.blob_ok blob) then begin
-              T.count "server.replica.rejected" 1;
-              send c
-                (plain_error "store" "replica blob failed integrity check")
-            end
-            else begin
-              Store.Cache.put cache key blob;
-              T.count "server.replica.puts" 1;
-              send c Proto.Ok_reply
-            end)
+          | Some cache -> (
+            if not (valid_blob_key key) then
+              reject "replica key is not a cache digest"
+            else
+              match Store.check_untrusted blob with
+              | exception Ssp_ir.Error.Error e ->
+                reject ("replica blob rejected: " ^ e.Ssp_ir.Error.what)
+              | () ->
+                Store.Cache.put cache key blob;
+                T.count "server.replica.puts" 1;
+                send c Proto.Ok_reply))
         | Proto.Adapt _ | Proto.Sim _ | Proto.Feedback _ ->
           let tenant = Proto.tenant_of req in
           let d = env.Proto.re_deadline_ms in

@@ -61,24 +61,36 @@ let find_idx t addr =
 
 let probe t addr = find_idx t addr >= 0
 
+(* One pass over [line]'s set: the way holding it, or else the first of
+   the least recently used ways, the victim a fill replaces. The caller
+   tells the two apart by the way's tag. *)
+let[@inline] hit_or_victim t line =
+  let base = set_of t line * t.ways in
+  let lim = base + t.ways in
+  let tags = t.tags and lru = t.lru in
+  let found = ref (-1) in
+  let victim = ref base in
+  let vlru = ref max_int in
+  let i = ref base in
+  while !found < 0 && !i < lim do
+    if Array.unsafe_get tags !i = line then found := !i
+    else begin
+      let l = Array.unsafe_get lru !i in
+      if l < !vlru then begin
+        vlru := l;
+        victim := !i
+      end;
+      incr i
+    end
+  done;
+  if !found >= 0 then !found else !victim
+
 let install t addr =
-  let i = find_idx t addr in
-  if i >= 0 then begin
-    t.clock <- t.clock + 1;
-    t.lru.(i) <- t.clock
-  end
-  else begin
-    let line = line_of t addr in
-    let s = set_of t line in
-    let base = s * t.ways in
-    let victim = ref base in
-    for w = 1 to t.ways - 1 do
-      if t.lru.(base + w) < t.lru.(!victim) then victim := base + w
-    done;
-    t.clock <- t.clock + 1;
-    t.tags.(!victim) <- line;
-    t.lru.(!victim) <- t.clock
-  end
+  let line = line_of t addr in
+  let w = hit_or_victim t line in
+  t.clock <- t.clock + 1;
+  t.tags.(w) <- line;
+  t.lru.(w) <- t.clock
 
 let access t addr =
   let i = find_idx t addr in
@@ -100,40 +112,22 @@ let access t addr =
    recency order, tags, and hit/miss counts are identical). *)
 let warm_access t a =
   let line = line_of t a in
-  let s = set_of t line in
-  let base = s * t.ways in
-  let lim = base + t.ways in
-  let tags = t.tags and lru = t.lru in
-  (* One pass over the set: find the line and track the LRU victim at the
-     same time, so a miss needs no second scan. *)
-  let hit = ref (-1) in
-  let victim = ref base in
-  let vlru = ref max_int in
-  let i = ref base in
-  while !hit < 0 && !i < lim do
-    if Array.unsafe_get tags !i = line then hit := !i
-    else begin
-      let l = Array.unsafe_get lru !i in
-      if l < !vlru then begin
-        vlru := l;
-        victim := !i
-      end;
-      incr i
-    end
-  done;
+  let w = hit_or_victim t line in
   t.clock <- t.clock + 1;
-  if !hit >= 0 then begin
-    lru.(!hit) <- t.clock;
+  t.lru.(w) <- t.clock;
+  if t.tags.(w) = line then begin
     (match t.tel with Some (h, _) -> T.incr h | None -> ());
     true
   end
   else begin
     t.misses <- t.misses + 1;
     (match t.tel with Some (_, m) -> T.incr m | None -> ());
-    tags.(!victim) <- line;
-    lru.(!victim) <- t.clock;
+    t.tags.(w) <- line;
     false
   end
+
+(* Copies of the tag and recency arrays, set-major, for tests. *)
+let state t = (Array.copy t.tags, Array.copy t.lru)
 
 let line_addr t addr = line_of t addr lsl t.line_bits
 

@@ -14,7 +14,9 @@ val probe : t -> int -> bool
     Addresses are native ints (the simulated address space is 62-bit). *)
 
 val install : t -> int -> unit
-(** Fill the line, evicting the LRU way of its set. *)
+(** Fill the line, evicting the first least recently used way of its
+    set; a line already present is only marked most recently used. One
+    scan of the set finds either way. *)
 
 val access : t -> int -> bool
 (** Whether the line is present; on a hit also mark it most recently
@@ -25,6 +27,11 @@ val warm_access : t -> int -> bool
     functional-warming hot path. Equivalent to [access] followed by
     [install] up to LRU clock values (identical tags, recency order, and
     hit/miss counts). *)
+
+val state : t -> int array * int array
+(** Copies of the tags (line numbers, -1 for an empty way) and the
+    recency stamps (higher is more recent), [sets * ways] each, set by
+    set: for tests that compare a cache with a reference model. *)
 
 val line_addr : t -> int -> int
 

@@ -13,7 +13,7 @@ module Profile = Ssp_profiling.Profile
 module T = Ssp_telemetry.Telemetry
 module F = Ssp_fault.Fault
 
-let format_version = 2
+let format_version = 3
 let magic = "SSPA"
 
 let corrupt what = Ssp_ir.Error.raise_error ~pass:"store" what
@@ -86,6 +86,7 @@ end
 let header_len = 4 + 2 + 1 + 8
 let digest_len = 16
 
+let kind_adapted = 4
 let kind_feedback_report = 5
 let kind_feedback_aggregate = 6
 
@@ -108,7 +109,7 @@ let seal ~kind payload =
 
 (* Validate the whole envelope (magic, version, length, digest) without
    committing to an artifact kind — the shared core of [unseal] and of
-   kind-agnostic integrity checks ([fsck], replica-write validation). *)
+   kind-agnostic integrity checks ([fsck], [check_untrusted]). *)
 let unseal_any blob =
   let len = String.length blob in
   if len < header_len + digest_len then corrupt "blob truncated";
@@ -120,9 +121,8 @@ let unseal_any blob =
   let plen = Int64.to_int (String.get_int64_be blob 7) in
   if plen < 0 || plen <> len - header_len - digest_len then
     corrupt "payload length mismatch";
-  let body = String.sub blob 0 (len - digest_len) in
   let dig = String.sub blob (len - digest_len) digest_len in
-  if not (String.equal (Digest.string body) dig) then
+  if not (String.equal (Digest.substring blob 0 (len - digest_len)) dig) then
     corrupt "content hash mismatch";
   (k, String.sub blob header_len plen)
 
@@ -399,8 +399,10 @@ let report_of_reader r =
 (* ---- adapted result ----
 
    The program travels as its assembly text: the repo's one canonical
-   program serialization, validated on parse, and stable under print ->
-   parse -> print. *)
+   program serialization, stable under print -> parse -> print. Every
+   adapted blob in a store is one that decodes clean and re-encodes to
+   its own bytes (see [check_untrusted]), so a hit can serve the text
+   as stored and parse it only when a caller needs the program. *)
 
 type adapted = {
   prog : Ssp_ir.Prog.t;
@@ -408,27 +410,25 @@ type adapted = {
   prefetch_map : Iref.t Iref.Map.t;
 }
 
-let encode_adapted a =
+let encode_adapted_text ~text report prefetch_map =
   let b = Bin.writer () in
-  Bin.w_str b (Ssp_ir.Asm.to_string a.prog);
-  report_payload_into b a.report;
+  Bin.w_str b text;
+  report_payload_into b report;
   (* Map bindings are already sorted by key. *)
-  w_list b (Iref.Map.bindings a.prefetch_map) (fun b (site, load) ->
+  w_list b (Iref.Map.bindings prefetch_map) (fun b (site, load) ->
       w_iref b site;
       w_iref b load);
-  seal ~kind:4 (Bin.contents b)
+  seal ~kind:kind_adapted (Bin.contents b)
 
-let decode_adapted blob =
-  let r = Bin.reader (unseal ~kind:4 blob) in
+let encode_adapted a =
+  encode_adapted_text ~text:(Ssp_ir.Asm.to_string a.prog) a.report
+    a.prefetch_map
+
+(* The one reader of an adapted blob: the program's text as stored, the
+   report and the prefetch map. *)
+let read_adapted blob =
+  let r = Bin.reader (unseal ~kind:kind_adapted blob) in
   let text = Bin.r_str r in
-  let prog =
-    match Ssp_ir.Asm.parse text with
-    | p -> p
-    | exception Ssp_ir.Asm.Error (msg, line) ->
-      corrupt
-        (Printf.sprintf "embedded adapted program rejected: %s (line %d)" msg
-           line)
-  in
   let report = report_of_reader r in
   let prefetch_map =
     List.fold_left
@@ -440,7 +440,49 @@ let decode_adapted blob =
            (site, load)))
   in
   Bin.expect_end r;
-  { prog; report; prefetch_map }
+  (text, report, prefetch_map)
+
+(* The parser names every validation error, so a hostile text can make
+   its message about as long as the text; the first few hundred bytes
+   say what is wrong. *)
+let parse_adapted text =
+  match Ssp_ir.Asm.parse text with
+  | p -> p
+  | exception Ssp_ir.Asm.Error (msg, line) ->
+    let msg =
+      if String.length msg <= 400 then msg else String.sub msg 0 400 ^ " ..."
+    in
+    corrupt
+      (Printf.sprintf "embedded adapted program rejected: %s (line %d)" msg
+         line)
+
+let decode_adapted blob =
+  let text, report, prefetch_map = read_adapted blob in
+  { prog = parse_adapted text; report; prefetch_map }
+
+(* Bytes from outside the store: every kind must carry a clean envelope,
+   since every read of the others decodes them in full. An adapted
+   result must also decode clean and re-encode to the same bytes, since
+   a hit serves its text unparsed. Its caller answers on the daemon's
+   select loop, so the size cap bounds the time one write holds it, and
+   whatever the decode raises on hostile bytes leaves as the structured
+   error. *)
+let max_untrusted_bytes = 256 * 1024
+
+let check_untrusted blob =
+  if String.length blob > max_untrusted_bytes then
+    corrupt
+      (Printf.sprintf "blob of %d bytes is over the %d-byte replica limit"
+         (String.length blob) max_untrusted_bytes);
+  let k, _ = unseal_any blob in
+  if k = kind_adapted then
+    match encode_adapted (decode_adapted blob) with
+    | re ->
+      if not (String.equal re blob) then
+        corrupt "adapted blob does not re-encode to its own bytes"
+    | exception (Ssp_ir.Error.Error _ as e) -> raise e
+    | exception e ->
+      corrupt ("adapted blob does not decode: " ^ Printexc.to_string e)
 
 (* ---- content hashes and cache keys ---- *)
 
@@ -848,39 +890,56 @@ let cached_profile ?cache ~config prog =
   | None -> (Ssp_profiling.Collect.collect ~config prog, `Off)
   | Some c -> cached_profile_at c ~key:(profile_key ~config prog) ~config prog
 
+type served = {
+  text : string;
+  report : Ssp.Report.t;
+  result : Ssp.Adapt.result Lazy.t;
+}
+
+let served_of_result (r : Ssp.Adapt.result) =
+  {
+    text = Ssp_ir.Asm.to_string r.Ssp.Adapt.prog;
+    report = r.Ssp.Adapt.report;
+    result = Lazy.from_val r;
+  }
+
+(* A hit reads the stored text and report and parses nothing; the
+   program is parsed, and the delinquent loads re-identified, only when
+   a caller forces [result]. A miss prints the program once, for both
+   the blob and the reply. *)
 let run_cached_at c ~key ?jobs ?overrides ~config prog profile =
   match
     T.with_span "store.lookup" (fun () ->
-        Cache.get c key ~decode:decode_adapted)
+        Cache.get c key ~decode:read_adapted)
   with
-  | Some a ->
-    let delinquent =
-      Ssp.Delinquent.identify
-        ~coverage:Ssp.Adapt.default_knobs.Ssp.Adapt.coverage prog profile
+  | Some (text, report, prefetch_map) ->
+    let result =
+      lazy
+        {
+          Ssp.Adapt.prog = parse_adapted text;
+          report;
+          delinquent =
+            Ssp.Delinquent.identify
+              ~coverage:Ssp.Adapt.default_knobs.Ssp.Adapt.coverage prog profile;
+          choices = [];
+          prefetch_map;
+        }
     in
-    ( {
-        Ssp.Adapt.prog = a.prog;
-        report = a.report;
-        delinquent;
-        choices = [];
-        prefetch_map = a.prefetch_map;
-      },
-      `Hit )
+    ({ text; report; result }, `Hit)
   | None ->
     let r = Ssp.Adapt.run ?jobs ?overrides ~config prog profile in
+    let sv = served_of_result r in
     Cache.put c key
-      (encode_adapted
-         {
-           prog = r.Ssp.Adapt.prog;
-           report = r.Ssp.Adapt.report;
-           prefetch_map = r.Ssp.Adapt.prefetch_map;
-         });
-    (r, `Miss)
+      (encode_adapted_text ~text:sv.text r.Ssp.Adapt.report
+         r.Ssp.Adapt.prefetch_map);
+    (sv, `Miss)
 
 let run_cached ?cache ?jobs ?tuning ~config prog profile =
   let overrides = Option.map snd tuning in
   match cache with
-  | None -> (Ssp.Adapt.run ?jobs ?overrides ~config prog profile, `Off)
+  | None ->
+    let r = Ssp.Adapt.run ?jobs ?overrides ~config prog profile in
+    (served_of_result r, `Off)
   | Some c ->
     let tuning =
       Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning

@@ -21,13 +21,27 @@
     directory, then rename; no fsync), caps its total size LRU-by-mtime
     from a byte total it keeps, and treats a corrupt entry as a miss:
     the entry is deleted, the [store.corrupt] telemetry counter is
-    bumped, and the caller recomputes. *)
+    bumped, and the caller recomputes.
+
+    {b What a stored adapted blob is.} Every adapted blob a store holds
+    decodes clean (its program parses and passes
+    {!Ssp_ir.Validate.check}) and re-encodes to its own bytes. The
+    store's own writer ({!run_cached_at}) seals only programs the
+    post-pass built, and it validates them; bytes from anywhere else (a
+    replica write) are stored only after {!check_untrusted}. A hit
+    therefore checks only the envelope's MD5, which catches a torn or
+    bit-flipped file, and serves the stored text without parsing it.
+    The digest does not protect against a process that writes the
+    directory around these entry points. *)
 
 val format_version : int
 (** Bumped whenever any payload encoding changes; part of every envelope
     and of every cache key, so stale-format entries simply miss. Format
     2: the feedback aggregate holds only the published tuning state, and
-    reports tag their program identity as the wire protocol does. *)
+    reports tag their program identity as the wire protocol does. Format
+    3: the payloads are format 2's, but an adapted blob is served
+    without parsing its program, so an entry admitted under format 2's
+    envelope-only replica check is never read. *)
 
 (** Low-level binary reader/writer used by every codec (and by the wire
     protocol of {!Ssp_server}). Integers are 8-byte big-endian, strings
@@ -98,7 +112,29 @@ type adapted = {
     serialized; a cache hit carries an empty choice list.) *)
 
 val encode_adapted : adapted -> string
+(** Prints the program with {!Ssp_ir.Asm.to_string}. *)
+
 val decode_adapted : string -> adapted
+(** The reader {!run_cached_at}'s hits use, plus the program's parse
+    (which validates it). Raises the structured [store] error on a blob
+    that fails either. *)
+
+val max_untrusted_bytes : int
+(** The largest blob {!check_untrusted} admits: 256 KiB, about 35 times
+    the largest adapted program of the suite and the generated corpus
+    (vpr's 7.5 KB blob). The check costs time linear in the blob on the
+    daemon's select loop, so this cap is what bounds one replica write;
+    a daemon hands no larger blob out for replication. *)
+
+val check_untrusted : string -> unit
+(** The check on bytes that enter a store from outside (the daemon's
+    replica write). Every blob must be at most {!max_untrusted_bytes}
+    and pass its envelope check; the other kinds are decoded in full on
+    every read. An adapted blob must also {!decode_adapted} clean and
+    re-encode to exactly its own bytes, because a hit serves its text
+    unparsed. Raises the structured [store] error otherwise, and no
+    other exception. Nothing ties the blob to the key it is stored
+    under. *)
 
 (** {1 Content hashes and cache keys} *)
 
@@ -143,11 +179,14 @@ val blob_kind : string -> int option
     any check fails. Kind-agnostic: accepts every artifact kind. *)
 
 val blob_ok : string -> bool
-(** [blob_kind blob <> None]: whole-envelope integrity, used to vet
-    replica writes before they touch the cache. *)
+(** [blob_kind blob <> None]: whole-envelope integrity, what {!Cache.fsck}
+    checks of every entry. *)
 
 val kind_name : int -> string
 (** Human name of an artifact kind (["unknown"] for unassigned codes). *)
+
+val kind_adapted : int
+(** Envelope kind of an adaptation result. *)
 
 val kind_feedback_report : int
 (** Envelope kind of a feedback attribution report ([Ssp_feedback]). *)
@@ -302,6 +341,19 @@ val cached_profile :
     functional simulator, so for a long-lived service this is the
     dominant cost a warm cache removes. *)
 
+type served = {
+  text : string;
+      (** the adapted program's assembly text ({!Ssp_ir.Asm.to_string}'s
+          bytes): on a hit the stored bytes, on a miss the one print
+          that also went into the blob *)
+  report : Ssp.Report.t;
+  result : Ssp.Adapt.result Lazy.t;
+      (** the parsed result, built when forced: on a hit forcing it
+          parses [text] and re-identifies the delinquent loads (the
+          choices are empty); otherwise it is the result computed *)
+}
+(** An adaptation result as the store serves it. *)
+
 val run_cached_at :
   Cache.t ->
   key:string ->
@@ -310,7 +362,7 @@ val run_cached_at :
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
-  Ssp.Adapt.result * [ `Hit | `Miss | `Off ]
+  served * [ `Hit | `Miss | `Off ]
 (** {!run_cached} under a key the caller already holds; the key must
     name the version of [overrides]. *)
 
@@ -321,13 +373,12 @@ val run_cached :
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
-  Ssp.Adapt.result * [ `Hit | `Miss | `Off ]
+  served * [ `Hit | `Miss | `Off ]
 (** {!Ssp.Adapt.run} at the default knobs, memoized by
-    [hash(program) x hash(profile) x fingerprint(config) x knobs]. On a
-    hit the adapted program, report and prefetch map are decoded from
-    the store ([result.choices] is empty; the delinquent-load set is
-    re-identified, which is cheap); the adapted program is byte-identical
-    to what the cold run produced. On a miss the result is computed and
+    [hash(program) x hash(profile) x fingerprint(config) x knobs]. A hit
+    reads the stored text, report and prefetch map and checks only the
+    envelope (see the invariant above); its text is byte-identical to
+    what the cold run printed. On a miss the result is computed and
     published. [`Off] means no cache was supplied.
 
     [tuning:(version, overrides)] computes/serves the feedback-tuned

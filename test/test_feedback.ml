@@ -327,7 +327,9 @@ let test_e2e_loop () =
       base.Ssp_sim.Stats.outputs stats.Ssp_sim.Stats.outputs;
     (stats, Ssp_sim.Attrib.summary attrib)
   in
-  let r0, _ = Store.run_cached ~cache ~config prog profile in
+  let r0 =
+    Lazy.force (fst (Store.run_cached ~cache ~config prog profile)).Store.result
+  in
   let stats0, sum0 = simulate r0 in
   let red0 = sum_redundant sum0 in
   Alcotest.(check bool)
@@ -358,8 +360,8 @@ let test_e2e_loop () =
           (status = `Hit);
         Alcotest.(check string)
           "warm fetch is byte-identical to the published artifact"
-          (Format.asprintf "%a@." Ssp_ir.Asm.print t.Fb.td_result.Ssp.Adapt.prog)
-          (Format.asprintf "%a@." Ssp_ir.Asm.print fetched.Ssp.Adapt.prog);
+          (Ssp_ir.Asm.to_string t.Fb.td_result.Ssp.Adapt.prog)
+          fetched.Store.text;
         let stats, summary = simulate t.Fb.td_result in
         converge (mk_report v stats summary :: reports) v t.Fb.td_result (n + 1)
   in
@@ -390,8 +392,7 @@ let test_tune_store_deterministic () =
   let prog = Workload.program (Suite.find "mcf") ~scale:2 in
   let profile = Ssp_profiling.Collect.collect ~config prog in
   let r0 =
-    let r, _ = Store.run_cached ~config prog profile in
-    r
+    Lazy.force (fst (Store.run_cached ~config prog profile)).Store.result
   in
   let attrib =
     Ssp_sim.Attrib.create ~prefetch_map:r0.Ssp.Adapt.prefetch_map ()

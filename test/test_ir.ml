@@ -85,9 +85,33 @@ let test_validate_catches () =
   in
   let p3 = Prog.create ~entry:"main" in
   Prog.add_func p3 f3;
-  match Validate.check p3 with
+  (match Validate.check p3 with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "expected undefined-callee error"
+  | Ok () -> Alcotest.fail "expected undefined-callee error");
+  (* A spawn names a label of another function: one that exists passes,
+     a missing label or function is an error naming it. *)
+  let spawning (fn, label) =
+    let p = Prog.create ~entry:"main" in
+    Prog.add_func p
+      (Builder.func_of_blocks ~name:"main" ~nparams:0
+         [ ("entry", [ Op.Spawn (fn, label); Op.Halt ]) ]);
+    Prog.add_func p
+      (Builder.func_of_blocks ~name:"helper" ~nparams:0
+         [ ("entry", [ Op.Nop ]); ("slice", [ Op.Kill ]) ]);
+    match Validate.check p with
+    | Ok () -> "ok"
+    | Error es ->
+      String.concat "; "
+        (List.map (fun e -> Format.asprintf "%a" Validate.pp_error e) es)
+  in
+  Alcotest.(check string) "spawn to an existing label" "ok"
+    (spawning ("helper", "slice"));
+  Alcotest.(check string) "spawn to a missing label"
+    "main.0.0: spawn label gone not in helper"
+    (spawning ("helper", "gone"));
+  Alcotest.(check string) "spawn to a missing function"
+    "main.0.0: spawn of undefined function ghost"
+    (spawning ("ghost", "entry"))
 
 let test_iref_and_addr () =
   let f = fact_func () in
@@ -198,7 +222,19 @@ let test_asm_errors () =
   Alcotest.(check bool) "missing entry" true
     (match Asm.parse "func f/0 @1 {\nentry:\n  halt\n}" with
     | _ -> false
-    | exception Asm.Error _ -> true)
+    | exception Asm.Error _ -> true);
+  (* A second definition is the parser's own error at its line, not
+     [Prog.add_func]'s [Invalid_argument]. *)
+  match
+    Asm.parse
+      "entry main\nfunc main/0 @1 {\nentry:\n  halt\n}\n\n\
+       func main/0 @2 {\nentry:\n  halt\n}\n"
+  with
+  | _ -> Alcotest.fail "a function defined twice parsed"
+  | exception Asm.Error (msg, line) ->
+    Alcotest.(check string) "duplicate function" "function main defined twice"
+      msg;
+    Alcotest.(check int) "at its second definition" 7 line
 
 let suite =
   suite

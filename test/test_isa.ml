@@ -87,6 +87,34 @@ let prop_bundle_cover =
       covered = Array.length arr && contiguous
       && List.for_all (fun b -> b.Bundle.len >= 1 && b.Bundle.len <= 3) bs)
 
+(* The printer appends integers digit by digit; its bytes must be
+   [string_of_int]'s and [Int64.to_string]'s, which every store key and
+   served binary was printed with. *)
+let printed add v =
+  let b = Buffer.create 24 in
+  add b v;
+  Buffer.contents b
+
+let test_integer_text () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) "num" (string_of_int n) (printed Op.num n))
+    [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int ];
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "imm" (Int64.to_string i) (printed Op.imm i))
+    [ 0L; 1L; -1L; 9L; -9L; 10L; -10L; Int64.of_int max_int;
+      Int64.of_int min_int; Int64.succ (Int64.of_int max_int);
+      Int64.pred (Int64.of_int min_int); Int64.max_int; Int64.min_int ]
+
+let prop_integer_text =
+  QCheck.Test.make ~name:"integers print as string_of_int and Int64.to_string"
+    ~count:2000
+    QCheck.(pair int int64)
+    (fun (n, i) ->
+      String.equal (string_of_int n) (printed Op.num n)
+      && String.equal (Int64.to_string i) (printed Op.imm i))
+
 let suite =
   [
     Alcotest.test_case "register conventions" `Quick test_reg_conventions;
@@ -95,4 +123,6 @@ let suite =
     Alcotest.test_case "evaluation" `Quick test_eval;
     Alcotest.test_case "bundle formation" `Quick test_bundles;
     QCheck_alcotest.to_alcotest prop_bundle_cover;
+    Alcotest.test_case "integer text" `Quick test_integer_text;
+    QCheck_alcotest.to_alcotest prop_integer_text;
   ]

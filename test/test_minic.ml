@@ -130,6 +130,30 @@ let error_cases =
     expect_frontend_error "no main" "int f() { return 1; }";
   ]
 
+(* A literal beyond int64 is a lexical error at its position, so sspc
+   exits 2 on it as on any bad input; the largest one still compiles. *)
+let test_literal_range () =
+  check_outputs "largest literal"
+    "int main() { print_int(9223372036854775807); return 0; }"
+    [ Int64.max_int ];
+  let src = "int main() { print_int(99999999999999999999999); return 0; }" in
+  (match Frontend.compile src with
+  | _ -> Alcotest.fail "an out-of-range literal compiled"
+  | exception Frontend.Error msg ->
+    Alcotest.(check string) "lexical error at the literal"
+      "1:24: lexical error: integer literal 99999999999999999999999 out of \
+       range"
+      msg);
+  let file = Filename.temp_file "sspc_literal" ".mc" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc src);
+  let code =
+    Sys.command
+      (Printf.sprintf "%s run %s >/dev/null 2>&1" Test_fault.sspc
+         (Filename.quote file))
+  in
+  Sys.remove file;
+  Alcotest.(check int) "sspc run exits 2" 2 code
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -143,5 +167,6 @@ let suite =
     Alcotest.test_case "function pointers" `Quick test_fnptr;
     Alcotest.test_case "trees" `Quick test_tree;
     Alcotest.test_case "rand determinism" `Quick test_rand_deterministic;
+    Alcotest.test_case "integer literal range" `Quick test_literal_range;
   ]
   @ error_cases

@@ -111,23 +111,23 @@ let test_avg_latency_and_executed () =
    the instruction and spawn counts of the adapted binaries run with
    spawning on, were recorded once and must not change. A digest covers
    the sealed blob, whose envelope carries [Store.format_version], so a
-   format bump re-records them (format 2 did; the payloads kept their
-   bytes). *)
+   format bump re-records them (formats 2 and 3 did; the payloads kept
+   their bytes). *)
 let pinned =
   [
-    ("em3d", "fd6b2e08cb3e4e4705ddb3da5cdd5985", 708165, 21325);
-    ("health", "e0608fc24086729d67bb150ab9444b96", 178507, 4640);
-    ("mst", "755768f3731da667892578df9bdb5296", 710884, 5776);
-    ("treeadd.df", "ba11027ac538748372952649e02ed5a3", 869719, 29523);
-    ("treeadd.bf", "961a24cf1668be7d9e3a3f9170ff4591", 954361, 28816);
-    ("mcf", "2d970d61a8c096a3958e4d2d45011dca", 211959, 1872);
-    ("vpr", "281cabcce71846a5f0ea08640885037d", 876403, 25553);
-    ("gen:3", "c2b95effc2c6fb82fa7ffb044de7896e", 186400, 1);
-    ("gen:4", "980dd033c2d7ca3c2ef0525517f68580", 210760, 5841);
-    ("gen:5", "bab188bfb58cdbd55be024791e6b57db", 124953, 1);
-    ("gen:6", "a9203f78e43173c190f8b83c58903d50", 222231, 7208);
-    ("gen:7", "0536fcda38a09747e03cb0cd5029f420", 455167, 14964);
-    ("gen:8", "609c124ba88df2980e9ad8a8ea4b3fbe", 227488, 6776);
+    ("em3d", "afd70a1804fd5fb8056286b49994b5e3", 708165, 21325);
+    ("health", "8f0f015cc93b623988b29e47f0e8fc9b", 178507, 4640);
+    ("mst", "335522b66e147d7c078dbe4a5492e294", 710884, 5776);
+    ("treeadd.df", "561d47eef05366528b649ba9d402fee0", 869719, 29523);
+    ("treeadd.bf", "01e67c1fd9fcd8d69e74e2c6c30fa69b", 954361, 28816);
+    ("mcf", "61d0ecf977a26386a2413e84aea2e1b2", 211959, 1872);
+    ("vpr", "e4088d9db1b9a2477f5489fe9e6b4931", 876403, 25553);
+    ("gen:3", "36bd16648afd17c1c8375d9f023b06a5", 186400, 1);
+    ("gen:4", "7696b23a28021d0aefbf5ee45662bf45", 210760, 5841);
+    ("gen:5", "6e168ec60922471f15aa0ab70c4c38c0", 124953, 1);
+    ("gen:6", "b9aef6ade16e1b8018893dc85371d318", 222231, 7208);
+    ("gen:7", "11544577dddfea71ba57554a8281a280", 455167, 14964);
+    ("gen:8", "9cdbadb41d4d1fd1fba9cced4d8d2bc4", 227488, 6776);
   ]
 
 let test_pinned () =

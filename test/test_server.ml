@@ -610,7 +610,9 @@ let test_offline_adapt_serves_published_version () =
   let cache = Store.Cache.open_dir store in
   let name = "treeadd.bf" in
   let prog = Workload.program (Suite.find name) ~scale in
-  let untuned = (Fb.adapt ~cache ~config prog).Fb.sv_result in
+  let untuned =
+    Lazy.force (Fb.adapt ~cache ~config prog).Fb.sv_adapted.Store.result
+  in
   List.iter
     (fun sampling ->
       let attrib =
@@ -958,6 +960,119 @@ let test_artifact_attachment () =
     Alcotest.(check string) "garbage blob is a store error" "store" pass
   | _ -> Alcotest.fail "garbage replica blob accepted"
 
+(* A replica write is the one way bytes enter a store from outside, and
+   a hit serves an adapted blob's text unparsed, so the write must carry
+   a program that parses, validates and re-encodes to the same bytes. An
+   honest envelope around anything else is refused as a store error, and
+   the key stays absent. *)
+let test_put_blob_checks_adapted () =
+  with_server @@ fun socket ->
+  let prog = Ssp_minic.Frontend.compile "int main() { return 0; }" in
+  let text = Ssp_ir.Asm.to_string prog in
+  let empty_report =
+    { Ssp.Report.slices = []; n_delinquent = 0; coverage = 0.;
+      diagnostics = [] }
+  in
+  let honest =
+    Store.encode_adapted
+      { Store.prog; report = empty_report;
+        prefetch_map = Ssp_ir.Iref.Map.empty }
+  in
+  (* The same report and prefetch map, sealed around another text. *)
+  let sealed_with text' =
+    let payload = Store.unseal_kind ~kind:Store.kind_adapted honest in
+    let skip = 8 + String.length text in
+    let b = Store.Bin.writer () in
+    Store.Bin.w_str b text';
+    Store.seal_kind ~kind:Store.kind_adapted
+      (Store.Bin.contents b
+      ^ String.sub payload skip (String.length payload - skip))
+  in
+  let stored key =
+    Sys.file_exists
+      (Filename.concat
+         (Filename.concat (Filename.dirname socket) "cache")
+         (key ^ ".blob"))
+  in
+  let put key blob = Client.request ~socket (Proto.Put_blob { key; blob }) in
+  List.iter
+    (fun (what, key, text', reason) ->
+      let blob = sealed_with text' in
+      Alcotest.(check bool) (what ^ ": envelope is clean") true
+        (Store.blob_ok blob);
+      (match put key blob with
+      | Proto.Error_reply { pass; what = msg; _ } ->
+        Alcotest.(check string) (what ^ ": a store error") "store" pass;
+        if not (Test_fault.contains msg reason) then
+          Alcotest.failf "%s: rejected for %S" what msg;
+        if String.length msg > 1024 then
+          Alcotest.failf "%s: a %d-byte reason" what (String.length msg)
+      | _ -> Alcotest.failf "%s: replica write accepted" what);
+      Alcotest.(check bool) (what ^ ": key absent") false (stored key);
+      (* The check runs on the select loop: whatever the blob made the
+         decoder raise, the daemon is still there. *)
+      match Client.request ~socket Proto.Ping with
+      | Proto.Ok_reply -> ()
+      | _ -> Alcotest.failf "%s: the daemon stopped answering" what)
+    [
+      ( "unparsable program", String.make 32 'a',
+        "entry main\n\nfunc main/0 @1 {\nentry:\n  frob r1\n}\n",
+        "cannot parse instruction" );
+      ( "invalid program", String.make 32 'b',
+        "entry main\ndata 0\n\nfunc main/0 @1 {\nentry:\n  br nowhere\n}\n\n",
+        "invalid program" );
+      ( "non-canonical text", String.make 32 'c', text ^ "; a comment\n",
+        "does not re-encode" );
+      ( "function defined twice", String.make 32 'e',
+        "entry main\ndata 0\n\nfunc main/0 @1 {\nentry:\n  ret\n}\n\n\
+         func main/0 @2 {\nentry:\n  ret\n}\n\n",
+        "function main defined twice" );
+      ( "thousands of invalid instructions", String.make 32 'f',
+        "entry main\ndata 0\n\nfunc main/0 @1 {\nentry:\n"
+        ^ String.concat "" (List.init 5000 (fun _ -> "  br nowhere\n"))
+        ^ "  ret\n}\n\n",
+        "unresolved label nowhere" );
+      ( "blob over the replica limit", String.make 32 '0',
+        text ^ String.make Store.max_untrusted_bytes ';',
+        "replica limit" );
+    ];
+  Alcotest.(check bool) "the honest blob is the re-sealed text" true
+    (String.equal honest (sealed_with text));
+  (match put (String.make 32 'd') honest with
+  | Proto.Ok_reply -> ()
+  | _ -> Alcotest.fail "canonical replica write rejected");
+  Alcotest.(check bool) "canonical blob stored" true
+    (stored (String.make 32 'd'))
+
+(* A result too large for a replica to check is served, and left out of
+   the artifacts a router would write through: a refused write would
+   open its breaker on a healthy shard. *)
+let test_artifacts_within_replica_limit () =
+  with_server @@ fun socket ->
+  let b = Buffer.create 131072 in
+  for i = 1 to 4000 do
+    Printf.bprintf b "int f%d() { return %d; }\n" i i
+  done;
+  Buffer.add_string b "int main() { print_int(f1()); return 0; }\n";
+  let req =
+    Proto.Adapt
+      { prog = Proto.Source (Buffer.contents b); scale; pipeline = "inorder";
+        tenant = Proto.default_tenant }
+  in
+  match
+    Client.request_env ~artifacts:Proto.artifacts_always
+      (Client.Unix_sock socket) req
+  with
+  | Proto.Adapted { asm; _ }, _, artifacts ->
+    Alcotest.(check bool) "the program is over the limit" true
+      (String.length asm > Store.max_untrusted_bytes);
+    Alcotest.(check (list (option string))) "only the profile is handed out"
+      [ Some "profile" ]
+      (List.map
+         (fun (_, blob) -> Option.map Store.kind_name (Store.blob_kind blob))
+         artifacts)
+  | resp, _, _ -> ignore (expect_adapted resp)
+
 let test_put_blob_without_cache () =
   with_server ~with_cache:false @@ fun socket ->
   match
@@ -1038,6 +1153,10 @@ let suite =
     Alcotest.test_case "ping answers ok" `Quick test_ping;
     Alcotest.test_case "artifacts: attach, replay, reject hostile" `Quick
       test_artifact_attachment;
+    Alcotest.test_case "replica write of an adapted blob is checked" `Quick
+      test_put_blob_checks_adapted;
+    Alcotest.test_case "replication: no artifact over the replica limit"
+      `Quick test_artifacts_within_replica_limit;
     Alcotest.test_case "replica write without a cache" `Quick
       test_put_blob_without_cache;
     Alcotest.test_case "clean shutdown" `Quick test_shutdown;

@@ -949,9 +949,93 @@ let prop_reference_eval =
           ("sampled ooo", (Ooo.run ~sampling ooo p).Stats.outputs);
         ])
 
+(* [install] and [warm_access] find the hit way or the victim in one
+   scan of the set. The reference is the two-scan [install] (a hit scan,
+   then a first-least-recent victim scan), and [access] followed by it
+   on a miss: tags, recency stamps and misses must be equal after every
+   step of a random mix of the three calls. *)
+module Two_scan = struct
+  type t = { tags : int array; lru : int array; mutable clock : int;
+             mutable misses : int; sets : int; ways : int }
+
+  let create ~sets ~ways =
+    { tags = Array.make (sets * ways) (-1); lru = Array.make (sets * ways) 0;
+      clock = 0; misses = 0; sets; ways }
+
+  let find t line =
+    let base = line mod t.sets * t.ways in
+    let rec go i =
+      if i = base + t.ways then -1
+      else if t.tags.(i) = line then i
+      else go (i + 1)
+    in
+    go base
+
+  let install t line =
+    let i = find t line in
+    if i >= 0 then begin
+      t.clock <- t.clock + 1;
+      t.lru.(i) <- t.clock
+    end
+    else begin
+      let base = line mod t.sets * t.ways in
+      let victim = ref base in
+      for w = 1 to t.ways - 1 do
+        if t.lru.(base + w) < t.lru.(!victim) then victim := base + w
+      done;
+      t.clock <- t.clock + 1;
+      t.tags.(!victim) <- line;
+      t.lru.(!victim) <- t.clock
+    end
+
+  let access t line =
+    let i = find t line in
+    if i >= 0 then begin
+      t.clock <- t.clock + 1;
+      t.lru.(i) <- t.clock;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      false
+    end
+end
+
+let prop_cache_one_scan =
+  let gen = QCheck.Gen.(list_size (1 -- 400) (pair (0 -- 2) (0 -- 40))) in
+  QCheck.Test.make ~name:"one-scan install matches the two-scan reference"
+    ~count:200 (QCheck.make gen) (fun steps ->
+      let geom =
+        { Ssp_machine.Config.size_bytes = 1024; ways = 4; line_bytes = 64;
+          latency = 1 }
+      in
+      (* 1024B / 64B / 4 ways = 4 sets *)
+      let c = Cache.create geom in
+      let r = Two_scan.create ~sets:4 ~ways:4 in
+      List.for_all
+        (fun (call, line) ->
+          let addr = line * 64 in
+          let same_answer =
+            match call with
+            | 0 ->
+              Cache.install c addr;
+              Two_scan.install r line;
+              true
+            | 1 -> Bool.equal (Cache.access c addr) (Two_scan.access r line)
+            | _ ->
+              let hit = Two_scan.access r line in
+              if not hit then Two_scan.install r line;
+              Bool.equal (Cache.warm_access c addr) hit
+          in
+          let tags, lru = Cache.state c in
+          same_answer && tags = r.Two_scan.tags && lru = r.Two_scan.lru
+          && Cache.stats_misses c = r.Two_scan.misses)
+        steps)
+
 let extra_suite =
   [ QCheck_alcotest.to_alcotest prop_memory;
-    QCheck_alcotest.to_alcotest prop_cache_lru ]
+    QCheck_alcotest.to_alcotest prop_cache_lru;
+    QCheck_alcotest.to_alcotest prop_cache_one_scan ]
 
 let suite =
   suite @ extra_suite

@@ -164,21 +164,30 @@ let test_run_cached_hit_identical () =
   Alcotest.(check string) "first lookup misses" "miss" (status_string s1);
   Alcotest.(check string) "second lookup hits" "hit" (status_string s2);
   List.iter
-    (fun (what, r) ->
+    (fun (what, (sv : Store.served)) ->
+      let r = Lazy.force sv.Store.result in
       Alcotest.(check bool)
-        (what ^ " adapted program byte-identical to the uncached run")
+        (what ^ " text byte-identical to the uncached run")
         true
         (String.equal
            (Ssp_ir.Asm.to_string clean.Ssp.Adapt.prog)
-           (Ssp_ir.Asm.to_string r.Ssp.Adapt.prog));
+           sv.Store.text);
+      Alcotest.(check bool)
+        (what ^ " parsed program prints to the text")
+        true
+        (String.equal (Ssp_ir.Asm.to_string r.Ssp.Adapt.prog) sv.Store.text);
       Alcotest.(check bool)
         (what ^ " report identical")
         true
-        (String.equal (report_blob clean) (report_blob r)))
+        (String.equal (report_blob clean) (report_blob r)
+        && String.equal (report_blob clean)
+             (Store.encode_adapted
+                { (carrying prog) with Store.report = sv.Store.report })))
     [ ("cold", cold); ("warm", warm) ];
   Alcotest.(check bool)
     "hit re-identifies the delinquent loads" true
-    (List.length warm.Ssp.Adapt.delinquent.Ssp.Delinquent.loads
+    (List.length
+       (Lazy.force warm.Store.result).Ssp.Adapt.delinquent.Ssp.Delinquent.loads
     = List.length clean.Ssp.Adapt.delinquent.Ssp.Delinquent.loads)
 
 let test_corrupt_entry_recomputes () =
@@ -204,9 +213,7 @@ let test_corrupt_entry_recomputes () =
     (status_string status);
   Alcotest.(check bool)
     "recomputed result identical to the clean run" true
-    (String.equal
-       (Ssp_ir.Asm.to_string clean.Ssp.Adapt.prog)
-       (Ssp_ir.Asm.to_string recomputed.Ssp.Adapt.prog));
+    (String.equal clean.Store.text recomputed.Store.text);
   let _, again = Store.run_cached ~cache ~config prog profile in
   Alcotest.(check string) "republished entry hits again" "hit"
     (status_string again)
@@ -476,6 +483,41 @@ let test_fsck () =
     | Some b -> String.equal b good1
     | None -> false)
 
+(* A hit serves the stored text unparsed: on every kernel and three
+   generated programs, the hit's text is the miss's, and the result the
+   hit parses on demand prints to those bytes and carries the same
+   report. *)
+let test_hit_serves_stored_text () =
+  let config = Ssp_machine.Config.scale_caches config 64 in
+  let report_text r = Format.asprintf "%a" Ssp.Report.pp r in
+  List.iter
+    (fun (w : Workload.t) ->
+      with_temp_cache @@ fun cache ->
+      let name = w.Workload.name in
+      let prog = Workload.program w ~scale:1 in
+      let miss = Ssp_feedback.Feedback.adapt ~cache ~config prog in
+      let hit = Ssp_feedback.Feedback.adapt ~cache ~config prog in
+      Alcotest.(check string) (name ^ ": cold misses") "miss"
+        (status_string miss.Ssp_feedback.Feedback.sv_status);
+      Alcotest.(check string) (name ^ ": warm hits") "hit"
+        (status_string hit.Ssp_feedback.Feedback.sv_status);
+      let m = miss.Ssp_feedback.Feedback.sv_adapted in
+      let h = hit.Ssp_feedback.Feedback.sv_adapted in
+      Alcotest.(check bool) (name ^ ": hit text is the miss text") true
+        (String.equal m.Store.text h.Store.text);
+      let parsed = Lazy.force h.Store.result in
+      Alcotest.(check bool)
+        (name ^ ": parsed hit prints to the text")
+        true
+        (String.equal
+           (Ssp_ir.Asm.to_string parsed.Ssp.Adapt.prog)
+           h.Store.text);
+      Alcotest.(check string) (name ^ ": hit report")
+        (report_text m.Store.report) (report_text h.Store.report);
+      Alcotest.(check string) (name ^ ": parsed hit report")
+        (report_text m.Store.report) (report_text parsed.Ssp.Adapt.report))
+    (Suite.all @ Suite.corpus ~n:3 ~seed:11)
+
 let per_workload name f =
   List.map
     (fun (w : Workload.t) ->
@@ -494,6 +536,8 @@ let suite =
         test_hostile_lengths;
       Alcotest.test_case "run_cached hit is byte-identical" `Quick
         test_run_cached_hit_identical;
+      Alcotest.test_case "a hit serves the miss's text" `Quick
+        test_hit_serves_stored_text;
       Alcotest.test_case "corrupt cache entry recomputes" `Quick
         test_corrupt_entry_recomputes;
       Alcotest.test_case "cached_profile" `Quick test_cached_profile;
