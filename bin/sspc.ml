@@ -231,12 +231,9 @@ let adapt_cmd =
     let cache = Option.map Ssp_store.Store.Cache.open_dir store in
     let sv = Fb.adapt ?cache ~jobs ~config prog in
     if sv.Fb.sv_status <> `Off then
-      Printf.eprintf "sspc: cache %s\n%!"
-        (Ssp_store.Store.status_string sv.Fb.sv_status);
-    let adapted = sv.Fb.sv_adapted in
-    Format.printf "%a@." Ssp.Report.pp adapted.Ssp_store.Store.report;
-    with_out out (fun ppf ->
-        Format.fprintf ppf "%s@." adapted.Ssp_store.Store.text)
+      Printf.eprintf "sspc: cache %s\n%!" (Fb.status_string sv.Fb.sv_status);
+    Format.printf "%a@." Ssp.Report.pp sv.Fb.sv_report;
+    with_out out (fun ppf -> Format.fprintf ppf "%s@." sv.Fb.sv_text)
   in
   Cmd.v
     (Cmd.info "adapt"
@@ -354,7 +351,7 @@ let sim_cmd =
     let ssp = ssp || explain || upload <> None in
     let result =
       if ssp then
-        Some (Lazy.force (Fb.adapt ~jobs ~config prog).Fb.sv_adapted.result)
+        Some (Lazy.force (Fb.adapt ~jobs ~config prog).Fb.sv_result)
       else None
     in
     let prog =
@@ -447,7 +444,7 @@ let explain_cmd =
     (* No store here: a store hit carries no selection choices, and the
        table is built from them. *)
     let sv = Fb.adapt ~jobs ~config prog in
-    let result = Lazy.force sv.Fb.sv_adapted.result in
+    let result = Lazy.force sv.Fb.sv_result in
     let attrib =
       Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
     in
@@ -667,7 +664,7 @@ let stats_cmd =
     T.set_enabled true;
     let config = config_of_pipeline pipeline in
     let prog = compile (program_of src) scale in
-    let adapted = Lazy.force (Fb.adapt ~config prog).Fb.sv_adapted.result in
+    let adapted = Lazy.force (Fb.adapt ~config prog).Fb.sv_result in
     let r = Ssp_sim.Simulate.run config adapted.Ssp.Adapt.prog in
     if json then
       print_endline

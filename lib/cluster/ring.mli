@@ -24,9 +24,6 @@ val is_empty : t -> bool
 val add : t -> string -> t
 val remove : t -> string -> t
 
-val hash_key : string -> int64
-(** Position of a key on the 64-bit circle (first 8 bytes of its MD5). *)
-
 val lookup : t -> string -> string option
 (** Owning node for a key; [None] on an empty ring. *)
 

@@ -3,6 +3,8 @@ module F = Ssp_fault.Fault
 
 let site_refuse = F.site "adapt.codegen.refuse"
 
+(* Live-in buffer slot carrying the chain-depth bound of predicted spawn
+   conditions: the last slot. *)
 let depth_slot = Ssp_sim.Thread.lib_slots - 1
 
 (* Label gensym: [ssp_<stem>_<n>] with [n] counting up from [start].

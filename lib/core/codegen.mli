@@ -21,10 +21,6 @@
     dependences, and slice code never contains stores, allocations or
     calls — validated structurally after rewriting. *)
 
-val depth_slot : int
-(** Live-in buffer slot carrying the chain-depth bound of predicted spawn
-    conditions (the last slot). *)
-
 type apply_result = {
   prefetch_map : Ssp_ir.Iref.t Ssp_ir.Iref.Map.t;
       (** every emitted instruction that acts as a prefetch — each

@@ -23,7 +23,11 @@ type choice = {
          [refine] must not re-promote past it when slices are combined *)
 }
 
+(* Fraction of a load's miss cycles a region must recover; §3.4.1
+   reports low sensitivity to this value. *)
 let cutoff = 0.3
+
+(* How many region expansions outward are considered. *)
 let max_region_depth = 3
 
 let trips_of regions profile region fn =

@@ -37,13 +37,6 @@ type choice = {
           not re-promote past it when slices are combined *)
 }
 
-val cutoff : float
-(** Fraction of a load's miss cycles a region must recover (0.3; §3.4.1
-    reports low sensitivity to this value). *)
-
-val max_region_depth : int
-(** How many region expansions outward are considered. *)
-
 val choose :
   ?interproc:bool ->
   ?chaining:bool ->

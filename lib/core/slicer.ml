@@ -3,6 +3,8 @@ open Ssp_analysis
 module T = Ssp_telemetry.Telemetry
 module F = Ssp_fault.Fault
 
+(* Slices larger than this are rejected ("to avoid a slice becoming too
+   big that often leads to wrong address calculations", §3.4.1). *)
 let max_slice_size = 48
 
 (* The transitive slice walk is bounded by distinct (use, reg) pairs, so

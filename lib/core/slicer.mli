@@ -23,18 +23,14 @@
     slice members reached around the loop's back edge is a {e recurrence}
     (the value the chaining thread passes to its successor). *)
 
-val max_slice_size : int
-(** Slices larger than this are rejected ("to avoid a slice becoming too
-    big that often leads to wrong address calculations", §3.4.1). *)
-
 val slice_region :
   Ssp_analysis.Regions.t ->
   Ssp_profiling.Profile.t ->
   region:Ssp_analysis.Regions.region ->
   Delinquent.load ->
   Slice.t option
-(** [None] when the load's address is a constant, the slice exceeds
-    {!max_slice_size}, or the load lies outside the region. *)
+(** [None] when the load's address is a constant, the slice exceeds 48
+    instructions, or the load lies outside the region. *)
 
 val bind_at_callers :
   Ssp_analysis.Regions.t ->

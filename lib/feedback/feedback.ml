@@ -279,73 +279,133 @@ let decode_aggregate blob =
   Bin.expect_end r;
   { empty_aggregate with ag_version; ag_overrides; ag_last_action }
 
-let aggregate_key_of_hashes ~config prog_hash profile_hash =
+let aggregate_key_of_hashes ~fingerprint prog_hash profile_hash =
   Store.cache_key
     [
       "feedback";
       string_of_int Store.format_version;
       prog_hash;
       profile_hash;
-      Ssp_machine.Config.fingerprint config;
+      fingerprint;
       Ssp.Adapt.knobs_string Ssp.Adapt.default_knobs;
     ]
 
 let aggregate_key ~config prog profile =
-  aggregate_key_of_hashes ~config (Store.hash_program prog)
-    (Store.hash_profile profile)
+  aggregate_key_of_hashes
+    ~fingerprint:(Ssp_machine.Config.fingerprint config)
+    (Store.hash_program prog) (Store.hash_profile profile)
 
-let find_aggregate cache key =
+(* The published state stored under a key: the one lookup the serving
+   path, the daemon's staleness count and every fold share. No entry is
+   version 0. *)
+let published_at cache key =
   Store.Cache.get cache key ~decode:decode_aggregate
+  |> Option.value ~default:empty_aggregate
 
 (* ---- the one request pipeline ---- *)
 
+(* Hashing prints the whole program, and the profile is read or
+   collected, so a request resolves its program once and names every
+   entry from the result. *)
+type resolved = {
+  rs_prog : Ssp_ir.Prog.t;
+  rs_config : Ssp_machine.Config.t;
+  rs_fingerprint : string;
+  rs_prog_hash : string;
+  rs_profile : Ssp_profiling.Profile.t;
+  rs_profile_hash : string;
+  rs_profile_key : string;
+  rs_agg_key : string;
+}
+
+let resolve cache ~config prog =
+  let fingerprint = Ssp_machine.Config.fingerprint config in
+  let prog_hash = Store.hash_program prog in
+  let profile_key = Store.profile_key_of_hash ~fingerprint prog_hash in
+  let profile =
+    match Store.Cache.get cache profile_key ~decode:Store.decode_profile with
+    | Some p -> p
+    | None ->
+      let p = Ssp_profiling.Collect.collect ~config prog in
+      Store.Cache.put cache profile_key (Store.encode_profile p);
+      p
+  in
+  let profile_hash = Store.hash_profile profile in
+  { rs_prog = prog; rs_config = config; rs_fingerprint = fingerprint;
+    rs_prog_hash = prog_hash; rs_profile = profile;
+    rs_profile_hash = profile_hash; rs_profile_key = profile_key;
+    rs_agg_key = aggregate_key_of_hashes ~fingerprint prog_hash profile_hash }
+
+let published cache rs = published_at cache rs.rs_agg_key
+
+let status_string = function `Hit -> "hit" | `Miss -> "miss" | `Off -> "off"
+
 type served = {
+  sv_text : string;
+  sv_report : Ssp.Report.t;
+  sv_result : Ssp.Adapt.result Lazy.t;
   sv_profile : Ssp_profiling.Profile.t;
-  sv_adapted : Store.served;
   sv_status : [ `Hit | `Miss | `Off ];
   sv_keys : string list;
 }
+
+(* The one lookup-or-compute path of an adapted entry, at a tuning
+   version (none is the untuned artifact). A hit serves the stored text
+   and report and parses nothing; the program is parsed, and the
+   delinquent loads re-identified, only when a caller forces the result.
+   A miss runs the post-pass and prints the program once, for the blob
+   and the reply. *)
+let served_at cache ?jobs rs tuning =
+  let key =
+    Store.adapted_key_of_hashes
+      ?tuning:
+        (Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning)
+      ~fingerprint:rs.rs_fingerprint rs.rs_prog_hash rs.rs_profile_hash
+  in
+  let text, report, result, status =
+    match Store.get_adapted cache key with
+    | Some (text, report, prefetch_map) ->
+      let result =
+        lazy
+          { Ssp.Adapt.prog = Store.parse_adapted text; report; choices = [];
+            prefetch_map;
+            delinquent =
+              Ssp.Delinquent.identify
+                ~coverage:Ssp.Adapt.default_knobs.Ssp.Adapt.coverage
+                rs.rs_prog rs.rs_profile }
+      in
+      (text, report, result, `Hit)
+    | None ->
+      let r =
+        Ssp.Adapt.run ?jobs ?overrides:(Option.map snd tuning)
+          ~config:rs.rs_config rs.rs_prog rs.rs_profile
+      in
+      (Store.put_adapted cache key r, r.Ssp.Adapt.report, Lazy.from_val r,
+       `Miss)
+  in
+  { sv_text = text; sv_report = report; sv_result = result;
+    sv_profile = rs.rs_profile; sv_status = status;
+    sv_keys = [ rs.rs_profile_key; key ] }
 
 (* Version 0 (or no aggregate at all) serves the untuned artifact under
    the original cache key; any later version serves the immutable
    version-stamped artifact the tuner published. The status is the adapt
    lookup's: that is the expensive artifact, and the one whose hit makes
-   the reply byte-identical-but-fast. One hash of the program and one of
-   the profile name all three entries, since hashing prints the whole
-   program. *)
+   the reply byte-identical-but-fast. *)
 let adapt ?cache ?jobs ~config prog =
   match cache with
   | None ->
     let profile = Ssp_profiling.Collect.collect ~config prog in
-    let adapted, status = Store.run_cached ?jobs ~config prog profile in
-    { sv_profile = profile; sv_adapted = adapted; sv_status = status;
-      sv_keys = [] }
+    let r = Ssp.Adapt.run ?jobs ~config prog profile in
+    { sv_text = Ssp_ir.Asm.to_string r.Ssp.Adapt.prog;
+      sv_report = r.Ssp.Adapt.report; sv_result = Lazy.from_val r;
+      sv_profile = profile; sv_status = `Off; sv_keys = [] }
   | Some c ->
-    let prog_hash = Store.hash_program prog in
-    let profile_key = Store.profile_key_of_hash ~config prog_hash in
-    let profile, _ =
-      Store.cached_profile_at c ~key:profile_key ~config prog
-    in
-    let profile_hash = Store.hash_profile profile in
-    let agg_key = aggregate_key_of_hashes ~config prog_hash profile_hash in
-    let tuning =
-      match find_aggregate c agg_key with
-      | Some agg when agg.ag_version > 0 ->
-        Some (agg.ag_version, agg.ag_overrides)
-      | Some _ | None -> None
-    in
-    let adapted_key =
-      Store.adapted_key_of_hashes
-        ?tuning:
-          (Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning)
-        ~config prog_hash profile_hash
-    in
-    let adapted, status =
-      Store.run_cached_at c ~key:adapted_key ?jobs
-        ?overrides:(Option.map snd tuning) ~config prog profile
-    in
-    { sv_profile = profile; sv_adapted = adapted; sv_status = status;
-      sv_keys = [ profile_key; adapted_key ] }
+    let rs = resolve c ~config prog in
+    let agg = published c rs in
+    served_at c ?jobs rs
+      (if agg.ag_version > 0 then Some (agg.ag_version, agg.ag_overrides)
+       else None)
 
 (* ---- derived ratios ---- *)
 
@@ -356,6 +416,7 @@ let frac = Attrib.ratio
    and never "issued". Ratios therefore run over all attempts. *)
 let attempts a = a.al_issued +. a.al_redundant +. a.al_dropped
 let redundant_frac a = frac a.al_redundant (attempts a)
+(* The chronically-late signal. *)
 let late_frac a = frac a.al_late (a.al_useful +. a.al_late)
 let accuracy a = Attrib.accuracy ~useful:a.al_useful ~attempts:(attempts a)
 
@@ -463,32 +524,25 @@ type tuned = {
   td_status : [ `Hit | `Miss | `Off ];
 }
 
-let published cache key =
-  Option.bind cache (fun c -> find_aggregate c key)
-  |> Option.value ~default:empty_aggregate
-
 (* Plan on a fold and, when the plan moves, publish version N+1: the
    post-pass re-runs under the version-stamped key, and the new
-   published state replaces the old one under [key]. *)
-let tune_fold ?cache ?min_reports ?min_samples ~config ~key prog profile agg =
+   published state replaces the old one under the resolved program's
+   aggregate key. *)
+let tune_fold cache ?min_reports ?min_samples rs agg =
   let overrides, actions = plan ?min_reports ?min_samples agg in
   if actions = [] then None
   else
     let pub = publish agg ~overrides ~actions in
-    let adapted, status =
-      Store.run_cached ?cache ~tuning:(pub.ag_version, overrides) ~config prog
-        profile
-    in
-    Option.iter (fun c -> Store.Cache.put c key (encode_aggregate pub)) cache;
+    let sv = served_at cache rs (Some (pub.ag_version, overrides)) in
+    Store.Cache.put cache rs.rs_agg_key (encode_aggregate pub);
     Some
       { td_aggregate = pub; td_actions = actions;
-        td_result = Lazy.force adapted.Store.result; td_status = status }
+        td_result = Lazy.force sv.sv_result; td_status = sv.sv_status }
 
-let tune_reports ?cache ?min_reports ?min_samples ~config prog profile
-    reports =
-  let key = aggregate_key ~config prog profile in
-  tune_fold ?cache ?min_reports ?min_samples ~config ~key prog profile
-    (fold_reports (published cache key) reports)
+let tune_reports ~cache ?min_reports ?min_samples ~config prog reports =
+  let rs = resolve cache ~config prog in
+  tune_fold cache ?min_reports ?min_samples rs
+    (fold_reports (published cache rs) reports)
 
 (* ---- per-workload rounds over a store ---- *)
 
@@ -509,8 +563,7 @@ let workload_of rep = (rep.fr_prog, rep.fr_scale, rep.fr_pipeline)
 let reports_of w reports = List.filter (fun r -> workload_of r = w) reports
 
 let fold_workload cache ~key w =
-  fold_reports (published (Some cache) key)
-    (reports_of w (reports_in_store cache))
+  fold_reports (published_at cache key) (reports_of w (reports_in_store cache))
 
 let config_of_pipeline name =
   match Ssp_machine.Config.of_pipeline_name name with
@@ -526,16 +579,10 @@ type store_tune = {
   st_tuned : tuned option;
 }
 
-(* One round on one workload's persisted reports. *)
-let tune_on ?min_reports ?min_samples cache (id, scale, pipeline) reports =
-  let config = config_of_pipeline pipeline in
-  let prog = Suite.compile ~pass:"feedback" id ~scale in
-  let profile, _ = Store.cached_profile ~cache ~config prog in
-  let key = aggregate_key ~config prog profile in
-  let fold = fold_reports (published (Some cache) key) reports in
-  let tuned =
-    tune_fold ~cache ?min_reports ?min_samples ~config ~key prog profile fold
-  in
+(* One round on one workload's persisted reports, its program resolved. *)
+let tune_on ?min_reports ?min_samples cache rs (id, scale, pipeline) reports =
+  let fold = fold_reports (published cache rs) reports in
+  let tuned = tune_fold cache ?min_reports ?min_samples rs fold in
   {
     st_prog = id;
     st_scale = scale;
@@ -545,8 +592,8 @@ let tune_on ?min_reports ?min_samples cache (id, scale, pipeline) reports =
     st_tuned = tuned;
   }
 
-let tune_workload ?min_reports ?min_samples cache w =
-  tune_on ?min_reports ?min_samples cache w
+let tune_workload ?min_reports ?min_samples cache rs w =
+  tune_on ?min_reports ?min_samples cache rs w
     (reports_of w (reports_in_store cache))
 
 (* One scan of the store per round: rounds publish aggregates and
@@ -555,8 +602,11 @@ let tune_store ?min_reports ?min_samples cache =
   let reports = reports_in_store cache in
   List.map workload_of reports
   |> List.sort_uniq compare
-  |> List.map (fun w ->
-         tune_on ?min_reports ?min_samples cache w (reports_of w reports))
+  |> List.map (fun ((id, scale, pipeline) as w) ->
+         let config = config_of_pipeline pipeline in
+         let prog = Suite.compile ~pass:"feedback" id ~scale in
+         tune_on ?min_reports ?min_samples cache (resolve cache ~config prog) w
+           (reports_of w reports))
 
 (* ---- the explain view ---- *)
 

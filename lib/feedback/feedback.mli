@@ -25,9 +25,11 @@
     repeated tuning always reaches a fixed point and never oscillates.
 
     Because this library owns the published versions, it also owns the
-    request pipeline every front end shares: {!adapt} profiles, looks up
-    the published tuning and adapts, through the store when there is
-    one. *)
+    request pipeline every front end shares, and it is the one library
+    that runs it against a store ({!Ssp_store.Store} only keeps bytes):
+    {!adapt} profiles, looks up the published tuning and adapts, through
+    the store when there is one, and a tuning round re-adapts the same
+    way. Each resolves its program once ({!resolve}). *)
 
 type load_stat = {
   fl_load : Ssp_ir.Iref.t;
@@ -148,24 +150,47 @@ val aggregate_key :
 (** Store key of the per-(program, profile, config) published state; its
     knobs component is always {!Ssp.Adapt.default_knobs}. *)
 
-val find_aggregate : Ssp_store.Store.Cache.t -> string -> aggregate option
-(** The published state stored under a key: the one lookup the serving
-    path, the daemon's staleness count and every fold share. *)
-
 (** {1 The request pipeline} *)
 
+type resolved
+(** A program resolved against a store, each step once: its hash, the
+    config's fingerprint, its profile (read, or collected and stored),
+    the profile's hash, and the keys those name. *)
+
+val resolve :
+  Ssp_store.Store.Cache.t ->
+  config:Ssp_machine.Config.t ->
+  Ssp_ir.Prog.t ->
+  resolved
+
+val published : Ssp_store.Store.Cache.t -> resolved -> aggregate
+(** The published state stored for the program, with nothing folded;
+    {!empty_aggregate} when there is none. *)
+
+val status_string : [ `Hit | `Miss | `Off ] -> string
+(** ["hit"], ["miss"] or ["off"]: how [sspc] and the daemon report a
+    served adaptation's [sv_status]. *)
+
 type served = {
+  sv_text : string;
+      (** the adapted program's assembly text ({!Ssp_ir.Asm.to_string}'s
+          bytes): on a hit the stored bytes, on a miss the one print
+          that also went into the blob *)
+  sv_report : Ssp.Report.t;
+  sv_result : Ssp.Adapt.result Lazy.t;
+      (** the parsed result, built when forced: on a hit forcing it
+          parses [sv_text] and re-identifies the delinquent loads (the
+          choices are empty); otherwise it is the result computed *)
   sv_profile : Ssp_profiling.Profile.t;
-  sv_adapted : Ssp_store.Store.served;
-      (** the adapted program's text and report, and its parsed result
-          on demand: a hit's text is the stored bytes, and a miss prints
-          the program once *)
   sv_status : [ `Hit | `Miss | `Off ];
       (** the adapt lookup's status; [`Off] without a store *)
   sv_keys : string list;
       (** the store keys of the profile and the result served, [] without
-          a store: what the daemon reads back to replicate *)
+          a store: what the daemon reads back to replicate. They are
+          {!Ssp_store.Store.profile_key} and
+          {!Ssp_store.Store.adapted_key} of the program. *)
 }
+(** An adaptation as the pipeline serves it. *)
 
 val adapt :
   ?cache:Ssp_store.Store.Cache.t ->
@@ -175,17 +200,17 @@ val adapt :
   served
 (** Profile, then adapt at the store's published version: the one
     function behind [sspc adapt], [sim], [explain] and [stats] and the
-    daemon's [Adapt] and [Sim] requests. With a [cache] it hashes the
-    program and the profile once each, keys the profile, the published
-    state and the result from those hashes, and goes through
-    {!Ssp_store.Store.cached_profile_at} and
-    {!Ssp_store.Store.run_cached_at}; an aggregate at version N > 0
-    selects the immutable version-N artifact. Without one it is exactly
+    daemon's [Adapt] and [Sim] requests. With a [cache] it {!resolve}s
+    the program, reads the published state, and looks the adapted entry
+    up under the key the hashes and the version name; an aggregate at
+    version N > 0 selects the immutable version-N artifact. A hit serves
+    the stored text and report, checked by the envelope's MD5 only; a
+    miss runs {!Ssp.Adapt.run} and stores its result with
+    {!Ssp_store.Store.put_adapted}. Without a [cache] it is exactly
     [Collect.collect ~config] then [Adapt.run ~config]. A caller that
     only sends the adapted program on (the daemon's [Adapt] reply,
-    [sspc adapt]) prints [sv_adapted]'s text and never forces the
-    parsed result; [sim], [explain], [stats] and the daemon's [Sim]
-    force it. *)
+    [sspc adapt]) prints [sv_text] and never forces [sv_result];
+    [sim], [explain], [stats] and the daemon's [Sim] force it. *)
 
 (** {2 Derived per-load ratios} (guarded against empty accumulators) *)
 
@@ -196,9 +221,6 @@ val redundant_frac : agg_load -> float
 (** redundant / attempts, where attempts = issued + redundant + dropped
     (attribution counts the three disjointly — a prefetch squashed
     because its line was already present is redundant, never issued). *)
-
-val late_frac : agg_load -> float
-(** late / (useful + late) — the chronically-late signal. *)
 
 val accuracy : agg_load -> float
 (** {!Ssp_sim.Attrib.accuracy} over the sums. *)
@@ -253,20 +275,20 @@ type tuned = {
 }
 
 val tune_reports :
-  ?cache:Ssp_store.Store.Cache.t ->
+  cache:Ssp_store.Store.Cache.t ->
   ?min_reports:int ->
   ?min_samples:float ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
-  Ssp_profiling.Profile.t ->
   report list ->
   tuned option
-(** One deterministic tuning round on the given reports: folds them
-    ({!fold_reports}) onto the stored published state, plans, and — if
-    the plan is non-empty — publishes version N+1: re-runs the
-    post-pass with the new overrides via {!Ssp_store.Store.run_cached}
-    under the version-stamped key and stores the new published state.
-    [None] when the plan is empty (fixed point or below confidence). *)
+(** One deterministic tuning round on the given reports: {!resolve}s the
+    program, folds the reports ({!fold_reports}) onto its stored
+    published state, plans, and — if the plan is non-empty — publishes
+    version N+1: re-runs the post-pass with the new overrides under the
+    version-stamped key, as {!adapt} would serve it, and stores the new
+    published state. [None] when the plan is empty (fixed point or below
+    confidence). *)
 
 (** {1 Per-workload rounds over a store} *)
 
@@ -301,23 +323,25 @@ val tune_workload :
   ?min_reports:int ->
   ?min_samples:float ->
   Ssp_store.Store.Cache.t ->
+  resolved ->
   workload ->
   store_tune
-(** The per-workload round, behind both [sspc tune] and a [--tune]
-    daemon's upload handler: recompile and re-profile the workload
-    (through the same store), fold its persisted reports
-    ({!fold_workload}) and tune on the fold as {!tune_reports} does. A
-    workload naming an unknown program or pipeline raises the
-    structured [feedback] error. *)
+(** The per-workload round behind a [--tune] daemon's upload handler,
+    on the workload's program already {!resolve}d under its pipeline's
+    config: fold its persisted reports ({!fold_workload}) and tune on
+    the fold as {!tune_reports} does. *)
 
 val tune_store :
   ?min_reports:int ->
   ?min_samples:float ->
   Ssp_store.Store.Cache.t ->
   store_tune list
-(** {!tune_workload} on every workload with a persisted report, in
-    canonical identity order, from one scan of the store: each round
-    folds its own workload's reports. *)
+(** The round of {!tune_workload} on every workload with a persisted
+    report, in canonical identity order, from one scan of the store:
+    each workload is recompiled and {!resolve}d through the same store,
+    and each round folds its own workload's reports. A workload naming
+    an unknown program or pipeline raises the structured [feedback]
+    error. This is [sspc tune]. *)
 
 (** {1 The explain view} ([sspc explain --feedback]) *)
 

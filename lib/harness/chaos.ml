@@ -76,6 +76,7 @@ let fired_sites r =
     [] r.workloads
   |> List.sort compare
 
+(* (total degradations, total skipped loads) *)
 let ladder_events r =
   List.fold_left
     (fun (d, s) w ->

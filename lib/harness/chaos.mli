@@ -49,8 +49,6 @@ val run :
 
 val violations : report -> int
 val fired_sites : report -> string list
-val ladder_events : report -> int * int
-(** (total degradations, total skipped loads). *)
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> string

@@ -87,14 +87,3 @@ let check (p : Prog.t) =
       else err "function %s has no blocks" f.name)
     (Prog.funcs_in_order p);
   match List.rev !errs with [] -> Ok () | es -> Error es
-
-let check_exn p =
-  match check p with
-  | Ok () -> ()
-  | Error es ->
-    let msg =
-      Format.asprintf "@[<v>%a@]"
-        (Format.pp_print_list pp_error)
-        es
-    in
-    invalid_arg ("Validate.check_exn:\n" ^ msg)

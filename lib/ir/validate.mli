@@ -19,6 +19,3 @@ val pp_error : Format.formatter -> error -> unit
 
 val check : Prog.t -> (unit, error list) result
 (** All structural errors found, or [Ok ()]. *)
-
-val check_exn : Prog.t -> unit
-(** Raises [Invalid_argument] with a rendered error list. *)

@@ -78,13 +78,10 @@ val scale_caches : t -> int -> t
 (** Divide every cache size by the factor (for fast tests; geometry kept
     legal). *)
 
-val pipeline_name : pipeline -> string
-(** ["inorder"] or ["ooo"]: the name on the command line, on the wire and
-    in {!fingerprint}. *)
-
 val of_pipeline_name : string -> t option
-(** The machine a {!pipeline_name} names ({!in_order} or {!out_of_order});
-    [None] for any other string. *)
+(** The machine a pipeline name names: ["inorder"] is {!in_order} and
+    ["ooo"] is {!out_of_order}, the names on the command line, on the
+    wire and in {!fingerprint}; [None] for any other string. *)
 
 val fingerprint : t -> string
 (** Canonical identity string covering every behaviour-affecting field;

@@ -5,7 +5,7 @@ exception Error of string
 let render msg (pos : Ast.pos) =
   Printf.sprintf "%d:%d: %s" pos.Ast.line pos.Ast.col msg
 
-let compile_checked src =
+let compile src =
   T.with_span "frontend" @@ fun () ->
   try
     let ast = T.with_span "frontend.parse" (fun () -> Parser.parse src) in
@@ -32,11 +32,9 @@ let compile_checked src =
            (fun acc (f : Ssp_ir.Prog.func) -> acc + Array.length f.blocks)
            0 funcs)
     end;
-    (env, prog)
+    prog
   with
   | Lexer.Error (m, p) -> raise (Error (render ("lexical error: " ^ m) p))
   | Parser.Error (m, p) -> raise (Error (render ("syntax error: " ^ m) p))
   | Typecheck.Error (m, p) -> raise (Error (render ("type error: " ^ m) p))
   | Lower.Error (m, p) -> raise (Error (render ("lowering error: " ^ m) p))
-
-let compile src = snd (compile_checked src)

@@ -6,6 +6,3 @@ exception Error of string
 
 val compile : string -> Ssp_ir.Prog.t
 (** Parse, typecheck, lower and validate. *)
-
-val compile_checked : string -> Typecheck.env * Ssp_ir.Prog.t
-(** Same, also returning the typing environment. *)

@@ -12,6 +12,8 @@ type env = {
 let word = 8
 let no_pos = { Ast.line = 0; col = 0 }
 
+(* Collects structs, globals and functions; rejects duplicates, unknown
+   field types, and parameter counts beyond the 8 argument registers. *)
 let build_env (p : Ast.program) =
   let env =
     {
@@ -90,6 +92,7 @@ let global_offset env name =
 
 let data_segment_bytes env = env.data_bytes
 
+(* Assignment/comparison compatibility. *)
 let rec compatible a b =
   match (a, b) with
   | Ast.Tint, Ast.Tint -> true

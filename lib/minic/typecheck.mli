@@ -10,12 +10,10 @@ exception Error of string * Ast.pos
 
 type env
 
-val build_env : Ast.program -> env
-(** Collects structs, globals and functions; rejects duplicates, unknown
-    field types, and parameter counts beyond the 8 argument registers. *)
-
 val check_program : Ast.program -> env
-(** [build_env] plus a full check of every function body. *)
+(** Collects structs, globals and functions (rejecting duplicates,
+    unknown field types, and parameter counts beyond the 8 argument
+    registers), then checks every function body. *)
 
 val sizeof_struct : env -> string -> int
 val field_offset : env -> string -> string -> int * Ast.ty
@@ -31,9 +29,6 @@ val global_offset : env -> string -> int
 (** Byte offset of a global in the data segment. *)
 
 val data_segment_bytes : env -> int
-
-val compatible : Ast.ty -> Ast.ty -> bool
-(** Assignment/comparison compatibility. *)
 
 val type_of_expr :
   env -> vars:(string -> Ast.ty option) -> Ast.expr -> Ast.ty

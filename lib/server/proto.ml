@@ -327,12 +327,22 @@ let frame payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
+(* A signal interrupts a blocking call on a socket with SO_RCVTIMEO or
+   SO_SNDTIMEO set, as [Client] sets them, even under SA_RESTART. It
+   says nothing about the exchange, so the call is made again. A write
+   is one system call at a time, so an interrupted one wrote nothing. *)
+let rec restarting f =
+  match f () with
+  | v -> v
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> restarting f
+
 let write_all fd s =
   let n = String.length s in
-  let b = Bytes.of_string s in
   let off = ref 0 in
   while !off < n do
-    let w = Unix.write fd b !off (n - !off) in
+    let w =
+      restarting (fun () -> Unix.single_write_substring fd s !off (n - !off))
+    in
     if w = 0 then malformed "short write";
     off := !off + w
   done
@@ -344,7 +354,7 @@ let read_exact fd n ~eof_ok =
   let off = ref 0 in
   let eof = ref false in
   while !off < n && not !eof do
-    match Unix.read fd b !off (n - !off) with
+    match restarting (fun () -> Unix.read fd b !off (n - !off)) with
     | 0 -> eof := true
     | k -> off := !off + k
   done;

@@ -161,9 +161,11 @@ val frame : string -> string
 (** Prefix a payload with its 4-byte big-endian length. *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** Write [frame payload] fully (blocking). *)
+(** Write [frame payload] fully (blocking). A write a signal interrupts
+    (EINTR) is made again. *)
 
 val read_frame : ?max_frame:int -> Unix.file_descr -> string option
-(** Read one complete frame (blocking). [None] on clean EOF before any
-    byte; raises [Ssp_ir.Error.Error] (pass ["proto"]) on a truncated
-    frame or one larger than [max_frame]. *)
+(** Read one complete frame (blocking); a read a signal interrupts
+    (EINTR) is made again. [None] on clean EOF before any byte; raises
+    [Ssp_ir.Error.Error] (pass ["proto"]) on a truncated frame or one
+    larger than [max_frame]. *)

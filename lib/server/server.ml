@@ -164,12 +164,11 @@ let handle_env cfg ~ask req =
       let prog = Suite.compile ~pass:"server" prog ~scale in
       let sv = Feedback.adapt ?cache:cfg.cache ~config prog in
       if sv.Feedback.sv_status = `Hit then T.count "server.cache_hit" 1;
-      let adapted = sv.Feedback.sv_adapted in
       ( Proto.Adapted
           {
-            report = Format.asprintf "%a@." Ssp.Report.pp adapted.Store.report;
-            asm = adapted.Store.text ^ "\n";
-            cache = Store.status_string sv.Feedback.sv_status;
+            report = Format.asprintf "%a@." Ssp.Report.pp sv.Feedback.sv_report;
+            asm = sv.Feedback.sv_text ^ "\n";
+            cache = Feedback.status_string sv.Feedback.sv_status;
           },
         artifacts_of cfg.cache ~ask sv )
     | Proto.Sim { prog; scale; pipeline; ssp; tenant = _ } ->
@@ -177,9 +176,8 @@ let handle_env cfg ~ask req =
       let prog = Suite.compile ~pass:"server" prog ~scale in
       let prog =
         if ssp then
-          (Lazy.force
-             (Feedback.adapt ?cache:cfg.cache ~config prog).Feedback.sv_adapted
-               .Store.result)
+          (Lazy.force (Feedback.adapt ?cache:cfg.cache ~config prog)
+             .Feedback.sv_result)
             .Ssp.Adapt.prog
         else prog
       in
@@ -217,19 +215,14 @@ let handle_env cfg ~ask req =
               ~scale:rep.Feedback.fr_scale
           in
           Store.Cache.put cache (Feedback.report_store_key blob) blob;
-          let profile, _ = Store.cached_profile ~cache ~config prog in
-          let key = Feedback.aggregate_key ~config prog profile in
+          let rs = Feedback.resolve cache ~config prog in
           Mutex.protect feedback_mu (fun () ->
-              let version =
-                match Feedback.find_aggregate cache key with
-                | Some agg -> agg.Feedback.ag_version
-                | None -> 0
-              in
-              if rep.Feedback.fr_version <> version then
+              let published = Feedback.published cache rs in
+              if rep.Feedback.fr_version <> published.Feedback.ag_version then
                 T.count "server.feedback.stale" 1;
               if cfg.tune then
                 match
-                  (Feedback.tune_workload cache
+                  (Feedback.tune_workload cache rs
                      ( rep.Feedback.fr_prog,
                        rep.Feedback.fr_scale,
                        rep.Feedback.fr_pipeline ))

@@ -10,8 +10,6 @@ type t = {
          [-1] otherwise, falling back to [mod] *)
   btb_ways : int;
   mutable clock : int;
-  mutable lookups : int;
-  mutable mispredicts : int;
 }
 
 let create (cfg : Ssp_machine.Config.t) =
@@ -27,21 +25,15 @@ let create (cfg : Ssp_machine.Config.t) =
     btb_set_mask = (if sets > 0 && sets land (sets - 1) = 0 then sets - 1 else -1);
     btb_ways = cfg.btb_ways;
     clock = 0;
-    lookups = 0;
-    mispredicts = 0;
   }
 
 let index t ~thread ~pc = (pc lxor t.history.(thread)) land t.mask
 
-let predict t ~thread ~pc =
-  t.lookups <- t.lookups + 1;
-  t.counters.(index t ~thread ~pc) >= 2
+let predict t ~thread ~pc = t.counters.(index t ~thread ~pc) >= 2
 
 let update t ~thread ~pc ~taken =
   let i = index t ~thread ~pc in
   let c = t.counters.(i) in
-  let predicted = c >= 2 in
-  if predicted <> taken then t.mispredicts <- t.mispredicts + 1;
   t.counters.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   t.history.(thread) <- ((t.history.(thread) lsl 1) lor Bool.to_int taken) land t.mask
 
@@ -80,6 +72,3 @@ let btb_insert t ~pc =
     t.btb_tags.(!victim) <- pc;
     t.btb_lru.(!victim) <- t.clock
   end
-
-let mispredicts t = t.mispredicts
-let lookups t = t.lookups

@@ -16,6 +16,3 @@ val btb_lookup : t -> pc:int -> bool
 (** Whether the BTB knows the target of the branch at the pc. *)
 
 val btb_insert : t -> pc:int -> unit
-
-val mispredicts : t -> int
-val lookups : t -> int

@@ -1,6 +1,7 @@
 (* Content-addressed artifact store: canonical binary codecs for the
    pipeline's durable artifacts inside a versioned, hash-sealed envelope,
-   plus the on-disk cache and the cache-aware pipeline fast paths.
+   the cache keys, and the on-disk cache. It stores and reads; running
+   the pipeline on a miss is [Ssp_feedback.Feedback.adapt]'s.
 
    Canonical means: hash-table contents are emitted in sorted key order
    and programs travel as their assembly text (the one serialization the
@@ -400,9 +401,10 @@ let report_of_reader r =
 
    The program travels as its assembly text: the repo's one canonical
    program serialization, stable under print -> parse -> print. Every
-   adapted blob in a store is one that decodes clean and re-encodes to
-   its own bytes (see [check_untrusted]), so a hit can serve the text
-   as stored and parse it only when a caller needs the program. *)
+   adapted blob in a store decodes clean and re-encodes to its own
+   bytes: [put_adapted] seals only results the post-pass built, and a
+   replica write must pass [check_untrusted]. So a hit can serve the
+   text as stored and parse it only when a caller needs the program. *)
 
 type adapted = {
   prog : Ssp_ir.Prog.t;
@@ -831,31 +833,28 @@ module Cache = struct
     }
 end
 
-(* ---- cache-aware pipeline fast paths ---- *)
+(* ---- cache keys ---- *)
 
-(* The cache-key recipes, from the program's and the profile's hashes: a
-   served request hashes each once and names every artifact from them.
-   Exported so the serving layer can name the artifacts a request
-   produced (replication ships them by key). *)
-let profile_key_of_hash ~config prog_hash =
-  cache_key
-    [
-      "profile";
-      string_of_int format_version;
-      prog_hash;
-      Ssp_machine.Config.fingerprint config;
-    ]
+(* The key recipes take the program's and the profile's hashes and the
+   config's fingerprint, so a request that computes each once names
+   every artifact from them; the program forms below are the same keys
+   for a caller holding only the program. *)
+let profile_key_of_hash ~fingerprint prog_hash =
+  cache_key [ "profile"; string_of_int format_version; prog_hash; fingerprint ]
 
-let profile_key ~config prog = profile_key_of_hash ~config (hash_program prog)
+let profile_key ~config prog =
+  profile_key_of_hash
+    ~fingerprint:(Ssp_machine.Config.fingerprint config)
+    (hash_program prog)
 
-let adapted_key_of_hashes ?tuning ~config prog_hash profile_hash =
+let adapted_key_of_hashes ?tuning ~fingerprint prog_hash profile_hash =
   let parts =
     [
       "adapted";
       string_of_int format_version;
       prog_hash;
       profile_hash;
-      Ssp_machine.Config.fingerprint config;
+      fingerprint;
       Ssp.Adapt.knobs_string Ssp.Adapt.default_knobs;
     ]
   in
@@ -872,78 +871,17 @@ let adapted_key_of_hashes ?tuning ~config prog_hash profile_hash =
   cache_key parts
 
 let adapted_key ?tuning ~config prog profile =
-  adapted_key_of_hashes ?tuning ~config (hash_program prog)
-    (hash_profile profile)
+  adapted_key_of_hashes ?tuning
+    ~fingerprint:(Ssp_machine.Config.fingerprint config)
+    (hash_program prog) (hash_profile profile)
 
-let status_string = function `Hit -> "hit" | `Miss -> "miss" | `Off -> "off"
+(* ---- the typed read and the one writer of an adapted entry ---- *)
 
-let cached_profile_at c ~key ~config prog =
-  match Cache.get c key ~decode:decode_profile with
-  | Some p -> (p, `Hit)
-  | None ->
-    let p = Ssp_profiling.Collect.collect ~config prog in
-    Cache.put c key (encode_profile p);
-    (p, `Miss)
+let get_adapted c key =
+  T.with_span "store.lookup" (fun () -> Cache.get c key ~decode:read_adapted)
 
-let cached_profile ?cache ~config prog =
-  match cache with
-  | None -> (Ssp_profiling.Collect.collect ~config prog, `Off)
-  | Some c -> cached_profile_at c ~key:(profile_key ~config prog) ~config prog
-
-type served = {
-  text : string;
-  report : Ssp.Report.t;
-  result : Ssp.Adapt.result Lazy.t;
-}
-
-let served_of_result (r : Ssp.Adapt.result) =
-  {
-    text = Ssp_ir.Asm.to_string r.Ssp.Adapt.prog;
-    report = r.Ssp.Adapt.report;
-    result = Lazy.from_val r;
-  }
-
-(* A hit reads the stored text and report and parses nothing; the
-   program is parsed, and the delinquent loads re-identified, only when
-   a caller forces [result]. A miss prints the program once, for both
-   the blob and the reply. *)
-let run_cached_at c ~key ?jobs ?overrides ~config prog profile =
-  match
-    T.with_span "store.lookup" (fun () ->
-        Cache.get c key ~decode:read_adapted)
-  with
-  | Some (text, report, prefetch_map) ->
-    let result =
-      lazy
-        {
-          Ssp.Adapt.prog = parse_adapted text;
-          report;
-          delinquent =
-            Ssp.Delinquent.identify
-              ~coverage:Ssp.Adapt.default_knobs.Ssp.Adapt.coverage prog profile;
-          choices = [];
-          prefetch_map;
-        }
-    in
-    ({ text; report; result }, `Hit)
-  | None ->
-    let r = Ssp.Adapt.run ?jobs ?overrides ~config prog profile in
-    let sv = served_of_result r in
-    Cache.put c key
-      (encode_adapted_text ~text:sv.text r.Ssp.Adapt.report
-         r.Ssp.Adapt.prefetch_map);
-    (sv, `Miss)
-
-let run_cached ?cache ?jobs ?tuning ~config prog profile =
-  let overrides = Option.map snd tuning in
-  match cache with
-  | None ->
-    let r = Ssp.Adapt.run ?jobs ?overrides ~config prog profile in
-    (served_of_result r, `Off)
-  | Some c ->
-    let tuning =
-      Option.map (fun (v, o) -> (v, Ssp.Adapt.overrides_string o)) tuning
-    in
-    run_cached_at c
-      ~key:(adapted_key ?tuning ~config prog profile)
-      ?jobs ?overrides ~config prog profile
+let put_adapted c key (r : Ssp.Adapt.result) =
+  let text = Ssp_ir.Asm.to_string r.Ssp.Adapt.prog in
+  Cache.put c key
+    (encode_adapted_text ~text r.Ssp.Adapt.report r.Ssp.Adapt.prefetch_map);
+  text

@@ -6,7 +6,9 @@
     kind 4) and the feedback plane's reports and tuning state (kinds 5
     and 6, codecs in [Ssp_feedback]) — plus an on-disk content-addressed
     cache keyed by [hash(program) x hash(profile) x canonicalized adapt
-    configuration].
+    configuration]. The store keeps and reads bytes; it never runs the
+    pipeline. Looking an artifact up and computing it on a miss is
+    [Ssp_feedback.Feedback.adapt]'s.
 
     Every blob is an envelope: 4-byte magic, format version, artifact
     kind, payload length, payload, and an MD5 content hash over
@@ -25,14 +27,15 @@
 
     {b What a stored adapted blob is.} Every adapted blob a store holds
     decodes clean (its program parses and passes
-    {!Ssp_ir.Validate.check}) and re-encodes to its own bytes. The
-    store's own writer ({!run_cached_at}) seals only programs the
-    post-pass built, and it validates them; bytes from anywhere else (a
-    replica write) are stored only after {!check_untrusted}. A hit
-    therefore checks only the envelope's MD5, which catches a torn or
-    bit-flipped file, and serves the stored text without parsing it.
-    The digest does not protect against a process that writes the
-    directory around these entry points. *)
+    {!Ssp_ir.Validate.check}) and re-encodes to its own bytes. The one
+    writer of the store's own adapted entries is {!put_adapted}, which
+    takes an {!Ssp.Adapt.result}: a program the post-pass built and
+    validated. Bytes from anywhere else (a replica write) are stored
+    only after {!check_untrusted}. A hit ({!get_adapted}) therefore
+    checks only the envelope's MD5, which catches a torn or bit-flipped
+    file, and serves the stored text without parsing it. The digest
+    does not protect against a process that writes the directory around
+    these entry points. *)
 
 val format_version : int
 (** Bumped whenever any payload encoding changes; part of every envelope
@@ -115,9 +118,12 @@ val encode_adapted : adapted -> string
 (** Prints the program with {!Ssp_ir.Asm.to_string}. *)
 
 val decode_adapted : string -> adapted
-(** The reader {!run_cached_at}'s hits use, plus the program's parse
-    (which validates it). Raises the structured [store] error on a blob
-    that fails either. *)
+(** The reader {!get_adapted} uses, plus {!parse_adapted}. Raises the
+    structured [store] error on a blob that fails either. *)
+
+val parse_adapted : string -> Ssp_ir.Prog.t
+(** Parse (and so validate) an adapted program's stored text; raises the
+    structured [store] error on text that fails. *)
 
 val max_untrusted_bytes : int
 (** The largest blob {!check_untrusted} admits: 256 KiB, about 35 times
@@ -147,18 +153,24 @@ val hash_profile : Ssp_profiling.Profile.t -> string
 val cache_key : string list -> string
 (** Hex digest of the joined key parts (order-sensitive). *)
 
-val profile_key_of_hash : config:Ssp_machine.Config.t -> string -> string
-(** The key a profile is stored under, from the program's
-    {!hash_program}: [hash(program) x fingerprint(config)] plus the
-    format version. *)
+val profile_key_of_hash : fingerprint:string -> string -> string
+(** The key a profile is stored under, from the config's
+    {!Ssp_machine.Config.fingerprint} and the program's {!hash_program}:
+    [hash(program) x fingerprint(config)] plus the format version. *)
 
 val profile_key : config:Ssp_machine.Config.t -> Ssp_ir.Prog.t -> string
-(** {!profile_key_of_hash} of the program's hash. *)
+(** {!profile_key_of_hash} of the config's fingerprint and the program's
+    hash. *)
 
 val adapted_key_of_hashes :
-  ?tuning:int * string -> config:Ssp_machine.Config.t -> string -> string ->
-  string
-(** {!adapted_key} from the program's and the profile's hashes. *)
+  ?tuning:int * string -> fingerprint:string -> string -> string -> string
+(** The key an adaptation result is stored under, from the config's
+    fingerprint and the program's and the profile's hashes. Its knobs
+    component is always {!Ssp.Adapt.default_knobs}. [tuning] is
+    [(version, Adapt.overrides_string overrides)] for a feedback-tuned
+    artifact: version 0 is the untuned key (unchanged from before tuning
+    existed), and each published version keys its own immutable entry —
+    the tuner never overwrites an old version. *)
 
 val adapted_key :
   ?tuning:int * string ->
@@ -166,12 +178,8 @@ val adapted_key :
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
   string
-(** The key {!run_cached} stores an adaptation result under. Its
-    knobs component is always {!Ssp.Adapt.default_knobs}. [tuning] is
-    [(version, Adapt.overrides_string overrides)] for a feedback-tuned
-    artifact: version 0 is the untuned key (unchanged
-    from before tuning existed), and each published version keys its
-    own immutable entry — the tuner never overwrites an old version. *)
+(** {!adapted_key_of_hashes} of the config's fingerprint and the
+    program's and the profile's hashes. *)
 
 val blob_kind : string -> int option
 (** Artifact kind of a sealed blob after verifying the whole envelope
@@ -317,72 +325,17 @@ module Cache : sig
       [valid_bytes]. *)
 end
 
-(** {1 Cache-aware pipeline fast paths} *)
+(** {1 Adapted entries} *)
 
-val status_string : [ `Hit | `Miss | `Off ] -> string
-(** ["hit"], ["miss"] or ["off"]: how [sspc] and the daemon report a
-    lookup. *)
-
-val cached_profile_at :
+val get_adapted :
   Cache.t ->
-  key:string ->
-  config:Ssp_machine.Config.t ->
-  Ssp_ir.Prog.t ->
-  Ssp_profiling.Profile.t * [ `Hit | `Miss | `Off ]
-(** {!cached_profile} under a key the caller already holds. *)
+  string ->
+  (string * Ssp.Report.t * Ssp_ir.Iref.t Ssp_ir.Iref.Map.t) option
+(** {!Cache.get} of an adapted entry, as the span [store.lookup]: the
+    program's text as stored, the report and the prefetch map, checked
+    by the envelope's MD5 and not parsed (see the invariant above). *)
 
-val cached_profile :
-  ?cache:Cache.t ->
-  config:Ssp_machine.Config.t ->
-  Ssp_ir.Prog.t ->
-  Ssp_profiling.Profile.t * [ `Hit | `Miss | `Off ]
-(** {!Ssp_profiling.Collect.collect}, memoized by
-    [hash(program) x config]. Profiling runs the whole program on the
-    functional simulator, so for a long-lived service this is the
-    dominant cost a warm cache removes. *)
-
-type served = {
-  text : string;
-      (** the adapted program's assembly text ({!Ssp_ir.Asm.to_string}'s
-          bytes): on a hit the stored bytes, on a miss the one print
-          that also went into the blob *)
-  report : Ssp.Report.t;
-  result : Ssp.Adapt.result Lazy.t;
-      (** the parsed result, built when forced: on a hit forcing it
-          parses [text] and re-identifies the delinquent loads (the
-          choices are empty); otherwise it is the result computed *)
-}
-(** An adaptation result as the store serves it. *)
-
-val run_cached_at :
-  Cache.t ->
-  key:string ->
-  ?jobs:int ->
-  ?overrides:Ssp.Adapt.overrides ->
-  config:Ssp_machine.Config.t ->
-  Ssp_ir.Prog.t ->
-  Ssp_profiling.Profile.t ->
-  served * [ `Hit | `Miss | `Off ]
-(** {!run_cached} under a key the caller already holds; the key must
-    name the version of [overrides]. *)
-
-val run_cached :
-  ?cache:Cache.t ->
-  ?jobs:int ->
-  ?tuning:int * Ssp.Adapt.overrides ->
-  config:Ssp_machine.Config.t ->
-  Ssp_ir.Prog.t ->
-  Ssp_profiling.Profile.t ->
-  served * [ `Hit | `Miss | `Off ]
-(** {!Ssp.Adapt.run} at the default knobs, memoized by
-    [hash(program) x hash(profile) x fingerprint(config) x knobs]. A hit
-    reads the stored text, report and prefetch map and checks only the
-    envelope (see the invariant above); its text is byte-identical to
-    what the cold run printed. On a miss the result is computed and
-    published. [`Off] means no cache was supplied.
-
-    [tuning:(version, overrides)] computes/serves the feedback-tuned
-    artifact for that version: the overrides are passed to
-    {!Ssp.Adapt.run} and the entry is keyed under the version-stamped
-    {!adapted_key}, so tuned and untuned artifacts coexist and old
-    versions stay immutable. *)
+val put_adapted : Cache.t -> string -> Ssp.Adapt.result -> string
+(** The one writer of the store's own adapted entries: seal the result
+    and {!Cache.put} it under the key. Returns the program's text, the
+    one print that went into the blob. *)

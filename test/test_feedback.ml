@@ -314,7 +314,6 @@ let sum_redundant (s : Ssp_sim.Attrib.summary) =
 let test_e2e_loop () =
   let config = Ssp_machine.Config.in_order in
   let prog = Workload.program (Suite.find "mcf") ~scale:2 in
-  let profile = Ssp_profiling.Collect.collect ~config prog in
   let base = Ssp_sim.Inorder.run config prog in
   with_temp_cache @@ fun cache ->
   let simulate result =
@@ -327,9 +326,7 @@ let test_e2e_loop () =
       base.Ssp_sim.Stats.outputs stats.Ssp_sim.Stats.outputs;
     (stats, Ssp_sim.Attrib.summary attrib)
   in
-  let r0 =
-    Lazy.force (fst (Store.run_cached ~cache ~config prog profile)).Store.result
-  in
+  let r0 = Lazy.force (Fb.adapt ~cache ~config prog).Fb.sv_result in
   let stats0, sum0 = simulate r0 in
   let red0 = sum_redundant sum0 in
   Alcotest.(check bool)
@@ -341,27 +338,20 @@ let test_e2e_loop () =
   let rec converge reports version result n =
     if n > 6 then Alcotest.fail "tuner failed to reach a fixed point"
     else
-      match
-        Fb.tune_reports ~cache ~min_reports:1 ~config prog profile
-          reports
-      with
+      match Fb.tune_reports ~cache ~min_reports:1 ~config prog reports with
       | None -> (version, result)
       | Some t ->
         let v = t.Fb.td_aggregate.Fb.ag_version in
         Alcotest.(check int) "versions count up" (version + 1) v;
-        (* Warm fetch under the version-stamped key returns the published
-           bytes — the immutable-artifact contract. *)
-        let fetched, status =
-          Store.run_cached ~cache
-            ~tuning:(v, t.Fb.td_aggregate.Fb.ag_overrides)
-            ~config prog profile
-        in
+        (* The next request is a hit on the published version and
+           serves its bytes — the immutable-artifact contract. *)
+        let fetched = Fb.adapt ~cache ~config prog in
         Alcotest.(check bool) "published artifact is warm" true
-          (status = `Hit);
+          (fetched.Fb.sv_status = `Hit);
         Alcotest.(check string)
           "warm fetch is byte-identical to the published artifact"
           (Ssp_ir.Asm.to_string t.Fb.td_result.Ssp.Adapt.prog)
-          fetched.Store.text;
+          fetched.Fb.sv_text;
         let stats, summary = simulate t.Fb.td_result in
         converge (mk_report v stats summary :: reports) v t.Fb.td_result (n + 1)
   in
@@ -372,7 +362,7 @@ let test_e2e_loop () =
   let stats_t, sum_t = simulate tuned in
   Alcotest.(check bool)
     "re-tuning on the fixed point is a no-op" true
-    (Fb.tune_reports ~cache ~min_reports:1 ~config prog profile
+    (Fb.tune_reports ~cache ~min_reports:1 ~config prog
        [ mk_report v stats_t sum_t ]
     = None);
   let red_t = sum_redundant sum_t in
@@ -390,10 +380,7 @@ let test_e2e_loop () =
 let test_tune_store_deterministic () =
   let config = Ssp_machine.Config.in_order in
   let prog = Workload.program (Suite.find "mcf") ~scale:2 in
-  let profile = Ssp_profiling.Collect.collect ~config prog in
-  let r0 =
-    Lazy.force (fst (Store.run_cached ~config prog profile)).Store.result
-  in
+  let r0 = Lazy.force (Fb.adapt ~config prog).Fb.sv_result in
   let attrib =
     Ssp_sim.Attrib.create ~prefetch_map:r0.Ssp.Adapt.prefetch_map ()
   in
@@ -407,9 +394,7 @@ let test_tune_store_deterministic () =
   in
   let direct =
     with_temp_cache @@ fun cache ->
-    match
-      Fb.tune_reports ~cache ~config prog profile reports
-    with
+    match Fb.tune_reports ~cache ~config prog reports with
     | Some t ->
       Format.asprintf "%a@." Ssp_ir.Asm.print t.Fb.td_result.Ssp.Adapt.prog
     | None -> Alcotest.fail "direct round made no plan"
@@ -441,10 +426,9 @@ let test_scan_finds_only_reports () =
   with_temp_cache @@ fun cache ->
   let config = Ssp_machine.Config.in_order in
   let prog = Workload.program (Suite.find "mcf") ~scale:Suite.test_scale in
-  let profile, _ = Store.cached_profile ~cache ~config prog in
-  ignore (Store.run_cached ~cache ~config prog profile);
+  let sv = Fb.adapt ~cache ~config prog in
   Store.Cache.put cache
-    (Fb.aggregate_key ~config prog profile)
+    (Fb.aggregate_key ~config prog sv.Fb.sv_profile)
     (Fb.encode_aggregate Fb.empty_aggregate);
   let valid = report ~cycles:7 [ load_stat (iref "f" 1 2) ~issued:3 ] in
   let blob = Fb.encode_report valid in
@@ -480,6 +464,64 @@ let test_tune_store_unknown_workload () =
   | exception Ssp_ir.Error.Error e ->
     Alcotest.(check string) "feedback error" "feedback" e.Ssp_ir.Error.pass
 
+(* The ledger reads a shard's artifacts through the program-form keys
+   ([Store.profile_key], [Store.adapted_key], [Fb.aggregate_key]), while
+   the pipeline names them from hashes it computes once per request. On
+   a kernel and on a generated program both name the same entries,
+   untuned and after a round publishes v1. *)
+let test_keys_are_the_program_forms () =
+  let config = Ssp_machine.Config.in_order in
+  List.iter
+    (fun (w : Workload.t) ->
+      with_temp_cache @@ fun cache ->
+      let name = w.Workload.name in
+      let scale = Suite.test_scale in
+      let prog = Workload.program w ~scale in
+      let sv = Fb.adapt ~cache ~config prog in
+      let profile = sv.Fb.sv_profile in
+      Alcotest.(check (list string))
+        (name ^ ": untuned keys")
+        [
+          Store.profile_key ~config prog; Store.adapted_key ~config prog profile;
+        ]
+        sv.Fb.sv_keys;
+      (* Every prefetch of one load redundant: one report moves the plan. *)
+      let id = Suite.Workload name in
+      let rep =
+        report ~prog:id ~scale [ load_stat (iref "main" 0 0) ~redundant:100 ]
+      in
+      match Fb.tune_reports ~cache ~min_reports:1 ~config prog [ rep ] with
+      | None -> Alcotest.failf "%s: the round published nothing" name
+      | Some t ->
+        let pub = t.Fb.td_aggregate in
+        Alcotest.(check int) (name ^ ": published v1") 1 pub.Fb.ag_version;
+        let tuned = Fb.adapt ~cache ~config prog in
+        Alcotest.(check string)
+          (name ^ ": v1 is served from the store")
+          "hit"
+          (Fb.status_string tuned.Fb.sv_status);
+        let overrides = Ssp.Adapt.overrides_string pub.Fb.ag_overrides in
+        Alcotest.(check (list string))
+          (name ^ ": v1 keys")
+          [
+            Store.profile_key ~config prog;
+            Store.adapted_key ~tuning:(1, overrides) ~config prog profile;
+          ]
+          tuned.Fb.sv_keys;
+        let fold =
+          Fb.fold_workload cache
+            ~key:(Fb.aggregate_key ~config prog profile)
+            (id, scale, "inorder")
+        in
+        Alcotest.(check int)
+          (name ^ ": aggregate_key finds v1")
+          1 fold.Fb.ag_version;
+        Alcotest.(check string)
+          (name ^ ": and its overrides")
+          overrides
+          (Ssp.Adapt.overrides_string fold.Fb.ag_overrides))
+    [ Suite.find "mst"; List.hd (Suite.corpus ~n:1 ~seed:5) ]
+
 let suite =
   [
     Alcotest.test_case "report codec roundtrip + kind checks" `Quick
@@ -505,4 +547,6 @@ let suite =
       `Quick test_tune_store_unknown_pipeline;
     Alcotest.test_case "tune_store: unknown workload is a structured error"
       `Quick test_tune_store_unknown_workload;
+    Alcotest.test_case "adapt's keys are the program-form keys" `Quick
+      test_keys_are_the_program_forms;
   ]

@@ -611,7 +611,7 @@ let test_offline_adapt_serves_published_version () =
   let name = "treeadd.bf" in
   let prog = Workload.program (Suite.find name) ~scale in
   let untuned =
-    Lazy.force (Fb.adapt ~cache ~config prog).Fb.sv_adapted.Store.result
+    Lazy.force (Fb.adapt ~cache ~config prog).Fb.sv_result
   in
   List.iter
     (fun sampling ->
@@ -793,7 +793,12 @@ let test_feedback_tune_counts =
     Store.Cache.open_dir (Filename.concat (Filename.dirname socket) "cache")
   in
   let prog = Workload.program (Suite.find "em3d") ~scale in
-  let profile, _ = Store.cached_profile ~cache ~config prog in
+  (* The profile the daemon stored, under the program-form key. *)
+  let profile =
+    match Store.Cache.find cache (Store.profile_key ~config prog) with
+    | Some blob -> Store.decode_profile blob
+    | None -> Alcotest.fail "the daemon stored no profile under its key"
+  in
   let fold =
     Fb.fold_workload cache
       ~key:(Fb.aggregate_key ~config prog profile)
@@ -901,6 +906,52 @@ let test_deadline_generous_serves () =
 let test_ping () =
   with_server ~with_cache:false @@ fun socket ->
   match Client.request ~socket Proto.Ping with
+  | Proto.Ok_reply -> ()
+  | _ -> Alcotest.fail "expected Ok_reply to Ping"
+
+(* A signal is not a transport failure. [Client] sets socket timeouts,
+   so SA_RESTART cannot restart an interrupted read: with a 5 ms
+   interval timer firing while the peer takes 200 ms to answer, the
+   exchange must still complete. *)
+let test_signal_mid_exchange () =
+  let dir = Filename.temp_dir "sspc_eintr_test" "" in
+  let path = Filename.concat dir "peer.sock" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let rec accept () =
+    match Unix.accept lfd with
+    | fd, _ -> fd
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ()
+  in
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd = accept () in
+        ignore (Proto.read_frame fd);
+        Unix.sleepf 0.2;
+        Proto.write_frame fd (Proto.encode_response Proto.Ok_reply);
+        Unix.close fd)
+      ()
+  in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ())) in
+  let timer v =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = v; it_value = v })
+  in
+  let reply =
+    Fun.protect
+      ~finally:(fun () ->
+        timer 0.;
+        Sys.set_signal Sys.sigalrm old)
+      (fun () ->
+        timer 0.005;
+        Client.request_addr ~timeout_s:5. (Client.Unix_sock path) Proto.Ping)
+  in
+  Thread.join peer;
+  Unix.close lfd;
+  match reply with
   | Proto.Ok_reply -> ()
   | _ -> Alcotest.fail "expected Ok_reply to Ping"
 
@@ -1151,6 +1202,8 @@ let suite =
     Alcotest.test_case "deadline: live budget serves identically" `Quick
       test_deadline_generous_serves;
     Alcotest.test_case "ping answers ok" `Quick test_ping;
+    Alcotest.test_case "a signal mid-exchange is not a transport failure"
+      `Quick test_signal_mid_exchange;
     Alcotest.test_case "artifacts: attach, replay, reject hostile" `Quick
       test_artifact_attachment;
     Alcotest.test_case "replica write of an adapted blob is checked" `Quick

@@ -150,7 +150,11 @@ let test_hostile_lengths () =
   Alcotest.(check string)
     "an honest length still reads" "abc" (Store.Bin.r_str r)
 
-let test_run_cached_hit_identical () =
+module Fb = Ssp_feedback.Feedback
+
+(* Through the pipeline's one lookup path: the cold request misses, the
+   warm one hits, and both serve the uncached run's text and report. *)
+let test_adapt_hit_identical () =
   with_temp_cache @@ fun cache ->
   let prog = program_of (Suite.find "em3d") in
   let profile = Ssp_profiling.Collect.collect prog in
@@ -159,44 +163,46 @@ let test_run_cached_hit_identical () =
     Store.encode_adapted
       { (carrying prog) with Store.report = r.Ssp.Adapt.report }
   in
-  let cold, s1 = Store.run_cached ~cache ~config prog profile in
-  let warm, s2 = Store.run_cached ~cache ~config prog profile in
-  Alcotest.(check string) "first lookup misses" "miss" (status_string s1);
-  Alcotest.(check string) "second lookup hits" "hit" (status_string s2);
+  let cold = Fb.adapt ~cache ~config prog in
+  let warm = Fb.adapt ~cache ~config prog in
+  Alcotest.(check string) "first lookup misses" "miss"
+    (status_string cold.Fb.sv_status);
+  Alcotest.(check string) "second lookup hits" "hit"
+    (status_string warm.Fb.sv_status);
   List.iter
-    (fun (what, (sv : Store.served)) ->
-      let r = Lazy.force sv.Store.result in
+    (fun (what, (sv : Fb.served)) ->
+      let r = Lazy.force sv.Fb.sv_result in
       Alcotest.(check bool)
         (what ^ " text byte-identical to the uncached run")
         true
         (String.equal
            (Ssp_ir.Asm.to_string clean.Ssp.Adapt.prog)
-           sv.Store.text);
+           sv.Fb.sv_text);
       Alcotest.(check bool)
         (what ^ " parsed program prints to the text")
         true
-        (String.equal (Ssp_ir.Asm.to_string r.Ssp.Adapt.prog) sv.Store.text);
+        (String.equal (Ssp_ir.Asm.to_string r.Ssp.Adapt.prog) sv.Fb.sv_text);
       Alcotest.(check bool)
         (what ^ " report identical")
         true
         (String.equal (report_blob clean) (report_blob r)
         && String.equal (report_blob clean)
              (Store.encode_adapted
-                { (carrying prog) with Store.report = sv.Store.report })))
+                { (carrying prog) with Store.report = sv.Fb.sv_report })))
     [ ("cold", cold); ("warm", warm) ];
   Alcotest.(check bool)
     "hit re-identifies the delinquent loads" true
     (List.length
-       (Lazy.force warm.Store.result).Ssp.Adapt.delinquent.Ssp.Delinquent.loads
+       (Lazy.force warm.Fb.sv_result).Ssp.Adapt.delinquent.Ssp.Delinquent.loads
     = List.length clean.Ssp.Adapt.delinquent.Ssp.Delinquent.loads)
 
 let test_corrupt_entry_recomputes () =
   with_temp_cache @@ fun cache ->
   let prog = program_of (Suite.find "em3d") in
-  let profile = Ssp_profiling.Collect.collect prog in
-  let clean, _ = Store.run_cached ~cache ~config prog profile in
-  Alcotest.(check int) "one entry cached" 1 (Store.Cache.entry_count cache);
-  (* Scribble over the middle of the published blob. *)
+  let clean = Fb.adapt ~cache ~config prog in
+  Alcotest.(check int) "the profile and the result cached" 2
+    (Store.Cache.entry_count cache);
+  (* Scribble over the middle of both published blobs. *)
   let dir = Store.Cache.dir cache in
   Array.iter
     (fun name ->
@@ -208,34 +214,58 @@ let test_corrupt_entry_recomputes () =
         Unix.close fd
       end)
     (Sys.readdir dir);
-  let recomputed, status = Store.run_cached ~cache ~config prog profile in
+  let recomputed = Fb.adapt ~cache ~config prog in
   Alcotest.(check string) "corrupt entry is a miss" "miss"
-    (status_string status);
+    (status_string recomputed.Fb.sv_status);
   Alcotest.(check bool)
     "recomputed result identical to the clean run" true
-    (String.equal clean.Store.text recomputed.Store.text);
-  let _, again = Store.run_cached ~cache ~config prog profile in
+    (String.equal clean.Fb.sv_text recomputed.Fb.sv_text);
+  Alcotest.(check bool)
+    "recollected profile identical to the clean run" true
+    (String.equal
+       (Store.encode_profile clean.Fb.sv_profile)
+       (Store.encode_profile recomputed.Fb.sv_profile));
   Alcotest.(check string) "republished entry hits again" "hit"
-    (status_string again)
+    (status_string (Fb.adapt ~cache ~config prog).Fb.sv_status)
 
-let test_cached_profile () =
+(* A request collects its profile once and stores it under the
+   program-form key; the next request reads that entry instead of
+   collecting (a doctored entry is what it serves), and no store means
+   no entry and a fresh collection. *)
+let test_profile_collected_once () =
   with_temp_cache @@ fun cache ->
   let prog = program_of (Suite.find "mst") in
   let direct = Ssp_profiling.Collect.collect prog in
-  let cold, s1 = Store.cached_profile ~cache ~config prog in
-  let warm, s2 = Store.cached_profile ~cache ~config prog in
-  Alcotest.(check string) "profile cold miss" "miss" (status_string s1);
-  Alcotest.(check string) "profile warm hit" "hit" (status_string s2);
+  let key = Store.profile_key ~config prog in
+  Alcotest.(check bool) "no profile before the first request" true
+    (Store.Cache.find cache key = None);
+  let cold = Fb.adapt ~cache ~config prog in
+  let stored () =
+    match Store.Cache.find cache key with
+    | Some blob -> Store.decode_profile blob
+    | None -> Alcotest.fail "profile missing under its program-form key"
+  in
+  let warm = Fb.adapt ~cache ~config prog in
   List.iter
     (fun p ->
       Alcotest.(check bool)
         "cached profile identical to a fresh collection" true
         (String.equal (Store.encode_profile direct) (Store.encode_profile p)))
-    [ cold; warm ];
-  let off, s3 = Store.cached_profile ~config prog in
-  Alcotest.(check string) "no cache means off" "off" (status_string s3);
+    [ cold.Fb.sv_profile; warm.Fb.sv_profile; stored () ];
+  let doctored = stored () in
+  doctored.Ssp_profiling.Profile.total_instrs <-
+    doctored.Ssp_profiling.Profile.total_instrs + 1;
+  Store.Cache.put cache key (Store.encode_profile doctored);
+  Alcotest.(check int) "a stored profile is read, not collected"
+    (direct.Ssp_profiling.Profile.total_instrs + 1)
+    (Fb.adapt ~cache ~config prog).Fb.sv_profile
+      .Ssp_profiling.Profile.total_instrs;
+  let off = Fb.adapt ~config prog in
+  Alcotest.(check string) "no cache means off" "off"
+    (status_string off.Fb.sv_status);
   Alcotest.(check bool) "off path still collects" true
-    (String.equal (Store.encode_profile direct) (Store.encode_profile off))
+    (String.equal (Store.encode_profile direct)
+       (Store.encode_profile off.Fb.sv_profile))
 
 let test_lru_eviction () =
   let blob n = String.make 1000 (Char.chr (Char.code 'a' + n)) in
@@ -495,27 +525,25 @@ let test_hit_serves_stored_text () =
       with_temp_cache @@ fun cache ->
       let name = w.Workload.name in
       let prog = Workload.program w ~scale:1 in
-      let miss = Ssp_feedback.Feedback.adapt ~cache ~config prog in
-      let hit = Ssp_feedback.Feedback.adapt ~cache ~config prog in
+      let m = Fb.adapt ~cache ~config prog in
+      let h = Fb.adapt ~cache ~config prog in
       Alcotest.(check string) (name ^ ": cold misses") "miss"
-        (status_string miss.Ssp_feedback.Feedback.sv_status);
+        (status_string m.Fb.sv_status);
       Alcotest.(check string) (name ^ ": warm hits") "hit"
-        (status_string hit.Ssp_feedback.Feedback.sv_status);
-      let m = miss.Ssp_feedback.Feedback.sv_adapted in
-      let h = hit.Ssp_feedback.Feedback.sv_adapted in
+        (status_string h.Fb.sv_status);
       Alcotest.(check bool) (name ^ ": hit text is the miss text") true
-        (String.equal m.Store.text h.Store.text);
-      let parsed = Lazy.force h.Store.result in
+        (String.equal m.Fb.sv_text h.Fb.sv_text);
+      let parsed = Lazy.force h.Fb.sv_result in
       Alcotest.(check bool)
         (name ^ ": parsed hit prints to the text")
         true
         (String.equal
            (Ssp_ir.Asm.to_string parsed.Ssp.Adapt.prog)
-           h.Store.text);
+           h.Fb.sv_text);
       Alcotest.(check string) (name ^ ": hit report")
-        (report_text m.Store.report) (report_text h.Store.report);
+        (report_text m.Fb.sv_report) (report_text h.Fb.sv_report);
       Alcotest.(check string) (name ^ ": parsed hit report")
-        (report_text m.Store.report) (report_text parsed.Ssp.Adapt.report))
+        (report_text m.Fb.sv_report) (report_text parsed.Ssp.Adapt.report))
     (Suite.all @ Suite.corpus ~n:3 ~seed:11)
 
 let per_workload name f =
@@ -534,13 +562,14 @@ let suite =
       Alcotest.test_case "corruption rejected" `Quick test_rejects_corruption;
       Alcotest.test_case "hostile length fields rejected" `Quick
         test_hostile_lengths;
-      Alcotest.test_case "run_cached hit is byte-identical" `Quick
-        test_run_cached_hit_identical;
+      Alcotest.test_case "an adapt hit is byte-identical" `Quick
+        test_adapt_hit_identical;
       Alcotest.test_case "a hit serves the miss's text" `Quick
         test_hit_serves_stored_text;
       Alcotest.test_case "corrupt cache entry recomputes" `Quick
         test_corrupt_entry_recomputes;
-      Alcotest.test_case "cached_profile" `Quick test_cached_profile;
+      Alcotest.test_case "a profile is collected once, then read" `Quick
+        test_profile_collected_once;
       Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
       Alcotest.test_case "byte total follows every change" `Quick
         test_byte_total;
