@@ -204,13 +204,6 @@ let profile_cmd =
     (Cmd.info "profile" ~doc:"Profile and print the delinquent loads")
     Term.(const run $ src_arg $ scale_arg)
 
-let jobs_arg =
-  let doc =
-    "Run the adaptation pipeline across $(docv) domains. The output is \
-     byte-identical to --jobs 1; this only changes wall-clock time."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let store_arg =
   let doc =
     "Use the content-addressed artifact store in $(docv): profiles and \
@@ -223,13 +216,13 @@ let store_arg =
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
 let adapt_cmd =
-  let run src scale out trace jobs store =
+  let run src scale out trace store =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
     let config = Ssp_machine.Config.in_order in
     let prog = compile (program_of src) scale in
     let cache = Option.map Ssp_store.Store.Cache.open_dir store in
-    let sv = Fb.adapt ?cache ~jobs ~config prog in
+    let sv = Fb.adapt ?cache ~config prog in
     if sv.Fb.sv_status <> `Off then
       Printf.eprintf "sspc: cache %s\n%!" (Fb.status_string sv.Fb.sv_status);
     Format.printf "%a@." Ssp.Report.pp sv.Fb.sv_report;
@@ -238,9 +231,7 @@ let adapt_cmd =
   Cmd.v
     (Cmd.info "adapt"
        ~doc:"Run the SSP post-pass; emit the adapted binary as assembly")
-    Term.(
-      const run $ src_arg $ scale_arg $ out_arg $ trace_arg $ jobs_arg
-      $ store_arg)
+    Term.(const run $ src_arg $ scale_arg $ out_arg $ trace_arg $ store_arg)
 
 let fsck_cmd =
   let dir_pos =
@@ -339,8 +330,7 @@ let cluster_addr_of s =
   | _ -> Ssp_server.Client.Unix_sock s
 
 let sim_cmd =
-  let run src scale pipeline ssp explain trace trace_events jobs sample upload
-      fb_version =
+  let run src scale pipeline ssp explain trace trace_events sample upload =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
     with_trace_events trace_events @@ fun () ->
@@ -351,7 +341,7 @@ let sim_cmd =
     let ssp = ssp || explain || upload <> None in
     let result =
       if ssp then
-        Some (Lazy.force (Fb.adapt ~jobs ~config prog).Fb.sv_result)
+        Some (Lazy.force (Fb.adapt ~config prog).Fb.sv_result)
       else None
     in
     let prog =
@@ -380,8 +370,10 @@ let sim_cmd =
     | _ -> ());
     match (upload, attrib) with
     | Some addr, Some a ->
+      (* The run adapted through no store, so it measured the untuned
+         artifact: version 0. *)
       let rep =
-        Fb.report_of_attrib ~prog:program ~scale ~pipeline ~version:fb_version
+        Fb.report_of_attrib ~prog:program ~scale ~pipeline ~version:0
           ~cycles:r.Ssp_sim.Stats.cycles (Ssp_sim.Attrib.summary a)
       in
       let req =
@@ -400,9 +392,8 @@ let sim_cmd =
        with
       | Ssp_server.Proto.Ok_reply ->
         Printf.eprintf
-          "sspc: feedback uploaded (%d loads, artifact version %d)\n%!"
+          "sspc: feedback uploaded (%d loads, artifact version 0)\n%!"
           (List.length rep.Fb.fr_loads)
-          fb_version
       | Ssp_server.Proto.Error_reply { pass; what; _ } ->
         fail2 (Printf.sprintf "feedback upload failed [%s]: %s" pass what)
       | _ -> fail2 "unexpected reply to feedback upload")
@@ -420,22 +411,13 @@ let sim_cmd =
       & opt (some string) None
       & info [ "upload-feedback" ] ~docv:"ADDR" ~doc)
   in
-  let fb_version_arg =
-    let doc =
-      "Tuning version of the adapted artifact this run measured (0 = \
-       untuned); stamped into the uploaded report so the tuner can tell \
-       fresh reports from stale ones."
-    in
-    Arg.(value & opt int 0 & info [ "feedback-version" ] ~docv:"N" ~doc)
-  in
   Cmd.v (Cmd.info "sim" ~doc:"Cycle-level simulation")
     Term.(
       const run $ src_arg $ scale_arg $ pipeline_arg $ ssp_flag $ explain_flag
-      $ trace_arg $ trace_events_arg $ jobs_arg $ sample_arg $ upload_arg
-      $ fb_version_arg)
+      $ trace_arg $ trace_events_arg $ sample_arg $ upload_arg)
 
 let explain_cmd =
-  let run src scale pipeline json trace_events jobs feedback store =
+  let run src scale pipeline json trace_events feedback store =
     guard @@ fun () ->
     with_trace_events trace_events @@ fun () ->
     let config = config_of_pipeline pipeline in
@@ -443,7 +425,7 @@ let explain_cmd =
     let prog = compile program scale in
     (* No store here: a store hit carries no selection choices, and the
        table is built from them. *)
-    let sv = Fb.adapt ~jobs ~config prog in
+    let sv = Fb.adapt ~config prog in
     let result = Lazy.force sv.Fb.sv_result in
     let attrib =
       Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
@@ -510,7 +492,7 @@ let explain_cmd =
           dropped classification with coverage, accuracy and timeliness")
     Term.(
       const run $ src_arg $ scale_arg $ pipeline_arg $ json_arg
-      $ trace_events_arg $ jobs_arg $ feedback_flag $ store_arg)
+      $ trace_events_arg $ feedback_flag $ store_arg)
 
 (* ---- sspc tune: offline closed-loop tuning over a store ---- *)
 
@@ -520,7 +502,7 @@ let tune_cmd =
     | Suite.Source src ->
       "inline-" ^ String.sub (Digest.to_hex (Digest.string src)) 0 12
   in
-  let run store explain asm_dir json min_reports min_samples =
+  let run store explain asm_dir json =
     guard @@ fun () ->
     let dir =
       match store with
@@ -528,7 +510,7 @@ let tune_cmd =
       | None -> Ssp_store.Store.Cache.default_dir ()
     in
     let cache = Ssp_store.Store.Cache.open_dir dir in
-    let results = Fb.tune_store ~min_reports ~min_samples cache in
+    let results = Fb.tune_store cache in
     if results = [] then
       print_endline "no feedback reports in the store; nothing to tune";
     List.iter
@@ -622,23 +604,6 @@ let tune_cmd =
     let doc = "Also write the tuning diff as JSON to this file." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"OUT.JSON" ~doc)
   in
-  let min_reports_arg =
-    let doc = "Confidence floor: tune only on at least $(docv) reports." in
-    Arg.(
-      value
-      & opt int Fb.default_min_reports
-      & info [ "min-reports" ] ~docv:"N" ~doc)
-  in
-  let min_samples_arg =
-    let doc =
-      "Per-load confidence floor: decide only about loads with at least \
-       $(docv) (decayed) attempted prefetches."
-    in
-    Arg.(
-      value
-      & opt float Fb.default_min_samples
-      & info [ "min-samples" ] ~docv:"X" ~doc)
-  in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
@@ -650,9 +615,7 @@ let tune_cmd =
           re-adapted artifact under the next immutable version. \
           Deterministic: a daemon tuning the same store publishes \
           byte-identical artifacts")
-    Term.(
-      const run $ store_pos $ explain_flag $ asm_dir_arg $ json_arg
-      $ min_reports_arg $ min_samples_arg)
+    Term.(const run $ store_pos $ explain_flag $ asm_dir_arg $ json_arg)
 
 let json_flag =
   let doc = "Print the snapshot as JSON instead of a table." in
@@ -686,7 +649,7 @@ let stats_cmd =
       const run $ src_arg $ scale_arg $ pipeline_arg $ trace_arg $ json_flag)
 
 let chaos_cmd =
-  let run seed campaigns faults json jobs corpus workloads =
+  let run seed campaigns faults json corpus workloads =
     guard @@ fun () ->
     let specs =
       match faults with
@@ -712,7 +675,7 @@ let chaos_cmd =
       | [] -> Ssp_workloads.Suite.all
       | ws -> ws
     in
-    let report = Ssp_harness.Chaos.run ~jobs ~specs ~seed ~campaigns ws in
+    let report = Ssp_harness.Chaos.run ~specs ~seed ~campaigns ws in
     Format.printf "%a@." Ssp_harness.Chaos.pp report;
     (match json with
     | Some path ->
@@ -764,8 +727,8 @@ let chaos_cmd =
           and verify main-thread outputs stay bit-identical to the \
           fault-free unadapted run. Exits 1 on any safety violation.")
     Term.(
-      const run $ seed_arg $ campaigns_arg $ faults_arg $ json_arg $ jobs_arg
-      $ corpus_arg $ workloads_arg)
+      const run $ seed_arg $ campaigns_arg $ faults_arg $ json_arg $ corpus_arg
+      $ workloads_arg)
 
 let bench_cmd =
   let run () =
@@ -817,8 +780,7 @@ let tcp_arg =
     value & opt (some hostport_conv) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
 
 let serve_cmd =
-  let run socket tcp jobs store no_cache max_frame timeout max_batch max_queue
-      retry_after tune trace =
+  let run socket tcp jobs store no_cache timeout max_queue tune trace =
     guard @@ fun () ->
     (* The daemon always counts: its telemetry is the cluster's
        observability surface ('sspc client stats'), trace or not. *)
@@ -837,17 +799,20 @@ let serve_cmd =
     in
     Ssp_server.Server.serve
       {
-        Ssp_server.Server.socket = Some socket;
+        Ssp_server.Server.default_config with
+        socket = Some socket;
         tcp;
         jobs;
         cache;
-        max_frame;
         timeout_s = timeout;
-        max_batch;
         max_queue;
-        retry_after_s = retry_after;
         tune;
       }
+  in
+  let defaults = Ssp_server.Server.default_config in
+  let jobs_arg =
+    let doc = "Width of the domain pool that batched work requests run on." in
+    Arg.(value & opt int defaults.jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let store_dir_arg =
     let doc =
@@ -860,23 +825,14 @@ let serve_cmd =
     let doc = "Serve without the content-addressed artifact store." in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
-  let max_frame_arg =
-    let doc = "Reject request frames larger than $(docv) bytes." in
-    Arg.(
-      value
-      & opt int Ssp_server.Proto.default_max_frame
-      & info [ "max-frame" ] ~docv:"BYTES" ~doc)
-  in
   let timeout_arg =
     let doc =
       "Per-request budget in seconds: queued requests and half-received \
        frames older than this get a structured timeout error."
     in
-    Arg.(value & opt float 60. & info [ "timeout" ] ~docv:"SECONDS" ~doc)
-  in
-  let max_batch_arg =
-    let doc = "Admission: fan out at most $(docv) work requests per round." in
-    Arg.(value & opt int 32 & info [ "max-batch" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt float defaults.timeout_s
+      & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
   let max_queue_arg =
     let doc =
@@ -884,11 +840,8 @@ let serve_cmd =
        a retry-after rejection (0 rejects all work — useful to drain a \
        shard or exercise client backoff)."
     in
-    Arg.(value & opt int 256 & info [ "max-queue" ] ~docv:"N" ~doc)
-  in
-  let retry_after_arg =
-    let doc = "Retry-after hint (seconds) carried by rejection replies." in
-    Arg.(value & opt float 0.2 & info [ "retry-after" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value & opt int defaults.max_queue & info [ "max-queue" ] ~docv:"N" ~doc)
   in
   let tune_flag =
     let doc =
@@ -910,12 +863,11 @@ let serve_cmd =
           requests from the content-addressed artifact store")
     Term.(
       const run $ socket_arg $ tcp_arg $ jobs_arg $ store_dir_arg
-      $ no_cache_flag $ max_frame_arg $ timeout_arg $ max_batch_arg
-      $ max_queue_arg $ retry_after_arg $ tune_flag $ trace_arg)
+      $ no_cache_flag $ timeout_arg $ max_queue_arg $ tune_flag $ trace_arg)
 
 let route_cmd =
-  let run socket tcp shards vnodes quarantine quarantine_max probe_interval
-      shard_timeout no_replicate max_frame trace =
+  let run socket tcp shards quarantine probe_interval shard_timeout
+      no_replicate trace =
     guard @@ fun () ->
     T.set_enabled true;
     with_trace trace @@ fun () ->
@@ -924,10 +876,7 @@ let route_cmd =
         Ssp_cluster.Router.socket = Some socket;
         tcp;
         shards;
-        vnodes;
-        max_frame;
         quarantine_s = quarantine;
-        quarantine_max_s = quarantine_max;
         probe_interval_s = probe_interval;
         shard_timeout_s = shard_timeout;
         replicate = not no_replicate;
@@ -942,22 +891,14 @@ let route_cmd =
     Arg.(
       value & opt_all hostport_conv [] & info [ "shard" ] ~docv:"HOST:PORT" ~doc)
   in
-  let vnodes_arg =
-    let doc = "Virtual nodes per shard on the consistent-hash ring." in
-    Arg.(value & opt int 128 & info [ "vnodes" ] ~docv:"N" ~doc)
-  in
   let quarantine_arg =
     let doc =
       "Circuit-breaker backoff base: roughly how long a shard's first \
-       failure quarantines it (growing per consecutive failure, with \
-       decorrelated jitter). A quarantined shard is re-admitted only after \
-       a Ping probe succeeds."
+       failure quarantines it (growing per consecutive failure up to 30 \
+       s, with decorrelated jitter). A quarantined shard is re-admitted \
+       only after a Ping probe succeeds."
     in
     Arg.(value & opt float 2. & info [ "quarantine" ] ~docv:"SECONDS" ~doc)
-  in
-  let quarantine_max_arg =
-    let doc = "Circuit-breaker backoff cap." in
-    Arg.(value & opt float 30. & info [ "quarantine-max" ] ~docv:"SECONDS" ~doc)
   in
   let probe_interval_arg =
     let doc =
@@ -981,13 +922,6 @@ let route_cmd =
     in
     Arg.(value & opt float 120. & info [ "shard-timeout" ] ~docv:"SECONDS" ~doc)
   in
-  let max_frame_arg =
-    let doc = "Reject frames larger than $(docv) bytes." in
-    Arg.(
-      value
-      & opt int Ssp_server.Proto.default_max_frame
-      & info [ "max-frame" ] ~docv:"BYTES" ~doc)
-  in
   Cmd.v
     (Cmd.info "route"
        ~doc:
@@ -999,9 +933,9 @@ let route_cmd =
           forward admission rejections untouched, and degrade to a \
           structured error — never wrong bytes — when no shard answers")
     Term.(
-      const run $ socket_arg $ tcp_arg $ shard_arg $ vnodes_arg
-      $ quarantine_arg $ quarantine_max_arg $ probe_interval_arg
-      $ shard_timeout_arg $ no_replicate_flag $ max_frame_arg $ trace_arg)
+      const run $ socket_arg $ tcp_arg $ shard_arg $ quarantine_arg
+      $ probe_interval_arg $ shard_timeout_arg $ no_replicate_flag
+      $ trace_arg)
 
 let server_error_to_exit2 = function
   | Ssp_server.Proto.Error_reply { pass; what; injected = _ } ->

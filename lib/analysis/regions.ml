@@ -49,10 +49,6 @@ let reaching_of t fn =
     p.reach <- Some r;
     r
 
-(* After [freeze] the structure is never written again, so it can be
-   shared read-only across domains. *)
-let freeze t = Hashtbl.iter (fun fn _ -> ignore (reaching_of t fn)) t.by_func
-
 let innermost_at t (i : Ssp_ir.Iref.t) =
   let p = pf t i.fn in
   match Loops.innermost_at p.loops i.blk with

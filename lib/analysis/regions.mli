@@ -42,13 +42,6 @@ val in_region : t -> region -> int -> bool
 (** O(1) membership of a block in the region, via bitsets precomputed at
     [compute] time (the slicer's hot path; [blocks_of] is O(blocks)). *)
 
-val freeze : t -> unit
-(** Force {!reaching_of} for every function, the one memoized artifact.
-    Afterwards the structure is read-only and safe to share across
-    domains; [reaching_of] itself is not safe to race on a cold entry.
-    Only a parallel adaptation calls it: a sequential one computes the
-    reaching definitions of the functions it slices, on demand. *)
-
 val loop_of : t -> region -> Loops.loop option
 
 val depth : t -> region -> int

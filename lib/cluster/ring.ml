@@ -2,7 +2,7 @@
 
    Every shard contributes [vnodes] points on a 64-bit circle; a key is
    served by the first point at or clockwise after its own hash. The
-   placement depends only on (node names, vnodes) through MD5, so every
+   placement depends only on the node names through MD5, so every
    process that builds a ring from the same membership computes the same
    key -> shard map — the property the router, clients and offline tools
    all rely on. Adding or removing one shard moves only the keys whose
@@ -11,7 +11,6 @@
    changes. *)
 
 type t = {
-  vnodes : int;
   points : (int64 * string) array; (* sorted ascending, unsigned *)
   nodes : string list; (* sorted, distinct *)
 }
@@ -28,8 +27,11 @@ let compare_points (a, na) (b, nb) =
   | 0 -> String.compare na nb
   | c -> c
 
-let create ?(vnodes = 128) nodes =
-  if vnodes < 1 then invalid_arg "Ring.create: vnodes must be positive";
+(* Points per node. A constant, not a setting: processes that counted
+   differently would place keys differently. *)
+let vnodes = 128
+
+let create nodes =
   let nodes = List.sort_uniq String.compare nodes in
   let points =
     List.concat_map
@@ -38,16 +40,14 @@ let create ?(vnodes = 128) nodes =
     |> Array.of_list
   in
   Array.sort compare_points points;
-  { vnodes; points; nodes }
+  { points; nodes }
 
 let nodes t = t.nodes
-let vnodes t = t.vnodes
 let is_empty t = t.nodes = []
-let add t node = create ~vnodes:t.vnodes (node :: t.nodes)
+let add t node = create (node :: t.nodes)
 
 let remove t node =
-  create ~vnodes:t.vnodes
-    (List.filter (fun n -> not (String.equal n node)) t.nodes)
+  create (List.filter (fun n -> not (String.equal n node)) t.nodes)
 
 (* Index of the first point at or clockwise after [h] (wrapping). *)
 let owner_index t h =

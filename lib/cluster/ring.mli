@@ -1,7 +1,7 @@
 (** Consistent-hash ring with virtual nodes.
 
     Maps string keys to shard names with stable affinity: the placement
-    is a pure function of (membership, vnodes) via MD5, so every process
+    is a pure function of the membership via MD5, so every process
     computes the same map, and membership changes move only the keys
     whose owning arc changed (~1/N per joined or departed shard). Used
     by the router to pin each request key — derived from the same
@@ -10,15 +10,13 @@
 
 type t
 
-val create : ?vnodes:int -> string list -> t
-(** [create ~vnodes nodes] builds the ring; [vnodes] (default 128)
-    points per node. Duplicate node names are collapsed; node order is
-    irrelevant. Raises [Invalid_argument] if [vnodes < 1]. *)
+val create : string list -> t
+(** [create nodes] builds the ring, 128 points per node. Duplicate node
+    names are collapsed; node order is irrelevant. *)
 
 val nodes : t -> string list
 (** Current membership, sorted. *)
 
-val vnodes : t -> int
 val is_empty : t -> bool
 
 val add : t -> string -> t

@@ -60,10 +60,7 @@ type config = {
   socket : string option;
   tcp : (string * int) option;
   shards : (string * int) list;
-  vnodes : int;
-  max_frame : int;
   quarantine_s : float;
-  quarantine_max_s : float;
   probe_interval_s : float;
   shard_timeout_s : float;
   replicate : bool;
@@ -73,15 +70,14 @@ type config = {
    nodes; overflow is dropped (and counted). *)
 let hints_max = 256
 
+let quarantine_max_s = 30.0
+
 let default_config ~shards =
   {
     socket = None;
     tcp = None;
     shards;
-    vnodes = 128;
-    max_frame = Proto.default_max_frame;
     quarantine_s = 2.0;
-    quarantine_max_s = 30.0;
     probe_interval_s = 0.25;
     shard_timeout_s = 120.0;
     replicate = true;
@@ -150,7 +146,7 @@ let serve ?ready cfg =
   let addr_of_node =
     List.map (fun s -> (node_of_shard s, s)) cfg.shards
   in
-  let ring = Ring.create ~vnodes:cfg.vnodes (List.map fst addr_of_node) in
+  let ring = Ring.create (List.map fst addr_of_node) in
   (* ---- breaker + hinted-handoff state (one mutex guards both) ---- *)
   let health_mu = Mutex.create () in
   let breakers : (string, breaker) Hashtbl.t = Hashtbl.create 8 in
@@ -179,7 +175,7 @@ let serve ?ready cfg =
         let b = breaker_of node in
         b.failures <- b.failures + 1;
         b.backoff_s <-
-          next_backoff ~base:cfg.quarantine_s ~cap:cfg.quarantine_max_s
+          next_backoff ~base:cfg.quarantine_s ~cap:quarantine_max_s
             ~prev:b.backoff_s (Random.float 1.);
         b.open_until <- Unix.gettimeofday () +. b.backoff_s;
         T.count "router.breaker.open" 1)
@@ -206,8 +202,7 @@ let serve ?ready cfg =
   let put_blob node (key, blob) =
     let host, port = List.assoc node addr_of_node in
     match
-      Client.request_addr ~max_frame:cfg.max_frame
-        ~timeout_s:(Float.min 5.0 cfg.shard_timeout_s)
+      Client.request_addr ~timeout_s:(Float.min 5.0 cfg.shard_timeout_s)
         (Client.Tcp (host, port))
         (Proto.Put_blob { key; blob })
     with
@@ -350,7 +345,7 @@ let serve ?ready cfg =
           in
           let t0 = Unix.gettimeofday () in
           match
-            Client.request_env ~max_frame:cfg.max_frame ~timeout_s ?trace
+            Client.request_env ~timeout_s ?trace
               ~deadline_ms ~artifacts:artifacts_ask
               (Client.Tcp (host, port))
               req
@@ -435,8 +430,7 @@ let serve ?ready cfg =
           let host, port = List.assoc node addr_of_node in
           let ok =
             match
-              Client.request_addr ~max_frame:cfg.max_frame
-                ~timeout_s:(Float.min 2.0 cfg.shard_timeout_s)
+              Client.request_addr ~timeout_s:(Float.min 2.0 cfg.shard_timeout_s)
                 (Client.Tcp (host, port))
                 Proto.Ping
             with
@@ -481,8 +475,7 @@ let serve ?ready cfg =
         List.map
           (fun (node, (host, port)) ->
             match
-              Client.request_addr ~max_frame:cfg.max_frame
-                ~timeout_s:cfg.shard_timeout_s
+              Client.request_addr ~timeout_s:cfg.shard_timeout_s
                 (Client.Tcp (host, port))
                 Proto.Stats
             with
@@ -550,7 +543,7 @@ let serve ?ready cfg =
        while !continue do
          if not (wait_readable ()) then continue := false
          else
-         match Proto.read_frame ~max_frame:cfg.max_frame fd with
+         match Proto.read_frame fd with
          | None -> continue := false
          | Some payload -> (
            match Proto.decode_request_env payload with

@@ -43,12 +43,10 @@ type config = {
   tcp : (string * int) option;
       (** TCP listener; port 0 binds ephemeral (reported via [ready]) *)
   shards : (string * int) list;  (** the shard TCP endpoints *)
-  vnodes : int;  (** virtual nodes per shard on the ring *)
-  max_frame : int;  (** per-frame byte limit on both sides *)
   quarantine_s : float;
       (** breaker backoff {e base}: the first quarantine after a failure
-          is roughly this long, growing per consecutive failure *)
-  quarantine_max_s : float;  (** breaker backoff cap *)
+          is roughly this long, growing per consecutive failure up to
+          30 s *)
   probe_interval_s : float;
       (** how often the prober thread scans for quarantined shards whose
           backoff expired and pings them *)
@@ -62,10 +60,12 @@ type config = {
 }
 
 val default_config : shards:(string * int) list -> config
-(** No listeners bound (set [socket] and/or [tcp]), [vnodes = 128],
-    [max_frame = Proto.default_max_frame], [quarantine_s = 2.],
-    [quarantine_max_s = 30.], [probe_interval_s = 0.25],
-    [shard_timeout_s = 120.], [replicate = true]. *)
+(** No listeners bound (set [socket] and/or [tcp]), [quarantine_s = 2.],
+    [probe_interval_s = 0.25], [shard_timeout_s = 120.],
+    [replicate = true]. The ring is {!Ring.create}'s, which takes no
+    settings, so any process that builds a ring over the same shards
+    places keys as the router does, and frames are bounded by
+    {!Ssp_server.Proto.default_max_frame} on both sides. *)
 
 val node_of_shard : string * int -> string
 (** The ring node id of a shard endpoint: ["host:port"]. *)

@@ -67,8 +67,7 @@ let ladder =
 
 (* One load through the ladder.  Decisions the fault engine takes inside
    are keyed by the load's [Iref.hash], so the outcome is a pure function
-   of the load — identical whether this runs sequentially or on a domain
-   pool, and whatever order the pool schedules loads in. *)
+   of the load, whatever order the loads are visited in. *)
 let select_one regions callgraph profile config (load : Delinquent.load) :
     Select.choice option * Report.diag list =
   let lstr = Ssp_ir.Iref.to_string load.Delinquent.iref in
@@ -271,27 +270,19 @@ let knobs_string k =
   Printf.sprintf "coverage=%h;combining=%b;force_basic=%b;force_predict=%b;unroll=%d"
     k.coverage k.combining k.force_basic k.force_predict k.unroll
 
-let run ?(knobs = default_knobs) ?(overrides = no_overrides) ?(jobs = 1)
-    ~config prog profile =
+let run ?(knobs = default_knobs) ?(overrides = no_overrides) ~config prog
+    profile =
   T.with_span "adapt" @@ fun () ->
   let delinquent = Delinquent.identify ~coverage:knobs.coverage prog profile in
   let regions = T.with_span "adapt.regions" (fun () -> Regions.compute prog) in
   let callgraph =
     T.with_span "adapt.callgraph" (fun () -> Callgraph.compute prog)
   in
-  (* The per-load slice/schedule/trigger pipeline is independent per
-     delinquent load, so it runs on a domain pool. With [jobs > 1] the
-     shared analysis state is made read-only first ([Regions.freeze]
-     forces every function's reaching definitions; a sequential run
-     computes only those it reads). The pool's input-order results keep
-     the choice list — and therefore everything downstream (combining,
-     codegen, the report) — identical to the sequential run. *)
   let selected =
     T.with_span "adapt.select" (fun () ->
-        let select load = select_one regions callgraph profile config load in
-        if jobs > 1 then Regions.freeze regions;
-        Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-            Ssp_parallel.Pool.map pool select delinquent.Delinquent.loads))
+        List.map
+          (select_one regions callgraph profile config)
+          delinquent.Delinquent.loads)
   in
   let choices = List.filter_map fst selected in
   let diags = ref (List.concat_map snd selected) in

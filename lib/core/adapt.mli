@@ -63,7 +63,6 @@ val knobs_string : knobs -> string
 val run :
   ?knobs:knobs ->
   ?overrides:overrides ->
-  ?jobs:int ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   Ssp_profiling.Profile.t ->
@@ -72,17 +71,12 @@ val run :
     ([Ssp_harness.Ablation]) is the caller that varies them. [overrides]
     are the feedback tuner's per-load adjustments ({!load_knob}).
 
-    [jobs] > 1 fans the per-delinquent-load slice/schedule/trigger
-    pipeline out across that many domains (shared analysis state is
-    frozen read-only first). The result is byte-identical to [jobs:1] —
-    parallelism is an execution detail, never a semantic knob.
-
     Per-load failures ([Ssp_ir.Error.Error], from real refusals or the
     fault-injection engine) never abort the run: each load walks a
     degradation ladder (interprocedural → intraprocedural → basic → skip)
     and every degradation or skip is recorded in
     [result.report.diagnostics].  Ladder decisions are keyed by the
-    load's identity, so they are identical under any [jobs] value. *)
+    load's identity, not by the order loads are visited in. *)
 
 val apply_choices :
   ?diags:Report.diag list ->

@@ -114,10 +114,10 @@ let encode_report rep =
   Bin.w_int b rep.fr_cycles;
   Bin.w_int b (List.length rep.fr_loads);
   List.iter (w_load_stat b) rep.fr_loads;
-  Store.seal_kind ~kind:Store.kind_feedback_report (Bin.contents b)
+  Store.seal ~kind:Store.kind_feedback_report (Bin.contents b)
 
 let decode_report blob =
-  let r = Bin.reader (Store.unseal_kind ~kind:Store.kind_feedback_report blob) in
+  let r = Bin.reader (Store.unseal ~kind:Store.kind_feedback_report blob) in
   let fr_prog = Store.r_program r in
   let fr_scale = Bin.r_int r in
   let fr_pipeline = Bin.r_str r in
@@ -253,11 +253,11 @@ let encode_aggregate agg =
         | `Chaining -> 2);
       Bin.w_int b lk.Ssp.Adapt.lk_unroll);
   Bin.w_str b agg.ag_last_action;
-  Store.seal_kind ~kind:Store.kind_feedback_aggregate (Bin.contents b)
+  Store.seal ~kind:Store.kind_feedback_aggregate (Bin.contents b)
 
 let decode_aggregate blob =
   let r =
-    Bin.reader (Store.unseal_kind ~kind:Store.kind_feedback_aggregate blob)
+    Bin.reader (Store.unseal ~kind:Store.kind_feedback_aggregate blob)
   in
   let ag_version = Bin.r_int r in
   let ag_overrides =
@@ -355,7 +355,7 @@ type served = {
    delinquent loads re-identified, only when a caller forces the result.
    A miss runs the post-pass and prints the program once, for the blob
    and the reply. *)
-let served_at cache ?jobs rs tuning =
+let served_at cache rs tuning =
   let key =
     Store.adapted_key_of_hashes
       ?tuning:
@@ -377,7 +377,7 @@ let served_at cache ?jobs rs tuning =
       (text, report, result, `Hit)
     | None ->
       let r =
-        Ssp.Adapt.run ?jobs ?overrides:(Option.map snd tuning)
+        Ssp.Adapt.run ?overrides:(Option.map snd tuning)
           ~config:rs.rs_config rs.rs_prog rs.rs_profile
       in
       (Store.put_adapted cache key r, r.Ssp.Adapt.report, Lazy.from_val r,
@@ -392,18 +392,18 @@ let served_at cache ?jobs rs tuning =
    version-stamped artifact the tuner published. The status is the adapt
    lookup's: that is the expensive artifact, and the one whose hit makes
    the reply byte-identical-but-fast. *)
-let adapt ?cache ?jobs ~config prog =
+let adapt ?cache ~config prog =
   match cache with
   | None ->
     let profile = Ssp_profiling.Collect.collect ~config prog in
-    let r = Ssp.Adapt.run ?jobs ~config prog profile in
+    let r = Ssp.Adapt.run ~config prog profile in
     { sv_text = Ssp_ir.Asm.to_string r.Ssp.Adapt.prog;
       sv_report = r.Ssp.Adapt.report; sv_result = Lazy.from_val r;
       sv_profile = profile; sv_status = `Off; sv_keys = [] }
   | Some c ->
     let rs = resolve c ~config prog in
     let agg = published c rs in
-    served_at c ?jobs rs
+    served_at c rs
       (if agg.ag_version > 0 then Some (agg.ag_version, agg.ag_overrides)
        else None)
 
@@ -433,8 +433,8 @@ type action = { act_load : Iref.t; act_what : string; act_why : string }
 let action_to_string a =
   Printf.sprintf "%s: %s (%s)" (Iref.to_string a.act_load) a.act_what a.act_why
 
-let default_min_reports = 3
-let default_min_samples = 16.
+let min_reports = 3
+let min_samples = 16.
 let unroll_cap = 8
 
 (* One monotone step for one load. The knob lattice is
@@ -483,8 +483,7 @@ let step_load (cur : Ssp.Adapt.load_knob) a :
       else None
   else None
 
-let plan ?(min_reports = default_min_reports)
-    ?(min_samples = default_min_samples) agg =
+let plan agg =
   if agg.ag_reports < min_reports then (agg.ag_overrides, [])
   else
     Iref.Map.fold
@@ -528,8 +527,8 @@ type tuned = {
    post-pass re-runs under the version-stamped key, and the new
    published state replaces the old one under the resolved program's
    aggregate key. *)
-let tune_fold cache ?min_reports ?min_samples rs agg =
-  let overrides, actions = plan ?min_reports ?min_samples agg in
+let tune_fold cache rs agg =
+  let overrides, actions = plan agg in
   if actions = [] then None
   else
     let pub = publish agg ~overrides ~actions in
@@ -539,10 +538,9 @@ let tune_fold cache ?min_reports ?min_samples rs agg =
       { td_aggregate = pub; td_actions = actions;
         td_result = Lazy.force sv.sv_result; td_status = sv.sv_status }
 
-let tune_reports ~cache ?min_reports ?min_samples ~config prog reports =
+let tune_reports ~cache ~config prog reports =
   let rs = resolve cache ~config prog in
-  tune_fold cache ?min_reports ?min_samples rs
-    (fold_reports (published cache rs) reports)
+  tune_fold cache rs (fold_reports (published cache rs) reports)
 
 (* ---- per-workload rounds over a store ---- *)
 
@@ -580,9 +578,9 @@ type store_tune = {
 }
 
 (* One round on one workload's persisted reports, its program resolved. *)
-let tune_on ?min_reports ?min_samples cache rs (id, scale, pipeline) reports =
+let tune_on cache rs (id, scale, pipeline) reports =
   let fold = fold_reports (published cache rs) reports in
-  let tuned = tune_fold cache ?min_reports ?min_samples rs fold in
+  let tuned = tune_fold cache rs fold in
   {
     st_prog = id;
     st_scale = scale;
@@ -592,20 +590,20 @@ let tune_on ?min_reports ?min_samples cache rs (id, scale, pipeline) reports =
     st_tuned = tuned;
   }
 
-let tune_workload ?min_reports ?min_samples cache rs w =
-  tune_on ?min_reports ?min_samples cache rs w
+let tune_workload cache rs w =
+  tune_on cache rs w
     (reports_of w (reports_in_store cache))
 
 (* One scan of the store per round: rounds publish aggregates and
    artifacts, never reports, so every workload's reports are read once. *)
-let tune_store ?min_reports ?min_samples cache =
+let tune_store cache =
   let reports = reports_in_store cache in
   List.map workload_of reports
   |> List.sort_uniq compare
   |> List.map (fun ((id, scale, pipeline) as w) ->
          let config = config_of_pipeline pipeline in
          let prog = Suite.compile ~pass:"feedback" id ~scale in
-         tune_on ?min_reports ?min_samples cache (resolve cache ~config prog) w
+         tune_on cache (resolve cache ~config prog) w
            (reports_of w reports))
 
 (* ---- the explain view ---- *)

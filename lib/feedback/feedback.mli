@@ -194,7 +194,6 @@ type served = {
 
 val adapt :
   ?cache:Ssp_store.Store.Cache.t ->
-  ?jobs:int ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   served
@@ -243,19 +242,12 @@ type action = {
 
 val action_to_string : action -> string
 
-val default_min_reports : int
-val default_min_samples : float
-
-val plan :
-  ?min_reports:int ->
-  ?min_samples:float ->
-  aggregate ->
-  Ssp.Adapt.overrides * action list
+val plan : aggregate -> Ssp.Adapt.overrides * action list
 (** Decide the next override map from a fold. No decision is made below
-    [min_reports] reports at the published version, and no per-load
-    decision below [min_samples] (decayed) attempted prefetches. An
-    empty action list means the returned overrides equal the
-    aggregate's — a fixed point; callers must not bump the version.
+    3 reports at the published version, and no per-load decision below
+    16 (decayed) attempted prefetches. An empty action list means the
+    returned overrides equal the aggregate's — a fixed point; callers
+    must not bump the version.
     Moves are monotone in the knob lattice: mostly-redundant loads step
     toward [skip] (absorbing), chronically-late ones promote
     basic→chaining (still clamped by the load's degradation-ladder
@@ -276,8 +268,6 @@ type tuned = {
 
 val tune_reports :
   cache:Ssp_store.Store.Cache.t ->
-  ?min_reports:int ->
-  ?min_samples:float ->
   config:Ssp_machine.Config.t ->
   Ssp_ir.Prog.t ->
   report list ->
@@ -320,8 +310,6 @@ type store_tune = {
 }
 
 val tune_workload :
-  ?min_reports:int ->
-  ?min_samples:float ->
   Ssp_store.Store.Cache.t ->
   resolved ->
   workload ->
@@ -331,11 +319,7 @@ val tune_workload :
     config: fold its persisted reports ({!fold_workload}) and tune on
     the fold as {!tune_reports} does. *)
 
-val tune_store :
-  ?min_reports:int ->
-  ?min_samples:float ->
-  Ssp_store.Store.Cache.t ->
-  store_tune list
+val tune_store : Ssp_store.Store.Cache.t -> store_tune list
 (** The round of {!tune_workload} on every workload with a persisted
     report, in canonical identity order, from one scan of the store:
     each workload is recompiled and {!resolve}d through the same store,

@@ -87,9 +87,9 @@ let ladder_events r =
 
 (* One campaign of one workload: adapt and simulate under the plan,
    then compare outputs against the fault-free references. *)
-let run_campaign ~jobs ~cfg ~prog ~profile ~ref_outputs ~funcsim_ref plan =
+let run_campaign ~cfg ~prog ~profile ~ref_outputs ~funcsim_ref plan =
   F.with_plan plan (fun () ->
-      let result = Ssp.Adapt.run ~jobs ~config:cfg prog profile in
+      let result = Ssp.Adapt.run ~config:cfg prog profile in
       let stats = Ssp_sim.Inorder.run cfg result.Ssp.Adapt.prog in
       let fsim =
         Ssp_sim.Funcsim.run ~spawning:true result.Ssp.Adapt.prog
@@ -122,7 +122,7 @@ let run_campaign ~jobs ~cfg ~prog ~profile ~ref_outputs ~funcsim_ref plan =
         slices = List.length result.Ssp.Adapt.choices;
       })
 
-let run ?(jobs = 1) ?(scale = 2) ?(specs = default_specs) ~seed ~campaigns
+let run ?(scale = 2) ?(specs = default_specs) ~seed ~campaigns
     (ws : Ssp_workloads.Workload.t list) =
   let cfg =
     Experiment.config_for
@@ -140,13 +140,12 @@ let run ?(jobs = 1) ?(scale = 2) ?(specs = default_specs) ~seed ~campaigns
         let ref_outputs = base.Ssp_sim.Stats.outputs in
         let funcsim_ref = (Ssp_sim.Funcsim.run prog).Ssp_sim.Funcsim.outputs in
         let campaigns =
-          (* Campaigns run sequentially: a plan is ambient global state
-             (the per-campaign Adapt.run may itself use [jobs] domains). *)
+          (* Campaigns run sequentially: a plan is ambient global state. *)
           List.init campaigns (fun i ->
               let c_seed = Hashtbl.hash (seed, name, i) in
               let plan = F.make ~seed:c_seed specs in
               {
-                (run_campaign ~jobs ~cfg ~prog ~profile ~ref_outputs
+                (run_campaign ~cfg ~prog ~profile ~ref_outputs
                    ~funcsim_ref plan)
                 with
                 c_seed;

@@ -32,7 +32,6 @@ type report = {
 }
 
 val run :
-  ?jobs:int ->
   ?scale:int ->
   ?specs:(string * Ssp_fault.Fault.spec) list ->
   seed:int ->
@@ -42,10 +41,7 @@ val run :
 (** Each workload runs at [scale] (default 2) on the in-order model with
     caches divided by 64, so small working sets still miss.
 
-    Campaigns are sequential (a fault plan is ambient global state);
-    [jobs] parallelizes each campaign's adaptation internally, which must
-    not — and, because ladder decisions are keyed by load identity, does
-    not — change any outcome. *)
+    Campaigns are sequential: a fault plan is ambient global state. *)
 
 val violations : report -> int
 val fired_sites : report -> string list

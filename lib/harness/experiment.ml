@@ -79,10 +79,10 @@ let cache_put key r = Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache
 (* A workload's preparation (compile, profile, adapt for both pipelines):
    its eight sim points and the assembly of their statistics into its
    runs. The points are independent (each builds its own machine over the
-   read-only program), so they fan out across a pool; results are
-   positional, so the record fields — and therefore every downstream
+   read-only program), so [prime] fans them out across a pool; results
+   are positional, so the record fields — and therefore every downstream
    table — are independent of scheduling. *)
-let prepare ~setting ~jobs (w : Ssp_workloads.Workload.t) =
+let prepare ~setting (w : Ssp_workloads.Workload.t) =
   let name = w.Ssp_workloads.Workload.name in
   let prog = Ssp_workloads.Workload.program w ~scale:setting.scale in
   let io_cfg = config_for setting Config.In_order in
@@ -90,8 +90,8 @@ let prepare ~setting ~jobs (w : Ssp_workloads.Workload.t) =
   let profile = Ssp_profiling.Collect.collect ~config:io_cfg prog in
   let d = Ssp.Delinquent.identify prog profile in
   let delinquent = Ssp.Delinquent.set d in
-  let adapted_io = Ssp.Adapt.run ~jobs ~config:io_cfg prog profile in
-  let adapted_ooo = Ssp.Adapt.run ~jobs ~config:ooo_cfg prog profile in
+  let adapted_io = Ssp.Adapt.run ~config:io_cfg prog profile in
+  let adapted_ooo = Ssp.Adapt.run ~config:ooo_cfg prog profile in
   let mode m cfg = Config.with_memory_mode cfg m in
   let pdel = Config.Perfect_delinquent delinquent in
   let points =
@@ -135,31 +135,25 @@ let prepare ~setting ~jobs (w : Ssp_workloads.Workload.t) =
   in
   (points, assemble)
 
-let run_benchmark ?(setting = reference) ?(jobs = 1)
-    (w : Ssp_workloads.Workload.t) =
+let run_benchmark ?(setting = reference) (w : Ssp_workloads.Workload.t) =
   let key = (w.Ssp_workloads.Workload.name, setting) in
   match cache_find key with
   | Some r -> r
   | None ->
-    let points, assemble = prepare ~setting ~jobs w in
-    let r =
-      assemble
-        (Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
-             Ssp_parallel.Pool.map_array pool (fun f -> f ()) points))
-    in
+    let points, assemble = prepare ~setting w in
+    let r = assemble (Array.map (fun f -> f ()) points) in
     cache_put key r;
     r
 
 (* Fill the memo for a list of workloads in two batches: every
    preparation, then every workload's sim points, so the longest
    workload's points spread over the pool instead of running on one
-   worker at the end (the per-workload adapt stays sequential — no
-   nested pools). *)
+   worker at the end. *)
 let prime ?(setting = reference) ~jobs (ws : Ssp_workloads.Workload.t list) =
   let ws = Array.of_list ws in
   Ssp_parallel.Pool.with_pool ~jobs (fun pool ->
       let preps =
-        Ssp_parallel.Pool.map_array pool (prepare ~setting ~jobs:1) ws
+        Ssp_parallel.Pool.map_array pool (prepare ~setting) ws
       in
       let stats =
         Ssp_parallel.Pool.map_array pool

@@ -30,12 +30,11 @@ type runs = {
   delinquent : Ssp_ir.Iref.Set.t;
 }
 
-val run_benchmark :
-  ?setting:setting -> ?jobs:int -> Ssp_workloads.Workload.t -> runs
+val run_benchmark : ?setting:setting -> Ssp_workloads.Workload.t -> runs
 (** Memoized per (benchmark, whole setting) within the process (the memo is
-    mutex-guarded, so concurrent callers are safe). [jobs] > 1 fans the
-    benchmark's eight independent sim points out across a domain pool;
-    results are identical to the sequential run. *)
+    mutex-guarded, so concurrent callers are safe). A miss runs the
+    benchmark's eight sim points on the caller's domain; {!prime} is the
+    parallel way to fill the memo. *)
 
 val prime :
   ?setting:setting -> jobs:int -> Ssp_workloads.Workload.t list -> unit

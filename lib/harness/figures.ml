@@ -65,6 +65,7 @@ let table2 ?setting ppf () =
     rows;
   Format.fprintf ppf "@]"
 
+(* (benchmark, in-order+SSP, OOO, OOO+SSP) speedups. *)
 let fig8_data ?setting () =
   List.map
     (fun w ->

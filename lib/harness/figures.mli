@@ -22,7 +22,3 @@ val fig8 : ?setting:Experiment.setting -> Format.formatter -> unit -> unit
 val fig9 : ?setting:Experiment.setting -> Format.formatter -> unit -> unit
 val fig10 : ?setting:Experiment.setting -> Format.formatter -> unit -> unit
 
-val fig8_data :
-  ?setting:Experiment.setting -> unit -> (string * float * float * float) list
-(** (benchmark, in-order+SSP, OOO, OOO+SSP) speedups — for tests and
-    EXPERIMENTS.md. *)

@@ -31,7 +31,7 @@ let connect addr =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e)
 
-let request_env ?max_frame ?timeout_s ?trace ?(deadline_ms = 0.) ?artifacts
+let request_env ?timeout_s ?trace ?(deadline_ms = 0.) ?artifacts
     addr req =
   let fd = connect addr in
   Fun.protect ~finally:(fun () ->
@@ -58,22 +58,20 @@ let request_env ?max_frame ?timeout_s ?trace ?(deadline_ms = 0.) ?artifacts
     with Unix.Unix_error _ -> ())
   | _ -> ());
   Proto.write_frame fd (Proto.encode_request ?trace ~deadline_ms ?artifacts req);
-  match Proto.read_frame ?max_frame fd with
+  match Proto.read_frame fd with
   | Some payload -> Proto.decode_response_env payload
   | None ->
     Ssp_ir.Error.raise_error ~pass:"proto"
       "server closed the connection without replying"
 
-let request_hops ?max_frame ?timeout_s ?trace ?deadline_ms addr req =
-  let resp, hops, _ =
-    request_env ?max_frame ?timeout_s ?trace ?deadline_ms addr req
-  in
+let request_hops ?timeout_s ?trace ?deadline_ms addr req =
+  let resp, hops, _ = request_env ?timeout_s ?trace ?deadline_ms addr req in
   (resp, hops)
 
-let request_addr ?max_frame ?timeout_s addr req =
-  fst (request_hops ?max_frame ?timeout_s addr req)
+let request_addr ?timeout_s addr req =
+  fst (request_hops ?timeout_s addr req)
 
-let request ?max_frame ~socket req = request_addr ?max_frame (Unix_sock socket) req
+let request ~socket req = request_addr (Unix_sock socket) req
 
 (* ---- transient-failure retry with capped jittered backoff ---- *)
 
@@ -93,8 +91,10 @@ let transient_error = function
    back in lockstep. *)
 let jittered d = d *. (0.5 +. Random.float 1.0)
 
-let request_retry_hops ?max_frame ?(attempts = 5) ?(base_delay_s = 0.05)
-    ?(max_delay_s = 2.0) ?on_wait ?trace ?deadline_s addr req =
+let max_delay_s = 2.0
+
+let request_retry_hops ?(attempts = 5) ?(base_delay_s = 0.05) ?on_wait ?trace
+    ?deadline_s addr req =
   let t_start = Unix.gettimeofday () in
   (* The client mints the end-to-end budget; every attempt (and every
      backoff sleep) spends it. A budget that runs out mid-retry becomes
@@ -124,7 +124,7 @@ let request_retry_hops ?max_frame ?(attempts = 5) ?(base_delay_s = 0.05)
     | Some ms when ms <= 0. -> expired "client"
     | rem -> (
       let deadline_ms = Option.value ~default:0. rem in
-      match request_hops ?max_frame ?trace ~deadline_ms addr req with
+      match request_hops ?trace ~deadline_ms addr req with
       | Proto.Busy_reply { retry_after_s }, _ when k < attempts ->
         (* Admission backpressure: honor the server's retry-after hint. *)
         wait "server saturated" (Float.max retry_after_s base_delay_s);
@@ -137,8 +137,6 @@ let request_retry_hops ?max_frame ?(attempts = 5) ?(base_delay_s = 0.05)
   in
   go 0
 
-let request_retry ?max_frame ?attempts ?base_delay_s ?max_delay_s ?on_wait
-    ?deadline_s addr req =
+let request_retry ?attempts ?base_delay_s ?on_wait ?deadline_s addr req =
   fst
-    (request_retry_hops ?max_frame ?attempts ?base_delay_s ?max_delay_s
-       ?on_wait ?deadline_s addr req)
+    (request_retry_hops ?attempts ?base_delay_s ?on_wait ?deadline_s addr req)

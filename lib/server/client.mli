@@ -4,8 +4,7 @@
 
 type addr = Unix_sock of string | Tcp of string * int
 
-val request_addr :
-  ?max_frame:int -> ?timeout_s:float -> addr -> Proto.request -> Proto.response
+val request_addr : ?timeout_s:float -> addr -> Proto.request -> Proto.response
 (** One request/response exchange. Raises [Unix.Unix_error] when the
     endpoint cannot be reached and [Ssp_ir.Error.Error] (pass ["proto"])
     when the reply is malformed or the connection dies mid-reply. TCP
@@ -14,7 +13,6 @@ val request_addr :
     [EAGAIN] instead of hanging the caller. *)
 
 val request_hops :
-  ?max_frame:int ->
   ?timeout_s:float ->
   ?trace:Proto.trace_ctx ->
   ?deadline_ms:float ->
@@ -29,7 +27,6 @@ val request_hops :
     deadline in play there is no independent per-hop timeout. *)
 
 val request_env :
-  ?max_frame:int ->
   ?timeout_s:float ->
   ?trace:Proto.trace_ctx ->
   ?deadline_ms:float ->
@@ -42,14 +39,12 @@ val request_env :
     returns the artifact [(key, blob)] list the shard attached — the
     router's write-through/read-repair source. *)
 
-val request : ?max_frame:int -> socket:string -> Proto.request -> Proto.response
+val request : socket:string -> Proto.request -> Proto.response
 (** [request_addr] over a Unix-domain socket (the pre-cluster API). *)
 
 val request_retry :
-  ?max_frame:int ->
   ?attempts:int ->
   ?base_delay_s:float ->
-  ?max_delay_s:float ->
   ?on_wait:(reason:string -> delay_s:float -> unit) ->
   ?deadline_s:float ->
   addr ->
@@ -61,12 +56,11 @@ val request_retry :
     [EPIPE], a daemon socket not there yet — with exponential backoff
     from [base_delay_s] (default 0.05 s), and (b) {!Proto.Busy_reply}
     admission rejections, honoring the server's retry-after hint. Every
-    delay is capped at [max_delay_s] (default 2 s) and jittered by
-    x[0.5, 1.5); [on_wait] is called before each sleep (CLI progress
-    messages). When attempts run out the last [Busy_reply] is returned
-    (or the last exception re-raised) so the caller sees the true
-    outcome. Non-transient errors and structured [Error_reply]s are
-    never retried.
+    delay is capped at 2 s and jittered by x[0.5, 1.5); [on_wait] is
+    called before each sleep (CLI progress messages). When attempts run
+    out the last [Busy_reply] is returned (or the last exception
+    re-raised) so the caller sees the true outcome. Non-transient errors
+    and structured [Error_reply]s are never retried.
 
     [deadline_s] mints an end-to-end budget covering {e all} attempts
     and backoff sleeps: each attempt stamps the remaining budget into
@@ -75,10 +69,8 @@ val request_retry :
     touching the wire. *)
 
 val request_retry_hops :
-  ?max_frame:int ->
   ?attempts:int ->
   ?base_delay_s:float ->
-  ?max_delay_s:float ->
   ?on_wait:(reason:string -> delay_s:float -> unit) ->
   ?trace:Proto.trace_ctx ->
   ?deadline_s:float ->

@@ -362,13 +362,14 @@ let read_exact fd n ~eof_ok =
     if !off = 0 && eof_ok then None else malformed "truncated frame"
   else Some (Bytes.to_string b)
 
-let read_frame ?(max_frame = default_max_frame) fd =
+let read_frame fd =
   match read_exact fd 4 ~eof_ok:true with
   | None -> None
   | Some hdr ->
     let n = Int32.to_int (String.get_int32_be hdr 0) in
-    if n < 0 || n > max_frame then
-      malformed (Printf.sprintf "frame of %d bytes exceeds limit %d" n max_frame);
+    if n < 0 || n > default_max_frame then
+      malformed
+        (Printf.sprintf "frame of %d bytes exceeds limit %d" n default_max_frame);
     if n = 0 then Some ""
     else (
       match read_exact fd n ~eof_ok:false with

@@ -23,12 +23,12 @@ type config = {
   tune : bool;
 }
 
-let default_config ~socket =
+let default_config =
   {
-    socket = Some socket;
+    socket = None;
     tcp = None;
-    jobs = 2;
-    cache = Some (Store.Cache.open_dir (Store.Cache.default_dir ()));
+    jobs = 1;
+    cache = None;
     max_frame = Proto.default_max_frame;
     timeout_s = 60.;
     max_batch = 32;
@@ -215,12 +215,15 @@ let handle_env cfg ~ask req =
               ~scale:rep.Feedback.fr_scale
           in
           Store.Cache.put cache (Feedback.report_store_key blob) blob;
-          let rs = Feedback.resolve cache ~config prog in
-          Mutex.protect feedback_mu (fun () ->
-              let published = Feedback.published cache rs in
-              if rep.Feedback.fr_version <> published.Feedback.ag_version then
-                T.count "server.feedback.stale" 1;
-              if cfg.tune then
+          (* Only a tuning daemon resolves the program: without a stored
+             profile that runs the whole program on the functional
+             simulator. *)
+          if cfg.tune then begin
+            let rs = Feedback.resolve cache ~config prog in
+            Mutex.protect feedback_mu (fun () ->
+                let published = Feedback.published cache rs in
+                if rep.Feedback.fr_version <> published.Feedback.ag_version
+                then T.count "server.feedback.stale" 1;
                 match
                   (Feedback.tune_workload cache rs
                      ( rep.Feedback.fr_prog,
@@ -234,7 +237,8 @@ let handle_env cfg ~ask req =
                   feedback_version_max :=
                     max !feedback_version_max
                       t.Feedback.td_aggregate.Feedback.ag_version
-                | None -> ());
+                | None -> ())
+          end;
           (Proto.Ok_reply, [])))
     | Proto.Stats | Proto.Shutdown | Proto.Put_blob _ | Proto.Ping ->
       (* Control requests are answered inline by the loop. *)

@@ -58,15 +58,18 @@ type config = {
           report runs {!Ssp_feedback.Feedback.tune_workload} on its
           workload — the round [sspc tune] runs — which publishes the
           next artifact version once the persisted reports cross the
-          confidence thresholds; when unset the daemon only persists
+          confidence thresholds, and counts a report stamped with
+          another version than the published one in
+          [server.feedback.stale]; when unset the daemon only persists
           reports (an operator runs [sspc tune] offline) *)
 }
 
-val default_config : socket:string -> config
-(** Unix socket only, [jobs = 2], a cache in
-    {!Ssp_store.Store.Cache.default_dir}, [max_frame =
-    Proto.default_max_frame], [timeout_s = 60.], [max_batch = 32],
-    [max_queue = 256], [retry_after_s = 0.2], [tune = false]. *)
+val default_config : config
+(** No listeners (set [socket] and/or [tcp]), [jobs = 1], no cache
+    (building the record opens no store; set [cache] to serve from
+    one), [max_frame = Proto.default_max_frame], [timeout_s = 60.],
+    [max_batch = 32], [max_queue = 256], [retry_after_s = 0.2],
+    [tune = false]. [sspc serve] takes every default from here. *)
 
 type listeners = {
   fds : Unix.file_descr list;  (** every bound listener *)

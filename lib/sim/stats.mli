@@ -46,7 +46,6 @@ type t = {
 val create : unit -> t
 val category_index : category -> int
 val add_category : t -> category -> unit
-val load_site : t -> Ssp_ir.Iref.t -> load_site
 
 val push_output : t -> int64 -> unit
 (** Append to the growable output buffer: order-correct by construction,

@@ -142,12 +142,6 @@ let blob_kind blob =
 
 let blob_ok blob = blob_kind blob <> None
 
-(* Generic sealing for payloads whose codecs live outside this module
-   (the feedback plane's reports and aggregates): same envelope, same
-   integrity guarantees, caller-owned payload format. *)
-let seal_kind ~kind payload = seal ~kind payload
-let unseal_kind ~kind blob = unseal ~kind blob
-
 (* ---- iref / common sub-codecs ---- *)
 
 let w_iref b (i : Iref.t) =

@@ -202,13 +202,14 @@ val kind_feedback_report : int
 val kind_feedback_aggregate : int
 (** Envelope kind of a per-workload feedback aggregate. *)
 
-val seal_kind : kind:int -> string -> string
-(** Seal a payload whose codec lives outside this module (the feedback
-    plane) in the standard envelope. *)
+val seal : kind:int -> string -> string
+(** Seal a payload in the standard envelope; the feedback plane seals
+    its reports and aggregates, whose codecs live outside this module,
+    with it too. *)
 
-val unseal_kind : kind:int -> string -> string
-(** Verify the whole envelope and the expected kind; raises the usual
-    structured [store] error otherwise. *)
+val unseal : kind:int -> string -> string
+(** Verify the whole envelope and the expected kind, and return the
+    payload; raises the usual structured [store] error otherwise. *)
 
 (** {1 On-disk content-addressed cache} *)
 

@@ -41,7 +41,7 @@ let test_useful_nonzero () =
   let _, result = adapt base_cfg in
   Alcotest.(check bool) "prefetch map nonempty" false
     (Ssp_ir.Iref.Map.is_empty result.Ssp.Adapt.prefetch_map);
-  let _, s = attributed_sim base_cfg result in
+  let stats, s = attributed_sim base_cfg result in
   Alcotest.(check bool) "some prefetches issued" true
     (sum_loads (fun l -> l.Attrib.ls_issued) s > 0);
   Alcotest.(check bool) "some prefetches useful" true
@@ -57,7 +57,11 @@ let test_useful_nonzero () =
         l.Attrib.ls_issued
         (l.Attrib.ls_useful + l.Attrib.ls_late + l.Attrib.ls_early_evicted
        + l.Attrib.ls_unused))
-    s.Attrib.loads
+    s.Attrib.loads;
+  (* The explain table joined from this run renders as JSON that parses. *)
+  ignore
+    (Test_telemetry.parse_json
+       (Ssp.Explain.to_json (Ssp.Explain.build ~result ~stats ~attrib:s ())))
 
 (* ---- saturation: dropped / denied / watchdog counters fire ---- *)
 

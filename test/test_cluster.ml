@@ -103,7 +103,7 @@ let test_ring_minimal_movement_on_leave () =
     (placements before ks) (placements after ks)
 
 let test_ring_deterministic_across_processes () =
-  (* Placement must be a pure function of (membership, vnodes) — no
+  (* Placement must be a pure function of the membership — no
      per-process seeding — or routers would disagree. These expected
      placements were computed once and hardcoded; a change here is a
      placement-breaking change (it silently cools every cluster cache

@@ -1,10 +1,9 @@
 (* Tests for the fault-injection engine (Ssp_fault): decision
    determinism, limits and counts, spec parsing; the per-load degradation
    ladder in Adapt.run (a load whose slicing fails is skipped with a
-   diagnostic — sequentially and under --jobs 4 — rather than aborting
-   adaptation); the simulator watchdog reclaiming a runaway chained
-   slice; the chaos invariance harness; and sspc's exit-code contract
-   for bad inputs. *)
+   diagnostic rather than aborting adaptation); the simulator watchdog
+   reclaiming a runaway chained slice; the chaos invariance harness; and
+   sspc's exit-code contract for bad inputs. *)
 
 open Ssp_isa
 open Ssp_ir
@@ -93,12 +92,12 @@ let test_parse_specs () =
 
 (* ---- the degradation ladder ---- *)
 
-let adapt_under plan ~jobs =
+let adapt_under plan =
   let w = Ssp_workloads.Suite.find "mcf" in
   let prog = Ssp_workloads.Workload.program w ~scale:1 in
   let profile = Ssp_profiling.Collect.collect ~config:cfg prog in
   let result =
-    F.with_plan plan (fun () -> Ssp.Adapt.run ~jobs ~config:cfg prog profile)
+    F.with_plan plan (fun () -> Ssp.Adapt.run ~config:cfg prog profile)
   in
   (prog, result)
 
@@ -108,7 +107,7 @@ let skip_plan () = F.make ~seed:11 [ ("adapt.slice.oversized", F.spec 1.0) ]
    load is skipped with a diagnostic — adaptation completes, emits no
    slices, and leaves the binary untouched. *)
 let test_ladder_skips_load () =
-  let prog, result = adapt_under (skip_plan ()) ~jobs:1 in
+  let prog, result = adapt_under (skip_plan ()) in
   Alcotest.(check int)
     "no slices survive" 0
     (List.length result.Ssp.Adapt.choices);
@@ -138,23 +137,6 @@ let test_ladder_skips_load () =
     (Format.asprintf "%a" Asm.print prog)
     (Format.asprintf "%a" Asm.print result.Ssp.Adapt.prog)
 
-(* Ladder decisions are keyed by load identity, so a parallel adaptation
-   must report byte-identical diagnostics and skip the same loads. *)
-let test_ladder_skip_jobs4 () =
-  let _, r1 = adapt_under (skip_plan ()) ~jobs:1 in
-  let _, r4 = adapt_under (skip_plan ()) ~jobs:4 in
-  Alcotest.(check int)
-    "jobs=4 skips the loads too" 0
-    (List.length r4.Ssp.Adapt.choices);
-  Alcotest.(check bool) "jobs=4 still reports diagnostics" true
-    (r4.Ssp.Adapt.report.Ssp.Report.diagnostics <> []);
-  Alcotest.(check string) "identical report"
-    (Format.asprintf "%a" Ssp.Report.pp r1.Ssp.Adapt.report)
-    (Format.asprintf "%a" Ssp.Report.pp r4.Ssp.Adapt.report);
-  Alcotest.(check string) "identical binary"
-    (Format.asprintf "%a" Asm.print r1.Ssp.Adapt.prog)
-    (Format.asprintf "%a" Asm.print r4.Ssp.Adapt.prog)
-
 (* A chaining refusal must not kill the load: it degrades to the basic
    model and the slice still ships — with unchanged program semantics. *)
 let test_ladder_degrades_to_basic () =
@@ -165,7 +147,7 @@ let test_ladder_degrades_to_basic () =
         ("adapt.interproc.refuse", F.spec 1.0);
       ]
   in
-  let prog, result = adapt_under plan ~jobs:1 in
+  let prog, result = adapt_under plan in
   Alcotest.(check bool) "slices still emitted" true
     (result.Ssp.Adapt.choices <> []);
   List.iter
@@ -310,17 +292,15 @@ let suite =
     Alcotest.test_case "engine: parse_specs" `Quick test_parse_specs;
     Alcotest.test_case "ladder: failed slicing skips load with diagnostic"
       `Quick test_ladder_skips_load;
-    Alcotest.test_case "ladder: identical under --jobs 4" `Quick
-      test_ladder_skip_jobs4;
     Alcotest.test_case "ladder: chaining refusal degrades to basic" `Quick
       test_ladder_degrades_to_basic;
     Alcotest.test_case "watchdog: runaway chained slice reclaimed" `Quick
       test_watchdog_kills_runaway;
     Alcotest.test_case "chaos: em3d smoke campaign" `Slow test_chaos_smoke;
-    Alcotest.test_case "sspc: exit code 2 on bad input" `Quick
-      test_cli_exit_codes;
     Alcotest.test_case "chaos: JSON escapes control bytes" `Quick
       test_chaos_json_escapes_control_bytes;
+    Alcotest.test_case "sspc: exit code 2 on bad input" `Quick
+      test_cli_exit_codes;
     Alcotest.test_case "sspc: unknown program name is exit code 2" `Quick
       test_cli_unknown_program;
   ]

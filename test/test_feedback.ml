@@ -331,14 +331,21 @@ let test_e2e_loop () =
   let red0 = sum_redundant sum0 in
   Alcotest.(check bool)
     "untuned mcf issues redundant prefetches" true (red0 > 0);
-  let mk_report version (stats : Ssp_sim.Stats.t) summary =
-    Fb.report_of_attrib ~prog:(Suite.Workload "mcf") ~scale:2
-      ~pipeline:"inorder" ~version ~cycles:stats.Ssp_sim.Stats.cycles summary
+  (* A round decides on three reports at the published version; the
+     simulation is deterministic, so three clients running one artifact
+     upload three equal reports. *)
+  let mk_reports version (stats : Ssp_sim.Stats.t) summary =
+    let rep =
+      Fb.report_of_attrib ~prog:(Suite.Workload "mcf") ~scale:2
+        ~pipeline:"inorder" ~version ~cycles:stats.Ssp_sim.Stats.cycles
+        summary
+    in
+    [ rep; rep; rep ]
   in
   let rec converge reports version result n =
     if n > 6 then Alcotest.fail "tuner failed to reach a fixed point"
     else
-      match Fb.tune_reports ~cache ~min_reports:1 ~config prog reports with
+      match Fb.tune_reports ~cache ~config prog reports with
       | None -> (version, result)
       | Some t ->
         let v = t.Fb.td_aggregate.Fb.ag_version in
@@ -353,18 +360,16 @@ let test_e2e_loop () =
           (Ssp_ir.Asm.to_string t.Fb.td_result.Ssp.Adapt.prog)
           fetched.Fb.sv_text;
         let stats, summary = simulate t.Fb.td_result in
-        converge (mk_report v stats summary :: reports) v t.Fb.td_result (n + 1)
+        converge (mk_reports v stats summary @ reports) v t.Fb.td_result (n + 1)
   in
-  let v, tuned = converge [ mk_report 0 stats0 sum0 ] 0 r0 0 in
+  let v, tuned = converge (mk_reports 0 stats0 sum0) 0 r0 0 in
   Alcotest.(check bool) "at least one version was published" true (v >= 1);
   (* Fixed point is stable: tuning the tuned artifact's own reports
      again still does nothing. *)
   let stats_t, sum_t = simulate tuned in
   Alcotest.(check bool)
     "re-tuning on the fixed point is a no-op" true
-    (Fb.tune_reports ~cache ~min_reports:1 ~config prog
-       [ mk_report v stats_t sum_t ]
-    = None);
+    (Fb.tune_reports ~cache ~config prog (mk_reports v stats_t sum_t) = None);
   let red_t = sum_redundant sum_t in
   Alcotest.(check bool)
     (Printf.sprintf "redundant prefetches strictly decrease (%d -> %d)" red0
@@ -485,12 +490,13 @@ let test_keys_are_the_program_forms () =
           Store.profile_key ~config prog; Store.adapted_key ~config prog profile;
         ]
         sv.Fb.sv_keys;
-      (* Every prefetch of one load redundant: one report moves the plan. *)
+      (* Every prefetch of one load redundant: three reports move the
+         plan. *)
       let id = Suite.Workload name in
       let rep =
         report ~prog:id ~scale [ load_stat (iref "main" 0 0) ~redundant:100 ]
       in
-      match Fb.tune_reports ~cache ~min_reports:1 ~config prog [ rep ] with
+      match Fb.tune_reports ~cache ~config prog [ rep; rep; rep ] with
       | None -> Alcotest.failf "%s: the round published nothing" name
       | Some t ->
         let pub = t.Fb.td_aggregate in

@@ -1,8 +1,8 @@
 (* Tests for the domain-pool parallel engine: combinator semantics,
    deterministic result ordering under skewed task durations, exception
    propagation, domain-sharded telemetry counters, and the end-to-end
-   invariant that a jobs=N adaptation + simulation is byte-identical to
-   the sequential run. *)
+   invariant that the figures' simulation grid, filled on a pool, is
+   byte-identical to the sequential run. *)
 
 module Pool = Ssp_parallel.Pool
 module T = Ssp_telemetry.Telemetry
@@ -139,52 +139,11 @@ let test_sharded_counters () =
         "exact sum across domains" (tasks * per_task)
         (List.assoc "parallel.test" (T.report ()).T.r_counters))
 
-(* The tentpole invariant: same input, same seed, jobs=4 must produce the
-   same adapted binary, report, cycle counts, attribution classification
-   and explain tables as jobs=1 — byte for byte. *)
-let check_workload name =
-  let w = Ssp_workloads.Suite.find name in
-  let cfg = Ssp_machine.Config.scale_caches Ssp_machine.Config.in_order 16 in
-  let prog = Ssp_workloads.Workload.program w ~scale:3 in
-  let profile = Ssp_profiling.Collect.collect ~config:cfg prog in
-  let full jobs =
-    let result = Ssp.Adapt.run ~jobs ~config:cfg prog profile in
-    let attrib =
-      Ssp_sim.Attrib.create ~prefetch_map:result.Ssp.Adapt.prefetch_map ()
-    in
-    let stats = Ssp_sim.Inorder.run ~attrib cfg result.Ssp.Adapt.prog in
-    let explain =
-      Ssp.Explain.build ~result ~stats ~attrib:(Ssp_sim.Attrib.summary attrib)
-        ()
-    in
-    (result, stats, explain)
-  in
-  let r1, s1, e1 = full 1 in
-  let r4, s4, e4 = full 4 in
-  Alcotest.(check string)
-    (name ^ ": adapted binary")
-    (Format.asprintf "%a" Ssp_ir.Asm.print r1.Ssp.Adapt.prog)
-    (Format.asprintf "%a" Ssp_ir.Asm.print r4.Ssp.Adapt.prog);
-  Alcotest.(check string)
-    (name ^ ": adaptation report")
-    (Format.asprintf "%a" Ssp.Report.pp r1.Ssp.Adapt.report)
-    (Format.asprintf "%a" Ssp.Report.pp r4.Ssp.Adapt.report);
-  Alcotest.(check int)
-    (name ^ ": cycle count") s1.Ssp_sim.Stats.cycles s4.Ssp_sim.Stats.cycles;
-  Alcotest.(check string)
-    (name ^ ": sim stats")
-    (Format.asprintf "%a" Ssp_sim.Stats.pp s1)
-    (Format.asprintf "%a" Ssp_sim.Stats.pp s4);
-  Alcotest.(check string)
-    (name ^ ": explain JSON (attribution)")
-    (Ssp.Explain.to_json e1) (Ssp.Explain.to_json e4);
-  ignore (Test_telemetry.parse_json (Ssp.Explain.to_json e1))
-
-(* The pooled simulation grid behind every figure: [run_benchmark] with
-   jobs=2, and the memo [prime] fills from one pool batch of every
-   kernel's sim points, reproduce the sequential sim points and
-   adaptation report on every suite kernel. The memo is keyed by setting
-   label, so each run gets its own. *)
+(* The pooled simulation grid behind every figure: the memo [prime] fills
+   on a 2-domain pool, whole adaptations and every kernel's sim points,
+   reproduces the sequential sim points and adaptation report on every
+   suite kernel. The memo is keyed by setting label, so each run gets its
+   own. *)
 let test_grid_jobs_invariant () =
   let module E = Ssp_harness.Experiment in
   let setting label = { E.scale = 1; cache_divisor = 64; label } in
@@ -201,20 +160,13 @@ let test_grid_jobs_invariant () =
     (fun (w : Ssp_workloads.Workload.t) ->
       let name = w.Ssp_workloads.Workload.name in
       let sequential =
-        render (E.run_benchmark ~setting:(setting "grid-jobs1") ~jobs:1 w)
+        render (E.run_benchmark ~setting:(setting "grid-seq") w)
       in
-      Alcotest.(check string)
-        (name ^ ": sim grid and report")
-        sequential
-        (render (E.run_benchmark ~setting:(setting "grid-jobs2") ~jobs:2 w));
       Alcotest.(check string)
         (name ^ ": primed sim grid and report")
         sequential
         (render (E.run_benchmark ~setting:(setting "grid-prime") w)))
     Ssp_workloads.Suite.all
-
-let test_adapt_deterministic_mcf () = check_workload "mcf"
-let test_adapt_deterministic_em3d () = check_workload "em3d"
 
 let suite =
   [
@@ -232,10 +184,6 @@ let suite =
       test_many_batches;
     Alcotest.test_case "sharded counters sum exactly" `Quick
       test_sharded_counters;
-    Alcotest.test_case "jobs=4 byte-identical: mcf" `Slow
-      test_adapt_deterministic_mcf;
-    Alcotest.test_case "jobs=4 byte-identical: em3d" `Slow
-      test_adapt_deterministic_em3d;
     Alcotest.test_case "sim grid jobs=2 byte-identical: suite" `Slow
       test_grid_jobs_invariant;
   ]

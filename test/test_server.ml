@@ -819,6 +819,29 @@ let test_feedback_tune_counts =
   Alcotest.(check int) "rounds that published" 2
     (counter snap "server.feedback.tuned")
 
+(* A daemon without --tune only persists an upload: it neither resolves
+   the report's program (which, on a store holding no profile, would run
+   the whole program to collect one) nor counts stale reports. *)
+let test_feedback_without_tune_profiles_nothing =
+  with_telemetry @@ fun () ->
+  with_server @@ fun socket ->
+  (match
+     Client.request ~socket
+       (feedback_req (Fb.encode_report (synthetic_report 0)))
+   with
+  | Proto.Ok_reply -> ()
+  | _ -> Alcotest.fail "expected Ok for a report upload");
+  let snap = fetch_snapshot socket in
+  Alcotest.(check int) "upload counted" 1
+    (counter snap "server.feedback.reports");
+  let cache =
+    Store.Cache.open_dir (Filename.concat (Filename.dirname socket) "cache")
+  in
+  let prog = Workload.program (Suite.find "em3d") ~scale in
+  Alcotest.(check bool)
+    "no profile stored" true
+    (Store.Cache.find cache (Store.profile_key ~config prog) = None)
+
 let test_snapshot_admission_counters =
   with_telemetry @@ fun () ->
   with_server ~max_queue:0 @@ fun socket ->
@@ -1031,11 +1054,11 @@ let test_put_blob_checks_adapted () =
   in
   (* The same report and prefetch map, sealed around another text. *)
   let sealed_with text' =
-    let payload = Store.unseal_kind ~kind:Store.kind_adapted honest in
+    let payload = Store.unseal ~kind:Store.kind_adapted honest in
     let skip = 8 + String.length text in
     let b = Store.Bin.writer () in
     Store.Bin.w_str b text';
-    Store.seal_kind ~kind:Store.kind_adapted
+    Store.seal ~kind:Store.kind_adapted
       (Store.Bin.contents b
       ^ String.sub payload skip (String.length payload - skip))
   in
@@ -1138,13 +1161,7 @@ let test_put_blob_without_cache () =
 let test_shutdown () =
   let dir = Filename.temp_dir "sspc_server_test" "" in
   let socket = Filename.concat dir "d.sock" in
-  let cfg =
-    {
-      (Server.default_config ~socket) with
-      Server.cache = None;
-      jobs = 1;
-    }
-  in
+  let cfg = { Server.default_config with Server.socket = Some socket } in
   let th = Thread.create Server.serve cfg in
   wait_for_socket socket;
   (match Client.request ~socket Proto.Shutdown with
@@ -1190,6 +1207,8 @@ let suite =
       `Quick test_feedback_upload_and_tune;
     Alcotest.test_case "feedback: a --tune daemon's counts match its fold"
       `Quick test_feedback_tune_counts;
+    Alcotest.test_case "feedback: an upload without --tune profiles nothing"
+      `Quick test_feedback_without_tune_profiles_nothing;
     Alcotest.test_case "trace: per-hop breakdown" `Quick test_traced_hops;
     Alcotest.test_case "trace: span hops + trace counter" `Quick
       test_traced_hops_spans;
