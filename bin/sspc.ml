@@ -12,14 +12,11 @@
                 prefetch effectiveness (coverage/accuracy/timeliness)
      tune       one offline closed-loop tuning round over a store
      stats      run the full pipeline and print the telemetry summary
-     top        live view of a daemon's or router's telemetry
      chaos      fault-injection campaigns with speculative-safety
                 invariance checking (exits 1 on any violation)
      serve      the adaptation daemon (one cluster shard)
      route      the cluster router in front of shard daemons
      client     adapt / sim / stats / shutdown against a daemon or router
-     bench      list workloads
-     table1     print the machine models
 
    'adapt', 'sim', 'explain' and 'stats' answer through the same
    functions as the daemon: Suite.compile, Feedback.adapt and
@@ -73,7 +70,17 @@ let program_of src =
 let compile program scale = Suite.compile ~pass:"sspc" program ~scale
 
 let src_arg =
-  let doc = "Workload name (em3d, health, mst, treeadd.df, treeadd.bf, mcf, vpr) or path to a mini-C file." in
+  let doc =
+    Printf.sprintf
+      "A workload name, gen:SEED for a program from the seeded workload \
+       generator, or the path to a mini-C file. The workloads: %s."
+      (String.concat "; "
+         (List.map
+            (fun (w : Ssp_workloads.Workload.t) ->
+              w.Ssp_workloads.Workload.name ^ ", "
+              ^ w.Ssp_workloads.Workload.description)
+            Suite.all))
+  in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
 let scale_arg =
@@ -308,29 +315,25 @@ let parse_sampling = function
       | _ -> fail2 ("bad --sample spec " ^ s ^ " (want DETAIL:FF)"))
     | None -> fail2 ("bad --sample spec " ^ s ^ " (want DETAIL:FF)"))
 
-let explain_flag =
-  let doc =
-    "Adapt with the SSP post-pass, simulate with prefetch-lifecycle \
-     attribution attached, and print the per-delinquent-load attribution \
-     report after the stats (implies --ssp)."
-  in
-  Arg.(value & flag & info [ "explain" ] ~doc)
-
-(* 'sspc top' and --upload-feedback accept either a router/shard TCP
-   endpoint or a Unix socket path, so they compose with every topology
-   the repo can start. *)
-let cluster_addr_of s =
+let parse_hostport s =
   match String.rindex_opt s ':' with
-  | Some i
-    when int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-         <> None ->
-    Ssp_server.Client.Tcp
-      ( String.sub s 0 i,
-        int_of_string (String.sub s (i + 1) (String.length s - i - 1)) )
-  | _ -> Ssp_server.Client.Unix_sock s
+  | Some i -> (
+    let host = String.sub s 0 i in
+    let port = String.sub s (i + 1) (String.length s - i - 1) in
+    match int_of_string_opt port with
+    | Some p when host <> "" && p >= 0 && p < 65536 -> Some (host, p)
+    | _ -> None)
+  | None -> None
+
+(* --upload-feedback accepts either a router/shard TCP endpoint or a Unix
+   socket path, so it composes with every topology the repo can start. *)
+let cluster_addr_of s =
+  match parse_hostport s with
+  | Some (host, port) -> Ssp_server.Client.Tcp (host, port)
+  | None -> Ssp_server.Client.Unix_sock s
 
 let sim_cmd =
-  let run src scale pipeline ssp explain trace trace_events sample upload =
+  let run src scale pipeline ssp trace trace_events sample upload =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
     with_trace_events trace_events @@ fun () ->
@@ -338,7 +341,7 @@ let sim_cmd =
     let config = config_of_pipeline pipeline in
     let program = program_of src in
     let prog = compile program scale in
-    let ssp = ssp || explain || upload <> None in
+    let ssp = ssp || upload <> None in
     let result =
       if ssp then
         Some (Lazy.force (Fb.adapt ~config prog).Fb.sv_result)
@@ -349,7 +352,7 @@ let sim_cmd =
     in
     let attrib =
       match result with
-      | Some a when explain || upload <> None ->
+      | Some a when upload <> None ->
         Some
           (Ssp_sim.Attrib.create ~prefetch_map:a.Ssp.Adapt.prefetch_map ())
       | _ -> None
@@ -360,14 +363,6 @@ let sim_cmd =
     Format.printf "%a@." Ssp_sim.Stats.pp r;
     Format.printf "; simulated in %.2fs (%.2f Mcycle/s)@." dt
       (float_of_int r.Ssp_sim.Stats.cycles /. dt /. 1e6);
-    (match (attrib, result) with
-    | Some a, Some res when explain ->
-      let ex =
-        Ssp.Explain.build ~result:res ~stats:r
-          ~attrib:(Ssp_sim.Attrib.summary a) ()
-      in
-      Format.printf "@.%a@." Ssp.Explain.pp ex
-    | _ -> ());
     match (upload, attrib) with
     | Some addr, Some a ->
       (* The run adapted through no store, so it measured the untuned
@@ -413,8 +408,8 @@ let sim_cmd =
   in
   Cmd.v (Cmd.info "sim" ~doc:"Cycle-level simulation")
     Term.(
-      const run $ src_arg $ scale_arg $ pipeline_arg $ ssp_flag $ explain_flag
-      $ trace_arg $ trace_events_arg $ sample_arg $ upload_arg)
+      const run $ src_arg $ scale_arg $ pipeline_arg $ ssp_flag $ trace_arg
+      $ trace_events_arg $ sample_arg $ upload_arg)
 
 let explain_cmd =
   let run src scale pipeline json trace_events feedback store =
@@ -617,27 +612,16 @@ let tune_cmd =
           byte-identical artifacts")
     Term.(const run $ store_pos $ explain_flag $ asm_dir_arg $ json_arg)
 
-let json_flag =
-  let doc = "Print the snapshot as JSON instead of a table." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
 let stats_cmd =
-  let run src scale pipeline trace json =
+  let run src scale pipeline trace =
     guard @@ fun () ->
     T.set_enabled true;
     let config = config_of_pipeline pipeline in
     let prog = compile (program_of src) scale in
     let adapted = Lazy.force (Fb.adapt ~config prog).Fb.sv_result in
     let r = Ssp_sim.Simulate.run config adapted.Ssp.Adapt.prog in
-    if json then
-      print_endline
-        (Ssp_server.Snapshot.to_json (Ssp_server.Snapshot.capture ()))
-    else begin
-      let report = T.report () in
-      Format.printf "%a@.@.%a@." Ssp_sim.Stats.pp r T.pp_summary report;
-      Format.printf "telemetry events dropped: %d@."
-        (T.events_dropped_count ())
-    end;
+    Format.printf "%a@.@.%a@." Ssp_sim.Stats.pp r T.pp_summary (T.report ());
+    Format.printf "telemetry events dropped: %d@." (T.events_dropped_count ());
     match trace with Some path -> write_trace path (T.report ()) | None -> ()
   in
   Cmd.v
@@ -645,8 +629,7 @@ let stats_cmd =
        ~doc:
          "Run the full pipeline (compile, profile, adapt, simulate) with \
           telemetry on and print the phase-timing and counter summary")
-    Term.(
-      const run $ src_arg $ scale_arg $ pipeline_arg $ trace_arg $ json_flag)
+    Term.(const run $ src_arg $ scale_arg $ pipeline_arg $ trace_arg)
 
 let chaos_cmd =
   let run seed campaigns faults json corpus workloads =
@@ -730,26 +713,6 @@ let chaos_cmd =
       const run $ seed_arg $ campaigns_arg $ faults_arg $ json_arg $ corpus_arg
       $ workloads_arg)
 
-let bench_cmd =
-  let run () =
-    List.iter
-      (fun w ->
-        Format.printf "%-12s %s@." w.Ssp_workloads.Workload.name
-          w.Ssp_workloads.Workload.description)
-      Ssp_workloads.Suite.all
-  in
-  Cmd.v (Cmd.info "bench" ~doc:"List the benchmark workloads")
-    Term.(const run $ const ())
-
-let table1_cmd =
-  let run () =
-    Format.printf "== In-order model ==@.%a@.@.== Out-of-order model ==@.%a@."
-      Ssp_machine.Config.pp Ssp_machine.Config.in_order Ssp_machine.Config.pp
-      Ssp_machine.Config.out_of_order
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Print the Table 1 machine models")
-    Term.(const run $ const ())
-
 (* ---- the adaptation service (sspc serve / route / client ...) ---- *)
 
 let socket_arg =
@@ -759,13 +722,8 @@ let socket_arg =
 
 let hostport_conv =
   let parse s =
-    match String.rindex_opt s ':' with
-    | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when host <> "" && p >= 0 && p < 65536 -> Ok (host, p)
-      | _ -> Error (`Msg (Printf.sprintf "expected HOST:PORT, got %S" s)))
+    match parse_hostport s with
+    | Some hp -> Ok hp
     | None -> Error (`Msg (Printf.sprintf "expected HOST:PORT, got %S" s))
   in
   let print ppf (h, p) = Format.fprintf ppf "%s:%d" h p in
@@ -866,8 +824,7 @@ let serve_cmd =
       $ no_cache_flag $ timeout_arg $ max_queue_arg $ tune_flag $ trace_arg)
 
 let route_cmd =
-  let run socket tcp shards quarantine probe_interval shard_timeout
-      no_replicate trace =
+  let run socket tcp shards quarantine no_replicate trace =
     guard @@ fun () ->
     T.set_enabled true;
     with_trace trace @@ fun () ->
@@ -877,8 +834,6 @@ let route_cmd =
         tcp;
         shards;
         quarantine_s = quarantine;
-        probe_interval_s = probe_interval;
-        shard_timeout_s = shard_timeout;
         replicate = not no_replicate;
       }
   in
@@ -900,27 +855,12 @@ let route_cmd =
     in
     Arg.(value & opt float 2. & info [ "quarantine" ] ~docv:"SECONDS" ~doc)
   in
-  let probe_interval_arg =
-    let doc =
-      "How often the health prober scans for quarantined shards whose \
-       backoff expired and pings them (half-open probing)."
-    in
-    Arg.(
-      value & opt float 0.25 & info [ "probe-interval" ] ~docv:"SECONDS" ~doc)
-  in
   let no_replicate_flag =
     let doc =
       "Disable replication: do not write adapt artifacts through to the \
        ring successor (failover falls back to cold recompute)."
     in
     Arg.(value & flag & info [ "no-replicate" ] ~doc)
-  in
-  let shard_timeout_arg =
-    let doc =
-      "Socket timeout per shard exchange: a shard that accepts but never \
-       replies is treated as dead (failover) instead of hanging the client."
-    in
-    Arg.(value & opt float 120. & info [ "shard-timeout" ] ~docv:"SECONDS" ~doc)
   in
   Cmd.v
     (Cmd.info "route"
@@ -934,8 +874,7 @@ let route_cmd =
           structured error — never wrong bytes — when no shard answers")
     Term.(
       const run $ socket_arg $ tcp_arg $ shard_arg $ quarantine_arg
-      $ probe_interval_arg $ shard_timeout_arg $ no_replicate_flag
-      $ trace_arg)
+      $ no_replicate_flag $ trace_arg)
 
 let server_error_to_exit2 = function
   | Ssp_server.Proto.Error_reply { pass; what; injected = _ } ->
@@ -1248,20 +1187,21 @@ let client_sim_cmd =
       const run $ src_arg $ scale_arg $ pipeline_arg $ ssp_flag $ socket_arg
       $ tcp_arg $ tenant_arg $ retries_arg $ deadline_arg $ client_trace_arg)
 
-let snapshot_of_reply resp =
-  match server_error_to_exit2 resp with
-  | Ssp_server.Proto.Stats_reply { snapshot } -> snapshot
-  | _ -> fail2 "unexpected reply to stats request"
-
 let client_stats_cmd =
   let run socket tcp retries json =
     guard @@ fun () ->
-    let snap =
-      snapshot_of_reply
+    match
+      server_error_to_exit2
         (fst (client_request ~socket ~tcp ~retries Ssp_server.Proto.Stats))
-    in
-    if json then print_endline (Ssp_server.Snapshot.to_json snap)
-    else Format.printf "%a@." Ssp_server.Snapshot.pp snap
+    with
+    | Ssp_server.Proto.Stats_reply { snapshot } ->
+      if json then print_endline (Ssp_server.Snapshot.to_json snapshot)
+      else Format.printf "%a@." Ssp_server.Snapshot.pp snapshot
+    | _ -> fail2 "unexpected reply to stats request"
+  in
+  let json_flag =
+    let doc = "Print the snapshot as JSON instead of a table." in
+    Arg.(value & flag & info [ "json" ] ~doc)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -1298,202 +1238,6 @@ let client_cmd =
           router ('sspc route')")
     [ client_adapt_cmd; client_sim_cmd; client_stats_cmd; client_shutdown_cmd ]
 
-(* ---- sspc top: poll the stats plane and redraw ---- *)
-
-let top_cmd =
-  let addr_pos =
-    let doc = "Router or daemon endpoint (HOST:PORT or a Unix socket path)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ADDR" ~doc)
-  in
-  let interval_arg =
-    let doc = "Seconds between polls." in
-    Arg.(value & opt float 2.0 & info [ "interval" ] ~docv:"SECONDS" ~doc)
-  in
-  let iterations_arg =
-    let doc = "Stop after $(docv) redraws (0 = run until interrupted)." in
-    Arg.(value & opt int 0 & info [ "iterations" ] ~docv:"N" ~doc)
-  in
-  let starts_with prefix s =
-    String.length s >= String.length prefix
-    && String.equal (String.sub s 0 (String.length prefix)) prefix
-  in
-  let strip prefix s =
-    String.sub s (String.length prefix) (String.length s - String.length prefix)
-  in
-  let draw ~prev ~dt (snap : Ssp_server.Snapshot.t) =
-    let module S = Ssp_server.Snapshot in
-    let b = Buffer.create 1024 in
-    let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    addf "sspc top — node %s, %d counters, %d histograms\n"
-      (if snap.S.node = "" then "-" else snap.S.node)
-      (List.length snap.S.report.T.r_counters)
-      (List.length snap.S.report.T.r_hists);
-    (* Shard health + queue depth, from the merged gauges. Keys are
-       shard.<node>.<metric> where <node> itself contains dots
-       (host:port), so split by matching known metric suffixes. *)
-    let shard_metrics =
-      [ "up"; "server.queue_depth"; "store.entries"; "store.bytes";
-        "store.evictions"; "feedback.last_report_age_s";
-        "feedback.version_max"; "feedback.rounds" ]
-    in
-    let shards =
-      List.filter_map
-        (fun (name, v) ->
-          if starts_with "shard." name then
-            let rest = strip "shard." name in
-            List.find_map
-              (fun m ->
-                let suffix = "." ^ m in
-                let ls = String.length suffix and lr = String.length rest in
-                if
-                  lr > ls
-                  && String.equal (String.sub rest (lr - ls) ls) suffix
-                then Some (String.sub rest 0 (lr - ls), m, v)
-                else None)
-              shard_metrics
-          else None)
-        snap.S.gauges
-    in
-    let nodes =
-      List.sort_uniq String.compare (List.map (fun (n, _, _) -> n) shards)
-    in
-    if nodes <> [] then begin
-      addf "shards:\n";
-      List.iter
-        (fun node ->
-          let find metric =
-            List.find_map
-              (fun (n, m, v) ->
-                if String.equal n node && String.equal m metric then Some v
-                else None)
-              shards
-          in
-          let health =
-            match find "up" with
-            | Some v when v > 0.5 -> "up"
-            | Some _ -> "DOWN"
-            | None -> "?"
-          in
-          let depth =
-            match find "server.queue_depth" with
-            | Some v -> Printf.sprintf "%5.0f" v
-            | None -> "    -"
-          in
-          let feedback =
-            (* Liveness of the closed loop: highest published tuned
-               version on this shard and seconds since the last
-               attribution report landed. *)
-            match (find "feedback.version_max", find "feedback.last_report_age_s")
-            with
-            | (Some v, age) when v > 0. ->
-              Printf.sprintf "  tuned v%.0f%s" v
-                (match age with
-                | Some a when a >= 0. -> Printf.sprintf " (fb %.0fs ago)" a
-                | _ -> "")
-            | (_, Some a) when a >= 0. -> Printf.sprintf "  fb %.0fs ago" a
-            | _ -> ""
-          in
-          addf "  %-28s %-5s queue %s%s\n" node health depth feedback)
-        nodes
-    end;
-    (* Per-tenant req/s from served-counter deltas against the previous
-       poll; p99 from the merged service-time histograms. *)
-    let served t snap =
-      match
-        List.assoc_opt ("server.tenant." ^ t ^ ".served") snap.S.report.T.r_counters
-      with
-      | Some v -> v
-      | None -> 0
-    in
-    let tenants =
-      List.filter_map
-        (fun (name, _) ->
-          if starts_with "server.tenant." name then
-            let rest = strip "server.tenant." name in
-            match String.rindex_opt rest '.' with
-            | Some i -> Some (String.sub rest 0 i)
-            | None -> None
-          else None)
-        snap.S.report.T.r_counters
-      |> List.sort_uniq String.compare
-    in
-    if tenants <> [] then begin
-      addf "tenants:\n";
-      addf "  %-20s %10s %10s %9s %9s\n" "" "served" "req/s" "p99 ms" "rejected";
-      List.iter
-        (fun t ->
-          let now = served t snap in
-          let rate =
-            match prev with
-            | Some p when dt > 0. -> float_of_int (now - served t p) /. dt
-            | _ -> 0.
-          in
-          let p99 =
-            match
-              List.assoc_opt
-                ("server.tenant." ^ t ^ ".service_ms")
-                snap.S.report.T.r_hists
-            with
-            | Some h -> Printf.sprintf "%9.3f" (T.hist_quantile h 0.99)
-            | None -> "        -"
-          in
-          let rejected =
-            match
-              List.assoc_opt
-                ("server.tenant." ^ t ^ ".rejected")
-                snap.S.report.T.r_counters
-            with
-            | Some v -> v
-            | None -> 0
-          in
-          addf "  %-20s %10d %10.1f %s %9d\n" t now rate p99 rejected)
-        tenants
-    end;
-    (match List.assoc_opt "server.service_ms" snap.S.report.T.r_hists with
-    | Some h ->
-      addf "service_ms: p50 %.3f  p90 %.3f  p99 %.3f  max %.3f  (n=%d)\n"
-        (T.hist_quantile h 0.5) (T.hist_quantile h 0.9)
-        (T.hist_quantile h 0.99) h.T.hs_max h.T.hs_n
-    | None -> ());
-    if snap.S.events_dropped > 0 then
-      addf "telemetry events dropped: %d\n" snap.S.events_dropped;
-    Buffer.contents b
-  in
-  let run addr interval iterations =
-    guard @@ fun () ->
-    let addr = cluster_addr_of addr in
-    let interval = Float.max 0.05 interval in
-    let prev = ref None in
-    let t_prev = ref (Unix.gettimeofday ()) in
-    let i = ref 0 in
-    let continue () = iterations <= 0 || !i < iterations in
-    while continue () do
-      incr i;
-      let snap =
-        snapshot_of_reply
-          (Ssp_server.Client.request_addr ~timeout_s:30. addr
-             Ssp_server.Proto.Stats)
-      in
-      let now = Unix.gettimeofday () in
-      let dt = now -. !t_prev in
-      (* \027[H\027[2J = home + clear: redraw in place on a terminal,
-         harmless noise when piped. *)
-      if Unix.isatty Unix.stdout then print_string "\027[H\027[2J";
-      print_string (draw ~prev:!prev ~dt snap);
-      flush stdout;
-      prev := Some snap;
-      t_prev := now;
-      if continue () then Unix.sleepf interval
-    done
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live cluster view: poll the stats plane and redraw \
-          per-tenant request rates, p99 service time, shard queue depths \
-          and shard health")
-    Term.(const run $ addr_pos $ interval_arg $ iterations_arg)
-
 let () =
   let info = Cmd.info "sspc" ~doc:"SSP post-pass binary adaptation tool" in
   exit
@@ -1510,11 +1254,8 @@ let () =
             explain_cmd;
             tune_cmd;
             stats_cmd;
-            top_cmd;
             chaos_cmd;
             serve_cmd;
             route_cmd;
             client_cmd;
-            bench_cmd;
-            table1_cmd;
           ]))

@@ -53,7 +53,3 @@ let block_of_label t l =
   in
   go 0
 
-let terminator t i =
-  let ops = t.func.blocks.(i).ops in
-  let n = Array.length ops in
-  if n = 0 then None else Some ops.(n - 1)

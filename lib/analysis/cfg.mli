@@ -19,6 +19,3 @@ val n_blocks : t -> int
 
 val block_of_label : t -> string -> int
 (** Raises [Not_found]. *)
-
-val terminator : t -> int -> Ssp_isa.Op.t option
-(** Last instruction of the block, if any. *)

@@ -96,7 +96,3 @@ let compute (cfg : Cfg.t) dom =
 let all t = Array.to_list t.loops
 let find t id = t.loops.(id)
 let innermost_at t b = t.inner.(b)
-let in_loop _t l b = List.mem b l.body
-
-let preheaders cfg l =
-  List.filter (fun p -> not (List.mem p l.body)) (Cfg.pred cfg l.header)

@@ -22,9 +22,3 @@ val find : t -> int -> loop
 
 val innermost_at : t -> int -> loop option
 (** The innermost loop containing the block, if any. *)
-
-val in_loop : t -> loop -> int -> bool
-(** Membership of a block in a loop's body. *)
-
-val preheaders : Cfg.t -> loop -> int list
-(** Predecessors of the header from outside the loop. *)

@@ -5,10 +5,10 @@
    placement depends only on the node names through MD5, so every
    process that builds a ring from the same membership computes the same
    key -> shard map — the property the router, clients and offline tools
-   all rely on. Adding or removing one shard moves only the keys whose
-   owning arc changed (about 1/N of them); everything else stays put,
-   which is what keeps the per-shard warm caches hot across membership
-   changes. *)
+   all rely on. A ring over one more or one fewer shard moves only the
+   keys whose owning arc changed (about 1/N of them); everything else
+   stays put, which keeps the per-shard warm caches hot when a router
+   restarts with a changed shard list. *)
 
 type t = {
   points : (int64 * string) array; (* sorted ascending, unsigned *)
@@ -42,12 +42,7 @@ let create nodes =
   Array.sort compare_points points;
   { points; nodes }
 
-let nodes t = t.nodes
 let is_empty t = t.nodes = []
-let add t node = create (node :: t.nodes)
-
-let remove t node =
-  create (List.filter (fun n -> not (String.equal n node)) t.nodes)
 
 (* Index of the first point at or clockwise after [h] (wrapping). *)
 let owner_index t h =

@@ -61,8 +61,6 @@ type config = {
   tcp : (string * int) option;
   shards : (string * int) list;
   quarantine_s : float;
-  probe_interval_s : float;
-  shard_timeout_s : float;
   replicate : bool;
 }
 
@@ -72,14 +70,19 @@ let hints_max = 256
 
 let quarantine_max_s = 30.0
 
+(* How often the prober scans for quarantined shards whose backoff
+   expired, and the socket timeout of a shard exchange whose request
+   carries no deadline (a shard that accepts but never replies counts as
+   dead instead of hanging the client). *)
+let probe_interval_s = 0.25
+let shard_timeout_s = 120.0
+
 let default_config ~shards =
   {
     socket = None;
     tcp = None;
     shards;
     quarantine_s = 2.0;
-    probe_interval_s = 0.25;
-    shard_timeout_s = 120.0;
     replicate = true;
   }
 
@@ -202,7 +205,7 @@ let serve ?ready cfg =
   let put_blob node (key, blob) =
     let host, port = List.assoc node addr_of_node in
     match
-      Client.request_addr ~timeout_s:(Float.min 5.0 cfg.shard_timeout_s)
+      Client.request_addr ~timeout_s:5.0
         (Client.Tcp (host, port))
         (Proto.Put_blob { key; blob })
     with
@@ -333,7 +336,7 @@ let serve ?ready cfg =
           let timeout_s =
             match rem with
             | Some ms -> ms /. 1000.
-            | None -> cfg.shard_timeout_s
+            | None -> shard_timeout_s
           in
           (* The primary only attaches artifacts it just computed
              (write-through); a failover target attaches them even on a
@@ -410,7 +413,7 @@ let serve ?ready cfg =
      traffic is risked; failure re-opens it with a longer backoff. *)
   let prober () =
     while Atomic.get running do
-      Thread.delay cfg.probe_interval_s;
+      Thread.delay probe_interval_s;
       let due =
         locked (fun () ->
             let now = Unix.gettimeofday () in
@@ -430,7 +433,7 @@ let serve ?ready cfg =
           let host, port = List.assoc node addr_of_node in
           let ok =
             match
-              Client.request_addr ~timeout_s:(Float.min 2.0 cfg.shard_timeout_s)
+              Client.request_addr ~timeout_s:2.0
                 (Client.Tcp (host, port))
                 Proto.Ping
             with
@@ -475,7 +478,7 @@ let serve ?ready cfg =
         List.map
           (fun (node, (host, port)) ->
             match
-              Client.request_addr ~timeout_s:cfg.shard_timeout_s
+              Client.request_addr ~timeout_s:shard_timeout_s
                 (Client.Tcp (host, port))
                 Proto.Stats
             with

@@ -47,13 +47,6 @@ type config = {
       (** breaker backoff {e base}: the first quarantine after a failure
           is roughly this long, growing per consecutive failure up to
           30 s *)
-  probe_interval_s : float;
-      (** how often the prober thread scans for quarantined shards whose
-          backoff expired and pings them *)
-  shard_timeout_s : float;
-      (** socket timeout per shard exchange when the request carries no
-          deadline; a shard that accepts but never replies counts as
-          dead instead of hanging the client *)
   replicate : bool;
       (** write adapt artifacts through to the ring successor (and
           read-repair a recovered primary) *)
@@ -61,11 +54,14 @@ type config = {
 
 val default_config : shards:(string * int) list -> config
 (** No listeners bound (set [socket] and/or [tcp]), [quarantine_s = 2.],
-    [probe_interval_s = 0.25], [shard_timeout_s = 120.],
     [replicate = true]. The ring is {!Ring.create}'s, which takes no
     settings, so any process that builds a ring over the same shards
     places keys as the router does, and frames are bounded by
-    {!Ssp_server.Proto.default_max_frame} on both sides. *)
+    {!Ssp_server.Proto.default_max_frame} on both sides. The prober
+    scans for quarantined shards whose backoff expired every 0.25 s,
+    and a shard exchange whose request carries no deadline times out
+    after 120 s, so a shard that accepts but never replies counts as
+    dead instead of hanging the client. *)
 
 val node_of_shard : string * int -> string
 (** The ring node id of a shard endpoint: ["host:port"]. *)

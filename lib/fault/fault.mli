@@ -8,11 +8,10 @@
 
     Decisions are pure functions of [(seed, site name, key)].  Callers
     that can key a decision by a stable identity (e.g. a delinquent
-    load's [Iref.hash]) get decisions independent of evaluation order —
-    in particular identical across the sequential and domain-pool
-    adaptation paths.  Unkeyed queries consume a per-site counter
-    stream, which is deterministic for single-threaded callers such as
-    the simulators. *)
+    load's [Iref.hash]) get decisions independent of evaluation order,
+    so the loads of one adaptation can be visited in any order.  Unkeyed
+    queries consume a per-site counter stream, which is deterministic for
+    single-threaded callers such as the simulators. *)
 
 type site
 

@@ -13,8 +13,6 @@ let collect ?(config = Ssp_machine.Config.in_order) prog =
       blocks = Array.make n 0;
       branches = Array.make (2 * n) 0;
       loads = Array.make (6 * n) 0;
-      site_calls = Array.make n 0;
-      calls = Hashtbl.create 16;
     }
   in
   let profile = Profile.create () in
@@ -49,19 +47,6 @@ let collect ?(config = Ssp_machine.Config.in_order) prog =
           miss_cycles = l.(5);
         }
   done;
-  Hashtbl.iter
-    (fun (pc, callee) k ->
-      let site = layout.Layout.irefs.(pc) in
-      let tbl =
-        match Ssp_ir.Iref.Tbl.find_opt profile.Profile.calls site with
-        | Some t -> t
-        | None ->
-          let t = Hashtbl.create 4 in
-          Ssp_ir.Iref.Tbl.replace profile.Profile.calls site t;
-          t
-      in
-      Hashtbl.replace tbl callee k)
-    c.Funcsim.calls;
   if T.is_enabled () then
     T.count "profile.instrs" profile.Profile.total_instrs;
   profile

@@ -1,5 +1,14 @@
 type addr = Unix_sock of string | Tcp of string * int
 
+let resolve_host ~pass host =
+  match Unix.inet_addr_of_string host with
+  | addr -> addr
+  | exception Failure _ -> (
+    match Unix.gethostbyname host with
+    | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
+    | _ | (exception Not_found) ->
+      Ssp_ir.Error.raise_error ~pass ("cannot resolve host " ^ host))
+
 let connect addr =
   match addr with
   | Unix_sock path ->
@@ -10,17 +19,7 @@ let connect addr =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e)
   | Tcp (host, port) ->
-    let ip =
-      match Unix.inet_addr_of_string host with
-      | a -> a
-      | exception Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 ->
-          addrs.(0)
-        | _ | (exception Not_found) ->
-          Ssp_ir.Error.raise_error ~pass:"proto"
-            ("cannot resolve host " ^ host))
-    in
+    let ip = resolve_host ~pass:"proto" host in
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (match
        Unix.setsockopt fd Unix.TCP_NODELAY true;
@@ -91,10 +90,10 @@ let transient_error = function
    back in lockstep. *)
 let jittered d = d *. (0.5 +. Random.float 1.0)
 
+let base_delay_s = 0.05
 let max_delay_s = 2.0
 
-let request_retry_hops ?(attempts = 5) ?(base_delay_s = 0.05) ?on_wait ?trace
-    ?deadline_s addr req =
+let request_retry_hops ?(attempts = 5) ?on_wait ?trace ?deadline_s addr req =
   let t_start = Unix.gettimeofday () in
   (* The client mints the end-to-end budget; every attempt (and every
      backoff sleep) spends it. A budget that runs out mid-retry becomes
@@ -137,6 +136,5 @@ let request_retry_hops ?(attempts = 5) ?(base_delay_s = 0.05) ?on_wait ?trace
   in
   go 0
 
-let request_retry ?attempts ?base_delay_s ?on_wait ?deadline_s addr req =
-  fst
-    (request_retry_hops ?attempts ?base_delay_s ?on_wait ?deadline_s addr req)
+let request_retry ?attempts ?on_wait ?deadline_s addr req =
+  fst (request_retry_hops ?attempts ?on_wait ?deadline_s addr req)

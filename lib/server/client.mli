@@ -4,6 +4,11 @@
 
 type addr = Unix_sock of string | Tcp of string * int
 
+val resolve_host : pass:string -> string -> Unix.inet_addr
+(** A dotted address as is, else the host name's first address. Raises
+    [Ssp_ir.Error.Error] (pass [pass]) when the name does not resolve.
+    The one resolver of the clients and of both servers' listeners. *)
+
 val request_addr : ?timeout_s:float -> addr -> Proto.request -> Proto.response
 (** One request/response exchange. Raises [Unix.Unix_error] when the
     endpoint cannot be reached and [Ssp_ir.Error.Error] (pass ["proto"])
@@ -40,11 +45,10 @@ val request_env :
     router's write-through/read-repair source. *)
 
 val request : socket:string -> Proto.request -> Proto.response
-(** [request_addr] over a Unix-domain socket (the pre-cluster API). *)
+(** [request_addr] over a Unix-domain socket. *)
 
 val request_retry :
   ?attempts:int ->
-  ?base_delay_s:float ->
   ?on_wait:(reason:string -> delay_s:float -> unit) ->
   ?deadline_s:float ->
   addr ->
@@ -54,7 +58,7 @@ val request_retry :
     are idempotent. Retries up to [attempts] (default 5) extra times on
     (a) transient connect/write failures — refused or reset connections,
     [EPIPE], a daemon socket not there yet — with exponential backoff
-    from [base_delay_s] (default 0.05 s), and (b) {!Proto.Busy_reply}
+    from 0.05 s, and (b) {!Proto.Busy_reply}
     admission rejections, honoring the server's retry-after hint. Every
     delay is capped at 2 s and jittered by x[0.5, 1.5); [on_wait] is
     called before each sleep (CLI progress messages). When attempts run
@@ -70,7 +74,6 @@ val request_retry :
 
 val request_retry_hops :
   ?attempts:int ->
-  ?base_delay_s:float ->
   ?on_wait:(reason:string -> delay_s:float -> unit) ->
   ?trace:Proto.trace_ctx ->
   ?deadline_s:float ->

@@ -37,15 +37,6 @@ let default_config =
     tune = false;
   }
 
-let resolve_host ~pass host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-    | _ | (exception Not_found) ->
-      Ssp_ir.Error.raise_error ~pass ("cannot resolve host " ^ host))
-
 type listeners = {
   fds : Unix.file_descr list;
   tcp_fd : Unix.file_descr option;
@@ -87,7 +78,8 @@ let with_listeners ~pass ~socket ~tcp f =
     let tcp_fd =
       Option.map
         (fun (host, port) ->
-          open_bound Unix.PF_INET (Unix.ADDR_INET (resolve_host ~pass host, port)))
+          open_bound Unix.PF_INET
+            (Unix.ADDR_INET (Client.resolve_host ~pass host, port)))
         tcp
     in
     let tcp_port =

@@ -4,8 +4,6 @@ type counts = {
   blocks : int array;
   branches : int array;
   loads : int array;
-  site_calls : int array;
-  calls : (int * string, int) Hashtbl.t;
 }
 
 type probe = Quiet | Warm of Hierarchy.t * Bpred.t | Count of counts
@@ -31,24 +29,6 @@ let count_load c th pc addr =
     c.loads.(k + 5)
     + Int.max 0
         (ready - now - Hierarchy.level_latency c.hier Hierarchy.L1)
-
-let count_call c pc callee =
-  let k = (pc, callee) in
-  Hashtbl.replace c.calls k
-    (1 + Option.value ~default:0 (Hashtbl.find_opt c.calls k))
-
-(* A decoded call site has exactly one callee (its word holds the callee's
-   entry pc), so it is counted per pc. Its first call enters the site into
-   [calls], where hashing every call would have entered it (so [calls]
-   holds its entries in the same order); {!count} settles the counts once
-   the run is over. *)
-let count_site_call c (layout : Layout.t) pc entry =
-  let n = c.site_calls.(pc) in
-  c.site_calls.(pc) <- n + 1;
-  if n = 0 then
-    Hashtbl.replace c.calls
-      (pc, Layout.name layout layout.Layout.fn_of.(entry))
-      0
 
 (* Byte offsets in [Thread.regs] of word [w]'s register fields d, a and b
    (bits 6, 13 and 20; register r's slot is at byte 8r). *)
@@ -121,8 +101,8 @@ let[@inline] call (th : Thread.t) pc w entry =
    layout rejects a function that could run off its end and a target that
    does not resolve). Every engine executes every instruction through
    here — [exec] below and both cycle cores — and every op has its own
-   arm. The probe observes loads, stores, prefetches, branches and calls
-   inside their arms, so [exec]'s loop dispatches once per instruction;
+   arm. The probe observes loads, stores, prefetches and branches inside
+   their arms, so [exec]'s loop dispatches once per instruction;
    the cores pass [Quiet] and time the returned event themselves.
 
    Invariants the arms lean on: register fields were range-validated by
@@ -275,13 +255,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
       th.Thread.pc <- pc + 1;
       Exec.Ev_branch_not_taken
     end
-  | 47 ->
-    (* call *)
-    let entry = w asr 27 in
-    (match probe with
-    | Count c -> count_site_call c layout pc entry
-    | Quiet | Warm _ -> ());
-    call th pc w entry
+  | 47 -> call th pc w (w asr 27)
   | 48 ->
     (* ret; returning from the outermost frame ends the thread *)
     if th.Thread.frame_n = 0 then begin
@@ -329,12 +303,7 @@ let[@inline] step probe (layout : Layout.t) (env : Exec.env) (th : Thread.t)
        in a speculative thread, an error in the main thread *)
     let id = Int64.to_int (Thread.get64u regs (a_off w)) in
     let fn = Layout.of_code_id layout id in
-    if fn >= 0 then begin
-      (match probe with
-      | Count c -> count_call c pc (Layout.name layout fn)
-      | Quiet | Warm _ -> ());
-      call th pc w (Layout.pc_of layout fn 0)
-    end
+    if fn >= 0 then call th pc w (Layout.pc_of layout fn 0)
     else if th.Thread.speculative then begin
       th.Thread.pc <- pc + 1;
       Exec.Ev_plain
@@ -473,11 +442,4 @@ let run_probe probe ~spawning layout prog =
 let run ?(spawning = false) prog =
   run_probe Quiet ~spawning (Layout.of_prog prog) prog
 
-let count c layout prog =
-  let n = (run_probe (Count c) ~spawning:false layout prog).instrs in
-  Hashtbl.filter_map_inplace
-    (fun (pc, _) k ->
-      let site = c.site_calls.(pc) in
-      Some (if site > 0 then site else k))
-    c.calls;
-  n
+let count c layout prog = (run_probe (Count c) ~spawning:false layout prog).instrs

@@ -8,7 +8,6 @@ type t = {
   by_index : entry array;
   n_pcs : int;
   irefs : Ssp_ir.Iref.t array;
-  fn_of : int array;
   code_ids : int array;
   code : int array;
   imms : int64 array;
@@ -136,7 +135,6 @@ let of_prog (prog : Ssp_ir.Prog.t) =
     by_index;
     n_pcs;
     irefs;
-    fn_of;
     code_ids;
     code = dec.Decode.code;
     imms = dec.Decode.imms;
@@ -159,8 +157,6 @@ let find t fn =
   match Hashtbl.find_opt t.tbl fn with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Layout.find: no function %s" fn)
-
-let name t i = t.by_index.(i).func.Ssp_ir.Prog.name
 
 let pc_of t fn blk = t.by_index.(fn).block_base.(blk)
 

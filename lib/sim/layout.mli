@@ -31,10 +31,9 @@ type t = {
   tbl : (string, int) Hashtbl.t;  (** function name → [by_index] index *)
   by_index : entry array;
       (** entries in [funcs_in_order] order; a function's index here is its
-          identity in the simulator (spawn targets, [fn_of]) *)
+          identity in the simulator (spawn targets) *)
   n_pcs : int;  (** total static instruction count *)
   irefs : Ssp_ir.Iref.t array;  (** pc id → instruction reference *)
-  fn_of : int array;  (** pc id → its function's [by_index] index *)
   code_ids : int array;
       (** [by_index] index → the function's code id, the callee an
           indirect call names ({!of_code_id}) *)
@@ -72,9 +71,6 @@ val of_prog : Ssp_ir.Prog.t -> t
 val find : t -> string -> int
 (** The named function's index in [by_index]. Raises [Invalid_argument]
     for a name the program does not define. *)
-
-val name : t -> int -> string
-(** The name of the function at an index of [by_index]. *)
 
 val pc_of : t -> int -> int -> int
 (** [pc_of t fn blk]: the pc id at which block [blk] of the function at

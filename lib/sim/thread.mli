@@ -7,7 +7,7 @@
     decoded arms compute and store 64-bit values without allocating; the
     live-in buffers use the same slot layout. The position is one
     {!Layout} pc id; cold paths that need the function or block read them
-    from the layout ([Layout.fn_of], [Layout.irefs]). *)
+    from the layout ([Layout.irefs]). *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 (** The 8-byte slot at a byte offset, host byte order, unchecked. *)

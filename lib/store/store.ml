@@ -14,7 +14,7 @@ module Profile = Ssp_profiling.Profile
 module T = Ssp_telemetry.Telemetry
 module F = Ssp_fault.Fault
 
-let format_version = 3
+let format_version = 4
 let magic = "SSPA"
 
 let corrupt what = Ssp_ir.Error.raise_error ~pass:"store" what
@@ -248,19 +248,6 @@ let profile_payload (p : Profile.t) =
       Bin.w_int b s.Profile.mem_hits;
       Bin.w_int b s.Profile.partial_hits;
       Bin.w_int b s.Profile.miss_cycles);
-  let calls =
-    sorted_tbl p.Profile.calls
-      (fun f tbl acc -> Iref.Tbl.fold f tbl acc)
-      Iref.compare
-  in
-  w_list b calls (fun b (i, tbl) ->
-      w_iref b i;
-      let callees =
-        sorted_tbl tbl (fun f t acc -> Hashtbl.fold f t acc) String.compare
-      in
-      w_list b callees (fun b (callee, n) ->
-          Bin.w_str b callee;
-          Bin.w_int b n));
   Bin.w_int b p.Profile.total_instrs;
   Bin.contents b
 
@@ -306,19 +293,6 @@ let profile_of_payload payload =
              partial_hits;
              miss_cycles;
            } )));
-  List.iter
-    (fun (i, tbl) -> Iref.Tbl.replace p.Profile.calls i tbl)
-    (r_list r (fun r ->
-         let i = r_iref r in
-         let callees =
-           r_list r (fun r ->
-               let callee = Bin.r_str r in
-               let n = Bin.r_int r in
-               (callee, n))
-         in
-         let tbl = Hashtbl.create (max 4 (List.length callees)) in
-         List.iter (fun (c, n) -> Hashtbl.replace tbl c n) callees;
-         (i, tbl)));
   p.Profile.total_instrs <- Bin.r_int r;
   Bin.expect_end r;
   p

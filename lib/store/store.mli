@@ -44,7 +44,9 @@ val format_version : int
     reports tag their program identity as the wire protocol does. Format
     3: the payloads are format 2's, but an adapted blob is served
     without parsing its program, so an entry admitted under format 2's
-    envelope-only replica check is never read. *)
+    envelope-only replica check is never read. Format 4: a profile
+    holds block, branch and load counts and no per-call-site callee
+    counts. *)
 
 (** Low-level binary reader/writer used by every codec (and by the wire
     protocol of {!Ssp_server}). Integers are 8-byte big-endian, strings

@@ -209,9 +209,6 @@ let test_callgraph () =
        int main() { print_int(f(3)); return 0; }"
   in
   let cg = Callgraph.compute prog in
-  Alcotest.(check bool) "g recursive" true (Callgraph.is_recursive cg "g");
-  Alcotest.(check bool) "f not recursive" false (Callgraph.is_recursive cg "f");
-  Alcotest.(check int) "f has one callee" 1 (List.length (Callgraph.callees cg "f"));
   Alcotest.(check int) "g called from f and itself" 2
     (List.length (Callgraph.callers cg "g"))
 

@@ -45,9 +45,9 @@ let test_branch_bias () =
   let found = ref false in
   Ssp_ir.Iref.Tbl.iter
     (fun _ b ->
-      let r = Profile.taken_ratio b in
-      if b.Profile.taken + b.Profile.not_taken > 1000 && (r > 0.9 || r < 0.1)
-      then found := true)
+      let n = b.Profile.taken + b.Profile.not_taken in
+      let r = float_of_int b.Profile.taken /. float_of_int n in
+      if n > 1000 && (r > 0.9 || r < 0.1) then found := true)
     p.Profile.branches;
   Alcotest.(check bool) "hot biased branch found" true !found
 
@@ -70,31 +70,6 @@ let test_load_stats () =
         + s.Profile.mem_hits))
     hot
 
-let test_call_profile () =
-  let p = profile_of pointer_program in
-  (match Profile.dominant_call_site p ~callee:"walk" with
-  | Some site -> Alcotest.(check string) "walk called from main" "main" site.Ssp_ir.Iref.fn
-  | None -> Alcotest.fail "no call site for walk");
-  Alcotest.(check bool) "no call site for absent callee" true
-    (Profile.dominant_call_site p ~callee:"nothing" = None)
-
-let test_indirect_call_profile () =
-  let p =
-    profile_of
-      "int inc(int x) { return x + 1; }\n\
-       int dec(int x) { return x - 1; }\n\
-       int main() { fnptr f = &inc; int s = 0; for (int i = 0; i < 10; i = \
-       i + 1) { if (i % 2 == 0) { f = &inc; } else { f = &dec; } s = f(s); \
-       } print_int(s); return 0; }"
-  in
-  (* The indirect call site must record both dynamic targets. *)
-  let multi =
-    Ssp_ir.Iref.Tbl.fold
-      (fun _ tbl acc -> max acc (Hashtbl.length tbl))
-      p.Profile.calls 0
-  in
-  Alcotest.(check int) "dynamic call graph captured both targets" 2 multi
-
 let test_avg_latency_and_executed () =
   let p = profile_of pointer_program in
   let cfg = Ssp_machine.Config.in_order in
@@ -103,7 +78,11 @@ let test_avg_latency_and_executed () =
   Alcotest.(check int) "default latency" 2 (Profile.avg_load_latency p cfg ghost);
   Alcotest.(check bool) "executed blocks" true
     (Profile.executed p (Ssp_ir.Iref.make "walk" 0 0));
-  Alcotest.(check bool) "miss cycles accumulate" true (Profile.total_miss_cycles p > 0)
+  let miss_cycles =
+    Ssp_ir.Iref.Tbl.fold (fun _ s acc -> acc + s.Profile.miss_cycles)
+      p.Profile.loads 0
+  in
+  Alcotest.(check bool) "miss cycles accumulate" true (miss_cycles > 0)
 
 (* Profile bytes feed every adapted-artifact key ([Store.hash_profile])
    while [Store.profile_key] does not change with the collector, so a
@@ -112,22 +91,24 @@ let test_avg_latency_and_executed () =
    spawning on, were recorded once and must not change. A digest covers
    the sealed blob, whose envelope carries [Store.format_version], so a
    format bump re-records them (formats 2 and 3 did; the payloads kept
-   their bytes). *)
+   their bytes). Format 4 re-recorded them because the payload lost its
+   per-call-site callee counts; the block, branch and load sections kept
+   their bytes. *)
 let pinned =
   [
-    ("em3d", "afd70a1804fd5fb8056286b49994b5e3", 708165, 21325);
-    ("health", "8f0f015cc93b623988b29e47f0e8fc9b", 178507, 4640);
-    ("mst", "335522b66e147d7c078dbe4a5492e294", 710884, 5776);
-    ("treeadd.df", "561d47eef05366528b649ba9d402fee0", 869719, 29523);
-    ("treeadd.bf", "01e67c1fd9fcd8d69e74e2c6c30fa69b", 954361, 28816);
-    ("mcf", "61d0ecf977a26386a2413e84aea2e1b2", 211959, 1872);
-    ("vpr", "e4088d9db1b9a2477f5489fe9e6b4931", 876403, 25553);
-    ("gen:3", "36bd16648afd17c1c8375d9f023b06a5", 186400, 1);
-    ("gen:4", "7696b23a28021d0aefbf5ee45662bf45", 210760, 5841);
-    ("gen:5", "6e168ec60922471f15aa0ab70c4c38c0", 124953, 1);
-    ("gen:6", "b9aef6ade16e1b8018893dc85371d318", 222231, 7208);
-    ("gen:7", "11544577dddfea71ba57554a8281a280", 455167, 14964);
-    ("gen:8", "9cdbadb41d4d1fd1fba9cced4d8d2bc4", 227488, 6776);
+    ("em3d", "3ba9587b1f1772a00affde7088aad0f8", 708165, 21325);
+    ("health", "e4a556daaf6faee5a4c4d97781f0613b", 178507, 4640);
+    ("mst", "915998f125dfd1fce2d6f7e01021bec7", 710884, 5776);
+    ("treeadd.df", "161f99adc63cc0425e195660426a392f", 869719, 29523);
+    ("treeadd.bf", "e4e3752b8184b9b6cd78893d0d9c56b6", 954361, 28816);
+    ("mcf", "ab62bd22f4e25ce787f98bc0d56159a0", 211959, 1872);
+    ("vpr", "74ada20a1977fd68616c4df47fc5bf83", 876403, 25553);
+    ("gen:3", "1102233f17fdb329252779c3053f95e8", 186400, 1);
+    ("gen:4", "d05e03ff513838556f004f3360e1b64e", 210760, 5841);
+    ("gen:5", "a1cc4e1603a67f93a7e2d96d631d64d5", 124953, 1);
+    ("gen:6", "8c11b26d130848443bb042e857d685bb", 222231, 7208);
+    ("gen:7", "eedf29c94eaa1b6d01740e7032be5257", 455167, 14964);
+    ("gen:8", "bc46435d7cc4d73cddbbd1b481f0b437", 227488, 6776);
   ]
 
 let test_pinned () =
@@ -204,8 +185,6 @@ let suite =
     Alcotest.test_case "block frequencies" `Quick test_block_freqs;
     Alcotest.test_case "branch bias" `Quick test_branch_bias;
     Alcotest.test_case "per-load cache stats" `Quick test_load_stats;
-    Alcotest.test_case "call profile" `Quick test_call_profile;
-    Alcotest.test_case "indirect call targets" `Quick test_indirect_call_profile;
     Alcotest.test_case "latency annotation" `Quick test_avg_latency_and_executed;
     Alcotest.test_case "empty block counts zero" `Quick test_empty_block_freq;
     Alcotest.test_case "profile bytes and spawning runs pinned" `Quick
